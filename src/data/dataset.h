@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -25,6 +26,8 @@ class Dataset {
   void set_name(std::string name) { name_ = std::move(name); }
 
   const CsrMatrix& interactions() const { return interactions_; }
+  /// Moves the matrix out, leaving this dataset with an empty 0x0 one.
+  CsrMatrix TakeInteractions() { return std::exchange(interactions_, {}); }
   uint32_t num_users() const { return interactions_.num_rows(); }
   uint32_t num_items() const { return interactions_.num_cols(); }
   size_t num_interactions() const { return interactions_.nnz(); }

@@ -1,12 +1,22 @@
 #ifndef OCULAR_DATA_LOADERS_H_
 #define OCULAR_DATA_LOADERS_H_
 
+#include <cstddef>
 #include <string>
 
 #include "common/result.h"
 #include "data/dataset.h"
 
 namespace ocular {
+
+/// The loaders read their files in blocks of this many bytes and parse each
+/// line where it lies in the block, so a load holds the matrix being built
+/// plus one block, never the whole file. A line longer than a block grows
+/// the buffer to fit it.
+///
+/// Raw ids kept as matrix indices (compact_ids = false) must be at most
+/// 4294967294; a larger one is a ParseError naming `file:line`.
+inline constexpr size_t kLoaderBlockBytes = size_t{64} << 10;
 
 /// Options shared by the rating-file loaders.
 struct LoaderOptions {

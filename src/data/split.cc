@@ -32,8 +32,8 @@ Result<TrainTestSplit> SplitInteractions(const CsrMatrix& interactions,
   OCULAR_ASSIGN_OR_RETURN(
       auto test_entries,
       test_coo.Finalize(interactions.num_rows(), interactions.num_cols()));
-  return TrainTestSplit{CsrMatrix::FromCoo(train_entries),
-                        CsrMatrix::FromCoo(test_entries)};
+  return TrainTestSplit{CsrMatrix::FromCoo(std::move(train_entries)),
+                        CsrMatrix::FromCoo(std::move(test_entries))};
 }
 
 Result<TrainTestSplit> LeaveKOut(const CsrMatrix& interactions, uint32_t k,
@@ -64,8 +64,8 @@ Result<TrainTestSplit> LeaveKOut(const CsrMatrix& interactions, uint32_t k,
   OCULAR_ASSIGN_OR_RETURN(
       auto test_entries,
       test_coo.Finalize(interactions.num_rows(), interactions.num_cols()));
-  return TrainTestSplit{CsrMatrix::FromCoo(train_entries),
-                        CsrMatrix::FromCoo(test_entries)};
+  return TrainTestSplit{CsrMatrix::FromCoo(std::move(train_entries)),
+                        CsrMatrix::FromCoo(std::move(test_entries))};
 }
 
 Result<std::vector<TrainTestSplit>> KFoldSplits(const CsrMatrix& interactions,
@@ -98,8 +98,9 @@ Result<std::vector<TrainTestSplit>> KFoldSplits(const CsrMatrix& interactions,
     OCULAR_ASSIGN_OR_RETURN(
         auto test_entries,
         test_coo.Finalize(interactions.num_rows(), interactions.num_cols()));
-    out.push_back(TrainTestSplit{CsrMatrix::FromCoo(train_entries),
-                                 CsrMatrix::FromCoo(test_entries)});
+    out.push_back(
+        TrainTestSplit{CsrMatrix::FromCoo(std::move(train_entries)),
+                       CsrMatrix::FromCoo(std::move(test_entries))});
   }
   return out;
 }
@@ -122,7 +123,7 @@ Result<CsrMatrix> SampleFraction(const CsrMatrix& interactions,
   OCULAR_ASSIGN_OR_RETURN(
       auto entries,
       coo.Finalize(interactions.num_rows(), interactions.num_cols()));
-  return CsrMatrix::FromCoo(entries);
+  return CsrMatrix::FromCoo(std::move(entries));
 }
 
 }  // namespace ocular

@@ -108,7 +108,7 @@ Result<PlantedCoClusterData> GeneratePlantedCoClusters(
   }
   OCULAR_ASSIGN_OR_RETURN(auto entries,
                           coo.Finalize(config.num_users, config.num_items));
-  out.dataset = Dataset("planted", CsrMatrix::FromCoo(entries));
+  out.dataset = Dataset("planted", CsrMatrix::FromCoo(std::move(entries)));
   return out;
 }
 

@@ -39,7 +39,7 @@ Result<Graph> Graph::FromEdges(
   }
   Graph g;
   OCULAR_ASSIGN_OR_RETURN(auto entries, coo.Finalize(num_nodes, num_nodes));
-  g.adjacency_ = CsrMatrix::FromCoo(entries);
+  g.adjacency_ = CsrMatrix::FromCoo(std::move(entries));
   return g;
 }
 

@@ -442,13 +442,10 @@ Result<RequestServer::UpdateOutcome> RequestServer::ApplyShardedUpdate(
   // touched user's fold-in history is its FULL updated row (Section V's
   // new-user solve against fixed item factors), and the republish rebinds
   // the merged matrix as the exclusion source.
-  CooBuilder coo;
-  coo.Reserve(model.train->nnz() + adds.size());
-  for (auto [u, i] : model.train->ToPairs()) coo.Add(u, i);
-  for (auto [u, i] : adds) coo.Add(u, i);
   OCULAR_ASSIGN_OR_RETURN(
-      auto entries, coo.Finalize(model.num_users(), model.num_items()));
-  auto merged = std::make_shared<const CsrMatrix>(CsrMatrix::FromCoo(entries));
+      CsrMatrix merged_train,
+      model.train->WithEntries(adds, model.num_users(), model.num_items()));
+  auto merged = std::make_shared<const CsrMatrix>(std::move(merged_train));
 
   std::vector<uint32_t> touched_users;
   touched_users.reserve(adds.size());
@@ -640,17 +637,13 @@ Result<RequestServer::UpdateOutcome> RequestServer::ApplyUpdate(
   }
   uint32_t users = std::max(model->num_users(), num_users);
   uint32_t items = std::max(model->num_items(), num_items);
-  CooBuilder coo;
-  coo.Reserve(model->train->nnz() + adds.size());
-  for (auto [u, i] : model->train->ToPairs()) coo.Add(u, i);
   for (auto [u, i] : adds) {
     users = std::max(users, u + 1);
     items = std::max(items, i + 1);
-    coo.Add(u, i);
   }
-  OCULAR_ASSIGN_OR_RETURN(auto entries, coo.Finalize(users, items));
-  auto updated_train =
-      std::make_shared<const CsrMatrix>(CsrMatrix::FromCoo(entries));
+  OCULAR_ASSIGN_OR_RETURN(CsrMatrix merged,
+                          model->train->WithEntries(adds, users, items));
+  auto updated_train = std::make_shared<const CsrMatrix>(std::move(merged));
 
   // Write-ahead: the full replay recipe is durable before the retrain
   // starts, so a crash anywhere past this point can be recovered to the
@@ -734,23 +727,22 @@ Result<JournalRecoveryStats> RequestServer::RecoverJournal(
 
   // Re-merge every applied record's deltas into the training base: the
   // --datasets CSV is the original snapshot and knows nothing about
-  // updates applied by previous incarnations. CooBuilder::Finalize sorts
-  // and deduplicates, so the merge is order-insensitive and idempotent —
-  // recovering twice yields the same canonical matrix.
+  // updates applied by previous incarnations. WithEntries keeps each row
+  // sorted and deduplicated, so the merge is order-insensitive and
+  // idempotent — recovering twice yields the same canonical matrix.
   uint32_t users = model->train->num_rows();
   uint32_t items = model->train->num_cols();
-  size_t extra = 0;
-  for (const UpdateRecord& record : plan.applied) extra += record.adds.size();
-  CooBuilder coo;
-  coo.Reserve(model->train->nnz() + extra);
-  for (auto [u, i] : model->train->ToPairs()) coo.Add(u, i);
+  std::vector<std::pair<uint32_t, uint32_t>> applied_adds;
   for (const UpdateRecord& record : plan.applied) {
     users = std::max(users, record.num_users);
     items = std::max(items, record.num_items);
-    for (auto [u, i] : record.adds) coo.Add(u, i);
+    applied_adds.insert(applied_adds.end(), record.adds.begin(),
+                        record.adds.end());
   }
-  OCULAR_ASSIGN_OR_RETURN(auto entries, coo.Finalize(users, items));
-  auto merged = std::make_shared<const CsrMatrix>(CsrMatrix::FromCoo(entries));
+  OCULAR_ASSIGN_OR_RETURN(
+      CsrMatrix merged_train,
+      model->train->WithEntries(applied_adds, users, items));
+  auto merged = std::make_shared<const CsrMatrix>(std::move(merged_train));
   stats.applied_merged = plan.applied.size();
 
   if (!replay_pending) {
@@ -775,14 +767,11 @@ Result<JournalRecoveryStats> RequestServer::RecoverJournal(
   // lost ack promised.
   uint32_t replay_users = std::max(users, plan.pending.num_users);
   uint32_t replay_items = std::max(items, plan.pending.num_items);
-  CooBuilder replay_coo;
-  replay_coo.Reserve(merged->nnz() + plan.pending.adds.size());
-  for (auto [u, i] : merged->ToPairs()) replay_coo.Add(u, i);
-  for (auto [u, i] : plan.pending.adds) replay_coo.Add(u, i);
-  OCULAR_ASSIGN_OR_RETURN(auto replay_entries,
-                          replay_coo.Finalize(replay_users, replay_items));
+  OCULAR_ASSIGN_OR_RETURN(
+      CsrMatrix replay_matrix,
+      merged->WithEntries(plan.pending.adds, replay_users, replay_items));
   auto replay_train =
-      std::make_shared<const CsrMatrix>(CsrMatrix::FromCoo(replay_entries));
+      std::make_shared<const CsrMatrix>(std::move(replay_matrix));
   bool published = false;
   Result<UpdateOutcome> outcome = RetrainAndPublish(
       *model, model_name, replay_train, replay_users, replay_items,
@@ -821,9 +810,11 @@ std::string RequestServer::HandleUpdate(WorkerState* w,
     uint32_t ids[2];
     for (int n = 0; n < 2; ++n) {
       const JsonValue& v = pair.array()[n];
+      // UINT32_MAX itself is out: id + 1 would wrap the grown shape.
       if (!v.is_number() || v.number() < 0.0 ||
-          v.number() != std::floor(v.number()) || v.number() > UINT32_MAX) {
-        return ErrorReply(w, "'adds' entries must be non-negative ids");
+          v.number() != std::floor(v.number()) || v.number() >= UINT32_MAX) {
+        return ErrorReply(
+            w, "'adds' entries must be non-negative ids below 4294967295");
       }
       ids[n] = static_cast<uint32_t>(v.number());
     }

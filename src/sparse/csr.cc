@@ -4,15 +4,30 @@
 
 namespace ocular {
 
+namespace {
+
+std::vector<uint64_t> RowPointers(const CooBuilder::Entries& entries) {
+  std::vector<uint64_t> row_ptr(entries.num_rows + size_t{1}, 0);
+  for (uint32_t r : entries.rows) ++row_ptr[r + size_t{1}];
+  for (size_t i = 1; i < row_ptr.size(); ++i) row_ptr[i] += row_ptr[i - 1];
+  return row_ptr;
+}
+
+}  // namespace
+
 CsrMatrix CsrMatrix::FromCoo(const CooBuilder::Entries& entries) {
   CsrMatrix m;
   m.num_cols_ = entries.num_cols;
-  m.row_ptr_.assign(entries.num_rows + 1, 0);
-  for (uint32_t r : entries.rows) ++m.row_ptr_[r + 1];
-  for (size_t i = 1; i < m.row_ptr_.size(); ++i) {
-    m.row_ptr_[i] += m.row_ptr_[i - 1];
-  }
+  m.row_ptr_ = RowPointers(entries);
   m.col_idx_ = entries.cols;  // already row-major sorted by CooBuilder
+  return m;
+}
+
+CsrMatrix CsrMatrix::FromCoo(CooBuilder::Entries&& entries) {
+  CsrMatrix m;
+  m.num_cols_ = entries.num_cols;
+  m.row_ptr_ = RowPointers(entries);
+  m.col_idx_ = std::move(entries.cols);
   return m;
 }
 
@@ -23,7 +38,7 @@ Result<CsrMatrix> CsrMatrix::FromPairs(
   coo.Reserve(pairs.size());
   for (const auto& [r, c] : pairs) coo.Add(r, c);
   OCULAR_ASSIGN_OR_RETURN(auto entries, coo.Finalize(num_rows, num_cols));
-  return FromCoo(entries);
+  return FromCoo(std::move(entries));
 }
 
 double CsrMatrix::Density() const {
@@ -95,6 +110,49 @@ std::vector<std::pair<uint32_t, uint32_t>> CsrMatrix::ToPairs() const {
   out.reserve(nnz());
   for (uint32_t r = 0; r < num_rows(); ++r) {
     for (uint32_t c : Row(r)) out.emplace_back(r, c);
+  }
+  return out;
+}
+
+Result<CsrMatrix> CsrMatrix::WithEntries(
+    std::span<const std::pair<uint32_t, uint32_t>> adds, uint32_t num_rows,
+    uint32_t num_cols) const {
+  const Status outside =
+      Status::InvalidArgument("explicit shape smaller than recorded indices");
+  for (uint32_t r = num_rows; r < this->num_rows(); ++r) {
+    if (RowDegree(r) > 0) return outside;
+  }
+  std::vector<std::pair<uint32_t, uint32_t>> sorted(adds.begin(), adds.end());
+  for (auto [r, c] : sorted) {
+    if (r >= num_rows || c >= num_cols) return outside;
+  }
+  std::sort(sorted.begin(), sorted.end());
+
+  CsrMatrix out;
+  out.num_cols_ = num_cols;
+  out.row_ptr_.assign(num_rows + size_t{1}, 0);
+  out.col_idx_.reserve(nnz() + sorted.size());
+  size_t a = 0;
+  for (uint32_t r = 0; r < num_rows; ++r) {
+    const std::span<const uint32_t> row =
+        r < this->num_rows() ? Row(r) : std::span<const uint32_t>{};
+    if (!row.empty() && row.back() >= num_cols) return outside;
+    const size_t row_start = out.col_idx_.size();
+    size_t k = 0;
+    // Merge two ascending runs, keeping each column once.
+    while (k < row.size() || (a < sorted.size() && sorted[a].first == r)) {
+      uint32_t c;
+      if (a < sorted.size() && sorted[a].first == r &&
+          (k == row.size() || sorted[a].second < row[k])) {
+        c = sorted[a++].second;
+      } else {
+        c = row[k++];
+      }
+      if (out.col_idx_.size() == row_start || out.col_idx_.back() != c) {
+        out.col_idx_.push_back(c);
+      }
+    }
+    out.row_ptr_[r + size_t{1}] = out.col_idx_.size();
   }
   return out;
 }

@@ -24,8 +24,10 @@ class CsrMatrix {
   /// Empty 0x0 matrix.
   CsrMatrix() : row_ptr_(1, 0) {}
 
-  /// Builds from finalized COO entries (sorted, deduplicated).
+  /// Builds from finalized COO entries (sorted, deduplicated). The rvalue
+  /// overload moves the column array in instead of copying it.
   static CsrMatrix FromCoo(const CooBuilder::Entries& entries);
+  static CsrMatrix FromCoo(CooBuilder::Entries&& entries);
 
   /// Builds directly from (row, col) pairs; sorts and deduplicates.
   /// If num_rows/num_cols are 0 the shape is inferred.
@@ -70,6 +72,16 @@ class CsrMatrix {
 
   /// All stored (row, col) pairs in row-major order.
   std::vector<std::pair<uint32_t, uint32_t>> ToPairs() const;
+
+  /// This matrix plus the entries `adds`, as a num_rows x num_cols matrix:
+  /// each row is the sorted union of its stored columns and its adds, with
+  /// duplicates collapsed. The result equals a CooBuilder fed ToPairs() and
+  /// `adds` and finalized at that shape, built row by row without the pairs
+  /// copy. InvalidArgument if a stored entry or an add lies outside the
+  /// shape (empty rows past num_rows are dropped).
+  Result<CsrMatrix> WithEntries(
+      std::span<const std::pair<uint32_t, uint32_t>> adds, uint32_t num_rows,
+      uint32_t num_cols) const;
 
   /// Raw arrays (for the parallel executor & tests).
   const std::vector<uint64_t>& row_ptr() const { return row_ptr_; }

@@ -933,6 +933,33 @@ TEST(FoldInServingTest, MalformedHistoryAndUpdateRequestsAnswerErrors) {
   std::remove(dot_path.c_str());
 }
 
+TEST(FoldInServingTest, UpdateRefusesIdUint32MaxAndKeepsTheBoundMatrix) {
+  // [4294967295, 0] used to be accepted: the grown shape wrapped to 0
+  // rows and the merged training matrix shifted every row by one entry.
+  DaemonFixture f = DaemonFixture::Make("daemon_update_u32max.oclr");
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Load("default", f.model_path, f.shared_train()).ok());
+  RequestServer server(&registry);
+  const auto before = registry.Get("default");
+
+  for (const std::string& bad : {
+           std::string(R"({"cmd":"update","adds":[[4294967295,0]]})"),
+           std::string(R"({"cmd":"update","adds":[[0,4294967295]]})"),
+           std::string(R"({"cmd":"update","adds":[[1,2],[4294967296,0]]})"),
+       }) {
+    auto err = JsonValue::Parse(server.HandleLine(bad));
+    ASSERT_TRUE(err.ok()) << bad;
+    EXPECT_FALSE(err->Find("ok")->boolean()) << bad;
+    ASSERT_NE(err->Find("error"), nullptr) << bad;
+  }
+  const auto after = registry.Get("default");
+  EXPECT_EQ(after.get(), before.get());
+  ASSERT_NE(after->train, nullptr);
+  EXPECT_EQ(*after->train, f.train);
+  EXPECT_EQ(server.Stats().updates, 0u);
+  std::remove(f.model_path.c_str());
+}
+
 /// Replays the daemon's update pipeline offline: materialize the binary
 /// artifact, merge the training matrix with `adds`, warm-start retrain
 /// with `sweeps`. Returns the updated fit and the merged matrix — the

@@ -2,19 +2,60 @@
 // splitters, synthetic generators.
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <new>
 #include <set>
 #include <string>
+#include <unordered_map>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "data/dataset.h"
 #include "data/loaders.h"
 #include "data/split.h"
 #include "data/synthetic.h"
+#include "sparse/coo.h"
 #include "test_util.h"
+
+// Same pattern as tests/score_engine_test.cpp, tracking live bytes instead
+// of counting calls: every global operator new adds the block's usable
+// size, every delete takes it back, and the high-water mark is kept. The
+// loader memory test bounds the peak of one LoadCsv call.
+namespace {
+std::atomic<int64_t> g_live_bytes{0};
+std::atomic<int64_t> g_peak_bytes{0};
+
+void* TrackedAlloc(std::size_t size) {
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  const auto usable = static_cast<int64_t>(malloc_usable_size(p));
+  const int64_t live = g_live_bytes.fetch_add(usable) + usable;
+  int64_t peak = g_peak_bytes.load();
+  while (live > peak && !g_peak_bytes.compare_exchange_weak(peak, live)) {
+  }
+  return p;
+}
+
+void TrackedFree(void* p) {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)));
+  std::free(p);
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return TrackedAlloc(size); }
+void* operator new[](std::size_t size) { return TrackedAlloc(size); }
+void operator delete(void* p) noexcept { TrackedFree(p); }
+void operator delete[](void* p) noexcept { TrackedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { TrackedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { TrackedFree(p); }
 
 namespace ocular {
 namespace {
@@ -194,6 +235,264 @@ TEST(LoadersTest, SaveCsvRoundTrips) {
   EXPECT_EQ(loaded.num_interactions(), 3u);
   EXPECT_TRUE(loaded.interactions().HasEntry(2, 0));
   std::remove(path.c_str());
+}
+
+/// LoadCsv as it was before block reading: std::getline, a Split vector
+/// per line, every row buffered, then one CooBuilder over the buffered
+/// rows. The oracle for the block loader's matrices and error texts.
+Result<Dataset> ReferenceLoadCsv(const std::string& path,
+                                 const CsvOptions& options) {
+  std::ifstream in(path);
+  if (!in) return Status::IOError("cannot open '" + path + "'");
+  std::string line;
+  size_t lineno = 0;
+  CooBuilder coo;
+  if (options.line_per_user) {
+    uint32_t user = 0;
+    while (std::getline(in, line)) {
+      ++lineno;
+      std::string_view sv = Trim(line);
+      if (!sv.empty() && options.comment_char != '\0' &&
+          sv.front() == options.comment_char) {
+        continue;
+      }
+      auto fields = SplitAny(sv, " \t,");
+      size_t start = 0;
+      if (fields.size() >= 2) {
+        auto head = ParseInt64(fields[0]);
+        if (head.ok() &&
+            static_cast<size_t>(head.value()) == fields.size() - 1) {
+          start = 1;
+        }
+      }
+      for (size_t f = start; f < fields.size(); ++f) {
+        OCULAR_ASSIGN_OR_RETURN(int64_t item, ParseInt64(fields[f]));
+        if (item < 0) return Status::ParseError("negative item id");
+        coo.Add(user, static_cast<uint32_t>(item));
+      }
+      ++user;
+    }
+    OCULAR_ASSIGN_OR_RETURN(auto entries, coo.Finalize(user, 0));
+    return Dataset("csv:" + path, CsrMatrix::FromCoo(std::move(entries)));
+  }
+  struct Row {
+    int64_t user;
+    int64_t item;
+    double rating;
+  };
+  std::vector<Row> rows;
+  while (std::getline(in, line)) {
+    ++lineno;
+    std::string_view sv = Trim(line);
+    if (sv.empty()) continue;
+    if (options.comment_char != '\0' && sv.front() == options.comment_char) {
+      continue;
+    }
+    auto fields = options.delimiter == ' ' ? SplitAny(sv, " \t")
+                                           : Split(sv, options.delimiter);
+    if (fields.size() < 2) {
+      return Status::ParseError(path + ":" + std::to_string(lineno) +
+                                ": expected at least user, item");
+    }
+    OCULAR_ASSIGN_OR_RETURN(int64_t u, ParseInt64(fields[0]));
+    OCULAR_ASSIGN_OR_RETURN(int64_t i, ParseInt64(fields[1]));
+    double r = options.positive_threshold;
+    if (options.rating_column >= 0) {
+      if (static_cast<size_t>(options.rating_column) >= fields.size()) {
+        return Status::ParseError(path + ":" + std::to_string(lineno) +
+                                  ": rating column out of range");
+      }
+      OCULAR_ASSIGN_OR_RETURN(r, ParseDouble(fields[options.rating_column]));
+    }
+    rows.push_back({u, i, r});
+  }
+  std::unordered_map<int64_t, uint32_t> users, items;
+  for (const Row& row : rows) {
+    if (row.rating < options.positive_threshold) continue;
+    if (options.compact_ids) {
+      const uint32_t u = users.try_emplace(row.user, users.size()).first->second;
+      const uint32_t i = items.try_emplace(row.item, items.size()).first->second;
+      coo.Add(u, i);
+    } else {
+      if (row.user < 0 || row.item < 0) {
+        return Status::ParseError("negative id with compact_ids=false");
+      }
+      coo.Add(static_cast<uint32_t>(row.user), static_cast<uint32_t>(row.item));
+    }
+  }
+  OCULAR_ASSIGN_OR_RETURN(auto entries, coo.Finalize());
+  return Dataset("csv:" + path, CsrMatrix::FromCoo(std::move(entries)));
+}
+
+struct LoaderCase {
+  std::string name;
+  std::string content;
+  CsvOptions options;
+};
+
+CsvOptions Tsv(bool compact_ids = false) {
+  CsvOptions o;
+  o.delimiter = '\t';
+  o.compact_ids = compact_ids;
+  return o;
+}
+
+std::vector<LoaderCase> LoaderCases() {
+  std::vector<LoaderCase> cases;
+  Rng rng(17);
+  std::vector<std::string> shuffled;
+  for (int e = 0; e < 600; ++e) {
+    shuffled.push_back(std::to_string(rng.UniformInt(uint64_t{50})) + "\t" +
+                       std::to_string(rng.UniformInt(uint64_t{30})) + "\n");
+  }
+  rng.Shuffle(&shuffled);
+  std::string shuffled_text;
+  for (const std::string& l : shuffled) shuffled_text += l;
+  cases.push_back({"shuffled_rows", shuffled_text, Tsv()});
+  cases.push_back({"duplicates", "1\t2\n1\t2\n0\t5\n1\t2\n0\t5\n", Tsv()});
+  cases.push_back({"crlf", "1\t2\r\n3\t4\r\n\r\n5\t6\r\n", Tsv()});
+  cases.push_back(
+      {"comments_and_blank_lines",
+       "# header\n\n   \n1\t2\n# 3\t4\n\t\n2\t0\n  # indented comment\n",
+       Tsv()});
+  cases.push_back({"padded_fields", " 1 \t 2 \n  3\t4  \n5 \t6\n", Tsv()});
+  cases.push_back({"missing_final_newline", "1\t2\n3\t4", Tsv()});
+
+  // A data line that starts 3 bytes before the first block ends, and one
+  // 3 * kLoaderBlockBytes long (a block holds only part of it).
+  std::string straddle;
+  for (uint32_t k = 0; straddle.size() + 64 < kLoaderBlockBytes; ++k) {
+    straddle += std::to_string(k % 97) + "\t" + std::to_string(k % 89) + "\n";
+  }
+  straddle += "#" + std::string(kLoaderBlockBytes - 3 - straddle.size() - 1,
+                                'x') + "\n";
+  straddle += "123\t45\n";
+  straddle += "7\t" + std::string(3 * kLoaderBlockBytes, ' ') + "9\n";
+  for (uint32_t k = 0; k < 5000; ++k) {
+    straddle += std::to_string(k % 101) + "\t" + std::to_string(k % 83) + "\n";
+  }
+  cases.push_back({"block_boundary_and_long_line", straddle, Tsv()});
+
+  CsvOptions space;  // delimiter ' ': any run of spaces and tabs
+  space.compact_ids = false;
+  cases.push_back(
+      {"space_delimiter_mixed_tabs", "1 \t 2\n3\t\t4 5\n 6  7 \n", space});
+
+  CsvOptions rated;
+  rated.delimiter = ',';
+  rated.rating_column = 2;
+  rated.positive_threshold = 3.0;
+  rated.compact_ids = false;
+  cases.push_back({"rating_column_threshold",
+                   "0,10,4.0\n0,11,2.0\n1,10,3.0\n2,12,2.99\n-1,3,1\n",
+                   rated});
+  CsvOptions rated_item = rated;
+  rated_item.rating_column = 1;
+  cases.push_back({"rating_in_item_column", "5,3\n6,2\n7,4\n", rated_item});
+
+  cases.push_back({"compact_ids_first_seen_order",
+                   "100\t7\n50\t7\n100\t9\n-4\t7\n50\t1\n", Tsv(true)});
+
+  CsvOptions per_user;
+  per_user.line_per_user = true;
+  cases.push_back(
+      {"line_per_user", "2 13 17\n\n# c\n1 5\n3 1,2\t3\n4\r\n", per_user});
+
+  // Error cases: the texts must not change.
+  cases.push_back({"too_few_fields", "1\t2\n3\n", Tsv()});
+  cases.push_back({"bad_integer", "1\t2\nx\t3\n", Tsv()});
+  CsvOptions far_rating = rated;
+  far_rating.rating_column = 3;
+  cases.push_back({"rating_column_out_of_range", "1,2,3\n", far_rating});
+  cases.push_back({"bad_rating", "1,2,abc\n", rated});
+  cases.push_back({"negative_raw_id", "1\t2\n-1\t2\n", Tsv()});
+  cases.push_back(
+      {"parse_error_after_negative_id", "-1\t2\n3\t4\nzz\t1\n", Tsv()});
+  cases.push_back({"line_per_user_negative_item", "1 -3\n", per_user});
+  return cases;
+}
+
+TEST(LoadersTest, BlockLoaderMatchesTheLineByLineReference) {
+  for (const LoaderCase& c : LoaderCases()) {
+    SCOPED_TRACE(c.name);
+    TempFile f(c.content);
+    auto got = LoadCsv(f.path(), c.options);
+    auto want = ReferenceLoadCsv(f.path(), c.options);
+    ASSERT_EQ(got.ok(), want.ok())
+        << (got.ok() ? want.status() : got.status()).ToString();
+    if (!want.ok()) {
+      EXPECT_EQ(got.status().ToString(), want.status().ToString());
+      continue;
+    }
+    EXPECT_EQ(got->name(), want->name());
+    EXPECT_EQ(got->interactions(), want->interactions());
+  }
+}
+
+TEST(LoadersTest, RawIdsPastUint32RangeAreParseErrorsNamingTheLine) {
+  // Id 4294967295 used to give a 0-row matrix holding one entry, and
+  // 4294967296 silently became id 0.
+  for (const std::string id : {"4294967295", "4294967296"}) {
+    SCOPED_TRACE(id);
+    TempFile users(std::string("0\t1\n1\t2\n") + id + "\t0\n");
+    auto ds = LoadCsv(users.path(), Tsv());
+    ASSERT_FALSE(ds.ok());
+    EXPECT_TRUE(ds.status().IsParseError());
+    EXPECT_NE(ds.status().message().find(users.path() + ":3:"),
+              std::string::npos)
+        << ds.status().ToString();
+
+    TempFile items(std::string("0\t") + id + "\n");
+    EXPECT_TRUE(LoadCsv(items.path(), Tsv()).status().IsParseError());
+    CsvOptions per_user;
+    per_user.line_per_user = true;
+    EXPECT_TRUE(LoadCsv(items.path(), per_user).status().IsParseError());
+    LoaderOptions raw;
+    raw.compact_ids = false;
+    TempFile ml(std::string("1\t") + id + "\t5\t0\n");
+    EXPECT_TRUE(LoadMovieLens100K(ml.path(), raw).status().IsParseError());
+
+    // Remapped ids may be any int64.
+    auto compact = LoadCsv(users.path(), Tsv(true));
+    ASSERT_TRUE(compact.ok()) << compact.status().ToString();
+    EXPECT_EQ(compact->num_users(), 3u);
+  }
+}
+
+TEST(LoadersTest, CsvLoadPeakHeapIsAtMostSixteenBytesPerLinePlusABlock) {
+  // 2,000 users x 100 items: once in row order (as SaveCsv writes it, the
+  // daemon's --datasets layout) and once shuffled.
+  constexpr uint32_t kUsers = 2000;
+  constexpr uint32_t kPerUser = 100;
+  std::vector<std::string> lines;
+  lines.reserve(kUsers * kPerUser);
+  for (uint32_t u = 0; u < kUsers; ++u) {
+    for (uint32_t k = 0; k < kPerUser; ++k) {
+      lines.push_back(std::to_string(u) + "\t" +
+                      std::to_string((u * 7 + k * 13) % 3000) + "\n");
+    }
+  }
+  for (const bool shuffle : {false, true}) {
+    SCOPED_TRACE(shuffle ? "shuffled" : "row order");
+    if (shuffle) {
+      Rng rng(5);
+      rng.Shuffle(&lines);
+    }
+    const std::string path = ::testing::TempDir() + "/ocular_peak_heap.tsv";
+    {
+      std::ofstream out(path);
+      for (const std::string& l : lines) out << l;
+    }
+    const int64_t before = g_live_bytes.load();
+    g_peak_bytes.store(before);
+    auto ds = LoadCsv(path, Tsv());
+    const int64_t peak = g_peak_bytes.load() - before;
+    std::remove(path.c_str());
+    ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+    EXPECT_EQ(ds->num_interactions(), size_t{kUsers} * kPerUser);
+    EXPECT_LE(peak, static_cast<int64_t>(16 * lines.size() + kLoaderBlockBytes))
+        << "peak heap " << peak << " B for " << lines.size() << " lines";
+  }
 }
 
 // ---------------------------------------------------------------- Splits

@@ -51,6 +51,165 @@ TEST(CooBuilderTest, EmptyBuilder) {
   EXPECT_EQ(m.nnz(), 0u);
 }
 
+using Pairs = std::vector<std::pair<uint32_t, uint32_t>>;
+
+/// The (row, col)-sorted, deduplicated entry arrays of `pairs`, by
+/// std::sort + std::unique: the oracle for Finalize.
+CooBuilder::Entries ReferenceEntries(Pairs pairs, uint32_t rows,
+                                     uint32_t cols) {
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  CooBuilder::Entries out;
+  out.num_rows = rows;
+  out.num_cols = cols;
+  for (auto [r, c] : pairs) {
+    out.rows.push_back(r);
+    out.cols.push_back(c);
+  }
+  return out;
+}
+
+void ExpectSameEntries(const CooBuilder::Entries& got,
+                       const CooBuilder::Entries& want) {
+  EXPECT_EQ(got.num_rows, want.num_rows);
+  EXPECT_EQ(got.num_cols, want.num_cols);
+  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.cols, want.cols);
+}
+
+TEST(CooBuilderTest, FinalizeMatchesSortUniqueReference) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    const uint32_t rows = 1 + static_cast<uint32_t>(rng.UniformInt(90));
+    const uint32_t cols = 1 + static_cast<uint32_t>(rng.UniformInt(70));
+    // Past 2^14 entries on later seeds, so several storage blocks fill.
+    const size_t n = seed * seed * 300;
+    Pairs pairs;
+    for (size_t e = 0; e < n; ++e) {
+      // Rows drawn from the lower half only on odd seeds: empty rows.
+      const uint64_t row_range = seed % 2 == 1 ? (rows + 1) / 2 : rows;
+      pairs.emplace_back(static_cast<uint32_t>(rng.UniformInt(row_range)),
+                         static_cast<uint32_t>(rng.UniformInt(cols)));
+      if (rng.UniformInt(uint64_t{5}) == 0) pairs.push_back(pairs.back());
+    }
+    // Seed 3 feeds the entries in order (as a file written row by row),
+    // seed 4 in reverse order.
+    if (seed == 3) std::sort(pairs.begin(), pairs.end());
+    if (seed == 4) std::sort(pairs.rbegin(), pairs.rend());
+
+    for (const bool explicit_shape : {false, true}) {
+      CooBuilder coo;
+      if (seed % 3 == 0) coo.Reserve(pairs.size() / 2);
+      for (auto [r, c] : pairs) coo.Add(r, c);
+      uint32_t want_rows = 0, want_cols = 0;
+      for (auto [r, c] : pairs) {
+        want_rows = std::max(want_rows, r + 1);
+        want_cols = std::max(want_cols, c + 1);
+      }
+      if (explicit_shape) {
+        want_rows += 7;  // larger than the implied shape
+        want_cols += 3;
+      }
+      auto got = explicit_shape ? coo.Finalize(want_rows, want_cols)
+                                : coo.Finalize();
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectSameEntries(*got, ReferenceEntries(pairs, want_rows, want_cols));
+      EXPECT_EQ(coo.size(), 0u);  // left empty and reusable
+    }
+  }
+}
+
+TEST(CooBuilderTest, IndexUint32MaxIsRejectedInsteadOfWrappingTheShape) {
+  // Rows {0: {1, 2}, 1: {3, 4}} plus (UINT32_MAX, 0): the implied shape
+  // used to wrap to 0 rows, Finalize(2, 5) passed, and FromCoo shifted
+  // every row by one entry (row 0 read {2, 3}).
+  CooBuilder coo;
+  for (auto [r, c] : Pairs{{0, 1}, {0, 2}, {1, 3}, {1, 4}}) coo.Add(r, c);
+  coo.Add(UINT32_MAX, 0);
+  EXPECT_EQ(coo.num_rows(), uint64_t{1} << 32);
+  EXPECT_TRUE(coo.Finalize(2, 5).status().IsInvalidArgument());
+
+  CooBuilder implied;
+  implied.Add(UINT32_MAX, 0);
+  EXPECT_TRUE(implied.Finalize().status().IsInvalidArgument());
+  CooBuilder column;
+  column.Add(0, UINT32_MAX);
+  EXPECT_TRUE(column.Finalize(1, 0).status().IsInvalidArgument());
+}
+
+TEST(CooBuilderTest, RvalueFromCooMovesColumns) {
+  CooBuilder coo;
+  coo.Add(2, 1);
+  coo.Add(0, 3);
+  auto entries = coo.Finalize().value();
+  const uint32_t* cols = entries.cols.data();
+  CsrMatrix m = CsrMatrix::FromCoo(std::move(entries));
+  EXPECT_EQ(m.col_idx().data(), cols);
+  EXPECT_EQ(m, CsrMatrix::FromPairs({{2, 1}, {0, 3}}).value());
+}
+
+// ------------------------------------------------------- CSR merge
+
+/// The pre-merge-helper ladder: ToPairs + adds through a CooBuilder.
+Result<CsrMatrix> LadderMerge(const CsrMatrix& base, const Pairs& adds,
+                              uint32_t rows, uint32_t cols) {
+  CooBuilder coo;
+  for (auto [r, c] : base.ToPairs()) coo.Add(r, c);
+  for (auto [r, c] : adds) coo.Add(r, c);
+  OCULAR_ASSIGN_OR_RETURN(auto entries, coo.Finalize(rows, cols));
+  return CsrMatrix::FromCoo(std::move(entries));
+}
+
+TEST(CsrMergeTest, WithEntriesMatchesTheBuilderLadder) {
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    Rng rng(seed);
+    const uint32_t rows = 5 + static_cast<uint32_t>(rng.UniformInt(40));
+    const uint32_t cols = 5 + static_cast<uint32_t>(rng.UniformInt(30));
+    CooBuilder coo;
+    for (int e = 0; e < 300; ++e) {
+      coo.Add(static_cast<uint32_t>(rng.UniformInt(rows)),
+              static_cast<uint32_t>(rng.UniformInt(cols)));
+    }
+    const CsrMatrix base = CsrMatrix::FromCoo(coo.Finalize(rows, cols).value());
+    // Adds that repeat stored entries, repeat each other, and grow the
+    // shape past the base.
+    Pairs adds;
+    const uint32_t grown_rows = rows + static_cast<uint32_t>(seed);
+    const uint32_t grown_cols = cols + static_cast<uint32_t>(seed % 3);
+    for (int e = 0; e < 40; ++e) {
+      adds.emplace_back(static_cast<uint32_t>(rng.UniformInt(grown_rows)),
+                        static_cast<uint32_t>(rng.UniformInt(grown_cols)));
+      if (e % 7 == 0) adds.push_back(adds.back());
+    }
+    for (auto [r, c] : base.ToPairs()) {
+      if (rng.UniformInt(uint64_t{10}) == 0) adds.emplace_back(r, c);
+    }
+    auto got = base.WithEntries(adds, grown_rows, grown_cols);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, LadderMerge(base, adds, grown_rows, grown_cols).value());
+    // No adds at the same shape is an exact copy.
+    EXPECT_EQ(base.WithEntries({}, rows, cols).value(), base);
+  }
+}
+
+TEST(CsrMergeTest, WithEntriesRejectsEntriesOutsideTheShape) {
+  const CsrMatrix base =
+      CsrMatrix::FromPairs({{0, 1}, {2, 3}}, 5, 4).value();  // rows 3-4 empty
+  auto rejects = [&](const Pairs& adds, uint32_t rows, uint32_t cols) {
+    return base.WithEntries(adds, rows, cols).status().IsInvalidArgument();
+  };
+  EXPECT_TRUE(rejects({{3, 0}}, 3, 4));
+  EXPECT_TRUE(rejects({{0, 4}}, 5, 4));
+  EXPECT_TRUE(rejects({}, 2, 4));  // stored entry (2, 3) is outside
+  EXPECT_TRUE(rejects({}, 5, 3));
+  EXPECT_TRUE(rejects({{UINT32_MAX, 0}}, 5, 4));
+  // Trailing empty rows may be cut, as a builder finalized at that shape
+  // would.
+  auto cut = base.WithEntries({}, 3, 4);
+  ASSERT_TRUE(cut.ok());
+  EXPECT_EQ(*cut, LadderMerge(base, {}, 3, 4).value());
+}
+
 // ----------------------------------------------------------------- CSR
 
 CsrMatrix SmallMatrix() {

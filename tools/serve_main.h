@@ -100,7 +100,7 @@ inline Status LoadRegistryFromFlags(const Flags& flags,
       // remapping would silently bind exclusions to the wrong users.
       opts.compact_ids = flags.GetBool("compact-ids", false);
       OCULAR_ASSIGN_OR_RETURN(Dataset ds, LoadCsv(data_path, opts));
-      train = std::make_shared<const CsrMatrix>(ds.interactions());
+      train = std::make_shared<const CsrMatrix>(ds.TakeInteractions());
       break;
     }
     OCULAR_RETURN_IF_ERROR(registry->Load(name, model_path, std::move(train)));
