@@ -132,8 +132,7 @@ Dataset MakePaperToyDataset() {
   add_block({6}, {1, 2, 3});           // user 6 misses item 4 -> headline rec
   add_block({6}, {5, 6, 7, 8, 9});     // user 6's second pattern
   add_block({7, 8, 9}, {4, 5, 6, 7, 8, 9});
-  auto entries = coo.Finalize(12, 12);
-  Dataset ds("paper-toy", CsrMatrix::FromCoo(entries.value()));
+  Dataset ds("paper-toy", CsrMatrix::FromCoo(coo.Finalize(12, 12).value()));
   std::vector<std::string> users, items;
   for (int n = 0; n < 12; ++n) {
     users.push_back("Client " + std::to_string(n));

@@ -18,8 +18,7 @@ Graph Graph::FromBipartite(const CsrMatrix& interactions) {
     }
   }
   Graph g;
-  auto entries = coo.Finalize(total, total);
-  g.adjacency_ = CsrMatrix::FromCoo(entries.value());
+  g.adjacency_ = CsrMatrix::FromCoo(coo.Finalize(total, total).value());
   g.bipartite_offset_ = nu;
   return g;
 }

@@ -4,30 +4,15 @@
 
 namespace ocular {
 
-namespace {
-
-std::vector<uint64_t> RowPointers(const CooBuilder::Entries& entries) {
-  std::vector<uint64_t> row_ptr(entries.num_rows + size_t{1}, 0);
-  for (uint32_t r : entries.rows) ++row_ptr[r + size_t{1}];
-  for (size_t i = 1; i < row_ptr.size(); ++i) row_ptr[i] += row_ptr[i - 1];
-  return row_ptr;
-}
-
-}  // namespace
-
-CsrMatrix CsrMatrix::FromCoo(const CooBuilder::Entries& entries) {
+CsrMatrix CsrMatrix::FromCoo(CooBuilder::Entries entries) {
   CsrMatrix m;
   m.num_cols_ = entries.num_cols;
-  m.row_ptr_ = RowPointers(entries);
-  m.col_idx_ = entries.cols;  // already row-major sorted by CooBuilder
-  return m;
-}
-
-CsrMatrix CsrMatrix::FromCoo(CooBuilder::Entries&& entries) {
-  CsrMatrix m;
-  m.num_cols_ = entries.num_cols;
-  m.row_ptr_ = RowPointers(entries);
-  m.col_idx_ = std::move(entries.cols);
+  m.row_ptr_.assign(entries.num_rows + size_t{1}, 0);
+  for (uint32_t r : entries.rows) ++m.row_ptr_[r + size_t{1}];
+  for (size_t i = 1; i < m.row_ptr_.size(); ++i) {
+    m.row_ptr_[i] += m.row_ptr_[i - 1];
+  }
+  m.col_idx_ = std::move(entries.cols);  // already row-major sorted
   return m;
 }
 

@@ -24,10 +24,9 @@ class CsrMatrix {
   /// Empty 0x0 matrix.
   CsrMatrix() : row_ptr_(1, 0) {}
 
-  /// Builds from finalized COO entries (sorted, deduplicated). The rvalue
-  /// overload moves the column array in instead of copying it.
-  static CsrMatrix FromCoo(const CooBuilder::Entries& entries);
-  static CsrMatrix FromCoo(CooBuilder::Entries&& entries);
+  /// Builds from finalized COO entries (sorted, deduplicated). Pass an
+  /// rvalue to move the column array in instead of copying it.
+  static CsrMatrix FromCoo(CooBuilder::Entries entries);
 
   /// Builds directly from (row, col) pairs; sorts and deduplicates.
   /// If num_rows/num_cols are 0 the shape is inferred.

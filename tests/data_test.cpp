@@ -310,9 +310,9 @@ Result<Dataset> ReferenceLoadCsv(const std::string& path,
   for (const Row& row : rows) {
     if (row.rating < options.positive_threshold) continue;
     if (options.compact_ids) {
-      const uint32_t u = users.try_emplace(row.user, users.size()).first->second;
-      const uint32_t i = items.try_emplace(row.item, items.size()).first->second;
-      coo.Add(u, i);
+      auto user = users.try_emplace(row.user, users.size()).first;
+      auto item = items.try_emplace(row.item, items.size()).first;
+      coo.Add(user->second, item->second);
     } else {
       if (row.user < 0 || row.item < 0) {
         return Status::ParseError("negative id with compact_ids=false");
