@@ -1,12 +1,13 @@
-// bench_model_store — cold-open and steady-state latency of the binary v2
-// model path against the v1 text path.
+// bench_model_store — cold-open and steady-state latency of the binary
+// (OCLR v3) model path against the v1 text path.
 //
 //   ./bench_model_store [--scale=1] [--k=50] [--reps=200] [--opens=20]
 //                       [--json] [--out=BENCH_store.json]
 //
 // Measures, on one trained OCuLaR model written in both formats:
-//   cold open   — v1 LoadModel (full parse + copy) vs v2 ModelStore::Open
-//                 with and without checksum verification (mmap, O(header)),
+//   cold open   — v1 LoadModel (full parse + copy) vs ModelStore::Open
+//                 with checksum verification (mmap plus one XXH64 pass over
+//                 every section) and without it (mmap, header only),
 //   steady state— per-request ServeTopM latency through the mmapped
 //                 StoreRecommender vs the in-memory OcularModelRecommender,
 //                 with an identical-ranking cross-check.
@@ -142,9 +143,9 @@ int Main(int argc, char** argv) {
   std::printf("model: %u x %u, K=%u (%zu factor bytes)\n", users, items, k,
               rec.model().MemoryBytes());
   std::printf("cold open:   v1 text parse %9.3f ms\n", text_s * 1e3);
-  std::printf("             v2 mmap+verify %8.3f ms   (%.0fx)\n",
+  std::printf("             v3 mmap+verify %8.3f ms   (%.0fx)\n",
               verify_s * 1e3, text_s / verify_s);
-  std::printf("             v2 mmap only  %9.3f ms   (%.0fx)\n",
+  std::printf("             v3 mmap only  %9.3f ms   (%.0fx)\n",
               trusting_s * 1e3, text_s / trusting_s);
   std::printf("serve top-%u: mmapped %7.1f us/req, in-memory %7.1f us/req\n",
               serve.m, store_us, memory_us);

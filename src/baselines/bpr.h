@@ -46,7 +46,7 @@ class BprRecommender : public Recommender {
   const DenseMatrix& user_factors() const { return user_factors_; }
   const DenseMatrix& item_factors() const { return item_factors_; }
 
-  /// Writes the fitted factors as a binary v2 model file
+  /// Writes the fitted factors as a binary OCLR model file
   /// (BinaryModelKind::kDotProduct); see WalsRecommender::SaveBinary.
   Status SaveBinary(const std::string& path) const;
 

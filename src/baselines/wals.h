@@ -50,7 +50,7 @@ class WalsRecommender : public Recommender {
   const DenseMatrix& user_factors() const { return user_factors_; }
   const DenseMatrix& item_factors() const { return item_factors_; }
 
-  /// Writes the fitted factors as a binary v2 model file
+  /// Writes the fitted factors as a binary OCLR model file
   /// (BinaryModelKind::kDotProduct), servable by the model-agnostic
   /// ModelStore/StoreRecommender path and the ocular_served daemon.
   /// FailedPrecondition before a successful Fit().

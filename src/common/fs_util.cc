@@ -8,6 +8,7 @@
 #include <cstring>
 
 #include "common/fault.h"
+#include "common/hash.h"
 
 namespace ocular {
 namespace fs {
@@ -73,7 +74,7 @@ Result<uint64_t> FileFingerprint(const std::string& path, size_t max_bytes) {
   if (fd < 0) {
     return Status::IOError("open " + path + ": " + std::strerror(errno));
   }
-  uint64_t h = 14695981039346656037ull;
+  uint64_t h = kFnv1a64Offset;
   size_t total = 0;
   unsigned char chunk[4096];
   while (total < max_bytes) {
@@ -88,10 +89,7 @@ Result<uint64_t> FileFingerprint(const std::string& path, size_t max_bytes) {
       return st;
     }
     if (n == 0) break;
-    for (ssize_t i = 0; i < n; ++i) {
-      h ^= chunk[i];
-      h *= 1099511628211ull;
-    }
+    h = Fnv1a64(chunk, static_cast<size_t>(n), h);
     total += static_cast<size_t>(n);
   }
   ::close(fd);

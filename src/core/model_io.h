@@ -12,7 +12,8 @@ namespace ocular {
 /// \brief On-disk model persistence, v1 text format.
 ///
 /// The library has two model file formats; this header is the v1 TEXT
-/// format, core/model_store.h is the v2 BINARY format. Choose by use:
+/// format, core/model_store.h is the BINARY format ("OCLR" v3). Choose by
+/// use:
 ///
 /// - **v1 text** (`SaveModel`/`LoadModel`, this header): portable across
 ///   endianness, diffable, greppable, hand-editable. Loading PARSES every
@@ -20,10 +21,11 @@ namespace ocular {
 ///   in-memory copy), so use it for archival, debugging, and interchange —
 ///   not for serving. Factors are written "%.17g", which round-trips
 ///   doubles exactly, so converting between the formats is lossless.
-/// - **v2 binary** ("OCLR", `SaveModelBinary`/`ModelStore::Open`): the
+/// - **binary** ("OCLR", `SaveModelBinary`/`ModelStore::Open`): the
 ///   deployable artifact. Little-endian, 64-byte-aligned, checksummed
-///   sections that mmap straight into the serving kernels — O(header)
-///   open, zero copies, page-cache sharing across processes. Use it for
+///   sections that mmap straight into the serving kernels — no parse,
+///   zero copies, page-cache sharing across processes; a verifying open
+///   hashes every section once at memory bandwidth. Use it for
 ///   everything a daemon serves or hot-reloads.
 ///
 /// `ocular_cli convert` translates between the two;
@@ -54,7 +56,7 @@ struct LoadedModel {
 };
 
 /// \brief Reads a model written by SaveModel. Fails with ParseError on any
-/// malformed content and IOError on unreadable files. (For binary v2 files
+/// malformed content and IOError on unreadable files. (For binary OCLR files
 /// use ModelStore::Open, or LoadModelAuto to sniff the format.)
 Result<LoadedModel> LoadModel(const std::string& path);
 

@@ -21,11 +21,11 @@ namespace ocular {
 /// The paper's factor model is embarrassingly partitionable by user: a
 /// recommendation for user u reads exactly one row of F_user plus the
 /// (shared) item factors, so the user matrix can be cut into contiguous
-/// row ranges and each range persisted as its own OCLR v2 file. The item
+/// row ranges and each range persisted as its own OCLR file. The item
 /// factors — including the K x n_i transposed serving layout — live once
 /// in a shared items file, NOT duplicated per shard; every shard file
 /// carries only its user-factor section (its item sections are empty,
-/// which the v2 format permits).
+/// which the format permits).
 ///
 /// A `*.shardset` manifest (deterministic line-oriented text, see
 /// docs/MODEL_FORMAT.md) names the members with their user ranges and
@@ -163,7 +163,7 @@ struct ShardSetStores {
 Result<ShardSetStores> OpenShardSet(const std::string& manifest_path,
                                     const ModelStoreOptions& options = {});
 
-/// \brief Writes one shard's user-factor slice as an OCLR v2 shard file
+/// \brief Writes one shard's user-factor slice as an OCLR shard file
 /// (user section only, empty item sections) — the per-shard republish
 /// path of the daemon's sharded update.
 Status SaveShardUserFactors(const BinaryModelMeta& meta,

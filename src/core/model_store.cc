@@ -11,6 +11,7 @@
 #include <fstream>
 
 #include "common/fault.h"
+#include "common/hash.h"
 #include "core/model_shard.h"
 #include "sparse/linalg.h"
 
@@ -24,7 +25,11 @@ namespace {
 // byte-level spec; the constants here ARE that spec.
 
 constexpr char kMagic[4] = {'O', 'C', 'L', 'R'};
-constexpr uint32_t kVersion = 2;
+// Writers emit v3 (XXH64 section checksums). v2 is the same layout with
+// FNV-1a checksums; it is read, never written, so artifacts of earlier
+// releases keep opening.
+constexpr uint32_t kVersion = 3;
+constexpr uint32_t kVersionFnv1a = 2;
 // Written as an integer, read back as an integer: a mapping made on a
 // big-endian machine would see the bytes reversed and reject the file
 // instead of serving garbage factors.
@@ -52,15 +57,9 @@ constexpr size_t AlignUp(size_t n) {
   return (n + kSectionAlignment - 1) & ~(kSectionAlignment - 1);
 }
 
-uint64_t Fnv1a64(const void* data, size_t bytes) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  uint64_t h = 14695981039346656037ull;
-  for (size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+// Non-empty sections start at or after this offset: the header and
+// table, aligned up.
+constexpr size_t kFirstSectionOffset = AlignUp(kHeaderBytes);  // 192
 
 // Little-endian scalar put/get against a byte buffer. The build targets
 // little-endian hosts (enforced below), so these are memcpys; the
@@ -110,7 +109,7 @@ Status WriteBinaryFile(const BinaryModelMeta& meta, ConstMatrixView users,
       {kSectionItemFactorsT, items_t.data(), items_t.size() * sizeof(double),
        0},
   };
-  size_t offset = AlignUp(kHeaderBytes);
+  size_t offset = kFirstSectionOffset;
   for (SectionPlan& s : sections) {
     s.offset = offset;
     offset = AlignUp(offset + s.length_bytes);
@@ -137,7 +136,7 @@ Status WriteBinaryFile(const BinaryModelMeta& meta, ConstMatrixView users,
     PutScalar<uint64_t>(header, base + 8, sections[i].offset);
     PutScalar<uint64_t>(header, base + 16, sections[i].length_bytes);
     PutScalar<uint64_t>(header, base + 24,
-                        Fnv1a64(sections[i].data, sections[i].length_bytes));
+                        Xxh64(sections[i].data, sections[i].length_bytes));
   }
 
   if (fault::Maybe("store.write")) return fault::InjectedError("store.write");
@@ -287,9 +286,10 @@ Result<ModelStore> ModelStore::Open(const std::string& path,
                               "' has no OCLR magic; not a binary model file");
   }
   const uint32_t version = GetScalar<uint32_t>(h, 4);
-  if (version != kVersion) {
+  if (version != kVersion && version != kVersionFnv1a) {
     return Status::ParseError("unsupported binary model version " +
                               std::to_string(version) + " (this build reads " +
+                              std::to_string(kVersionFnv1a) + " and " +
                               std::to_string(kVersion) + ")");
   }
   if (GetScalar<uint32_t>(h, 8) != kEndianTag) {
@@ -336,6 +336,7 @@ Result<ModelStore> ModelStore::Open(const std::string& path,
       static_cast<size_t>(item_cells * sizeof(double)),
   };
   const double* section_data[kSectionCount] = {};
+  uint64_t section_offset[kSectionCount] = {};
   for (uint32_t i = 0; i < kSectionCount; ++i) {
     const size_t base = kFixedHeaderBytes + i * kSectionEntryBytes;
     const uint32_t section_kind = GetScalar<uint32_t>(h, base);
@@ -360,6 +361,30 @@ Result<ModelStore> ModelStore::Open(const std::string& path,
                                 " extends past end of file");
     }
     section_data[section_kind] = reinterpret_cast<const double*>(h + offset);
+    section_offset[section_kind] = offset;
+  }
+  // A non-empty section may alias neither the header (a trusting open
+  // would serve header bytes as factors) nor another section (items_t
+  // over items hands the kernel a Vᵀ operand that is not the transpose).
+  // Empty sections — the missing half of an items or shard file — hold no
+  // bytes and may share an offset. The bounds checks above keep every
+  // offset + length within the file, so the sums cannot wrap.
+  for (uint32_t a = 0; a < kSectionCount; ++a) {
+    if (expected_bytes[a] == 0) continue;
+    if (section_offset[a] < kFirstSectionOffset) {
+      return Status::ParseError("section " + std::to_string(a) +
+                                " starts inside the header (offset " +
+                                std::to_string(section_offset[a]) + " < " +
+                                std::to_string(kFirstSectionOffset) + ")");
+    }
+    for (uint32_t b = a + 1; b < kSectionCount; ++b) {
+      if (expected_bytes[b] != 0 &&
+          section_offset[a] < section_offset[b] + expected_bytes[b] &&
+          section_offset[b] < section_offset[a] + expected_bytes[a]) {
+        return Status::ParseError("sections " + std::to_string(a) + " and " +
+                                  std::to_string(b) + " overlap");
+      }
+    }
   }
   store.user_factors_ = section_data[kSectionUserFactors];
   store.item_factors_ = section_data[kSectionItemFactors];
@@ -376,12 +401,16 @@ Status ModelStore::VerifyChecksums() const {
     return Status::FailedPrecondition("ModelStore is not open");
   }
   const unsigned char* h = static_cast<const unsigned char*>(mapping_);
+  const uint32_t version = GetScalar<uint32_t>(h, 4);
   for (uint32_t i = 0; i < kSectionCount; ++i) {
     const size_t base = kFixedHeaderBytes + i * kSectionEntryBytes;
     const uint64_t offset = GetScalar<uint64_t>(h, base + 8);
     const uint64_t length = GetScalar<uint64_t>(h, base + 16);
     const uint64_t recorded = GetScalar<uint64_t>(h, base + 24);
-    if (Fnv1a64(h + offset, length) != recorded) {
+    const uint64_t actual = version == kVersionFnv1a
+                                ? Fnv1a64(h + offset, length)
+                                : Xxh64(h + offset, length);
+    if (actual != recorded) {
       return Status::ParseError(
           "checksum mismatch in section " +
           std::to_string(GetScalar<uint32_t>(h, base)) + " of '" + path_ +

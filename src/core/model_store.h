@@ -12,22 +12,23 @@
 namespace ocular {
 
 /// \file
-/// \brief Binary model format v2 ("OCLR") and the mmap-backed zero-copy
-/// ModelStore that serves it.
+/// \brief Binary model format ("OCLR", written as v3, v2 still read) and
+/// the mmap-backed zero-copy ModelStore that serves it.
 ///
 /// The v1 text format (core/model_io.h) is portable and diffable but has
 /// to be *parsed*: loading re-tokenizes and re-converts every factor entry,
 /// which for a production catalog (millions of users x K doubles) costs
-/// seconds of CPU before the first request can be served. The v2 binary
+/// seconds of CPU before the first request can be served. The binary
 /// format is the deployable artifact: factor sections are stored
 /// little-endian, 64-byte aligned, exactly as the serving kernels consume
 /// them (including the K x n_i transposed serving layout), so a ModelStore
-/// opens a model by mmapping the file and validating O(header) bytes — no
-/// parse, no copy; the factor bytes are faulted in lazily by the page
-/// cache and shared between processes. See docs/MODEL_FORMAT.md for the
-/// byte-level specification.
+/// opens a model by mmapping the file — no parse, no copy, and the pages
+/// are shared between processes by the page cache. A verifying open (the
+/// default, and always in the daemon) also hashes every section once:
+/// XXH64 in v3 files, which runs at memory bandwidth, FNV-1a in v2 files.
+/// See docs/MODEL_FORMAT.md for the byte-level specification.
 
-/// \brief Scoring rule recorded in a v2 file, which tells a model-agnostic
+/// \brief Scoring rule recorded in a binary file, which tells a model-agnostic
 /// server how to map the factor product to a score.
 enum class BinaryModelKind : uint32_t {
   /// score = 1 - e^{-<f_u, f_i>} (OCuLaR / R-OCuLaR probability map).
@@ -36,7 +37,7 @@ enum class BinaryModelKind : uint32_t {
   kDotProduct = 1,
 };
 
-/// \brief Model-level metadata carried in the v2 header.
+/// \brief Model-level metadata carried in the binary header.
 struct BinaryModelMeta {
   /// Scoring rule of the stored factors.
   BinaryModelKind kind = BinaryModelKind::kOcularProbability;
@@ -54,7 +55,7 @@ struct BinaryModelMeta {
   std::string algorithm = "OCuLaR";
 };
 
-/// \brief Writes `model` (+ its training config) as a binary v2 file.
+/// \brief Writes `model` (+ its training config) as a binary v3 file.
 ///
 /// The file holds three checksummed sections: user factors (n_u x K,
 /// row-major), item factors (n_i x K, row-major) and the K x n_i
@@ -64,7 +65,7 @@ struct BinaryModelMeta {
 Status SaveModelBinary(const OcularModel& model, const OcularConfig& config,
                        const std::string& path);
 
-/// \brief Generic v2 writer for any user x item factor pair — how the
+/// \brief Generic v3 writer for any user x item factor pair — how the
 /// factor baselines (wALS/iALS/BPR) persist themselves; see
 /// WalsRecommender::SaveBinary.
 ///
@@ -73,7 +74,7 @@ Status SaveModelBinary(const OcularModel& model, const OcularConfig& config,
 Status SaveFactorsBinary(const BinaryModelMeta& meta, const DenseMatrix& users,
                          const DenseMatrix& items, const std::string& path);
 
-/// \brief View-based v2 writer: persists `users`/`items` plus a
+/// \brief View-based v3 writer: persists `users`/`items` plus a
 /// caller-provided K x n_i transposed serving section without copying any
 /// factor block. This is the shard writer's save path
 /// (core/model_shard.h): a user-range shard is a ConstMatrixView slice of
@@ -87,43 +88,45 @@ Status SaveFactorSectionsBinary(const BinaryModelMeta& meta,
 
 /// \brief Shared save path of the dot-product factor baselines
 /// (wALS/iALS/BPR `SaveBinary`): writes `users`/`items` as a
-/// BinaryModelKind::kDotProduct v2 file tagged `algorithm`.
+/// BinaryModelKind::kDotProduct v3 file tagged `algorithm`.
 /// FailedPrecondition when `users` is empty (unfitted model).
 Status SaveDotProductFactors(const std::string& algorithm, uint32_t k,
                              double lambda, const DenseMatrix& users,
                              const DenseMatrix& items,
                              const std::string& path);
 
-/// \brief Converts a v1 text model (core/model_io.h) to a v2 binary file.
+/// \brief Converts a v1 text model (core/model_io.h) to a v3 binary file.
 ///
 /// Factors are preserved bit-exactly ("%.17g" text round-trips doubles);
-/// config fields map onto the v2 header.
+/// config fields map onto the binary header.
 Status ConvertTextModelToBinary(const std::string& text_path,
                                 const std::string& binary_path);
 
 /// \brief Options of ModelStore::Open.
 struct ModelStoreOptions {
-  /// Verify every section checksum at open time. Costs one read pass over
-  /// the mapped bytes (still zero-copy, zero allocations); turn off for
-  /// O(header) opens of trusted local artifacts and call
-  /// ModelStore::VerifyChecksums before first use instead if desired.
+  /// Verify every section checksum at open time: one read pass over every
+  /// mapped byte (zero copies, zero allocations), which also faults the
+  /// whole file in. Off, Open validates only the header and section table
+  /// and touches no factor byte; call ModelStore::VerifyChecksums before
+  /// first use instead if desired.
   bool verify_checksums = true;
 };
 
-/// \brief Zero-copy read view of a binary v2 model file.
+/// \brief Zero-copy read view of a binary model file (v3, or v2).
 ///
 /// Open() mmaps the file read-only, validates the header and the section
-/// table, and exposes the factor sections as ConstMatrixViews pointing
-/// directly into the mapping — no factor bytes are parsed, copied or even
-/// touched until a kernel reads them (the page cache faults them in on
-/// demand and can share them across every process serving the same model).
-/// The store owns the mapping; views remain valid for its lifetime.
-/// Movable, not copyable.
+/// table, verifies every section checksum (unless
+/// ModelStoreOptions::verify_checksums is off), and exposes the factor
+/// sections as ConstMatrixViews pointing directly into the mapping — no
+/// factor bytes are parsed or copied, and the page cache shares them
+/// across every process serving the same model. The store owns the
+/// mapping; views remain valid for its lifetime. Movable, not copyable.
 class ModelStore {
  public:
   /// \brief Opens `path` and validates it. IOError on unreadable files,
-  /// ParseError on malformed/foreign/truncated content or checksum
-  /// mismatch.
+  /// ParseError on malformed/foreign/truncated content, a version other
+  /// than 2 or 3, sections that alias the header or each other, or a
+  /// checksum mismatch.
   static Result<ModelStore> Open(const std::string& path,
                                  const ModelStoreOptions& options = {});
 
@@ -191,14 +194,14 @@ class ModelStore {
   const double* item_factors_t_ = nullptr;  // into the mapping
 };
 
-/// \brief True when the first bytes of `path` carry the v2 magic — how
+/// \brief True when the first bytes of `path` carry the OCLR magic — how
 /// format-sniffing loaders decide between ModelStore::Open and the v1 text
 /// LoadModel.
 bool IsBinaryModelFile(const std::string& path);
 
 /// \brief Loads an OCuLaR model of any on-disk format into an owning
 /// LoadedModel: `*.shardset` manifests are opened and gathered
-/// (MaterializeShardSetOcular), v2 files are opened and materialized,
+/// (MaterializeShardSetOcular), binary files are opened and materialized,
 /// anything else goes through the v1 text LoadModel. For zero-copy
 /// serving use ModelStore::Open / OpenShardSet directly.
 Result<LoadedModel> LoadModelAuto(const std::string& path);

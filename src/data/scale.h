@@ -47,7 +47,7 @@ void ScaleUserRow(const ScaleCatalogSpec& spec, uint32_t user,
 DenseMatrix ScaleItemFactors(const ScaleCatalogSpec& spec);
 
 /// The K x n_i transposed serving layout of ScaleItemFactors — what the
-/// OCLR v2 items section stores for the branch-free affinity kernel.
+/// OCLR items section stores for the branch-free affinity kernel.
 DenseMatrix ScaleItemFactorsTransposed(const ScaleCatalogSpec& spec);
 
 }  // namespace ocular

@@ -7,25 +7,15 @@
 #include <cstring>
 
 #include "common/fault.h"
+#include "common/hash.h"
 
 namespace ocular {
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
 // A record claiming a payload beyond this is corruption, not data: the
 // largest real payload is bounded by the daemon's request-line cap.
 constexpr uint32_t kMaxPayloadBytes = 1u << 30;
-
-uint64_t Fnv1a(const std::string& bytes) {
-  uint64_t h = kFnvOffset;
-  for (char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 template <typename T>
 void AppendPod(std::string* out, T value) {
@@ -131,7 +121,7 @@ Status UpdateJournal::AppendFrame(RecordType type, const std::string& payload) {
   frame.reserve(16 + payload.size());
   AppendPod(&frame, static_cast<uint32_t>(type));
   AppendPod(&frame, static_cast<uint32_t>(payload.size()));
-  AppendPod(&frame, Fnv1a(payload));
+  AppendPod(&frame, Fnv1a64(payload.data(), payload.size()));
   frame += payload;
   // One write(2) per record: O_APPEND makes the offset atomic, and a
   // crash mid-write leaves at most one torn record at the tail — exactly
@@ -209,7 +199,7 @@ Result<std::vector<UpdateJournal::Record>> UpdateJournal::ReadAll(
       break;
     }
     const std::string payload = bytes.substr(pos, payload_len);
-    if (Fnv1a(payload) != checksum) {
+    if (Fnv1a64(payload.data(), payload.size()) != checksum) {
       pos = frame_start;  // torn/corrupt payload bytes
       break;
     }

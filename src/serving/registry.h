@@ -120,7 +120,7 @@ struct ServableModel {
 /// are thread-safe.
 class ModelRegistry {
  public:
-  /// \brief Opens `model_path` — a binary v2 store, or a `*.shardset`
+  /// \brief Opens `model_path` — a binary OCLR store, or a `*.shardset`
   /// manifest (sniffed via IsShardSetFile) — and publishes it as `name`,
   /// replacing any previous model of that name. `train` supplies per-user
   /// exclusion rows (pass nullptr for none). On failure the previous model

@@ -1,13 +1,21 @@
-// Unit tests for src/common: Status/Result, Rng, strings, thread pool.
+// Unit tests for src/common: Status/Result, Rng, strings, hashes, thread
+// pool.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <numeric>
 #include <set>
+#include <string>
+#include <string_view>
+#include <utility>
 
+#include "common/fs_util.h"
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/result.h"
 #include "common/rng.h"
@@ -293,6 +301,66 @@ TEST(StringsTest, JoinAndFormat) {
   EXPECT_EQ(FormatCount(1234567), "1,234,567");
   EXPECT_EQ(FormatCount(999), "999");
   EXPECT_EQ(FormatCount(0), "0");
+}
+
+// ------------------------------------------------------------------ hash
+
+uint64_t Fnv(std::string_view s) { return Fnv1a64(s.data(), s.size()); }
+
+// Pinned outputs: journal records, shardset fingerprints and OCLR v2
+// checksums already on disk hold FNV-1a values, and OCLR v3 files hold
+// XXH64 values, so neither function may ever change.
+TEST(HashTest, Fnv1a64MatchesReferenceVectors) {
+  EXPECT_EQ(Fnv(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(Fnv("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(Fnv("foobar"), 0x85944171f73967e8ull);
+  const std::string_view s = "foobar";
+  for (size_t cut = 0; cut <= s.size(); ++cut) {
+    EXPECT_EQ(Fnv1a64(s.data() + cut, s.size() - cut, Fnv(s.substr(0, cut))),
+              Fnv(s))
+        << "split at " << cut;
+  }
+}
+
+TEST(HashTest, Xxh64MatchesReferenceVectors) {
+  // Lengths 0, 1, 3, 11, 39 and 43 cover the 32-byte stripe loop and the
+  // 8-, 4- and 1-byte tails.
+  const std::pair<std::string_view, uint64_t> vectors[] = {
+      {"", 0xef46db3751d8e999ull},
+      {"a", 0xd24ec4f1a98c6e5bull},
+      {"abc", 0x44bc2cf5ad770999ull},
+      {"hello world", 0x45ab6734b21e6968ull},
+      {"Nobody inspects the spammish repetition", 0xfbcea83c8a378bf1ull},
+      {"The quick brown fox jumps over the lazy dog", 0x0b242d361fda71bcull},
+  };
+  for (const auto& [input, want] : vectors) {
+    EXPECT_EQ(Xxh64(input.data(), input.size()), want) << '"' << input << '"';
+    // Same bytes at an odd address: the loads need no alignment.
+    const std::string shifted = "x" + std::string(input);
+    EXPECT_EQ(Xxh64(shifted.data() + 1, input.size()), want)
+        << '"' << input << '"';
+  }
+}
+
+TEST(HashTest, FileFingerprintIsFnv1aOfTheFilePrefix) {
+  const std::string path = ::testing::TempDir() + "/fingerprint.bin";
+  std::string content(10000, '\0');
+  for (size_t i = 0; i < content.size(); ++i) {
+    content[i] = static_cast<char>(i * 131 + 7);
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << "foobar";
+  }
+  EXPECT_EQ(fs::FileFingerprint(path).value(), 0x85944171f73967e8ull);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << content;
+  }
+  // Reads cross the 4096-byte chunk boundary twice.
+  EXPECT_EQ(fs::FileFingerprint(path, 9000).value(),
+            Fnv1a64(content.data(), 9000));
+  std::remove(path.c_str());
 }
 
 // ------------------------------------------------------------ ThreadPool

@@ -455,64 +455,74 @@ TEST(UpdateFaultMatrixTest, DirsyncFailureAfterRenameStillPublishes) {
 // ------------------------------------------------- crash-window recovery
 
 TEST(JournalRecoveryTest, CrashBeforeRenameReplaysBitIdentically) {
-  DaemonFixture f = DaemonFixture::Make("fault_replay.oclr");
-  const std::string base_copy = TempPath("fault_replay_base.oclr");
-  WriteFileBytes(base_copy, ReadFileBytes(f.model_path));
-  const std::vector<std::pair<uint32_t, uint32_t>> adds = {
-      {50, 0}, {50, 7}, {50, 12}};
+  // Also from a base artifact the previous release wrote (OCLR v2): its
+  // fingerprint still matches the record, so the update replays rather
+  // than heals, and the republished artifact is v3.
+  for (const bool v2_base : {false, true}) {
+    SCOPED_TRACE(v2_base ? "v2 base artifact" : "v3 base artifact");
+    DaemonFixture f = DaemonFixture::Make("fault_replay.oclr");
+    if (v2_base) ASSERT_TRUE(test::StampOclrV2(f.model_path));
+    const std::string base_copy = TempPath("fault_replay_base.oclr");
+    WriteFileBytes(base_copy, ReadFileBytes(f.model_path));
+    const std::vector<std::pair<uint32_t, uint32_t>> adds = {
+        {50, 0}, {50, 7}, {50, 12}};
 
-  // Simulate the crash window: the previous incarnation journaled the
-  // update (fingerprint of the artifact it retrained from) and died
-  // before the rename — artifact untouched, record pending.
-  auto fingerprint = fs::FileFingerprint(f.model_path);
-  ASSERT_TRUE(fingerprint.ok());
-  UpdateJournal journal;
-  ASSERT_TRUE(journal.Open(UpdateJournal::PathFor(f.model_path)).ok());
-  ASSERT_TRUE(
-      journal.AppendUpdate(MakeRecord(*fingerprint, adds, 51, 30, 3)).ok());
-  journal.Close();
+    // Simulate the crash window: the previous incarnation journaled the
+    // update (fingerprint of the artifact it retrained from) and died
+    // before the rename — artifact untouched, record pending.
+    auto fingerprint = fs::FileFingerprint(f.model_path);
+    ASSERT_TRUE(fingerprint.ok());
+    UpdateJournal journal;
+    ASSERT_TRUE(journal.Open(UpdateJournal::PathFor(f.model_path)).ok());
+    ASSERT_TRUE(
+        journal.AppendUpdate(MakeRecord(*fingerprint, adds, 51, 30, 3)).ok());
+    journal.Close();
 
-  ModelRegistry registry;
-  ASSERT_TRUE(registry.Load("default", f.model_path, f.shared_train()).ok());
-  RequestServer server(&registry);
-  auto recovered = server.RecoverJournal("default");
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_TRUE(recovered->replayed_pending);
-  EXPECT_FALSE(recovered->healed_commit);
-  EXPECT_EQ(recovered->applied_merged, 0u);
-  EXPECT_EQ(server.Stats().journal_replays, 1u);
+    ModelRegistry registry;
+    ASSERT_TRUE(registry.Load("default", f.model_path, f.shared_train()).ok());
+    RequestServer server(&registry);
+    auto recovered = server.RecoverJournal("default");
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_TRUE(recovered->replayed_pending);
+    EXPECT_FALSE(recovered->healed_commit);
+    EXPECT_EQ(recovered->applied_merged, 0u);
+    EXPECT_EQ(server.Stats().journal_replays, 1u);
 
-  // The replay ran the exact pipeline the lost ack promised: the
-  // recovered artifact is byte-identical to the offline oracle's, and
-  // serving the brand-new user matches the oracle exactly.
-  OfflineUpdate oracle = ReplayUpdate(base_copy, f.train, adds, 3);
-  const std::string oracle_path = TempPath("fault_replay_oracle.oclr");
-  ASSERT_TRUE(SaveModelBinary(oracle.model, oracle.config, oracle_path).ok());
-  EXPECT_EQ(ReadFileBytes(f.model_path), ReadFileBytes(oracle_path));
+    // The replay ran the exact pipeline the lost ack promised: the
+    // recovered artifact is byte-identical to the offline oracle's, and
+    // serving the brand-new user matches the oracle exactly.
+    OfflineUpdate oracle = ReplayUpdate(base_copy, f.train, adds, 3);
+    const std::string oracle_path = TempPath("fault_replay_oracle.oclr");
+    ASSERT_TRUE(
+        SaveModelBinary(oracle.model, oracle.config, oracle_path).ok());
+    EXPECT_EQ(ReadFileBytes(f.model_path), ReadFileBytes(oracle_path));
+    EXPECT_EQ(ReadFileBytes(f.model_path)[4], 3);
 
-  const auto expect = Oracle(oracle.model, oracle.train, 5);
-  EXPECT_TRUE(ReplyMatchesRanked(
-      server.HandleLine(R"({"cmd":"recommend","user":50,"m":5})"),
-      expect[50]));
+    const auto expect = Oracle(oracle.model, oracle.train, 5);
+    EXPECT_TRUE(ReplyMatchesRanked(
+        server.HandleLine(R"({"cmd":"recommend","user":50,"m":5})"),
+        expect[50]));
 
-  // The journal is now committed, and a second restart is idempotent:
-  // the (same) delta re-merges, nothing replays, the artifact is stable.
-  const std::string recovered_bytes = ReadFileBytes(f.model_path);
-  ModelRegistry registry2;
-  ASSERT_TRUE(registry2.Load("default", f.model_path, f.shared_train()).ok());
-  RequestServer server2(&registry2);
-  auto again = server2.RecoverJournal("default");
-  ASSERT_TRUE(again.ok()) << again.status().ToString();
-  EXPECT_FALSE(again->replayed_pending);
-  EXPECT_EQ(again->applied_merged, 1u);
-  EXPECT_EQ(ReadFileBytes(f.model_path), recovered_bytes);
-  EXPECT_TRUE(ReplyMatchesRanked(
-      server2.HandleLine(R"({"cmd":"recommend","user":50,"m":5})"),
-      expect[50]));
+    // The journal is now committed, and a second restart is idempotent:
+    // the (same) delta re-merges, nothing replays, the artifact is stable.
+    const std::string recovered_bytes = ReadFileBytes(f.model_path);
+    ModelRegistry registry2;
+    ASSERT_TRUE(
+        registry2.Load("default", f.model_path, f.shared_train()).ok());
+    RequestServer server2(&registry2);
+    auto again = server2.RecoverJournal("default");
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_FALSE(again->replayed_pending);
+    EXPECT_EQ(again->applied_merged, 1u);
+    EXPECT_EQ(ReadFileBytes(f.model_path), recovered_bytes);
+    EXPECT_TRUE(ReplyMatchesRanked(
+        server2.HandleLine(R"({"cmd":"recommend","user":50,"m":5})"),
+        expect[50]));
 
-  std::remove(base_copy.c_str());
-  std::remove(oracle_path.c_str());
-  f.Cleanup();
+    std::remove(base_copy.c_str());
+    std::remove(oracle_path.c_str());
+    f.Cleanup();
+  }
 }
 
 TEST(JournalRecoveryTest, PublishedButUncommittedUpdateHealsTheCommit) {

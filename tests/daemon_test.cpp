@@ -46,7 +46,7 @@ std::string TempPath(const std::string& name) {
 }
 
 /// Trains a small OCuLaR model on a deterministic matrix and writes it as
-/// a binary v2 file. Returns the in-memory fit for oracle comparisons.
+/// a binary OCLR file. Returns the in-memory fit for oracle comparisons.
 struct DaemonFixture {
   CsrMatrix train;
   OcularConfig config;

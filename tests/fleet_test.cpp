@@ -497,12 +497,17 @@ struct InProcessReplica {
   }
 
   /// The shutdown latch is process-global: one RequestShutdown can stop
-  /// every in-process loop that observes it before anyone consumes it, so
-  /// callers must ConsumeShutdownRequest() after the last Drain or the
+  /// every in-process loop that observes it, and the first loop to exit
+  /// consumes it — possibly another replica's, leaving this one serving.
+  /// So re-arm it until this loop has left (bound_port() drops to 0).
+  /// Callers must ConsumeShutdownRequest() after the last Drain or the
   /// leftover latch kills the next test's server on arrival.
   void Drain() {
     if (!thread.joinable()) return;
-    RequestServer::RequestShutdown();
+    while (server->bound_port() != 0) {
+      RequestServer::RequestShutdown();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     thread.join();
   }
 };

@@ -7,7 +7,8 @@
 // serving of ShardedStoreRecommender against the monolithic
 // StoreRecommender, the registry's per-shard generation swap, and the
 // daemon's sharded verbs (shard-tagged replies, shard_requests stats, and
-// the fold-in update that republishes only the touched shard).
+// the fold-in update that republishes only the touched shard, including
+// the upgrade of a v2 set one republished shard at a time).
 
 #include <gtest/gtest.h>
 
@@ -24,7 +25,9 @@
 #include "core/model_shard.h"
 #include "core/model_store.h"
 #include "core/ocular_recommender.h"
+#include "serving/batch.h"
 #include "serving/daemon.h"
+#include "serving/loadgen.h"
 #include "serving/registry.h"
 #include "serving/score_engine.h"
 #include "serving/sharded_store_recommender.h"
@@ -589,6 +592,78 @@ TEST(DaemonShardedTest, UpdateRepublishesOnlyTheTouchedShard) {
   EXPECT_FALSE(grow->Find("ok")->boolean());
   EXPECT_NE(grow->Find("error")->string().find("reshard offline"),
             std::string::npos);
+}
+
+TEST(DaemonShardedTest, V2SetUpgradesShardByShardAndServesTheOracle) {
+  // The previous release wrote every member as OCLR v2. A sharded update
+  // republishes only the touched shard, as v3; the mixed set must reopen
+  // in a fresh registry and serve exactly what the offline oracle ranks.
+  const std::vector<std::pair<uint32_t, uint32_t>> adds = {
+      {2, 1}, {2, 5}, {3, 9}};  // users of shard 0 only
+  auto apply_update = [&](const ShardedFixture& f) {
+    ModelRegistry registry;
+    ASSERT_TRUE(
+        registry.Load("default", f.manifest_path, f.shared_train()).ok());
+    RequestServer server(&registry);
+    auto reply = JsonValue::Parse(server.HandleLine(
+        R"({"cmd":"update","adds":[[2,1],[2,5],[3,9]]})"));
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_TRUE(reply->Find("ok")->boolean())
+        << reply->Find("error")->string();
+    EXPECT_EQ(reply->Find("shards_touched")->number(), 1.0);
+  };
+  auto member = [](const ShardedFixture& f, int shard) {
+    const ShardSetManifest m = LoadShardSetManifest(f.manifest_path).value();
+    return ShardSetResolve(f.manifest_path,
+                           shard < 0 ? m.items_file : m.shards[shard].file);
+  };
+
+  ShardedFixture f = ShardedFixture::Make("upgrade_v2", 3);
+  {
+    ShardSetManifest manifest = LoadShardSetManifest(f.manifest_path).value();
+    const std::string items = member(f, -1);
+    ASSERT_TRUE(test::StampOclrV2(items));
+    manifest.items_fingerprint = fs::FileFingerprint(items).value();
+    for (ShardSetEntry& shard : manifest.shards) {
+      const std::string path = ShardSetResolve(f.manifest_path, shard.file);
+      ASSERT_TRUE(test::StampOclrV2(path));
+      shard.fingerprint = fs::FileFingerprint(path).value();
+    }
+    ASSERT_TRUE(SaveShardSetManifest(manifest, f.manifest_path).ok());
+  }
+  apply_update(f);
+  EXPECT_EQ(ReadFile(member(f, 0))[4], 3);
+  EXPECT_EQ(ReadFile(member(f, 1))[4], 2);
+  EXPECT_EQ(ReadFile(member(f, 2))[4], 2);
+  EXPECT_EQ(ReadFile(member(f, -1))[4], 2);
+
+  // The republished shard is the one an all-v3 deployment writes.
+  ShardedFixture twin = ShardedFixture::Make("upgrade_v3", 3);
+  apply_update(twin);
+  EXPECT_EQ(ReadFile(member(f, 0)), ReadFile(member(twin, 0)));
+
+  // Oracle: the mixed set gathered offline, ranked under the merged
+  // training matrix the update bound.
+  auto gathered = LoadModelAuto(f.manifest_path);
+  ASSERT_TRUE(gathered.ok()) << gathered.status().ToString();
+  auto merged = std::make_shared<const CsrMatrix>(
+      f.train.WithEntries(adds, 50, 30).value());
+  OcularModelRecommender oracle(gathered->model);
+  BatchOptions batch;
+  batch.m = 5;
+  batch.skip_cold_users = false;
+  const auto expect =
+      RecommendForAllUsers(oracle, *merged, batch).value().recommendations;
+
+  ModelRegistry fresh;
+  ASSERT_TRUE(fresh.Load("default", f.manifest_path, merged).ok());
+  RequestServer server(&fresh);
+  for (uint32_t u = 0; u < 50; ++u) {
+    const std::string line = server.HandleLine(
+        R"({"cmd":"recommend","user":)" + std::to_string(u) + R"(,"m":5})");
+    EXPECT_TRUE(ReplyMatchesRanked(line, expect[u]))
+        << "u=" << u << " " << line;
+  }
 }
 
 }  // namespace

@@ -1,16 +1,20 @@
-// Tests for the binary model format v2 and the mmap-backed zero-copy
-// ModelStore: exact round trips, corruption/truncation rejection, v1 -> v2
-// conversion equivalence, serving parity of StoreRecommender against the
-// in-memory recommenders (bit-identical), and the zero-copy guarantee
-// (operator-new byte accounting across ModelStore::Open).
+// Tests for the binary model format (v3 written, v2 still read) and the
+// mmap-backed zero-copy ModelStore: exact round trips, corruption,
+// truncation and section-aliasing rejection, v2 files serving like their
+// v3 twins, v1 -> binary conversion equivalence, serving parity of
+// StoreRecommender against the in-memory recommenders (bit-identical), and
+// the zero-copy guarantee (operator-new byte accounting across
+// ModelStore::Open).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <new>
 #include <string>
 
@@ -75,6 +79,57 @@ TrainedModel TrainSmallModel(bool use_biases = false, uint64_t seed = 7) {
 bool SameMatrix(ConstMatrixView view, const DenseMatrix& m) {
   return view.rows() == m.rows() && view.cols() == m.cols() &&
          std::memcmp(view.data(), m.data(), m.size() * sizeof(double)) == 0;
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// Section table of docs/MODEL_FORMAT.md: entry i at 64 + 32 i holds the
+// kind (+0), offset (+8), length (+16) and checksum (+24). Writers emit
+// the entries in kind order.
+size_t EntryField(uint32_t kind, size_t field) {
+  return 64 + 32 * kind + field;
+}
+
+uint64_t GetU64(const std::string& bytes, size_t at) {
+  uint64_t v = 0;
+  std::memcpy(&v, bytes.data() + at, sizeof(v));
+  return v;
+}
+
+void SetU64(std::string* bytes, size_t at, uint64_t v) {
+  std::memcpy(bytes->data() + at, &v, sizeof(v));
+}
+
+/// Flips the first and the last byte of every non-empty section of the
+/// file at `path`, one at a time: each flip must fail the verifying open
+/// with a ParseError naming that section.
+void ExpectEverySectionFlipRejected(const std::string& path) {
+  const std::string good = ReadBytes(path);
+  for (uint32_t kind = 0; kind < 3; ++kind) {
+    const uint64_t offset = GetU64(good, EntryField(kind, 8));
+    const uint64_t length = GetU64(good, EntryField(kind, 16));
+    ASSERT_GT(length, 0u);
+    for (const uint64_t at : {offset, offset + length - 1}) {
+      std::string flipped = good;
+      flipped[at] = static_cast<char>(flipped[at] ^ 0x01);
+      WriteBytes(path, flipped);
+      const Status st = ModelStore::Open(path).status();
+      EXPECT_TRUE(st.IsParseError()) << "byte " << at;
+      EXPECT_NE(st.ToString().find("section " + std::to_string(kind)),
+                std::string::npos)
+          << st.ToString();
+    }
+  }
+  WriteBytes(path, good);
 }
 
 TEST(ModelStoreTest, BinaryRoundTripIsExact) {
@@ -215,27 +270,57 @@ TEST(ModelStoreTest, RejectsForeignAndTruncatedFiles) {
   TrainedModel t = TrainSmallModel();
   const std::string good_path = TempPath("good.oclr");
   ASSERT_TRUE(SaveModelBinary(t.model, t.config, good_path).ok());
-  std::ifstream in(good_path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
+  const std::string bytes = ReadBytes(good_path);
   for (size_t keep : {size_t{10}, size_t{100}, bytes.size() / 2,
                       bytes.size() - 1}) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(keep));
-    out.close();
+    WriteBytes(path, bytes.substr(0, keep));
     EXPECT_TRUE(ModelStore::Open(path).status().IsParseError())
         << "truncated to " << keep << " of " << bytes.size() << " bytes";
   }
 
-  // Unsupported future version.
-  {
-    std::string v3 = bytes;
-    v3[4] = 3;  // version field
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(v3.data(), static_cast<std::streamsize>(v3.size()));
+  // Versions this build does not read: the past ones before v2 and the
+  // unsupported future. The version picks the checksum hash, so an
+  // unknown one cannot be verified and is refused.
+  for (const uint32_t version : {0u, 1u, 4u, UINT32_MAX}) {
+    std::string other = bytes;
+    std::memcpy(&other[4], &version, sizeof(version));
+    WriteBytes(path, other);
+    const Status st = ModelStore::Open(path).status();
+    EXPECT_TRUE(st.IsParseError()) << "version " << version;
+    EXPECT_NE(st.ToString().find("this build reads 2 and 3"),
+              std::string::npos)
+        << st.ToString();
   }
-  EXPECT_TRUE(ModelStore::Open(path).status().IsParseError());
+
+  // A section aliasing the header: a trusting open would otherwise serve
+  // the header bytes as user factors.
+  {
+    std::string aliased = bytes;
+    SetU64(&aliased, EntryField(0, 8), 0);
+    WriteBytes(path, aliased);
+    ModelStoreOptions trusting;
+    trusting.verify_checksums = false;
+    const Status st = ModelStore::Open(path, trusting).status();
+    EXPECT_TRUE(st.IsParseError()) << st.ToString();
+    EXPECT_NE(st.ToString().find("section 0 starts inside the header"),
+              std::string::npos)
+        << st.ToString();
+  }
+
+  // items_t pointed at the items section, its checksum restamped to match:
+  // every checksum verifies, but the kernel's Vᵀ operand would not be the
+  // transpose.
+  {
+    std::string aliased = bytes;
+    SetU64(&aliased, EntryField(2, 8), GetU64(bytes, EntryField(1, 8)));
+    SetU64(&aliased, EntryField(2, 24), GetU64(bytes, EntryField(1, 24)));
+    WriteBytes(path, aliased);
+    const Status st = ModelStore::Open(path).status();
+    EXPECT_TRUE(st.IsParseError()) << st.ToString();
+    EXPECT_NE(st.ToString().find("sections 1 and 2 overlap"),
+              std::string::npos)
+        << st.ToString();
+  }
 
   // Hostile header: dimensions whose byte product would wrap a size_t
   // (n_u = 2^30, k = 2^31 -> 2^64 bytes) must be rejected up front, not
@@ -246,8 +331,7 @@ TEST(ModelStoreTest, RejectsForeignAndTruncatedFiles) {
     const uint32_t huge_users = 1u << 30;
     std::memcpy(&hostile[16], &huge_k, sizeof(huge_k));
     std::memcpy(&hostile[20], &huge_users, sizeof(huge_users));
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(hostile.data(), static_cast<std::streamsize>(hostile.size()));
+    WriteBytes(path, hostile);
   }
   EXPECT_TRUE(ModelStore::Open(path).status().IsParseError());
 
@@ -275,14 +359,70 @@ TEST(ModelStoreTest, ChecksumMismatchIsDetected) {
   // Default open verifies checksums and rejects.
   EXPECT_TRUE(ModelStore::Open(path).status().IsParseError());
 
-  // A trusting open succeeds in O(header); the explicit verify still
-  // catches the corruption.
+  // A trusting open reads only the header and succeeds; the explicit
+  // verify still catches the corruption.
   ModelStoreOptions trusting;
   trusting.verify_checksums = false;
   auto store = ModelStore::Open(path, trusting);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   EXPECT_TRUE(store->VerifyChecksums().IsParseError());
+
+  // Every byte of every section is covered, both ends included.
+  ASSERT_TRUE(SaveModelBinary(t.model, t.config, path).ok());
+  ExpectEverySectionFlipRejected(path);
   std::remove(path.c_str());
+}
+
+TEST(ModelStoreTest, Version2FilesOpenAndServeLikeTheirV3Twin) {
+  // The previous release wrote v2 (FNV-1a checksums): its artifacts must
+  // keep opening, verifying and serving after the upgrade.
+  TrainedModel t = TrainSmallModel();
+  const CsrMatrix train = test::RandomCsr(60, 40, 600, 7);
+  const std::string v3_path = TempPath("twin_v3.oclr");
+  const std::string v2_path = TempPath("twin_v2.oclr");
+  ASSERT_TRUE(SaveModelBinary(t.model, t.config, v3_path).ok());
+  ASSERT_TRUE(SaveModelBinary(t.model, t.config, v2_path).ok());
+  ASSERT_TRUE(test::StampOclrV2(v2_path));
+
+  // Same layout and section bytes; only the version and checksums differ.
+  const std::string v3_bytes = ReadBytes(v3_path);
+  const std::string v2_bytes = ReadBytes(v2_path);
+  EXPECT_EQ(v3_bytes[4], 3) << "writers emit v3";
+  EXPECT_EQ(v2_bytes[4], 2);
+  ASSERT_EQ(v2_bytes.size(), v3_bytes.size());
+  for (uint32_t kind = 0; kind < 3; ++kind) {
+    EXPECT_EQ(GetU64(v2_bytes, EntryField(kind, 8)),
+              GetU64(v3_bytes, EntryField(kind, 8)));
+    EXPECT_NE(GetU64(v2_bytes, EntryField(kind, 24)),
+              GetU64(v3_bytes, EntryField(kind, 24)));
+  }
+  EXPECT_EQ(v2_bytes.substr(192), v3_bytes.substr(192));
+
+  auto v2 = ModelStore::Open(v2_path);
+  auto v3 = ModelStore::Open(v3_path);
+  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
+  ASSERT_TRUE(v3.ok()) << v3.status().ToString();
+  StoreRecommender v2_rec(*v2);
+  StoreRecommender v3_rec(*v3);
+  ServeOptions options;
+  options.m = 10;
+  ServeWorkspace v2_ws, v3_ws;
+  v2_ws.Reserve(options.m, options.block_items);
+  v3_ws.Reserve(options.m, options.block_items);
+  for (uint32_t u = 0; u < v3_rec.num_users(); ++u) {
+    auto from_v2 = ServeTopM(v2_rec, u, train.Row(u), options, &v2_ws);
+    auto from_v3 = ServeTopM(v3_rec, u, train.Row(u), options, &v3_ws);
+    ASSERT_EQ(from_v2.size(), from_v3.size()) << "u=" << u;
+    for (size_t r = 0; r < from_v2.size(); ++r) {
+      ASSERT_EQ(from_v2[r].item, from_v3[r].item) << "u=" << u;
+      ASSERT_EQ(from_v2[r].score, from_v3[r].score) << "u=" << u;
+    }
+  }
+
+  // v2 checksums still guard every section.
+  ExpectEverySectionFlipRejected(v2_path);
+  std::remove(v2_path.c_str());
+  std::remove(v3_path.c_str());
 }
 
 TEST(ModelStoreTest, OpenIsZeroCopy) {

@@ -1,4 +1,4 @@
-# Smoke test of the serving daemon: synth -> train -> convert to binary v2
+# Smoke test of the serving daemon: synth -> train -> convert to binary OCLR
 # -> serve a scripted JSON session through ocular_served (recommend, stats,
 # hot-reload, recommend again) and check the replies. Run by ctest as:
 #   cmake -DOCULAR_CLI=... -DOCULAR_SERVED=... -DWORK_DIR=... -P served_smoke.cmake

@@ -1,12 +1,17 @@
-// Shared test fixtures: a seeded RNG factory and tiny deterministic
-// synthetic interaction matrices, so individual test files stop
-// re-implementing the same builders.
+// Shared test fixtures: a seeded RNG factory, tiny deterministic
+// synthetic interaction matrices and an OCLR v2 downgrader, so individual
+// test files stop re-implementing the same builders.
 
 #ifndef OCULAR_TESTS_TEST_UTIL_H_
 #define OCULAR_TESTS_TEST_UTIL_H_
 
 #include <cstdint>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <string>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "sparse/coo.h"
 #include "sparse/csr.h"
@@ -57,6 +62,37 @@ inline CsrMatrix TinyBlocksCsr() {
     }
   }
   return CsrMatrix::FromCoo(coo.Finalize(20, 16).value());
+}
+
+/// Rewrites the OCLR file at `path` in place as format v2 — version 2 and
+/// FNV-1a 64 section checksums, the previous release's output for the
+/// same factors — so tests can prove old artifacts still open. Reads the
+/// section table at the offsets docs/MODEL_FORMAT.md fixes. False when
+/// the file cannot be read or written.
+inline bool StampOclrV2(const std::string& path) {
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) return false;
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  constexpr size_t kTableOffset = 64, kEntryBytes = 32, kSections = 3;
+  if (bytes.size() < kTableOffset + kSections * kEntryBytes) return false;
+  const uint32_t version = 2;
+  std::memcpy(&bytes[4], &version, sizeof(version));
+  for (size_t i = 0; i < kSections; ++i) {
+    char* entry = &bytes[kTableOffset + i * kEntryBytes];
+    uint64_t offset = 0, length = 0;
+    std::memcpy(&offset, entry + 8, sizeof(offset));
+    std::memcpy(&length, entry + 16, sizeof(length));
+    if (offset > bytes.size() || length > bytes.size() - offset) return false;
+    const uint64_t checksum = Fnv1a64(bytes.data() + offset, length);
+    std::memcpy(entry + 24, &checksum, sizeof(checksum));
+  }
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return out.good();
 }
 
 }  // namespace test

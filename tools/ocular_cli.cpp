@@ -7,7 +7,7 @@
 //   recommend  top-M recommendations for a user (or an ad-hoc history)
 //   explain    co-cluster rationale for a (user, item) pair
 //   evaluate   train/test split evaluation (recall@M, MAP@M, AUC)
-//   convert    v1 text model <-> binary v2 (.oclr) model file
+//   convert    v1 text model <-> binary OCLR (.oclr) model file
 //   shard      split a binary model into a user-sharded *.shardset, or
 //              inspect/route against an existing manifest
 //   serve      resident model server (same engine as ocular_served)
@@ -184,7 +184,7 @@ int CmdTrain(const Flags& flags) {
 }
 
 int CmdRecommend(const Flags& flags) {
-  // Accepts v1 text, binary v2, and `*.shardset` manifests alike
+  // Accepts v1 text, binary OCLR, and `*.shardset` manifests alike
   // (LoadModelAuto sniffs and gathers).
   auto loaded = LoadModelAuto(flags.GetString("model"));
   if (!loaded.ok()) {

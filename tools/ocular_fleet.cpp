@@ -122,13 +122,15 @@ bool SpawnReplica(const std::string& served, const Flags& flags,
 }
 
 /// Blocks until something accepts on 127.0.0.1:`port` (or ~10s pass).
+/// Polls every 1 ms: a replica is ready within milliseconds, so a coarser
+/// tick would round every fleet cold start up to it.
 bool WaitForPort(uint16_t port) {
   struct sockaddr_in addr;
   std::memset(&addr, 0, sizeof(addr));
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(port);
-  for (int tick = 0; tick < 1000; ++tick) {
+  for (int tick = 0; tick < 10000; ++tick) {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd >= 0 &&
         ::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
@@ -137,7 +139,7 @@ bool WaitForPort(uint16_t port) {
       return true;
     }
     if (fd >= 0) ::close(fd);
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return false;
 }

@@ -1,6 +1,6 @@
 // ocular_served — long-running model server for OCuLaR binary models.
 //
-// Holds one or more mmapped binary v2 models resident (ModelRegistry) and
+// Holds one or more mmapped binary OCLR models resident (ModelRegistry) and
 // answers newline-delimited JSON requests through the blocked scoring
 // engine, over stdin/stdout by default or a loopback TCP port with
 // --port=N. SIGHUP hot-reloads every model file atomically; in-flight
@@ -29,7 +29,7 @@ constexpr char kUsage[] = R"(usage: ocular_served --models=name=path[,...]
         [--max-request-bytes=N] [--io-timeout-ms=N] [--idle-timeout-ms=N]
         [--retry-after-ms=N] [--journal=0|1]
 
-Serves binary v2 (.oclr) model files; convert v1 text models first with
+Serves binary OCLR (.oclr) model files; convert v1 text models first with
 `ocular_cli convert`. Requests are one JSON object per line:
   {"cmd":"recommend","model":"default","user":3,"m":10}
   {"cmd":"models"} | {"cmd":"stats"} | {"cmd":"reload"} | {"cmd":"quit"}

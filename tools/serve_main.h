@@ -3,7 +3,7 @@
 // runs the RequestServer over stdio or TCP.
 //
 // Flags:
-//   --models=name=path[,name=path...]    binary v2 model files (required)
+//   --models=name=path[,name=path...]    binary OCLR model files (required)
 //   --datasets=name=path[,...]           optional per-model exclusion data
 //   --delimiter=C                        dataset delimiter (default tab)
 //   --port=N                             TCP on 127.0.0.1:N (default stdio)
