@@ -454,7 +454,7 @@ int Main(int argc, char** argv) {
 
     const auto fail_out = [&](const char* why) {
       std::fprintf(stderr, "FAIL: %s\n", why);
-      RequestServer::RequestShutdown();
+      LineServer::RequestShutdown();
       serve_thread.join();
       std::remove(model_path.c_str());
       std::remove(dataset_path.c_str());
@@ -552,7 +552,7 @@ int Main(int argc, char** argv) {
     res.loris_p99_us = loris_p99_sum / reps;
     res.loris_p99_over_hot = res.loris_p99_us / std::max(res.hot_p99_us, 1e-12);
 
-    RequestServer::RequestShutdown();
+    LineServer::RequestShutdown();
     serve_thread.join();
   }
 

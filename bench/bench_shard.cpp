@@ -252,7 +252,7 @@ int Main(int argc, char** argv) {
     res.update_publish_ms = publish_sum / std::max(update_reps, 1u);
   }
 
-  RequestServer::RequestShutdown();
+  LineServer::RequestShutdown();
   server_thread.join();
   std::remove(mono_path.c_str());
   // Leave no shardset members behind either.

@@ -17,47 +17,25 @@
 #include "common/result.h"
 #include "core/fold_in.h"
 #include "core/incremental.h"
+#include "serving/line_server.h"
 #include "serving/registry.h"
 #include "serving/score_engine.h"
 
 namespace ocular {
 
 /// \brief Point-in-time serving statistics, as reported by the `stats`
-/// verb. Counters are merged across the per-worker shards at snapshot
-/// time; percentiles are exact over the union of the per-worker latency
-/// windows (see MergedPercentile).
-struct DaemonStatsSnapshot {
+/// verb: the connection core's ConnStats plus the daemon's own counters.
+/// Counters are merged across the per-worker shards at snapshot time;
+/// percentiles are exact over the union of the per-worker latency windows
+/// (see MergedPercentile).
+struct DaemonStatsSnapshot : ConnStats {
   /// Requests answered (including failed ones), summed over workers.
   uint64_t requests_served = 0;
-  /// Requests answered with "ok": false, summed over workers.
+  /// Requests answered with "ok": false (408/413 connection replies
+  /// included), summed over workers.
   uint64_t errors = 0;
   /// Hot reloads performed (SIGHUP or `reload` verb).
   uint64_t reloads = 0;
-  /// Connections refused at admission with a 503-style reply: the
-  /// max_connections cap was reached or accept() hit fd exhaustion
-  /// (EMFILE/ENFILE). Load shedding, never silent drops.
-  uint64_t connections_shed = 0;
-  /// Connections closed with a 408-style reply because no complete
-  /// request arrived within Options::idle_timeout_ms (idle peers and
-  /// slow-loris byte-dribblers alike).
-  uint64_t connections_timed_out = 0;
-  /// Connections currently open on the epoll core (a gauge, not a
-  /// counter: accepted minus closed).
-  uint64_t connections_open = 0;
-  /// Subset of connections_shed refused because Options::max_connections
-  /// open connections were already admitted.
-  uint64_t connections_capped = 0;
-  /// Connections dropped by the slow-consumer policy: the outbound
-  /// buffer exceeded Options::max_outbound_bytes, or a nonempty outbound
-  /// buffer made no write progress for Options::io_timeout_ms.
-  uint64_t connections_slow_closed = 0;
-  /// accept() failures with EMFILE/ENFILE, each handled via the
-  /// reserve-fd parachute (victim accepted, shed with retry_after_ms,
-  /// reserve reopened) instead of spinning or dying.
-  uint64_t accept_emfile = 0;
-  /// High-water mark of any single connection's outbound buffer, bytes —
-  /// how close the slowest consumer came to max_outbound_bytes.
-  uint64_t peak_outbound_bytes = 0;
   /// History-based (fold-in) recommend requests answered, summed over
   /// workers.
   uint64_t fold_in_requests = 0;
@@ -193,44 +171,27 @@ double MergedPercentile(std::vector<double>* samples, double p);
 /// (the training matrix is the delta's base) and serialize on one mutex;
 /// reads never block.
 ///
-/// Concurrency (PR 5, rebuilt event-driven in PR 10): RunTcpLoop is an
-/// epoll readiness loop (the IO thread) multiplexing every nonblocking
-/// connection socket, feeding a fixed pool of `Options::num_workers`
-/// shared-nothing worker threads through a bounded work queue. The IO
-/// thread owns all per-connection state (inbound line buffer, parsed
-/// request lines, outbound reply buffer); workers own only compute: each
-/// worker keeps its ServeWorkspace, its latency ring, and a cached
-/// shared_ptr lease on the current model generation (re-resolved
-/// lock-free when ModelRegistry::generation() moves), so the
-/// steady-state request path touches no shared mutable state. A
-/// connection has at most one dispatched batch in flight, so replies
-/// come back in request order and pipelined streams stay bit-identical
-/// to the batch oracle. Admission control sheds with a 503-style
-/// `{"ok":false,"error":...,"code":503}` line when
-/// `Options::max_connections` open connections are already admitted or
-/// accept() hits fd exhaustion (EMFILE reserve-fd parachute); a full
-/// work queue is *backpressure* (the IO thread holds parsed lines and
-/// retries after each completion), never a shed. Within a connection
-/// requests are pipelined: every complete line of a dispatched batch is
-/// answered into one buffer flushed in chunks of at most ~256 KiB, with
-/// EPOLLOUT-driven draining — a reader that never drains its socket hits
-/// the slow-consumer policy (max_outbound_bytes cap, write-progress
-/// deadline) instead of growing a buffer or blocking a worker. Idle and
-/// slowloris connections cost one fd and a few hundred bytes, never a
-/// worker: read deadlines are enforced by the IO loop's sweep, and the
-/// idle clock only advances on complete non-empty request lines.
+/// Concurrency: RunTcpLoop runs the connection core, LineServer, with
+/// `Options::num_workers` workers that own only compute: each keeps its
+/// ServeWorkspace, its latency ring, and a cached shared_ptr lease on the
+/// current model generation (re-resolved lock-free when
+/// ModelRegistry::generation() moves, dropped before the worker parks),
+/// so the steady-state request path touches no shared mutable state, and
+/// pipelined replies stay bit-identical to the batch oracle.
 ///
 /// Hot reload: InstallReloadSignalHandler() latches SIGHUP into a flag
-/// that listener and workers poll between accepts/reads; the swap itself
-/// is ModelRegistry::ReloadAll, so in-flight requests drain on the old
-/// mapping and workers pick up the new generation at their next request —
-/// no stop-the-world pause, and no request ever observes a torn model
-/// (each request resolves its model lease exactly once). See
-/// docs/OPERATIONS.md for the walkthrough.
-class RequestServer {
+/// that each worker applies before its next batch (and the stdio loop
+/// before its next line); the swap itself is ModelRegistry::ReloadAll, so
+/// in-flight requests drain on the old mapping and workers pick up the
+/// new generation at their next request — no stop-the-world pause, and
+/// no request ever observes a torn model (each request resolves its model
+/// lease exactly once). See docs/OPERATIONS.md for the walkthrough.
+class RequestServer : private LineServer::Handler {
  public:
-  /// \brief Tunables of a server instance.
-  struct Options {
+  /// \brief Tunables of a server instance; the transport fields
+  /// (accept_queue, connection caps, deadlines) come from
+  /// LineServer::Options.
+  struct Options : LineServer::Options {
     /// Per-request serving defaults (m, min_score, tile size); a request's
     /// own fields override m and min_score.
     ServeOptions serve;
@@ -252,45 +213,6 @@ class RequestServer {
     size_t latency_window = 4096;
     /// TCP worker threads (0 = one per hardware thread, at least 1).
     size_t num_workers = 0;
-    /// Depth of the IO-thread → worker dispatch queue (parsed request
-    /// batches awaiting a worker). A full queue is backpressure, not
-    /// shedding: the IO thread holds the connection's parsed lines and
-    /// re-dispatches after the next completion.
-    size_t accept_queue = 128;
-    /// Open connections the epoll core admits before shedding new
-    /// accepts with a 503-style reply (0 = unlimited — bounded only by
-    /// the process fd limit, which the EMFILE parachute handles).
-    size_t max_connections = 0;
-    /// Slow-consumer policy: a connection whose outbound reply buffer
-    /// exceeds this many bytes (because the peer never drains its
-    /// socket) is dropped and counted in connections_slow_closed.
-    size_t max_outbound_bytes = 8 << 20;
-    /// Longest request line a connection may send before it is answered
-    /// with a 413-style reply and closed. Generous for real requests (a
-    /// full-catalog exclude list is well under it); its real job is
-    /// keeping a newline-free byte stream from growing a worker's buffer
-    /// until the process OOMs.
-    size_t max_request_bytes = 1 << 20;
-    /// IO deadline in milliseconds, enforced by the epoll loop's sweep:
-    /// a connection with a nonempty outbound buffer that makes no write
-    /// progress for this long is dropped (slow consumer), and the sweep
-    /// itself ticks at this granularity (so idle expiry, shutdown drain,
-    /// and deadline checks are noticed within one tick). 0 disables
-    /// every deadline — idle reaping included — and the loop parks in
-    /// epoll_wait until readiness (the stdio loop never has deadlines).
-    uint32_t io_timeout_ms = 1000;
-    /// Close a connection with a 408-style reply after this long without
-    /// one complete request line (0 = never; also disabled when
-    /// io_timeout_ms is 0, which turns the sweep off). Measured against
-    /// completed non-empty request lines, not received bytes, so a
-    /// slow-loris peer dribbling one byte per second is reaped on
-    /// schedule despite staying technically active.
-    uint32_t idle_timeout_ms = 30000;
-    /// Backoff hint carried in 503 shed replies ("retry_after_ms"):
-    /// clients honoring it (serving/loadgen.cc does) retry after this
-    /// base delay with capped exponential backoff instead of hammering a
-    /// full accept queue.
-    uint32_t retry_after_ms = 50;
   };
 
   /// \brief Serves the models of `registry` (not owned; must outlive the
@@ -321,23 +243,17 @@ class RequestServer {
   /// SIGHUP reloads are applied between requests). Single-threaded.
   void RunStdioLoop(std::istream& in, std::ostream& out);
 
-  /// \brief Listens on 127.0.0.1:`port` (0 = kernel-assigned; see
-  /// bound_port()) with backlog SOMAXCONN and serves connections on the
-  /// epoll IO loop + worker pool with the same line protocol (a `quit`
-  /// verb or client EOF ends that connection, not the server). Returns
-  /// only on a socket setup error or, with `max_accepts` > 0, after that
-  /// many connections have been accepted AND every open connection has
-  /// finished (0 = serve forever) — the bounded form is how tests and
-  /// the bench end the loop without signals.
+  /// \brief Serves the line protocol on 127.0.0.1:`port` through
+  /// LineServer::Run (see it for `port` and `max_accepts`; a `quit` verb
+  /// or client EOF ends that connection, not the server). After a
+  /// SIGTERM drain it prints one final `drained:` stats line. The bounded
+  /// `max_accepts` form is how tests and the bench end the loop without
+  /// signals.
   Status RunTcpLoop(uint16_t port, uint64_t max_accepts = 0);
 
-  /// \brief The port RunTcpLoop is listening on, or 0 when it is not.
-  /// With port=0 this is how callers learn the kernel-assigned port;
-  /// it is published after listen() succeeds, so a client that reads a
-  /// nonzero value can connect immediately.
-  uint16_t bound_port() const {
-    return bound_port_.load(std::memory_order_acquire);
-  }
+  /// \brief The port RunTcpLoop is listening on, or 0 when it is not
+  /// (LineServer::bound_port).
+  uint16_t bound_port() const { return lines_.bound_port(); }
 
   /// \brief Current counters + exact merged latency percentiles.
   DaemonStatsSnapshot Stats() const;
@@ -353,32 +269,6 @@ class RequestServer {
   /// hot reload (idempotent; async-signal-safe handler, it only sets a
   /// flag).
   static void InstallReloadSignalHandler();
-
-  /// \brief Installs the process-wide SIGTERM/SIGINT handler that
-  /// requests a graceful drain: the TCP loop stops accepting, every
-  /// worker answers the complete requests it has already read, flushes,
-  /// closes its connection, and RunTcpLoop returns OK after printing one
-  /// final stats line to stderr (the stdio loop just stops reading).
-  /// Idempotent; the handler only sets a flag. The drain latch is
-  /// noticed within one Options::io_timeout_ms tick even by threads
-  /// parked in read()/accept(); with deadlines disabled only the thread
-  /// the signal lands on wakes promptly.
-  static void InstallShutdownSignalHandler();
-
-  /// \brief Latches a drain request programmatically — what the SIGTERM
-  /// handler does, callable from tests.
-  static void RequestShutdown();
-
-  /// \brief True while a drain request is latched (the serving loop that
-  /// exits on it consumes it).
-  static bool ShutdownRequested();
-
-  /// \brief Consumes a latched drain request, returning whether one was
-  /// latched. The serving loop that exits on the latch calls this so a
-  /// later loop in the same process can serve again — RunTcpLoop does it
-  /// internally; FleetServer::RunLoop (which shares the same SIGTERM
-  /// latch) and tests call it here.
-  static bool ConsumeShutdownRequest();
 
   /// \brief Applies a pending SIGHUP reload if one is latched; returns
   /// whether a reload ran. Also callable directly (the `reload` verb).
@@ -409,7 +299,6 @@ class RequestServer {
     std::vector<uint32_t> exclude_scratch;
     std::vector<uint32_t> history_scratch;  // sanitized request history
     FoldInWorkspace fold_in;                // per-request fold-in solve
-    std::string reply_batch;  // pipelined replies, one write per batch
 
     /// Model leases cached against the registry generation: a request
     /// resolves its model once, so a concurrent hot swap can never hand
@@ -474,16 +363,18 @@ class RequestServer {
   std::string HandleStats();
   std::string HandleReload(WorkerState* w);
   std::string ErrorReply(WorkerState* w, const std::string& message);
-  std::string CodedErrorReply(WorkerState* w, const std::string& message,
-                              uint32_t code);
 
-  /// The epoll IO loop lives in daemon.cc as a standalone struct (it owns
-  /// all per-connection state and needs the private handlers + counters).
-  friend struct RequestServerEpollCore;
+  // LineServer::Handler, for the TCP pool's slots [0, num_tcp_workers_).
+  std::string Serve(size_t worker, const std::string& line,
+                    bool* quit) override;
+  void BeginBatch(size_t worker) override;
+  void Park(size_t worker) override;
+  void OnConnectionError() override;
 
   ModelRegistry* registry_;
   Options options_;
   size_t num_tcp_workers_ = 1;
+  LineServer lines_;
   bool quit_requested_ = false;
   /// Construction instant; the `ping` verb's uptime_ms is measured from
   /// here, so a health prober can tell a long-lived replica from one
@@ -497,17 +388,9 @@ class RequestServer {
   std::vector<std::unique_ptr<WorkerState>> workers_;
 
   std::atomic<uint64_t> reloads_{0};
-  std::atomic<uint64_t> shed_{0};
-  std::atomic<uint64_t> timed_out_{0};
-  std::atomic<uint64_t> open_conns_{0};
-  std::atomic<uint64_t> capped_{0};
-  std::atomic<uint64_t> slow_closed_{0};
-  std::atomic<uint64_t> accept_emfile_{0};
-  std::atomic<uint64_t> peak_outbound_{0};
   std::atomic<uint64_t> updates_{0};
   std::atomic<uint64_t> journal_recovered_{0};
   std::atomic<uint64_t> journal_replays_{0};
-  std::atomic<uint16_t> bound_port_{0};
   /// Serializes `update` rebuilds (materialize → retrain → persist →
   /// publish). Recommends never take it: they keep serving the current
   /// generation and drain onto the published one lease-by-lease.

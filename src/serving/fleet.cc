@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <thread>
@@ -16,8 +17,6 @@
 #include "common/fault.h"
 #include "common/json.h"
 #include "common/strings.h"
-#include "parallel/bounded_queue.h"
-#include "serving/daemon.h"  // shared SIGTERM drain latch
 #include "serving/net_util.h"
 #include "serving/retry.h"
 
@@ -87,26 +86,6 @@ WaitOutcome WaitForLine(int fd, std::string* buffer, uint32_t timeout_ms,
     if (n == 0) return WaitOutcome::kFailed;  // EOF mid-reply
     buffer->append(chunk, static_cast<size_t>(n));
   }
-}
-
-std::string FleetErrorReply(const std::string& message, uint32_t code,
-                            uint64_t retry_after_ms = 0) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("ok");
-  w.Bool(false);
-  w.Key("error");
-  w.String(message);
-  if (code != 0) {
-    w.Key("code");
-    w.UInt(code);
-  }
-  if (retry_after_ms != 0) {
-    w.Key("retry_after_ms");
-    w.UInt(retry_after_ms);
-  }
-  w.EndObject();
-  return w.str();
 }
 
 constexpr char kPingLine[] = "{\"cmd\":\"ping\"}";
@@ -220,15 +199,14 @@ void FleetRouteOrder(uint64_t key, uint32_t num_replicas,
 
 /// Everything one front-tier thread owns: its keep-alive backend
 /// connections (one per replica, connected on demand, closed on any
-/// failure so the next request starts clean) and its reply batch.
-/// Shared-nothing, like the daemon's WorkerState.
+/// failure so the next request starts clean). Shared-nothing, like the
+/// daemon's WorkerState.
 struct FleetServer::WorkerSlot {
   struct Backend {
     int fd = -1;
     std::string buffer;  // read-ahead bytes of this replica's stream
   };
   std::vector<Backend> backends;
-  std::string reply_batch;
   std::string send_scratch;
   std::vector<uint32_t> order_scratch;
   std::vector<uint32_t> routable_scratch;
@@ -242,7 +220,15 @@ struct FleetServer::WorkerSlot {
   }
 };
 
-FleetServer::FleetServer(Options options) : options_(std::move(options)) {
+// The front door takes the fleet's own transport fields and the core's
+// defaults for everything the fleet does not expose.
+FleetServer::FleetServer(Options options)
+    : options_(std::move(options)),
+      lines_({.accept_queue = options_.accept_queue,
+              .max_request_bytes = options_.max_request_bytes,
+              .io_timeout_ms = options_.io_timeout_ms,
+              .retry_after_ms = options_.retry_after_ms},
+             options_.num_workers, this) {
   const size_t n = options_.replicas.size();
   health_.assign(n, ReplicaHealth(options_.health));
   replica_forwards_.assign(n, 0);
@@ -456,7 +442,7 @@ std::string FleetServer::NoHealthyReply() {
   }
   uint64_t hint = options_.retry_after_ms;
   if (best > 0) hint = retry::ClampRetryAfterMs(static_cast<uint64_t>(best));
-  return FleetErrorReply(
+  return CodedErrorReply(
       "no healthy replica: fleet is shedding, retry later", 503, hint);
 }
 
@@ -520,8 +506,7 @@ std::string RenderFleetStats(const FleetStatsSnapshot& s) {
   w.UInt(s.probes_sent);
   w.Key("probe_failures");
   w.UInt(s.probe_failures);
-  w.Key("connections_shed");
-  w.UInt(s.connections_shed);
+  WriteConnStats(s, &w);
   w.Key("ejections");
   w.UInt(s.ejections);
   w.Key("readmissions");
@@ -551,6 +536,7 @@ std::string RenderFleetStats(const FleetStatsSnapshot& s) {
 
 FleetStatsSnapshot FleetServer::Stats() const {
   FleetStatsSnapshot s;
+  static_cast<ConnStats&>(s) = lines_.Stats();
   s.requests_proxied = requests_proxied_.load(std::memory_order_relaxed);
   s.failovers = failovers_.load(std::memory_order_relaxed);
   s.hedges_sent = hedges_sent_.load(std::memory_order_relaxed);
@@ -559,7 +545,6 @@ FleetStatsSnapshot FleetServer::Stats() const {
   s.rejected_verbs = rejected_verbs_.load(std::memory_order_relaxed);
   s.probes_sent = probes_sent_.load(std::memory_order_relaxed);
   s.probe_failures = probe_failures_.load(std::memory_order_relaxed);
-  s.connections_shed = shed_.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(health_mu_);
   s.replicas.reserve(health_.size());
   for (size_t r = 0; r < health_.size(); ++r) {
@@ -793,8 +778,11 @@ std::string FleetServer::ProxyOne(WorkerSlot* w, const std::string& line,
         c != nullptr && c->is_string()) {
       cmd = c->string();
     }
+    // Only an id the daemon accepts (an integer in [0, UINT32_MAX]) is a
+    // routing key: casting any other double is undefined or truncates.
     if (const JsonValue* u = parsed->Find("user");
-        u != nullptr && u->is_number() && u->number() >= 0) {
+        u != nullptr && u->is_number() && u->number() >= 0.0 &&
+        u->number() <= UINT32_MAX && u->number() == std::floor(u->number())) {
       has_user = true;
       user_key = static_cast<uint64_t>(u->number());
     }
@@ -817,7 +805,7 @@ std::string FleetServer::ProxyOne(WorkerSlot* w, const std::string& line,
       // replicas, the core serving contract. Mutations go to each
       // replica directly (see the OPERATIONS.md fleet runbook).
       rejected_verbs_.fetch_add(1, std::memory_order_relaxed);
-      return FleetErrorReply(
+      return CodedErrorReply(
           "'" + cmd +
               "' is not served through the fleet front tier: apply it to "
               "each replica directly, or it would fork the fleet's models",
@@ -850,87 +838,9 @@ std::string FleetServer::HandleLine(const std::string& line) {
   return ProxyOne(slots_[options_.num_workers].get(), line, &quit);
 }
 
-void FleetServer::ServeClientConnection(int fd, WorkerSlot* w) {
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  if (options_.io_timeout_ms > 0) {
-    // Same role as the daemon's connection deadlines: the receive
-    // deadline is this connection's wakeup tick for the stop/drain
-    // latches; the send deadline bounds a client that stopped draining.
-    struct timeval tv;
-    tv.tv_sec = options_.io_timeout_ms / 1000;
-    tv.tv_usec = static_cast<long>(options_.io_timeout_ms % 1000) * 1000;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-  }
-  std::string buffer;
-  char chunk[16384];
-  bool connection_quit = false;
-  while (!connection_quit) {
-    if (stop_.load(std::memory_order_relaxed) ||
-        RequestServer::ShutdownRequested()) {
-      break;  // graceful: complete requests already read were answered
-    }
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) continue;  // latch tick
-      break;
-    }
-    if (n == 0) break;  // client EOF
-    const size_t old_size = buffer.size();
-    buffer.append(chunk, static_cast<size_t>(n));
-    // Pipelining, daemon-style: answer every complete line in the
-    // buffer, flush the replies batched.
-    constexpr size_t kReplyFlushBytes = 256 << 10;
-    w->reply_batch.clear();
-    bool write_failed = false;
-    size_t start = 0;
-    size_t newline = buffer.find('\n', old_size);
-    for (; newline != std::string::npos && !connection_quit && !write_failed;
-         newline = buffer.find('\n', start)) {
-      std::string line = buffer.substr(start, newline - start);
-      start = newline + 1;
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-      bool quit = false;
-      w->reply_batch += ProxyOne(w, line, &quit);
-      w->reply_batch.push_back('\n');
-      if (w->reply_batch.size() >= kReplyFlushBytes) {
-        write_failed =
-            !net::SendAll(fd, w->reply_batch.data(), w->reply_batch.size());
-        w->reply_batch.clear();
-      }
-      if (quit) connection_quit = true;
-    }
-    buffer.erase(0, start);
-    if (write_failed ||
-        (!w->reply_batch.empty() &&
-         !net::SendAll(fd, w->reply_batch.data(), w->reply_batch.size()))) {
-      break;
-    }
-    if (buffer.size() >= options_.max_request_bytes) {
-      const std::string reply =
-          FleetErrorReply("request line exceeds " +
-                              std::to_string(options_.max_request_bytes) +
-                              " bytes",
-                          413) +
-          "\n";
-      (void)net::SendAll(fd, reply.data(), reply.size());
-      break;
-    }
-  }
-  ::close(fd);
-}
-
-void FleetServer::ShedClientConnection(int fd) {
-  shed_.fetch_add(1, std::memory_order_relaxed);
-  const std::string reply =
-      FleetErrorReply("fleet overloaded: accept queue full, retry later", 503,
-                      options_.retry_after_ms) +
-      "\n";
-  (void)net::SendAll(fd, reply.data(), reply.size());
-  ::close(fd);
+std::string FleetServer::Serve(size_t worker, const std::string& line,
+                               bool* quit) {
+  return ProxyOne(slots_[worker].get(), line, quit);
 }
 
 void FleetServer::ProbeReplica(uint32_t replica) {
@@ -973,18 +883,17 @@ void FleetServer::ProbeReplica(uint32_t replica) {
 void FleetServer::RunProber() {
   const uint32_t interval =
       std::max<uint32_t>(options_.probe_interval_ms, 10);
-  while (!stop_.load(std::memory_order_relaxed) &&
-         !RequestServer::ShutdownRequested()) {
+  // Probing continues through a drain (its forwards still route on
+  // health); RunLoop releases the prober once the front door is done.
+  while (!stop_.load(std::memory_order_relaxed)) {
     for (uint32_t r = 0; r < options_.replicas.size(); ++r) {
       if (stop_.load(std::memory_order_relaxed)) break;
       ProbeReplica(r);
     }
-    // Sleep the interval in small ticks so Stop() is honored promptly
-    // even with a lazy probe cadence.
+    // Sleep the interval in small ticks so the release is honored
+    // promptly even with a lazy probe cadence.
     const int64_t wake = SteadyNowMs() + interval;
-    while (SteadyNowMs() < wake &&
-           !stop_.load(std::memory_order_relaxed) &&
-           !RequestServer::ShutdownRequested()) {
+    while (SteadyNowMs() < wake && !stop_.load(std::memory_order_relaxed)) {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
   }
@@ -996,86 +905,12 @@ Status FleetServer::RunLoop(uint16_t port, uint64_t max_connections) {
     return Status::InvalidArgument("fleet needs at least one replica");
   }
   stop_.store(false, std::memory_order_relaxed);
-  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listener < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listener, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);  // loopback-only, like the daemon
-  addr.sin_port = htons(port);
-  if (::bind(listener, reinterpret_cast<struct sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    const Status st =
-        Status::IOError(std::string("bind 127.0.0.1:") + std::to_string(port) +
-                        ": " + std::strerror(errno));
-    ::close(listener);
-    return st;
-  }
-  if (::listen(listener, SOMAXCONN) != 0) {
-    const Status st =
-        Status::IOError(std::string("listen: ") + std::strerror(errno));
-    ::close(listener);
-    return st;
-  }
-  if (options_.io_timeout_ms > 0) {
-    // The accept loop's wakeup tick for the stop/drain latches.
-    struct timeval tv;
-    tv.tv_sec = options_.io_timeout_ms / 1000;
-    tv.tv_usec = static_cast<long>(options_.io_timeout_ms % 1000) * 1000;
-    ::setsockopt(listener, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  }
-  {
-    struct sockaddr_in bound;
-    socklen_t len = sizeof(bound);
-    uint16_t actual = port;
-    if (::getsockname(listener, reinterpret_cast<struct sockaddr*>(&bound),
-                      &len) == 0) {
-      actual = ntohs(bound.sin_port);
-    }
-    bound_port_.store(actual, std::memory_order_release);
-  }
-
-  BoundedQueue<int> pending(options_.accept_queue);
-  std::vector<std::thread> pool;
-  pool.reserve(options_.num_workers);
-  for (size_t i = 0; i < options_.num_workers; ++i) {
-    WorkerSlot* w = slots_[i].get();
-    pool.emplace_back([this, &pending, w] {
-      int fd = -1;
-      while (pending.Pop(&fd)) ServeClientConnection(fd, w);
-      w->CloseAll();
-    });
-  }
   std::thread prober([this] { RunProber(); });
-
-  Status status = Status::OK();
-  uint64_t accepted = 0;
-  while (max_connections == 0 || accepted < max_connections) {
-    if (stop_.load(std::memory_order_relaxed) ||
-        RequestServer::ShutdownRequested()) {
-      break;  // graceful drain: stop accepting, workers finish and exit
-    }
-    const int conn = ::accept(listener, nullptr, nullptr);
-    if (conn < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      status =
-          Status::IOError(std::string("accept: ") + std::strerror(errno));
-      break;
-    }
-    ++accepted;
-    if (!pending.TryPush(conn)) ShedClientConnection(conn);
-  }
-  pending.Close();
-  for (std::thread& t : pool) t.join();
+  const Status status = lines_.Run(port, max_connections);
   stop_.store(true, std::memory_order_relaxed);  // release the prober
   prober.join();
-  bound_port_.store(0, std::memory_order_release);
-  ::close(listener);
-  if (RequestServer::ConsumeShutdownRequest()) {
+  for (size_t i = 0; i < options_.num_workers; ++i) slots_[i]->CloseAll();
+  if (LineServer::ConsumeShutdownRequest()) {
     std::fprintf(stderr, "fleet drained: %s\n", FleetStatsReply().c_str());
   }
   return status;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "serving/line_server.h"
 
 namespace ocular {
 
@@ -146,7 +147,10 @@ struct FleetReplicaStats {
   uint64_t readmissions = 0;
 };
 
-struct FleetStatsSnapshot {
+/// \brief The fleet `stats` reply: the front door's ConnStats (no
+/// connection cap, so connections_shed counts fd-exhaustion sheds only)
+/// plus the proxy and per-replica counters.
+struct FleetStatsSnapshot : ConnStats {
   uint64_t requests_proxied = 0;  ///< client requests answered (any verb)
   uint64_t failovers = 0;     ///< requests that needed the retry replica
   uint64_t hedges_sent = 0;   ///< hedge copies issued
@@ -155,7 +159,6 @@ struct FleetStatsSnapshot {
   uint64_t rejected_verbs = 0;   ///< update/reload refused at the front
   uint64_t probes_sent = 0;
   uint64_t probe_failures = 0;
-  uint64_t connections_shed = 0;  ///< front-door accept-queue sheds
   uint64_t ejections = 0;         ///< sum over replicas
   uint64_t readmissions = 0;      ///< sum over replicas
   std::vector<FleetReplicaStats> replicas;
@@ -173,13 +176,15 @@ void SumReplicaTotals(FleetStatsSnapshot* s);
 /// RenderFleetStats(Stats()).
 std::string RenderFleetStats(const FleetStatsSnapshot& s);
 
-/// \brief The front-tier proxy. Structurally a sibling of
-/// RequestServer's TCP loop — listener thread, bounded accept queue,
-/// fixed shared-nothing worker pool, pipelined request lines with
-/// batched reply writes — but each worker's "handler" forwards the line
-/// to a replica over that worker's own keep-alive backend connections
-/// and relays the reply byte-for-byte, so fleet replies are
-/// bit-identical to single-replica replies by construction.
+/// \brief The front-tier proxy. Its front door is the daemon's own
+/// connection core, LineServer — one epoll IO thread holding every
+/// client connection (idle clients cost an fd, never a worker; 408 idle
+/// reaping, 413, slow-consumer close, drain) feeding a fixed
+/// shared-nothing worker pool — but each worker's handler forwards the
+/// line to a replica over that worker's own keep-alive backend
+/// connections (blocking, one request at a time) and relays the reply
+/// byte-for-byte, so fleet replies are bit-identical to single-replica
+/// replies by construction.
 ///
 /// Verbs handled at the front instead of forwarded:
 ///   ping   — the fleet's own liveness ({"fleet":true,...})
@@ -192,7 +197,7 @@ std::string RenderFleetStats(const FleetStatsSnapshot& s);
 /// Everything else — recommend (by user or history), models, and any
 /// unknown verb — is forwarded verbatim, so error shapes match a
 /// direct replica connection too.
-class FleetServer {
+class FleetServer : private LineServer::Handler {
  public:
   struct Options {
     /// Backend replica ports on 127.0.0.1, in fleet order. At least one.
@@ -200,14 +205,15 @@ class FleetServer {
     /// Front-door worker threads (each owns one keep-alive connection
     /// per replica).
     size_t num_workers = 4;
-    /// Accepted connections that may wait for a worker before the
-    /// listener sheds with a 503 reply (same contract as the daemon's).
+    /// Depth of the front door's dispatch queue (LineServer::Options::
+    /// accept_queue): a full queue is backpressure, never a shed.
     size_t accept_queue = 128;
     /// Longest client request line before a 413-style reply + close.
     size_t max_request_bytes = 1 << 20;
     /// Per-hop I/O deadline against a replica (connect/send/reply), and
-    /// the front door's wakeup tick for the drain/stop latches. A
-    /// replica that takes longer than this to answer counts a failure.
+    /// the front door's deadline tick (LineServer::Options::io_timeout_ms:
+    /// slow-consumer write deadline, drain/Stop() latch). A replica that
+    /// takes longer than this to answer counts a failure.
     uint32_t io_timeout_ms = 1000;
     /// Hedge threshold: when > 0 and the primary replica has not
     /// answered within this many ms, the request is also sent to the
@@ -220,7 +226,8 @@ class FleetServer {
     uint32_t probe_interval_ms = 200;
     /// retry_after_ms hint carried in the fleet's own 503 replies when
     /// every replica is out of rotation (the reply still arrives
-    /// promptly — a fleet with nothing healthy must shed, not hang).
+    /// promptly — a fleet with nothing healthy must shed, not hang), and
+    /// in the front door's fd-exhaustion sheds.
     uint32_t retry_after_ms = 100;
     /// Per-replica health policy.
     HealthOptions health;
@@ -233,22 +240,21 @@ class FleetServer {
   FleetServer& operator=(const FleetServer&) = delete;
 
   /// \brief Serves on 127.0.0.1:`port` (0 = kernel-assigned, see
-  /// bound_port()) until Stop(), a SIGTERM/SIGINT drain latch
-  /// (RequestServer::InstallShutdownSignalHandler — shared with the
-  /// daemon), or `max_connections` accepted connections (0 = forever).
-  /// Starts the prober and worker threads; joins them before returning.
+  /// bound_port()) through LineServer::Run until Stop(), a SIGTERM/SIGINT
+  /// drain latch (LineServer::InstallShutdownSignalHandler — shared with
+  /// the daemon), or `max_connections` accepted connections have all
+  /// finished (0 = forever). Starts the prober and worker threads; joins
+  /// them before returning.
   Status RunLoop(uint16_t port, uint64_t max_connections = 0);
 
   /// \brief The port RunLoop listens on (0 while not serving);
   /// published after listen() succeeds.
-  uint16_t bound_port() const {
-    return bound_port_.load(std::memory_order_acquire);
-  }
+  uint16_t bound_port() const { return lines_.bound_port(); }
 
   /// \brief Asks RunLoop to return (graceful: in-flight request lines
   /// are answered, then connections close). Callable from any thread;
   /// takes effect within one io_timeout_ms tick.
-  void Stop() { stop_.store(true, std::memory_order_relaxed); }
+  void Stop() { lines_.Stop(); }
 
   /// \brief Proxies one request line inline on the caller's private
   /// backend connections (the same slot HandleLine-style tests use);
@@ -292,12 +298,15 @@ class FleetServer {
   void ReportFailure(uint32_t replica);
   void ReportShed(uint32_t replica, uint64_t retry_after_ms);
 
-  void ServeClientConnection(int fd, WorkerSlot* w);
-  void ShedClientConnection(int fd);
+  // LineServer::Handler: pool slot `worker` proxies the line.
+  std::string Serve(size_t worker, const std::string& line,
+                    bool* quit) override;
+
   void RunProber();
   void ProbeReplica(uint32_t replica);
 
   Options options_;
+  LineServer lines_;  // the client-facing front door
   std::vector<std::unique_ptr<WorkerSlot>> slots_;  // pool + inline at back
 
   /// Health state + per-replica tallies, all guarded by one mutex: every
@@ -308,8 +317,7 @@ class FleetServer {
   std::vector<uint64_t> replica_forwards_;
   std::vector<uint64_t> replica_failures_;
 
-  std::atomic<bool> stop_{false};
-  std::atomic<uint16_t> bound_port_{0};
+  std::atomic<bool> stop_{false};  // releases the prober
   std::atomic<uint64_t> rr_cursor_{0};  // round-robin for user-less verbs
   std::atomic<uint64_t> requests_proxied_{0};
   std::atomic<uint64_t> failovers_{0};
@@ -319,7 +327,6 @@ class FleetServer {
   std::atomic<uint64_t> rejected_verbs_{0};
   std::atomic<uint64_t> probes_sent_{0};
   std::atomic<uint64_t> probe_failures_{0};
-  std::atomic<uint64_t> shed_{0};
   const std::chrono::steady_clock::time_point start_time_ =
       std::chrono::steady_clock::now();
 };

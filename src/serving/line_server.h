@@ -1,0 +1,219 @@
+#ifndef OCULAR_SERVING_LINE_SERVER_H_
+#define OCULAR_SERVING_LINE_SERVER_H_
+
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <string>
+
+#include "common/json.h"
+#include "common/result.h"
+
+namespace ocular {
+
+/// \file
+/// \brief LineServer, the one connection core of the daemon and the
+/// fleet front tier (docs/ARCHITECTURE.md, "Concurrent serving core").
+
+/// \brief Point-in-time counters of a LineServer, as both the daemon's
+/// and the fleet's `stats` replies report them (see WriteConnStats).
+struct ConnStats {
+  /// Connections refused at admission with a 503-style reply: the
+  /// max_connections cap was reached or accept() hit fd exhaustion
+  /// (EMFILE/ENFILE). Load shedding, never silent drops.
+  uint64_t connections_shed = 0;
+  /// Connections closed with a 408-style reply because no complete
+  /// request arrived within LineServer::Options::idle_timeout_ms (idle
+  /// peers and slow-loris byte-dribblers alike).
+  uint64_t connections_timed_out = 0;
+  /// Connections currently open (a gauge, not a counter: accepted minus
+  /// closed).
+  uint64_t connections_open = 0;
+  /// Subset of connections_shed refused because
+  /// LineServer::Options::max_connections open connections were already
+  /// admitted.
+  uint64_t connections_capped = 0;
+  /// Connections dropped by the slow-consumer policy: the outbound
+  /// buffer exceeded LineServer::Options::max_outbound_bytes, or a
+  /// nonempty outbound buffer made no write progress for
+  /// LineServer::Options::io_timeout_ms.
+  uint64_t connections_slow_closed = 0;
+  /// accept() failures with EMFILE/ENFILE, each handled via the
+  /// reserve-fd parachute (victim accepted, shed with retry_after_ms,
+  /// reserve reopened) instead of spinning or dying.
+  uint64_t accept_emfile = 0;
+  /// High-water mark of any single connection's outbound buffer, bytes —
+  /// how close the slowest consumer came to max_outbound_bytes.
+  uint64_t peak_outbound_bytes = 0;
+};
+
+/// \brief Writes the seven ConnStats counters as keys of the JSON object
+/// `w` is building, in declaration order — the one place both `stats`
+/// replies spell them.
+void WriteConnStats(const ConnStats& stats, JsonWriter* w);
+
+/// \brief `{"ok":false,"error":message,"code":code}`, plus
+/// `"retry_after_ms"` when it is nonzero: the shape of every
+/// connection-level refusal (503 shed, 408 idle, 413 oversize) and of the
+/// fleet's own coded errors.
+std::string CodedErrorReply(const std::string& message, uint32_t code,
+                            uint64_t retry_after_ms = 0);
+
+/// \brief Loopback TCP server for a newline-delimited line protocol.
+///
+/// One epoll IO thread (the thread that calls Run) owns every nonblocking
+/// connection and all its state (inbound line buffer, parsed lines,
+/// outbound replies) and feeds a fixed worker pool through a bounded
+/// dispatch queue; workers see only complete request lines, answered
+/// through the Handler in chunks of at most ~256 KiB. One dispatched
+/// batch in flight per connection keeps pipelined replies in request
+/// order. Every connection policy lives here, the same for every caller:
+/// 503 sheds at admission only (Options::max_connections, or fd
+/// exhaustion via the EMFILE reserve-fd parachute) — a full dispatch
+/// queue is backpressure, never a shed; 413 past
+/// Options::max_request_bytes; 408 after Options::idle_timeout_ms
+/// without a complete request; slow consumers (outbound cap,
+/// write-progress deadline) are dropped instead of growing a buffer or
+/// blocking a worker. Idle and slowloris connections cost one fd, never
+/// a worker. A drain (SIGTERM latch or Stop()) closes the listener,
+/// answers every complete line already read, flushes, and closes each
+/// connection; Run then returns.
+class LineServer {
+ public:
+  /// \brief Transport tunables. RequestServer::Options derives from
+  /// this struct, so the daemon's flags set these fields directly.
+  struct Options {
+    /// Depth of the IO-thread → worker dispatch queue (parsed request
+    /// batches awaiting a worker). A full queue is backpressure, not
+    /// shedding: the IO thread holds the connection's parsed lines and
+    /// re-dispatches after the next completion.
+    size_t accept_queue = 128;
+    /// Open connections the epoll core admits before shedding new
+    /// accepts with a 503-style reply (0 = unlimited — bounded only by
+    /// the process fd limit, which the EMFILE parachute handles).
+    size_t max_connections = 0;
+    /// Slow-consumer policy: a connection whose outbound reply buffer
+    /// exceeds this many bytes (because the peer never drains its
+    /// socket) is dropped and counted in connections_slow_closed.
+    size_t max_outbound_bytes = 8 << 20;
+    /// Longest request line a connection may send before it is answered
+    /// with a 413-style reply and closed. Generous for real requests (a
+    /// full-catalog exclude list is well under it); its real job is
+    /// keeping a newline-free byte stream from growing a buffer until
+    /// the process OOMs.
+    size_t max_request_bytes = 1 << 20;
+    /// IO deadline in milliseconds, enforced by the epoll loop's sweep:
+    /// a connection with a nonempty outbound buffer that makes no write
+    /// progress for this long is dropped (slow consumer), and the sweep
+    /// itself ticks at this granularity (so idle expiry, shutdown drain,
+    /// Stop(), and deadline checks are noticed within one tick). 0
+    /// disables every deadline — idle reaping included — and the loop
+    /// parks in epoll_wait until readiness.
+    uint32_t io_timeout_ms = 1000;
+    /// Close a connection with a 408-style reply after this long without
+    /// one complete request line (0 = never; also disabled when
+    /// io_timeout_ms is 0, which turns the sweep off). Measured against
+    /// completed non-empty request lines, not received bytes, so a
+    /// slow-loris peer dribbling one byte per second is reaped on
+    /// schedule despite staying technically active.
+    uint32_t idle_timeout_ms = 30000;
+    /// Backoff hint carried in 503 shed replies ("retry_after_ms"):
+    /// clients honoring it (serving/loadgen.cc does) retry after this
+    /// base delay with capped exponential backoff instead of hammering a
+    /// full server.
+    uint32_t retry_after_ms = 50;
+  };
+
+  /// \brief What a LineServer serves. Every method but OnConnectionError
+  /// runs on the worker thread with index `worker` (in [0, num_workers)).
+  class Handler {
+   public:
+    /// \brief Answers one complete, non-empty request line (no newline)
+    /// with one reply line (no newline). Setting `*quit` closes the
+    /// connection after the reply; lines pipelined behind it are
+    /// dropped.
+    virtual std::string Serve(size_t worker, const std::string& line,
+                              bool* quit) = 0;
+    /// \brief Runs before the worker serves each dispatched batch (the
+    /// daemon applies a latched SIGHUP reload here).
+    virtual void BeginBatch(size_t worker) { (void)worker; }
+    /// \brief Runs before the worker parks on an empty queue (the daemon
+    /// drops its model leases here, so an idle pool pins no reloaded-away
+    /// generation).
+    virtual void Park(size_t worker) { (void)worker; }
+    /// \brief Runs on the IO thread once per 408/413 reply it sends (the
+    /// daemon counts these in its `errors`).
+    virtual void OnConnectionError() {}
+
+   protected:
+    /// \brief Not deleted through this interface.
+    ~Handler() = default;
+  };
+
+  /// \brief A server that will run `num_workers` worker threads calling
+  /// `handler` (not owned; must outlive every Run).
+  LineServer(Options options, size_t num_workers, Handler* handler);
+
+  /// \brief Listens on 127.0.0.1:`port` (0 = kernel-assigned; see
+  /// bound_port()) with backlog SOMAXCONN and serves until a drain
+  /// (SIGTERM latch or Stop()) completes. With `max_accepts` > 0 it also
+  /// returns once that many connections have been accepted AND every
+  /// open connection has finished. Returns an error only on socket setup
+  /// failure or a fatal accept/epoll error.
+  Status Run(uint16_t port, uint64_t max_accepts = 0);
+
+  /// \brief The port Run is listening on, or 0 when it is not. Published
+  /// after listen() succeeds, so a client that reads a nonzero value can
+  /// connect immediately.
+  uint16_t bound_port() const {
+    return bound_port_.load(std::memory_order_acquire);
+  }
+
+  /// \brief Asks Run to drain and return. Callable from any thread;
+  /// noticed within one Options::io_timeout_ms tick. A later Run serves
+  /// afresh.
+  void Stop() { stop_.store(true, std::memory_order_relaxed); }
+
+  /// \brief Current connection counters (lock-free; any thread).
+  ConnStats Stats() const;
+
+  /// \brief Installs the process-wide SIGTERM/SIGINT handler that
+  /// latches a graceful drain of every running LineServer (and the
+  /// daemon's stdio loop, which just stops reading). Idempotent; the
+  /// handler only sets a flag, noticed within one Options::io_timeout_ms
+  /// tick — with deadlines disabled only the thread the signal lands on
+  /// wakes promptly.
+  static void InstallShutdownSignalHandler();
+  /// \brief Latches a drain request programmatically — what the SIGTERM
+  /// handler does, callable from tests.
+  static void RequestShutdown();
+  /// \brief True while a drain request is latched (the serving loop that
+  /// exits on it consumes it).
+  static bool ShutdownRequested();
+  /// \brief Consumes a latched drain request, returning whether one was
+  /// latched, so a later loop in the same process can serve again —
+  /// RequestServer::RunTcpLoop and FleetServer::RunLoop do it on exit
+  /// (printing their final stats line); tests call it directly.
+  static bool ConsumeShutdownRequest();
+
+ private:
+  struct Core;  // the epoll loop of one Run, defined in line_server.cc
+
+  Options options_;
+  size_t num_workers_;
+  Handler* handler_;
+
+  std::atomic<bool> stop_{false};
+  std::atomic<uint16_t> bound_port_{0};
+  std::atomic<uint64_t> shed_{0};
+  std::atomic<uint64_t> timed_out_{0};
+  std::atomic<uint64_t> open_conns_{0};
+  std::atomic<uint64_t> capped_{0};
+  std::atomic<uint64_t> slow_closed_{0};
+  std::atomic<uint64_t> accept_emfile_{0};
+  std::atomic<uint64_t> peak_outbound_{0};
+};
+
+}  // namespace ocular
+
+#endif  // OCULAR_SERVING_LINE_SERVER_H_

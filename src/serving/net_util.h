@@ -16,9 +16,9 @@ namespace net {
 /// \file
 /// \brief The two socket loops everything in the serving stack shares:
 /// write-fully and read-one-line. One definition so EINTR handling,
-/// MSG_NOSIGNAL, and framing can never drift apart between the daemon
-/// (serving/daemon.cc), the load generator (serving/loadgen.cc), and the
-/// daemon bench.
+/// MSG_NOSIGNAL, and framing can never drift apart between the
+/// connection core (serving/line_server.cc), the load generator
+/// (serving/loadgen.cc), and the daemon bench.
 
 /// \brief send(2)s until `size` bytes of `data` are out; false on a
 /// non-EINTR error. MSG_NOSIGNAL: a peer that disconnected must surface

@@ -1,12 +1,13 @@
-// Connection-core stress tests for the event-driven (epoll) daemon: an
-// idle keep-alive flood that must be held with zero sheds while bursty
-// traffic rides through, a slowloris swarm the 408 reaper must cut
-// loose, never-reading consumers the slow-consumer policy must
-// disconnect, and fork/exec drills for fd exhaustion (EMFILE under a
-// lowered RLIMIT_NOFILE — the reserve-fd parachute must keep shedding
-// with clean 503s) and SIGKILL mid-flood (a restart on the same port
-// must serve, bit-identical). The CI conn-chaos job runs this binary
-// under AddressSanitizer.
+// Connection-core stress tests for the event-driven (epoll) core the
+// daemon and the fleet front tier share: an idle keep-alive flood that
+// must be held with zero sheds while bursty traffic rides through (on a
+// daemon, and on a fleet over two replicas), a slowloris swarm the 408
+// reaper must cut loose, never-reading consumers the slow-consumer
+// policy must disconnect, and fork/exec drills for fd exhaustion (EMFILE
+// under a lowered RLIMIT_NOFILE — the reserve-fd parachute must keep
+// shedding with clean 503s) and SIGKILL mid-flood (a restart on the same
+// port must serve, bit-identical). The CI conn-chaos job runs this
+// binary under AddressSanitizer.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -32,6 +34,7 @@
 #include "core/ocular_recommender.h"
 #include "serving/batch.h"
 #include "serving/daemon.h"
+#include "serving/fleet.h"
 #include "serving/journal.h"
 #include "serving/loadgen.h"
 #include "serving/net_util.h"
@@ -189,14 +192,130 @@ TEST(ConnFloodTest, IdleFloodIsHeldWithZeroShedsWhileBurstsServe) {
   EXPECT_EQ(result->burst_ok, 400u);
   EXPECT_EQ(result->burst_errors, 0u);
 
-  RequestServer::RequestShutdown();
+  LineServer::RequestShutdown();
   serve_thread.join();
-  EXPECT_FALSE(RequestServer::ShutdownRequested());
+  EXPECT_FALSE(LineServer::ShutdownRequested());
   const DaemonStatsSnapshot stats = server.Stats();
   EXPECT_EQ(stats.connections_shed, 0u);
   EXPECT_EQ(stats.connections_slow_closed, 0u);
   EXPECT_EQ(stats.accept_emfile, 0u);
   EXPECT_EQ(stats.connections_open, 0u);
+  f.Cleanup();
+}
+
+TEST(ConnFloodTest, FleetHoldsIdleFloodWithZeroShedsWhileBurstsServe) {
+  // The same flood through the fleet front tier, whose front door is the
+  // daemon's connection core: idle keep-alive clients must cost the
+  // fleet an fd each, never one of its two proxy workers.
+  DaemonFixture f = DaemonFixture::Make("flood_fleet.oclr");
+  OcularModelRecommender rec(f.model);
+  BatchOptions batch;
+  batch.m = 5;
+  batch.skip_cold_users = false;
+  const auto oracle = RecommendForAllUsers(rec, f.train, batch).value();
+
+  ModelRegistry registries[2];
+  std::unique_ptr<RequestServer> replicas[2];
+  std::thread replica_threads[2];
+  FleetServer::Options options;
+  options.num_workers = 2;
+  for (int r = 0; r < 2; ++r) {
+    ASSERT_TRUE(
+        registries[r].Load("default", f.model_path, f.shared_train()).ok());
+    RequestServer::Options replica_options;
+    replica_options.num_workers = 1;
+    replica_options.io_timeout_ms = 100;
+    replica_options.update_journal = false;
+    replicas[r] =
+        std::make_unique<RequestServer>(&registries[r], replica_options);
+    RequestServer* replica = replicas[r].get();
+    replica_threads[r] = std::thread(
+        [replica] { EXPECT_TRUE(replica->RunTcpLoop(0, 0).ok()); });
+    const uint16_t replica_port = WaitForPort(*replica, &replica_threads[r]);
+    ASSERT_NE(replica_port, 0);
+    options.replicas.push_back(replica_port);
+  }
+  FleetServer fleet(options);
+  std::thread fleet_thread([&fleet] { EXPECT_TRUE(fleet.RunLoop(0, 0).ok()); });
+  uint16_t port = 0;
+  for (int ms = 0; ms < 10000 && (port = fleet.bound_port()) == 0; ++ms) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_NE(port, 0);
+
+  // The exact gauge, from the fleet's own counters: 20 idle connections,
+  // all accepted and held.
+  {
+    std::vector<RawClient> idle(20);
+    for (RawClient& c : idle) EXPECT_TRUE(c.Connect(port));
+    uint64_t open = 0;
+    for (int ms = 0; ms < 5000; ++ms) {
+      open = fleet.Stats().connections_open;
+      if (open == 20) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(open, 20u);
+    for (RawClient& c : idle) c.Close();
+  }
+
+  IdleFloodOptions flood;
+  flood.port = port;
+  flood.idle_conns = 300;
+  flood.burst_clients = 2;
+  flood.requests_per_client = 200;
+  flood.pipeline = 8;
+  flood.m = 5;
+  flood.num_users = 50;
+  flood.duration_ms = 200;
+  std::atomic<uint64_t> mismatches{0};
+  flood.on_burst_reply = [&](uint32_t user, const std::string& line) {
+    if (!ReplyMatchesRanked(line, oracle.recommendations[user])) {
+      mismatches.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  // A front door whose workers idle clients can pin never answers the
+  // bursts; past the deadline Stop() closes every connection, so the
+  // flood returns and the test fails instead of hanging the suite.
+  Result<IdleFloodResult> result = Status::Internal("flood never ran");
+  std::atomic<bool> done{false};
+  std::thread flood_thread([&] {
+    result = RunIdleFlood(flood);
+    done.store(true);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!done.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const bool finished = done.load();
+  fleet.Stop();
+  flood_thread.join();
+  fleet_thread.join();
+  EXPECT_TRUE(finished) << "the idle flood wedged the fleet front door";
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (result.ok()) {
+    EXPECT_EQ(result->connections_held, 300u);
+    EXPECT_EQ(result->connections_dropped, 0u);
+    EXPECT_EQ(result->burst_requests, 400u);
+    EXPECT_EQ(result->burst_ok, 400u);
+    EXPECT_EQ(result->burst_errors, 0u);
+  }
+  EXPECT_EQ(mismatches.load(), 0u);
+  const FleetStatsSnapshot stats = fleet.Stats();
+  EXPECT_EQ(stats.connections_shed, 0u);
+  EXPECT_EQ(stats.connections_open, 0u);
+
+  // The shutdown latch is process-global and the first loop to exit
+  // consumes it, so re-arm it until each replica has left its loop.
+  for (int r = 0; r < 2; ++r) {
+    while (replicas[r]->bound_port() != 0) {
+      LineServer::RequestShutdown();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    replica_threads[r].join();
+  }
+  LineServer::ConsumeShutdownRequest();
+  EXPECT_FALSE(LineServer::ShutdownRequested());
   f.Cleanup();
 }
 
@@ -237,9 +356,9 @@ TEST(ConnFloodTest, SlowlorisSwarmIsReapedWhileHotTrafficServes) {
   EXPECT_GE(result->slow_writers_reaped, 1u)
       << "the server never cut a dribbler loose";
 
-  RequestServer::RequestShutdown();
+  LineServer::RequestShutdown();
   serve_thread.join();
-  EXPECT_FALSE(RequestServer::ShutdownRequested());
+  EXPECT_FALSE(LineServer::ShutdownRequested());
   const DaemonStatsSnapshot stats = server.Stats();
   EXPECT_EQ(stats.connections_timed_out, 20u)
       << "every slowloris connection must be 408-reaped";
@@ -287,9 +406,9 @@ TEST(ConnFloodTest, NeverReadingConsumersAreDisconnectedIdleFleetSurvives) {
   EXPECT_EQ(result->never_readers_closed, 2u)
       << "the slow-consumer policy must disconnect both mute consumers";
 
-  RequestServer::RequestShutdown();
+  LineServer::RequestShutdown();
   serve_thread.join();
-  EXPECT_FALSE(RequestServer::ShutdownRequested());
+  EXPECT_FALSE(LineServer::ShutdownRequested());
   const DaemonStatsSnapshot stats = server.Stats();
   EXPECT_EQ(stats.connections_slow_closed, 2u);
   EXPECT_EQ(stats.connections_shed, 0u);

@@ -784,9 +784,9 @@ TEST(ShedRetryTest, LoadgenAbsorbs503WithBackoffAndTheRunCompletes) {
 
   // In-process drain: the latch stops the accept loop, the pool drains,
   // RunTcpLoop returns OK, and the latch is consumed for the next test.
-  RequestServer::RequestShutdown();
+  LineServer::RequestShutdown();
   serve_thread.join();
-  EXPECT_FALSE(RequestServer::ShutdownRequested());
+  EXPECT_FALSE(LineServer::ShutdownRequested());
   f.Cleanup();
 }
 
@@ -825,9 +825,9 @@ TEST(ConnectionCoreFaultTest, EpollStallInjectionDoesNotDropConnections) {
   EXPECT_EQ(result->error_replies, 0u);
   EXPECT_EQ(server.Stats().connections_shed, 0u);
 
-  RequestServer::RequestShutdown();
+  LineServer::RequestShutdown();
   serve_thread.join();
-  EXPECT_FALSE(RequestServer::ShutdownRequested());
+  EXPECT_FALSE(LineServer::ShutdownRequested());
   f.Cleanup();
 }
 

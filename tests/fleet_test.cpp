@@ -311,6 +311,12 @@ TEST(FleetStatsTest, RenderCarriesEveryCounterAndReplicaRow) {
   s.probes_sent = 500;
   s.probe_failures = 9;
   s.connections_shed = 1;
+  s.connections_timed_out = 4;
+  s.connections_open = 5;
+  s.connections_capped = 6;
+  s.connections_slow_closed = 8;
+  s.accept_emfile = 10;
+  s.peak_outbound_bytes = 65536;
   FleetReplicaStats a;
   a.port = 7001;
   a.state = ReplicaState::kHealthy;
@@ -341,6 +347,12 @@ TEST(FleetStatsTest, RenderCarriesEveryCounterAndReplicaRow) {
   EXPECT_EQ(parsed->Find("probes_sent")->number(), 500.0);
   EXPECT_EQ(parsed->Find("probe_failures")->number(), 9.0);
   EXPECT_EQ(parsed->Find("connections_shed")->number(), 1.0);
+  EXPECT_EQ(parsed->Find("connections_timed_out")->number(), 4.0);
+  EXPECT_EQ(parsed->Find("connections_open")->number(), 5.0);
+  EXPECT_EQ(parsed->Find("connections_capped")->number(), 6.0);
+  EXPECT_EQ(parsed->Find("connections_slow_closed")->number(), 8.0);
+  EXPECT_EQ(parsed->Find("accept_emfile")->number(), 10.0);
+  EXPECT_EQ(parsed->Find("peak_outbound_bytes")->number(), 65536.0);
   EXPECT_EQ(parsed->Find("ejections")->number(), 2.0);
   EXPECT_EQ(parsed->Find("readmissions")->number(), 1.0);
   const auto& replicas = parsed->Find("replicas")->array();
@@ -505,7 +517,7 @@ struct InProcessReplica {
   void Drain() {
     if (!thread.joinable()) return;
     while (server->bound_port() != 0) {
-      RequestServer::RequestShutdown();
+      LineServer::RequestShutdown();
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     thread.join();
@@ -579,6 +591,23 @@ TEST(FleetServerTest, FrontTierVerbsAndBitIdenticalForwarding) {
     EXPECT_TRUE(ReplyMatchesRanked(line, expect[u])) << "u=" << u << " " << line;
   }
 
+  // A `user` the daemon rejects (not an integer in [0, UINT32_MAX]) is no
+  // routing key: it round-robins, and the replica's error reply comes
+  // back byte-identical to a direct connection's.
+  RawClient direct;
+  ASSERT_TRUE(direct.Connect(replicas[0].port));
+  for (const char* user : {"1e300", "2.5", "-1", "4294967296"}) {
+    const std::string request =
+        std::string(R"({"cmd":"recommend","user":)") + user + R"(,"m":5})";
+    std::string via_replica;
+    ASSERT_TRUE(c.Send(request));
+    ASSERT_TRUE(c.ReadLine(&line));
+    ASSERT_TRUE(direct.Send(request));
+    ASSERT_TRUE(direct.ReadLine(&via_replica));
+    EXPECT_EQ(line, via_replica) << user;
+  }
+  direct.Close();
+
   // A user-less verb (models) round-robins and still answers.
   ASSERT_TRUE(c.Send(R"({"cmd":"models"})"));
   ASSERT_TRUE(c.ReadLine(&line));
@@ -630,8 +659,8 @@ TEST(FleetServerTest, FrontTierVerbsAndBitIdenticalForwarding) {
   fleet_thread.join();
   replicas[0].Drain();
   replicas[1].Drain();
-  RequestServer::ConsumeShutdownRequest();
-  EXPECT_FALSE(RequestServer::ShutdownRequested());
+  LineServer::ConsumeShutdownRequest();
+  EXPECT_FALSE(LineServer::ShutdownRequested());
   f.Cleanup();
 }
 

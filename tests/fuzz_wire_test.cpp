@@ -67,7 +67,7 @@ const std::vector<std::string>& Corpus() {
       R"("just a string")",
       R"({"user":0,"exclude":[999999999,-1,3.14]})",
       R"({"history":["a",null,true,-7]})",
-      std::string("{\"u\0ser\":0,\"m\":\"\\ud800\"}", 27),
+      std::string("{\"u\0ser\":0,\"m\":\"\\ud800\"}", 24),
       R"({{{{]]]]}}}})",
       std::string("nul\0byte{\"user\":0}", 18),
       "{\"user\":0,\"m\":4}   trailing garbage",
@@ -329,9 +329,9 @@ TEST(WireFuzzTest, TcpLineProtocolSurvivesPipelinedMutantBursts) {
   EXPECT_TRUE(ReplyMatchesRanked(reply, oracle.recommendations[4])) << reply;
   ::close(fd);
 
-  RequestServer::RequestShutdown();
+  LineServer::RequestShutdown();
   serve_thread.join();
-  EXPECT_FALSE(RequestServer::ShutdownRequested());
+  EXPECT_FALSE(LineServer::ShutdownRequested());
   EXPECT_GE(server.Stats().requests_served,
             static_cast<uint64_t>(kBursts * kLinesPerBurst));
   std::remove(f.model_path.c_str());
@@ -476,9 +476,9 @@ TEST(WireFuzzTest, OneByteTrickleDeliveryMatchesWholeLineDelivery) {
     ::close(fd);
   }
 
-  RequestServer::RequestShutdown();
+  LineServer::RequestShutdown();
   serve_thread.join();
-  EXPECT_FALSE(RequestServer::ShutdownRequested());
+  EXPECT_FALSE(LineServer::ShutdownRequested());
   std::remove(f.model_path.c_str());
 }
 

@@ -30,7 +30,6 @@
 
 #include "common/flags.h"
 #include "common/strings.h"
-#include "serving/daemon.h"
 #include "serving/fleet.h"
 
 namespace ocular {
@@ -257,7 +256,7 @@ int Run(int argc, char** argv) {
   options.health.reopen_after_ms = static_cast<uint32_t>(reopen_after_ms);
 
   FleetServer fleet(options);
-  RequestServer::InstallShutdownSignalHandler();
+  LineServer::InstallShutdownSignalHandler();
   ::signal(SIGPIPE, SIG_IGN);
 
   std::string replica_list;

@@ -180,7 +180,7 @@ inline int RunServeCommand(const Flags& flags) {
   options.update_journal = flags.GetBool("journal", true);
   RequestServer server(&registry, options);
   RequestServer::InstallReloadSignalHandler();
-  RequestServer::InstallShutdownSignalHandler();
+  LineServer::InstallShutdownSignalHandler();
   // The daemon's socket writes use MSG_NOSIGNAL, but ignore SIGPIPE
   // process-wide too: no disconnecting client may take the server down.
   ::signal(SIGPIPE, SIG_IGN);
