@@ -31,13 +31,13 @@ Status ValidateContextShape(ConstMatrixView items, ConstMatrixView items_t,
 
 /// Fills ctx->popularity: the explicit ranking if given, else the expected
 /// affinity <Σ_u f_u, f_i> — deterministic either way.
-void FillPopularity(ConstMatrixView user_factors,
+void FillPopularity(std::span<const ConstMatrixView> user_blocks,
                     std::span<const double> popularity, FoldInContext* ctx) {
   const uint32_t n = ctx->num_items();
   ctx->popularity.assign(popularity.begin(), popularity.end());
   if (!ctx->popularity.empty()) return;
   ctx->popularity.resize(n, 0.0);
-  const std::vector<double> user_sums = ColumnSums(user_factors);
+  const std::vector<double> user_sums = ColumnSums(user_blocks, ctx->dims());
   for (uint32_t i = 0; i < n; ++i) {
     ctx->popularity[i] = vec::Dot(user_sums, ctx->items.Row(i));
   }
@@ -45,23 +45,24 @@ void FillPopularity(ConstMatrixView user_factors,
 
 }  // namespace
 
-Result<FoldInContext> MakeFoldInContext(ConstMatrixView user_factors,
-                                        ConstMatrixView items,
-                                        ConstMatrixView items_t,
-                                        const OcularConfig& config,
-                                        std::span<const double> popularity) {
+Result<FoldInContext> MakeFoldInContext(
+    std::span<const ConstMatrixView> user_blocks, ConstMatrixView items,
+    ConstMatrixView items_t, const OcularConfig& config,
+    std::span<const double> popularity) {
   OCULAR_RETURN_IF_ERROR(
       ValidateContextShape(items, items_t, config, popularity));
-  if (popularity.empty() && user_factors.cols() != items.cols()) {
-    return Status::InvalidArgument(
-        "user factors must match item dimensions (or pass popularity)");
+  for (const ConstMatrixView& block : user_blocks) {
+    if (popularity.empty() && block.cols() != items.cols()) {
+      return Status::InvalidArgument(
+          "user factors must match item dimensions (or pass popularity)");
+    }
   }
   FoldInContext ctx;
   ctx.config = config;
   ctx.items = items;
   ctx.items_t = items_t;
   ctx.item_sums = ColumnSums(items);
-  FillPopularity(user_factors, popularity, &ctx);
+  FillPopularity(user_blocks, popularity, &ctx);
   return ctx;
 }
 
@@ -76,7 +77,8 @@ Result<FoldInContext> MakeFoldInContext(const OcularModel& model,
   ctx.items = model.item_factors();
   ctx.items_t = ctx.owned_items_t;
   ctx.item_sums = ColumnSums(ctx.items);
-  FillPopularity(model.user_factors(), popularity, &ctx);
+  const ConstMatrixView users = model.user_factors();
+  FillPopularity({&users, 1}, popularity, &ctx);
   return ctx;
 }
 

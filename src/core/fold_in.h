@@ -58,12 +58,13 @@ struct FoldInContext {
 /// Builds a context from borrowed factor views (e.g. the mmapped sections
 /// of a ModelStore — zero copies). `popularity` (length items.rows()) is
 /// the fallback ranking source; pass empty to derive the expected-affinity
-/// ranking from `user_factors`.
-Result<FoldInContext> MakeFoldInContext(ConstMatrixView user_factors,
-                                        ConstMatrixView items,
-                                        ConstMatrixView items_t,
-                                        const OcularConfig& config,
-                                        std::span<const double> popularity = {});
+/// ranking from `user_blocks`: the user factors as consecutive row blocks
+/// in global row order (one per shard of a shardset), summed exactly as
+/// one matrix would be.
+Result<FoldInContext> MakeFoldInContext(
+    std::span<const ConstMatrixView> user_blocks, ConstMatrixView items,
+    ConstMatrixView items_t, const OcularConfig& config,
+    std::span<const double> popularity = {});
 
 /// Builds a context from an in-memory model (owns a transposed copy of the
 /// item factors). The model must outlive the context.

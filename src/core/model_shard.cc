@@ -115,6 +115,13 @@ Result<ShardMap> ShardMap::FromBoundaries(std::vector<uint32_t> begins,
   return map;
 }
 
+ShardMap ShardMap::Single(uint32_t num_users) {
+  ShardMap map;
+  map.begins_ = {0};
+  map.num_users_ = num_users;
+  return map;
+}
+
 uint32_t ShardMap::shard_of(uint32_t user) const {
   const auto it = std::upper_bound(begins_.begin(), begins_.end(), user);
   return static_cast<uint32_t>(it - begins_.begin()) - 1;
@@ -273,6 +280,11 @@ Status SaveShardSetManifest(const ShardSetManifest& manifest,
 
 // ----------------------------------------------------------- validation
 
+namespace {
+
+/// Checks one member file against its manifest fingerprint: IOError when
+/// the file is missing/unreadable, ParseError ("fingerprint mismatch")
+/// when its content changed since the manifest was written.
 Status CheckShardSetMember(const std::string& manifest_path,
                            const std::string& file, uint64_t expected) {
   const std::string full = ShardSetResolve(manifest_path, file);
@@ -291,6 +303,9 @@ Status CheckShardSetMember(const std::string& manifest_path,
   return Status::OK();
 }
 
+/// Validates the shared items file's header against the manifest (no
+/// users, exactly num_items items, matching k). ParseError ("header
+/// disagrees") otherwise.
 Status ValidateItemsHeader(const ShardSetManifest& manifest,
                            const ModelStore& store) {
   if (store.num_users() != 0 || store.num_items() != manifest.num_items ||
@@ -306,6 +321,9 @@ Status ValidateItemsHeader(const ShardSetManifest& manifest,
   return Status::OK();
 }
 
+/// Validates shard `index`'s header against its manifest range (exactly
+/// user_end-user_begin users, no items, matching k). ParseError ("header
+/// disagrees") otherwise.
 Status ValidateShardHeader(const ShardSetManifest& manifest, size_t index,
                            const ModelStore& store) {
   const ShardSetEntry& e = manifest.shards[index];
@@ -324,32 +342,90 @@ Status ValidateShardHeader(const ShardSetManifest& manifest, size_t index,
   return Status::OK();
 }
 
+/// Fingerprint-checks one member, then aliases `reuse` (the previous
+/// generation's mapping of the same bytes) when given, else maps the file
+/// and counts it in `*opened`.
+Result<std::shared_ptr<const ModelStore>> OpenMember(
+    const std::string& manifest_path, const std::string& file,
+    uint64_t fingerprint, const ModelStoreOptions& options,
+    std::shared_ptr<const ModelStore> reuse, uint32_t* opened) {
+  // Every member is fingerprint-checked against the manifest even when
+  // reused — a torn shardset (manifest republished, member write lost)
+  // must refuse to load rather than serve a mix of generations.
+  OCULAR_RETURN_IF_ERROR(
+      CheckShardSetMember(manifest_path, file, fingerprint));
+  if (reuse != nullptr) return reuse;
+  OCULAR_ASSIGN_OR_RETURN(
+      ModelStore store,
+      ModelStore::Open(ShardSetResolve(manifest_path, file), options));
+  ++*opened;
+  return std::make_shared<const ModelStore>(std::move(store));
+}
+
+}  // namespace
+
+size_t ShardSetStores::mapped_bytes() const {
+  size_t total = items->mapped_bytes();
+  for (const auto& shard : shards) {
+    if (shard != items) total += shard->mapped_bytes();
+  }
+  return total;
+}
+
+std::vector<ConstMatrixView> ShardSetStores::user_blocks() const {
+  std::vector<ConstMatrixView> out;
+  out.reserve(shards.size());
+  for (const auto& shard : shards) out.push_back(shard->user_factors());
+  return out;
+}
+
 Result<ShardSetStores> OpenShardSet(const std::string& manifest_path,
-                                    const ModelStoreOptions& options) {
+                                    const ModelStoreOptions& options,
+                                    const ShardSetStores* previous,
+                                    uint32_t* reopened) {
   ShardSetStores out;
   OCULAR_ASSIGN_OR_RETURN(out.manifest, LoadShardSetManifest(manifest_path));
   OCULAR_ASSIGN_OR_RETURN(out.map, out.manifest.Map());
+  const ShardSetManifest* prev =
+      previous != nullptr ? &previous->manifest : nullptr;
+  uint32_t opened = 0;
 
-  OCULAR_RETURN_IF_ERROR(CheckShardSetMember(
-      manifest_path, out.manifest.items_file, out.manifest.items_fingerprint));
-  Result<ModelStore> items = ModelStore::Open(
-      ShardSetResolve(manifest_path, out.manifest.items_file), options);
-  if (!items.ok()) return items.status();
-  OCULAR_RETURN_IF_ERROR(ValidateItemsHeader(out.manifest, *items));
-  out.items = std::make_shared<const ModelStore>(std::move(items).value());
+  const bool same_items =
+      prev != nullptr && prev->items_file == out.manifest.items_file &&
+      prev->items_fingerprint == out.manifest.items_fingerprint;
+  OCULAR_ASSIGN_OR_RETURN(
+      out.items,
+      OpenMember(manifest_path, out.manifest.items_file,
+                 out.manifest.items_fingerprint, options,
+                 same_items ? previous->items : nullptr, &opened));
+  OCULAR_RETURN_IF_ERROR(ValidateItemsHeader(out.manifest, *out.items));
 
   out.shards.reserve(out.manifest.shards.size());
   for (size_t s = 0; s < out.manifest.shards.size(); ++s) {
     const ShardSetEntry& e = out.manifest.shards[s];
-    OCULAR_RETURN_IF_ERROR(
-        CheckShardSetMember(manifest_path, e.file, e.fingerprint));
-    Result<ModelStore> shard =
-        ModelStore::Open(ShardSetResolve(manifest_path, e.file), options);
-    if (!shard.ok()) return shard.status();
+    const bool same_shard = prev != nullptr && s < prev->shards.size() &&
+                            prev->shards[s].file == e.file &&
+                            prev->shards[s].fingerprint == e.fingerprint &&
+                            prev->shards[s].user_begin == e.user_begin &&
+                            prev->shards[s].user_end == e.user_end;
+    OCULAR_ASSIGN_OR_RETURN(
+        std::shared_ptr<const ModelStore> shard,
+        OpenMember(manifest_path, e.file, e.fingerprint, options,
+                   same_shard ? previous->shards[s] : nullptr, &opened));
     OCULAR_RETURN_IF_ERROR(ValidateShardHeader(out.manifest, s, *shard));
-    out.shards.push_back(
-        std::make_shared<const ModelStore>(std::move(shard).value()));
+    out.shards.push_back(std::move(shard));
   }
+  if (reopened != nullptr) *reopened = opened;
+  return out;
+}
+
+Result<ShardSetStores> OpenOneShardSet(const std::string& path,
+                                       const ModelStoreOptions& options) {
+  OCULAR_ASSIGN_OR_RETURN(ModelStore store, ModelStore::Open(path, options));
+  ShardSetStores out;
+  out.map = ShardMap::Single(store.num_users());
+  out.items = std::make_shared<const ModelStore>(std::move(store));
+  out.shards = {out.items};
   return out;
 }
 

@@ -37,16 +37,27 @@ namespace ocular {
 /// republished without reopening (or even re-reading) its siblings —
 /// serving/registry.h builds its per-shard generation swap on exactly
 /// that property.
+///
+/// A plain `.oclr` store is the degenerate case: a one-shard set whose
+/// items file is itself (OpenOneShardSet). ShardSetStores is therefore
+/// the one model binding the serving stack knows.
 
 /// \brief Pure user → shard routing over contiguous user ranges.
 ///
 /// Shard s owns the half-open range [begin(s), end(s)); ranges tile
-/// [0, num_users) with no gaps and no empty shards. The table is a few
-/// words, routing is one branch-free upper_bound — cheap enough to sit on
-/// the per-request serving path. Value type; a default-constructed map is
-/// empty (0 shards, 0 users) and routes nothing.
+/// [0, num_users) with no gaps and no empty shards (the one exception is
+/// Single(0)). The table is a few words, routing is one branch-free
+/// upper_bound — cheap enough to sit on the per-request serving path.
+/// Value type; a default-constructed map is empty (0 shards, 0 users) and
+/// routes nothing.
 class ShardMap {
  public:
+  /// \brief One shard owning all of [0, num_users) — the map of a
+  /// monolithic store. Unlike EvenSplit it accepts zero users: a
+  /// shardset's items file bound on its own is a one-shard model that
+  /// routes nobody.
+  static ShardMap Single(uint32_t num_users);
+
   /// \brief Splits `num_users` into `num_shards` contiguous ranges whose
   /// sizes differ by at most one (the first `num_users % num_shards`
   /// shards take the extra user). InvalidArgument when `num_shards` is 0
@@ -61,6 +72,7 @@ class ShardMap {
   static Result<ShardMap> FromBoundaries(std::vector<uint32_t> begins,
                                          uint32_t num_users);
 
+  /// An empty map: 0 shards, 0 users.
   ShardMap() = default;
 
   /// Number of shards (0 for a default-constructed map).
@@ -76,6 +88,7 @@ class ShardMap {
   /// The shard owning `user`. Precondition: user < num_users().
   uint32_t shard_of(uint32_t user) const;
 
+  /// Maps are equal when they route every user identically.
   friend bool operator==(const ShardMap& a, const ShardMap& b) = default;
 
  private:
@@ -99,7 +112,7 @@ struct ShardSetManifest {
   std::string split = "user-range";  ///< split rule tag
   std::string items_file;            ///< shared items file, relative name
   uint64_t items_fingerprint = 0;    ///< fingerprint of the items file
-  std::vector<ShardSetEntry> shards;
+  std::vector<ShardSetEntry> shards;  ///< members, in user order
 
   /// \brief The routing table implied by the shard ranges. InvalidArgument
   /// when the ranges do not tile [0, num_users).
@@ -127,41 +140,51 @@ Result<ShardSetManifest> LoadShardSetManifest(const std::string& path);
 Status SaveShardSetManifest(const ShardSetManifest& manifest,
                             const std::string& path);
 
-/// \brief Checks one member file against its manifest fingerprint:
-/// IOError when the file is missing/unreadable, ParseError ("fingerprint
-/// mismatch") when its content changed since the manifest was written.
-Status CheckShardSetMember(const std::string& manifest_path,
-                           const std::string& file, uint64_t expected);
-
-/// \brief Validates the shared items file's header against the manifest
-/// (no users, exactly num_items items, matching k). ParseError ("header
-/// disagrees") otherwise.
-Status ValidateItemsHeader(const ShardSetManifest& manifest,
-                           const ModelStore& store);
-
-/// \brief Validates shard `index`'s header against its manifest range
-/// (exactly user_end-user_begin users, no items, matching k). ParseError
-/// ("header disagrees") otherwise.
-Status ValidateShardHeader(const ShardSetManifest& manifest, size_t index,
-                           const ModelStore& store);
-
-/// \brief A fully opened shardset: every member mmapped and validated.
+/// \brief An opened model binding: a shardset with every member mmapped
+/// and validated, or a plain store opened as a one-shard set.
 ///
 /// Members are shared_ptr so a later partial reopen (registry reload, the
 /// daemon's per-shard update republish) can alias the untouched stores
-/// into a new generation instead of remapping them.
+/// into a new generation instead of remapping them. For a one-shard set
+/// (OpenOneShardSet) `items` and `shards[0]` are the same store and the
+/// manifest is empty.
 struct ShardSetStores {
+  /// The parsed manifest; empty (no members) for a one-shard set.
   ShardSetManifest manifest;
+  /// user → shard routing, covering [0, users of the binding).
   ShardMap map;
+  /// The store holding the item factors and their serving layout.
   std::shared_ptr<const ModelStore> items;
+  /// Per-shard user-factor stores, aligned with `map`.
   std::vector<std::shared_ptr<const ModelStore>> shards;
+
+  /// Bytes mapped across the distinct member stores (a one-shard set's
+  /// one file counts once).
+  size_t mapped_bytes() const;
+  /// Every shard's user-factor view, in global row order.
+  std::vector<ConstMatrixView> user_blocks() const;
 };
 
 /// \brief Opens and validates every member of a shardset. IOError for
 /// unreadable members; ParseError (distinct messages) for fingerprint
 /// mismatches and manifest/header disagreements.
+///
+/// With `previous`, every member whose file name, fingerprint and user
+/// range match the previous set's is aliased instead of remapped (it is
+/// still fingerprint-checked, so a torn set refuses either way).
+/// `*reopened`, when given, receives the number of members actually
+/// opened — 0 means the set is byte-identical to `previous`.
 Result<ShardSetStores> OpenShardSet(const std::string& manifest_path,
-                                    const ModelStoreOptions& options = {});
+                                    const ModelStoreOptions& options = {},
+                                    const ShardSetStores* previous = nullptr,
+                                    uint32_t* reopened = nullptr);
+
+/// \brief Opens a plain OCLR store as a one-shard set: one
+/// ModelStore::Open, no manifest or fingerprint work. `items` and
+/// `shards[0]` share the mapping and the map covers every stored user
+/// (zero users included).
+Result<ShardSetStores> OpenOneShardSet(const std::string& path,
+                                       const ModelStoreOptions& options = {});
 
 /// \brief Writes one shard's user-factor slice as an OCLR shard file
 /// (user section only, empty item sections) — the per-shard republish

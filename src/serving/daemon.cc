@@ -412,10 +412,13 @@ Result<RequestServer::UpdateOutcome> RequestServer::ApplyShardedUpdate(
   // Merge the deltas into a private copy of the training matrix: a
   // touched user's fold-in history is its FULL updated row (Section V's
   // new-user solve against fixed item factors), and the republish rebinds
-  // the merged matrix as the exclusion source.
+  // the merged matrix as the exclusion source. Dataset rows past the
+  // model's users stay in it as exclusions only.
   OCULAR_ASSIGN_OR_RETURN(
       CsrMatrix merged_train,
-      model.train->WithEntries(adds, model.num_users(), model.num_items()));
+      model.train->WithEntries(
+          adds, std::max(model.num_users(), model.train->num_rows()),
+          model.num_items()));
   auto merged = std::make_shared<const CsrMatrix>(std::move(merged_train));
 
   std::vector<uint32_t> touched_users;
@@ -428,19 +431,20 @@ Result<RequestServer::UpdateOutcome> RequestServer::ApplyShardedUpdate(
 
   const FoldInContext& ctx = *model.fold_in;
   FoldInWorkspace fold_ws;
-  ShardSetManifest manifest = model.manifest;
+  const ShardMap& map = model.binding.map;
+  ShardSetManifest manifest = model.binding.manifest;
   uint32_t shards_touched = 0;
   size_t next = 0;
-  for (uint32_t s = 0;
-       s < model.shard_map.num_shards() && next < touched_users.size(); ++s) {
-    const uint32_t begin = model.shard_map.begin(s);
-    const uint32_t end = model.shard_map.end(s);
+  for (uint32_t s = 0; s < map.num_shards() && next < touched_users.size();
+       ++s) {
+    const uint32_t begin = map.begin(s);
+    const uint32_t end = map.end(s);
     if (touched_users[next] >= end) continue;
 
     // Copy-on-write per shard: the live mapping is never written. Only
     // shards owning a touched user are copied, folded, and rewritten —
     // the untouched siblings keep their files, fingerprints and mappings.
-    ConstMatrixView rows = model.shard_stores[s]->user_factors();
+    ConstMatrixView rows = model.binding.shards[s]->user_factors();
     DenseMatrix block(rows.rows(), rows.cols());
     for (uint32_t r = 0; r < rows.rows(); ++r) {
       std::span<const double> src = rows.Row(r);
@@ -573,7 +577,10 @@ Result<RequestServer::UpdateOutcome> RequestServer::ApplyUpdate(
     // verify + rename), with the manifest republished last.
     return ApplyShardedUpdate(*model, model_name, adds, num_users, num_items);
   }
-  uint32_t users = std::max(model->num_users(), num_users);
+  // The retrain covers every row of the bound dataset, so a dataset with
+  // more users than the model grows it to the dataset's row count.
+  uint32_t users = std::max({model->num_users(), num_users,
+                             model->train->num_rows()});
   uint32_t items = std::max(model->num_items(), num_items);
   for (auto [u, i] : adds) {
     users = std::max(users, u + 1);

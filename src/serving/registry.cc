@@ -7,13 +7,8 @@ namespace ocular {
 
 namespace {
 
-/// Builds the fold-in serving context shared by both binding kinds.
-/// `user_factors` feeds the expected-affinity popularity fallback when no
-/// dataset is bound (a sharded binding passes the items file's empty user
-/// view — its fallback ranking degrades to deterministic index order
-/// unless a dataset supplies column degrees).
-void AttachFoldIn(ServableModel* servable, ConstMatrixView user_factors,
-                  ConstMatrixView items, ConstMatrixView items_t) {
+/// Builds the fold-in serving context over the binding's mapped views.
+void AttachFoldIn(ServableModel* servable) {
   const BinaryModelMeta& meta = servable->meta();
   if (meta.kind != BinaryModelKind::kOcularProbability) return;
   OcularConfig config;
@@ -29,8 +24,13 @@ void AttachFoldIn(ServableModel* servable, ConstMatrixView user_factors,
     popularity.resize(servable->num_items(), 0.0);
     for (uint32_t c : servable->train->col_idx()) popularity[c] += 1.0;
   }
-  auto ctx = MakeFoldInContext(user_factors, items, items_t, config,
-                               popularity);
+  // Without a dataset the fallback is the expected affinity over every
+  // shard's user rows, summed in global row order — bit-identical to the
+  // monolithic store of the same factors.
+  const ModelStore& items = servable->store;
+  auto ctx = MakeFoldInContext(servable->binding.user_blocks(),
+                               items.item_factors(), items.item_factors_t(),
+                               config, popularity);
   // Fold-in is an optional capability: a store whose meta cannot seed a
   // valid solver config still serves stored users.
   if (ctx.ok()) {
@@ -38,108 +38,34 @@ void AttachFoldIn(ServableModel* servable, ConstMatrixView user_factors,
   }
 }
 
-Result<std::shared_ptr<const ServableModel>> BuildServable(
-    const std::string& name, const std::string& model_path,
-    std::shared_ptr<const CsrMatrix> train) {
-  OCULAR_ASSIGN_OR_RETURN(ModelStore store, ModelStore::Open(model_path));
-  if (train != nullptr && train->num_cols() > store.num_items()) {
-    return Status::InvalidArgument(
-        "training matrix has more items than model '" + name + "'");
-  }
-  auto servable = std::make_shared<ServableModel>();
-  servable->name = name;
-  servable->model_path = model_path;
-  servable->store = std::move(store);
-  // Constructed after the store reaches its final address.
-  servable->recommender = std::make_unique<StoreRecommender>(servable->store);
-  servable->train = std::move(train);
-  AttachFoldIn(servable.get(), servable->store.user_factors(),
-               servable->store.item_factors(),
-               servable->store.item_factors_t());
-  return std::shared_ptr<const ServableModel>(std::move(servable));
-}
-
-/// Builds a sharded servable from `manifest_path`, aliasing every member
-/// store of `previous` (same file name, range and fingerprint, on-disk
-/// bytes still matching) instead of remapping it. `*touched_out` counts
+/// Builds a servable from `model_path`. A shardset manifest opens through
+/// OpenShardSet, aliasing every member of `previous` whose bytes are
+/// unchanged; any other file opens as a one-shard set. `*reopened` counts
 /// the members actually (re)opened — 0 means the set is byte-identical to
 /// the previous generation and the caller may skip publishing.
-Result<std::shared_ptr<const ServableModel>> BuildShardedServable(
-    const std::string& name, const std::string& manifest_path,
-    std::shared_ptr<const CsrMatrix> train,
-    const std::shared_ptr<const ServableModel>& previous,
-    uint32_t* touched_out) {
-  OCULAR_ASSIGN_OR_RETURN(ShardSetManifest manifest,
-                          LoadShardSetManifest(manifest_path));
-  OCULAR_ASSIGN_OR_RETURN(ShardMap map, manifest.Map());
-  if (train != nullptr && train->num_cols() > manifest.num_items) {
+Result<std::shared_ptr<const ServableModel>> BuildServable(
+    const std::string& name, const std::string& model_path,
+    std::shared_ptr<const CsrMatrix> train, const ServableModel* previous,
+    uint32_t* reopened) {
+  const bool sharded = IsShardSetFile(model_path);
+  *reopened = 1;  // a plain store always remaps its one file
+  Result<ShardSetStores> opened =
+      sharded ? OpenShardSet(model_path, {},
+                             previous != nullptr ? &previous->binding : nullptr,
+                             reopened)
+              : OpenOneShardSet(model_path);
+  if (!opened.ok()) return opened.status();
+  if (train != nullptr && train->num_cols() > opened->items->num_items()) {
     return Status::InvalidArgument(
         "training matrix has more items than model '" + name + "'");
   }
-  const ServableModel* prev =
-      previous != nullptr && previous->sharded ? previous.get() : nullptr;
-  uint32_t touched = 0;
-
-  auto servable = std::make_shared<ServableModel>();
+  auto servable = std::make_shared<ServableModel>(std::move(opened).value());
   servable->name = name;
-  servable->model_path = manifest_path;
-  servable->sharded = true;
+  servable->model_path = model_path;
+  servable->sharded = sharded;
   servable->train = std::move(train);
-
-  // Every member is fingerprint-checked against the manifest even when
-  // reused — a torn shardset (manifest republished, member write lost)
-  // must refuse to load rather than serve a mix of generations.
-  OCULAR_RETURN_IF_ERROR(CheckShardSetMember(
-      manifest_path, manifest.items_file, manifest.items_fingerprint));
-  if (prev != nullptr && prev->manifest.items_file == manifest.items_file &&
-      prev->manifest.items_fingerprint == manifest.items_fingerprint) {
-    servable->items_store = prev->items_store;
-  } else {
-    OCULAR_ASSIGN_OR_RETURN(
-        ModelStore items,
-        ModelStore::Open(ShardSetResolve(manifest_path, manifest.items_file)));
-    OCULAR_RETURN_IF_ERROR(ValidateItemsHeader(manifest, items));
-    servable->items_store =
-        std::make_shared<const ModelStore>(std::move(items));
-    ++touched;
-  }
-
-  servable->shard_stores.reserve(manifest.shards.size());
-  for (size_t s = 0; s < manifest.shards.size(); ++s) {
-    const ShardSetEntry& e = manifest.shards[s];
-    OCULAR_RETURN_IF_ERROR(
-        CheckShardSetMember(manifest_path, e.file, e.fingerprint));
-    const bool reusable = prev != nullptr &&
-                          s < prev->manifest.shards.size() &&
-                          prev->manifest.shards[s].file == e.file &&
-                          prev->manifest.shards[s].fingerprint ==
-                              e.fingerprint &&
-                          prev->manifest.shards[s].user_begin == e.user_begin &&
-                          prev->manifest.shards[s].user_end == e.user_end;
-    if (reusable) {
-      servable->shard_stores.push_back(prev->shard_stores[s]);
-      continue;
-    }
-    OCULAR_ASSIGN_OR_RETURN(
-        ModelStore shard,
-        ModelStore::Open(ShardSetResolve(manifest_path, e.file)));
-    OCULAR_RETURN_IF_ERROR(ValidateShardHeader(manifest, s, shard));
-    servable->shard_stores.push_back(
-        std::make_shared<const ModelStore>(std::move(shard)));
-    ++touched;
-  }
-
-  servable->manifest = std::move(manifest);
-  servable->shard_map = std::move(map);
-  std::vector<const ModelStore*> shard_ptrs;
-  shard_ptrs.reserve(servable->shard_stores.size());
-  for (const auto& s : servable->shard_stores) shard_ptrs.push_back(s.get());
-  servable->recommender = std::make_unique<ShardedStoreRecommender>(
-      servable->shard_map, *servable->items_store, std::move(shard_ptrs));
-  AttachFoldIn(servable.get(), servable->items_store->user_factors(),
-               servable->items_store->item_factors(),
-               servable->items_store->item_factors_t());
-  if (touched_out != nullptr) *touched_out = touched;
+  servable->recommender = std::make_unique<StoreRecommender>(servable->binding);
+  AttachFoldIn(servable.get());
   return std::shared_ptr<const ServableModel>(std::move(servable));
 }
 
@@ -149,22 +75,17 @@ Status ModelRegistry::Load(const std::string& name,
                            const std::string& model_path,
                            std::shared_ptr<const CsrMatrix> train) {
   if (name.empty()) return Status::InvalidArgument("model name is empty");
-  std::shared_ptr<const ServableModel> servable;
-  uint32_t touched = 1;
-  if (IsShardSetFile(model_path)) {
-    OCULAR_ASSIGN_OR_RETURN(
-        servable, BuildShardedServable(name, model_path, std::move(train),
-                                       Get(name), &touched));
-  } else {
-    OCULAR_ASSIGN_OR_RETURN(servable,
-                            BuildServable(name, model_path, std::move(train)));
-  }
+  uint32_t reopened = 0;
+  OCULAR_ASSIGN_OR_RETURN(
+      std::shared_ptr<const ServableModel> servable,
+      BuildServable(name, model_path, std::move(train), Get(name).get(),
+                    &reopened));
   std::lock_guard<std::mutex> lock(mu_);
   models_[name] = std::move(servable);
   // One generation step per member actually reopened — the per-shard
   // swap. An explicit Load always publishes (the caller may be binding a
   // new dataset), so even a byte-identical shardset steps once.
-  generation_.fetch_add(std::max(touched, 1u), std::memory_order_acq_rel);
+  generation_.fetch_add(std::max(reopened, 1u), std::memory_order_acq_rel);
   return Status::OK();
 }
 
@@ -186,18 +107,14 @@ Status ModelRegistry::ReloadAll() {
   }
   Status first_error = Status::OK();
   for (const auto& old_model : current) {
-    uint32_t touched = 1;
-    auto rebuilt =
-        old_model->sharded
-            ? BuildShardedServable(old_model->name, old_model->model_path,
-                                   old_model->train, old_model, &touched)
-            : BuildServable(old_model->name, old_model->model_path,
-                            old_model->train);
+    uint32_t reopened = 0;
+    auto rebuilt = BuildServable(old_model->name, old_model->model_path,
+                                 old_model->train, old_model.get(), &reopened);
     if (!rebuilt.ok()) {
       if (first_error.ok()) first_error = rebuilt.status();
       continue;  // keep serving the previous version
     }
-    if (old_model->sharded && touched == 0) {
+    if (reopened == 0) {
       // Every member is byte-identical to what is already serving: the
       // reload is a no-op for this name, so leave the generation alone
       // and spare the workers a lease refresh.
@@ -205,7 +122,7 @@ Status ModelRegistry::ReloadAll() {
     }
     std::lock_guard<std::mutex> lock(mu_);
     models_[old_model->name] = std::move(rebuilt).value();
-    generation_.fetch_add(touched, std::memory_order_acq_rel);
+    generation_.fetch_add(reopened, std::memory_order_acq_rel);
   }
   return first_error;
 }

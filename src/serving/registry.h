@@ -7,54 +7,55 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
 #include "core/fold_in.h"
 #include "core/model_shard.h"
-#include "serving/sharded_store_recommender.h"
 #include "serving/store_recommender.h"
 #include "sparse/csr.h"
 
 namespace ocular {
 
-/// \brief One resident servable model: an mmapped ModelStore (or, for a
-/// `*.shardset` binding, a set of them), its zero-copy recommender, and
-/// the optional training matrix whose rows are excluded from that user's
-/// recommendations (the Section IV-C "recommend unknowns only" rule).
+/// \brief One resident servable model: its mmapped store binding, the
+/// zero-copy recommender over it, and the optional training matrix whose
+/// rows are excluded from that user's recommendations (the Section IV-C
+/// "recommend unknowns only" rule).
 ///
-/// Immutable once published: a reload builds a NEW ServableModel and swaps
-/// the registry pointer, so requests already holding a shared_ptr keep
-/// serving the old mapping until they drain — at which point the last
-/// reference unmaps it. For a sharded binding the member stores are
+/// Every binding is a ShardSetStores: a `*.shardset` manifest opens as
+/// itself, a plain `.oclr` store as a one-shard set whose items store is
+/// the whole model. Immutable once published: a reload builds a NEW
+/// ServableModel and swaps the registry pointer, so requests already
+/// holding a shared_ptr keep serving the old mapping until they drain —
+/// at which point the last reference unmaps it. The member stores are
 /// shared_ptrs, and a rebuild ALIASES every untouched member from the
 /// previous generation instead of remapping it — that is the per-shard
 /// generation swap: republishing one shard costs one mmap, not N.
 struct ServableModel {
+  /// \brief Takes ownership of an opened binding; `store` views its items
+  /// store.
+  explicit ServableModel(ShardSetStores opened)
+      : binding(std::move(opened)), store(*binding.items) {}
+
   /// Registry key the model is served under.
   std::string name;
   /// File the binding was opened from (re-opened on reload): an `.oclr`
   /// store, or a `.shardset` manifest when `sharded` is true.
   std::string model_path;
-  /// The open mapping (monolithic bindings only; not open when sharded).
-  ModelStore store;
-  /// True when `model_path` is a shardset manifest and the sharded
-  /// members below are live instead of `store`.
+  /// True when `model_path` is a shardset manifest. Decides only what the
+  /// protocol reports (`shard` fields, `shard_requests`) and which update
+  /// algorithm runs; serving reads every binding the same way.
   bool sharded = false;
-  /// Parsed manifest of the bound shardset (sharded only).
-  ShardSetManifest manifest;
-  /// user → shard routing of the bound shardset (sharded only).
-  ShardMap shard_map;
-  /// Shared items file: item factors + serving layout, mapped once for
-  /// all shards (sharded only).
-  std::shared_ptr<const ModelStore> items_store;
-  /// Per-shard user-factor stores, aligned with manifest.shards. Entries
-  /// are shared with the previous generation when their fingerprint did
-  /// not change (sharded only).
-  std::vector<std::shared_ptr<const ModelStore>> shard_stores;
-  /// Zero-copy recommender over the store(s): StoreRecommender for a
-  /// monolithic binding, ShardedStoreRecommender for a shardset.
-  /// Held by pointer so the views stay valid when ServableModel moves.
+  /// The open stores, the user → shard map and (sharded only) the parsed
+  /// manifest. Members are shared with the previous generation when
+  /// their fingerprint did not change.
+  ShardSetStores binding;
+  /// The binding's items store: the whole model when monolithic, the
+  /// shared items file (no users) when sharded.
+  const ModelStore& store;
+  /// Zero-copy recommender over the binding. Held by pointer so the views
+  /// stay valid when ServableModel moves.
   std::unique_ptr<Recommender> recommender;
   /// Per-user exclusion rows (nullptr = no exclusions). Shared with the
   /// reloaded generations of the model — only the factor file is re-opened
@@ -65,7 +66,7 @@ struct ServableModel {
   /// OCuLaR probability models — history requests against those fail
   /// with FailedPrecondition). The popularity fallback ranks by `train`
   /// column degrees when a dataset is bound, else by expected affinity.
-  /// Declared after `store` so its views die before the mapping does.
+  /// Declared after `binding` so its views die before the mapping does.
   std::unique_ptr<FoldInContext> fold_in;
 
   /// \brief The exclusion row for `u` (empty without a matrix or for users
@@ -79,34 +80,21 @@ struct ServableModel {
   // through these so one request path serves both monolithic stores and
   // shardsets.
 
-  /// Users served by this binding (all shards combined when sharded).
-  uint32_t num_users() const {
-    return sharded ? shard_map.num_users() : store.num_users();
-  }
+  /// Users served by this binding (all shards combined).
+  uint32_t num_users() const { return binding.map.num_users(); }
   /// Items of the (shared) item factors.
-  uint32_t num_items() const {
-    return sharded ? items_store->num_items() : store.num_items();
-  }
+  uint32_t num_items() const { return store.num_items(); }
   /// Factor dimension.
-  uint32_t k() const { return sharded ? items_store->k() : store.k(); }
-  /// Header metadata (the shared items file's header when sharded).
-  const BinaryModelMeta& meta() const {
-    return sharded ? items_store->meta() : store.meta();
-  }
-  /// Bytes mapped across every member store.
-  size_t mapped_bytes() const {
-    if (!sharded) return store.mapped_bytes();
-    size_t total = items_store->mapped_bytes();
-    for (const auto& s : shard_stores) total += s->mapped_bytes();
-    return total;
-  }
+  uint32_t k() const { return store.k(); }
+  /// Header metadata of the items store.
+  const BinaryModelMeta& meta() const { return store.meta(); }
+  /// Bytes mapped across every distinct member store.
+  size_t mapped_bytes() const { return binding.mapped_bytes(); }
   /// Shards of the binding (1 for a monolithic store).
-  uint32_t num_shards() const { return sharded ? shard_map.num_shards() : 1; }
+  uint32_t num_shards() const { return binding.map.num_shards(); }
   /// The shard serving `u` (0 for a monolithic store). Precondition:
   /// u < num_users().
-  uint32_t shard_of(uint32_t u) const {
-    return sharded ? shard_map.shard_of(u) : 0;
-  }
+  uint32_t shard_of(uint32_t u) const { return binding.map.shard_of(u); }
 };
 
 /// \brief Named collection of servable models with atomic hot-reload —

@@ -3,35 +3,46 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "core/model_shard.h"
 #include "core/model_store.h"
 #include "eval/recommender.h"
 #include "sparse/linalg.h"
 
 namespace ocular {
 
-/// \brief Recommender view over an mmapped ModelStore — the serving
-/// adapter of the binary model path.
+/// \brief Recommender view over mmapped OCLR stores — the serving adapter
+/// of every model binding, a monolithic store and a shardset alike.
 ///
-/// Construction is O(1) and copies nothing: ScoreBlock/RawScoreBlock run
-/// vec::AffinityBlock directly over the store's mmapped K x n_i serving
-/// section (the same kernel, on the same transposed layout, that
+/// Construction copies no factor: ScoreBlock/RawScoreBlock route user u
+/// through the ShardMap to the one store holding u's factor row, then run
+/// vec::AffinityBlock directly over the items store's mmapped K x n_i
+/// serving section (the same kernel, on the same transposed layout, that
 /// OcularModelRecommender builds in memory — so rankings are bit-identical
-/// to the in-memory path). The score map is chosen from the file's
-/// BinaryModelKind, which is what lets one daemon serve OCuLaR and the
-/// factor baselines through a single code path. Does not own the store;
-/// the caller keeps it alive (ServableModel in serving/registry.h pairs
-/// the two).
+/// to the in-memory path, and a shardset ranks exactly like the
+/// monolithic store of its concatenated user matrix). A monolithic store
+/// is a one-shard set whose items store is itself. The score map is
+/// chosen from the file's BinaryModelKind, which is what lets one daemon
+/// serve OCuLaR and the factor baselines through a single code path.
+/// Owns none of the stores; the caller keeps them alive (ServableModel in
+/// serving/registry.h pairs the two).
 class StoreRecommender : public Recommender {
  public:
-  /// \brief Wraps an open store. The store must outlive the recommender.
+  /// \brief Wraps one open store as a one-shard set. The store must
+  /// outlive the recommender.
   explicit StoreRecommender(const ModelStore& store)
-      : store_(&store),
-        probability_map_(store.meta().kind ==
-                         BinaryModelKind::kOcularProbability) {}
+      : StoreRecommender(ShardMap::Single(store.num_users()), store,
+                         {&store}) {}
+
+  /// \brief Wraps an opened binding. Its stores must outlive the
+  /// recommender.
+  explicit StoreRecommender(const ShardSetStores& set)
+      : StoreRecommender(set.map, *set.items, ShardPointers(set)) {}
 
   /// \brief The algorithm tag recorded in the file ("OCuLaR", "wALS", ...).
-  std::string name() const override { return store_->meta().algorithm; }
+  std::string name() const override { return items_->meta().algorithm; }
 
   /// \brief Always fails: the store is a pre-fitted artifact.
   Status Fit(const CsrMatrix& /*interactions*/) override {
@@ -41,8 +52,8 @@ class StoreRecommender : public Recommender {
 
   /// \brief Per-pair score straight off the mapped factor rows.
   double Score(uint32_t u, uint32_t i) const override {
-    const double affinity = vec::Dot(store_->user_factors().Row(u),
-                                     store_->item_factors().Row(i));
+    const double affinity =
+        vec::Dot(UserRow(u), items_->item_factors().Row(i));
     return probability_map_ ? -std::expm1(-affinity) : affinity;
   }
 
@@ -50,8 +61,7 @@ class StoreRecommender : public Recommender {
   void ScoreBlock(uint32_t u, uint32_t item_begin, uint32_t item_end,
                   std::span<double> out) const override {
     (void)item_end;
-    vec::AffinityBlock(store_->user_factors().Row(u),
-                       store_->item_factors_t(), item_begin, out);
+    vec::AffinityBlock(UserRow(u), items_->item_factors_t(), item_begin, out);
     if (probability_map_) {
       for (double& s : out) s = -std::expm1(-s);
     }
@@ -62,8 +72,7 @@ class StoreRecommender : public Recommender {
   void RawScoreBlock(uint32_t u, uint32_t item_begin, uint32_t item_end,
                      std::span<double> out) const override {
     (void)item_end;
-    vec::AffinityBlock(store_->user_factors().Row(u),
-                       store_->item_factors_t(), item_begin, out);
+    vec::AffinityBlock(UserRow(u), items_->item_factors_t(), item_begin, out);
   }
 
   /// \brief Maps a kept raw affinity to the public score.
@@ -71,16 +80,36 @@ class StoreRecommender : public Recommender {
     return probability_map_ ? -std::expm1(-raw) : raw;
   }
 
-  /// \brief Users of the mapped model.
-  uint32_t num_users() const override { return store_->num_users(); }
-  /// \brief Items of the mapped model.
-  uint32_t num_items() const override { return store_->num_items(); }
-
-  /// \brief The underlying store.
-  const ModelStore& store() const { return *store_; }
+  /// \brief Users across every shard.
+  uint32_t num_users() const override { return map_.num_users(); }
+  /// \brief Items of the items store.
+  uint32_t num_items() const override { return items_->num_items(); }
 
  private:
-  const ModelStore* store_;
+  StoreRecommender(ShardMap map, const ModelStore& items,
+                   std::vector<const ModelStore*> shards)
+      : map_(std::move(map)),
+        items_(&items),
+        shards_(std::move(shards)),
+        probability_map_(items.meta().kind ==
+                         BinaryModelKind::kOcularProbability) {}
+
+  static std::vector<const ModelStore*> ShardPointers(
+      const ShardSetStores& set) {
+    std::vector<const ModelStore*> out;
+    out.reserve(set.shards.size());
+    for (const auto& shard : set.shards) out.push_back(shard.get());
+    return out;
+  }
+
+  std::span<const double> UserRow(uint32_t u) const {
+    const uint32_t s = map_.shard_of(u);
+    return shards_[s]->user_factors().Row(u - map_.begin(s));
+  }
+
+  ShardMap map_;
+  const ModelStore* items_;
+  std::vector<const ModelStore*> shards_;
   bool probability_map_;
 };
 

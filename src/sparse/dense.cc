@@ -22,11 +22,19 @@ std::vector<double> DenseMatrix::ColumnSums() const {
 }
 
 std::vector<double> ColumnSums(ConstMatrixView m) {
-  std::vector<double> sums(m.cols(), 0.0);
-  const double* p = m.data();
-  for (uint32_t r = 0; r < m.rows(); ++r) {
-    for (uint32_t c = 0; c < m.cols(); ++c) sums[c] += p[c];
-    p += m.cols();
+  return ColumnSums(std::span<const ConstMatrixView>(&m, 1), m.cols());
+}
+
+std::vector<double> ColumnSums(std::span<const ConstMatrixView> blocks,
+                               uint32_t cols) {
+  std::vector<double> sums(cols, 0.0);
+  for (const ConstMatrixView& m : blocks) {
+    assert(m.rows() == 0 || m.cols() == cols);
+    const double* p = m.data();
+    for (uint32_t r = 0; r < m.rows(); ++r) {
+      for (uint32_t c = 0; c < cols; ++c) sums[c] += p[c];
+      p += cols;
+    }
   }
   return sums;
 }

@@ -103,6 +103,13 @@ class ConstMatrixView {
 /// ModelStore must match ones built from an in-memory model exactly.
 std::vector<double> ColumnSums(ConstMatrixView m);
 
+/// Column sums (length `cols`) of the matrix whose rows are `blocks`
+/// stacked in order, every block `cols` wide. Accumulates in the same
+/// row-major order as ColumnSums, so a matrix split into consecutive row
+/// blocks (the shards of a shardset) sums bit-identically to the whole.
+std::vector<double> ColumnSums(std::span<const ConstMatrixView> blocks,
+                               uint32_t cols);
+
 namespace vec {
 
 /// <a, b> for equal-length spans.

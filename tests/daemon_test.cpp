@@ -1038,6 +1038,26 @@ TEST(FoldInServingTest, UpdateVerbPublishesANewGenerationServingNewUsers) {
   std::remove(f.model_path.c_str());
 }
 
+TEST(FoldInServingTest, UpdateGrowsTheModelToCoverEveryDatasetRow) {
+  // The bound dataset has a user (row 60) the 50-user model never saw.
+  DaemonFixture f = DaemonFixture::Make("daemon_wide_dataset.oclr");
+  const std::vector<std::pair<uint32_t, uint32_t>> extra = {{60, 3}};
+  auto wide = std::make_shared<const CsrMatrix>(
+      f.train.WithEntries(extra, 61, 30).value());
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Load("default", f.model_path, wide).ok());
+  RequestServer server(&registry);
+
+  auto reply = JsonValue::Parse(server.HandleLine(
+      R"({"cmd":"update","adds":[[0,7]],"sweeps":2})"));
+  ASSERT_TRUE(reply.ok());
+  ASSERT_TRUE(reply->Find("ok")->boolean())
+      << reply->Find("error")->string();
+  EXPECT_EQ(reply->Find("users")->number(), 61.0);
+  EXPECT_EQ(registry.Get("default")->num_users(), 61u);
+  std::remove(f.model_path.c_str());
+}
+
 TEST(ConcurrentDaemonTest, UpdateUnderLoadNeverServesATornModel) {
   DaemonFixture f = DaemonFixture::Make("daemon_update_load.oclr");
   ModelRegistry registry;

@@ -4,11 +4,12 @@
 // route-totality property sweep stable across save/open round trips), the
 // shardset-manifest corruption matrix (each class refuses to open with a
 // DISTINCT error, mirroring model_store_test's OCLR cases), bit-identical
-// serving of ShardedStoreRecommender against the monolithic
-// StoreRecommender, the registry's per-shard generation swap, and the
-// daemon's sharded verbs (shard-tagged replies, shard_requests stats, and
-// the fold-in update that republishes only the touched shard, including
-// the upgrade of a v2 set one republished shard at a time).
+// serving of one StoreRecommender over a shardset and over the monolithic
+// store, the registry's per-shard generation swap, and the daemon's
+// sharded verbs (shard-tagged replies, shard_requests stats, and the
+// fold-in update that republishes only the touched shard, including the
+// upgrade of a v2 set one republished shard at a time), plus the
+// one-shard bindings a plain store opens as.
 
 #include <gtest/gtest.h>
 
@@ -30,7 +31,6 @@
 #include "serving/loadgen.h"
 #include "serving/registry.h"
 #include "serving/score_engine.h"
-#include "serving/sharded_store_recommender.h"
 #include "serving/store_recommender.h"
 #include "test_util.h"
 
@@ -173,6 +173,14 @@ TEST(ShardMapTest, SingleShardDegeneracy) {
   EXPECT_EQ(map.begin(0), 0u);
   EXPECT_EQ(map.end(0), 17u);
   for (uint32_t u = 0; u < 17; ++u) EXPECT_EQ(map.shard_of(u), 0u);
+
+  // Single is the same map, and also covers the zero-user store EvenSplit
+  // rejects (a shardset's items file bound on its own).
+  EXPECT_EQ(ShardMap::Single(17), map);
+  const ShardMap empty = ShardMap::Single(0);
+  EXPECT_EQ(empty.num_shards(), 1u);
+  EXPECT_EQ(empty.num_users(), 0u);
+  EXPECT_EQ(empty.end(0), 0u);
 }
 
 TEST(ShardMapTest, RejectsEmptyShards) {
@@ -236,7 +244,7 @@ TEST(ShardMapTest, RouteIsTotalAndStableAcrossRoundTrip) {
 // --------------------------------------------------- save/open round trip
 
 TEST(ShardSetTest, SaveOpenRoundTripSharesItemsAndSlicesUsers) {
-  ShardedFixture f = ShardedFixture::Make("round_trip", 3);
+  ShardedFixture f = ShardedFixture::Make("shard_round_trip", 3);
   auto mono = ModelStore::Open(f.mono_path);
   ASSERT_TRUE(mono.ok());
   auto set = OpenShardSet(f.manifest_path);
@@ -367,17 +375,16 @@ TEST(ShardSetTest, CorruptionMatrixEachClassHasADistinctError) {
 
 // ------------------------------------------------------- serving parity
 
-TEST(ShardedStoreRecommenderTest, BitIdenticalToMonolithicStore) {
-  ShardedFixture f = ShardedFixture::Make("parity", 4, 61, 33);
+TEST(StoreRecommenderTest, ShardSetBitIdenticalToMonolithicStore) {
+  ShardedFixture f = ShardedFixture::Make("shard_parity", 4, 61, 33);
   auto mono = ModelStore::Open(f.mono_path);
   ASSERT_TRUE(mono.ok());
   auto set = OpenShardSet(f.manifest_path);
   ASSERT_TRUE(set.ok()) << set.status().ToString();
 
+  // The one class, built over the .oclr and over the 4-shard set.
   StoreRecommender mono_rec(*mono);
-  std::vector<const ModelStore*> shard_ptrs;
-  for (const auto& s : set->shards) shard_ptrs.push_back(s.get());
-  ShardedStoreRecommender sharded_rec(set->map, *set->items, shard_ptrs);
+  StoreRecommender sharded_rec(*set);
 
   ASSERT_EQ(sharded_rec.name(), mono_rec.name());
   ASSERT_EQ(sharded_rec.num_users(), mono_rec.num_users());
@@ -463,13 +470,13 @@ TEST(ModelRegistryShardedTest, BindsShardsetAndSwapsOnlyTouchedShards) {
   ASSERT_NE(reloaded, nullptr);
   EXPECT_NE(reloaded, model);
   // Untouched members are the SAME mappings, not re-opened copies.
-  EXPECT_EQ(reloaded->items_store.get(), model->items_store.get());
-  EXPECT_EQ(reloaded->shard_stores[0].get(), model->shard_stores[0].get());
-  EXPECT_EQ(reloaded->shard_stores[2].get(), model->shard_stores[2].get());
-  EXPECT_NE(reloaded->shard_stores[1].get(), model->shard_stores[1].get());
+  EXPECT_EQ(reloaded->binding.items.get(), model->binding.items.get());
+  EXPECT_EQ(reloaded->binding.shards[0].get(), model->binding.shards[0].get());
+  EXPECT_EQ(reloaded->binding.shards[2].get(), model->binding.shards[2].get());
+  EXPECT_NE(reloaded->binding.shards[1].get(), model->binding.shards[1].get());
   // The new factors are live.
-  EXPECT_EQ(reloaded->shard_stores[1]->user_factors().At(0, 0),
-            model->shard_stores[1]->user_factors().At(0, 0) * 2.0);
+  EXPECT_EQ(reloaded->binding.shards[1]->user_factors().At(0, 0),
+            model->binding.shards[1]->user_factors().At(0, 0) * 2.0);
 }
 
 TEST(ModelRegistryShardedTest, TornShardsetKeepsPreviousGenerationServing) {
@@ -543,10 +550,98 @@ TEST(DaemonShardedTest, MonolithicRepliesCarryNoShardField) {
   EXPECT_EQ(reply->Find("shard"), nullptr);
   auto stats = JsonValue::Parse(server.HandleLine(R"({"cmd":"stats"})"));
   EXPECT_EQ(stats->Find("shard_requests")->number(), 0.0);
+
+  // models: a one-shard binding that is not sharded, whose one file is
+  // counted once in mapped_bytes.
+  auto models = JsonValue::Parse(server.HandleLine(R"({"cmd":"models"})"));
+  ASSERT_TRUE(models.ok());
+  const JsonValue& entry = models->Find("models")->array()[0];
+  EXPECT_FALSE(entry.Find("sharded")->boolean());
+  EXPECT_EQ(entry.Find("shards")->number(), 1.0);
+  EXPECT_EQ(entry.Find("mapped_bytes")->number(),
+            static_cast<double>(ReadFile(f.mono_path).size()));
+}
+
+TEST(DaemonShardedTest, ItemsFileBindsAsAZeroUserModel) {
+  // A shardset's items file is a valid store with no users: bound on its
+  // own it serves histories by fold-in and no stored user.
+  ShardedFixture f = ShardedFixture::Make("items_only", 2);
+  ModelRegistry registry;
+  ASSERT_TRUE(
+      registry.Load("default", TempPath("items_only.items.oclr")).ok());
+  RequestServer server(&registry);
+
+  auto models = JsonValue::Parse(server.HandleLine(R"({"cmd":"models"})"));
+  ASSERT_TRUE(models.ok());
+  const JsonValue& entry = models->Find("models")->array()[0];
+  EXPECT_EQ(entry.Find("users")->number(), 0.0);
+  EXPECT_EQ(entry.Find("shards")->number(), 1.0);
+  EXPECT_FALSE(entry.Find("sharded")->boolean());
+
+  auto stored = JsonValue::Parse(
+      server.HandleLine(R"({"cmd":"recommend","user":0,"m":4})"));
+  ASSERT_TRUE(stored.ok());
+  EXPECT_FALSE(stored->Find("ok")->boolean());
+  EXPECT_NE(stored->Find("error")->string().find("OutOfRange"),
+            std::string::npos)
+      << stored->Find("error")->string();
+
+  auto folded = JsonValue::Parse(
+      server.HandleLine(R"({"cmd":"recommend","history":[1,5],"m":4})"));
+  ASSERT_TRUE(folded.ok());
+  ASSERT_TRUE(folded->Find("ok")->boolean());
+  EXPECT_TRUE(folded->Find("folded")->boolean());
+}
+
+TEST(DaemonShardedTest, DatasetFreeHistoryFallbackMatchesTheMonolithicStore) {
+  // Without a dataset the popularity fallback is the expected affinity
+  // over every stored user; a shardset must rank it exactly like the
+  // monolithic store of the same factors.
+  for (const uint32_t shards : {1u, 3u}) {
+    ShardedFixture f =
+        ShardedFixture::Make("dataset_free_" + std::to_string(shards), shards);
+    ModelRegistry mono_registry;
+    ModelRegistry sharded_registry;
+    ASSERT_TRUE(mono_registry.Load("default", f.mono_path).ok());
+    ASSERT_TRUE(sharded_registry.Load("default", f.manifest_path).ok());
+    RequestServer mono(&mono_registry);
+    RequestServer sharded(&sharded_registry);
+    for (const std::string line :
+         {R"({"cmd":"recommend","history":[],"m":5})",
+          R"({"cmd":"recommend","history":[5000],"m":5})"}) {
+      const std::string want = mono.HandleLine(line);
+      EXPECT_NE(want.find(R"("folded":false)"), std::string::npos) << want;
+      EXPECT_EQ(sharded.HandleLine(line), want)
+          << shards << " shards, " << line;
+    }
+  }
+}
+
+TEST(DaemonShardedTest, UpdateSucceedsWhenTheDatasetHasMoreUsersThanTheSet) {
+  // The bound dataset has a user (row 60) past the set's 50: its row is
+  // an exclusion source only, and the set keeps its user count.
+  ShardedFixture f = ShardedFixture::Make("wide_dataset", 3);
+  const std::vector<std::pair<uint32_t, uint32_t>> extra = {{60, 3}};
+  auto wide = std::make_shared<const CsrMatrix>(
+      f.train.WithEntries(extra, 61, 30).value());
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Load("default", f.manifest_path, wide).ok());
+  RequestServer server(&registry);
+
+  auto reply = JsonValue::Parse(
+      server.HandleLine(R"({"cmd":"update","adds":[[0,7]]})"));
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_TRUE(reply->Find("ok")->boolean())
+      << reply->Find("error")->string();
+  EXPECT_EQ(reply->Find("shards_touched")->number(), 1.0);
+  EXPECT_EQ(reply->Find("users")->number(), 50.0);
+  auto after = registry.Get("default");
+  EXPECT_EQ(after->num_users(), 50u);
+  EXPECT_EQ(after->ExcludeRow(60).size(), 1u);
 }
 
 TEST(DaemonShardedTest, UpdateRepublishesOnlyTheTouchedShard) {
-  ShardedFixture f = ShardedFixture::Make("daemon_update", 3);
+  ShardedFixture f = ShardedFixture::Make("shard_daemon_update", 3);
   ModelRegistry registry;
   ASSERT_TRUE(
       registry.Load("default", f.manifest_path, f.shared_train()).ok());
@@ -565,16 +660,16 @@ TEST(DaemonShardedTest, UpdateRepublishesOnlyTheTouchedShard) {
   // The republish swapped shard 0 and aliased everything else.
   auto after = registry.Get("default");
   ASSERT_NE(after, before);
-  EXPECT_NE(after->shard_stores[0].get(), before->shard_stores[0].get());
-  EXPECT_EQ(after->shard_stores[1].get(), before->shard_stores[1].get());
-  EXPECT_EQ(after->shard_stores[2].get(), before->shard_stores[2].get());
-  EXPECT_EQ(after->items_store.get(), before->items_store.get());
+  EXPECT_NE(after->binding.shards[0].get(), before->binding.shards[0].get());
+  EXPECT_EQ(after->binding.shards[1].get(), before->binding.shards[1].get());
+  EXPECT_EQ(after->binding.shards[2].get(), before->binding.shards[2].get());
+  EXPECT_EQ(after->binding.items.get(), before->binding.items.get());
 
   // The touched user's factors actually moved; an untouched user's row in
   // the same shard is bit-identical.
   bool changed = false;
-  const auto& old_row = before->shard_stores[0]->user_factors();
-  const auto& new_row = after->shard_stores[0]->user_factors();
+  const auto& old_row = before->binding.shards[0]->user_factors();
+  const auto& new_row = after->binding.shards[0]->user_factors();
   for (uint32_t c = 0; c < before->k(); ++c) {
     if (old_row.At(2, c) != new_row.At(2, c)) changed = true;
     ASSERT_EQ(old_row.At(0, c), new_row.At(0, c));

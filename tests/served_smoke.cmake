@@ -1,6 +1,8 @@
 # Smoke test of the serving daemon: synth -> train -> convert to binary OCLR
 # -> serve a scripted JSON session through ocular_served (recommend, stats,
-# hot-reload, recommend again) and check the replies. Run by ctest as:
+# hot-reload, recommend again) and check the replies; then shard the model
+# 1 and 3 ways and require every binding to answer one session
+# byte-identically. Run by ctest as:
 #   cmake -DOCULAR_CLI=... -DOCULAR_SERVED=... -DWORK_DIR=... -P served_smoke.cmake
 
 file(MAKE_DIRECTORY ${WORK_DIR})
@@ -94,3 +96,76 @@ string(REGEX MATCHALL "\"item\":[0-9]+" CLI_ITEMS "${CLI_JSON}")
 if(NOT DAEMON_ITEMS STREQUAL CLI_ITEMS)
   message(FATAL_ERROR "daemon and CLI recommend disagree:\n  daemon: ${DAEMON_ITEMS}\n  cli:    ${CLI_ITEMS}")
 endif()
+
+# Binding parity: the .oclr, its 1-shard set and its 3-shard set are one
+# model, so a session of stored users at every shard edge, one history and
+# one signal-free history must get the same reply bytes from each binding
+# (once the sharded replies' "shard":N, tag is removed), with the dataset
+# bound and without it.
+set(SHARD1 ${WORK_DIR}/served1.shardset)
+set(SHARD3 ${WORK_DIR}/served3.shardset)
+set(PARITY_SESSION ${WORK_DIR}/parity.jsonl)
+run_step(${OCULAR_CLI} shard --in=${MODEL_BIN} --out=${SHARD1} --shards=1)
+run_step(${OCULAR_CLI} shard --in=${MODEL_BIN} --out=${SHARD3} --shards=3)
+
+file(STRINGS ${SHARD3} SHARD_LINES REGEX "^shard ")
+set(PARITY_LINES "")
+foreach(line IN LISTS SHARD_LINES)
+  if(NOT line MATCHES "^shard ([0-9]+) ([0-9]+) ")
+    message(FATAL_ERROR "unexpected manifest line: ${line}")
+  endif()
+  math(EXPR last_user "${CMAKE_MATCH_2} - 1")
+  foreach(user IN ITEMS ${CMAKE_MATCH_1} ${last_user})
+    string(APPEND PARITY_LINES "{\"cmd\":\"recommend\",\"user\":${user},\"m\":5}\n")
+  endforeach()
+endforeach()
+string(APPEND PARITY_LINES "{\"cmd\":\"recommend\",\"history\":[1,5,9],\"m\":5}
+{\"cmd\":\"recommend\",\"history\":[],\"m\":5}
+{\"cmd\":\"quit\"}
+")
+file(WRITE ${PARITY_SESSION} "${PARITY_LINES}")
+
+# Replays the parity session against `model` and stores the replies, minus
+# the shard tags, in `out_var`.
+function(replay_parity model out_var)
+  execute_process(
+    COMMAND ${OCULAR_SERVED} --models=default=${model} ${ARGN}
+    INPUT_FILE ${PARITY_SESSION}
+    OUTPUT_VARIABLE replies
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "ocular_served on ${model} exited ${rc}")
+  endif()
+  string(REGEX REPLACE "\"shard\":[0-9]+," "" replies "${replies}")
+  set(${out_var} "${replies}" PARENT_SCOPE)
+endfunction()
+
+foreach(mode IN ITEMS with_dataset without_dataset)
+  set(dataset_flag "")
+  if(mode STREQUAL "with_dataset")
+    set(dataset_flag --datasets=default=${DATA})
+  endif()
+  replay_parity(${MODEL_BIN} MONO_REPLIES ${dataset_flag})
+  string(REPLACE "\n" ";" MONO_LINES "${MONO_REPLIES}")
+  foreach(line IN LISTS MONO_LINES)
+    if(line AND NOT line MATCHES "\"ok\":true")
+      message(FATAL_ERROR "parity session (${mode}) got an error: ${line}")
+    endif()
+  endforeach()
+  foreach(set_path IN ITEMS ${SHARD1} ${SHARD3})
+    replay_parity(${set_path} SET_REPLIES ${dataset_flag})
+    if(NOT SET_REPLIES STREQUAL MONO_REPLIES)
+      string(REPLACE "\n" ";" SET_LINES "${SET_REPLIES}")
+      list(LENGTH MONO_LINES count)
+      math(EXPR last "${count} - 1")
+      foreach(n RANGE ${last})
+        list(GET MONO_LINES ${n} want)
+        list(GET SET_LINES ${n} got)
+        if(NOT want STREQUAL got)
+          message(FATAL_ERROR "${set_path} (${mode}) differs from ${MODEL_BIN} on line ${n}:\n  oclr: ${want}\n  set:  ${got}")
+        endif()
+      endforeach()
+      message(FATAL_ERROR "${set_path} (${mode}) replies differ from ${MODEL_BIN}")
+    endif()
+  endforeach()
+endforeach()
