@@ -29,8 +29,8 @@ double SecondsPerSweep(const CsrMatrix& r, uint32_t k, uint32_t sweeps) {
 
 int main(int argc, char** argv) {
   using namespace ocular;
-  // Netflix is 480k x 17.8k with ~56M positives; default scale keeps the
-  // single-core run in seconds. Raise --scale to stress.
+  // Netflix is 480k x 17.8k with ~56M positives; the default scale keeps
+  // the run in seconds. Raise --scale to stress.
   const double scale = bench::FlagDouble(argc, argv, "scale", 0.015);
   std::printf("=== Figure 7: running time per sweep vs dataset fraction "
               "(Netflix-like, scale=%.4f) ===\n", scale);

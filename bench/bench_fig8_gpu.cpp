@@ -4,11 +4,12 @@
 // Also reports the memory-footprint accounting of Section VI
 // (O(max(nnz, n_u*K, n_i*K))).
 //
-// Substitution note (DESIGN.md): the paper measured a 57x speedup on a
-// GeForce TITAN X vs a Xeon core. This container exposes a single CPU
-// core, so the parallel path cannot show wall-clock gains here; the bench
-// demonstrates (a) identical convergence trajectories in sweep space and
-// (b) the per-positive-example kernel decomposition cost, which is the
+// Substitution note: the paper measured a 57x speedup on a GeForce TITAN X
+// vs a Xeon core. The parallel executor here runs on CPU threads (one per
+// hardware thread, printed with the results), so its wall-clock gain is
+// bounded by the host's core count, not a GPU's; the bench demonstrates
+// (a) identical convergence trajectories in sweep space and (b) the
+// per-positive-example kernel decomposition cost, which is the
 // GPU-portable part.
 
 #include <cstdio>

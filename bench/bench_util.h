@@ -4,8 +4,8 @@
 // Shared helpers for the table/figure reproduction binaries.
 //
 // Every binary regenerates one table or figure of the ICDE'17 OCuLaR paper
-// on a shape-calibrated synthetic stand-in of the paper's dataset (see
-// DESIGN.md §2 "Substitutions"), scaled down so it runs on a single core in
+// on a shape-calibrated synthetic stand-in of the paper's dataset (the
+// shaped generators in src/data/synthetic.h), scaled down so it runs in
 // seconds-to-minutes. Pass --scale=<x> to change the dataset scale.
 
 #include <cstdio>

@@ -1,6 +1,5 @@
 #include "common/strings.h"
 
-#include <cctype>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
@@ -58,14 +57,6 @@ std::vector<std::string_view> SplitSeparator(std::string_view s,
     start = pos + sep.size();
   }
   return out;
-}
-
-std::string_view Trim(std::string_view s) {
-  size_t b = 0;
-  size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
 }
 
 Result<int64_t> ParseInt64(std::string_view s) {

@@ -22,8 +22,21 @@ std::vector<std::string_view> SplitAny(std::string_view s,
 std::vector<std::string_view> SplitSeparator(std::string_view s,
                                              std::string_view sep);
 
-/// Removes leading/trailing ASCII whitespace.
-std::string_view Trim(std::string_view s);
+/// True for the C locale's whitespace set: ' ', '\t', '\n', '\v', '\f',
+/// '\r'. What std::isspace answers in the "C" locale, without the locale
+/// lookup (the program never calls setlocale).
+constexpr bool IsAsciiSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/// Removes leading/trailing ASCII whitespace (IsAsciiSpace).
+constexpr std::string_view Trim(std::string_view s) {
+  size_t b = 0;
+  size_t e = s.size();
+  while (b < e && IsAsciiSpace(s[b])) ++b;
+  while (e > b && IsAsciiSpace(s[e - 1])) --e;
+  return s.substr(b, e - b);
+}
 
 /// Strict integer / floating-point parsers. Reject trailing garbage.
 Result<int64_t> ParseInt64(std::string_view s);

@@ -75,12 +75,7 @@ Result<CooBuilder::Entries> CooBuilder::Finalize(uint32_t num_rows,
   Entries out;
   out.num_rows = static_cast<uint32_t>(rows);
   out.num_cols = static_cast<uint32_t>(cols);
-  out.rows.resize(write);
-  for (uint64_t r = 0; r < rows; ++r) {
-    std::fill(out.rows.begin() + static_cast<ptrdiff_t>(offsets[r]),
-              out.rows.begin() + static_cast<ptrdiff_t>(offsets[r + 1]),
-              static_cast<uint32_t>(r));
-  }
+  out.row_ptr = std::move(offsets);
   out.cols = std::move(col);
   size_ = 0;
   reserved_ = 0;

@@ -45,10 +45,10 @@ class CooBuilder {
   uint64_t num_rows() const { return num_rows_; }
   uint64_t num_cols() const { return num_cols_; }
 
-  /// Sorts by (row, col), removes duplicates, and returns the entry arrays.
-  /// The builder is left empty. If explicit dimensions are given they must
-  /// cover all recorded indices; an index no uint32 shape can cover
-  /// (UINT32_MAX) is InvalidArgument either way.
+  /// Sorts by (row, col), removes duplicates, and returns the entries in
+  /// CSR form. The builder is left empty. If explicit dimensions are given
+  /// they must cover all recorded indices; an index no uint32 shape can
+  /// cover (UINT32_MAX) is InvalidArgument either way.
   ///
   /// A counting sort by row followed by a sort of each row that is not
   /// already in order: O(nnz + rows), plus O(d log d) for an unsorted row
@@ -56,7 +56,10 @@ class CooBuilder {
   struct Entries {
     uint32_t num_rows = 0;
     uint32_t num_cols = 0;
-    std::vector<uint32_t> rows;
+    /// Row r's columns are cols[row_ptr[r], row_ptr[r + 1]); num_rows + 1
+    /// offsets.
+    std::vector<uint64_t> row_ptr = {0};
+    /// Columns, ascending within each row.
     std::vector<uint32_t> cols;
   };
   Result<Entries> Finalize(uint32_t num_rows = 0, uint32_t num_cols = 0);

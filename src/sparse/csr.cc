@@ -7,12 +7,8 @@ namespace ocular {
 CsrMatrix CsrMatrix::FromCoo(CooBuilder::Entries entries) {
   CsrMatrix m;
   m.num_cols_ = entries.num_cols;
-  m.row_ptr_.assign(entries.num_rows + size_t{1}, 0);
-  for (uint32_t r : entries.rows) ++m.row_ptr_[r + size_t{1}];
-  for (size_t i = 1; i < m.row_ptr_.size(); ++i) {
-    m.row_ptr_[i] += m.row_ptr_[i - 1];
-  }
-  m.col_idx_ = std::move(entries.cols);  // already row-major sorted
+  m.row_ptr_ = std::move(entries.row_ptr);
+  m.col_idx_ = std::move(entries.cols);
   return m;
 }
 

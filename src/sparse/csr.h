@@ -25,7 +25,7 @@ class CsrMatrix {
   CsrMatrix() : row_ptr_(1, 0) {}
 
   /// Builds from finalized COO entries (sorted, deduplicated). Pass an
-  /// rvalue to move the column array in instead of copying it.
+  /// rvalue to move both arrays in instead of copying them.
   static CsrMatrix FromCoo(CooBuilder::Entries entries);
 
   /// Builds directly from (row, col) pairs; sorts and deduplicates.

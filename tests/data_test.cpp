@@ -199,6 +199,39 @@ TEST(LoadersTest, MalformedLinesAreParseErrors) {
   EXPECT_TRUE(LoadMovieLens100K(bad_rating.path()).status().IsParseError());
 }
 
+TEST(LoadersTest, FieldErrorsNameTheFileAndLine) {
+  // A malformed line in a 400k-line file must be findable: every loader
+  // error starts with "path:line: ".
+  const auto message = [](const Result<Dataset>& loaded) {
+    return loaded.ok() ? std::string("ok") : loaded.status().message();
+  };
+  CsvOptions tsv;
+  tsv.delimiter = '\t';
+  tsv.compact_ids = false;
+  TempFile bad_int("1\t2\nx\t3\n");
+  EXPECT_EQ(message(LoadCsv(bad_int.path(), tsv)),
+            bad_int.path() + ":2: invalid integer: 'x'");
+  TempFile negative("1\t2\n3\t-4\n-5\t6\n");
+  EXPECT_EQ(message(LoadCsv(negative.path(), tsv)),
+            negative.path() + ":2: negative id -4");
+  CsvOptions rated = tsv;
+  rated.rating_column = 2;
+  TempFile bad_rating("1\t2\t4\n1\t3\t5\n1\t4\tx\n");
+  EXPECT_EQ(message(LoadCsv(bad_rating.path(), rated)),
+            bad_rating.path() + ":3: invalid float: 'x'");
+  CsvOptions per_user;
+  per_user.line_per_user = true;
+  TempFile negative_item("1 2\n3 -4\n");
+  EXPECT_EQ(message(LoadCsv(negative_item.path(), per_user)),
+            negative_item.path() + ":2: negative item id -4");
+  TempFile ml("1\t2\t5\t0\n1\t3\tx\t0\n");
+  EXPECT_EQ(message(LoadMovieLens100K(ml.path())),
+            ml.path() + ":2: invalid float: 'x'");
+  TempFile netflix("6:\n1,3\n2,\n");
+  EXPECT_EQ(message(LoadNetflix({netflix.path()})),
+            netflix.path() + ":3: empty float field");
+}
+
 TEST(LoadersTest, GarbageBytesAreParseErrorsNotCrashes) {
   // Binary junk, partial lines, embedded NULs: every loader must return a
   // clean ParseError (or succeed on the benign prefix), never crash.
@@ -246,6 +279,11 @@ Result<Dataset> ReferenceLoadCsv(const std::string& path,
   if (!in) return Status::IOError("cannot open '" + path + "'");
   std::string line;
   size_t lineno = 0;
+  // Every line-level error names its file and line.
+  const auto at = [&](size_t line_number, const std::string& message) {
+    return Status::ParseError(path + ":" + std::to_string(line_number) +
+                              ": " + message);
+  };
   CooBuilder coo;
   if (options.line_per_user) {
     uint32_t user = 0;
@@ -266,9 +304,12 @@ Result<Dataset> ReferenceLoadCsv(const std::string& path,
         }
       }
       for (size_t f = start; f < fields.size(); ++f) {
-        OCULAR_ASSIGN_OR_RETURN(int64_t item, ParseInt64(fields[f]));
-        if (item < 0) return Status::ParseError("negative item id");
-        coo.Add(user, static_cast<uint32_t>(item));
+        auto item = ParseInt64(fields[f]);
+        if (!item.ok()) return at(lineno, item.status().message());
+        if (*item < 0) {
+          return at(lineno, "negative item id " + std::to_string(*item));
+        }
+        coo.Add(user, static_cast<uint32_t>(*item));
       }
       ++user;
     }
@@ -279,6 +320,7 @@ Result<Dataset> ReferenceLoadCsv(const std::string& path,
     int64_t user;
     int64_t item;
     double rating;
+    size_t lineno;
   };
   std::vector<Row> rows;
   while (std::getline(in, line)) {
@@ -291,20 +333,22 @@ Result<Dataset> ReferenceLoadCsv(const std::string& path,
     auto fields = options.delimiter == ' ' ? SplitAny(sv, " \t")
                                            : Split(sv, options.delimiter);
     if (fields.size() < 2) {
-      return Status::ParseError(path + ":" + std::to_string(lineno) +
-                                ": expected at least user, item");
+      return at(lineno, "expected at least user, item");
     }
-    OCULAR_ASSIGN_OR_RETURN(int64_t u, ParseInt64(fields[0]));
-    OCULAR_ASSIGN_OR_RETURN(int64_t i, ParseInt64(fields[1]));
+    auto u = ParseInt64(fields[0]);
+    if (!u.ok()) return at(lineno, u.status().message());
+    auto i = ParseInt64(fields[1]);
+    if (!i.ok()) return at(lineno, i.status().message());
     double r = options.positive_threshold;
     if (options.rating_column >= 0) {
       if (static_cast<size_t>(options.rating_column) >= fields.size()) {
-        return Status::ParseError(path + ":" + std::to_string(lineno) +
-                                  ": rating column out of range");
+        return at(lineno, "rating column out of range");
       }
-      OCULAR_ASSIGN_OR_RETURN(r, ParseDouble(fields[options.rating_column]));
+      auto rating = ParseDouble(fields[options.rating_column]);
+      if (!rating.ok()) return at(lineno, rating.status().message());
+      r = *rating;
     }
-    rows.push_back({u, i, r});
+    rows.push_back({*u, *i, r, lineno});
   }
   std::unordered_map<int64_t, uint32_t> users, items;
   for (const Row& row : rows) {
@@ -315,7 +359,9 @@ Result<Dataset> ReferenceLoadCsv(const std::string& path,
       coo.Add(user->second, item->second);
     } else {
       if (row.user < 0 || row.item < 0) {
-        return Status::ParseError("negative id with compact_ids=false");
+        return at(row.lineno,
+                  "negative id " +
+                      std::to_string(row.user < 0 ? row.user : row.item));
       }
       coo.Add(static_cast<uint32_t>(row.user), static_cast<uint32_t>(row.item));
     }
@@ -409,6 +455,41 @@ std::vector<LoaderCase> LoaderCases() {
   cases.push_back(
       {"parse_error_after_negative_id", "-1\t2\n3\t4\nzz\t1\n", Tsv()});
   cases.push_back({"line_per_user_negative_item", "1 -3\n", per_user});
+
+  // The scanner's edges.
+  cases.push_back({"leading_zeros", "007\t0042\n00\t000\n0\t042\n", Tsv()});
+  cases.push_back({"ids_at_the_uint32_edge",
+                   "4294967294\t4294967295\n4294967295\t4294967294\n"
+                   "4294967294\t1\n",
+                   Tsv(true)});
+  cases.push_back({"largest_raw_item_id", "0\t4294967294\n1\t3\n", Tsv()});
+  cases.push_back({"int64_edges",
+                   "9223372036854775807\t-9223372036854775808\n1\t2\n",
+                   Tsv(true)});
+  cases.push_back({"int64_overflow", "1\t9223372036854775808\n", Tsv(true)});
+  cases.push_back({"plus_sign", "1\t2\n+1\t2\n", Tsv()});
+  cases.push_back({"trailing_delimiter", "1\t2\t\n3\t4\t\r\n", Tsv()});
+  CsvOptions tsv_rated = Tsv();
+  tsv_rated.rating_column = 2;
+  cases.push_back({"trailing_delimiter_is_no_rating", "1\t2\t\n", tsv_rated});
+  cases.push_back({"empty_middle_field", "1\t\t2\n", Tsv()});
+  cases.push_back({"bare_cr_line", "1\t2\n\r\n3\t4\n", Tsv()});
+  cases.push_back({"cr_separated_line", "1\t2\r3\t4\n", Tsv()});
+  cases.push_back({"last_line_cr_without_newline", "1\t2\n3\t4\r", Tsv()});
+  CsvOptions digit_comment = Tsv();
+  digit_comment.comment_char = '1';
+  cases.push_back({"digit_comment_char", "1\t2\n21\t3\n \v1\t5\n4\t1\n",
+                   digit_comment});
+  cases.push_back({"space_delimiter_single_spaces", "1 2\n3 4\n10 0\n",
+                   space});
+  // A delimiter from_chars would read as part of a number.
+  CsvOptions minus = Tsv();
+  minus.delimiter = '-';
+  cases.push_back({"minus_delimiter", "5-3\n10-20-x\n 7 - 8 \n", minus});
+  cases.push_back({"minus_delimiter_leading", "5-3\n-7-2\n", minus});
+  CsvOptions digit = Tsv();
+  digit.delimiter = '0';
+  cases.push_back({"digit_delimiter", "506\n10203\n", digit});
   return cases;
 }
 
@@ -427,6 +508,107 @@ TEST(LoadersTest, BlockLoaderMatchesTheLineByLineReference) {
     EXPECT_EQ(got->name(), want->name());
     EXPECT_EQ(got->interactions(), want->interactions());
   }
+}
+
+/// A random file of the differential grammar — digits, '-', '+', ' ',
+/// '\t', '\r', '#', ',', '.' and '\n' — of `user D item D rating...`
+/// rows padded with whitespace, some with a trailing delimiter, blank lines
+/// and comment lines. `noise` is
+/// the chance of each defect: a signed id, a field cut short or split by
+/// a stray delimiter, or a line with one byte replaced by a random grammar
+/// byte; a file without noise parses. Ids stay below 1000, so raw-id
+/// matrices stay small.
+std::string GrammarFile(Rng& rng, char delimiter, size_t lines,
+                        double noise) {
+  static constexpr std::string_view kBytes = "0123456789-+ \t\r#,.";
+  const auto pad = [&] {
+    static constexpr std::string_view kPads[] = {"", "", "", " ", "\r",
+                                                 "  ", "\t"};
+    // A tab pad inside a tab-delimited row is an empty field: a defect.
+    const uint64_t pads = delimiter == '\t' && !rng.Bernoulli(noise) ? 6 : 7;
+    return std::string(kPads[rng.UniformInt(pads)]);
+  };
+  const auto number = [&] {
+    std::string n;
+    if (rng.Bernoulli(noise)) n += rng.UniformInt(uint64_t{4}) == 0 ? '+' : '-';
+    const uint64_t digits = 1 + rng.UniformInt(uint64_t{3});
+    for (uint64_t d = 0; d < digits; ++d) {
+      n += static_cast<char>('0' + rng.UniformInt(uint64_t{10}));
+    }
+    return n;
+  };
+  const auto rating = [&] {
+    static constexpr std::string_view kRatings[] = {"1",  "3",   "5", "2.5",
+                                                    "4.", ".5", "3.0", "0"};
+    return std::string(kRatings[rng.UniformInt(uint64_t{8})]);
+  };
+  const auto delim = [&] {
+    if (!rng.Bernoulli(noise)) return std::string(1, delimiter);
+    return std::string(1 + rng.UniformInt(uint64_t{2}),
+                       "\t ,"[rng.UniformInt(uint64_t{3})]);
+  };
+  std::string out;
+  for (size_t l = 0; l < lines; ++l) {
+    std::string line;
+    const uint64_t kind = rng.UniformInt(uint64_t{20});
+    if (kind == 0) {
+      line = pad();  // blank
+    } else if (kind == 1) {
+      line = pad() + "#" + number() + delim() + number();
+    } else {
+      line = pad() + number() + pad() + delim() + pad() + number();
+      const uint64_t ratings =
+          rng.Bernoulli(noise) ? rng.UniformInt(uint64_t{3}) : 3;
+      for (uint64_t f = 0; f < ratings; ++f) line += delim() + pad() + rating();
+      if (rng.Bernoulli(0.2)) line += delim();  // trailing delimiter
+      line += pad();
+    }
+    if (!line.empty() && rng.Bernoulli(noise)) {
+      line[rng.UniformInt(uint64_t{line.size()})] =
+          kBytes[rng.UniformInt(uint64_t{kBytes.size()})];
+    }
+    out += line;
+    if (l + 1 < lines || rng.UniformInt(uint64_t{4}) != 0) out += '\n';
+  }
+  return out;
+}
+
+TEST(LoadersTest, ScannerMatchesTheReferenceOnRandomGrammarFiles) {
+  Rng rng(2024);
+  size_t accepted = 0;
+  for (int file = 0; file < 400; ++file) {
+    CsvOptions options;
+    options.delimiter = "\t ,"[rng.UniformInt(uint64_t{3})];
+    options.rating_column =
+        static_cast<int>(rng.UniformInt(int64_t{-2}, int64_t{3}));
+    if (options.rating_column < 0) options.rating_column = -1;
+    options.compact_ids = rng.Bernoulli(0.5);
+    options.comment_char = "##\0" "7"[rng.UniformInt(uint64_t{4})];
+    options.line_per_user = rng.UniformInt(uint64_t{8}) == 0;
+    // Every 40th file spans several read blocks.
+    const size_t lines =
+        file % 40 == 39 ? 9000 : 1 + rng.UniformInt(uint64_t{40});
+    constexpr double kNoise[] = {0.0, 0.0, 0.01, 0.05, 0.3};
+    const double noise = kNoise[rng.UniformInt(uint64_t{5})];
+    const std::string content =
+        GrammarFile(rng, options.delimiter, lines, noise);
+    SCOPED_TRACE("file " + std::to_string(file) + ": " +
+                 content.substr(0, 200));
+    TempFile f(content);
+    auto got = LoadCsv(f.path(), options);
+    auto want = ReferenceLoadCsv(f.path(), options);
+    ASSERT_EQ(got.ok(), want.ok())
+        << (got.ok() ? want.status() : got.status()).ToString();
+    if (!want.ok()) {
+      ASSERT_EQ(got.status().ToString(), want.status().ToString());
+      continue;
+    }
+    ++accepted;
+    ASSERT_EQ(got->interactions(), want->interactions());
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(accepted, 40u);
+  EXPECT_LT(accepted, 360u);
 }
 
 TEST(LoadersTest, RawIdsPastUint32RangeAreParseErrorsNamingTheLine) {

@@ -24,8 +24,8 @@ TEST(CooBuilderTest, SortsAndDeduplicates) {
   coo.Add(1, 2);  // duplicate
   coo.Add(0, 1);
   auto entries = coo.Finalize().value();
-  ASSERT_EQ(entries.rows.size(), 3u);
-  EXPECT_EQ(entries.rows, (std::vector<uint32_t>{0, 0, 1}));
+  ASSERT_EQ(entries.cols.size(), 3u);
+  EXPECT_EQ(entries.row_ptr, (std::vector<uint64_t>{0, 2, 3}));
   EXPECT_EQ(entries.cols, (std::vector<uint32_t>{1, 5, 2}));
   EXPECT_EQ(entries.num_rows, 2u);
   EXPECT_EQ(entries.num_cols, 6u);
@@ -45,7 +45,8 @@ TEST(CooBuilderTest, ExplicitShapeMustCover) {
 TEST(CooBuilderTest, EmptyBuilder) {
   CooBuilder coo;
   auto entries = coo.Finalize(4, 4).value();
-  EXPECT_TRUE(entries.rows.empty());
+  EXPECT_TRUE(entries.cols.empty());
+  EXPECT_EQ(entries.row_ptr, std::vector<uint64_t>(5, 0));
   CsrMatrix m = CsrMatrix::FromCoo(entries);
   EXPECT_EQ(m.num_rows(), 4u);
   EXPECT_EQ(m.nnz(), 0u);
@@ -53,8 +54,9 @@ TEST(CooBuilderTest, EmptyBuilder) {
 
 using Pairs = std::vector<std::pair<uint32_t, uint32_t>>;
 
-/// The (row, col)-sorted, deduplicated entry arrays of `pairs`, by
-/// std::sort + std::unique: the oracle for Finalize.
+/// The (row, col)-sorted, deduplicated entries of `pairs`, by std::sort +
+/// std::unique; row r starts at the first pair not below (r, 0). The
+/// oracle for Finalize.
 CooBuilder::Entries ReferenceEntries(Pairs pairs, uint32_t rows,
                                      uint32_t cols) {
   std::sort(pairs.begin(), pairs.end());
@@ -62,10 +64,13 @@ CooBuilder::Entries ReferenceEntries(Pairs pairs, uint32_t rows,
   CooBuilder::Entries out;
   out.num_rows = rows;
   out.num_cols = cols;
-  for (auto [r, c] : pairs) {
-    out.rows.push_back(r);
-    out.cols.push_back(c);
+  out.row_ptr.clear();
+  for (uint32_t r = 0; r <= rows; ++r) {
+    const auto first = std::lower_bound(pairs.begin(), pairs.end(),
+                                        std::pair<uint32_t, uint32_t>{r, 0});
+    out.row_ptr.push_back(static_cast<uint64_t>(first - pairs.begin()));
   }
+  for (auto [r, c] : pairs) out.cols.push_back(c);
   return out;
 }
 
@@ -73,7 +78,7 @@ void ExpectSameEntries(const CooBuilder::Entries& got,
                        const CooBuilder::Entries& want) {
   EXPECT_EQ(got.num_rows, want.num_rows);
   EXPECT_EQ(got.num_cols, want.num_cols);
-  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.row_ptr, want.row_ptr);
   EXPECT_EQ(got.cols, want.cols);
 }
 
@@ -143,8 +148,10 @@ TEST(CooBuilderTest, RvalueFromCooMovesColumns) {
   coo.Add(0, 3);
   auto entries = coo.Finalize().value();
   const uint32_t* cols = entries.cols.data();
+  const uint64_t* row_ptr = entries.row_ptr.data();
   CsrMatrix m = CsrMatrix::FromCoo(std::move(entries));
   EXPECT_EQ(m.col_idx().data(), cols);
+  EXPECT_EQ(m.row_ptr().data(), row_ptr);
   EXPECT_EQ(m, CsrMatrix::FromPairs({{2, 1}, {0, 3}}).value());
 }
 

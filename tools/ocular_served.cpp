@@ -25,7 +25,8 @@ namespace {
 
 constexpr char kUsage[] = R"(usage: ocular_served --models=name=path[,...]
         [--datasets=name=path[,...]] [--delimiter=C] [--port=N] [--m=N]
-        [--workers=N] [--accept-queue=N] [--update-sweeps=N]
+        [--workers=N] [--accept-queue=N] [--max-connections=N]
+        [--max-outbound-bytes=N] [--update-sweeps=N]
         [--max-request-bytes=N] [--io-timeout-ms=N] [--idle-timeout-ms=N]
         [--retry-after-ms=N] [--journal=0|1]
 
@@ -34,11 +35,17 @@ Serves binary OCLR (.oclr) model files; convert v1 text models first with
   {"cmd":"recommend","model":"default","user":3,"m":10}
   {"cmd":"models"} | {"cmd":"stats"} | {"cmd":"reload"} | {"cmd":"quit"}
 
-With --port the daemon runs a listener plus --workers serving threads
-(default: one per hardware thread); connections beyond --accept-queue
-waiting for a worker are shed with a {"ok":false,...,"code":503,
-"retry_after_ms":N} reply. Request lines longer than --max-request-bytes
-are answered with code 413 and closed; connections idle past
+With --port the daemon runs one epoll IO thread plus --workers serving
+threads (default: one per hardware thread). A full --accept-queue (the
+IO thread's dispatch queue to the workers, 128) is backpressure: the
+parsed requests wait for a free worker and nothing is shed. Only
+admission sheds: a connection arriving past --max-connections open ones
+(default 0 = unlimited) or when the process is out of file descriptors
+gets a {"ok":false,...,"code":503,"retry_after_ms":N} reply and is
+closed. A client that leaves more than --max-outbound-bytes of replies
+unread (default 8 MiB) is disconnected. Request lines longer than
+--max-request-bytes are answered with code 413 and closed; connections
+idle past
 --idle-timeout-ms are reaped with code 408. Updates are journaled to
 <model>.update.journal and recovered at startup (--journal=0 disables).
 SIGHUP hot-reloads models; SIGTERM drains gracefully (stops accepting,

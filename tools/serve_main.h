@@ -98,7 +98,7 @@ inline Status LoadRegistryFromFlags(const Flags& flags,
       opts.delimiter = delim.empty() ? '\t' : delim[0];
       // Keep raw ids so dataset row u IS model/request user u — compact
       // remapping would silently bind exclusions to the wrong users.
-      opts.compact_ids = flags.GetBool("compact-ids", false);
+      opts.compact_ids = false;
       OCULAR_ASSIGN_OR_RETURN(Dataset ds, LoadCsv(data_path, opts));
       train = std::make_shared<const CsrMatrix>(ds.TakeInteractions());
       break;
