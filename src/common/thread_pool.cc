@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <system_error>
 
 namespace ocular {
 
@@ -130,6 +131,20 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
       if (--in_flight_ == 0) cv_done_.notify_all();
     }
   }
+}
+
+void ForkJoin(size_t n, const std::function<void(size_t)>& fn) {
+  std::vector<std::thread> threads;
+  threads.reserve(n > 1 ? n - 1 : 0);
+  for (size_t k = 1; k < n; ++k) {
+    try {
+      threads.emplace_back(std::cref(fn), k);
+    } catch (const std::system_error&) {
+      fn(k);
+    }
+  }
+  if (n > 0) fn(0);
+  for (std::thread& t : threads) t.join();
 }
 
 }  // namespace ocular

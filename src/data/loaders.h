@@ -11,8 +11,8 @@ namespace ocular {
 
 /// The loaders read their files in blocks of this many bytes and parse each
 /// line where it lies in the block, so a load holds the matrix being built
-/// plus one block, never the whole file. A line longer than a block grows
-/// the buffer to fit it.
+/// plus one block (split between its ranges, see LoadCsv), never the whole
+/// file. A line longer than a buffer grows it to fit.
 ///
 /// Raw ids kept as matrix indices (compact_ids = false) must be at most
 /// 4294967294; a larger one is a ParseError naming `file:line`.
@@ -46,6 +46,14 @@ Result<Dataset> LoadNetflix(const std::vector<std::string>& paths,
 /// `users.dat`: line u lists the item ids of user u) when
 /// `line_per_user` is true, or `user <delim> item [<delim> rating]` rows
 /// otherwise.
+///
+/// Rows of raw ids (`compact_ids = false`) in a regular file load as
+/// line-aligned byte ranges scanned at once, one thread each: one range per
+/// CPU in the process's affinity mask, and none smaller than 256 KiB. A
+/// pipe or FIFO, a `compact_ids` load, a `line_per_user` file and a file
+/// under 512 KiB load in one pass on the calling thread. The matrix and
+/// every error text are the same either way: the first malformed line in
+/// file order, else the first negative id, each at its `file:line`.
 struct CsvOptions {
   char delimiter = ' ';
   bool line_per_user = false;
@@ -57,6 +65,13 @@ struct CsvOptions {
   char comment_char = '#';
 };
 Result<Dataset> LoadCsv(const std::string& path, const CsvOptions& options = {});
+
+namespace internal {
+/// LoadCsv with `ranges` ranges in place of the computed count (0 computes
+/// it), for tests. Inputs that LoadCsv keeps on one range stay on one.
+Result<Dataset> LoadCsvInRanges(const std::string& path,
+                                const CsvOptions& options, size_t ranges);
+}  // namespace internal
 
 /// Writes `dataset` as `user <sep> item` lines (round-trip with LoadCsv).
 Status SaveCsv(const Dataset& dataset, const std::string& path,

@@ -22,19 +22,25 @@ class CooBuilder {
  public:
   CooBuilder() = default;
 
-  /// Pre-sizes internal buffers for `nnz` entries in total.
-  void Reserve(size_t nnz) { reserved_ = std::max(reserved_, nnz); }
+  /// Pre-sizes storage for `nnz` entries in total: Add allocates nothing
+  /// until size() reaches `nnz`.
+  void Reserve(size_t nnz);
 
   /// Records entry (row, col). Grows the implied shape as needed.
   void Add(uint32_t row, uint32_t col) {
-    if (blocks_.empty() || blocks_.back().size() == blocks_.back().capacity()) {
-      NewBlock();
+    if (open_ == blocks_.size() ||
+        blocks_[open_].size() == blocks_[open_].capacity()) {
+      NextBlock();
     }
-    blocks_.back().push_back({row, col});
+    blocks_[open_].push_back({row, col});
     ++size_;
     num_rows_ = std::max(num_rows_, uint64_t{row} + 1);
     num_cols_ = std::max(num_cols_, uint64_t{col} + 1);
   }
+
+  /// Takes over the entries of `other`, as if they were added after this
+  /// builder's own. Moves blocks, copies no entry; `other` is left empty.
+  void Append(CooBuilder&& other);
 
   /// Number of (possibly duplicated) recorded entries.
   size_t size() const { return size_; }
@@ -52,7 +58,13 @@ class CooBuilder {
   ///
   /// A counting sort by row followed by a sort of each row that is not
   /// already in order: O(nnz + rows), plus O(d log d) for an unsorted row
-  /// of d entries.
+  /// of d entries. With `threads` > 1 the count, the scatter and the row
+  /// sorts run on up to that many threads, each over a run of consecutive
+  /// blocks: that pays when the threads' shares were Append-ed from
+  /// builders of about equal size. Each run counts rows in a histogram of
+  /// its own, so fewer threads run while rows outnumber entries. All memory
+  /// is allocated on the calling thread, and the result does not depend on
+  /// `threads`.
   struct Entries {
     uint32_t num_rows = 0;
     uint32_t num_cols = 0;
@@ -62,7 +74,8 @@ class CooBuilder {
     /// Columns, ascending within each row.
     std::vector<uint32_t> cols;
   };
-  Result<Entries> Finalize(uint32_t num_rows = 0, uint32_t num_cols = 0);
+  Result<Entries> Finalize(uint32_t num_rows = 0, uint32_t num_cols = 0,
+                           size_t threads = 1);
 
  private:
   struct Entry {
@@ -70,11 +83,11 @@ class CooBuilder {
     uint32_t col;
   };
 
-  void NewBlock();
+  void NextBlock();
 
   std::vector<std::vector<Entry>> blocks_;
+  size_t open_ = 0;  // the block Add fills; later blocks are reserved
   size_t size_ = 0;
-  size_t reserved_ = 0;
   uint64_t num_rows_ = 0;
   uint64_t num_cols_ = 0;
 };

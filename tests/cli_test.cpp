@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
+#include <fstream>
 #include <string>
+#include <utility>
 
 namespace ocular {
 namespace {
@@ -175,6 +178,52 @@ TEST(CliTest, ErrorPathsAreClean) {
   EXPECT_NE(RunCli("recommend --model=/nonexistent --input=/nonexistent")
                 .exit_code,
             0);
+
+  // Serve specs that used to serve without the exclusions they asked for.
+  // stdin is /dev/null, so a serve that starts ends at once with exit 0.
+  const std::string data = TempPath("cli_err_data.tsv");
+  const std::string colons = TempPath("cli_err_data.colons");
+  const std::string text_model = TempPath("cli_err_model.txt");
+  const std::string model = TempPath("cli_err_model.oclr");
+  ASSERT_EQ(RunCli("synth --dataset=b2b --scale=0.005 --output=" + data)
+                .exit_code,
+            0);
+  ASSERT_EQ(RunCli("train --input=" + data + " --model=" + text_model +
+                   " --k=4 --lambda=0.5 --sweeps=3")
+                .exit_code,
+            0);
+  ASSERT_EQ(RunCli("convert --in=" + text_model + " --out=" + model).exit_code,
+            0);
+  {
+    std::ifstream in(data);
+    std::ofstream out(colons);
+    for (std::string line; std::getline(in, line);) {
+      std::replace(line.begin(), line.end(), '\t', ':');
+      out << line << '\n';
+    }
+  }
+  const std::string serve = "serve --models=default=" + model;
+  ASSERT_EQ(RunCli(serve + " --datasets=default=" + data + " </dev/null")
+                .exit_code,
+            0);
+  const std::pair<std::string, std::string> cases[] = {
+      {" --datasets=defualt=" + data,
+       "'defualt=" + data + "' names no --models entry"},
+      {" --datasets=default=" + data + ",default=" + colons,
+       "--datasets entry 'default=" + colons + "' repeats the name"},
+      {",default=" + model, "--models entry 'default=" + model + "' repeats"},
+      {" --datasets=default=" + colons + " --delimiter=::",
+       "--delimiter='::' is not one character"},
+  };
+  for (const auto& [flags, error] : cases) {
+    SCOPED_TRACE(flags);
+    auto r = RunCli(serve + flags + " </dev/null");
+    EXPECT_EQ(r.exit_code, 1) << r.output;
+    EXPECT_NE(r.output.find(error), std::string::npos) << r.output;
+  }
+  for (const std::string& path : {data, colons, text_model, model}) {
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 #include <malloc.h>
+#include <signal.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <atomic>
@@ -10,9 +12,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
+#include <map>
 #include <new>
 #include <set>
 #include <string>
+#include <thread>
 #include <unordered_map>
 
 #include "common/rng.h"
@@ -27,14 +32,21 @@
 // Same pattern as tests/score_engine_test.cpp, tracking live bytes instead
 // of counting calls: every global operator new adds the block's usable
 // size, every delete takes it back, and the high-water mark is kept. The
-// loader memory test bounds the peak of one LoadCsv call.
+// loader memory test bounds the peak of one LoadCsv call. While
+// g_watched_thread is set, allocations on any other thread are counted.
 namespace {
 std::atomic<int64_t> g_live_bytes{0};
 std::atomic<int64_t> g_peak_bytes{0};
+std::atomic<std::thread::id> g_watched_thread{};
+std::atomic<int64_t> g_allocs_off_the_watched_thread{0};
 
 void* TrackedAlloc(std::size_t size) {
   void* p = std::malloc(size == 0 ? 1 : size);
   if (p == nullptr) throw std::bad_alloc();
+  const std::thread::id watched = g_watched_thread.load();
+  if (watched != std::thread::id() && std::this_thread::get_id() != watched) {
+    g_allocs_off_the_watched_thread.fetch_add(1);
+  }
   const auto usable = static_cast<int64_t>(malloc_usable_size(p));
   const int64_t live = g_live_bytes.fetch_add(usable) + usable;
   int64_t peak = g_peak_bytes.load();
@@ -493,20 +505,133 @@ std::vector<LoaderCase> LoaderCases() {
   return cases;
 }
 
+/// Loads `path` by LoadCsv, then through the range seam at each count in
+/// `ranges`: every load must give `want`'s matrix and name, or its error
+/// text.
+::testing::AssertionResult LoadsLikeTheReference(
+    const std::string& path, const CsvOptions& options,
+    const Result<Dataset>& want,
+    std::initializer_list<size_t> ranges = {1, 2, 3, 7}) {
+  const auto check = [&](const Result<Dataset>& got, const std::string& how)
+      -> ::testing::AssertionResult {
+    if (got.ok() != want.ok()) {
+      return ::testing::AssertionFailure()
+             << how << ": " << (got.ok() ? "loaded" : got.status().ToString())
+             << ", want " << (want.ok() ? "loaded" : want.status().ToString());
+    }
+    if (!want.ok()) {
+      if (got.status().ToString() == want.status().ToString()) {
+        return ::testing::AssertionSuccess();
+      }
+      return ::testing::AssertionFailure()
+             << how << ": " << got.status().ToString() << ", want "
+             << want.status().ToString();
+    }
+    if (got->name() != want->name() ||
+        !(got->interactions() == want->interactions())) {
+      return ::testing::AssertionFailure() << how << ": another matrix";
+    }
+    return ::testing::AssertionSuccess();
+  };
+  auto result = check(LoadCsv(path, options), "LoadCsv");
+  for (const size_t count : ranges) {
+    if (!result) break;
+    result = check(internal::LoadCsvInRanges(path, options, count),
+                   std::to_string(count) + " ranges");
+  }
+  return result;
+}
+
 TEST(LoadersTest, BlockLoaderMatchesTheLineByLineReference) {
   for (const LoaderCase& c : LoaderCases()) {
     SCOPED_TRACE(c.name);
     TempFile f(c.content);
-    auto got = LoadCsv(f.path(), c.options);
-    auto want = ReferenceLoadCsv(f.path(), c.options);
-    ASSERT_EQ(got.ok(), want.ok())
-        << (got.ok() ? want.status() : got.status()).ToString();
-    if (!want.ok()) {
-      EXPECT_EQ(got.status().ToString(), want.status().ToString());
-      continue;
+    EXPECT_TRUE(LoadsLikeTheReference(f.path(), c.options,
+                                      ReferenceLoadCsv(f.path(), c.options)));
+  }
+}
+
+TEST(LoadersTest, RangeCutsMatchTheReference) {
+  // Rows of 8 bytes, so that the cuts land on known lines: of `ranges`
+  // ranges, range k starts at the first line at or after byte
+  // size / ranges * k.
+  constexpr size_t kLines = 120;
+  constexpr size_t kBytes = 8 * kLines;
+  const auto first_line = [](size_t ranges, size_t k) {  // 0-based
+    return (kBytes / ranges * k + 7) / 8;
+  };
+  const auto rows = [](const std::map<size_t, std::string>& replaced) {
+    std::string out;
+    for (size_t j = 0; j < kLines; ++j) {
+      const auto it = replaced.find(j);
+      char row[16];
+      std::snprintf(row, sizeof(row), "%03zu\t%03zu\n", j % 53, j % 41);
+      out += it != replaced.end() ? it->second : std::string(row);
     }
-    EXPECT_EQ(got->name(), want->name());
-    EXPECT_EQ(got->interactions(), want->interactions());
+    return out;
+  };
+  const std::string bad = "x01\t002\n";
+  struct Case {
+    std::string name;
+    size_t ranges;
+    std::string content;
+    size_t error_line;  // 1-based; 0: the file loads
+  };
+  std::vector<Case> cases = {
+      {"error_on_the_first_line_of_a_range", 3,
+       rows({{first_line(3, 1), bad}}), first_line(3, 1) + 1},
+      {"error_on_the_last_line_of_a_range", 3,
+       rows({{first_line(3, 2) - 1, bad}}), first_line(3, 2)},
+      {"error_on_the_first_line_of_the_last_range", 7,
+       rows({{first_line(7, 6), bad}}), first_line(7, 6) + 1},
+      {"negative_id_in_range_0_then_a_malformed_line_in_range_3", 4,
+       rows({{5, "-01\t002\n"}, {first_line(4, 3) + 2, bad}}),
+       first_line(4, 3) + 3},
+      {"first_negative_id_of_several_ranges", 4,
+       rows({{first_line(4, 2), "-02\t002\n"},
+             {first_line(4, 1) + 1, "003\t-04\n"}}),
+       first_line(4, 1) + 2},
+  };
+  // Blank, comment and '\r' lines on both sides of every cut.
+  std::map<size_t, std::string> at_cuts;
+  for (size_t k = 1; k < 7; ++k) {
+    at_cuts[first_line(7, k) - 1] = k % 2 == 0 ? "#00\t001\n" : "       \n";
+    at_cuts[first_line(7, k)] = k % 2 == 0 ? "   \r   \n" : "01\t002\r\n";
+  }
+  cases.push_back(
+      {"blank_comment_and_cr_lines_at_the_cuts", 7, rows(at_cuts), 0});
+  std::string unterminated = rows({});
+  unterminated.pop_back();
+  cases.push_back({"final_line_without_newline", 3, unterminated, 0});
+  std::string bad_unterminated = rows({{kLines - 1, "001\tx2 \n"}});
+  bad_unterminated.pop_back();
+  cases.push_back({"malformed_final_line_without_newline", 3,
+                   bad_unterminated, kLines});
+  // A line longer than a range: the cuts inside it leave ranges empty, and
+  // the lines after it keep their numbers (original line j is now j + 2).
+  const std::string long_line = "7\t" + std::string(600, ' ') + "9\n";
+  const std::string plain = rows({});
+  cases.push_back({"line_longer_than_a_range", 7,
+                   plain.substr(0, 80) + long_line + plain.substr(80), 0});
+  const std::string late_error = rows({{100, bad}});
+  cases.push_back({"error_after_a_line_longer_than_a_range", 7,
+                   late_error.substr(0, 80) + long_line + late_error.substr(80),
+                   102});
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    TempFile f(c.content);
+    const auto want = ReferenceLoadCsv(f.path(), Tsv());
+    if (c.error_line == 0) {
+      EXPECT_TRUE(want.ok()) << want.status().ToString();
+    } else {
+      ASSERT_FALSE(want.ok());
+      EXPECT_EQ(want.status().message().rfind(
+                    f.path() + ":" + std::to_string(c.error_line) + ": ", 0),
+                0u)
+          << want.status().ToString();
+    }
+    EXPECT_TRUE(LoadsLikeTheReference(f.path(), Tsv(), want, {c.ranges}));
   }
 }
 
@@ -595,16 +720,9 @@ TEST(LoadersTest, ScannerMatchesTheReferenceOnRandomGrammarFiles) {
     SCOPED_TRACE("file " + std::to_string(file) + ": " +
                  content.substr(0, 200));
     TempFile f(content);
-    auto got = LoadCsv(f.path(), options);
-    auto want = ReferenceLoadCsv(f.path(), options);
-    ASSERT_EQ(got.ok(), want.ok())
-        << (got.ok() ? want.status() : got.status()).ToString();
-    if (!want.ok()) {
-      ASSERT_EQ(got.status().ToString(), want.status().ToString());
-      continue;
-    }
-    ++accepted;
-    ASSERT_EQ(got->interactions(), want->interactions());
+    const auto want = ReferenceLoadCsv(f.path(), options);
+    ASSERT_TRUE(LoadsLikeTheReference(f.path(), options, want));
+    if (want.ok()) ++accepted;
   }
   // Both outcomes are exercised.
   EXPECT_GT(accepted, 40u);
@@ -674,6 +792,58 @@ TEST(LoadersTest, CsvLoadPeakHeapIsAtMostSixteenBytesPerLinePlusABlock) {
     EXPECT_EQ(ds->num_interactions(), size_t{kUsers} * kPerUser);
     EXPECT_LE(peak, static_cast<int64_t>(16 * lines.size() + kLoaderBlockBytes))
         << "peak heap " << peak << " B for " << lines.size() << " lines";
+  }
+}
+
+TEST(LoadersTest, FifoLoadsLikeTheRegularFile) {
+  // pread fails on a pipe, so a FIFO loads on one range, reading to its end.
+  std::string content;
+  for (uint32_t k = 0; k < 100000; ++k) {
+    content += std::to_string(k % 997) + "\t" + std::to_string(k % 331) + "\n";
+  }
+  TempFile regular(content);
+  const std::string fifo = ::testing::TempDir() + "/ocular_data_test.fifo";
+  std::remove(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  // A reader that stops early must not take the test down with SIGPIPE.
+  ::signal(SIGPIPE, SIG_IGN);
+  std::thread writer([&] { std::ofstream(fifo) << content; });
+  auto got = LoadCsv(fifo, Tsv());
+  writer.join();
+  std::remove(fifo.c_str());
+  auto want = LoadCsv(regular.path(), Tsv());
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_EQ(got->interactions(), want->interactions());
+}
+
+TEST(LoadersTest, RangeThreadsAllocateNothing) {
+  // glibc keeps a heap arena for each thread that allocates, and a daemon
+  // keeps that memory resident: a load in ranges allocates only on the
+  // calling thread. The 200,000 lines of the peak-heap test.
+  std::vector<std::string> lines;
+  for (uint32_t u = 0; u < 2000; ++u) {
+    for (uint32_t k = 0; k < 100; ++k) {
+      lines.push_back(std::to_string(u) + "\t" +
+                      std::to_string((u * 7 + k * 13) % 3000) + "\n");
+    }
+  }
+  for (const bool shuffle : {false, true}) {
+    SCOPED_TRACE(shuffle ? "shuffled" : "row order");
+    if (shuffle) {
+      Rng rng(5);
+      rng.Shuffle(&lines);
+    }
+    std::string content;
+    for (const std::string& l : lines) content += l;
+    TempFile f(content);
+    g_allocs_off_the_watched_thread.store(0);
+    g_watched_thread.store(std::this_thread::get_id());
+    auto ds = internal::LoadCsvInRanges(f.path(), Tsv(), 4);
+    g_watched_thread.store(std::thread::id());
+    ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+    EXPECT_EQ(ds->num_interactions(), lines.size());
+    EXPECT_EQ(g_allocs_off_the_watched_thread.load(), 0);
   }
 }
 

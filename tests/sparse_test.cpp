@@ -121,6 +121,27 @@ TEST(CooBuilderTest, FinalizeMatchesSortUniqueReference) {
       ExpectSameEntries(*got, ReferenceEntries(pairs, want_rows, want_cols));
       EXPECT_EQ(coo.size(), 0u);  // left empty and reusable
     }
+
+    // The same entries fed to one builder per thread, appended in order and
+    // finalized on that many threads.
+    for (const size_t threads : {2, 3, 5}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      std::vector<CooBuilder> parts(threads);
+      for (size_t e = 0; e < pairs.size(); ++e) {
+        parts[e * threads / pairs.size()].Add(pairs[e].first, pairs[e].second);
+      }
+      for (size_t t = 1; t < threads; ++t) parts[0].Append(std::move(parts[t]));
+      EXPECT_EQ(parts[0].size(), pairs.size());
+      EXPECT_EQ(parts[1].size(), 0u);
+      auto got = parts[0].Finalize(0, 0, threads);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      uint32_t want_rows = 0, want_cols = 0;
+      for (auto [r, c] : pairs) {
+        want_rows = std::max(want_rows, r + 1);
+        want_cols = std::max(want_cols, c + 1);
+      }
+      ExpectSameEntries(*got, ReferenceEntries(pairs, want_rows, want_cols));
+    }
   }
 }
 

@@ -4,8 +4,10 @@
 //
 // Flags:
 //   --models=name=path[,name=path...]    binary OCLR model files (required)
-//   --datasets=name=path[,...]           optional per-model exclusion data
-//   --delimiter=C                        dataset delimiter (default tab)
+//   --datasets=name=path[,...]           optional per-model exclusion data;
+//                                        each name must be a --models name
+//   --delimiter=C                        dataset delimiter, one character
+//                                        (default tab)
 //   --port=N                             TCP on 127.0.0.1:N (default stdio)
 //   --m=N                                default top-M per request (50)
 //   --workers=N                          TCP worker threads (0 = one per
@@ -46,6 +48,7 @@
 
 #include <signal.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -61,9 +64,11 @@
 
 namespace ocular {
 
-/// Splits "name=path[,name=path...]" into pairs (first '=' delimits).
+/// Splits `--flag`'s "name=path[,name=path...]" into pairs (first '='
+/// delimits). A name given twice is an error: one of the two entries
+/// would be dropped without a word.
 inline Result<std::vector<std::pair<std::string, std::string>>>
-ParseNamePathSpecs(const std::string& specs) {
+ParseNamePathSpecs(const std::string& flag, const std::string& specs) {
   std::vector<std::pair<std::string, std::string>> out;
   for (std::string_view spec : Split(specs, ',')) {
     const size_t eq = spec.find('=');
@@ -71,31 +76,56 @@ ParseNamePathSpecs(const std::string& specs) {
       return Status::InvalidArgument("malformed spec '" + std::string(spec) +
                                      "' (expected name=path)");
     }
-    out.emplace_back(std::string(spec.substr(0, eq)),
-                     std::string(spec.substr(eq + 1)));
+    std::string name(spec.substr(0, eq));
+    for (const auto& earlier : out) {
+      if (earlier.first == name) {
+        return Status::InvalidArgument("--" + flag + " entry '" +
+                                       std::string(spec) +
+                                       "' repeats the name '" + name + "'");
+      }
+    }
+    out.emplace_back(std::move(name), std::string(spec.substr(eq + 1)));
   }
   return out;
 }
 
-/// Loads every --models (and --datasets) entry into `registry`.
+/// Loads every --models (and --datasets) entry into `registry`. A
+/// --datasets entry must name a --models entry, and --delimiter must be
+/// one character: each would otherwise serve without the exclusions the
+/// operator asked for.
 inline Status LoadRegistryFromFlags(const Flags& flags,
                                     ModelRegistry* registry) {
   OCULAR_ASSIGN_OR_RETURN(std::string models_spec,
                           flags.RequireString("models"));
-  OCULAR_ASSIGN_OR_RETURN(auto model_specs, ParseNamePathSpecs(models_spec));
+  OCULAR_ASSIGN_OR_RETURN(auto model_specs,
+                          ParseNamePathSpecs("models", models_spec));
 
   std::vector<std::pair<std::string, std::string>> dataset_specs;
   if (flags.Has("datasets")) {
-    OCULAR_ASSIGN_OR_RETURN(dataset_specs,
-                            ParseNamePathSpecs(flags.GetString("datasets")));
+    OCULAR_ASSIGN_OR_RETURN(
+        dataset_specs,
+        ParseNamePathSpecs("datasets", flags.GetString("datasets")));
+  }
+  for (const auto& [data_name, data_path] : dataset_specs) {
+    const bool served = std::any_of(
+        model_specs.begin(), model_specs.end(),
+        [&](const auto& model) { return model.first == data_name; });
+    if (!served) {
+      return Status::InvalidArgument("--datasets entry '" + data_name + "=" +
+                                     data_path + "' names no --models entry");
+    }
+  }
+  const std::string delimiter = flags.GetString("delimiter", "\t");
+  if (delimiter.size() != 1) {
+    return Status::InvalidArgument("--delimiter='" + delimiter +
+                                   "' is not one character");
   }
   for (const auto& [name, model_path] : model_specs) {
     std::shared_ptr<const CsrMatrix> train;
     for (const auto& [data_name, data_path] : dataset_specs) {
       if (data_name != name) continue;
       CsvOptions opts;
-      const std::string delim = flags.GetString("delimiter", "\t");
-      opts.delimiter = delim.empty() ? '\t' : delim[0];
+      opts.delimiter = delimiter[0];
       // Keep raw ids so dataset row u IS model/request user u — compact
       // remapping would silently bind exclusions to the wrong users.
       opts.compact_ids = false;
