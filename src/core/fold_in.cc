@@ -29,18 +29,31 @@ Status ValidateContextShape(ConstMatrixView items, ConstMatrixView items_t,
   return Status::OK();
 }
 
+/// Σ_i f_i read from the K x n_i layout. Row c of `items_t` is column c
+/// of the row-major items, so each sum adds the same terms in the same
+/// ascending item order as ColumnSums(items) — bit-identical — while
+/// reading only the section stored-user requests keep resident anyway.
+std::vector<double> ItemSums(ConstMatrixView items_t) {
+  std::vector<double> sums(items_t.rows());
+  for (uint32_t c = 0; c < items_t.rows(); ++c) {
+    double s = 0.0;
+    for (const double v : items_t.Row(c)) s += v;
+    sums[c] = s;
+  }
+  return sums;
+}
+
 /// Fills ctx->popularity: the explicit ranking if given, else the expected
-/// affinity <Σ_u f_u, f_i> — deterministic either way.
+/// affinity <Σ_u f_u, f_i> — deterministic either way. The affinity runs
+/// through the serving kernel over Vᵀ, which sums each item's terms in
+/// ascending c exactly like vec::Dot over its row-major row.
 void FillPopularity(std::span<const ConstMatrixView> user_blocks,
                     std::span<const double> popularity, FoldInContext* ctx) {
-  const uint32_t n = ctx->num_items();
   ctx->popularity.assign(popularity.begin(), popularity.end());
   if (!ctx->popularity.empty()) return;
-  ctx->popularity.resize(n, 0.0);
-  const std::vector<double> user_sums = ColumnSums(user_blocks, ctx->dims());
-  for (uint32_t i = 0; i < n; ++i) {
-    ctx->popularity[i] = vec::Dot(user_sums, ctx->items.Row(i));
-  }
+  ctx->popularity.resize(ctx->num_items());
+  vec::AffinityBlock(ColumnSums(user_blocks, ctx->dims()), ctx->items_t, 0,
+                     ctx->popularity);
 }
 
 }  // namespace
@@ -57,11 +70,13 @@ Result<FoldInContext> MakeFoldInContext(
           "user factors must match item dimensions (or pass popularity)");
     }
   }
+  // Built from Vᵀ alone: a mapped store's row-major item section stays
+  // out of memory until a fold-in solve reads one of its rows.
   FoldInContext ctx;
   ctx.config = config;
   ctx.items = items;
   ctx.items_t = items_t;
-  ctx.item_sums = ColumnSums(items);
+  ctx.item_sums = ItemSums(items_t);
   FillPopularity(user_blocks, popularity, &ctx);
   return ctx;
 }
@@ -69,16 +84,13 @@ Result<FoldInContext> MakeFoldInContext(
 Result<FoldInContext> MakeFoldInContext(const OcularModel& model,
                                         const OcularConfig& config,
                                         std::span<const double> popularity) {
-  FoldInContext ctx;
-  ctx.owned_items_t = TransposedCopy(model.item_factors());
-  OCULAR_RETURN_IF_ERROR(ValidateContextShape(
-      model.item_factors(), ctx.owned_items_t, config, popularity));
-  ctx.config = config;
-  ctx.items = model.item_factors();
-  ctx.items_t = ctx.owned_items_t;
-  ctx.item_sums = ColumnSums(ctx.items);
+  DenseMatrix items_t = TransposedCopy(model.item_factors());
   const ConstMatrixView users = model.user_factors();
-  FillPopularity({&users, 1}, popularity, &ctx);
+  OCULAR_ASSIGN_OR_RETURN(FoldInContext ctx,
+                          MakeFoldInContext({&users, 1}, model.item_factors(),
+                                            items_t, config, popularity));
+  // Moving the matrix keeps its buffer, so ctx.items_t still views it.
+  ctx.owned_items_t = std::move(items_t);
   return ctx;
 }
 

@@ -60,7 +60,9 @@ struct FoldInContext {
 /// the fallback ranking source; pass empty to derive the expected-affinity
 /// ranking from `user_blocks`: the user factors as consecutive row blocks
 /// in global row order (one per shard of a shardset), summed exactly as
-/// one matrix would be.
+/// one matrix would be. The item sums and that ranking are computed from
+/// `items_t` alone, bit-identical to the row-major sums, so building a
+/// context reads none of `items`.
 Result<FoldInContext> MakeFoldInContext(
     std::span<const ConstMatrixView> user_blocks, ConstMatrixView items,
     ConstMatrixView items_t, const OcularConfig& config,

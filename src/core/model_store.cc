@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <cstring>
@@ -402,19 +403,41 @@ Status ModelStore::VerifyChecksums() const {
   }
   const unsigned char* h = static_cast<const unsigned char*>(mapping_);
   const uint32_t version = GetScalar<uint32_t>(h, 4);
+  const uint64_t page = static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
   for (uint32_t i = 0; i < kSectionCount; ++i) {
     const size_t base = kFixedHeaderBytes + i * kSectionEntryBytes;
+    const uint32_t kind = GetScalar<uint32_t>(h, base);
     const uint64_t offset = GetScalar<uint64_t>(h, base + 8);
-    const uint64_t length = GetScalar<uint64_t>(h, base + 16);
+    const uint64_t end = offset + GetScalar<uint64_t>(h, base + 16);
     const uint64_t recorded = GetScalar<uint64_t>(h, base + 24);
-    const uint64_t actual = version == kVersionFnv1a
-                                ? Fnv1a64(h + offset, length)
-                                : Xxh64(h + offset, length);
+    Xxh64State xxh;
+    uint64_t fnv = kFnv1a64Offset;
+    for (uint64_t at = offset; at < end;) {
+      const uint64_t block_end =
+          std::min(end, (at / kVerifyBlockBytes + 1) * kVerifyBlockBytes);
+      if (version == kVersionFnv1a) {
+        fnv = Fnv1a64(h + at, block_end - at, fnv);
+      } else {
+        xxh.Update(h + at, block_end - at);
+      }
+      // Serving reads users and Vᵀ; the row-major items are read only by
+      // fold-in solves, so give back the pages this block filled. The
+      // mapping is read-only and private, so a later read faults the same
+      // page-cache page back in. Pages shared with a neighbouring section
+      // stay.
+      const uint64_t drop_begin = (at + page - 1) / page * page;
+      const uint64_t drop_end = block_end / page * page;
+      if (kind == kSectionItemFactors && drop_begin < drop_end) {
+        ::madvise(const_cast<unsigned char*>(h) + drop_begin,
+                  drop_end - drop_begin, MADV_DONTNEED);
+      }
+      at = block_end;
+    }
+    const uint64_t actual = version == kVersionFnv1a ? fnv : xxh.Digest();
     if (actual != recorded) {
-      return Status::ParseError(
-          "checksum mismatch in section " +
-          std::to_string(GetScalar<uint32_t>(h, base)) + " of '" + path_ +
-          "' (file corrupted?)");
+      return Status::ParseError("checksum mismatch in section " +
+                                std::to_string(kind) + " of '" + path_ +
+                                "' (file corrupted?)");
     }
   }
   return Status::OK();

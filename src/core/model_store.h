@@ -1,6 +1,7 @@
 #ifndef OCULAR_CORE_MODEL_STORE_H_
 #define OCULAR_CORE_MODEL_STORE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -105,12 +106,18 @@ Status ConvertTextModelToBinary(const std::string& text_path,
 /// \brief Options of ModelStore::Open.
 struct ModelStoreOptions {
   /// Verify every section checksum at open time: one read pass over every
-  /// mapped byte (zero copies, zero allocations), which also faults the
-  /// whole file in. Off, Open validates only the header and section table
-  /// and touches no factor byte; call ModelStore::VerifyChecksums before
-  /// first use instead if desired.
+  /// mapped byte (zero copies, zero allocations; see
+  /// ModelStore::VerifyChecksums for what stays resident after it). Off,
+  /// Open validates only the header and section table and touches no
+  /// factor byte; call ModelStore::VerifyChecksums before first use
+  /// instead if desired.
   bool verify_checksums = true;
 };
+
+/// Bytes per block of the checksum pass. Blocks sit at multiples of this
+/// file offset (so every block edge inside a section is page-aligned in
+/// the mapping) and are clipped to each section.
+inline constexpr size_t kVerifyBlockBytes = size_t{1} << 20;
 
 /// \brief Zero-copy read view of a binary model file (v3, or v2).
 ///
@@ -173,6 +180,14 @@ class ModelStore {
   /// \brief Re-walks every section and recomputes its checksum. OK when
   /// the mapping still matches the header (detects on-disk corruption of
   /// a store opened with verify_checksums = false).
+  ///
+  /// Every byte is hashed through the mapping, one kVerifyBlockBytes
+  /// block at a time. The user factors and the Vᵀ section, which every
+  /// stored-user request reads, stay mapped; the whole pages of each
+  /// row-major item-factor block are dropped from the mapping
+  /// (MADV_DONTNEED) once hashed, since only fold-in solves read that
+  /// section. A dropped page faults back in from the page cache on its
+  /// next read, and a failed drop is ignored.
   Status VerifyChecksums() const;
 
   /// \brief Materializes an owning OcularModel + config copy (an O(model)

@@ -339,7 +339,35 @@ TEST(HashTest, Xxh64MatchesReferenceVectors) {
     const std::string shifted = "x" + std::string(input);
     EXPECT_EQ(Xxh64(shifted.data() + 1, input.size()), want)
         << '"' << input << '"';
+    // The streaming state agrees at every cut point, including the ones
+    // that split a stripe or a tail word.
+    for (size_t cut = 0; cut <= input.size(); ++cut) {
+      Xxh64State state;
+      state.Update(input.data(), cut);
+      state.Update(input.data() + cut, input.size() - cut);
+      EXPECT_EQ(state.Digest(), want)
+          << '"' << input << "\" split at " << cut;
+    }
   }
+}
+
+TEST(HashTest, Xxh64StateFedInPiecesMatchesOneShot) {
+  // 3 MiB of seeded bytes fed in pieces that straddle stripe edges in
+  // every phase, as a block-by-block checksum pass over a mapping does.
+  std::string buffer(3u << 20, '\0');
+  Rng rng(2017);
+  for (char& c : buffer) c = static_cast<char>(rng.UniformInt(uint64_t{256}));
+  const uint64_t one_shot = Xxh64(buffer.data(), buffer.size());
+  for (const size_t piece : {1, 7, 31, 32, 33, 4097}) {
+    Xxh64State state;
+    for (size_t at = 0; at < buffer.size(); at += piece) {
+      state.Update(buffer.data() + at, std::min(piece, buffer.size() - at));
+    }
+    EXPECT_EQ(state.Digest(), one_shot) << "pieces of " << piece;
+  }
+  Xxh64State empty;
+  empty.Update(nullptr, 0);
+  EXPECT_EQ(empty.Digest(), Xxh64("", 0));
 }
 
 TEST(HashTest, FileFingerprintIsFnv1aOfTheFilePrefix) {

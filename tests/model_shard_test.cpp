@@ -8,13 +8,15 @@
 // store, the registry's per-shard generation swap, and the daemon's
 // sharded verbs (shard-tagged replies, shard_requests stats, and the
 // fold-in update that republishes only the touched shard, including the
-// upgrade of a v2 set one republished shard at a time), plus the
-// one-shard bindings a plain store opens as.
+// upgrade of a v2 set one republished shard at a time), the one-shard
+// bindings a plain store opens as, and fold-in contexts built over mapped
+// views matching the in-memory model's bit for bit.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -24,6 +26,7 @@
 #include "common/fs_util.h"
 #include "common/json.h"
 #include "core/model_shard.h"
+#include "core/fold_in.h"
 #include "core/model_store.h"
 #include "core/ocular_recommender.h"
 #include "serving/batch.h"
@@ -84,13 +87,14 @@ struct ShardedFixture {
 
   static ShardedFixture Make(const std::string& stem, uint32_t num_shards,
                              uint32_t users = 50, uint32_t items = 30,
-                             uint64_t seed = 11) {
+                             uint64_t seed = 11, bool use_biases = false) {
     ShardedFixture f;
     f.train = test::RandomCsr(users, items, users * 8, seed);
     f.config.k = 5;
     f.config.lambda = 0.5;
     f.config.max_sweeps = 6;
     f.config.seed = seed;
+    f.config.use_biases = use_biases;
     OcularTrainer trainer(f.config);
     f.model = trainer.Fit(f.train).value().model;
     f.mono_path = TempPath(stem + ".oclr");
@@ -417,6 +421,52 @@ TEST(StoreRecommenderTest, ShardSetBitIdenticalToMonolithicStore) {
     for (size_t r = 0; r < mono_top.size(); ++r) {
       ASSERT_EQ(mono_top[r].item, sharded_top[r].item) << "u=" << u;
       ASSERT_EQ(mono_top[r].score, sharded_top[r].score) << "u=" << u;
+    }
+  }
+}
+
+// ----------------------------------------------- fold-in context parity
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(FoldInContextTest, MappedViewsMatchTheInMemoryModelBitForBit) {
+  for (const bool use_biases : {false, true}) {
+    SCOPED_TRACE(use_biases ? "with biases" : "without biases");
+    ShardedFixture f = ShardedFixture::Make(
+        use_biases ? "ctx_parity_bias" : "ctx_parity", 3, 61, 33, 13,
+        use_biases);
+    auto from_model = MakeFoldInContext(f.model, f.config);
+    ASSERT_TRUE(from_model.ok()) << from_model.status().ToString();
+    const ConstMatrixView items = f.model.item_factors();
+    const std::vector<double> sums = ColumnSums(items);
+    EXPECT_TRUE(SameBits(from_model->item_sums, sums));
+    // The dataset-free fallback is the expected affinity <Σ_u f_u, f_i>,
+    // as a per-item dot over the row-major rows adds it up.
+    const std::vector<double> user_sums = ColumnSums(f.model.user_factors());
+    std::vector<double> expected(items.rows());
+    for (uint32_t i = 0; i < items.rows(); ++i) {
+      expected[i] = vec::Dot(user_sums, items.Row(i));
+    }
+    EXPECT_TRUE(SameBits(from_model->popularity, expected));
+
+    auto mono = OpenOneShardSet(f.mono_path);
+    auto set = OpenShardSet(f.manifest_path);
+    ASSERT_TRUE(mono.ok()) << mono.status().ToString();
+    ASSERT_TRUE(set.ok()) << set.status().ToString();
+    ASSERT_EQ(set->shards.size(), 3u);
+    for (const ShardSetStores* binding : {&*mono, &*set}) {
+      const ModelStore& store = *binding->items;
+      auto mapped =
+          MakeFoldInContext(binding->user_blocks(), store.item_factors(),
+                            store.item_factors_t(), f.config);
+      ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+      EXPECT_TRUE(SameBits(mapped->item_sums, sums))
+          << binding->shards.size() << " shard(s)";
+      EXPECT_TRUE(SameBits(mapped->popularity, from_model->popularity))
+          << binding->shards.size() << " shard(s)";
     }
   }
 }

@@ -2,9 +2,11 @@
 // mmap-backed zero-copy ModelStore: exact round trips, corruption,
 // truncation and section-aliasing rejection, v2 files serving like their
 // v3 twins, v1 -> binary conversion equivalence, serving parity of
-// StoreRecommender against the in-memory recommenders (bit-identical), and
+// StoreRecommender against the in-memory recommenders (bit-identical),
 // the zero-copy guarantee (operator-new byte accounting across
-// ModelStore::Open).
+// ModelStore::Open), and the block-by-block checksum pass: which sections
+// stay resident after it (/proc/self/pagemap) and corruption at every
+// block edge.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <new>
 #include <string>
 
@@ -22,6 +25,7 @@
 #include "core/model_io.h"
 #include "core/model_store.h"
 #include "core/ocular_recommender.h"
+#include "serving/registry.h"
 #include "serving/score_engine.h"
 #include "serving/store_recommender.h"
 #include "sparse/linalg.h"
@@ -469,6 +473,134 @@ TEST(ModelStoreTest, OpenIsZeroCopy) {
   EXPECT_EQ(g_alloc_bytes.load(std::memory_order_relaxed), serve_before)
       << "steady-state mmap serving must not allocate";
   std::remove(path.c_str());
+}
+
+// ------------------------------------------- residency and block edges
+
+/// A 17 MiB store: 2048 users x 16384 items at K = 64, so the user section
+/// crosses a kVerifyBlockBytes edge and each item section spans 8 blocks.
+struct LargeStore {
+  DenseMatrix users{2048, 64};
+  DenseMatrix items{16384, 64};
+  std::string path;
+
+  explicit LargeStore(const std::string& name) : path(TempPath(name)) {
+    OcularConfig cfg;
+    cfg.k = 64;
+    cfg.lambda = 1.0;
+    Rng rng = test::MakeRng();
+    users.FillUniform(&rng, 0.0, 1.0);
+    items.FillUniform(&rng, 0.0, 1.0);
+    EXPECT_TRUE(SaveModelBinary(OcularModel(users, items), cfg, path).ok());
+  }
+  ~LargeStore() { std::remove(path.c_str()); }
+};
+
+long PresentPages(ConstMatrixView view) {
+  return test::PresentPages(view.data(), view.size() * sizeof(double));
+}
+
+long SpannedPages(ConstMatrixView view) {
+  const uintptr_t page = static_cast<uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const uintptr_t begin = reinterpret_cast<uintptr_t>(view.data());
+  const uintptr_t end = begin + view.size() * sizeof(double);
+  return static_cast<long>((end + page - 1) / page - begin / page);
+}
+
+/// What serving needs resident after a verifying open: every page of the
+/// user factors and of Vᵀ, and at most one block plus 2 MiB of the
+/// row-major item section (fault-around may map a few of its pages back).
+void ExpectServingSectionsResident(const ModelStore& store) {
+  const long page = ::sysconf(_SC_PAGESIZE);
+  const long item_pages = PresentPages(store.item_factors());
+  ASSERT_GE(item_pages, 0) << "cannot read /proc/self/pagemap";
+  EXPECT_LE(item_pages,
+            static_cast<long>((kVerifyBlockBytes + (2u << 20)) / page))
+      << "of " << SpannedPages(store.item_factors())
+      << " row-major item pages are resident";
+  EXPECT_EQ(PresentPages(store.user_factors()),
+            SpannedPages(store.user_factors()));
+  EXPECT_EQ(PresentPages(store.item_factors_t()),
+            SpannedPages(store.item_factors_t()));
+}
+
+TEST(ModelStoreTest, VerifiedOpenKeepsOnlyTheServingSectionsResident) {
+  const LargeStore large("resident.oclr");
+  auto store = ModelStore::Open(large.path);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_GE(store->mapped_bytes(), 16u << 20);
+  ASSERT_GT(store->item_factors().size() * sizeof(double),
+            4 * kVerifyBlockBytes);
+  ExpectServingSectionsResident(*store);
+  // Dropped pages fault back in with the file's bytes.
+  EXPECT_TRUE(SameMatrix(store->item_factors(), large.items));
+  EXPECT_EQ(PresentPages(store->item_factors()),
+            SpannedPages(store->item_factors()));
+}
+
+TEST(ModelStoreTest, RegistryLoadAndStoredUserServingLeaveItemRowsCold) {
+  const LargeStore large("registry_resident.oclr");
+  const auto train = std::make_shared<const CsrMatrix>(
+      test::RandomCsr(2048, 16384, 20000, 5));
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Load("m", large.path, train).ok());
+  const std::shared_ptr<const ServableModel> servable = registry.Get("m");
+  ASSERT_NE(servable, nullptr);
+  ASSERT_NE(servable->fold_in, nullptr);
+  ServeOptions options;
+  options.m = 10;
+  ServeWorkspace ws;
+  ws.Reserve(options.m, options.block_items);
+  for (uint32_t u = 0; u < servable->num_users(); ++u) {
+    ASSERT_EQ(ServeTopM(*servable->recommender, u, servable->ExcludeRow(u),
+                        options, &ws)
+                  .size(),
+              options.m);
+  }
+  ExpectServingSectionsResident(servable->store);
+}
+
+TEST(ModelStoreTest, EveryBlockEdgeFlipIsRejected) {
+  const LargeStore large("block_edges.oclr");
+  for (const bool v2 : {false, true}) {
+    if (v2) {
+      ASSERT_TRUE(test::StampOclrV2(large.path));
+    }
+    std::string table(192, '\0');
+    {
+      std::ifstream in(large.path, std::ios::binary);
+      in.read(table.data(), static_cast<std::streamsize>(table.size()));
+    }
+    size_t edges = 0;
+    for (uint32_t kind = 0; kind < 3; ++kind) {
+      const uint64_t offset = GetU64(table, EntryField(kind, 8));
+      const uint64_t end = offset + GetU64(table, EntryField(kind, 16));
+      for (uint64_t edge = (offset / kVerifyBlockBytes + 1) * kVerifyBlockBytes;
+           edge < end; edge += kVerifyBlockBytes) {
+        ++edges;
+        for (const uint64_t at : {edge - 1, edge}) {
+          std::fstream f(large.path,
+                         std::ios::binary | std::ios::in | std::ios::out);
+          char byte = 0;
+          f.seekg(static_cast<std::streamoff>(at));
+          f.read(&byte, 1);
+          const char flipped = static_cast<char>(byte ^ 0x01);
+          f.seekp(static_cast<std::streamoff>(at));
+          f.write(&flipped, 1);
+          f.flush();
+          const Status st = ModelStore::Open(large.path).status();
+          EXPECT_TRUE(st.IsParseError()) << "v2=" << v2 << " byte " << at;
+          EXPECT_NE(st.ToString().find("section " + std::to_string(kind)),
+                    std::string::npos)
+              << st.ToString();
+          f.seekp(static_cast<std::streamoff>(at));
+          f.write(&byte, 1);
+        }
+      }
+    }
+    EXPECT_EQ(edges, 17u) << "one user edge and eight per item section";
+    EXPECT_TRUE(ModelStore::Open(large.path).ok()) << "v2=" << v2;
+  }
 }
 
 TEST(ModelStoreTest, BaselineFactorsServeThroughTheSameStore) {

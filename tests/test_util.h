@@ -1,15 +1,20 @@
 // Shared test fixtures: a seeded RNG factory, tiny deterministic
-// synthetic interaction matrices and an OCLR v2 downgrader, so individual
-// test files stop re-implementing the same builders.
+// synthetic interaction matrices, an OCLR v2 downgrader and a page
+// residency probe, so individual test files stop re-implementing the same
+// builders.
 
 #ifndef OCULAR_TESTS_TEST_UTIL_H_
 #define OCULAR_TESTS_TEST_UTIL_H_
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <vector>
 
 #include "common/hash.h"
 #include "common/rng.h"
@@ -93,6 +98,30 @@ inline bool StampOclrV2(const std::string& path) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   return out.good();
+}
+
+/// Pages of this process's address range [begin, begin + bytes) that are
+/// present in its page table — mapped in, not merely cached — read from
+/// bit 63 of each page's /proc/self/pagemap entry (readable without
+/// privilege; only the frame numbers are hidden). Counts every page the
+/// range touches, partial ones at either end included. -1 when pagemap
+/// cannot be read.
+inline long PresentPages(const void* begin, size_t bytes) {
+  const uintptr_t page = static_cast<uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const uintptr_t first = reinterpret_cast<uintptr_t>(begin) / page;
+  const uintptr_t last =
+      (reinterpret_cast<uintptr_t>(begin) + bytes + page - 1) / page;
+  std::vector<uint64_t> entries(last - first);
+  const int fd = ::open("/proc/self/pagemap", O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return -1;
+  const size_t want = entries.size() * sizeof(uint64_t);
+  const ssize_t got = ::pread(fd, entries.data(), want,
+                              static_cast<off_t>(first * sizeof(uint64_t)));
+  ::close(fd);
+  if (got != static_cast<ssize_t>(want)) return -1;
+  long present = 0;
+  for (const uint64_t entry : entries) present += (entry >> 63) & 1;
+  return present;
 }
 
 }  // namespace test
