@@ -1,25 +1,24 @@
 #include "core/incremental.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace ocular {
 
 namespace {
 
-/// Copies `src` into the top rows of a (rows x src.cols()) matrix and
-/// fills the remainder with the cold-start distribution.
-DenseMatrix GrowRows(const DenseMatrix& src, uint32_t rows, double scale,
-                     Rng* rng) {
-  DenseMatrix out(rows, src.cols());
-  for (uint32_t r = 0; r < src.rows(); ++r) {
-    auto from = src.Row(r);
-    auto to = out.Row(r);
-    std::copy(from.begin(), from.end(), to.begin());
-  }
-  for (uint32_t r = src.rows(); r < rows; ++r) {
+/// Grows `m` to `rows` rows: existing rows keep their values, new rows
+/// get the cold-start distribution. Reallocates once and frees the old
+/// storage; a matrix that already has `rows` rows is left alone.
+void GrowRows(DenseMatrix* m, uint32_t rows, double scale, Rng* rng) {
+  if (rows == m->rows()) return;
+  DenseMatrix out(rows, m->cols());
+  std::copy(m->data(), m->data() + m->size(), out.data());
+  for (uint32_t r = m->rows(); r < rows; ++r) {
     for (auto& v : out.Row(r)) v = rng->Uniform(0.0, scale);
   }
-  return out;
+  *m = std::move(out);
 }
 
 }  // namespace
@@ -41,7 +40,7 @@ uint64_t DeriveExpandSeed(uint32_t old_users, uint32_t old_items,
   return h == 0 ? 0x9e3779b97f4a7c15ULL : h;
 }
 
-Result<OcularModel> ExpandModel(const OcularModel& model, uint32_t num_users,
+Result<OcularModel> ExpandModel(OcularModel model, uint32_t num_users,
                                 uint32_t num_items,
                                 const ExpandOptions& options) {
   if (num_users < model.num_users() || num_items < model.num_items()) {
@@ -59,12 +58,12 @@ Result<OcularModel> ExpandModel(const OcularModel& model, uint32_t num_users,
   Rng rng(seed);
   const double scale =
       options.init_scale / std::sqrt(static_cast<double>(model.k()));
-  DenseMatrix fu = GrowRows(model.user_factors(), num_users, scale, &rng);
-  DenseMatrix fi = GrowRows(model.item_factors(), num_items, scale, &rng);
-  return OcularModel(std::move(fu), std::move(fi));
+  GrowRows(model.mutable_user_factors(), num_users, scale, &rng);
+  GrowRows(model.mutable_item_factors(), num_items, scale, &rng);
+  return model;
 }
 
-Result<OcularFitResult> UpdateModel(const OcularModel& model,
+Result<OcularFitResult> UpdateModel(OcularModel model,
                                     const CsrMatrix& interactions,
                                     const OcularConfig& config,
                                     const ExpandOptions& options) {
@@ -73,18 +72,20 @@ Result<OcularFitResult> UpdateModel(const OcularModel& model,
     return Status::InvalidArgument(
         "config dimensions do not match the model being updated");
   }
+  const uint32_t old_users = model.num_users();
+  const uint32_t old_items = model.num_items();
   OCULAR_ASSIGN_OR_RETURN(
       OcularModel grown,
-      ExpandModel(model, interactions.num_rows(), interactions.num_cols(),
-                  options));
+      ExpandModel(std::move(model), interactions.num_rows(),
+                  interactions.num_cols(), options));
   // Bias extension: new rows must keep the pinned coordinate at exactly 1.
   if (config.use_biases) {
     DenseMatrix& fu = *grown.mutable_user_factors();
-    for (uint32_t u = model.num_users(); u < fu.rows(); ++u) {
+    for (uint32_t u = old_users; u < fu.rows(); ++u) {
       fu.At(u, config.k + 1) = 1.0;
     }
     DenseMatrix& fi = *grown.mutable_item_factors();
-    for (uint32_t i = model.num_items(); i < fi.rows(); ++i) {
+    for (uint32_t i = old_items; i < fi.rows(); ++i) {
       fi.At(i, config.k) = 1.0;
     }
   }

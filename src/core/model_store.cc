@@ -152,6 +152,8 @@ Status WriteBinaryFile(const BinaryModelMeta& meta, ConstMatrixView users,
               static_cast<std::streamsize>(s.length_bytes));
     written = s.offset + s.length_bytes;
   }
+  // Closing flushes the stream's buffer, whose write can fail too.
+  out.close();
   if (!out) return Status::IOError("write failure on '" + path + "'");
   return Status::OK();
 }
@@ -458,12 +460,12 @@ Result<LoadedModel> ModelStore::MaterializeOcular() const {
   out.config.variant = meta_.relative_variant ? OcularVariant::kRelative
                                               : OcularVariant::kAbsolute;
   DenseMatrix users(num_users_, meta_.k);
-  DenseMatrix items(num_items_, meta_.k);
   std::memcpy(users.data(), user_factors_,
               users.size() * sizeof(double));
-  std::memcpy(items.data(), item_factors_,
-              items.size() * sizeof(double));
-  out.model = OcularModel(std::move(users), std::move(items));
+  // The item rows come from Vᵀ, which serving keeps resident: the verify
+  // pass dropped the row-major section's pages, and both sections hold
+  // the same doubles.
+  out.model = OcularModel(std::move(users), TransposedCopy(item_factors_t()));
   return out;
 }
 

@@ -192,7 +192,9 @@ class ModelStore {
 
   /// \brief Materializes an owning OcularModel + config copy (an O(model)
   /// copy — for retraining/conversion tooling, not the serving path).
-  /// Fails unless meta().kind is kOcularProbability.
+  /// The item rows are transposed back from item_factors_t(), the same
+  /// doubles as item_factors(), so materializing faults in no page the
+  /// verify pass dropped. Fails unless meta().kind is kOcularProbability.
   Result<LoadedModel> MaterializeOcular() const;
 
  private:

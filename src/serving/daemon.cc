@@ -13,6 +13,7 @@
 #include <iostream>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/fault.h"
@@ -72,7 +73,9 @@ size_t ResolveWorkerCount(size_t requested) {
 // skipped when `verify_what` is null), durable rename. A crash mid-write
 // can never leave a torn file behind the running mapping, a crash right
 // after the ack can never lose the renamed artifact to unflushed page
-// cache, and a silently corrupted write can never be published.
+// cache, and a silently corrupted write can never be published. A failed
+// write removes the tmp file: one that failed after opening it (ENOSPC,
+// EFBIG) would leave a partial, model-sized file behind.
 // DurableRename can fail on either side of the rename (the dirsync comes
 // after it): a tmp file still there proves the rename never happened and
 // is removed; tmp gone means the artifact DID move and only its
@@ -81,7 +84,10 @@ Status PublishDurably(const std::string& path, const char* verify_what,
                       const std::function<Status(const std::string&)>& write,
                       bool* moved = nullptr) {
   const std::string tmp_path = path + ".update.tmp";
-  OCULAR_RETURN_IF_ERROR(write(tmp_path));
+  if (Status written = write(tmp_path); !written.ok()) {
+    ::remove(tmp_path.c_str());
+    return written;
+  }
   Status durable = fs::FsyncFile(tmp_path);
   if (durable.ok() && verify_what != nullptr) {
     if (auto verify = ModelStore::Open(tmp_path); !verify.ok()) {
@@ -508,8 +514,8 @@ Result<RequestServer::UpdateOutcome> RequestServer::RetrainAndPublish(
     uint32_t items, uint32_t sweeps, uint64_t seed, bool* published) {
   *published = false;
   // Copy-on-write: the live mapping is never touched — the update
-  // materializes a private copy, retrains it, and publishes the result as
-  // a new generation.
+  // materializes one private copy, retrains it in place, and publishes the
+  // result as a new generation.
   if (fault::Maybe("update.apply")) return fault::InjectedError("update.apply");
   OCULAR_ASSIGN_OR_RETURN(LoadedModel loaded, model.store.MaterializeOcular());
 
@@ -519,13 +525,16 @@ Result<RequestServer::UpdateOutcome> RequestServer::RetrainAndPublish(
   expand.seed = seed;  // 0 = shape-derived stream (see ExpandOptions)
   OCULAR_ASSIGN_OR_RETURN(
       OcularFitResult fit,
-      UpdateModel(loaded.model, *updated_train, config, expand));
+      UpdateModel(std::move(loaded.model), *updated_train, config, expand));
 
   bool moved = false;
   const Status durable = PublishDurably(
       model.model_path, "update artifact",
       [&](const std::string& tmp) {
-        return SaveModelBinary(fit.model, config, tmp);
+        // The write consumes the trained factors: they are freed before
+        // the verify-open and the generation swap map the new artifact.
+        const OcularModel trained = std::move(fit.model);
+        return SaveModelBinary(trained, config, tmp);
       },
       &moved);
   if (!durable.ok()) {
@@ -783,6 +792,11 @@ std::string RequestServer::HandleUpdate(WorkerState* w,
                              static_cast<uint32_t>(*num_users),
                              static_cast<uint32_t>(*num_items),
                              static_cast<uint32_t>(*sweeps), *seed);
+  // A published update replaced the generation this worker leased. Drop
+  // the lease before replying, so the old generation is freed now rather
+  // than when this worker next parks, which may be after the client's
+  // next update has started beside it.
+  RefreshLeases(w);
   if (!outcome.ok()) return ErrorReply(w, outcome.status().ToString());
 
   JsonWriter writer;

@@ -85,7 +85,7 @@ void AddOuterProduct(std::vector<double>* a, uint32_t k, double alpha,
   }
 }
 
-DenseMatrix TransposedCopy(const DenseMatrix& f) {
+DenseMatrix TransposedCopy(ConstMatrixView f) {
   DenseMatrix t(f.cols(), f.rows());
   for (uint32_t r = 0; r < f.rows(); ++r) {
     auto row = f.Row(r);

@@ -35,8 +35,9 @@ void AddOuterProduct(std::vector<double>* a, uint32_t k, double alpha,
 /// item contiguously, so a user-row x item-block product becomes K
 /// contiguous Axpy passes over an L1-resident tile instead of per-item dot
 /// reductions (which the compiler may not vectorize without reassociating
-/// the sum). The factor models rebuild this once per Fit.
-DenseMatrix TransposedCopy(const DenseMatrix& f);
+/// the sum). The factor models rebuild this once per Fit. Transposing a
+/// store's Vᵀ view gives back its n x K rows (ModelStore::MaterializeOcular).
+DenseMatrix TransposedCopy(ConstMatrixView f);
 
 namespace vec {
 

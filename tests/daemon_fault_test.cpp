@@ -5,13 +5,16 @@
 // process keeps serving), crash-window recovery (replay and heal, both
 // bit-identical to the offline oracle), the connection guards (413
 // oversize, 408 idle reaper), the load generator's 503 backoff contract,
-// and fork/exec chaos drills that SIGKILL the real ocular_served binary
-// inside the injected crash windows and assert the restart recovers.
+// a write that fails mid-file under a file size limit, fork/exec chaos
+// drills that SIGKILL the real ocular_served binary inside the injected
+// crash windows and assert the restart recovers, and a drill that reads
+// the real daemon's peak RSS across a run of updates.
 
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -59,6 +62,16 @@
 #elif defined(__has_feature)
 #if __has_feature(thread_sanitizer)
 #define OCULAR_TSAN 1
+#endif
+#endif
+
+// ASan's allocator ignores mallopt and quarantines freed blocks, so the
+// memory drill's VmHWM bounds do not hold under it.
+#if defined(__SANITIZE_ADDRESS__)
+#define OCULAR_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define OCULAR_ASAN 1
 #endif
 #endif
 
@@ -1013,6 +1026,187 @@ CsrMatrix WriteAndReloadDataset(const CsrMatrix& train,
   auto ds = LoadCsv(path, opts);
   EXPECT_TRUE(ds.ok()) << ds.status().ToString();
   return ds->interactions();
+}
+
+/// Saves random factors of the given shape as an OCLR artifact: an update
+/// retrains whatever it is given, so the drills below need no trained
+/// model.
+void SaveRandomModel(const std::string& path, uint32_t users, uint32_t items,
+                     uint32_t k) {
+  OcularConfig config;
+  config.k = k;
+  config.lambda = 1.0;
+  Rng rng = test::MakeRng();
+  DenseMatrix fu(users, k);
+  DenseMatrix fi(items, k);
+  fu.FillUniform(&rng, 0.0, 0.2);
+  fi.FillUniform(&rng, 0.0, 0.2);
+  ASSERT_TRUE(
+      SaveModelBinary(OcularModel(std::move(fu), std::move(fi)), config, path)
+          .ok());
+}
+
+int64_t FileBytes(const std::string& path) {
+  struct stat st;
+  return ::stat(path.c_str(), &st) == 0 ? static_cast<int64_t>(st.st_size)
+                                        : -1;
+}
+
+TEST(UpdateFaultMatrixTest, WriteFailingMidFileRemovesThePartialArtifact) {
+  // A write that fails after the tmp file is open (a full disk, or a file
+  // size limit as here) must not leave a partial artifact behind. 1,000
+  // users at K = 5 make a 40 KB user section, larger than the file
+  // stream's buffer, so the limit cuts a direct write of it mid-section.
+  const std::string model_path = TempPath("fault_fsize.oclr");
+  const std::string journal_path = UpdateJournal::PathFor(model_path);
+  const std::string tmp_path = model_path + ".update.tmp";
+  std::remove(journal_path.c_str());
+  std::remove(tmp_path.c_str());
+  SaveRandomModel(model_path, 1000, 30, 5);
+  const std::string base_bytes = ReadFileBytes(model_path);
+  ModelRegistry registry;
+  ASSERT_TRUE(registry
+                  .Load("default", model_path,
+                        std::make_shared<const CsrMatrix>(
+                            test::RandomCsr(1000, 30, 6000, 11)))
+                  .ok());
+  RequestServer server(&registry);
+
+  // The child runs the update under the limit, with SIGXFSZ ignored so
+  // the write fails with EFBIG instead of killing it, and sends back the
+  // reply; the parent inspects what the attempt left on disk.
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    ::close(fds[0]);
+    ::signal(SIGXFSZ, SIG_IGN);
+    const rlim_t limit = base_bytes.size() / 2;
+    const struct rlimit fsize = {limit, limit};
+    std::string reply = "setrlimit failed";
+    if (::setrlimit(RLIMIT_FSIZE, &fsize) == 0) {
+      reply = server.HandleLine(
+          R"({"cmd":"update","adds":[[1000,0],[1000,7]],"sweeps":1})");
+    }
+    const ssize_t sent = ::write(fds[1], reply.data(), reply.size());
+    ::_exit(sent == static_cast<ssize_t>(reply.size()) ? 0 : 1);
+  }
+  ::close(fds[1]);
+  std::string reply;
+  char buf[4096];
+  for (ssize_t n; (n = ::read(fds[0], buf, sizeof(buf))) > 0;) {
+    reply.append(buf, static_cast<size_t>(n));
+  }
+  ::close(fds[0]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+
+  auto parsed = JsonValue::Parse(reply);
+  ASSERT_TRUE(parsed.ok()) << reply;
+  EXPECT_FALSE(parsed->Find("ok")->boolean()) << reply;
+  EXPECT_NE(reply.find("write failure"), std::string::npos) << reply;
+  EXPECT_FALSE(FileExists(tmp_path)) << FileBytes(tmp_path) << " bytes left";
+  EXPECT_EQ(ReadFileBytes(model_path), base_bytes);
+  auto plan = UpdateJournal::LoadPlan(journal_path);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_TRUE(plan->applied.empty());
+  EXPECT_FALSE(plan->has_pending);
+  EXPECT_EQ(plan->aborted, 1u);
+  std::remove(model_path.c_str());
+  std::remove(journal_path.c_str());
+  std::remove(tmp_path.c_str());
+}
+
+/// One "Vm...:" field of /proc/<pid>/status in bytes, or -1.
+int64_t ProcStatusBytes(pid_t pid, const std::string& field) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/status");
+  const std::string prefix = field + ":";
+  for (std::string line; std::getline(in, line);) {
+    if (line.compare(0, prefix.size(), prefix) == 0) {
+      return std::stoll(line.substr(prefix.size())) * 1024;
+    }
+  }
+  return -1;
+}
+
+TEST(ChaosSubprocessTest, UpdatesHoldOneFactorCopyAndGiveTheirMemoryBack) {
+#ifdef OCULAR_ASAN
+  GTEST_SKIP() << "ASan's allocator ignores mallopt and quarantines freed "
+                  "blocks, so VmHWM does not show glibc's behaviour";
+#endif
+  // A B2B-shaped model: 8,000 users x 948 items at K = 24, a 1.9 MB file.
+  const uint32_t users = 8000;
+  const uint32_t items = 948;
+  const std::string model_path = TempPath("update_memory.oclr");
+  const std::string dataset_path = TempPath("update_memory.tsv");
+  std::remove(UpdateJournal::PathFor(model_path).c_str());
+  SaveRandomModel(model_path, users, items, 24);
+  WriteAndReloadDataset(test::RandomCsr(users, items, 120000, 7),
+                        dataset_path);
+  const int64_t artifact_bytes = FileBytes(model_path);
+
+  const uint16_t port = FreePort();
+  ASSERT_NE(port, 0);
+  ServedProcess served = ServedProcess::Start(
+      {"--models=default=" + model_path, "--datasets=default=" + dataset_path,
+       "--port=" + std::to_string(port), "--workers=2",
+       "--io-timeout-ms=100"},
+      "", TempPath("update_memory_stderr.log"));
+  ASSERT_TRUE(WaitForServing(port, &served));
+
+  // Stored-user and history reads first, so both workers have served.
+  for (uint32_t r = 0; r < 200; ++r) {
+    ASSERT_FALSE(RoundTrip(port, R"({"cmd":"recommend","user":)" +
+                                     std::to_string(r * 41 % users) +
+                                     R"(,"m":50})")
+                     .empty());
+  }
+  for (uint32_t r = 0; r < 50; ++r) {
+    ASSERT_FALSE(RoundTrip(port, R"({"cmd":"recommend","history":[)" +
+                                     std::to_string(r) + "," +
+                                     std::to_string(r + 300) + R"(],"m":50})")
+                     .empty());
+  }
+  Rng rng = test::MakeRng(52);
+  const auto update = [&] {
+    std::string adds;
+    for (int n = 0; n < 20; ++n) {
+      adds += (n == 0 ? "[" : ",[") + std::to_string(rng.UniformInt(users)) +
+              "," + std::to_string(rng.UniformInt(items)) + "]";
+    }
+    return RoundTrip(port,
+                     R"({"cmd":"update","adds":[)" + adds + R"(],"sweeps":1})");
+  };
+
+  // The first update may hold one factor copy, the merged and transposed
+  // matrices, and then the new generation's mapping beside the old one:
+  // at most twice the artifact above the RSS before it.
+  const int64_t rss_before = ProcStatusBytes(served.pid, "VmRSS");
+  ASSERT_NE(update().find(R"("ok":true)"), std::string::npos);
+  const int64_t hwm_first = ProcStatusBytes(served.pid, "VmHWM");
+  ASSERT_GT(rss_before, 0);
+  EXPECT_LE(hwm_first - rss_before, 2 * artifact_bytes)
+      << "VmRSS before " << rss_before << " B, VmHWM after " << hwm_first
+      << " B, artifact " << artifact_bytes << " B";
+  // Later updates reuse nothing the first one kept: their buffers went
+  // back to the kernel, so the peak stays where the first one put it.
+  for (int n = 2; n <= 8; ++n) {
+    ASSERT_NE(update().find(R"("ok":true)"), std::string::npos) << n;
+  }
+  const int64_t hwm_last = ProcStatusBytes(served.pid, "VmHWM");
+  EXPECT_LE(hwm_last - hwm_first, int64_t{1} << 20)
+      << "VmHWM after the first update " << hwm_first << " B, after the "
+      << "eighth " << hwm_last << " B";
+
+  ASSERT_EQ(::kill(served.pid, SIGTERM), 0);
+  const int drained = served.Wait();
+  ASSERT_NE(drained, -1);
+  EXPECT_TRUE(WIFEXITED(drained));
+  std::remove(model_path.c_str());
+  std::remove(dataset_path.c_str());
+  std::remove(UpdateJournal::PathFor(model_path).c_str());
 }
 
 TEST(ChaosSubprocessTest, KillBeforeRenameIsReplayedBitIdenticallyOnRestart) {

@@ -4,10 +4,12 @@
 // request and the offline RecommendForAllUsers batch artifact — including
 // the PR 5 concurrent core: simultaneous TCP clients on the worker pool,
 // SIGHUP reload under load (no torn models), accept-queue load shedding,
-// exact merged latency percentiles, and the loopback load generator.
+// exact merged latency percentiles, the loopback load generator, and the
+// live heap one `update` holds at its peak.
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -17,10 +19,12 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -33,10 +37,48 @@
 #include "serving/batch.h"
 #include "sparse/coo.h"
 #include "serving/daemon.h"
+#include "serving/journal.h"
 #include "serving/loadgen.h"
 #include "serving/net_util.h"
 #include "serving/registry.h"
 #include "test_util.h"
+
+// ------------------------------------------------- live-heap accounting
+// Every operator new and delete moves a live-byte count by the block's
+// malloc_usable_size, and a high-water mark follows the count, so a test
+// can bound what one request holds at once.
+
+namespace {
+std::atomic<int64_t> g_live_bytes{0};
+std::atomic<int64_t> g_peak_live_bytes{0};
+
+void* CountedAlloc(std::size_t size) {
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  const auto usable = static_cast<int64_t>(::malloc_usable_size(p));
+  const int64_t live =
+      g_live_bytes.fetch_add(usable, std::memory_order_relaxed) + usable;
+  int64_t peak = g_peak_live_bytes.load(std::memory_order_relaxed);
+  while (live > peak && !g_peak_live_bytes.compare_exchange_weak(
+                            peak, live, std::memory_order_relaxed)) {
+  }
+  return p;
+}
+
+void CountedFree(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(static_cast<int64_t>(::malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  std::free(p);
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return CountedAlloc(size); }
+void* operator new[](std::size_t size) { return CountedAlloc(size); }
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
 
 namespace ocular {
 namespace {
@@ -1056,6 +1098,61 @@ TEST(FoldInServingTest, UpdateGrowsTheModelToCoverEveryDatasetRow) {
   EXPECT_EQ(reply->Find("users")->number(), 61.0);
   EXPECT_EQ(registry.Get("default")->num_users(), 61u);
   std::remove(f.model_path.c_str());
+}
+
+TEST(UpdateMemoryTest, OneUpdateHoldsOneFactorCopyAtItsPeak) {
+  // Factors that outweigh the interaction matrix several times over, so a
+  // second factor copy cannot hide in the slack.
+  const uint32_t users = 3000;
+  const uint32_t items = 400;
+  OcularConfig config;
+  config.k = 32;
+  config.lambda = 1.0;
+  Rng rng = test::MakeRng();
+  DenseMatrix fu(users, config.k);
+  DenseMatrix fi(items, config.k);
+  fu.FillUniform(&rng, 0.0, 0.2);
+  fi.FillUniform(&rng, 0.0, 0.2);
+  const std::string path = TempPath("update_peak.oclr");
+  std::remove(UpdateJournal::PathFor(path).c_str());
+  ASSERT_TRUE(
+      SaveModelBinary(OcularModel(std::move(fu), std::move(fi)), config, path)
+          .ok());
+  ModelRegistry registry;
+  ASSERT_TRUE(registry
+                  .Load("default", path,
+                        std::make_shared<const CsrMatrix>(
+                            test::RandomCsr(users, items, 12000, 3)))
+                  .ok());
+  RequestServer server(&registry);
+  ASSERT_NE(server.HandleLine(R"({"cmd":"recommend","user":0,"m":5})")
+                .find(R"("ok":true)"),
+            std::string::npos);
+
+  const int64_t before = g_live_bytes.load();
+  g_peak_live_bytes.store(before);
+  const std::string reply = server.HandleLine(
+      R"({"cmd":"update","adds":[[7,3],[9,11],[2999,399]],"sweeps":1})");
+  const int64_t peak = g_peak_live_bytes.load() - before;
+  ASSERT_NE(reply.find(R"("ok":true)"), std::string::npos) << reply;
+
+  // One factor copy, the merged matrix and the trainer's transposed copy
+  // of it (twice the merged matrix's bytes), plus slack: four doubles per
+  // user and item of per-row trainer state, and 64 KiB.
+  const auto merged = registry.Get("default")->train;
+  ASSERT_NE(merged, nullptr);
+  const int64_t factor_bytes =
+      int64_t{users + items} * config.k * sizeof(double);
+  const auto merged_bytes =
+      static_cast<int64_t>(merged->row_ptr().size() * sizeof(uint64_t) +
+                           merged->col_idx().size() * sizeof(uint32_t));
+  const int64_t slack =
+      4 * int64_t{users + items} * sizeof(double) + (int64_t{64} << 10);
+  EXPECT_LE(peak, factor_bytes + 2 * merged_bytes + slack)
+      << "peak live heap " << peak << " B; one factor copy " << factor_bytes
+      << " B, merged matrix " << merged_bytes << " B";
+  std::remove(path.c_str());
+  std::remove(UpdateJournal::PathFor(path).c_str());
 }
 
 TEST(ConcurrentDaemonTest, UpdateUnderLoadNeverServesATornModel) {

@@ -1,10 +1,14 @@
-// Tests for incremental model maintenance (ExpandModel / UpdateModel) and
-// a compile/link check of the umbrella header.
+// Tests for incremental model maintenance (ExpandModel / UpdateModel),
+// including bit-identity of the by-value path (a moved-in model trained in
+// place) with the copying call, and a compile/link check of the umbrella
+// header.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <utility>
 
 #include "ocular/ocular.h"
 
@@ -213,6 +217,108 @@ TEST(UpdateModelTest, BiasModelKeepsPinnedCoordinates) {
   }
   for (uint32_t i = 0; i < 30; ++i) {
     EXPECT_DOUBLE_EQ(updated.model.item_factors().At(i, 4), 1.0);
+  }
+}
+
+bool SameBits(const DenseMatrix& a, const DenseMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// The expansion oracle: old rows kept, then new user rows and new item
+/// rows drawn in that order from one stream.
+OcularModel ExpectedExpansion(const OcularModel& model, uint32_t users,
+                              uint32_t items, uint64_t seed) {
+  const uint32_t k = model.k();
+  Rng rng(seed != 0 ? seed
+                    : DeriveExpandSeed(model.num_users(), model.num_items(),
+                                       users, items, k));
+  const double scale = 1.0 / std::sqrt(static_cast<double>(k));
+  DenseMatrix fu(users, k);
+  DenseMatrix fi(items, k);
+  std::copy(model.user_factors().data(),
+            model.user_factors().data() + model.user_factors().size(),
+            fu.data());
+  std::copy(model.item_factors().data(),
+            model.item_factors().data() + model.item_factors().size(),
+            fi.data());
+  for (uint32_t u = model.num_users(); u < users; ++u) {
+    for (double& v : fu.Row(u)) v = rng.Uniform(0.0, scale);
+  }
+  for (uint32_t i = model.num_items(); i < items; ++i) {
+    for (double& v : fi.Row(i)) v = rng.Uniform(0.0, scale);
+  }
+  return OcularModel(std::move(fu), std::move(fi));
+}
+
+TEST(UpdateModelTest, MovedInModelMatchesTheCopyingCallBitForBit) {
+  const auto v1 = Planted(40, 30, 13);
+  struct Shape {
+    uint32_t users, items;
+  };
+  for (const bool biases : {false, true}) {
+    OcularConfig cfg;
+    cfg.k = 4;
+    cfg.lambda = 0.5;
+    cfg.use_biases = biases;
+    cfg.max_sweeps = 8;
+    const OcularModel base =
+        OcularTrainer(cfg).Fit(v1.dataset.interactions()).value().model;
+    cfg.max_sweeps = 3;
+    for (const Shape shape :
+         {Shape{40, 30}, Shape{44, 30}, Shape{40, 35}, Shape{43, 33}}) {
+      CooBuilder coo;
+      for (auto [u, i] : v1.dataset.interactions().ToPairs()) coo.Add(u, i);
+      for (uint32_t u = 40; u < shape.users; ++u) coo.Add(u, u % 30);
+      for (uint32_t i = 30; i < shape.items; ++i) coo.Add(i % 40, i);
+      const CsrMatrix grown = CsrMatrix::FromCoo(
+          coo.Finalize(shape.users, shape.items).value());
+      const bool grows = shape.users != 40 || shape.items != 30;
+      for (const uint64_t seed : {uint64_t{0}, uint64_t{77}}) {
+        SCOPED_TRACE("biases=" + std::to_string(biases) + " shape " +
+                     std::to_string(shape.users) + "x" +
+                     std::to_string(shape.items) +
+                     " seed=" + std::to_string(seed));
+        ExpandOptions options;
+        options.seed = seed;
+
+        const OcularModel expected =
+            ExpectedExpansion(base, shape.users, shape.items, seed);
+        const OcularModel copied =
+            ExpandModel(base, shape.users, shape.items, options).value();
+        OcularModel lent = base;
+        const OcularModel moved =
+            ExpandModel(std::move(lent), shape.users, shape.items, options)
+                .value();
+        EXPECT_TRUE(SameBits(copied.user_factors(), expected.user_factors()));
+        EXPECT_TRUE(SameBits(copied.item_factors(), expected.item_factors()));
+        EXPECT_TRUE(SameBits(moved.user_factors(), copied.user_factors()));
+        EXPECT_TRUE(SameBits(moved.item_factors(), copied.item_factors()));
+
+        const OcularFitResult fit_copied =
+            UpdateModel(base, grown, cfg, options).value();
+        OcularModel lent_for_update = base;
+        const double* storage = lent_for_update.user_factors().data();
+        const OcularFitResult fit_moved =
+            UpdateModel(std::move(lent_for_update), grown, cfg, options)
+                .value();
+        EXPECT_TRUE(SameBits(fit_moved.model.user_factors(),
+                             fit_copied.model.user_factors()));
+        EXPECT_TRUE(SameBits(fit_moved.model.item_factors(),
+                             fit_copied.model.item_factors()));
+        EXPECT_EQ(fit_moved.sweeps_run, fit_copied.sweeps_run);
+        ASSERT_EQ(fit_moved.trace.size(), fit_copied.trace.size());
+        for (size_t t = 0; t < fit_moved.trace.size(); ++t) {
+          EXPECT_EQ(fit_moved.trace[t].objective,
+                    fit_copied.trace[t].objective);
+        }
+        // A shape that does not grow is trained in the storage lent to
+        // it: the update holds one factor copy.
+        if (!grows) {
+          EXPECT_EQ(fit_moved.model.user_factors().data(), storage);
+        }
+      }
+    }
   }
 }
 

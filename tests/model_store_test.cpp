@@ -5,8 +5,8 @@
 // StoreRecommender against the in-memory recommenders (bit-identical),
 // the zero-copy guarantee (operator-new byte accounting across
 // ModelStore::Open), and the block-by-block checksum pass: which sections
-// stay resident after it (/proc/self/pagemap) and corruption at every
-// block edge.
+// stay resident after it and after MaterializeOcular (/proc/self/pagemap)
+// and corruption at every block edge.
 
 #include <gtest/gtest.h>
 
@@ -558,6 +558,25 @@ TEST(ModelStoreTest, RegistryLoadAndStoredUserServingLeaveItemRowsCold) {
               options.m);
   }
   ExpectServingSectionsResident(servable->store);
+}
+
+TEST(ModelStoreTest, MaterializeReadsVtAndLeavesItemRowsCold) {
+  const LargeStore large("materialize_resident.oclr");
+  for (const bool v2 : {false, true}) {
+    SCOPED_TRACE(v2 ? "v2" : "v3");
+    if (v2) {
+      ASSERT_TRUE(test::StampOclrV2(large.path));
+    }
+    auto store = ModelStore::Open(large.path);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    auto loaded = store->MaterializeOcular();
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    // The item rows come from Vᵀ: the pages the verify pass dropped stay
+    // dropped, and the copy is the saved model bit for bit.
+    ExpectServingSectionsResident(*store);
+    EXPECT_TRUE(SameMatrix(large.users, loaded->model.user_factors()));
+    EXPECT_TRUE(SameMatrix(large.items, loaded->model.item_factors()));
+  }
 }
 
 TEST(ModelStoreTest, EveryBlockEdgeFlipIsRejected) {

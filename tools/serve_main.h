@@ -39,13 +39,15 @@
 //                                        to <model>.update.journal and
 //                                        recover it at startup (1)
 //
-// The process installs the SIGHUP hot-reload handler and the
-// SIGTERM/SIGINT graceful-drain handler before serving, and replays each
-// model's update journal (crash recovery) before accepting requests.
+// The process pins glibc's mmap threshold before it loads anything,
+// installs the SIGHUP hot-reload handler and the SIGTERM/SIGINT
+// graceful-drain handler before serving, and replays each model's update
+// journal (crash recovery) before accepting requests.
 
 #ifndef OCULAR_TOOLS_SERVE_MAIN_H_
 #define OCULAR_TOOLS_SERVE_MAIN_H_
 
+#include <malloc.h>
 #include <signal.h>
 
 #include <algorithm>
@@ -138,9 +140,18 @@ inline Status LoadRegistryFromFlags(const Flags& flags,
   return Status::OK();
 }
 
+/// glibc's initial mmap threshold. Left dynamic, glibc raises it to the
+/// size of each mmapped block freed (up to 32 MiB), after which an
+/// update's model-sized buffers come from the arena of the worker thread
+/// that ran it, and the arena keeps them resident once freed. Pinned,
+/// every allocation of 128 KiB or more is its own mapping, returned to
+/// the kernel when freed.
+inline constexpr int kServeMmapThresholdBytes = 128 * 1024;
+
 /// Full serve command: registry + SIGHUP handler + stdio/TCP loop.
 /// Returns a process exit code.
 inline int RunServeCommand(const Flags& flags) {
+  ::mallopt(M_MMAP_THRESHOLD, kServeMmapThresholdBytes);
   ModelRegistry registry;
   Status st = LoadRegistryFromFlags(flags, &registry);
   if (!st.ok()) {
