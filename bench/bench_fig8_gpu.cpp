@@ -1,24 +1,31 @@
 // Reproduces Figure 8: distance to the optimal training likelihood versus
-// wall-clock time for the serial ("CPU") trainer and the parallel
-// executor that stands in for the paper's GPU implementation (Section VI).
-// Also reports the memory-footprint accounting of Section VI
+// wall-clock time, here for the one OCuLaR trainer at 1, 2 and 4
+// threads. Also reports the memory-footprint accounting of Section VI
 // (O(max(nnz, n_u*K, n_i*K))).
 //
-// Substitution note: the paper measured a 57x speedup on a GeForce TITAN X
-// vs a Xeon core. The parallel executor here runs on CPU threads (one per
-// hardware thread, printed with the results), so its wall-clock gain is
-// bounded by the host's core count, not a GPU's; the bench demonstrates
-// (a) identical convergence trajectories in sweep space and (b) the
-// per-positive-example kernel decomposition cost, which is the
-// GPU-portable part.
+// Substitution note: the paper measured a 57x speedup of its CUDA
+// implementation on a GeForce TITAN X against a Xeon core. Its
+// per-positive kernel (Section VI-A: one task per positive rating, each
+// accumulating into its item's gradient with atomics) is described, not
+// reproduced. An earlier CPU version of that plan lost on every count: on
+// this bench at scale 0.01 with 4 workers (4-vCPU host, Release) it took
+// 9.0 s where the row-split trainer took 5.6 s, its item-gradient pass ran
+// at 0.45x the speed of the row-wise one, and it ended at Q - Q* = 3.04
+// where the serial run reached 0, because atomic accumulation reorders the
+// floating-point sums. What the bench does reproduce is the structure the
+// kernel exploits: the rows of a half-sweep are independent given the
+// other side, so the trainer splits them over threads and every factor and
+// every traced Q stays bit-identical. The wall-clock gain is bounded by
+// the host's cores, not a GPU's. Exits 1 if any thread count's factors or
+// trace differ from the 1-thread run.
 
+#include <algorithm>
 #include <cstdio>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "bench/bench_util.h"
-#include "common/timer.h"
-#include "parallel/gradient_kernel.h"
-#include "parallel/kernel_trainer.h"
-#include "parallel/parallel_trainer.h"
 
 int main(int argc, char** argv) {
   using namespace ocular;
@@ -26,13 +33,14 @@ int main(int argc, char** argv) {
   const uint32_t k =
       static_cast<uint32_t>(bench::FlagDouble(argc, argv, "k", 50));
   std::printf("=== Figure 8: distance to optimal likelihood vs time, "
-              "serial vs parallel (Netflix-like, scale=%.4f, K=%u) ===\n",
+              "1, 2 and 4 threads (Netflix-like, scale=%.4f, K=%u) ===\n",
               scale, k);
 
   Rng rng(37);
   auto data = MakeNetflixLike(scale, &rng).value();
   const CsrMatrix& r = data.dataset.interactions();
   std::printf("%s\n", data.dataset.Summary().c_str());
+  std::printf("hardware threads: %u\n", std::thread::hardware_concurrency());
 
   OcularConfig cfg;
   cfg.k = k;
@@ -40,68 +48,66 @@ int main(int argc, char** argv) {
   cfg.max_sweeps = 25;
   cfg.tolerance = 1e-7;
 
-  OcularTrainer serial(cfg);
-  auto fit_serial = serial.Fit(r).value();
-  ParallelOcularTrainer parallel(cfg, 0);
-  auto fit_parallel = parallel.Fit(r).value();
-
-  // "Optimal" likelihood = the best objective reached by either run.
-  double q_opt = fit_serial.trace.back().objective;
-  for (const auto& s : fit_parallel.trace) {
-    if (s.objective < q_opt) q_opt = s.objective;
+  const size_t thread_counts[] = {1, 2, 4};
+  std::vector<OcularFitResult> fits;
+  for (size_t threads : thread_counts) {
+    fits.push_back(OcularTrainer(cfg, threads).Fit(r).value());
   }
 
-  std::printf("\nworkers (parallel executor): %zu\n",
-              parallel.num_threads());
-  std::printf("%-8s %16s %16s %18s %18s\n", "sweep", "serial t(s)",
-              "parallel t(s)", "serial Q-Q*", "parallel Q-Q*");
-  const size_t rows =
-      std::max(fit_serial.trace.size(), fit_parallel.trace.size());
-  for (size_t s = 0; s < rows; ++s) {
-    auto cell = [&](const std::vector<SweepStats>& t, bool time) {
-      if (s >= t.size()) return std::string("-");
-      return FormatDouble(time ? t[s].seconds_elapsed
-                               : t[s].objective - q_opt, 4);
-    };
-    std::printf("%-8zu %16s %16s %18s %18s\n", s,
-                cell(fit_serial.trace, true).c_str(),
-                cell(fit_parallel.trace, true).c_str(),
-                cell(fit_serial.trace, false).c_str(),
-                cell(fit_parallel.trace, false).c_str());
+  // Every run must reproduce the 1-thread run exactly.
+  bool identical = true;
+  for (size_t n = 1; n < fits.size(); ++n) {
+    const OcularFitResult& a = fits[0];
+    const OcularFitResult& b = fits[n];
+    bool same = a.model.user_factors() == b.model.user_factors() &&
+                a.model.item_factors() == b.model.item_factors() &&
+                a.sweeps_run == b.sweeps_run && a.converged == b.converged &&
+                a.trace.size() == b.trace.size();
+    for (size_t s = 0; same && s < a.trace.size(); ++s) {
+      same = a.trace[s].objective == b.trace[s].objective;
+    }
+    if (!same) {
+      std::printf("MISMATCH: %zu threads differ from the 1-thread run\n",
+                  thread_counts[n]);
+      identical = false;
+    }
   }
 
-  // Full kernel-structured training run (gradients by per-positive
-  // decomposition + bulk Armijo updates — the closest analogue of the
-  // CUDA execution plan).
-  KernelOcularTrainer kernel_trainer(cfg, 0);
-  Stopwatch kw;
-  auto fit_kernel = kernel_trainer.Fit(r).value();
-  std::printf("\nkernel-structured trainer: %u sweeps in %.2fs, "
-              "final Q-Q* = %s (serial: %s)\n",
-              fit_kernel.sweeps_run, kw.ElapsedSeconds(),
-              FormatDouble(fit_kernel.trace.back().objective - q_opt, 4)
-                  .c_str(),
-              FormatDouble(fit_serial.trace.back().objective - q_opt, 4)
-                  .c_str());
+  // "Optimal" likelihood = the best objective reached by any run.
+  double q_opt = fits[0].trace.back().objective;
+  for (const auto& fit : fits) {
+    for (const auto& s : fit.trace) q_opt = std::min(q_opt, s.objective);
+  }
 
-  // GPU-kernel micro-benchmark: per-positive-example decomposition with
-  // atomic accumulation vs the serial reference.
-  const CsrMatrix rt = r.Transpose();
-  DenseMatrix grads;
-  Stopwatch w1;
-  ComputeItemGradientsSerial(rt, fit_serial.model.user_factors(),
-                             fit_serial.model.item_factors(), cfg.lambda,
-                             &grads);
-  const double t_serial = w1.ElapsedSeconds();
-  ThreadPool pool(0);
-  Stopwatch w2;
-  ComputeItemGradientsKernel(rt, fit_serial.model.user_factors(),
-                             fit_serial.model.item_factors(), cfg.lambda,
-                             &pool, &grads);
-  const double t_kernel = w2.ElapsedSeconds();
-  std::printf("\nitem-gradient pass: serial %.4fs, per-positive kernel "
-              "(%zu workers) %.4fs, speedup %.2fx\n",
-              t_serial, pool.num_threads(), t_kernel, t_serial / t_kernel);
+  std::printf("\n%-6s", "sweep");
+  for (size_t threads : thread_counts) {
+    std::printf(" %12s %14s", ("t(s) T=" + std::to_string(threads)).c_str(),
+                ("Q-Q* T=" + std::to_string(threads)).c_str());
+  }
+  std::printf("\n");
+  for (size_t s = 0; s < fits[0].trace.size(); ++s) {
+    std::printf("%-6zu", s);
+    for (const auto& fit : fits) {
+      std::printf(" %12s %14s",
+                  FormatDouble(fit.trace[s].seconds_elapsed, 4).c_str(),
+                  FormatDouble(fit.trace[s].objective - q_opt, 4).c_str());
+    }
+    std::printf("\n");
+  }
+
+  const double serial_per_sweep =
+      fits[0].trace.back().seconds_elapsed / fits[0].sweeps_run;
+  std::printf("\n");
+  for (size_t n = 0; n < fits.size(); ++n) {
+    const double per_sweep =
+        fits[n].trace.back().seconds_elapsed / fits[n].sweeps_run;
+    std::printf("%zu thread(s): %u sweeps, %.4f s per sweep, %.2fx the "
+                "1-thread run\n",
+                thread_counts[n], fits[n].sweeps_run, per_sweep,
+                serial_per_sweep / per_sweep);
+  }
+  std::printf("factors and traces identical at every thread count: %s\n",
+              identical ? "yes" : "NO");
 
   // Section VI memory accounting.
   const size_t nnz_bytes = r.nnz() * sizeof(uint32_t) +
@@ -117,5 +123,5 @@ int main(int argc, char** argv) {
   std::printf("(paper: Netflix at K=200 fits in ~2.7 GB of GPU memory; "
               "extrapolating our accounting to full Netflix gives %.2f GB)\n",
               (56.0e6 * 4 + 480189.0 * 200 * 8 + 17770.0 * 200 * 8) / 1e9);
-  return 0;
+  return identical ? 0 : 1;
 }

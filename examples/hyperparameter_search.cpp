@@ -1,7 +1,8 @@
 // Hyper-parameter search walkthrough (Sections IV-B, VI, VII-C): pick
-// (K, lambda) by cross-validated grid search using the parallel trainer,
-// then refit on the full training data with the winning pair and report
-// held-out performance — the practical recipe behind Figure 9.
+// (K, lambda) by cross-validated grid search (OcularRecommender, each point
+// trained on one thread), then refit on the full training data with the
+// winning pair and report held-out performance — the practical recipe
+// behind Figure 9.
 
 #include <cstdio>
 #include <memory>

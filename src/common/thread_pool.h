@@ -15,11 +15,11 @@ namespace ocular {
 
 /// Fixed-size worker pool with a simple FIFO task queue.
 ///
-/// This is the substrate behind ParallelExecutor (src/parallel), which
-/// emulates the paper's GPU kernel decomposition (Section VI) on CPU
-/// threads. The pool is intentionally minimal: Submit() for fire-and-forget
-/// tasks, ParallelFor() for blocking index-range decomposition, and Wait()
-/// to drain.
+/// A multi-thread OcularTrainer fit runs its row ranges on one (the CPU
+/// stand-in for the paper's GPU parallelism, Section VI), and bulk serving
+/// (serving/batch.h) its user ranges. The pool is intentionally minimal:
+/// Submit() for fire-and-forget tasks, ParallelFor() for blocking
+/// index-range decomposition, and Wait() to drain.
 class ThreadPool {
  public:
   /// Creates `num_threads` workers; 0 means std::thread::hardware_concurrency

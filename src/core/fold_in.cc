@@ -161,7 +161,8 @@ Status FoldInUserInto(const FoldInContext& ctx,
   double prev = internal::BlockObjective(f, history, ctx.items,
                                          ws->complement, config.lambda, 1.0,
                                          {});
-  double step_hint = 0.0;  // accepted backtrack exponent (see ArmijoStep)
+  // Accepted backtrack exponent (see ProjectedGradientStep's step_hint).
+  double step_hint = 0.0;
   for (uint32_t step = 0; step < options.max_steps; ++step) {
     const internal::BlockStepResult res = internal::ProjectedGradientStep(
         f, history, ctx.items, ctx.item_sums, config.lambda, 1.0, {}, config,

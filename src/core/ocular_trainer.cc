@@ -2,10 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <optional>
+#include <string>
+#include <utility>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
+#include "parallel/partition.h"
 #include "sparse/linalg.h"
 
 namespace ocular {
@@ -19,7 +25,22 @@ constexpr double kProbFloor = 1e-12;
 }  // namespace
 
 Status OcularConfig::Validate() const {
+  // NaN fails every comparison below, so the real-valued knobs are first
+  // required to be finite.
+  const std::pair<double, const char*> reals[] = {
+      {lambda, "lambda"},           {tolerance, "tolerance"},
+      {armijo_beta, "armijo_beta"}, {armijo_sigma, "armijo_sigma"},
+      {initial_step, "initial_step"}, {init_scale, "init_scale"}};
+  for (const auto& [value, name] : reals) {
+    if (!std::isfinite(value)) {
+      return Status::InvalidArgument(std::string(name) + " must be finite");
+    }
+  }
   if (k == 0) return Status::InvalidArgument("k must be positive");
+  // The bias extension adds two dimensions; TotalDims() must not wrap.
+  if (k > std::numeric_limits<uint32_t>::max() - 2) {
+    return Status::InvalidArgument("k must be at most 4294967293");
+  }
   if (lambda < 0.0) return Status::InvalidArgument("lambda must be >= 0");
   if (max_sweeps == 0) {
     return Status::InvalidArgument("max_sweeps must be positive");
@@ -213,26 +234,6 @@ BlockStepResult ArmijoSearch(std::span<double> f, std::span<const double> grad,
 
 }  // namespace
 
-BlockStepResult ArmijoStep(std::span<double> f, std::span<const double> grad,
-                           std::span<const uint32_t> neighbors,
-                           ConstMatrixView other,
-                           std::span<const double> other_sums, double lambda,
-                           double pos_weight,
-                           std::span<const double> per_neighbor_weights,
-                           const OcularConfig& config, BlockWorkspace* ws,
-                           double* step_hint) {
-  if (!ws->dots_valid) {
-    ws->objective = EvalBlockPoint(
-        f, neighbors, other, other_sums, lambda, pos_weight,
-        per_neighbor_weights, std::span<double>(ws->dots.data(),
-                                                neighbors.size()));
-    ws->dots_valid = true;
-  }
-  return ArmijoSearch(f, grad, neighbors, other, other_sums, lambda,
-                      pos_weight, per_neighbor_weights, config,
-                      ws->objective, ws, step_hint);
-}
-
 BlockStepResult ProjectedGradientStep(
     std::span<double> f, std::span<const uint32_t> neighbors,
     ConstMatrixView other, std::span<const double> other_sums,
@@ -293,6 +294,10 @@ BlockStepResult ProjectedGradientStep(
 }
 
 }  // namespace internal
+
+OcularTrainer::OcularTrainer(OcularConfig config, size_t num_threads)
+    : config_(std::move(config)),
+      num_threads_(std::max<size_t>(num_threads, 1)) {}
 
 std::vector<double> OcularTrainer::UserWeights(
     const CsrMatrix& interactions) const {
@@ -358,8 +363,11 @@ Result<OcularFitResult> OcularTrainer::FitFrom(const CsrMatrix& interactions,
   DenseMatrix& fi = *out.model.mutable_item_factors();
 
   const CsrMatrix transposed = interactions.Transpose();
-  const std::vector<double> weights = UserWeights(interactions);
   const bool relative = config_.variant == OcularVariant::kRelative;
+  // R-OCuLaR's per-user weights; the absolute variant weighs every
+  // positive by 1 and builds none.
+  const std::vector<double> weights =
+      relative ? UserWeights(interactions) : std::vector<double>{};
 
   // R-OCuLaR item phase: gather the per-positive user weights ONCE — the
   // weights are constant across sweeps, and the flat layout aligns with
@@ -373,25 +381,55 @@ Result<OcularFitResult> OcularTrainer::FitFrom(const CsrMatrix& interactions,
     }
   }
 
-  internal::BlockWorkspace ws;
-  ws.Reserve(config_.TotalDims(),
-             std::max(interactions.MaxRowDegree(), transposed.MaxRowDegree()));
+  // The rows of a phase are independent given the other side, so a phase
+  // runs as nnz-balanced row ranges (split once: the pattern is constant),
+  // one workspace per thread. One thread runs each phase inline as one
+  // range: no pool, one workspace.
+  using Ranges = std::vector<std::pair<size_t, size_t>>;
+  std::optional<ThreadPool> pool;
+  if (num_threads_ > 1) pool.emplace(num_threads_);
+  const auto split = [&](const CsrMatrix& pattern) {
+    return pool ? BalancedRowRanges(pattern.row_ptr(), num_threads_)
+                : Ranges{{0, pattern.num_rows()}};
+  };
+  const Ranges item_ranges = split(transposed);
+  const Ranges user_ranges = split(interactions);
+  // Pool workers take their own slot; a caller that runs a one-range phase
+  // itself takes the last one (ThreadPool::ScratchSlot).
+  std::vector<internal::BlockWorkspace> workspaces(pool ? num_threads_ + 1
+                                                        : 1);
+  for (auto& ws : workspaces) {
+    ws.Reserve(config_.TotalDims(), std::max(interactions.MaxRowDegree(),
+                                             transposed.MaxRowDegree()));
+  }
+  // Runs row_range(lo, hi, ws) over every range; returns when all are done.
+  const auto run_phase = [&](const Ranges& ranges, const auto& row_range) {
+    if (!pool) {
+      for (const auto& [lo, hi] : ranges) row_range(lo, hi, workspaces[0]);
+      return;
+    }
+    pool->ParallelForRanges(ranges, [&](size_t lo, size_t hi) {
+      row_range(lo, hi, workspaces[ThreadPool::ScratchSlot(num_threads_)]);
+    });
+  };
 
-  // Per-row adaptive line-search state (see ArmijoStep): the last accepted
-  // backtrack exponent per row, so each search resumes near its boundary
-  // instead of walking down from exponent 0 every sweep.
+  // Per-row adaptive line-search state (see ProjectedGradientStep's
+  // step_hint): the last accepted backtrack exponent per row, so each
+  // search resumes near its boundary instead of walking down from exponent
+  // 0 every sweep. Every row belongs to exactly one range, so threads never
+  // share an entry.
   std::vector<double> item_steps(interactions.num_cols(), 0.0);
   std::vector<double> user_steps(interactions.num_rows(), 0.0);
 
   Stopwatch watch;
   double prev_q = config_.track_objective
                       ? ObjectiveQ(out.model, interactions, config_.lambda,
-                                   relative ? weights : std::vector<double>{})
+                                   weights)
                       : 0.0;
 
   // Per-user block objectives of the sweep's user phase. Summed in row
-  // order (not accumulation order), so serial and parallel trainers
-  // produce bit-identical traces.
+  // order (not accumulation order), so the trace is bit-identical at every
+  // thread count.
   std::vector<double> block_q(
       config_.track_objective ? interactions.num_rows() : 0, 0.0);
 
@@ -399,34 +437,42 @@ Result<OcularFitResult> OcularTrainer::FitFrom(const CsrMatrix& interactions,
     // ---- Item phase: update every f_i with f_u fixed. ----
     const std::vector<double> user_sums = fu.ColumnSums();
     const std::vector<uint64_t>& item_ptr = transposed.row_ptr();
-    for (uint32_t i = 0; i < interactions.num_cols(); ++i) {
-      auto users = transposed.Row(i);
-      std::span<const double> wspan;
-      if (relative) {
-        wspan = {item_phase_weights.data() + item_ptr[i], users.size()};
+    run_phase(item_ranges, [&](size_t lo, size_t hi,
+                               internal::BlockWorkspace& ws) {
+      for (size_t i = lo; i < hi; ++i) {
+        auto users = transposed.Row(static_cast<uint32_t>(i));
+        std::span<const double> wspan;
+        if (relative) {
+          wspan = {item_phase_weights.data() + item_ptr[i], users.size()};
+        }
+        ws.Invalidate();
+        for (uint32_t step = 0; step < config_.block_steps; ++step) {
+          internal::ProjectedGradientStep(
+              fi.Row(static_cast<uint32_t>(i)), users, fu, user_sums,
+              config_.lambda, 1.0, wspan, config_, item_frozen, &ws,
+              &item_steps[i]);
+        }
       }
-      ws.Invalidate();
-      for (uint32_t step = 0; step < config_.block_steps; ++step) {
-        internal::ProjectedGradientStep(fi.Row(i), users, fu, user_sums,
-                                        config_.lambda, 1.0, wspan, config_,
-                                        item_frozen, &ws, &item_steps[i]);
-      }
-    }
+    });
 
     // ---- User phase: update every f_u with f_i fixed. ----
     const std::vector<double> item_sums = fi.ColumnSums();
-    for (uint32_t u = 0; u < interactions.num_rows(); ++u) {
-      const double w = relative ? weights[u] : 1.0;
-      ws.Invalidate();
-      internal::BlockStepResult last;
-      for (uint32_t step = 0; step < config_.block_steps; ++step) {
-        last = internal::ProjectedGradientStep(fu.Row(u), interactions.Row(u),
-                                               fi, item_sums, config_.lambda,
-                                               w, {}, config_, user_frozen,
-                                               &ws, &user_steps[u]);
+    run_phase(user_ranges, [&](size_t lo, size_t hi,
+                               internal::BlockWorkspace& ws) {
+      for (size_t u = lo; u < hi; ++u) {
+        const double w = relative ? weights[u] : 1.0;
+        ws.Invalidate();
+        internal::BlockStepResult last;
+        for (uint32_t step = 0; step < config_.block_steps; ++step) {
+          last = internal::ProjectedGradientStep(
+              fu.Row(static_cast<uint32_t>(u)),
+              interactions.Row(static_cast<uint32_t>(u)), fi, item_sums,
+              config_.lambda, w, {}, config_, user_frozen, &ws,
+              &user_steps[u]);
+        }
+        if (config_.track_objective) block_q[u] = last.objective;
       }
-      if (config_.track_objective) block_q[u] = last.objective;
-    }
+    });
 
     out.sweeps_run = sweep + 1;
     if (config_.track_objective) {

@@ -22,11 +22,13 @@ enum class OcularVariant {
 
 /// Hyper-parameters and knobs of the OCuLaR trainer.
 struct OcularConfig {
-  /// Number of co-clusters K.
+  /// Number of co-clusters K (at most UINT32_MAX - 2, so that
+  /// TotalDims() cannot wrap).
   uint32_t k = 50;
   /// l2 regularization weight lambda (> 0 makes the block subproblems
   /// strongly convex; Section IV-B).
   double lambda = 1.0;
+  /// The likelihood to optimize: OCuLaR or R-OCuLaR.
   OcularVariant variant = OcularVariant::kAbsolute;
 
   /// Maximum number of full sweeps (one sweep = update all f_i, then all
@@ -48,21 +50,27 @@ struct OcularConfig {
   /// (Bertsekas; Section IV-D): step alpha = initial_step * beta^t with the
   /// smallest t >= 0 satisfying
   ///   Q(f+) - Q(f) <= sigma * <grad Q(f), f+ - f>.
+  /// This is beta, the factor each backtrack shrinks the step by, in (0, 1).
   double armijo_beta = 0.5;
+  /// Sigma of the sufficient-decrease test above, in (0, 1).
   double armijo_sigma = 0.1;
+  /// Alpha at t = 0, the largest step a search tries (positive).
   double initial_step = 1.0;
+  /// Largest exponent t a line search tries before it gives up and leaves
+  /// the row unchanged.
   uint32_t max_backtracks = 40;
 
   /// Factors are initialized iid Uniform(0, init_scale / sqrt(K)).
   double init_scale = 1.0;
+  /// Seed of the factor initialization.
   uint64_t seed = 1;
 
   /// Optional user/item bias terms (Section IV-A):
   ///   P[r_ui = 1] = 1 - exp(-<f_u,f_i> - b_u - b_i).
   /// Implemented as two extra factor dimensions with the counterpart
-  /// coordinate frozen at 1, so every update path (serial, parallel,
-  /// fold-in) works unchanged. The paper reports biases did not improve
-  /// accuracy on its datasets; the ablation bench quantifies this.
+  /// coordinate frozen at 1, so every update path (training at any thread
+  /// count, fold-in) works unchanged. The paper reports biases did not
+  /// improve accuracy on its datasets; the ablation bench quantifies this.
   bool use_biases = false;
 
   /// Total factor dimensions including bias dimensions.
@@ -76,23 +84,24 @@ struct OcularConfig {
   /// tests).
   bool track_objective = true;
 
-  /// Validates ranges; returns InvalidArgument on nonsense.
+  /// Validates ranges; returns InvalidArgument on nonsense, NaN and
+  /// infinities included.
   Status Validate() const;
 };
 
 /// Per-sweep progress record.
 struct SweepStats {
-  uint32_t sweep = 0;
-  double objective = 0.0;        // Q after this sweep (if tracked)
-  double seconds_elapsed = 0.0;  // wall clock since training start
+  uint32_t sweep = 0;            ///< 0-based sweep index
+  double objective = 0.0;        ///< Q after this sweep (if tracked)
+  double seconds_elapsed = 0.0;  ///< wall clock since training start
 };
 
 /// Training output: the fitted model plus the convergence trace.
 struct OcularFitResult {
-  OcularModel model;
-  std::vector<SweepStats> trace;
-  uint32_t sweeps_run = 0;
-  bool converged = false;
+  OcularModel model;              ///< the fitted factors
+  std::vector<SweepStats> trace;  ///< one record per sweep, if tracked
+  uint32_t sweeps_run = 0;        ///< sweeps actually run
+  bool converged = false;         ///< true if the tolerance test stopped it
 };
 
 /// Fits the OCuLaR (or R-OCuLaR) model to a binary interaction matrix by
@@ -102,11 +111,26 @@ struct OcularFitResult {
 /// The trainer owns the Σ_u f_u / Σ_i f_i precomputation trick: the
 /// unknowns part of every block gradient is formed from column sums minus
 /// the positive entries' factors, never by touching the zero cells.
+///
+/// This is the only sweep loop, at any thread count. Within a half-sweep
+/// every row update reads only the fixed other side and its column sums,
+/// so the rows are independent (Section VI parallelizes exactly this).
+/// Each phase splits its rows into nnz-balanced ranges (BalancedRowRanges),
+/// every thread keeps its own workspace, and the fused Q is summed in row
+/// order: factors, trace, sweeps_run and converged are bit-identical at
+/// every thread count.
 class OcularTrainer {
  public:
-  explicit OcularTrainer(OcularConfig config) : config_(std::move(config)) {}
+  /// A trainer that runs each half-sweep on `num_threads` threads (0 counts
+  /// as 1). One thread, the default, runs every row inline on the calling
+  /// thread: no thread starts and no pool is built. More threads share a
+  /// pool that lives only as long as one fit.
+  explicit OcularTrainer(OcularConfig config, size_t num_threads = 1);
 
+  /// The hyper-parameters this trainer fits with.
   const OcularConfig& config() const { return config_; }
+  /// Threads a fit runs its half-sweeps on (at least 1).
+  size_t num_threads() const { return num_threads_; }
 
   /// Trains from scratch on `interactions`.
   Result<OcularFitResult> Fit(const CsrMatrix& interactions) const;
@@ -122,6 +146,7 @@ class OcularTrainer {
 
  private:
   OcularConfig config_;
+  size_t num_threads_;
 };
 
 namespace internal {
@@ -138,12 +163,12 @@ namespace internal {
 /// Armijo q0 needs no recomputation at all. Callers must Invalidate() when
 /// moving to a different row (or after the fixed side changed).
 struct BlockWorkspace {
-  std::vector<double> grad;        // K
-  std::vector<double> trial;      // K: line-search candidate
-  std::vector<double> trial_alt;  // K: second candidate (boundary search)
-  std::vector<double> dots;        // deg(row): <f_n, f> at the current f
-  std::vector<double> trial_dots;      // deg(row): dots at the candidates
-  std::vector<double> trial_dots_alt;  //
+  std::vector<double> grad;            ///< K: the block gradient
+  std::vector<double> trial;           ///< K: line-search candidate
+  std::vector<double> trial_alt;       ///< K: second candidate
+  std::vector<double> dots;            ///< deg(row): <f_n, f> at current f
+  std::vector<double> trial_dots;      ///< deg(row): dots at `trial`
+  std::vector<double> trial_dots_alt;  ///< deg(row): dots at `trial_alt`
 
   /// True when `dots`/`objective` describe the current f of the block this
   /// workspace was last used on.
@@ -156,11 +181,11 @@ struct BlockWorkspace {
   /// will see (max over both R and R^T when shared across phases).
   ///
   /// Memory trade-off: the three degree-sized buffers cost
-  /// 3*max_neighbors doubles per workspace, which the parallel trainers
-  /// multiply by (num_threads + 1). On heavily skewed data (one blockbuster
-  /// row of degree d) that is 24*d*(T+1) bytes of mostly-idle scratch — but
-  /// such a row implies >= d counterpart factor rows, so the scratch stays
-  /// small relative to the model itself.
+  /// 3*max_neighbors doubles per workspace, which a fit on T > 1 threads
+  /// multiplies by (T + 1). On heavily skewed data (one blockbuster row of
+  /// degree d) that is 24*d*(T+1) bytes of mostly-idle scratch — but such a
+  /// row implies >= d counterpart factor rows, so the scratch stays small
+  /// relative to the model itself.
   void Reserve(size_t k, size_t max_neighbors);
 
   /// Marks the dot/objective cache stale (switching to another block).
@@ -180,8 +205,9 @@ struct BlockStepResult {
 };
 
 /// One projected-gradient update of a single factor row, shared by the
-/// serial trainer, the parallel trainers, and fold-in. Updates `f` in
-/// place.
+/// item and user phases of OcularTrainer and by fold-in. Updates `f` in
+/// place: the gradient, then an Armijo backtracking line search along the
+/// projection arc.
 ///
 /// `neighbors`   — positive counterparts of this row (users of an item, or
 ///                 items of a user);
@@ -191,8 +217,8 @@ struct BlockStepResult {
 /// `other_sums`  — column sums of `other` (Σ f over the opposite side).
 ///                 The complement Σ_{r=0} f_n is never materialized: both
 ///                 the gradient and the objective only need it through
-///                 <x, complement> = <x, other_sums> − Σ_n <x, f_n>, and
-///                 the per-neighbor dots are computed (once) anyway;
+///                 <x, complement> = <x, other_sums> − Σ_n <x, f_n>, and the
+///                 per-neighbor dots are computed (once) anyway;
 /// `pos_weight`  — weight multiplying every positive log-likelihood term
 ///                 (w_u for user rows under R-OCuLaR, 1 otherwise). For an
 ///                 ITEM row under R-OCuLaR, pass `per_neighbor_weights`
@@ -202,10 +228,23 @@ struct BlockStepResult {
 ///                 bias coordinate is pinned at 1;
 /// `ws`          — per-thread scratch (see BlockWorkspace); must be
 ///                 Reserve()d large enough and Invalidate()d when switching
-///                 rows;
-/// `step_hint`   — optional per-ROW adaptive line-search state (see
-///                 ArmijoStep). nullptr restarts every search at
-///                 config.initial_step.
+///                 rows. The q0 evaluation reuses ws->dots/objective when
+///                 valid; each backtrack computes dots only for the trial
+///                 point;
+/// `step_hint`   — optional per-ROW adaptive line-search state, persisted
+///                 by the caller across sweeps and initialized to 0.0.
+///                 nullptr restarts every search at config.initial_step.
+///
+/// `step_hint` warm-starts the search. It stores the row's last accepted
+/// backtrack EXPONENT t (alpha = initial_step * beta^t, the same grid a
+/// cold search walks): the search probes t-1 and walks to the acceptance
+/// boundary from there instead of from t=0. The Armijo acceptance test
+/// itself is unchanged, so every accepted step still satisfies the
+/// sufficient-decrease condition, and under the (generic)
+/// monotone-acceptance property the accepted step is exactly the cold
+/// search's — this only removes the 4-7 rejected trials per block a cold
+/// search spends walking alpha down, which is the single largest cost of
+/// a sweep.
 BlockStepResult ProjectedGradientStep(
     std::span<double> f, std::span<const uint32_t> neighbors,
     ConstMatrixView other, std::span<const double> other_sums,
@@ -224,34 +263,6 @@ double BlockObjective(std::span<const double> f,
                       std::span<const double> complement_sum, double lambda,
                       double pos_weight,
                       std::span<const double> per_neighbor_weights);
-
-/// The Armijo backtracking line search along the projection arc, given a
-/// PRECOMPUTED gradient (shared by ProjectedGradientStep and the
-/// kernel-style trainer, whose gradients come from the per-positive
-/// decomposition of Section VI). Takes `other_sums` (NOT the materialized
-/// complement; see ProjectedGradientStep). Reuses ws->dots/objective for
-/// the q0 evaluation when valid; each backtrack computes dots only for the
-/// trial point. Updates `f` in place on success.
-///
-/// `step_hint` (optional, per ROW, persisted by the caller across sweeps,
-/// initialized to 0.0) warm-starts the search. It stores the row's last
-/// accepted backtrack EXPONENT t (alpha = initial_step * beta^t, the same
-/// grid a cold search walks): the search probes t-1 and walks to the
-/// acceptance boundary from there instead of from t=0. The Armijo
-/// acceptance test itself is unchanged, so every accepted step still
-/// satisfies the sufficient-decrease condition, and under the (generic)
-/// monotone-acceptance property the accepted step is exactly the cold
-/// search's — this only removes the 4-7 rejected trials per block a cold
-/// search spends walking alpha down, which is the single largest cost of
-/// a sweep. nullptr = cold search (old behavior).
-BlockStepResult ArmijoStep(std::span<double> f, std::span<const double> grad,
-                           std::span<const uint32_t> neighbors,
-                           ConstMatrixView other,
-                           std::span<const double> other_sums, double lambda,
-                           double pos_weight,
-                           std::span<const double> per_neighbor_weights,
-                           const OcularConfig& config, BlockWorkspace* ws,
-                           double* step_hint = nullptr);
 
 }  // namespace internal
 

@@ -61,8 +61,6 @@
 
 // Parallel substrates.
 #include "parallel/gradient_kernel.h"  // IWYU pragma: export
-#include "parallel/kernel_trainer.h"   // IWYU pragma: export
-#include "parallel/parallel_trainer.h" // IWYU pragma: export
 
 // Serving.
 #include "serving/batch.h"         // IWYU pragma: export

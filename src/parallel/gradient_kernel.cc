@@ -1,6 +1,5 @@
 #include "parallel/gradient_kernel.h"
 
-#include <atomic>
 #include <cmath>
 
 #include "common/logging.h"
@@ -47,46 +46,6 @@ void ComputeItemGradientsSerial(const CsrMatrix& transposed,
       for (uint32_t d = 0; d < k; ++d) g[d] -= a * fu[d];
     }
   }
-}
-
-void ComputeItemGradientsKernel(const CsrMatrix& transposed,
-                                const DenseMatrix& user_factors,
-                                const DenseMatrix& item_factors,
-                                double lambda, ThreadPool* pool,
-                                DenseMatrix* gradients) {
-  OCULAR_CHECK_EQ(transposed.num_rows(), item_factors.rows());
-  InitGradients(user_factors, item_factors, lambda, gradients);
-  const uint32_t k = user_factors.cols();
-
-  // Flatten the positive examples: task t handles pair (item, user).
-  // (On the GPU this is the grid of thread blocks, one per positive.)
-  const auto& row_ptr = transposed.row_ptr();
-  const auto& users = transposed.col_idx();
-  std::vector<uint32_t> item_of(users.size());
-  for (uint32_t i = 0; i < transposed.num_rows(); ++i) {
-    for (uint64_t t = row_ptr[i]; t < row_ptr[i + 1]; ++t) item_of[t] = i;
-  }
-
-  // Atomic view of the gradient buffer. std::atomic_ref keeps the storage
-  // plain double, matching the GPU's atomicAdd into global memory.
-  double* grad_data = gradients->data();
-  pool->ParallelForChunked(
-      0, users.size(),
-      [&](size_t lo, size_t hi) {
-        for (size_t t = lo; t < hi; ++t) {
-          const uint32_t i = item_of[t];
-          const uint32_t u = users[t];
-          auto fu = user_factors.Row(u);
-          auto fi = item_factors.Row(i);
-          const double a = Alpha(vec::Dot(fu, fi));
-          double* g = grad_data + static_cast<size_t>(i) * k;
-          for (uint32_t d = 0; d < k; ++d) {
-            std::atomic_ref<double> cell(g[d]);
-            cell.fetch_add(-a * fu[d], std::memory_order_relaxed);
-          }
-        }
-      },
-      /*grain=*/256);
 }
 
 }  // namespace ocular

@@ -1,38 +1,20 @@
 #ifndef OCULAR_PARALLEL_GRADIENT_KERNEL_H_
 #define OCULAR_PARALLEL_GRADIENT_KERNEL_H_
 
-#include <cstdint>
-#include <vector>
-
-#include "common/thread_pool.h"
 #include "sparse/csr.h"
 #include "sparse/dense.h"
 
 namespace ocular {
 
-/// CPU re-implementation of the paper's GPU item-gradient kernel
-/// (Section VI-A, eq. 11):
+/// The item-gradient pass of the paper's GPU kernel (Section VI-A,
+/// eq. 11), computed serially:
 ///
 ///   grad(f_i) = C + 2λ f_i − Σ_{u: r_ui=1} f_u · α(<f_u, f_i>),
 ///   C = Σ_u f_u,   α(x) = 1 / (1 − e^{−x}).
 ///
-/// The decomposition mirrors the CUDA kernel: gradients are initialized to
-/// C + 2λ f_i, then one *task per positive example* (the GPU's thread
-/// block per positive rating) computes the inner product and atomically
-/// accumulates −α·f_u into the item's gradient row. On GPU the atomics hit
-/// device memory; here they are std::atomic<double> fetch_adds.
-///
-/// `transposed` is R^T (item-major). Output `gradients` is n_i x K.
-/// Accumulation order is non-deterministic, so results match the serial
-/// gradient only up to floating-point reassociation (~1e-9 relative).
-void ComputeItemGradientsKernel(const CsrMatrix& transposed,
-                                const DenseMatrix& user_factors,
-                                const DenseMatrix& item_factors,
-                                double lambda, ThreadPool* pool,
-                                DenseMatrix* gradients);
-
-/// Serial reference for the same gradient (used by tests and as the
-/// "CPU implementation" side of the Fig. 8 comparison).
+/// The unknowns enter only through the column sums C (the complement
+/// trick), so the pass costs O(nnz·K + n_i·K). `transposed` is R^T
+/// (item-major). Output `gradients` is n_i x K.
 void ComputeItemGradientsSerial(const CsrMatrix& transposed,
                                 const DenseMatrix& user_factors,
                                 const DenseMatrix& item_factors,

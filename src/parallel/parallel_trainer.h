@@ -1,47 +1,21 @@
 #ifndef OCULAR_PARALLEL_PARALLEL_TRAINER_H_
 #define OCULAR_PARALLEL_PARALLEL_TRAINER_H_
 
-#include <cstdint>
+#include <cstddef>
+#include <utility>
 
-#include "common/thread_pool.h"
 #include "core/ocular_trainer.h"
 
 namespace ocular {
 
-/// Parallel OCuLaR trainer — the library's stand-in for the paper's GPU
-/// implementation (Section VI).
-///
-/// Within one block phase all f_i updates are mutually independent (they
-/// read only the fixed f_u side and the precomputed Σ f_u), so the factor
-/// rows are partitioned across worker threads; likewise for the user
-/// phase. The numerics are identical to the serial OcularTrainer — the
-/// same internal::ProjectedGradientStep runs on every row — so
-/// parallel-vs-serial equality is an exact invariant (verified in tests),
-/// not just a statistical one.
-///
-/// The finer per-positive-example decomposition the CUDA kernels use is
-/// implemented in parallel/gradient_kernel.h and exercised by the Fig. 8
-/// benchmark.
-class ParallelOcularTrainer {
+/// The former name of a multi-thread OcularTrainer, kept only for the
+/// end-to-end benchmark's sources (benchmark/src/main.cc), which are
+/// frozen. New code constructs OcularTrainer(config, num_threads).
+class ParallelOcularTrainer : public OcularTrainer {
  public:
-  /// `num_threads` = 0 means hardware concurrency.
-  ParallelOcularTrainer(OcularConfig config, size_t num_threads = 0)
-      : config_(std::move(config)), pool_(num_threads) {}
-
-  const OcularConfig& config() const { return config_; }
-  size_t num_threads() const { return pool_.num_threads(); }
-
-  /// Trains from scratch (same initialization as OcularTrainer with the
-  /// same seed, so results are comparable run-to-run).
-  Result<OcularFitResult> Fit(const CsrMatrix& interactions);
-
-  /// Warm-start variant.
-  Result<OcularFitResult> FitFrom(const CsrMatrix& interactions,
-                                  OcularModel initial);
-
- private:
-  OcularConfig config_;
-  ThreadPool pool_;
+  /// A trainer that runs each half-sweep on `num_threads` threads.
+  ParallelOcularTrainer(OcularConfig config, size_t num_threads)
+      : OcularTrainer(std::move(config), num_threads) {}
 };
 
 }  // namespace ocular

@@ -14,7 +14,6 @@
 #include "data/synthetic.h"
 #include "eval/cross_validation.h"
 #include "eval/metrics.h"
-#include "parallel/parallel_trainer.h"
 
 namespace ocular {
 namespace {
@@ -239,7 +238,7 @@ TEST(BiasTest, ParallelTrainerMatchesSerialWithBiases) {
   cfg.max_sweeps = 5;
   cfg.tolerance = 0.0;
   OcularTrainer serial(cfg);
-  ParallelOcularTrainer parallel(cfg, 2);
+  OcularTrainer parallel(cfg, 2);
   auto a = serial.Fit(toy.interactions()).value();
   auto b = parallel.Fit(toy.interactions()).value();
   EXPECT_EQ(a.model.user_factors(), b.model.user_factors());

@@ -221,6 +221,35 @@ TEST(CliTest, ErrorPathsAreClean) {
     EXPECT_EQ(r.exit_code, 1) << r.output;
     EXPECT_NE(r.output.find(error), std::string::npos) << r.output;
   }
+
+  // Trainer flags that used to wrap (--k=-1 became 4294967295 and aborted
+  // on bad_alloc), fall back to a default (--k=abc), train on NaN, or
+  // segfault (k + 2 bias dimensions wrapped to 1): each must exit 1, name
+  // the flag, and leave no model file.
+  const std::string bad_model = TempPath("cli_err_bad_model.txt");
+  const std::pair<std::string, std::string> bad_flags[] = {
+      {"train --k=-1", "--k=-1 is not an integer"},
+      {"train --k=abc", "--k=abc is not an integer"},
+      {"train --k=0", "--k=0 is not an integer"},
+      {"train --k=4294967295 --biases=true", "--k=4294967295 is not"},
+      {"train --k=4294967294 --biases=true", "--k=4294967294 is not"},
+      {"train --sweeps=-1", "--sweeps=-1 is not an integer"},
+      {"train --sweeps=4294967296", "--sweeps=4294967296 is not"},
+      {"train --lambda=nan", "--lambda=nan is not a finite number"},
+      {"train --lambda=inf", "--lambda=inf is not a finite number"},
+      {"train --lambda=-1", "--lambda=-1 is not a finite number"},
+      {"train --lambda=x", "--lambda=x is not a finite number"},
+      {"evaluate --k=-1", "--k=-1 is not an integer"},
+  };
+  for (const auto& [command, error] : bad_flags) {
+    SCOPED_TRACE(command);
+    std::remove(bad_model.c_str());
+    auto r = RunCli(command + " --input=" + data + " --model=" + bad_model);
+    EXPECT_EQ(r.exit_code, 1) << r.output;
+    EXPECT_NE(r.output.find(error), std::string::npos) << r.output;
+    EXPECT_FALSE(std::ifstream(bad_model).good()) << "a model was written";
+  }
+
   for (const std::string& path : {data, colons, text_model, model}) {
     std::remove(path.c_str());
   }

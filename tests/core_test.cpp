@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "common/rng.h"
@@ -121,6 +122,31 @@ TEST(OcularConfigTest, ValidatesRanges) {
   c = OcularConfig{};
   c.max_sweeps = 0;
   EXPECT_FALSE(c.Validate().ok());
+
+  // NaN passes every < and <= test, so each real knob must be finite.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double OcularConfig::*knob :
+       {&OcularConfig::lambda, &OcularConfig::tolerance,
+        &OcularConfig::armijo_beta, &OcularConfig::armijo_sigma,
+        &OcularConfig::initial_step, &OcularConfig::init_scale}) {
+    for (double bad : {nan, inf, -inf}) {
+      c = OcularConfig{};
+      c.*knob = bad;
+      EXPECT_TRUE(c.Validate().IsInvalidArgument()) << bad;
+    }
+  }
+
+  // TotalDims() = k + 2 with biases must not wrap to a tiny dimension.
+  c = OcularConfig{};
+  c.use_biases = true;
+  c.k = std::numeric_limits<uint32_t>::max();
+  EXPECT_TRUE(c.Validate().IsInvalidArgument());
+  c.k = std::numeric_limits<uint32_t>::max() - 1;
+  EXPECT_TRUE(c.Validate().IsInvalidArgument());
+  c.k = std::numeric_limits<uint32_t>::max() - 2;
+  EXPECT_TRUE(c.Validate().ok());
+  EXPECT_EQ(c.TotalDims(), std::numeric_limits<uint32_t>::max());
 }
 
 // --------------------------------------------------- ProjectedGradientStep

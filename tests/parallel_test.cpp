@@ -1,6 +1,6 @@
-// Unit tests for src/parallel: row-parallel trainer equivalence with the
-// serial trainer, and the per-positive-example gradient kernel against the
-// serial reference.
+// Unit tests for training on several threads (OcularTrainer with a thread
+// count against the one-thread run) and for src/parallel: balanced row
+// ranges, the bounded queue and the serial item-gradient reference.
 
 #include <gtest/gtest.h>
 
@@ -17,8 +17,6 @@
 #include "data/synthetic.h"
 #include "parallel/bounded_queue.h"
 #include "parallel/gradient_kernel.h"
-#include "parallel/kernel_trainer.h"
-#include "parallel/parallel_trainer.h"
 #include "parallel/partition.h"
 
 namespace ocular {
@@ -53,7 +51,7 @@ TEST_P(ParallelEquivalenceTest, ParallelTrainerMatchesSerialExactly) {
   OcularTrainer serial(config);
   auto fit_serial = serial.Fit(data.dataset.interactions()).value();
 
-  ParallelOcularTrainer parallel(config, threads);
+  OcularTrainer parallel(config, threads);
   auto fit_parallel = parallel.Fit(data.dataset.interactions()).value();
 
   // Row updates within a phase are independent, so the parallel result is
@@ -76,7 +74,7 @@ TEST(ParallelTrainerTest, ROcularVariantAlsoMatches) {
   config.max_sweeps = 4;
   config.tolerance = 0.0;
   OcularTrainer serial(config);
-  ParallelOcularTrainer parallel(config, 3);
+  OcularTrainer parallel(config, 3);
   auto a = serial.Fit(data.dataset.interactions()).value();
   auto b = parallel.Fit(data.dataset.interactions()).value();
   EXPECT_EQ(a.model.user_factors(), b.model.user_factors());
@@ -85,7 +83,7 @@ TEST(ParallelTrainerTest, ROcularVariantAlsoMatches) {
 TEST(ParallelTrainerTest, RejectsBadInput) {
   OcularConfig config;
   config.k = 2;
-  ParallelOcularTrainer trainer(config, 2);
+  OcularTrainer trainer(config, 2);
   CsrMatrix empty = CsrMatrix::FromPairs({}, 3, 3).value();
   EXPECT_TRUE(trainer.Fit(empty).status().IsInvalidArgument());
 }
@@ -96,7 +94,7 @@ TEST(ParallelTrainerTest, ObjectiveDecreases) {
   config.k = 4;
   config.lambda = 0.3;
   config.max_sweeps = 15;
-  ParallelOcularTrainer trainer(config, 2);
+  OcularTrainer trainer(config, 2);
   auto fit = trainer.Fit(data.dataset.interactions()).value();
   ASSERT_GE(fit.trace.size(), 2u);
   for (size_t s = 1; s < fit.trace.size(); ++s) {
@@ -106,105 +104,11 @@ TEST(ParallelTrainerTest, ObjectiveDecreases) {
   }
 }
 
-// -------------------------------------------------------- gradient kernel
-
-class GradientKernelTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(GradientKernelTest, KernelMatchesSerialReference) {
-  auto data = Planted(GetParam());
-  const CsrMatrix& r = data.dataset.interactions();
-  const CsrMatrix rt = r.Transpose();
-  Rng rng(GetParam() + 100);
-  DenseMatrix fu(r.num_rows(), 5), fi(r.num_cols(), 5);
-  fu.FillUniform(&rng, 0.0, 1.0);
-  fi.FillUniform(&rng, 0.0, 1.0);
-
-  DenseMatrix serial, kernel;
-  ComputeItemGradientsSerial(rt, fu, fi, 0.7, &serial);
-  ThreadPool pool(4);
-  ComputeItemGradientsKernel(rt, fu, fi, 0.7, &pool, &kernel);
-
-  ASSERT_EQ(serial.rows(), kernel.rows());
-  ASSERT_EQ(serial.cols(), kernel.cols());
-  for (uint32_t i = 0; i < serial.rows(); ++i) {
-    for (uint32_t c = 0; c < serial.cols(); ++c) {
-      const double a = serial.At(i, c);
-      const double b = kernel.At(i, c);
-      // Atomic accumulation reassociates floating point; allow tiny slack.
-      EXPECT_NEAR(a, b, 1e-9 * (1.0 + std::abs(a)))
-          << "item " << i << " dim " << c;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, GradientKernelTest, ::testing::Range(1, 6));
-
-// ------------------------------------------------------- kernel trainer
-
-TEST(KernelTrainerTest, TracksSerialTrainerClosely) {
-  auto data = Planted(21);
-  OcularConfig cfg;
-  cfg.k = 4;
-  cfg.lambda = 0.5;
-  cfg.max_sweeps = 8;
-  cfg.tolerance = 0.0;
-  cfg.seed = 5;
-  OcularTrainer serial(cfg);
-  auto a = serial.Fit(data.dataset.interactions()).value();
-  KernelOcularTrainer kernel(cfg, 3);
-  auto b = kernel.Fit(data.dataset.interactions()).value();
-  // Atomic accumulation reorders float sums, so equality is approximate
-  // (unlike ParallelOcularTrainer's bit-exact match).
-  ASSERT_EQ(a.trace.size(), b.trace.size());
-  for (size_t s = 0; s < a.trace.size(); ++s) {
-    EXPECT_NEAR(a.trace[s].objective, b.trace[s].objective,
-                1e-6 * std::abs(a.trace[s].objective))
-        << "sweep " << s;
-  }
-  for (uint32_t u = 0; u < a.model.num_users(); ++u) {
-    for (uint32_t c = 0; c < cfg.k; ++c) {
-      EXPECT_NEAR(a.model.user_factors().At(u, c),
-                  b.model.user_factors().At(u, c), 1e-6);
-    }
-  }
-}
-
-TEST(KernelTrainerTest, ObjectiveDecreasesAndModelValid) {
-  auto data = Planted(22);
-  OcularConfig cfg;
-  cfg.k = 5;
-  cfg.lambda = 0.3;
-  cfg.max_sweeps = 15;
-  KernelOcularTrainer trainer(cfg, 2);
-  auto fit = trainer.Fit(data.dataset.interactions()).value();
-  ASSERT_GE(fit.trace.size(), 2u);
-  for (size_t s = 1; s < fit.trace.size(); ++s) {
-    EXPECT_LE(fit.trace[s].objective,
-              fit.trace[s - 1].objective +
-                  1e-6 * std::abs(fit.trace[s - 1].objective));
-  }
-  EXPECT_TRUE(fit.model.Validate().ok());
-}
-
-TEST(KernelTrainerTest, RejectsUnsupportedModes) {
-  OcularConfig cfg;
-  cfg.k = 2;
-  cfg.variant = OcularVariant::kRelative;
-  KernelOcularTrainer relative(cfg, 1);
-  CsrMatrix r = CsrMatrix::FromPairs({{0, 0}, {1, 1}}, 2, 2).value();
-  EXPECT_TRUE(relative.Fit(r).status().IsInvalidArgument());
-
-  OcularConfig biased;
-  biased.k = 2;
-  biased.use_biases = true;
-  KernelOcularTrainer with_bias(biased, 1);
-  EXPECT_TRUE(with_bias.Fit(r).status().IsInvalidArgument());
-
-  OcularConfig ok;
-  ok.k = 2;
-  KernelOcularTrainer empty_input(ok, 1);
-  CsrMatrix empty = CsrMatrix::FromPairs({}, 2, 2).value();
-  EXPECT_TRUE(empty_input.Fit(empty).status().IsInvalidArgument());
+TEST(ParallelTrainerTest, ZeroThreadsCountsAsOne) {
+  OcularConfig config;
+  EXPECT_EQ(OcularTrainer(config).num_threads(), 1u);
+  EXPECT_EQ(OcularTrainer(config, 0).num_threads(), 1u);
+  EXPECT_EQ(OcularTrainer(config, 4).num_threads(), 4u);
 }
 
 // ------------------------------------------------- balanced partitioning
@@ -257,8 +161,8 @@ TEST(ThreadPoolTest, ParallelForRangesRunsEveryRangeOnce) {
   std::vector<std::atomic<int>> hits(21);
   pool.ParallelForRanges(ranges, [&](size_t lo, size_t hi) {
     // Worker threads report an in-bounds index; the inline path (single
-    // range) would report kNotAWorker — either way the slot contract of
-    // the trainers holds.
+    // range) would report kNotAWorker — either way the trainer's slot
+    // contract holds.
     const size_t idx = ThreadPool::CurrentWorkerIndex();
     EXPECT_TRUE(idx < 3 || idx == ThreadPool::kNotAWorker);
     for (size_t i = lo; i < hi; ++i) {

@@ -1,14 +1,18 @@
-// Perf-contract tests for the block-update kernels:
-//   1. zero heap allocations inside ProjectedGradientStep / ArmijoStep per
-//      block update (the BlockWorkspace contract), enforced with a global
-//      operator-new counting hook;
+// Perf-contract tests for the block-update kernels and the trainer:
+//   1. zero heap allocations inside ProjectedGradientStep per block update
+//      (the BlockWorkspace contract), enforced with a global operator-new
+//      counting hook;
 //   2. the fused per-sweep objective (accumulated from the user-phase block
 //      updates) reproduces the ObjectiveQ oracle to 1e-9 relative, across
-//      serial / parallel / kernel trainers and config variants;
-//   3. serial-vs-parallel equivalence: same seed and config give the same
-//      final factors and final Q.
+//      thread counts and config variants;
+//   3. equivalence across thread counts: same seed and config give the same
+//      final factors and final Q;
+//   4. a one-thread fit starts no thread, enforced with a pthread_create
+//      counting hook.
 
+#include <dlfcn.h>
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <atomic>
 #include <cmath>
@@ -18,8 +22,6 @@
 #include "common/rng.h"
 #include "core/ocular_model.h"
 #include "core/ocular_trainer.h"
-#include "parallel/kernel_trainer.h"
-#include "parallel/parallel_trainer.h"
 #include "sparse/csr.h"
 #include "sparse/dense.h"
 #include "test_util.h"
@@ -46,6 +48,38 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+// ------------------------------------------- thread-start counting hook
+// The executable's pthread_create interposes libc's (std::thread reaches it
+// through libstdc++), counts, and forwards. The sanitizers intercept
+// pthread_create themselves, so the hook and its test are left out there.
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define OCULAR_THREAD_HOOK 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define OCULAR_THREAD_HOOK 0
+#endif
+#endif
+#ifndef OCULAR_THREAD_HOOK
+#define OCULAR_THREAD_HOOK 1
+#endif
+
+#if OCULAR_THREAD_HOOK
+namespace {
+std::atomic<uint64_t> g_thread_starts{0};
+}  // namespace
+
+extern "C" int pthread_create(pthread_t* thread, const pthread_attr_t* attr,
+                              void* (*start)(void*), void* arg) {
+  using Create = int (*)(pthread_t*, const pthread_attr_t*, void* (*)(void*),
+                         void*);
+  static const Create real =
+      reinterpret_cast<Create>(dlsym(RTLD_NEXT, "pthread_create"));
+  g_thread_starts.fetch_add(1, std::memory_order_relaxed);
+  return real(thread, attr, start, arg);
+}
+#endif
 
 namespace ocular {
 namespace {
@@ -77,31 +111,6 @@ TEST(BlockKernelAllocTest, ProjectedGradientStepAllocatesNothing) {
   }
   EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), before)
       << "block updates must not touch the heap";
-}
-
-TEST(BlockKernelAllocTest, ArmijoStepAllocatesNothing) {
-  Rng rng = test::MakeRng(5);
-  OcularConfig config;
-  config.k = 6;
-  config.lambda = 0.3;
-  DenseMatrix other(30, 6);
-  other.FillUniform(&rng, 0.0, 1.0);
-  const std::vector<double> sums = other.ColumnSums();
-  const std::vector<uint32_t> neighbors{0, 7, 14, 21};
-  std::vector<double> f(6, 0.5);
-  std::vector<double> grad(6, 0.1);
-
-  internal::BlockWorkspace ws;
-  ws.Reserve(config.k, neighbors.size());
-
-  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-  for (int it = 0; it < 100; ++it) {
-    ws.Invalidate();
-    internal::ArmijoStep(f, grad, neighbors, other, sums, config.lambda, 1.0,
-                         {}, config, &ws);
-  }
-  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), before)
-      << "line searches must not touch the heap";
 }
 
 // ------------------------------------------------- fused objective oracle
@@ -166,19 +175,7 @@ TEST_P(FusedObjectiveTest, ParallelTrainerMatchesOracle) {
   cfg.lambda = 0.7;
   cfg.max_sweeps = 5;
   cfg.tolerance = 0.0;
-  ParallelOcularTrainer trainer(cfg, 3);
-  auto fit = trainer.Fit(r).value();
-  ExpectFusedMatchesOracle(fit, r, cfg);
-}
-
-TEST_P(FusedObjectiveTest, KernelTrainerMatchesOracle) {
-  const CsrMatrix r = test::RandomCsr(40, 30, 320, GetParam());
-  OcularConfig cfg;
-  cfg.k = 5;
-  cfg.lambda = 0.7;
-  cfg.max_sweeps = 4;
-  cfg.tolerance = 0.0;
-  KernelOcularTrainer trainer(cfg, 2);
+  OcularTrainer trainer(cfg, 3);
   auto fit = trainer.Fit(r).value();
   ExpectFusedMatchesOracle(fit, r, cfg);
 }
@@ -199,7 +196,7 @@ TEST(SerialParallelEquivalenceTest, SameSeedSameConfigSameFinalQ) {
 
   OcularTrainer serial(cfg);
   auto a = serial.Fit(r).value();
-  ParallelOcularTrainer parallel(cfg, 4);
+  OcularTrainer parallel(cfg, 4);
   auto b = parallel.Fit(r).value();
 
   // Same per-row kernel on both sides: factors are bit-identical, and the
@@ -224,7 +221,7 @@ TEST(SerialParallelEquivalenceTest, TinyBlocksFixture) {
   cfg.max_sweeps = 10;
   cfg.tolerance = 0.0;
   OcularTrainer serial(cfg);
-  ParallelOcularTrainer parallel(cfg, 2);
+  OcularTrainer parallel(cfg, 2);
   auto a = serial.Fit(r).value();
   auto b = parallel.Fit(r).value();
   EXPECT_EQ(a.model.user_factors(), b.model.user_factors());
@@ -233,6 +230,33 @@ TEST(SerialParallelEquivalenceTest, TinyBlocksFixture) {
   EXPECT_NEAR(qa, b.trace.back().objective,
               1e-6 * std::max(1.0, std::abs(qa)));
 }
+
+// --------------------------------------------------------- thread starts
+
+#if OCULAR_THREAD_HOOK
+TEST(TrainerThreadsTest, OneThreadRunsInlineAndAPoolLivesForOneFit) {
+  const CsrMatrix r = test::RandomCsr(40, 30, 320, 91);
+  OcularConfig cfg;
+  cfg.k = 4;
+  cfg.max_sweeps = 3;
+
+  // The default trainer (the daemon's update path) starts no thread.
+  uint64_t before = g_thread_starts.load();
+  const OcularTrainer inline_trainer(cfg);
+  EXPECT_EQ(inline_trainer.num_threads(), 1u);
+  ASSERT_TRUE(inline_trainer.Fit(r).ok());
+  EXPECT_EQ(g_thread_starts.load(), before)
+      << "a one-thread fit must run on the calling thread";
+
+  // Three threads: constructing starts none, each fit starts its own pool.
+  before = g_thread_starts.load();
+  const OcularTrainer threaded(cfg, 3);
+  EXPECT_EQ(g_thread_starts.load(), before);
+  ASSERT_TRUE(threaded.Fit(r).ok());
+  ASSERT_TRUE(threaded.Fit(r).ok());
+  EXPECT_EQ(g_thread_starts.load(), before + 6);
+}
+#endif
 
 }  // namespace
 }  // namespace ocular

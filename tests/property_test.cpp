@@ -14,7 +14,6 @@
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "eval/metrics.h"
-#include "parallel/parallel_trainer.h"
 #include "test_util.h"
 
 namespace ocular {
@@ -75,31 +74,42 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Bool(),                   // R-OCuLaR
                        ::testing::Bool()));                 // biases
 
-// ------------- Parallel/serial equivalence across the same config axes --
+// ---------- Thread-count equivalence across the same config axes --------
 
 class ParallelInvariantTest
-    : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<uint64_t, size_t, bool, bool, uint32_t>> {};
 
 TEST_P(ParallelInvariantTest, BitwiseEquivalence) {
-  const auto [seed, biases] = GetParam();
+  const auto [seed, threads, biases, relative, block_steps] = GetParam();
   CsrMatrix r = RandomInteractions(50, 35, 0.08, seed);
   OcularConfig cfg;
   cfg.k = 4;
   cfg.lambda = 0.3;
   cfg.use_biases = biases;
+  cfg.variant = relative ? OcularVariant::kRelative : OcularVariant::kAbsolute;
+  cfg.block_steps = block_steps;
   cfg.max_sweeps = 4;
   cfg.tolerance = 0.0;
-  OcularTrainer serial(cfg);
-  ParallelOcularTrainer parallel(cfg, 3);
-  auto a = serial.Fit(r).value();
-  auto b = parallel.Fit(r).value();
+  auto a = OcularTrainer(cfg).Fit(r).value();
+  auto b = OcularTrainer(cfg, threads).Fit(r).value();
   EXPECT_EQ(a.model.user_factors(), b.model.user_factors());
   EXPECT_EQ(a.model.item_factors(), b.model.item_factors());
+  ASSERT_EQ(a.trace.size(), b.trace.size());
+  for (size_t s = 0; s < a.trace.size(); ++s) {
+    EXPECT_EQ(a.trace[s].objective, b.trace[s].objective) << "sweep " << s;
+  }
+  EXPECT_EQ(a.sweeps_run, b.sweeps_run);
+  EXPECT_EQ(a.converged, b.converged);
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, ParallelInvariantTest,
-                         ::testing::Combine(::testing::Values(4, 5, 6),
-                                            ::testing::Bool()));
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, ParallelInvariantTest,
+    ::testing::Combine(::testing::Values(4, 5, 6),              // seed
+                       ::testing::Values<size_t>(1, 2, 4),      // threads
+                       ::testing::Bool(),                       // biases
+                       ::testing::Bool(),                       // R-OCuLaR
+                       ::testing::Values<uint32_t>(1, 3)));     // block_steps
 
 // ------------------------- Fold-in solves the user block to optimality --
 

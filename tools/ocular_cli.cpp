@@ -24,7 +24,9 @@
 //   ocular evaluate --input=/tmp/b2b.tsv --k=16 --lambda=0.5 --m=50
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -95,11 +97,39 @@ Result<Dataset> LoadInput(const Flags& flags) {
   return Status::InvalidArgument("unknown --format '" + format + "'");
 }
 
-OcularConfig ConfigFromFlags(const Flags& flags) {
+/// Reads the trainer flags. A --k or --sweeps that is not an integer in
+/// range, or a --lambda that is not a finite number >= 0, is an error that
+/// names the flag: a cast would turn --k=-1 into 4294967295, and a value
+/// that does not parse would silently train at the default.
+Result<OcularConfig> ConfigFromFlags(const Flags& flags) {
+  const auto count = [&flags](const std::string& name, uint32_t def,
+                              uint32_t max) -> Result<uint32_t> {
+    if (!flags.Has(name)) return def;
+    const Result<int64_t> value = flags.RequireInt(name);
+    if (!value.ok() || *value < 1 || *value > max) {
+      return Status::InvalidArgument("--" + name + "=" +
+                                     flags.GetString(name) +
+                                     " is not an integer in [1, " +
+                                     std::to_string(max) + "]");
+    }
+    return static_cast<uint32_t>(*value);
+  };
   OcularConfig cfg;
-  cfg.k = static_cast<uint32_t>(flags.GetInt("k", 16));
-  cfg.lambda = flags.GetDouble("lambda", 0.5);
-  cfg.max_sweeps = static_cast<uint32_t>(flags.GetInt("sweeps", 60));
+  // K + 2 (the bias dimensions) must still fit in 32 bits.
+  OCULAR_ASSIGN_OR_RETURN(
+      cfg.k, count("k", 16, std::numeric_limits<uint32_t>::max() - 2));
+  OCULAR_ASSIGN_OR_RETURN(
+      cfg.max_sweeps,
+      count("sweeps", 60, std::numeric_limits<uint32_t>::max()));
+  cfg.lambda = 0.5;
+  if (flags.Has("lambda")) {
+    const Result<double> lambda = flags.RequireDouble("lambda");
+    if (!lambda.ok() || !std::isfinite(*lambda) || *lambda < 0.0) {
+      return Status::InvalidArgument("--lambda=" + flags.GetString("lambda") +
+                                     " is not a finite number >= 0");
+    }
+    cfg.lambda = *lambda;
+  }
   cfg.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   cfg.use_biases = flags.GetBool("biases", false);
   if (flags.GetString("variant", "absolute") == "relative") {
@@ -151,6 +181,11 @@ int CmdSynth(const Flags& flags) {
 }
 
 int CmdTrain(const Flags& flags) {
+  const Result<OcularConfig> cfg = ConfigFromFlags(flags);
+  if (!cfg.ok()) {
+    std::fprintf(stderr, "%s\n", cfg.status().ToString().c_str());
+    return 1;
+  }
   auto ds = LoadInput(flags);
   if (!ds.ok()) {
     std::fprintf(stderr, "%s\n", ds.status().ToString().c_str());
@@ -161,14 +196,13 @@ int CmdTrain(const Flags& flags) {
     std::fprintf(stderr, "%s\n", model_path.status().ToString().c_str());
     return 1;
   }
-  OcularConfig cfg = ConfigFromFlags(flags);
-  OcularRecommender rec(cfg);
+  OcularRecommender rec(*cfg);
   Status st = rec.Fit(ds->interactions());
   if (!st.ok()) {
     std::fprintf(stderr, "training failed: %s\n", st.ToString().c_str());
     return 1;
   }
-  st = SaveModel(rec.model(), cfg, *model_path);
+  st = SaveModel(rec.model(), *cfg, *model_path);
   if (!st.ok()) {
     std::fprintf(stderr, "save failed: %s\n", st.ToString().c_str());
     return 1;
@@ -311,6 +345,11 @@ int CmdExplain(const Flags& flags) {
 }
 
 int CmdEvaluate(const Flags& flags) {
+  const Result<OcularConfig> cfg = ConfigFromFlags(flags);
+  if (!cfg.ok()) {
+    std::fprintf(stderr, "%s\n", cfg.status().ToString().c_str());
+    return 1;
+  }
   auto ds = LoadInput(flags);
   if (!ds.ok()) {
     std::fprintf(stderr, "%s\n", ds.status().ToString().c_str());
@@ -323,8 +362,7 @@ int CmdEvaluate(const Flags& flags) {
     std::fprintf(stderr, "%s\n", split.status().ToString().c_str());
     return 1;
   }
-  OcularConfig cfg = ConfigFromFlags(flags);
-  OcularRecommender rec(cfg);
+  OcularRecommender rec(*cfg);
   Status st = rec.Fit(split->train);
   if (!st.ok()) {
     std::fprintf(stderr, "training failed: %s\n", st.ToString().c_str());
@@ -337,8 +375,8 @@ int CmdEvaluate(const Flags& flags) {
     return 1;
   }
   auto auc = SampledAuc(rec, split->train, split->test, 3, &rng);
-  std::printf("%s  K=%u lambda=%s\n", rec.name().c_str(), cfg.k,
-              FormatDouble(cfg.lambda, 3).c_str());
+  std::printf("%s  K=%u lambda=%s\n", rec.name().c_str(), cfg->k,
+              FormatDouble(cfg->lambda, 3).c_str());
   std::printf("recall@%u=%.4f  MAP@%u=%.4f  NDCG@%u=%.4f  MRR@%u=%.4f  "
               "AUC=%.4f  (%u users)\n",
               m, metrics->recall, m, metrics->map, m, metrics->ndcg, m,
