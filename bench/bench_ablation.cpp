@@ -54,7 +54,10 @@ void NaiveItemGradients(const CsrMatrix& r, const DenseMatrix& fu,
 
 int main(int argc, char** argv) {
   using namespace ocular;
-  const double scale = bench::FlagDouble(argc, argv, "scale", 0.04);
+  const double scale = ParseFlagsOrExit(
+      {"bench_ablation", "Ablations: block steps, complement trick, biases.",
+       {RealFlag("scale", 0.0, 1.0, "0.04", "MovieLens-like dataset scale")}},
+      argc, argv).Real("scale");
   std::printf("=== Ablations: block steps, complement trick, biases "
               "(MovieLens-like, scale=%.3f) ===\n", scale);
 

@@ -8,13 +8,6 @@
 // must leave the hot clients' p99 within a small factor of the
 // swarm-free tail.
 //
-//   bench_conn [--scale=0.25] [--k=16] [--m=10] [--sweeps=4] [--seed=1]
-//              [--clients=4] [--requests=400] [--pipeline=8]
-//              [--workers=2] [--idle-conns=5000] [--slow-writers=100]
-//              [--duration-ms=1500] [--reps=2] [--warmup=1]
-//              [--json] [--out=BENCH_conn.json]
-//              [--baseline=path/to/BENCH.json] [--max-loris-p99-ratio=2.0]
-//
 // Phases (in-process RequestServer, workers=2 by default so the worker
 // pool is tiny next to the connection count — the point of the epoll
 // core):
@@ -341,33 +334,48 @@ std::string ToJson(const ConnBenchResult& res, const CsrMatrix& r,
   return w.str();
 }
 
+const FlagTable kFlags = {
+    "bench_conn",
+    "The epoll daemon under an idle keep-alive flood and a slowloris swarm.",
+    {RealFlag("scale", 0.0, kNoUpperBound, "0.25", "two-block workload scale"),
+     IntFlag("k", 0, UINT32_MAX, "16", "co-clusters (K)"),
+     IntFlag("m", 0, UINT32_MAX, "10", "top-M per request"),
+     IntFlag("sweeps", 0, UINT32_MAX, "4", "training sweeps"),
+     IntFlag("seed", 0, INT64_MAX, "1", "workload seed"),
+     IntFlag("reps", 0, UINT32_MAX, "2", "timed repetitions"),
+     IntFlag("warmup", 0, UINT32_MAX, "1", "untimed warm-up repetitions"),
+     IntFlag("workers", 0, INT64_MAX, "2", "daemon worker threads"),
+     IntFlag("idle-conns", 0, UINT32_MAX, "5000",
+             "idle keep-alive connections"),
+     IntFlag("slow-writers", 0, UINT32_MAX, "100", "slowloris connections"),
+     IntFlag("duration-ms", 0, UINT32_MAX, "1500", "flood duration"),
+     IntFlag("clients", 0, UINT32_MAX, "4", "load clients"),
+     IntFlag("requests", 0, INT64_MAX, "400", "requests per client"),
+     IntFlag("pipeline", 0, UINT32_MAX, "8", "requests in flight per client"),
+     BoolFlag("json", false, "write the JSON record to --out"),
+     StringFlag("out", "BENCH_conn.json", "JSON record path"),
+     RealFlag("max-loris-p99-ratio", 0.0, kNoUpperBound, "2",
+              "fail when slowloris p99 over hot p99 exceeds this; 0 = off"),
+     StringFlag("baseline", "", "checked-in record to gate this run against")}};
+
 int Main(int argc, char** argv) {
-  const double scale = FlagDouble(argc, argv, "scale", 0.25);
-  const uint32_t k = static_cast<uint32_t>(FlagDouble(argc, argv, "k", 16));
-  const uint32_t m = static_cast<uint32_t>(FlagDouble(argc, argv, "m", 10));
-  const uint32_t sweeps =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "sweeps", 4));
-  const uint64_t seed =
-      static_cast<uint64_t>(FlagDouble(argc, argv, "seed", 1));
-  const uint32_t reps =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "reps", 2));
-  const uint32_t warmup =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "warmup", 1));
-  const size_t workers =
-      static_cast<size_t>(FlagDouble(argc, argv, "workers", 2));
-  const uint32_t idle_conns =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "idle-conns", 5000));
-  const uint32_t slow_writers =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "slow-writers", 100));
-  const uint32_t duration_ms =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "duration-ms", 1500));
+  const Flags flags = ParseFlagsOrExit(kFlags, argc, argv);
+  const double scale = flags.Real("scale");
+  const uint32_t k = flags.Int<uint32_t>("k");
+  const uint32_t m = flags.Int<uint32_t>("m");
+  const uint32_t sweeps = flags.Int<uint32_t>("sweeps");
+  const uint64_t seed = flags.Int<uint64_t>("seed");
+  const uint32_t reps = flags.Int<uint32_t>("reps");
+  const uint32_t warmup = flags.Int<uint32_t>("warmup");
+  const size_t workers = flags.Int<size_t>("workers");
+  const uint32_t idle_conns = flags.Int<uint32_t>("idle-conns");
+  const uint32_t slow_writers = flags.Int<uint32_t>("slow-writers");
+  const uint32_t duration_ms = flags.Int<uint32_t>("duration-ms");
 
   LoadGenOptions load;
-  load.clients = static_cast<uint32_t>(FlagDouble(argc, argv, "clients", 4));
-  load.requests_per_client =
-      static_cast<uint64_t>(FlagDouble(argc, argv, "requests", 400));
-  load.pipeline =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "pipeline", 8));
+  load.clients = flags.Int<uint32_t>("clients");
+  load.requests_per_client = flags.Int<uint64_t>("requests");
+  load.pipeline = flags.Int<uint32_t>("pipeline");
   load.m = m;
 
   const CsrMatrix r = TwoBlockWorkload(scale, seed);
@@ -622,9 +630,8 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  if (FlagBool(argc, argv, "json")) {
-    const std::string out_path =
-        FlagString(argc, argv, "out", "BENCH_conn.json");
+  if (flags.Bool("json")) {
+    const std::string out_path = flags.String("out");
     const std::string json = ToJson(res, r, k, m, scale, load, idle_conns,
                                     slow_writers, workers, reps, warmup);
     if (!WriteTextFile(out_path, json + "\n")) return 1;
@@ -633,8 +640,7 @@ int Main(int argc, char** argv) {
 
   // Absolute tail gate: the ISSUE's claim is hot-client p99 within 2x of
   // the swarm-free tail while 100 slowloris writers dribble.
-  const double max_loris_ratio =
-      FlagDouble(argc, argv, "max-loris-p99-ratio", 2.0);
+  const double max_loris_ratio = flags.Real("max-loris-p99-ratio");
   if (max_loris_ratio > 0.0 && res.loris_p99_over_hot > max_loris_ratio) {
     std::fprintf(stderr,
                  "FAIL: slowloris p99 ratio %.2f above ceiling %.2f\n",
@@ -642,7 +648,7 @@ int Main(int argc, char** argv) {
     return 2;
   }
 
-  const std::string baseline_path = FlagString(argc, argv, "baseline", "");
+  const std::string baseline_path = flags.String("baseline");
   if (!baseline_path.empty()) {
     std::ifstream in(baseline_path);
     std::stringstream buf;

@@ -4,12 +4,6 @@
 // batched replies), on a trained OCuLaR model over the synthetic
 // two-block workload at K=50.
 //
-//   bench_daemon_hot [--scale=1.0] [--k=50] [--m=50] [--sweeps=6] [--seed=1]
-//                    [--clients=8] [--requests=500] [--pipeline=16]
-//                    [--workers=0] [--reps=3] [--warmup=1]
-//                    [--json] [--out=BENCH_daemon.json]
-//                    [--min-speedup=X] [--baseline=path/to/BENCH.json]
-//
 // The serial side is a faithful in-binary reproduction of the pre-PR 5
 // TCP loop: one thread accepts one connection at a time and serves it to
 // completion — every other client waits in the backlog — writing every
@@ -290,27 +284,42 @@ std::string ToJson(const DaemonBenchResult& res, const CsrMatrix& r,
   return w.str();
 }
 
+const FlagTable kFlags = {
+    "bench_daemon_hot",
+    "Daemon throughput over loopback TCP: worker pool against the serial loop.",
+    {RealFlag("scale", 0.0, kNoUpperBound, "1", "two-block workload scale"),
+     IntFlag("k", 0, UINT32_MAX, "50", "co-clusters (K)"),
+     IntFlag("m", 0, UINT32_MAX, "50", "top-M per request"),
+     IntFlag("sweeps", 0, UINT32_MAX, "6", "training sweeps"),
+     IntFlag("seed", 0, INT64_MAX, "1", "workload seed"),
+     IntFlag("reps", 0, UINT32_MAX, "3", "timed repetitions"),
+     IntFlag("warmup", 0, UINT32_MAX, "1", "untimed warm-up repetitions"),
+     IntFlag("clients", 0, UINT32_MAX, "8", "load clients"),
+     IntFlag("requests", 0, INT64_MAX, "500", "requests per client"),
+     IntFlag("pipeline", 0, UINT32_MAX, "16", "requests in flight per client"),
+     IntFlag("workers", 0, INT64_MAX, "0",
+             "daemon worker threads; 0 = one per CPU"),
+     BoolFlag("json", false, "write the JSON record to --out"),
+     StringFlag("out", "BENCH_daemon.json", "JSON record path"),
+     RealFlag("min-speedup", 0.0, kNoUpperBound, "0",
+              "fail below this speedup; 0 = no floor"),
+     StringFlag("baseline", "", "checked-in record to gate this run against")}};
+
 int Main(int argc, char** argv) {
-  const double scale = FlagDouble(argc, argv, "scale", 1.0);
-  const uint32_t k = static_cast<uint32_t>(FlagDouble(argc, argv, "k", 50));
-  const uint32_t m = static_cast<uint32_t>(FlagDouble(argc, argv, "m", 50));
-  const uint32_t sweeps =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "sweeps", 6));
-  const uint64_t seed =
-      static_cast<uint64_t>(FlagDouble(argc, argv, "seed", 1));
-  const uint32_t reps =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "reps", 3));
-  const uint32_t warmup =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "warmup", 1));
+  const Flags flags = ParseFlagsOrExit(kFlags, argc, argv);
+  const double scale = flags.Real("scale");
+  const uint32_t k = flags.Int<uint32_t>("k");
+  const uint32_t m = flags.Int<uint32_t>("m");
+  const uint32_t sweeps = flags.Int<uint32_t>("sweeps");
+  const uint64_t seed = flags.Int<uint64_t>("seed");
+  const uint32_t reps = flags.Int<uint32_t>("reps");
+  const uint32_t warmup = flags.Int<uint32_t>("warmup");
 
   LoadGenOptions load;
-  load.clients = static_cast<uint32_t>(FlagDouble(argc, argv, "clients", 8));
-  load.requests_per_client =
-      static_cast<uint64_t>(FlagDouble(argc, argv, "requests", 500));
-  load.pipeline =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "pipeline", 16));
-  const size_t workers =
-      static_cast<size_t>(FlagDouble(argc, argv, "workers", 0));
+  load.clients = flags.Int<uint32_t>("clients");
+  load.requests_per_client = flags.Int<uint64_t>("requests");
+  load.pipeline = flags.Int<uint32_t>("pipeline");
+  const size_t workers = flags.Int<size_t>("workers");
   load.m = m;
 
   const CsrMatrix r = TwoBlockWorkload(scale, seed);
@@ -501,23 +510,22 @@ int Main(int argc, char** argv) {
               res.pingpong_pooled_rps /
                   std::max(res.pingpong_serial_rps, 1e-12));
 
-  if (FlagBool(argc, argv, "json")) {
-    const std::string out_path =
-        FlagString(argc, argv, "out", "BENCH_daemon.json");
+  if (flags.Bool("json")) {
+    const std::string out_path = flags.String("out");
     const std::string json =
         ToJson(res, r, k, m, scale, load, resolved_workers, reps, warmup);
     if (!WriteTextFile(out_path, json + "\n")) return 1;
     std::printf("  wrote %s\n", out_path.c_str());
   }
 
-  const double min_speedup = FlagDouble(argc, argv, "min-speedup", 0.0);
+  const double min_speedup = flags.Real("min-speedup");
   if (min_speedup > 0.0 && res.speedup < min_speedup) {
     std::fprintf(stderr, "FAIL: speedup %.2fx below floor %.2fx\n",
                  res.speedup, min_speedup);
     return 2;
   }
 
-  const std::string baseline_path = FlagString(argc, argv, "baseline", "");
+  const std::string baseline_path = flags.String("baseline");
   if (!baseline_path.empty()) {
     std::ifstream in(baseline_path);
     std::stringstream buf;

@@ -10,7 +10,10 @@
 
 int main(int argc, char** argv) {
   using namespace ocular;
-  const double scale = bench::FlagDouble(argc, argv, "scale", 0.06);
+  const double scale = ParseFlagsOrExit(
+      {"bench_fig5_curves", "Figure 5: recall@M and MAP@M versus M.",
+       {RealFlag("scale", 0.0, 1.0, "0.06", "MovieLens-like dataset scale")}},
+      argc, argv).Real("scale");
   std::printf("=== Figure 5: recall@M and MAP@M vs M (MovieLens-like, "
               "scale=%.3f) ===\n", scale);
 

@@ -13,7 +13,10 @@
 
 int main(int argc, char** argv) {
   using namespace ocular;
-  const double scale = bench::FlagDouble(argc, argv, "scale", 0.06);
+  const double scale = ParseFlagsOrExit(
+      {"bench_fig6_params", "Figure 6: impact of K and lambda.",
+       {RealFlag("scale", 0.0, 1.0, "0.06", "MovieLens-like dataset scale")}},
+      argc, argv).Real("scale");
   std::printf("=== Figure 6: recall and co-cluster metrics vs (K, lambda) "
               "(MovieLens-like, scale=%.3f) ===\n", scale);
 

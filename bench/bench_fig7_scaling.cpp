@@ -31,7 +31,10 @@ int main(int argc, char** argv) {
   using namespace ocular;
   // Netflix is 480k x 17.8k with ~56M positives; the default scale keeps
   // the run in seconds. Raise --scale to stress.
-  const double scale = bench::FlagDouble(argc, argv, "scale", 0.015);
+  const double scale = ParseFlagsOrExit(
+      {"bench_fig7_scaling", "Figure 7: seconds per sweep versus data size.",
+       {RealFlag("scale", 0.0, 1.0, "0.015", "Netflix-like dataset scale")}},
+      argc, argv).Real("scale");
   std::printf("=== Figure 7: running time per sweep vs dataset fraction "
               "(Netflix-like, scale=%.4f) ===\n", scale);
 

@@ -29,9 +29,16 @@
 
 int main(int argc, char** argv) {
   using namespace ocular;
-  const double scale = bench::FlagDouble(argc, argv, "scale", 0.01);
-  const uint32_t k =
-      static_cast<uint32_t>(bench::FlagDouble(argc, argv, "k", 50));
+  const Flags flags = ParseFlagsOrExit(
+      {"bench_fig8_gpu",
+       "Figure 8: distance to the optimal likelihood versus time at 1, 2 "
+       "and 4 threads;\nexits 1 unless every thread count fits the same "
+       "model.",
+       {RealFlag("scale", 0.0, 1.0, "0.01", "Netflix-like dataset scale"),
+        IntFlag("k", 0, UINT32_MAX, "50", "co-clusters (K)")}},
+      argc, argv);
+  const double scale = flags.Real("scale");
+  const auto k = flags.Int<uint32_t>("k");
   std::printf("=== Figure 8: distance to optimal likelihood vs time, "
               "1, 2 and 4 threads (Netflix-like, scale=%.4f, K=%u) ===\n",
               scale, k);

@@ -13,7 +13,10 @@
 
 int main(int argc, char** argv) {
   using namespace ocular;
-  const double scale = bench::FlagDouble(argc, argv, "scale", 0.03);
+  const double scale = ParseFlagsOrExit(
+      {"bench_fig9_grid", "Figure 9: (K, lambda) grid search heatmap.",
+       {RealFlag("scale", 0.0, 1.0, "0.03", "B2B-like dataset scale")}},
+      argc, argv).Real("scale");
   std::printf("=== Figure 9: (K, lambda) grid search heatmap "
               "(B2B-like, scale=%.3f) ===\n", scale);
 

@@ -6,12 +6,6 @@
 // the corpse), the degraded fleet keeps serving, and the restarted
 // replica is readmitted within a bounded recovery time.
 //
-//   bench_fleet [--scale=0.25] [--k=16] [--m=10] [--sweeps=4] [--seed=1]
-//               [--clients=4] [--requests=200] [--pipeline=8]
-//               [--workers=4] [--reps=2] [--warmup=1]
-//               [--json] [--out=BENCH_fleet.json]
-//               [--baseline=path/to/BENCH.json] [--max-recovery-ms=N]
-//
 // Phases: one validated pass (every reply checked against the offline
 // RecommendForAllUsers oracle — the proxy relays replica bytes verbatim,
 // so the bit-identical contract must survive the extra hop), steady
@@ -259,28 +253,42 @@ std::string ToJson(const FleetBenchResult& res, const CsrMatrix& r,
   return w.str();
 }
 
+const FlagTable kFlags = {
+    "bench_fleet",
+    "Fleet throughput over 3 replicas, with one SIGKILLed mid-run.",
+    {RealFlag("scale", 0.0, kNoUpperBound, "0.25", "two-block workload scale"),
+     IntFlag("k", 0, UINT32_MAX, "16", "co-clusters (K)"),
+     IntFlag("m", 0, UINT32_MAX, "10", "top-M per request"),
+     IntFlag("sweeps", 0, UINT32_MAX, "4", "training sweeps"),
+     IntFlag("seed", 0, INT64_MAX, "1", "workload seed"),
+     IntFlag("reps", 0, UINT32_MAX, "2", "timed repetitions"),
+     IntFlag("warmup", 0, UINT32_MAX, "1", "untimed warm-up repetitions"),
+     IntFlag("workers", 0, INT64_MAX, "4", "front-tier proxy threads"),
+     IntFlag("clients", 0, UINT32_MAX, "4", "load clients"),
+     IntFlag("requests", 0, INT64_MAX, "200", "requests per client"),
+     IntFlag("pipeline", 0, UINT32_MAX, "8", "requests in flight per client"),
+     BoolFlag("json", false, "write the JSON record to --out"),
+     StringFlag("out", "BENCH_fleet.json", "JSON record path"),
+     RealFlag("max-recovery-ms", 0.0, kNoUpperBound, "0",
+              "fail when readmission takes longer; 0 = no ceiling"),
+     StringFlag("baseline", "", "checked-in record to gate this run against")}};
+
 int Main(int argc, char** argv) {
-  const double scale = FlagDouble(argc, argv, "scale", 0.25);
-  const uint32_t k = static_cast<uint32_t>(FlagDouble(argc, argv, "k", 16));
-  const uint32_t m = static_cast<uint32_t>(FlagDouble(argc, argv, "m", 10));
-  const uint32_t sweeps =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "sweeps", 4));
-  const uint64_t seed =
-      static_cast<uint64_t>(FlagDouble(argc, argv, "seed", 1));
-  const uint32_t reps =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "reps", 2));
-  const uint32_t warmup =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "warmup", 1));
-  const size_t workers =
-      static_cast<size_t>(FlagDouble(argc, argv, "workers", 4));
+  const Flags flags = ParseFlagsOrExit(kFlags, argc, argv);
+  const double scale = flags.Real("scale");
+  const uint32_t k = flags.Int<uint32_t>("k");
+  const uint32_t m = flags.Int<uint32_t>("m");
+  const uint32_t sweeps = flags.Int<uint32_t>("sweeps");
+  const uint64_t seed = flags.Int<uint64_t>("seed");
+  const uint32_t reps = flags.Int<uint32_t>("reps");
+  const uint32_t warmup = flags.Int<uint32_t>("warmup");
+  const size_t workers = flags.Int<size_t>("workers");
   constexpr size_t kReplicas = 3;
 
   LoadGenOptions load;
-  load.clients = static_cast<uint32_t>(FlagDouble(argc, argv, "clients", 4));
-  load.requests_per_client =
-      static_cast<uint64_t>(FlagDouble(argc, argv, "requests", 200));
-  load.pipeline =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "pipeline", 8));
+  load.clients = flags.Int<uint32_t>("clients");
+  load.requests_per_client = flags.Int<uint64_t>("requests");
+  load.pipeline = flags.Int<uint32_t>("pipeline");
   load.m = m;
   load.reconnect_on_close = true;  // fleet mode: ride through resets
 
@@ -477,24 +485,22 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  if (FlagBool(argc, argv, "json")) {
-    const std::string out_path =
-        FlagString(argc, argv, "out", "BENCH_fleet.json");
+  if (flags.Bool("json")) {
+    const std::string out_path = flags.String("out");
     const std::string json = ToJson(res, r, k, m, scale, load, kReplicas,
                                     workers, reps, warmup);
     if (!WriteTextFile(out_path, json + "\n")) return 1;
     std::printf("  wrote %s\n", out_path.c_str());
   }
 
-  const double max_recovery_ms =
-      FlagDouble(argc, argv, "max-recovery-ms", 0.0);
+  const double max_recovery_ms = flags.Real("max-recovery-ms");
   if (max_recovery_ms > 0.0 && res.recovery_ms > max_recovery_ms) {
     std::fprintf(stderr, "FAIL: recovery %.0f ms above ceiling %.0f ms\n",
                  res.recovery_ms, max_recovery_ms);
     return 2;
   }
 
-  const std::string baseline_path = FlagString(argc, argv, "baseline", "");
+  const std::string baseline_path = flags.String("baseline");
   if (!baseline_path.empty()) {
     std::ifstream in(baseline_path);
     std::stringstream buf;

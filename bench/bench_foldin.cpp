@@ -2,14 +2,6 @@
 // trained model, the live-catalog path PR 6 moved from the per-pair
 // ScoreFoldedUser loop onto the blocked scoring engine.
 //
-//   bench_foldin [--scale=1.0] [--k=50] [--m=50] [--sweeps=6] [--seed=1]
-//                [--histories=64] [--history-len=8]
-//                [--reps=50] [--warmup=5]
-//                [--clients=4] [--requests=200] [--pipeline=8]
-//                [--daemon-reps=3] [--daemon-warmup=1]
-//                [--json] [--out=BENCH_foldin.json]
-//                [--min-speedup=X] [--baseline=path/to/BENCH.json]
-//
 // Three measurements over one trained model:
 //
 //  1. Scoring speedup (the gated number). Each history is folded in ONCE
@@ -183,26 +175,42 @@ std::string ToJson(const FoldinBenchResult& res, const CsrMatrix& r,
   return w.str();
 }
 
+const FlagTable kFlags = {
+    "bench_foldin",
+    "Recommend-by-history: blocked engine against the per-pair fold-in loop.",
+    {RealFlag("scale", 0.0, kNoUpperBound, "1", "two-block workload scale"),
+     IntFlag("k", 0, UINT32_MAX, "50", "co-clusters (K)"),
+     IntFlag("m", 0, UINT32_MAX, "50", "top-M per request"),
+     IntFlag("sweeps", 0, UINT32_MAX, "6", "training sweeps"),
+     IntFlag("seed", 0, INT64_MAX, "1", "workload seed"),
+     IntFlag("histories", 0, UINT32_MAX, "64", "histories per repetition"),
+     IntFlag("history-len", 0, UINT32_MAX, "8", "items per history"),
+     IntFlag("reps", 0, UINT32_MAX, "50", "timed repetitions"),
+     IntFlag("warmup", 0, UINT32_MAX, "5", "untimed warm-up repetitions"),
+     IntFlag("daemon-reps", 0, UINT32_MAX, "3", "timed daemon repetitions"),
+     IntFlag("daemon-warmup", 0, UINT32_MAX, "1", "untimed daemon repetitions"),
+     IntFlag("clients", 0, UINT32_MAX, "4", "load clients"),
+     IntFlag("requests", 0, INT64_MAX, "200", "requests per client"),
+     IntFlag("pipeline", 0, UINT32_MAX, "8", "requests in flight per client"),
+     BoolFlag("json", false, "write the JSON record to --out"),
+     StringFlag("out", "BENCH_foldin.json", "JSON record path"),
+     RealFlag("min-speedup", 0.0, kNoUpperBound, "0",
+              "fail below this speedup; 0 = no floor"),
+     StringFlag("baseline", "", "checked-in record to gate this run against")}};
+
 int Main(int argc, char** argv) {
-  const double scale = FlagDouble(argc, argv, "scale", 1.0);
-  const uint32_t k = static_cast<uint32_t>(FlagDouble(argc, argv, "k", 50));
-  const uint32_t m = static_cast<uint32_t>(FlagDouble(argc, argv, "m", 50));
-  const uint32_t sweeps =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "sweeps", 6));
-  const uint64_t seed =
-      static_cast<uint64_t>(FlagDouble(argc, argv, "seed", 1));
-  const uint32_t histories =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "histories", 64));
-  const uint32_t history_len =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "history-len", 8));
-  const uint32_t reps =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "reps", 50));
-  const uint32_t warmup =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "warmup", 5));
-  const uint32_t daemon_reps =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "daemon-reps", 3));
-  const uint32_t daemon_warmup =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "daemon-warmup", 1));
+  const Flags flags = ParseFlagsOrExit(kFlags, argc, argv);
+  const double scale = flags.Real("scale");
+  const uint32_t k = flags.Int<uint32_t>("k");
+  const uint32_t m = flags.Int<uint32_t>("m");
+  const uint32_t sweeps = flags.Int<uint32_t>("sweeps");
+  const uint64_t seed = flags.Int<uint64_t>("seed");
+  const uint32_t histories = flags.Int<uint32_t>("histories");
+  const uint32_t history_len = flags.Int<uint32_t>("history-len");
+  const uint32_t reps = flags.Int<uint32_t>("reps");
+  const uint32_t warmup = flags.Int<uint32_t>("warmup");
+  const uint32_t daemon_reps = flags.Int<uint32_t>("daemon-reps");
+  const uint32_t daemon_warmup = flags.Int<uint32_t>("daemon-warmup");
 
   const CsrMatrix r = TwoBlockWorkload(scale, seed);
   std::printf(
@@ -325,11 +333,9 @@ int Main(int argc, char** argv) {
 
   // ----------------------------------------- daemon fold-in (informational)
   LoadGenOptions load;
-  load.clients = static_cast<uint32_t>(FlagDouble(argc, argv, "clients", 4));
-  load.requests_per_client =
-      static_cast<uint64_t>(FlagDouble(argc, argv, "requests", 200));
-  load.pipeline =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "pipeline", 8));
+  load.clients = flags.Int<uint32_t>("clients");
+  load.requests_per_client = flags.Int<uint64_t>("requests");
+  load.pipeline = flags.Int<uint32_t>("pipeline");
   load.m = m;
   load.num_users = r.num_rows();
   load.history_every = 1;  // all-history traffic
@@ -461,23 +467,22 @@ int Main(int argc, char** argv) {
   std::printf("  update   : %10.0f us end-to-end (publish %.0f us)\n",
               res.update_total_us, res.update_publish_us);
 
-  if (FlagBool(argc, argv, "json")) {
-    const std::string out_path =
-        FlagString(argc, argv, "out", "BENCH_foldin.json");
+  if (flags.Bool("json")) {
+    const std::string out_path = flags.String("out");
     const std::string json = ToJson(res, r, k, m, scale, histories,
                                     history_len, reps, warmup, load);
     if (!WriteTextFile(out_path, json + "\n")) return 1;
     std::printf("  wrote %s\n", out_path.c_str());
   }
 
-  const double min_speedup = FlagDouble(argc, argv, "min-speedup", 0.0);
+  const double min_speedup = flags.Real("min-speedup");
   if (min_speedup > 0.0 && res.speedup < min_speedup) {
     std::fprintf(stderr, "FAIL: speedup %.2fx below floor %.2fx\n",
                  res.speedup, min_speedup);
     return 2;
   }
 
-  const std::string baseline_path = FlagString(argc, argv, "baseline", "");
+  const std::string baseline_path = flags.String("baseline");
   if (!baseline_path.empty()) {
     std::ifstream in(baseline_path);
     std::stringstream buf;

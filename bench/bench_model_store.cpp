@@ -1,9 +1,6 @@
 // bench_model_store — cold-open and steady-state latency of the binary
 // (OCLR v3) model path against the v1 text path.
 //
-//   ./bench_model_store [--scale=1] [--k=50] [--reps=200] [--opens=20]
-//                       [--json] [--out=BENCH_store.json]
-//
 // Measures, on one trained OCuLaR model written in both formats:
 //   cold open   — v1 LoadModel (full parse + copy) vs ModelStore::Open
 //                 with checksum verification (mmap plus one XXH64 pass over
@@ -37,14 +34,24 @@ double MedianSeconds(std::vector<double>& samples) {
   return samples.empty() ? 0.0 : samples[samples.size() / 2];
 }
 
+const FlagTable kFlags = {
+    "bench_model_store",
+    "Cold-open and steady-state latency of binary against text models.",
+    {RealFlag("scale", 0.0, kNoUpperBound, "1", "two-block workload scale"),
+     IntFlag("k", 0, UINT32_MAX, "50", "co-clusters (K)"),
+     IntFlag("reps", 0, INT32_MAX, "200", "timed serves"),
+     IntFlag("opens", 0, INT32_MAX, "20", "timed opens"),
+     BoolFlag("json", false, "write the JSON record to --out"),
+     StringFlag("out", "BENCH_store.json", "JSON record path")}};
+
 int Main(int argc, char** argv) {
-  const double scale = FlagDouble(argc, argv, "scale", 1.0);
-  const uint32_t k = static_cast<uint32_t>(FlagDouble(argc, argv, "k", 50));
-  const int reps = static_cast<int>(FlagDouble(argc, argv, "reps", 200));
-  const int opens = static_cast<int>(FlagDouble(argc, argv, "opens", 20));
-  const bool json = FlagBool(argc, argv, "json");
-  const std::string out_path =
-      FlagString(argc, argv, "out", "BENCH_store.json");
+  const Flags flags = ParseFlagsOrExit(kFlags, argc, argv);
+  const double scale = flags.Real("scale");
+  const uint32_t k = flags.Int<uint32_t>("k");
+  const int reps = flags.Int<int>("reps");
+  const int opens = flags.Int<int>("opens");
+  const bool json = flags.Bool("json");
+  const std::string out_path = flags.String("out");
 
   // One trained model at the bench's standard two-block scale.
   const uint32_t users = static_cast<uint32_t>(1200 * scale);

@@ -3,11 +3,6 @@
 // scoring engine, on a trained OCuLaR model over the synthetic two-block
 // workload at K=50.
 //
-//   bench_serve_hot [--scale=1.0] [--k=50] [--m=50] [--reps=3] [--warmup=1]
-//                   [--sweeps=6] [--seed=1] [--json] [--out=BENCH_serve.json]
-//                   [--min-speedup=X] [--baseline=path/to/BENCH.json]
-//                   [--candidate-threshold=0.6] [--candidate-relative=0.5]
-//
 // The legacy side is a faithful reproduction of the pre-refactor bulk
 // path: per user, a freshly heap-allocated score vector filled through the
 // virtual per-pair Score() (a serial-dependency K-dot plus expm1 per
@@ -281,18 +276,35 @@ std::string ToJson(const ServeBenchResult& res, const CsrMatrix& r,
   return w.str();
 }
 
+const FlagTable kFlags = {
+    "bench_serve_hot",
+    "All-users top-M: the blocked scoring engine against the per-pair path.",
+    {RealFlag("scale", 0.0, kNoUpperBound, "1", "two-block workload scale"),
+     IntFlag("k", 0, UINT32_MAX, "50", "co-clusters (K)"),
+     IntFlag("m", 0, UINT32_MAX, "50", "top-M per request"),
+     IntFlag("reps", 0, UINT32_MAX, "3", "timed repetitions"),
+     IntFlag("warmup", 0, UINT32_MAX, "1", "untimed warm-up repetitions"),
+     IntFlag("sweeps", 0, UINT32_MAX, "6", "training sweeps"),
+     IntFlag("seed", 0, INT64_MAX, "1", "workload seed"),
+     RealFlag("candidate-threshold", 0.0, kNoUpperBound, "0.6",
+              "absolute co-cluster membership floor"),
+     RealFlag("candidate-relative", 0.0, 1.0, "0.5",
+              "relative co-cluster membership floor"),
+     BoolFlag("json", false, "write the JSON record to --out"),
+     StringFlag("out", "BENCH_serve.json", "JSON record path"),
+     RealFlag("min-speedup", 0.0, kNoUpperBound, "0",
+              "fail below this speedup; 0 = no floor"),
+     StringFlag("baseline", "", "checked-in record to gate this run against")}};
+
 int Main(int argc, char** argv) {
-  const double scale = FlagDouble(argc, argv, "scale", 1.0);
-  const uint32_t k = static_cast<uint32_t>(FlagDouble(argc, argv, "k", 50));
-  const uint32_t m = static_cast<uint32_t>(FlagDouble(argc, argv, "m", 50));
-  const uint32_t reps =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "reps", 3));
-  const uint32_t warmup =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "warmup", 1));
-  const uint32_t sweeps =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "sweeps", 6));
-  const uint64_t seed =
-      static_cast<uint64_t>(FlagDouble(argc, argv, "seed", 1));
+  const Flags flags = ParseFlagsOrExit(kFlags, argc, argv);
+  const double scale = flags.Real("scale");
+  const uint32_t k = flags.Int<uint32_t>("k");
+  const uint32_t m = flags.Int<uint32_t>("m");
+  const uint32_t reps = flags.Int<uint32_t>("reps");
+  const uint32_t warmup = flags.Int<uint32_t>("warmup");
+  const uint32_t sweeps = flags.Int<uint32_t>("sweeps");
+  const uint64_t seed = flags.Int<uint64_t>("seed");
 
   const CsrMatrix r = TwoBlockWorkload(scale, seed);
   std::printf(
@@ -315,9 +327,8 @@ int Main(int argc, char** argv) {
   }
 
   CandidateIndexOptions candidates;
-  candidates.threshold =
-      FlagDouble(argc, argv, "candidate-threshold", 0.6);
-  candidates.relative = FlagDouble(argc, argv, "candidate-relative", 0.5);
+  candidates.threshold = flags.Real("candidate-threshold");
+  candidates.relative = flags.Real("candidate-relative");
 
   const ServeBenchResult res =
       RunServeBench(rec, r, m, reps, warmup, candidates);
@@ -339,22 +350,21 @@ int Main(int argc, char** argv) {
               "%.3f)\n",
               1e3 * res.candidate_seconds_per_pass, res.candidate_overlap);
 
-  if (FlagBool(argc, argv, "json")) {
-    const std::string out_path =
-        FlagString(argc, argv, "out", "BENCH_serve.json");
+  if (flags.Bool("json")) {
+    const std::string out_path = flags.String("out");
     const std::string json = ToJson(res, r, k, m, scale, candidates);
     if (!WriteTextFile(out_path, json + "\n")) return 1;
     std::printf("  wrote %s\n", out_path.c_str());
   }
 
-  const double min_speedup = FlagDouble(argc, argv, "min-speedup", 0.0);
+  const double min_speedup = flags.Real("min-speedup");
   if (min_speedup > 0.0 && res.speedup < min_speedup) {
     std::fprintf(stderr, "FAIL: speedup %.2fx below floor %.2fx\n",
                  res.speedup, min_speedup);
     return 2;
   }
 
-  const std::string baseline_path = FlagString(argc, argv, "baseline", "");
+  const std::string baseline_path = flags.String("baseline");
   if (!baseline_path.empty()) {
     std::ifstream in(baseline_path);
     std::stringstream buf;

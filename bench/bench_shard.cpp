@@ -1,11 +1,5 @@
 // Sharded-store serving benchmark: the numbers the sharding PR hangs on.
 //
-//   bench_shard [--users=200000] [--items=128] [--k=8] [--shards=8]
-//               [--m=10] [--clients=4] [--requests=2000] [--pipeline=8]
-//               [--workers=4] [--reps=5] [--update-reps=5]
-//               [--json] [--out=BENCH_shard.json]
-//               [--baseline=path/to/BENCH.json]
-//
 // Phases:
 //   1. open     — mmap + validate the same catalog as one monolithic
 //                 .oclr vs an N-shard shardset (manifest + fingerprints +
@@ -118,30 +112,42 @@ std::string ToJson(const ShardBenchResult& res, const ScaleCatalogSpec& spec,
   return w.str();
 }
 
+const FlagTable kFlags = {
+    "bench_shard",
+    "Sharded-store open, serve and update-publish costs.",
+    {IntFlag("users", 0, UINT32_MAX, "200000", "catalog users"),
+     IntFlag("items", 0, UINT32_MAX, "128", "catalog items"),
+     IntFlag("k", 0, UINT32_MAX, "8", "co-clusters (K)"),
+     IntFlag("seed", 0, INT64_MAX, "7", "workload seed"),
+     IntFlag("shards", 0, UINT32_MAX, "8", "shards"),
+     IntFlag("m", 0, UINT32_MAX, "10", "top-M per request"),
+     IntFlag("reps", 0, UINT32_MAX, "5", "timed repetitions"),
+     IntFlag("update-reps", 0, UINT32_MAX, "5", "timed update publishes"),
+     IntFlag("workers", 0, INT64_MAX, "4", "daemon worker threads"),
+     IntFlag("clients", 0, UINT32_MAX, "4", "load clients"),
+     IntFlag("requests", 0, INT64_MAX, "2000", "requests per client"),
+     IntFlag("pipeline", 0, UINT32_MAX, "8", "requests in flight per client"),
+     BoolFlag("json", false, "write the JSON record to --out"),
+     StringFlag("out", "BENCH_shard.json", "JSON record path"),
+     StringFlag("baseline", "", "checked-in record to gate this run against")}};
+
 int Main(int argc, char** argv) {
+  const Flags flags = ParseFlagsOrExit(kFlags, argc, argv);
   ScaleCatalogSpec spec;
-  spec.num_users =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "users", 200000));
-  spec.num_items =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "items", 128));
-  spec.k = static_cast<uint32_t>(FlagDouble(argc, argv, "k", 8));
-  spec.seed = static_cast<uint64_t>(FlagDouble(argc, argv, "seed", 7));
-  const uint32_t shards =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "shards", 8));
-  const uint32_t m = static_cast<uint32_t>(FlagDouble(argc, argv, "m", 10));
-  const uint32_t reps =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "reps", 5));
-  const uint32_t update_reps =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "update-reps", 5));
-  const size_t workers =
-      static_cast<size_t>(FlagDouble(argc, argv, "workers", 4));
+  spec.num_users = flags.Int<uint32_t>("users");
+  spec.num_items = flags.Int<uint32_t>("items");
+  spec.k = flags.Int<uint32_t>("k");
+  spec.seed = flags.Int<uint64_t>("seed");
+  const uint32_t shards = flags.Int<uint32_t>("shards");
+  const uint32_t m = flags.Int<uint32_t>("m");
+  const uint32_t reps = flags.Int<uint32_t>("reps");
+  const uint32_t update_reps = flags.Int<uint32_t>("update-reps");
+  const size_t workers = flags.Int<size_t>("workers");
 
   LoadGenOptions load;
-  load.clients = static_cast<uint32_t>(FlagDouble(argc, argv, "clients", 4));
-  load.requests_per_client =
-      static_cast<uint64_t>(FlagDouble(argc, argv, "requests", 2000));
-  load.pipeline =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "pipeline", 8));
+  load.clients = flags.Int<uint32_t>("clients");
+  load.requests_per_client = flags.Int<uint64_t>("requests");
+  load.pipeline = flags.Int<uint32_t>("pipeline");
   load.m = m;
   load.num_users = spec.num_users;
 
@@ -281,16 +287,15 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  if (FlagBool(argc, argv, "json")) {
-    const std::string out_path =
-        FlagString(argc, argv, "out", "BENCH_shard.json");
+  if (flags.Bool("json")) {
+    const std::string out_path = flags.String("out");
     const std::string json = ToJson(res, spec, shards, m, load, workers,
                                     reps, update_reps);
     if (!WriteTextFile(out_path, json + "\n")) return 1;
     std::printf("  wrote %s\n", out_path.c_str());
   }
 
-  const std::string baseline_path = FlagString(argc, argv, "baseline", "");
+  const std::string baseline_path = flags.String("baseline");
   if (!baseline_path.empty()) {
     std::ifstream in(baseline_path);
     std::stringstream buf;

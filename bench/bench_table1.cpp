@@ -35,9 +35,14 @@ void RunDataset(const char* label, const PlantedCoClusterData& data,
 
 int main(int argc, char** argv) {
   using namespace ocular;
-  const double scale = bench::FlagDouble(argc, argv, "scale", 0.06);
-  const int instances =
-      static_cast<int>(bench::FlagDouble(argc, argv, "instances", 2));
+  const Flags flags = ParseFlagsOrExit(
+      {"bench_table1", "Table I: MAP@50 and recall@50 of six algorithms.",
+       {RealFlag("scale", 0.0, 1.0, "0.06", "dataset scale"),
+        IntFlag("instances", 0, INT32_MAX, "2",
+                "random splits averaged per dataset")}},
+      argc, argv);
+  const double scale = flags.Real("scale");
+  const auto instances = flags.Int<int>("instances");
   std::printf("=== Table I: comparison with baseline one-class algorithms "
               "(synthetic stand-ins, scale=%.3f) ===\n", scale);
 

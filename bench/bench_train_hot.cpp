@@ -3,10 +3,6 @@
 // objective) vs legacy (the pre-refactor kernel, reproduced below), on a
 // synthetic two-block workload at K=50.
 //
-//   bench_train_hot [--scale=1.0] [--k=50] [--sweeps=8] [--warmup=3]
-//                   [--seed=1] [--json] [--out=BENCH_train.json]
-//                   [--min-speedup=X] [--baseline=path/to/BENCH.json]
-//
 // Each path runs --warmup untimed sweeps followed by --sweeps timed ones
 // (training runs 40-60 sweeps in practice, so the steady-state per-sweep
 // cost is the number that matters; the first sweeps, where both line
@@ -297,15 +293,27 @@ std::string ToJson(const HotBenchResult& res, const CsrMatrix& r,
   return w.str();
 }
 
+const FlagTable kFlags = {
+    "bench_train_hot",
+    "Per-sweep training time of the fused kernel against the legacy one.",
+    {RealFlag("scale", 0.0, kNoUpperBound, "1", "two-block workload scale"),
+     IntFlag("k", 0, UINT32_MAX, "50", "co-clusters (K)"),
+     IntFlag("sweeps", 0, UINT32_MAX, "8", "timed sweeps"),
+     IntFlag("warmup", 0, UINT32_MAX, "3", "untimed warm-up sweeps"),
+     IntFlag("seed", 0, INT64_MAX, "1", "workload seed"),
+     BoolFlag("json", false, "write the JSON record to --out"),
+     StringFlag("out", "BENCH_train.json", "JSON record path"),
+     RealFlag("min-speedup", 0.0, kNoUpperBound, "0",
+              "fail below this speedup; 0 = no floor"),
+     StringFlag("baseline", "", "checked-in record to gate this run against")}};
+
 int Main(int argc, char** argv) {
-  const double scale = FlagDouble(argc, argv, "scale", 1.0);
-  const uint32_t k = static_cast<uint32_t>(FlagDouble(argc, argv, "k", 50));
-  const uint32_t sweeps =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "sweeps", 8));
-  const uint32_t warmup =
-      static_cast<uint32_t>(FlagDouble(argc, argv, "warmup", 3));
-  const uint64_t seed =
-      static_cast<uint64_t>(FlagDouble(argc, argv, "seed", 1));
+  const Flags flags = ParseFlagsOrExit(kFlags, argc, argv);
+  const double scale = flags.Real("scale");
+  const uint32_t k = flags.Int<uint32_t>("k");
+  const uint32_t sweeps = flags.Int<uint32_t>("sweeps");
+  const uint32_t warmup = flags.Int<uint32_t>("warmup");
+  const uint64_t seed = flags.Int<uint64_t>("seed");
 
   OcularConfig config;
   config.k = k;
@@ -342,22 +350,21 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  if (FlagBool(argc, argv, "json")) {
-    const std::string out_path =
-        FlagString(argc, argv, "out", "BENCH_train.json");
+  if (flags.Bool("json")) {
+    const std::string out_path = flags.String("out");
     const std::string json = ToJson(res, r, config, scale);
     if (!WriteTextFile(out_path, json + "\n")) return 1;
     std::printf("  wrote %s\n", out_path.c_str());
   }
 
-  const double min_speedup = FlagDouble(argc, argv, "min-speedup", 0.0);
+  const double min_speedup = flags.Real("min-speedup");
   if (min_speedup > 0.0 && res.speedup < min_speedup) {
     std::fprintf(stderr, "FAIL: speedup %.2fx below floor %.2fx\n",
                  res.speedup, min_speedup);
     return 2;
   }
 
-  const std::string baseline_path = FlagString(argc, argv, "baseline", "");
+  const std::string baseline_path = flags.String("baseline");
   if (!baseline_path.empty()) {
     std::ifstream in(baseline_path);
     std::stringstream buf;

@@ -6,7 +6,8 @@
 // Every binary regenerates one table or figure of the ICDE'17 OCuLaR paper
 // on a shape-calibrated synthetic stand-in of the paper's dataset (the
 // shaped generators in src/data/synthetic.h), scaled down so it runs in
-// seconds-to-minutes. Pass --scale=<x> to change the dataset scale.
+// seconds-to-minutes. Pass --scale=<x> to change the dataset scale; an
+// undeclared flag prints the bench's flags.
 
 #include <cstdio>
 #include <cstdlib>
@@ -19,6 +20,7 @@
 #include "baselines/bpr.h"
 #include "baselines/knn.h"
 #include "baselines/wals.h"
+#include "common/flags.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/strings.h"
@@ -29,45 +31,6 @@
 
 namespace ocular {
 namespace bench {
-
-/// Parses "--flag=value" style doubles from argv, with a default.
-inline double FlagDouble(int argc, char** argv, const std::string& name,
-                         double def) {
-  const std::string prefix = "--" + name + "=";
-  for (int a = 1; a < argc; ++a) {
-    std::string arg = argv[a];
-    if (StartsWith(arg, prefix)) {
-      auto parsed = ParseDouble(arg.substr(prefix.size()));
-      if (parsed.ok()) return parsed.value();
-    }
-  }
-  return def;
-}
-
-/// True when "--flag" (or "--flag=true"/"--flag=1") is on the command line.
-/// Used for mode switches like --json.
-inline bool FlagBool(int argc, char** argv, const std::string& name) {
-  const std::string bare = "--" + name;
-  const std::string prefix = bare + "=";
-  for (int a = 1; a < argc; ++a) {
-    const std::string arg = argv[a];
-    if (arg == bare || arg == prefix + "true" || arg == prefix + "1") {
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Parses "--flag=value" strings from argv, with a default.
-inline std::string FlagString(int argc, char** argv, const std::string& name,
-                              const std::string& def) {
-  const std::string prefix = "--" + name + "=";
-  for (int a = 1; a < argc; ++a) {
-    std::string arg = argv[a];
-    if (StartsWith(arg, prefix)) return arg.substr(prefix.size());
-  }
-  return def;
-}
 
 /// Writes `content` to `path`; returns false (with a log line) on failure.
 /// The --json benches emit their machine-readable records through this.

@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <string>
 
-#include "common/strings.h"
+#include "common/flags.h"
 #include "core/coclusters.h"
 #include "core/explain.h"
 #include "core/ocular_recommender.h"
@@ -33,12 +33,15 @@ int main(int argc, char** argv) {
   using namespace ocular;
 
   // --- Load or synthesize the client-product matrix. ---
+  const Flags flags = ParseFlagsOrExit(
+      {"b2b_deployment",
+       "B2B recommendations with co-cluster rationales and price estimates.",
+       {StringFlag("data", "",
+                   "tab-separated client-product file; synthetic when "
+                   "empty")}},
+      argc, argv);
+  const std::string& data_path = flags.String("data");
   Dataset dataset;
-  std::string data_path;
-  for (int a = 1; a < argc; ++a) {
-    std::string arg = argv[a];
-    if (StartsWith(arg, "--data=")) data_path = arg.substr(7);
-  }
   if (!data_path.empty()) {
     CsvOptions opts;
     opts.delimiter = '\t';

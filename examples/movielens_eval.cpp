@@ -11,7 +11,7 @@
 #include <string>
 
 #include "baselines/wals.h"
-#include "common/strings.h"
+#include "common/flags.h"
 #include "core/ocular_recommender.h"
 #include "data/loaders.h"
 #include "data/split.h"
@@ -21,17 +21,16 @@
 int main(int argc, char** argv) {
   using namespace ocular;
 
+  const Flags flags = ParseFlagsOrExit(
+      {"movielens_eval",
+       "Section VII evaluation of OCuLaR and wALS on MovieLens data.",
+       {StringFlag("ml100k", "", "MovieLens 100K u.data file"),
+        StringFlag("ml1m", "",
+                   "MovieLens 1M ratings.dat file; over --ml100k")}},
+      argc, argv);
+  const bool is_1m = flags.Has("ml1m");
+  const std::string& path = flags.String(is_1m ? "ml1m" : "ml100k");
   Dataset dataset;
-  std::string path;
-  bool is_1m = false;
-  for (int a = 1; a < argc; ++a) {
-    std::string arg = argv[a];
-    if (StartsWith(arg, "--ml100k=")) path = arg.substr(9);
-    if (StartsWith(arg, "--ml1m=")) {
-      path = arg.substr(7);
-      is_1m = true;
-    }
-  }
   if (!path.empty()) {
     auto loaded = is_1m ? LoadMovieLens1M(path) : LoadMovieLens100K(path);
     if (!loaded.ok()) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <exception>
 #include <limits>
 #include <numeric>
 #include <optional>
@@ -320,8 +322,23 @@ Result<OcularFitResult> OcularTrainer::Fit(
   const double scale =
       config_.init_scale / std::sqrt(static_cast<double>(config_.k));
   const uint32_t dims = config_.TotalDims();
-  DenseMatrix fu(interactions.num_rows(), dims);
-  DenseMatrix fi(interactions.num_cols(), dims);
+  // OcularConfig::Validate bounds K by 32 bits, not by memory: factor
+  // matrices no allocator can hold are an error here, not an abort.
+  DenseMatrix fu;
+  DenseMatrix fi;
+  try {
+    fu = DenseMatrix(interactions.num_rows(), dims);
+    fi = DenseMatrix(interactions.num_cols(), dims);
+  } catch (const std::exception&) {  // bad_alloc, or past max_size()
+    const double bytes = (static_cast<double>(interactions.num_rows()) +
+                          interactions.num_cols()) *
+                         dims * sizeof(double);
+    char text[32];
+    std::snprintf(text, sizeof(text), "%.0f", bytes);
+    return Status::OutOfRange("K=" + std::to_string(config_.k) + " needs " +
+                              text + " bytes of factor matrices, which " +
+                              "cannot be allocated");
+  }
   fu.FillUniform(&rng, 0.0, scale);
   fi.FillUniform(&rng, 0.0, scale);
   if (config_.use_biases) {

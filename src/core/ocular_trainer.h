@@ -132,7 +132,8 @@ class OcularTrainer {
   /// Threads a fit runs its half-sweeps on (at least 1).
   size_t num_threads() const { return num_threads_; }
 
-  /// Trains from scratch on `interactions`.
+  /// Trains from scratch on `interactions`. Fails with OutOfRange, naming
+  /// K and the bytes, when the factor matrices cannot be allocated.
   Result<OcularFitResult> Fit(const CsrMatrix& interactions) const;
 
   /// Trains starting from an existing model (warm start). The model shape

@@ -128,17 +128,15 @@ RequestServer::RequestServer(ModelRegistry* registry, Options options)
       lines_(options_, num_tcp_workers_, this) {
   // TCP pool slots plus the inline slot for HandleLine/stdio callers.
   // The slot VECTOR must be complete here — Stats() iterates it lock-free
-  // from any thread, so it can never grow later — but only the inline
-  // slot pre-sizes its serving scratch: pool slots warm up when (and if)
-  // RunTcpLoop actually starts their threads, so stdio/library users
-  // don't pay for a pool they never run.
+  // from any thread, so it can never grow later. Each slot's serving
+  // scratch is sized by its first request, and TopMSelector::Begin bounds
+  // the selection buffer by the catalog, so a default m past every
+  // catalog costs no memory.
   workers_.reserve(num_tcp_workers_ + 1);
   for (size_t w = 0; w < num_tcp_workers_ + 1; ++w) {
     workers_.push_back(std::make_unique<WorkerState>(
         std::max<size_t>(options_.latency_window, 1)));
   }
-  InlineWorker()->workspace.Reserve(options_.serve.m,
-                                    options_.serve.block_items);
 }
 
 void RequestServer::InstallReloadSignalHandler() {
@@ -1088,10 +1086,6 @@ void RequestServer::OnConnectionError() {
 }
 
 Status RequestServer::RunTcpLoop(uint16_t port, uint64_t max_accepts) {
-  for (size_t i = 0; i < num_tcp_workers_; ++i) {
-    workers_[i]->workspace.Reserve(options_.serve.m,
-                                   options_.serve.block_items);
-  }
   const Status status = lines_.Run(port, max_accepts);
   // Drain exit: consume the latch (so a test can serve again in this
   // process) and flush one final stats line — the last thing an operator

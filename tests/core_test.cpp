@@ -6,6 +6,8 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/coclusters.h"
@@ -14,6 +16,15 @@
 #include "core/ocular_recommender.h"
 #include "core/ocular_trainer.h"
 #include "data/synthetic.h"
+
+// ASan's allocator aborts on an allocation it cannot serve.
+#if defined(__SANITIZE_ADDRESS__)
+#define OCULAR_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define OCULAR_ASAN 1
+#endif
+#endif
 
 namespace ocular {
 namespace {
@@ -307,6 +318,27 @@ TEST(OcularTrainerTest, RejectsEmptyMatrixAndShapeMismatch) {
   EXPECT_TRUE(trainer.FitFrom(m, wrong).status().IsInvalidArgument());
   OcularModel wrong_k(DenseMatrix(2, 5), DenseMatrix(2, 5));
   EXPECT_TRUE(trainer.FitFrom(m, wrong_k).status().IsInvalidArgument());
+}
+
+TEST(OcularTrainerTest, FactorMatricesTooLargeToAllocateAreAnError) {
+#ifdef OCULAR_ASAN
+  GTEST_SKIP() << "ASan's operator new aborts on a request this large "
+                  "instead of throwing bad_alloc";
+#endif
+  // K fits 32 bits with the bias dimensions, but 5,000 users x K doubles
+  // is about 1.7e14 bytes, past the 128 TiB user address space: the
+  // allocation fails even with overcommit on.
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  for (uint32_t u = 0; u < 5000; ++u) pairs.emplace_back(u, u % 7);
+  const CsrMatrix r = CsrMatrix::FromPairs(pairs, 5000, 7).value();
+  OcularConfig config;
+  config.k = std::numeric_limits<uint32_t>::max() - 2;
+  const auto fit = OcularTrainer(config).Fit(r);
+  ASSERT_FALSE(fit.ok());
+  EXPECT_TRUE(fit.status().IsOutOfRange()) << fit.status().ToString();
+  EXPECT_EQ(fit.status().message(),
+            "K=4294967293 needs 172039209888408 bytes of factor matrices, "
+            "which cannot be allocated");
 }
 
 TEST(OcularTrainerTest, DeterministicGivenSeed) {

@@ -1,10 +1,13 @@
-// Tests for the I/O-adjacent extensions: command-line flag parsing, the
+// Tests for the I/O-adjacent extensions: the command-line flag grammar, the
 // JSON writer, model persistence, and dataset statistics.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/flags.h"
 #include "common/json.h"
@@ -18,59 +21,142 @@ namespace {
 
 // ----------------------------------------------------------------- Flags
 
-Flags ParseArgs(std::vector<const char*> args) {
+const FlagTable kTable = {
+    "prog",
+    "",
+    {StringFlag("name", "", "text"),
+     CharFlag("delimiter", '\t', "one character"),
+     IntFlag("k", 1, 100, "16", "integer"),
+     RealFlag("lambda", 0.0, kNoUpperBound, "0.5", "real"),
+     BoolFlag("verbose", false, "bool"),
+     ChoiceFlag("variant", {"absolute", "relative"}, "absolute", "choice"),
+     IntListFlag("history", 0, 9, "list"),
+     IntFlag("port", 1, 65535, "", "no default")}};
+
+Result<Flags> ParseArgs(std::vector<const char*> args) {
   args.insert(args.begin(), "prog");
-  return Flags::Parse(static_cast<int>(args.size()), args.data());
+  return Flags::Parse(kTable, static_cast<int>(args.size()), args.data());
 }
 
-TEST(FlagsTest, EqualsSyntax) {
-  Flags f = ParseArgs({"--k=16", "--lambda=0.5", "--name=hello world"});
-  EXPECT_EQ(f.GetInt("k", 0), 16);
-  EXPECT_DOUBLE_EQ(f.GetDouble("lambda", 0), 0.5);
-  EXPECT_EQ(f.GetString("name"), "hello world");
+TEST(FlagsTest, EqualsSyntaxAndDefaults) {
+  auto f = ParseArgs({"--k=8", "--lambda=0.25", "--name=hello world",
+                      "--delimiter=:", "--variant=relative", "--history=3,1,3",
+                      "--port=7700"});
+  ASSERT_TRUE(f.ok()) << f.status().ToString();
+  EXPECT_EQ(f->Int("k"), 8);
+  EXPECT_EQ(f->Int<uint32_t>("k"), 8u);
+  EXPECT_DOUBLE_EQ(f->Real("lambda"), 0.25);
+  EXPECT_EQ(f->String("name"), "hello world");
+  EXPECT_EQ(f->Char("delimiter"), ':');
+  EXPECT_EQ(f->String("variant"), "relative");
+  EXPECT_EQ(f->IntList("history"), (std::vector<int64_t>{3, 1, 3}));
+  EXPECT_EQ(f->Int<uint16_t>("port"), 7700);
+  EXPECT_TRUE(f->Has("k"));
+
+  auto d = ParseArgs({});
+  ASSERT_TRUE(d.ok());
+  EXPECT_EQ(d->Int("k"), 16);
+  EXPECT_DOUBLE_EQ(d->Real("lambda"), 0.5);
+  EXPECT_EQ(d->String("name"), "");
+  EXPECT_EQ(d->Char("delimiter"), '\t');
+  EXPECT_FALSE(d->Bool("verbose"));
+  EXPECT_EQ(d->String("variant"), "absolute");
+  EXPECT_TRUE(d->IntList("history").empty());
+  EXPECT_FALSE(d->Has("k"));
+  EXPECT_FALSE(d->Has("port"));
 }
 
-TEST(FlagsTest, SpaceSyntaxAndBareBooleans) {
-  Flags f = ParseArgs({"--k", "8", "--verbose", "--path", "/tmp/x"});
-  EXPECT_EQ(f.GetInt("k", 0), 8);
-  EXPECT_TRUE(f.GetBool("verbose"));
-  EXPECT_EQ(f.GetString("path"), "/tmp/x");
-  EXPECT_FALSE(f.GetBool("absent"));
-}
-
-TEST(FlagsTest, PositionalArguments) {
-  Flags f = ParseArgs({"train", "--k=4", "extra"});
-  ASSERT_EQ(f.positional().size(), 2u);
-  EXPECT_EQ(f.positional()[0], "train");
-  EXPECT_EQ(f.positional()[1], "extra");
-}
-
-TEST(FlagsTest, DefaultsAndMalformedValues) {
-  Flags f = ParseArgs({"--k=notanumber"});
-  EXPECT_EQ(f.GetInt("k", 7), 7);  // malformed -> default
-  EXPECT_EQ(f.GetInt("missing", 9), 9);
-  EXPECT_TRUE(f.Has("k"));
-  EXPECT_FALSE(f.Has("missing"));
-}
-
-TEST(FlagsTest, RequireVariants) {
-  Flags f = ParseArgs({"--k=5"});
-  EXPECT_EQ(f.RequireInt("k").value(), 5);
-  EXPECT_TRUE(f.RequireInt("absent").status().IsInvalidArgument());
-  EXPECT_TRUE(f.RequireString("absent").status().IsInvalidArgument());
+TEST(FlagsTest, SpaceSyntaxAndBareBools) {
+  // A non-bool takes the next token whatever it is; a bare bool is true.
+  auto f = ParseArgs({"--k", "8", "--verbose", "--name", "--x"});
+  ASSERT_TRUE(f.ok()) << f.status().ToString();
+  EXPECT_EQ(f->Int("k"), 8);
+  EXPECT_TRUE(f->Bool("verbose"));
+  EXPECT_EQ(f->String("name"), "--x");
 }
 
 TEST(FlagsTest, BoolSpellings) {
-  Flags f = ParseArgs({"--a=true", "--b=0", "--c=yes", "--d=false"});
-  EXPECT_TRUE(f.GetBool("a"));
-  EXPECT_FALSE(f.GetBool("b", true));
-  EXPECT_TRUE(f.GetBool("c"));
-  EXPECT_FALSE(f.GetBool("d", true));
+  for (const char* yes : {"--verbose=true", "--verbose=1", "--verbose=yes"}) {
+    EXPECT_TRUE(ParseArgs({yes})->Bool("verbose")) << yes;
+  }
+  for (const char* no : {"--verbose=false", "--verbose=0", "--verbose=no"}) {
+    EXPECT_FALSE(ParseArgs({"--verbose", no})->Bool("verbose")) << no;
+  }
 }
 
 TEST(FlagsTest, LaterDuplicateWins) {
-  Flags f = ParseArgs({"--k=1", "--k=2"});
-  EXPECT_EQ(f.GetInt("k", 0), 2);
+  auto f = ParseArgs({"--k=1", "--k=2", "--history=1,2", "--history=5"});
+  ASSERT_TRUE(f.ok());
+  EXPECT_EQ(f->Int("k"), 2);
+  EXPECT_EQ(f->IntList("history"), (std::vector<int64_t>{5}));
+}
+
+TEST(FlagsTest, BadValuesNameTheFlagAndItsRange) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"--k=abc", "--k=abc is not an integer in [1, 100]"},
+      {"--k=-1", "--k=-1 is not an integer in [1, 100]"},
+      {"--k=0", "--k=0 is not an integer in [1, 100]"},
+      {"--k=101", "--k=101 is not an integer in [1, 100]"},
+      {"--k=1e300", "--k=1e300 is not an integer in [1, 100]"},
+      {"--k=99999999999999999999", "--k=99999999999999999999 is not an"},
+      {"--lambda=nan", "--lambda=nan is not a finite number in [0, inf)"},
+      {"--lambda=inf", "--lambda=inf is not a finite number in [0, inf)"},
+      {"--lambda=-1", "--lambda=-1 is not a finite number in [0, inf)"},
+      {"--lambda=x", "--lambda=x is not a finite number in [0, inf)"},
+      {"--delimiter=::", "--delimiter='::' is not one character"},
+      {"--delimiter=", "--delimiter='' is not one character"},
+      {"--verbose=maybe", "--verbose=maybe is not true|false, 1|0 or yes|no"},
+      {"--variant=relativ",
+       "--variant=relativ is not one of absolute|relative"},
+      {"--history=1,10", "--history entry '10' is not an integer in [0, 9]"},
+      {"--history=", "--history entry '' is not an integer in [0, 9]"},
+  };
+  for (const auto& [arg, message] : cases) {
+    auto f = ParseArgs({"--k=5", arg});
+    ASSERT_FALSE(f.ok()) << arg;
+    EXPECT_TRUE(f.status().IsInvalidArgument()) << f.status().ToString();
+    EXPECT_EQ(f.status().message().rfind(message, 0), 0u)
+        << f.status().ToString();
+  }
+}
+
+TEST(FlagsTest, GrammarErrorsAreParseErrors) {
+  const std::pair<std::vector<const char*>, const char*> cases[] = {
+      {{"--wrokers=4"}, "unknown flag --wrokers"},
+      {{"--k=2", "stray"}, "stray argument 'stray'"},
+      {{"--verbose", "true"}, "stray argument 'true'"},
+      {{"--"}, "stray argument '--'"},
+      {{"--k"}, "--k needs a value"},
+  };
+  for (const auto& [args, message] : cases) {
+    auto f = ParseArgs(args);
+    ASSERT_FALSE(f.ok()) << message;
+    EXPECT_TRUE(f.status().IsParseError()) << f.status().ToString();
+    EXPECT_EQ(f.status().message(), message);
+  }
+}
+
+TEST(FlagsTest, UsageListsEveryFlagWithTypeRangeAndDefault) {
+  const std::string usage = Usage(kTable);
+  for (const char* line :
+       {"usage: prog [flags]\n", "  --name=TEXT\n      text\n",
+        "  --delimiter=CHAR (default tab)\n",
+        "  --k=INT in [1, 100] (default 16)\n",
+        "  --lambda=REAL in [0, inf) (default 0.5)\n",
+        "  --verbose[=BOOL] (default false)\n",
+        "  --variant=absolute|relative (default absolute)\n",
+        "  --history=INT,... in [0, 9]\n", "  --port=INT in [1, 65535]\n"}) {
+    EXPECT_NE(usage.find(line), std::string::npos) << line << usage;
+  }
+}
+
+TEST(FlagsDeathTest, MisreadingADeclaredFlagIsAProgramBug) {
+  auto f = ParseArgs({"--port=80"});
+  ASSERT_TRUE(f.ok());
+  EXPECT_DEATH(f->Int("wrokers"), "--wrokers is not declared");
+  EXPECT_DEATH(f->Real("k"), "--k is read as another type");
+  EXPECT_DEATH(f->Int<uint8_t>("port"), "range does not fit");
+  EXPECT_DEATH(ParseArgs({})->Int("port"), "--port has no value");
 }
 
 // ------------------------------------------------------------------ JSON

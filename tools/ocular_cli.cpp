@@ -1,18 +1,7 @@
-// ocular — command-line interface to the OCuLaR library.
-//
-// Subcommands:
-//   stats      describe an interaction dataset
-//   synth      generate a synthetic dataset (shape-calibrated stand-ins)
-//   train      fit an OCuLaR / R-OCuLaR model and save it
-//   recommend  top-M recommendations for a user (or an ad-hoc history)
-//   explain    co-cluster rationale for a (user, item) pair
-//   evaluate   train/test split evaluation (recall@M, MAP@M, AUC)
-//   convert    v1 text model <-> binary OCLR (.oclr) model file
-//   shard      split a binary model into a user-sharded *.shardset, or
-//              inspect/route against an existing manifest
-//   serve      resident model server (same engine as ocular_served)
-//   loadtest   concurrent-client throughput/latency probe of a running
-//              daemon (the same load generator bench_daemon_hot uses)
+// ocular — command-line interface to the OCuLaR library: dataset stats
+// and synthesis, training, recommendation and explanation, evaluation,
+// model conversion and sharding, the serving daemon, and a load generator.
+// Run it with no arguments for every command's flags.
 //
 // Examples:
 //   ocular synth --dataset=b2b --scale=0.02 --output=/tmp/b2b.tsv
@@ -23,11 +12,12 @@
 //       --item=17 --json   (continued from previous line)
 //   ocular evaluate --input=/tmp/b2b.tsv --k=16 --lambda=0.5 --m=50
 
-#include <algorithm>
-#include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <limits>
+#include <initializer_list>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/flags.h"
@@ -53,86 +43,63 @@
 namespace ocular {
 namespace {
 
-constexpr char kUsage[] = R"(usage: ocular <command> [flags]
-
-commands:
-  stats      --input=FILE [--format=csv|ml100k|ml1m] [--delimiter=C]
-  synth      --dataset=movielens|citeulike|b2b|netflix --scale=S
-             --output=FILE [--seed=N]
-  train      --input=FILE --model=FILE [--k=N] [--lambda=L]
-             [--variant=absolute|relative] [--sweeps=N] [--biases]
-             [--seed=N] [--format=...]
-  recommend  --model=FILE --input=FILE (--user=N | --history=i1,i2,...)
-             [--m=N] [--json]
-  explain    --model=FILE --input=FILE --user=N --item=N [--json]
-  evaluate   --input=FILE [--k=N] [--lambda=L] [--m=N]
-             [--train-fraction=F] [--seed=N] [--format=...]
-  convert    --in=FILE --out=FILE [--to=binary|text]
-  shard      --in=FILE.oclr --out=BASE.shardset --shards=N
-             | --manifest=FILE.shardset [--route=USER]
-  serve      --models=name=path[,...] [--datasets=name=path[,...]]
-             [--port=N] [--m=N] [--workers=N] [--accept-queue=N]
-             [--update-sweeps=N]
-  loadtest   --port=N [--clients=C] [--requests=R] [--pipeline=P]
-             [--users=U] [--m=N] [--model=NAME] [--json] [--reconnect]
-             [--history-every=N --items=I [--history-len=L]]
-             | --port=N --idle-conns=N [--burst-clients=C] [--requests=R]
-             [--slow-writers=N] [--never-readers=N] [--duration-ms=D]
-             [--zipf-skew=S]   (idle-flood mode: hold N keep-alive
-             connections while bursty traffic rides through)
-)";
-
-Result<Dataset> LoadInput(const Flags& flags) {
-  OCULAR_ASSIGN_OR_RETURN(std::string path, flags.RequireString("input"));
-  const std::string format = flags.GetString("format", "csv");
-  if (format == "ml100k") return LoadMovieLens100K(path);
-  if (format == "ml1m") return LoadMovieLens1M(path);
-  if (format == "csv") {
-    CsvOptions opts;
-    const std::string delim = flags.GetString("delimiter", "\t");
-    opts.delimiter = delim.empty() ? '\t' : delim[0];
-    opts.compact_ids = flags.GetBool("compact-ids", false);
-    return LoadCsv(path, opts);
-  }
-  return Status::InvalidArgument("unknown --format '" + format + "'");
+/// --input and how to read it.
+std::vector<FlagSpec> InputFlags() {
+  return {StringFlag("input", "", "interaction dataset (required)"),
+          ChoiceFlag("format", {"csv", "ml100k", "ml1m"}, "csv",
+                     "dataset format"),
+          CharFlag("delimiter", '\t', "csv field delimiter"),
+          BoolFlag("compact-ids", false,
+                   "renumber csv user and item ids densely")};
 }
 
-/// Reads the trainer flags. A --k or --sweeps that is not an integer in
-/// range, or a --lambda that is not a finite number >= 0, is an error that
-/// names the flag: a cast would turn --k=-1 into 4294967295, and a value
-/// that does not parse would silently train at the default.
-Result<OcularConfig> ConfigFromFlags(const Flags& flags) {
-  const auto count = [&flags](const std::string& name, uint32_t def,
-                              uint32_t max) -> Result<uint32_t> {
-    if (!flags.Has(name)) return def;
-    const Result<int64_t> value = flags.RequireInt(name);
-    if (!value.ok() || *value < 1 || *value > max) {
-      return Status::InvalidArgument("--" + name + "=" +
-                                     flags.GetString(name) +
-                                     " is not an integer in [1, " +
-                                     std::to_string(max) + "]");
-    }
-    return static_cast<uint32_t>(*value);
-  };
-  OcularConfig cfg;
-  // K + 2 (the bias dimensions) must still fit in 32 bits.
-  OCULAR_ASSIGN_OR_RETURN(
-      cfg.k, count("k", 16, std::numeric_limits<uint32_t>::max() - 2));
-  OCULAR_ASSIGN_OR_RETURN(
-      cfg.max_sweeps,
-      count("sweeps", 60, std::numeric_limits<uint32_t>::max()));
-  cfg.lambda = 0.5;
-  if (flags.Has("lambda")) {
-    const Result<double> lambda = flags.RequireDouble("lambda");
-    if (!lambda.ok() || !std::isfinite(*lambda) || *lambda < 0.0) {
-      return Status::InvalidArgument("--lambda=" + flags.GetString("lambda") +
-                                     " is not a finite number >= 0");
-    }
-    cfg.lambda = *lambda;
+Result<Dataset> LoadInput(const Flags& flags) {
+  if (!flags.Has("input")) {
+    return Status::InvalidArgument("missing required flag --input");
   }
-  cfg.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  cfg.use_biases = flags.GetBool("biases", false);
-  if (flags.GetString("variant", "absolute") == "relative") {
+  const std::string& path = flags.String("input");
+  const std::string& format = flags.String("format");
+  if (format == "ml100k") return LoadMovieLens100K(path);
+  if (format == "ml1m") return LoadMovieLens1M(path);
+  CsvOptions opts;
+  opts.delimiter = flags.Char("delimiter");
+  opts.compact_ids = flags.Bool("compact-ids");
+  return LoadCsv(path, opts);
+}
+
+/// The trainer flags of `train` and `evaluate`.
+std::vector<FlagSpec> TrainerFlags() {
+  return {
+      // K + 2 (the bias dimensions) must still fit in 32 bits.
+      IntFlag("k", 1, UINT32_MAX - 2, "16", "co-clusters (K)"),
+      RealFlag("lambda", 0.0, kNoUpperBound, "0.5", "regularization (lambda)"),
+      ChoiceFlag("variant", {"absolute", "relative"}, "absolute",
+                 "OCuLaR or R-OCuLaR"),
+      IntFlag("sweeps", 1, UINT32_MAX, "60", "most solver sweeps"),
+      BoolFlag("biases", false, "add user and item bias dimensions"),
+      IntFlag("seed", 0, INT64_MAX, "1",
+              "trainer seed; evaluate's split takes it too (42 when not "
+              "given)")};
+}
+
+/// The flags of `groups`, in order.
+std::vector<FlagSpec> Concat(
+    std::initializer_list<std::vector<FlagSpec>> groups) {
+  std::vector<FlagSpec> out;
+  for (const std::vector<FlagSpec>& group : groups) {
+    out.insert(out.end(), group.begin(), group.end());
+  }
+  return out;
+}
+
+OcularConfig ConfigFromFlags(const Flags& flags) {
+  OcularConfig cfg;
+  cfg.k = flags.Int<uint32_t>("k");
+  cfg.max_sweeps = flags.Int<uint32_t>("sweeps");
+  cfg.lambda = flags.Real("lambda");
+  cfg.seed = flags.Int<uint64_t>("seed");
+  cfg.use_biases = flags.Bool("biases");
+  if (flags.String("variant") == "relative") {
     cfg.variant = OcularVariant::kRelative;
   }
   return cfg;
@@ -150,22 +117,19 @@ int CmdStats(const Flags& flags) {
 }
 
 int CmdSynth(const Flags& flags) {
-  const std::string name = flags.GetString("dataset", "b2b");
-  const double scale = flags.GetDouble("scale", 0.02);
-  const std::string output = flags.GetString("output", "");
+  const std::string& name = flags.String("dataset");
+  const double scale = flags.Real("scale");
+  const std::string& output = flags.String("output");
   if (output.empty()) {
     std::fprintf(stderr, "--output is required\n");
     return 1;
   }
-  Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
+  Rng rng(flags.Int<uint64_t>("seed"));
   Result<PlantedCoClusterData> data =
       name == "movielens"   ? MakeMovieLensLike(scale, &rng)
       : name == "citeulike" ? MakeCiteULikeLike(scale, &rng)
       : name == "netflix"   ? MakeNetflixLike(scale, &rng)
-      : name == "b2b"       ? MakeB2BLike(scale, &rng)
-                            : Result<PlantedCoClusterData>(
-                                  Status::InvalidArgument(
-                                      "unknown --dataset '" + name + "'"));
+                            : MakeB2BLike(scale, &rng);
   if (!data.ok()) {
     std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
     return 1;
@@ -181,28 +145,24 @@ int CmdSynth(const Flags& flags) {
 }
 
 int CmdTrain(const Flags& flags) {
-  const Result<OcularConfig> cfg = ConfigFromFlags(flags);
-  if (!cfg.ok()) {
-    std::fprintf(stderr, "%s\n", cfg.status().ToString().c_str());
-    return 1;
-  }
+  const OcularConfig cfg = ConfigFromFlags(flags);
   auto ds = LoadInput(flags);
   if (!ds.ok()) {
     std::fprintf(stderr, "%s\n", ds.status().ToString().c_str());
     return 1;
   }
-  auto model_path = flags.RequireString("model");
-  if (!model_path.ok()) {
-    std::fprintf(stderr, "%s\n", model_path.status().ToString().c_str());
+  const std::string& model_path = flags.String("model");
+  if (model_path.empty()) {
+    std::fprintf(stderr, "InvalidArgument: missing required flag --model\n");
     return 1;
   }
-  OcularRecommender rec(*cfg);
+  OcularRecommender rec(cfg);
   Status st = rec.Fit(ds->interactions());
   if (!st.ok()) {
     std::fprintf(stderr, "training failed: %s\n", st.ToString().c_str());
     return 1;
   }
-  st = SaveModel(rec.model(), *cfg, *model_path);
+  st = SaveModel(rec.model(), cfg, model_path);
   if (!st.ok()) {
     std::fprintf(stderr, "save failed: %s\n", st.ToString().c_str());
     return 1;
@@ -213,14 +173,14 @@ int CmdTrain(const Flags& flags) {
               rec.converged() ? "yes" : "no",
               rec.trace().empty() ? 0.0 : rec.trace().back().objective);
   std::printf("model written to %s (%zu bytes of factors)\n",
-              model_path->c_str(), rec.model().MemoryBytes());
+              model_path.c_str(), rec.model().MemoryBytes());
   return 0;
 }
 
 int CmdRecommend(const Flags& flags) {
   // Accepts v1 text, binary OCLR, and `*.shardset` manifests alike
   // (LoadModelAuto sniffs and gathers).
-  auto loaded = LoadModelAuto(flags.GetString("model"));
+  auto loaded = LoadModelAuto(flags.String("model"));
   if (!loaded.ok()) {
     std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
     return 1;
@@ -230,23 +190,14 @@ int CmdRecommend(const Flags& flags) {
     std::fprintf(stderr, "%s\n", ds.status().ToString().c_str());
     return 1;
   }
-  const uint32_t m = static_cast<uint32_t>(flags.GetInt("m", 10));
+  const auto m = flags.Int<uint32_t>("m");
 
   std::vector<ScoredItem> top;
   if (flags.Has("history")) {
     // Ad-hoc history: fold-in inference for a user not in the training
     // data (new-client serving path).
-    std::vector<uint32_t> history;
-    const std::string raw_history = flags.GetString("history");
-    for (auto field : Split(raw_history, ',')) {
-      auto parsed = ParseInt64(field);
-      if (!parsed.ok() || parsed.value() < 0) {
-        std::fprintf(stderr, "bad --history entry '%s'\n",
-                     std::string(field).c_str());
-        return 1;
-      }
-      history.push_back(static_cast<uint32_t>(parsed.value()));
-    }
+    const std::vector<int64_t>& ids = flags.IntList("history");
+    std::vector<uint32_t> history(ids.begin(), ids.end());
     // Same normalization the daemon applies to wire histories: sort,
     // dedup, drop out-of-catalog ids (warned, not fatal — a stale client
     // list should not kill the query). An empty or fully-dropped history
@@ -267,29 +218,28 @@ int CmdRecommend(const Flags& flags) {
     }
     top = std::move(recs).value();
   } else {
-    const int64_t user = flags.GetInt("user", -1);
-    if (user < 0 || user >= loaded->model.num_users()) {
+    const auto user = flags.Has("user") ? flags.Int<uint32_t>("user") : 0;
+    if (!flags.Has("user") || user >= loaded->model.num_users()) {
       std::fprintf(stderr, "--user out of range (model has %u users)\n",
                    loaded->model.num_users());
       return 1;
     }
     // Blocked scoring engine over the loaded model — the same kernels the
-    // bulk RecommendForAllUsers path runs.
+    // bulk RecommendForAllUsers path runs. The selection buffer is sized
+    // on first use, to at most the catalog.
     OcularModelRecommender shim(loaded->model);
     std::span<const uint32_t> exclude;
-    if (static_cast<uint32_t>(user) < ds->interactions().num_rows()) {
-      exclude = ds->interactions().Row(static_cast<uint32_t>(user));
+    if (user < ds->interactions().num_rows()) {
+      exclude = ds->interactions().Row(user);
     }
     ServeOptions serve;
     serve.m = m;
     ServeWorkspace ws;
-    ws.Reserve(serve.m, serve.block_items);
-    auto ranked =
-        ServeTopM(shim, static_cast<uint32_t>(user), exclude, serve, &ws);
+    auto ranked = ServeTopM(shim, user, exclude, serve, &ws);
     top.assign(ranked.begin(), ranked.end());
   }
 
-  if (flags.GetBool("json")) {
+  if (flags.Bool("json")) {
     JsonWriter w;
     w.BeginArray();
     for (const auto& si : top) {
@@ -313,7 +263,7 @@ int CmdRecommend(const Flags& flags) {
 }
 
 int CmdExplain(const Flags& flags) {
-  auto loaded = LoadModelAuto(flags.GetString("model"));
+  auto loaded = LoadModelAuto(flags.String("model"));
   if (!loaded.ok()) {
     std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
     return 1;
@@ -323,20 +273,18 @@ int CmdExplain(const Flags& flags) {
     std::fprintf(stderr, "%s\n", ds.status().ToString().c_str());
     return 1;
   }
-  const int64_t user = flags.GetInt("user", -1);
-  const int64_t item = flags.GetInt("item", -1);
-  if (user < 0 || item < 0) {
+  if (!flags.Has("user") || !flags.Has("item")) {
     std::fprintf(stderr, "--user and --item are required\n");
     return 1;
   }
   auto expl = ExplainRecommendation(loaded->model, ds->interactions(),
-                                    static_cast<uint32_t>(user),
-                                    static_cast<uint32_t>(item));
+                                    flags.Int<uint32_t>("user"),
+                                    flags.Int<uint32_t>("item"));
   if (!expl.ok()) {
     std::fprintf(stderr, "%s\n", expl.status().ToString().c_str());
     return 1;
   }
-  if (flags.GetBool("json")) {
+  if (flags.Bool("json")) {
     std::printf("%s\n", ExplanationToJson(*expl, *ds).c_str());
   } else {
     std::printf("%s", RenderExplanationText(*expl, *ds).c_str());
@@ -345,38 +293,34 @@ int CmdExplain(const Flags& flags) {
 }
 
 int CmdEvaluate(const Flags& flags) {
-  const Result<OcularConfig> cfg = ConfigFromFlags(flags);
-  if (!cfg.ok()) {
-    std::fprintf(stderr, "%s\n", cfg.status().ToString().c_str());
-    return 1;
-  }
+  const OcularConfig cfg = ConfigFromFlags(flags);
   auto ds = LoadInput(flags);
   if (!ds.ok()) {
     std::fprintf(stderr, "%s\n", ds.status().ToString().c_str());
     return 1;
   }
-  Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 42)));
-  const double train_fraction = flags.GetDouble("train-fraction", 0.75);
-  auto split = SplitInteractions(ds->interactions(), train_fraction, &rng);
+  Rng rng(flags.Has("seed") ? flags.Int<uint64_t>("seed") : 42);
+  auto split = SplitInteractions(ds->interactions(),
+                                 flags.Real("train-fraction"), &rng);
   if (!split.ok()) {
     std::fprintf(stderr, "%s\n", split.status().ToString().c_str());
     return 1;
   }
-  OcularRecommender rec(*cfg);
+  OcularRecommender rec(cfg);
   Status st = rec.Fit(split->train);
   if (!st.ok()) {
     std::fprintf(stderr, "training failed: %s\n", st.ToString().c_str());
     return 1;
   }
-  const uint32_t m = static_cast<uint32_t>(flags.GetInt("m", 50));
+  const auto m = flags.Int<uint32_t>("m");
   auto metrics = EvaluateRankingAtM(rec, split->train, split->test, m);
   if (!metrics.ok()) {
     std::fprintf(stderr, "%s\n", metrics.status().ToString().c_str());
     return 1;
   }
   auto auc = SampledAuc(rec, split->train, split->test, 3, &rng);
-  std::printf("%s  K=%u lambda=%s\n", rec.name().c_str(), cfg->k,
-              FormatDouble(cfg->lambda, 3).c_str());
+  std::printf("%s  K=%u lambda=%s\n", rec.name().c_str(), cfg.k,
+              FormatDouble(cfg.lambda, 3).c_str());
   std::printf("recall@%u=%.4f  MAP@%u=%.4f  NDCG@%u=%.4f  MRR@%u=%.4f  "
               "AUC=%.4f  (%u users)\n",
               m, metrics->recall, m, metrics->map, m, metrics->ndcg, m,
@@ -385,34 +329,33 @@ int CmdEvaluate(const Flags& flags) {
 }
 
 int CmdConvert(const Flags& flags) {
-  auto in = flags.RequireString("in");
-  auto out = flags.RequireString("out");
-  if (!in.ok() || !out.ok()) {
+  const std::string& in = flags.String("in");
+  const std::string& out = flags.String("out");
+  if (in.empty() || out.empty()) {
     std::fprintf(stderr, "convert needs --in=FILE and --out=FILE\n");
     return 1;
   }
   // A shardset manifest is text that a v1-model parse would misread line
   // by line — catch it up front and point at the subcommand that
   // understands it.
-  if (IsShardSetFile(*in)) {
+  if (IsShardSetFile(in)) {
     std::fprintf(stderr,
                  "%s is a shardset manifest, not a v1 text model; use "
                  "'ocular shard --manifest=%s' to inspect it (convert "
                  "operates on the member .oclr files)\n",
-                 in->c_str(), in->c_str());
+                 in.c_str(), in.c_str());
     return 1;
   }
-  const std::string to = flags.GetString("to", "binary");
   Status st;
-  if (to == "binary") {
-    if (IsBinaryModelFile(*in)) {
+  if (flags.String("to") == "binary") {
+    if (IsBinaryModelFile(in)) {
       std::fprintf(stderr, "%s is already a binary model file\n",
-                   in->c_str());
+                   in.c_str());
       return 1;
     }
-    st = ConvertTextModelToBinary(*in, *out);
-  } else if (to == "text") {
-    auto store = ModelStore::Open(*in);
+    st = ConvertTextModelToBinary(in, out);
+  } else {
+    auto store = ModelStore::Open(in);
     if (!store.ok()) {
       std::fprintf(stderr, "%s\n", store.status().ToString().c_str());
       return 1;
@@ -422,16 +365,13 @@ int CmdConvert(const Flags& flags) {
       std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
       return 1;
     }
-    st = SaveModel(loaded->model, loaded->config, *out);
-  } else {
-    std::fprintf(stderr, "--to must be 'binary' or 'text'\n");
-    return 1;
+    st = SaveModel(loaded->model, loaded->config, out);
   }
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
   }
-  std::printf("wrote %s\n", out->c_str());
+  std::printf("wrote %s\n", out.c_str());
   return 0;
 }
 
@@ -439,7 +379,7 @@ int CmdShard(const Flags& flags) {
   // Inspect/route mode: read an existing manifest, optionally answer
   // "which shard serves user U" from the pure routing table.
   if (flags.Has("manifest")) {
-    const std::string manifest_path = flags.GetString("manifest");
+    const std::string& manifest_path = flags.String("manifest");
     auto manifest = LoadShardSetManifest(manifest_path);
     if (!manifest.ok()) {
       std::fprintf(stderr, "%s\n", manifest.status().ToString().c_str());
@@ -451,15 +391,15 @@ int CmdShard(const Flags& flags) {
       return 1;
     }
     if (flags.Has("route")) {
-      const int64_t user = flags.GetInt("route", -1);
-      if (user < 0 || user >= map->num_users()) {
+      const auto user = flags.Int<uint32_t>("route");
+      if (user >= map->num_users()) {
         std::fprintf(stderr, "--route out of range (shardset has %u users)\n",
                      map->num_users());
         return 1;
       }
-      const uint32_t s = map->shard_of(static_cast<uint32_t>(user));
-      std::printf("user %lld -> shard %u [%u, %u) in %s\n",
-                  static_cast<long long>(user), s, map->begin(s), map->end(s),
+      const uint32_t s = map->shard_of(user);
+      std::printf("user %u -> shard %u [%u, %u) in %s\n", user, s,
+                  map->begin(s), map->end(s),
                   manifest->shards[s].file.c_str());
       return 0;
     }
@@ -479,93 +419,68 @@ int CmdShard(const Flags& flags) {
   }
 
   // Split mode: cut one binary model into an N-shard set.
-  auto in = flags.RequireString("in");
-  auto out = flags.RequireString("out");
-  if (!in.ok() || !out.ok()) {
+  const std::string& in = flags.String("in");
+  const std::string& out = flags.String("out");
+  if (in.empty() || out.empty() || !flags.Has("shards")) {
     std::fprintf(stderr,
                  "shard needs --in=FILE.oclr --out=BASE.shardset --shards=N "
                  "(or --manifest=FILE.shardset to inspect)\n");
     return 1;
   }
-  const int64_t shards = flags.GetInt("shards", 0);
-  if (shards < 1 || shards > UINT32_MAX) {
-    std::fprintf(stderr, "--shards must be at least 1\n");
-    return 1;
-  }
-  auto store = ModelStore::Open(*in);
+  const auto shards = flags.Int<uint32_t>("shards");
+  auto store = ModelStore::Open(in);
   if (!store.ok()) {
     std::fprintf(stderr, "%s\n", store.status().ToString().c_str());
     return 1;
   }
   Status st = SaveModelSharded(store->meta(), store->user_factors(),
                                store->item_factors(), store->item_factors_t(),
-                               static_cast<uint32_t>(shards), *out);
+                               shards, out);
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
   }
-  std::printf("wrote %s: %u users x %u items split %u ways\n", out->c_str(),
-              store->num_users(), store->num_items(),
-              static_cast<uint32_t>(shards));
+  std::printf("wrote %s: %u users x %u items split %u ways\n", out.c_str(),
+              store->num_users(), store->num_items(), shards);
   return 0;
 }
 
 int CmdLoadtest(const Flags& flags) {
   LoadGenOptions options;
-  const int64_t port = flags.GetInt("port", 0);
-  if (port <= 0 || port > 65535) {
+  if (!flags.Has("port")) {
     std::fprintf(stderr, "loadtest needs --port of a running daemon\n");
     return 1;
   }
-  options.port = static_cast<uint16_t>(port);
+  options.port = flags.Int<uint16_t>("port");
 
   // Idle-flood mode: hold --idle-conns keep-alive connections (plus
   // optional slowloris dribblers and never-reading consumers) while
   // --burst-clients do real traffic through the flood. Exercises the
   // daemon's event-driven connection core rather than raw throughput.
-  const int64_t idle_conns = flags.GetInt("idle-conns", 0);
+  // --requests, --pipeline and --m default smaller in this mode.
+  const auto idle_conns = flags.Int<uint32_t>("idle-conns");
   if (idle_conns > 0) {
     IdleFloodOptions flood;
     flood.port = options.port;
-    const int64_t burst_clients = flags.GetInt("burst-clients", 4);
-    const int64_t requests = flags.GetInt("requests", 500);
-    const int64_t pipeline = flags.GetInt("pipeline", 8);
-    const int64_t m = flags.GetInt("m", 20);
-    const int64_t users = flags.GetInt("users", 1);
-    const int64_t slow_writers = flags.GetInt("slow-writers", 0);
-    const int64_t never_readers = flags.GetInt("never-readers", 0);
-    const int64_t duration_ms = flags.GetInt("duration-ms", 1000);
-    const double zipf_skew = flags.GetDouble("zipf-skew", 3.0);
-    if (idle_conns > 1'000'000 || burst_clients < 0 || burst_clients > 4096 ||
-        requests < 1 || requests > 100'000'000 || pipeline < 1 ||
-        pipeline > 512 || m < 1 || m > UINT32_MAX || users < 1 ||
-        users > UINT32_MAX || slow_writers < 0 || slow_writers > 65536 ||
-        never_readers < 0 || never_readers > 65536 || duration_ms < 0 ||
-        duration_ms > 3600000 || zipf_skew < 0.0 || zipf_skew > 64.0) {
-      std::fprintf(stderr,
-                   "idle-flood flags out of range: --idle-conns in [1, 1e6], "
-                   "--burst-clients in [0, 4096], --pipeline in [1, 512], "
-                   "--slow-writers/--never-readers in [0, 65536], "
-                   "--duration-ms in [0, 3600000], --zipf-skew in [0, 64]\n");
-      return 1;
-    }
-    flood.idle_conns = static_cast<uint32_t>(idle_conns);
-    flood.burst_clients = static_cast<uint32_t>(burst_clients);
-    flood.requests_per_client = static_cast<uint64_t>(requests);
-    flood.pipeline = static_cast<uint32_t>(pipeline);
-    flood.m = static_cast<uint32_t>(m);
-    flood.num_users = static_cast<uint32_t>(users);
-    flood.model = flags.GetString("model", "default");
-    flood.zipf_skew = zipf_skew;
-    flood.slow_writers = static_cast<uint32_t>(slow_writers);
-    flood.never_readers = static_cast<uint32_t>(never_readers);
-    flood.duration_ms = static_cast<uint32_t>(duration_ms);
+    flood.idle_conns = idle_conns;
+    flood.burst_clients = flags.Int<uint32_t>("burst-clients");
+    flood.requests_per_client =
+        flags.Has("requests") ? flags.Int<uint64_t>("requests") : 500;
+    flood.pipeline =
+        flags.Has("pipeline") ? flags.Int<uint32_t>("pipeline") : 8;
+    flood.m = flags.Has("m") ? flags.Int<uint32_t>("m") : 20;
+    flood.num_users = flags.Int<uint32_t>("users");
+    flood.model = flags.String("model");
+    flood.zipf_skew = flags.Real("zipf-skew");
+    flood.slow_writers = flags.Int<uint32_t>("slow-writers");
+    flood.never_readers = flags.Int<uint32_t>("never-readers");
+    flood.duration_ms = flags.Int<uint32_t>("duration-ms");
     auto flood_result = RunIdleFlood(flood);
     if (!flood_result.ok()) {
       std::fprintf(stderr, "%s\n", flood_result.status().ToString().c_str());
       return 1;
     }
-    if (flags.GetBool("json")) {
+    if (flags.Bool("json")) {
       JsonWriter w;
       w.BeginObject();
       w.Key("idle_conns");
@@ -630,61 +545,29 @@ int CmdLoadtest(const Flags& flags) {
     return healthy ? 0 : 3;
   }
 
-  const int64_t clients = flags.GetInt("clients", 8);
-  const int64_t requests = flags.GetInt("requests", 1000);
-  const int64_t pipeline = flags.GetInt("pipeline", 16);
-  const int64_t m = flags.GetInt("m", 50);
-  const int64_t users = flags.GetInt("users", 1);
-  // --pipeline is capped so one request batch always fits in the socket
-  // buffers: the client writes the whole batch before reading, so an
-  // oversized batch would deadlock against a worker blocked writing
-  // replies the client is not yet consuming.
-  if (clients < 1 || clients > 4096 || requests < 1 ||
-      requests > 100'000'000 || pipeline < 1 || pipeline > 512 || m < 1 ||
-      m > UINT32_MAX || users < 1 || users > UINT32_MAX) {
-    std::fprintf(stderr,
-                 "loadtest flags out of range: --clients in [1, 4096], "
-                 "--pipeline in [1, 512], --requests in [1, 1e8], "
-                 "--m/--users >= 1\n");
-    return 1;
-  }
-  options.clients = static_cast<uint32_t>(clients);
-  options.requests_per_client = static_cast<uint64_t>(requests);
-  options.pipeline = static_cast<uint32_t>(pipeline);
-  options.m = static_cast<uint32_t>(m);
-  options.num_users = static_cast<uint32_t>(users);
-  options.model = flags.GetString("model", "default");
-  // Mixed-verb traffic: --history-every=N makes every Nth request per
-  // client a fold-in "history" request over a catalog of --items ids.
-  const int64_t history_every = flags.GetInt("history-every", 0);
-  const int64_t history_len = flags.GetInt("history-len", 8);
-  const int64_t items = flags.GetInt("items", 0);
-  if (history_every < 0 || history_every > UINT32_MAX || history_len < 1 ||
-      history_len > 4096 || items < 0 || items > UINT32_MAX) {
-    std::fprintf(stderr,
-                 "loadtest history flags out of range: --history-every "
-                 ">= 0, --history-len in [1, 4096], --items >= 0\n");
-    return 1;
-  }
-  if (history_every > 0 && items == 0) {
+  options.clients = flags.Int<uint32_t>("clients");
+  options.requests_per_client = flags.Int<uint64_t>("requests");
+  options.pipeline = flags.Int<uint32_t>("pipeline");
+  options.m = flags.Int<uint32_t>("m");
+  options.num_users = flags.Int<uint32_t>("users");
+  options.model = flags.String("model");
+  options.history_every = flags.Int<uint32_t>("history-every");
+  options.history_len = flags.Int<uint32_t>("history-len");
+  options.num_items = flags.Int<uint32_t>("items");
+  if (options.history_every > 0 && options.num_items == 0) {
     std::fprintf(stderr,
                  "--history-every needs --items=I (the catalog size "
                  "generated histories draw from)\n");
     return 1;
   }
-  options.history_every = static_cast<uint32_t>(history_every);
-  options.history_len = static_cast<uint32_t>(history_len);
-  options.num_items = static_cast<uint32_t>(items);
-  // Fleet mode: ride through a proxy or replica restarting mid-run by
-  // rolling back and resending the outstanding batch instead of failing.
-  options.reconnect_on_close = flags.GetBool("reconnect", false);
+  options.reconnect_on_close = flags.Bool("reconnect");
 
   auto result = RunLoadGen(options);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
   }
-  if (flags.GetBool("json")) {
+  if (flags.Bool("json")) {
     JsonWriter w;
     w.BeginObject();
     w.Key("clients");
@@ -734,25 +617,135 @@ int CmdLoadtest(const Flags& flags) {
   return result->error_replies == 0 ? 0 : 3;
 }
 
-int Run(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr, "%s", kUsage);
-    return 2;
-  }
-  const std::string command = argv[1];
-  Flags flags = Flags::Parse(argc - 1, argv + 1);
-  if (command == "stats") return CmdStats(flags);
-  if (command == "synth") return CmdSynth(flags);
-  if (command == "train") return CmdTrain(flags);
-  if (command == "recommend") return CmdRecommend(flags);
-  if (command == "explain") return CmdExplain(flags);
-  if (command == "evaluate") return CmdEvaluate(flags);
-  if (command == "convert") return CmdConvert(flags);
-  if (command == "shard") return CmdShard(flags);
-  if (command == "serve") return RunServeCommand(flags);
-  if (command == "loadtest") return CmdLoadtest(flags);
-  std::fprintf(stderr, "unknown command '%s'\n%s", command.c_str(), kUsage);
+/// One subcommand: its flags and what runs them. `serve` is the shared
+/// RunServeCommand and is not listed here.
+struct Command {
+  FlagTable table;
+  int (*run)(const Flags&);
+};
+
+const std::vector<Command>& Commands() {
+  static const std::vector<Command> commands = {
+      {{"ocular stats", "Describes an interaction dataset.", InputFlags()},
+       CmdStats},
+      {{"ocular synth",
+        "Writes a synthetic dataset shaped like one of the paper's.",
+        {ChoiceFlag("dataset", {"movielens", "citeulike", "b2b", "netflix"},
+                    "b2b", "dataset shape"),
+         RealFlag("scale", 0.0, 1.0, "0.02",
+                  "fraction of the full dataset's users, in (0, 1]"),
+         StringFlag("output", "", "tab-separated file to write (required)"),
+         IntFlag("seed", 0, INT64_MAX, "1", "generator seed")}},
+       CmdSynth},
+      {{"ocular train", "Fits an OCuLaR or R-OCuLaR model and saves it.",
+        Concat({InputFlags(), TrainerFlags(),
+                {StringFlag("model", "",
+                            "text model file to write (required)")}})},
+       CmdTrain},
+      {{"ocular recommend",
+        "Top-M items for a stored --user, or for an ad-hoc --history.",
+        Concat({InputFlags(),
+                {StringFlag("model", "",
+                            "text model, binary model or shardset"),
+                 IntFlag("user", 0, UINT32_MAX, "", "stored user"),
+                 IntListFlag("history", 0, UINT32_MAX,
+                             "item ids of an ad-hoc user, folded in"),
+                 IntFlag("m", 0, UINT32_MAX, "10", "items to list"),
+                 BoolFlag("json", false, "print a JSON array")}})},
+       CmdRecommend},
+      {{"ocular explain", "Co-cluster rationale for a (user, item) pair.",
+        Concat({InputFlags(),
+                {StringFlag("model", "",
+                            "text model, binary model or shardset"),
+                 IntFlag("user", 0, UINT32_MAX, "", "user (required)"),
+                 IntFlag("item", 0, UINT32_MAX, "", "item (required)"),
+                 BoolFlag("json", false, "print JSON")}})},
+       CmdExplain},
+      {{"ocular evaluate",
+        "Train/test split evaluation: recall, MAP, NDCG and MRR at M, and "
+        "AUC.",
+        Concat({InputFlags(), TrainerFlags(),
+                {IntFlag("m", 0, UINT32_MAX, "50", "cutoff M"),
+                 RealFlag("train-fraction", 0.0, 1.0, "0.75",
+                          "share of each user's positives kept for "
+                          "training")}})},
+       CmdEvaluate},
+      {{"ocular convert",
+        "Converts a v1 text model to a binary OCLR file, or back.",
+        {StringFlag("in", "", "model file to read (required)"),
+         StringFlag("out", "", "model file to write (required)"),
+         ChoiceFlag("to", {"binary", "text"}, "binary", "format to write")}},
+       CmdConvert},
+      {{"ocular shard",
+        "Splits a binary model into a user-range shardset (--in, --out,\n"
+        "--shards), or inspects one (--manifest, optionally --route).",
+        {StringFlag("in", "", "binary model to split"),
+         StringFlag("out", "", "shardset manifest to write"),
+         IntFlag("shards", 1, UINT32_MAX, "", "shards to split into"),
+         StringFlag("manifest", "", "shardset manifest to inspect"),
+         IntFlag("route", 0, UINT32_MAX, "",
+                 "user whose shard to print")}},
+       CmdShard},
+      {{"ocular loadtest",
+        "Concurrent-client load on a running daemon or fleet. With\n"
+        "--idle-conns it holds that many idle keep-alive connections while\n"
+        "--burst-clients send traffic through them, and --requests,\n"
+        "--pipeline and --m default to 500, 8 and 20.",
+        {IntFlag("port", 1, 65535, "", "daemon port on 127.0.0.1 (required)"),
+         IntFlag("clients", 1, 4096, "8", "concurrent clients"),
+         IntFlag("requests", 1, 100000000, "1000", "requests per client"),
+         // Capped so one batch always fits in the socket buffers: the
+         // client writes a whole batch before reading its replies.
+         IntFlag("pipeline", 1, 512, "16", "requests in flight per client"),
+         IntFlag("m", 1, UINT32_MAX, "50", "top-M per request"),
+         IntFlag("users", 1, UINT32_MAX, "1", "user ids drawn from"),
+         StringFlag("model", "default", "model name"),
+         BoolFlag("json", false, "print a JSON record"),
+         BoolFlag("reconnect", false,
+                  "resend a batch whose connection closed (fleet restarts)"),
+         IntFlag("history-every", 0, UINT32_MAX, "0",
+                 "every Nth request is a fold-in history request; 0 = none"),
+         IntFlag("history-len", 1, 4096, "8", "items per history"),
+         IntFlag("items", 0, UINT32_MAX, "0",
+                 "catalog size histories draw from"),
+         IntFlag("idle-conns", 0, 1000000, "0",
+                 "idle keep-alive connections to hold; 0 = plain load"),
+         IntFlag("burst-clients", 0, 4096, "4",
+                 "clients sending traffic through the idle flood"),
+         IntFlag("slow-writers", 0, 65536, "0",
+                 "connections that dribble a request byte by byte"),
+         IntFlag("never-readers", 0, 65536, "0",
+                 "connections that never read their replies"),
+         IntFlag("duration-ms", 0, 3600000, "1000", "idle-flood duration"),
+         RealFlag("zipf-skew", 0.0, 64.0, "3", "burst user skew")}},
+       CmdLoadtest},
+  };
+  return commands;
+}
+
+/// Every command's usage; returns 2, the exit code of a usage error.
+int PrintCommandsUsage(const FlagTable& serve) {
+  std::string usage = "usage: ocular <command> [flags]\n";
+  for (const Command& c : Commands()) usage += "\n" + Usage(c.table);
+  usage += "\n" + Usage(serve);
+  std::fprintf(stderr, "%s", usage.c_str());
   return 2;
+}
+
+int Run(int argc, char** argv) {
+  const FlagTable serve = ServeFlagTable("ocular serve");
+  if (argc < 2) return PrintCommandsUsage(serve);
+  const std::string command = argv[1];
+  if (command == "serve") {
+    return RunServeCommand(serve.program, argc - 1, argv + 1);
+  }
+  for (const Command& c : Commands()) {
+    if (c.table.program == "ocular " + command) {
+      return c.run(ParseFlagsOrExit(c.table, argc - 1, argv + 1));
+    }
+  }
+  std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
+  return PrintCommandsUsage(serve);
 }
 
 }  // namespace

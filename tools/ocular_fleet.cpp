@@ -29,30 +29,49 @@
 #include <vector>
 
 #include "common/flags.h"
-#include "common/strings.h"
 #include "serving/fleet.h"
 
 namespace ocular {
 namespace {
 
-constexpr char kUsage[] = R"(usage: ocular_fleet --port=N
-        (--replicas=P1,P2[,...] | --spawn=N --served=PATH --models=SPEC
-         [--datasets=SPEC] [--journal=0|1] [--base-port=N]
-         [--replica-workers=N])
-        [--workers=N] [--accept-queue=N] [--io-timeout-ms=N]
-        [--hedge-after-ms=N] [--probe-interval-ms=N] [--retry-after-ms=N]
-        [--fail-threshold=N] [--reopen-after-ms=N]
-
-Front-tier proxy over N ocular_served replicas on 127.0.0.1. Attach to
-replicas already running with --replicas, or spawn them with --spawn
-(flags --served/--models/--datasets/--journal are passed through; ports
-are --base-port, --base-port+1, ...). `recommend`/`models` and unknown
-verbs are forwarded (consistent-hashed on "user"); `ping` and `stats`
-answer for the fleet itself; `update`/`reload` are refused — apply them
-to each replica directly or the fleet's models fork. --hedge-after-ms=N
-sends a second copy of a request whose primary is silent after N ms and
-takes the first reply (0 = off). SIGTERM drains gracefully.
-)";
+const FlagTable kFleetFlags = {
+    "ocular_fleet",
+    "Front-tier proxy over N ocular_served replicas on 127.0.0.1: attach to\n"
+    "running replicas with --replicas, or spawn them with --spawn and\n"
+    "--served (ports --base-port, --base-port+1, ...). `recommend`, `models`\n"
+    "and unknown verbs are forwarded, consistent-hashed on \"user\"; `ping`\n"
+    "and `stats` answer for the fleet; `update`/`reload` are refused (apply\n"
+    "them to each replica). SIGTERM drains gracefully.",
+    {IntFlag("port", 1, 65535, "", "front-door port on 127.0.0.1 (required)"),
+     IntListFlag("replicas", 1, 65535,
+                 "ports of running replicas to attach to"),
+     IntFlag("spawn", 0, 64, "0",
+             "replicas to spawn; 0 attaches to --replicas instead"),
+     StringFlag("served", "", "ocular_served binary to spawn (spawn mode)"),
+     StringFlag("models", "", "--models of each spawned replica"),
+     StringFlag("datasets", "", "--datasets of each spawned replica"),
+     CharFlag("delimiter", '\t', "--delimiter of each spawned replica"),
+     BoolFlag("journal", true, "--journal of each spawned replica"),
+     IntFlag("base-port", 1, 65535, "",
+             "first spawned replica's port (default --port + 1)"),
+     IntFlag("replica-workers", 0, 4096, "0",
+             "--workers of each spawned replica; 0 = one per CPU"),
+     IntFlag("workers", 1, 4096, "4", "front-tier proxy threads"),
+     IntFlag("accept-queue", 1, 1 << 20, "128",
+             "requests queued from the IO thread to the proxy threads"),
+     IntFlag("io-timeout-ms", 1, 3600000, "1000",
+             "deadline tick and replica IO deadline"),
+     IntFlag("hedge-after-ms", 0, 3600000, "0",
+             "send a second copy of a request whose primary is silent this "
+             "long and take the first reply; 0 = off"),
+     IntFlag("probe-interval-ms", 10, 60000, "200",
+             "health probe period per replica"),
+     IntFlag("retry-after-ms", 1, 60000, "100",
+             "backoff hint in 503 shed replies"),
+     IntFlag("fail-threshold", 1, 1000, "3",
+             "consecutive failures that eject a replica"),
+     IntFlag("reopen-after-ms", 10, 600000, "500",
+             "ejected replica's wait before a readmission probe")}};
 
 std::vector<pid_t> g_children;
 
@@ -80,26 +99,19 @@ bool SpawnReplica(const std::string& served, const Flags& flags,
                   uint16_t port) {
   std::vector<std::string> args;
   args.push_back(served);
-  args.push_back("--models=" + flags.GetString("models"));
+  args.push_back("--models=" + flags.String("models"));
   if (flags.Has("datasets")) {
-    args.push_back("--datasets=" + flags.GetString("datasets"));
+    args.push_back("--datasets=" + flags.String("datasets"));
   }
-  if (flags.Has("delimiter")) {
-    args.push_back("--delimiter=" + flags.GetString("delimiter"));
-  }
-  args.push_back("--journal=" + std::string(flags.GetBool("journal", true)
-                                                ? "1"
-                                                : "0"));
+  args.push_back("--delimiter=" + std::string(1, flags.Char("delimiter")));
+  args.push_back(std::string("--journal=") +
+                 (flags.Bool("journal") ? "1" : "0"));
   // Replicas multiplex every connection on one epoll IO thread, so idle
   // keep-alive connections (the fleet's pinned front-tier sockets, the
   // health prober) cost no worker at all — workers only size request
-  // compute. Match the CPU instead of the old `front workers + 2` rule,
-  // which oversubscribed cores on small machines and never helped probes
-  // anyway. --replica-workers overrides the derived default.
-  const int64_t hw = static_cast<int64_t>(std::thread::hardware_concurrency());
+  // compute, and the replica's own --workers=0 sizes them to the CPU.
   args.push_back("--workers=" +
-                 std::to_string(flags.GetInt("replica-workers",
-                                             hw > 0 ? hw : 1)));
+                 std::to_string(flags.Int("replica-workers")));
   args.push_back("--port=" + std::to_string(port));
   const pid_t pid = ::fork();
   if (pid < 0) {
@@ -144,28 +156,25 @@ bool WaitForPort(uint16_t port) {
 }
 
 int Run(int argc, char** argv) {
-  Flags flags = Flags::Parse(argc, argv);
-  const int64_t port = flags.GetInt("port", 0);
-  if (port < 1 || port > 65535) {
-    std::fprintf(stderr, "%s", kUsage);
-    return 2;
-  }
+  const Flags flags = ParseFlagsOrExit(kFleetFlags, argc, argv);
+  if (!flags.Has("port")) return PrintUsage(kFleetFlags);
+  const auto port = flags.Int<uint16_t>("port");
 
   std::vector<uint16_t> replicas;
-  const int64_t spawn = flags.GetInt("spawn", 0);
+  const auto spawn = flags.Int<uint32_t>("spawn");
   if (spawn > 0) {
-    if (spawn > 64 || !flags.Has("served") || !flags.Has("models")) {
-      std::fprintf(stderr, "%s", kUsage);
+    if (!flags.Has("served") || !flags.Has("models")) {
+      return PrintUsage(kFleetFlags);
+    }
+    const int64_t base_port =
+        flags.Has("base-port") ? flags.Int("base-port") : port + 1;
+    if (base_port + spawn - 1 > 65535) {
+      std::fprintf(stderr, "--base-port leaves no room for %u replicas\n",
+                   spawn);
       return 2;
     }
-    const int64_t base_port = flags.GetInt("base-port", port + 1);
-    if (base_port < 1 || base_port + spawn - 1 > 65535) {
-      std::fprintf(stderr, "--base-port leaves no room for %lld replicas\n",
-                   static_cast<long long>(spawn));
-      return 2;
-    }
-    const std::string served = flags.GetString("served");
-    for (int64_t i = 0; i < spawn; ++i) {
+    const std::string& served = flags.String("served");
+    for (uint32_t i = 0; i < spawn; ++i) {
       const uint16_t p = static_cast<uint16_t>(base_port + i);
       if (!SpawnReplica(served, flags, p)) {
         ReapChildren();
@@ -180,80 +189,23 @@ int Run(int argc, char** argv) {
         return 1;
       }
     }
-  } else if (flags.Has("replicas")) {
-    for (std::string_view part : Split(flags.GetString("replicas"), ',')) {
-      int value = 0;
-      for (const char c : part) {
-        if (c < '0' || c > '9') {
-          value = -1;
-          break;
-        }
-        value = value * 10 + (c - '0');
-        if (value > 65535) break;
-      }
-      if (value < 1 || value > 65535) {
-        std::fprintf(stderr, "bad replica port '%.*s'\n",
-                     static_cast<int>(part.size()), part.data());
-        return 2;
-      }
-      replicas.push_back(static_cast<uint16_t>(value));
+  } else {
+    for (const int64_t p : flags.IntList("replicas")) {
+      replicas.push_back(static_cast<uint16_t>(p));
     }
   }
-  if (replicas.empty()) {
-    std::fprintf(stderr, "%s", kUsage);
-    return 2;
-  }
+  if (replicas.empty()) return PrintUsage(kFleetFlags);
 
   FleetServer::Options options;
   options.replicas = replicas;
-  const int64_t workers = flags.GetInt("workers", 4);
-  if (workers < 1 || workers > 4096) {
-    std::fprintf(stderr, "--workers must be in [1, 4096]\n");
-    return 1;
-  }
-  options.num_workers = static_cast<size_t>(workers);
-  const int64_t accept_queue = flags.GetInt("accept-queue", 128);
-  if (accept_queue < 1 || accept_queue > 1 << 20) {
-    std::fprintf(stderr, "--accept-queue must be in [1, 1048576]\n");
-    return 1;
-  }
-  options.accept_queue = static_cast<size_t>(accept_queue);
-  const int64_t io_timeout_ms = flags.GetInt("io-timeout-ms", 1000);
-  if (io_timeout_ms < 1 || io_timeout_ms > 3600000) {
-    std::fprintf(stderr, "--io-timeout-ms must be in [1, 3600000]\n");
-    return 1;
-  }
-  options.io_timeout_ms = static_cast<uint32_t>(io_timeout_ms);
-  const int64_t hedge_after_ms = flags.GetInt("hedge-after-ms", 0);
-  if (hedge_after_ms < 0 || hedge_after_ms > 3600000) {
-    std::fprintf(stderr, "--hedge-after-ms must be in [0, 3600000]\n");
-    return 1;
-  }
-  options.hedge_after_ms = static_cast<uint32_t>(hedge_after_ms);
-  const int64_t probe_interval_ms = flags.GetInt("probe-interval-ms", 200);
-  if (probe_interval_ms < 10 || probe_interval_ms > 60000) {
-    std::fprintf(stderr, "--probe-interval-ms must be in [10, 60000]\n");
-    return 1;
-  }
-  options.probe_interval_ms = static_cast<uint32_t>(probe_interval_ms);
-  const int64_t retry_after_ms = flags.GetInt("retry-after-ms", 100);
-  if (retry_after_ms < 1 || retry_after_ms > 60000) {
-    std::fprintf(stderr, "--retry-after-ms must be in [1, 60000]\n");
-    return 1;
-  }
-  options.retry_after_ms = static_cast<uint32_t>(retry_after_ms);
-  const int64_t fail_threshold = flags.GetInt("fail-threshold", 3);
-  if (fail_threshold < 1 || fail_threshold > 1000) {
-    std::fprintf(stderr, "--fail-threshold must be in [1, 1000]\n");
-    return 1;
-  }
-  options.health.fail_threshold = static_cast<uint32_t>(fail_threshold);
-  const int64_t reopen_after_ms = flags.GetInt("reopen-after-ms", 500);
-  if (reopen_after_ms < 10 || reopen_after_ms > 600000) {
-    std::fprintf(stderr, "--reopen-after-ms must be in [10, 600000]\n");
-    return 1;
-  }
-  options.health.reopen_after_ms = static_cast<uint32_t>(reopen_after_ms);
+  options.num_workers = flags.Int<size_t>("workers");
+  options.accept_queue = flags.Int<size_t>("accept-queue");
+  options.io_timeout_ms = flags.Int<uint32_t>("io-timeout-ms");
+  options.hedge_after_ms = flags.Int<uint32_t>("hedge-after-ms");
+  options.probe_interval_ms = flags.Int<uint32_t>("probe-interval-ms");
+  options.retry_after_ms = flags.Int<uint32_t>("retry-after-ms");
+  options.health.fail_threshold = flags.Int<uint32_t>("fail-threshold");
+  options.health.reopen_after_ms = flags.Int<uint32_t>("reopen-after-ms");
 
   FleetServer fleet(options);
   LineServer::InstallShutdownSignalHandler();
@@ -265,12 +217,12 @@ int Run(int argc, char** argv) {
     replica_list += std::to_string(p);
   }
   std::fprintf(stderr,
-               "fleet on 127.0.0.1:%lld over replicas [%s] with %zu workers"
+               "fleet on 127.0.0.1:%u over replicas [%s] with %zu workers"
                "%s (SIGTERM drains)\n",
-               static_cast<long long>(port), replica_list.c_str(),
+               static_cast<unsigned>(port), replica_list.c_str(),
                options.num_workers,
                options.hedge_after_ms > 0 ? ", hedging on" : "");
-  const Status st = fleet.RunLoop(static_cast<uint16_t>(port));
+  const Status st = fleet.RunLoop(port);
   ReapChildren();
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());

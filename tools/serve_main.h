@@ -1,43 +1,6 @@
 // Shared driver of the `ocular_served` binary and the `ocular_cli serve`
-// subcommand: parses --models/--datasets specs, fills a ModelRegistry, and
-// runs the RequestServer over stdio or TCP.
-//
-// Flags:
-//   --models=name=path[,name=path...]    binary OCLR model files (required)
-//   --datasets=name=path[,...]           optional per-model exclusion data;
-//                                        each name must be a --models name
-//   --delimiter=C                        dataset delimiter, one character
-//                                        (default tab)
-//   --port=N                             TCP on 127.0.0.1:N (default stdio)
-//   --m=N                                default top-M per request (50)
-//   --workers=N                          TCP worker threads (0 = one per
-//                                        hardware thread)
-//   --accept-queue=N                     dispatch-queue depth between the
-//                                        IO thread and the workers (128);
-//                                        a full queue is backpressure,
-//                                        not shedding
-//   --max-connections=N                  open connections admitted before
-//                                        new arrivals get a 503 shed
-//                                        (0 = unlimited)
-//   --max-outbound-bytes=N               per-connection reply backlog a
-//                                        slow consumer may hold before
-//                                        disconnect (8 MiB)
-//   --update-sweeps=N                    default trainer sweeps an `update`
-//                                        request runs when it does not set
-//                                        its own "sweeps" (5)
-//   --max-request-bytes=N                longest request line before a
-//                                        413-style reply + close (1 MiB)
-//   --io-timeout-ms=N                    IO-loop deadline sweep tick and
-//                                        write-stall deadline (1000;
-//                                        0 = no deadlines)
-//   --idle-timeout-ms=N                  close connections with no complete
-//                                        request for this long (30000;
-//                                        0 = never)
-//   --retry-after-ms=N                   backoff hint in 503 shed replies
-//                                        (50)
-//   --journal=0|1                        write-ahead journal every update
-//                                        to <model>.update.journal and
-//                                        recover it at startup (1)
+// subcommand: declares the serve flags, parses --models/--datasets specs,
+// fills a ModelRegistry, and runs the RequestServer over stdio or TCP.
 //
 // The process pins glibc's mmap threshold before it loads anything,
 // installs the SIGHUP hot-reload handler and the SIGTERM/SIGINT
@@ -92,21 +55,18 @@ ParseNamePathSpecs(const std::string& flag, const std::string& specs) {
 }
 
 /// Loads every --models (and --datasets) entry into `registry`. A
-/// --datasets entry must name a --models entry, and --delimiter must be
-/// one character: each would otherwise serve without the exclusions the
-/// operator asked for.
+/// --datasets entry must name a --models entry: it would otherwise serve
+/// without the exclusions the operator asked for.
 inline Status LoadRegistryFromFlags(const Flags& flags,
                                     ModelRegistry* registry) {
-  OCULAR_ASSIGN_OR_RETURN(std::string models_spec,
-                          flags.RequireString("models"));
   OCULAR_ASSIGN_OR_RETURN(auto model_specs,
-                          ParseNamePathSpecs("models", models_spec));
+                          ParseNamePathSpecs("models", flags.String("models")));
 
   std::vector<std::pair<std::string, std::string>> dataset_specs;
   if (flags.Has("datasets")) {
     OCULAR_ASSIGN_OR_RETURN(
         dataset_specs,
-        ParseNamePathSpecs("datasets", flags.GetString("datasets")));
+        ParseNamePathSpecs("datasets", flags.String("datasets")));
   }
   for (const auto& [data_name, data_path] : dataset_specs) {
     const bool served = std::any_of(
@@ -117,17 +77,12 @@ inline Status LoadRegistryFromFlags(const Flags& flags,
                                      data_path + "' names no --models entry");
     }
   }
-  const std::string delimiter = flags.GetString("delimiter", "\t");
-  if (delimiter.size() != 1) {
-    return Status::InvalidArgument("--delimiter='" + delimiter +
-                                   "' is not one character");
-  }
   for (const auto& [name, model_path] : model_specs) {
     std::shared_ptr<const CsrMatrix> train;
     for (const auto& [data_name, data_path] : dataset_specs) {
       if (data_name != name) continue;
       CsvOptions opts;
-      opts.delimiter = delimiter[0];
+      opts.delimiter = flags.Char("delimiter");
       // Keep raw ids so dataset row u IS model/request user u — compact
       // remapping would silently bind exclusions to the wrong users.
       opts.compact_ids = false;
@@ -140,6 +95,55 @@ inline Status LoadRegistryFromFlags(const Flags& flags,
   return Status::OK();
 }
 
+/// The serve flags of `program` (`ocular_served` or `ocular serve`).
+inline FlagTable ServeFlagTable(std::string program) {
+  return {std::move(program),
+          "Serves binary OCLR (.oclr) models and shardsets; convert v1 text\n"
+          "models with `ocular_cli convert`. Requests are one JSON object per\n"
+          "line: {\"cmd\":\"recommend\",\"user\":3,\"m\":10}, "
+          "{\"cmd\":\"stats\"}, ... (see\n"
+          "docs/OPERATIONS.md). SIGHUP hot-reloads every model; SIGTERM "
+          "drains\n(answers everything already read, prints a final stats "
+          "line, exits 0).",
+          {StringFlag("models", "",
+                      "binary models, name=path[,name=path...] (required)"),
+           StringFlag("datasets", "",
+                      "exclusion datasets, name=path[,...]; each name must be "
+                      "a --models name"),
+           CharFlag("delimiter", '\t', "--datasets field delimiter"),
+           IntFlag("port", 0, 65535, "0",
+                   "TCP port on 127.0.0.1; 0 serves stdin/stdout"),
+           IntFlag("m", 0, UINT32_MAX, "50",
+                   "top-M of a request that does not set \"m\""),
+           IntFlag("workers", 0, 4096, "0",
+                   "TCP worker threads; 0 = one per CPU"),
+           IntFlag("accept-queue", 1, 1 << 20, "128",
+                   "requests queued from the IO thread to the workers; a "
+                   "full queue is backpressure, not shedding"),
+           IntFlag("max-connections", 0, 1 << 20, "0",
+                   "open connections before new ones get a 503 shed reply; "
+                   "0 = unlimited"),
+           IntFlag("max-outbound-bytes", 64 << 10, 1 << 30, "8388608",
+                   "unread reply bytes a client may hold before it is "
+                   "disconnected"),
+           IntFlag("update-sweeps", 1, 100000, "5",
+                   "trainer sweeps of an `update` that does not set "
+                   "\"sweeps\""),
+           IntFlag("max-request-bytes", 1024, 1 << 30, "1048576",
+                   "longest request line; longer ones get a 413 reply and "
+                   "are closed"),
+           IntFlag("io-timeout-ms", 0, 3600000, "1000",
+                   "deadline tick and write-stall deadline; 0 = none"),
+           IntFlag("idle-timeout-ms", 0, 86400000, "30000",
+                   "close a connection with no complete request for this "
+                   "long (408); 0 = never"),
+           IntFlag("retry-after-ms", 1, 60000, "50",
+                   "backoff hint in 503 shed replies"),
+           BoolFlag("journal", true,
+                    "journal updates to <model>.update.journal and recover "
+                    "them at startup")}};
+}
+
 /// glibc's initial mmap threshold. Left dynamic, glibc raises it to the
 /// size of each mmapped block freed (up to 32 MiB), after which an
 /// update's model-sized buffers come from the arena of the worker thread
@@ -148,9 +152,13 @@ inline Status LoadRegistryFromFlags(const Flags& flags,
 /// the kernel when freed.
 inline constexpr int kServeMmapThresholdBytes = 128 * 1024;
 
-/// Full serve command: registry + SIGHUP handler + stdio/TCP loop.
-/// Returns a process exit code.
-inline int RunServeCommand(const Flags& flags) {
+/// Full serve command of `program`: flags + registry + SIGHUP handler +
+/// stdio/TCP loop. Returns a process exit code.
+inline int RunServeCommand(const std::string& program, int argc,
+                           const char* const* argv) {
+  const FlagTable table = ServeFlagTable(program);
+  const Flags flags = ParseFlagsOrExit(table, argc, argv);
+  if (!flags.Has("models")) return PrintUsage(table);
   ::mallopt(M_MMAP_THRESHOLD, kServeMmapThresholdBytes);
   ModelRegistry registry;
   Status st = LoadRegistryFromFlags(flags, &registry);
@@ -159,66 +167,17 @@ inline int RunServeCommand(const Flags& flags) {
     return 1;
   }
   RequestServer::Options options;
-  options.serve.m = static_cast<uint32_t>(flags.GetInt("m", 50));
-  const int64_t workers = flags.GetInt("workers", 0);
-  if (workers < 0 || workers > 4096) {
-    std::fprintf(stderr, "--workers must be in [0, 4096] (0 = one per "
-                         "hardware thread)\n");
-    return 1;
-  }
-  options.num_workers = static_cast<size_t>(workers);
-  const int64_t accept_queue = flags.GetInt("accept-queue", 128);
-  if (accept_queue < 1 || accept_queue > 1 << 20) {
-    std::fprintf(stderr, "--accept-queue must be in [1, 1048576]\n");
-    return 1;
-  }
-  options.accept_queue = static_cast<size_t>(accept_queue);
-  const int64_t max_connections = flags.GetInt("max-connections", 0);
-  if (max_connections < 0 || max_connections > 1 << 20) {
-    std::fprintf(stderr,
-                 "--max-connections must be in [0, 1048576] (0 = unlimited)\n");
-    return 1;
-  }
-  options.max_connections = static_cast<size_t>(max_connections);
-  const int64_t max_outbound_bytes =
-      flags.GetInt("max-outbound-bytes", 8 << 20);
-  if (max_outbound_bytes < (64 << 10) || max_outbound_bytes > (1 << 30)) {
-    std::fprintf(stderr, "--max-outbound-bytes must be in [65536, 2^30]\n");
-    return 1;
-  }
-  options.max_outbound_bytes = static_cast<size_t>(max_outbound_bytes);
-  const int64_t update_sweeps = flags.GetInt("update-sweeps", 5);
-  if (update_sweeps < 1 || update_sweeps > 100000) {
-    std::fprintf(stderr, "--update-sweeps must be in [1, 100000]\n");
-    return 1;
-  }
-  options.update_sweeps = static_cast<uint32_t>(update_sweeps);
-  const int64_t max_request_bytes =
-      flags.GetInt("max-request-bytes", 1 << 20);
-  if (max_request_bytes < 1024 || max_request_bytes > (1 << 30)) {
-    std::fprintf(stderr, "--max-request-bytes must be in [1024, 2^30]\n");
-    return 1;
-  }
-  options.max_request_bytes = static_cast<size_t>(max_request_bytes);
-  const int64_t io_timeout_ms = flags.GetInt("io-timeout-ms", 1000);
-  if (io_timeout_ms < 0 || io_timeout_ms > 3600000) {
-    std::fprintf(stderr, "--io-timeout-ms must be in [0, 3600000]\n");
-    return 1;
-  }
-  options.io_timeout_ms = static_cast<uint32_t>(io_timeout_ms);
-  const int64_t idle_timeout_ms = flags.GetInt("idle-timeout-ms", 30000);
-  if (idle_timeout_ms < 0 || idle_timeout_ms > 86400000) {
-    std::fprintf(stderr, "--idle-timeout-ms must be in [0, 86400000]\n");
-    return 1;
-  }
-  options.idle_timeout_ms = static_cast<uint32_t>(idle_timeout_ms);
-  const int64_t retry_after_ms = flags.GetInt("retry-after-ms", 50);
-  if (retry_after_ms < 1 || retry_after_ms > 60000) {
-    std::fprintf(stderr, "--retry-after-ms must be in [1, 60000]\n");
-    return 1;
-  }
-  options.retry_after_ms = static_cast<uint32_t>(retry_after_ms);
-  options.update_journal = flags.GetBool("journal", true);
+  options.serve.m = flags.Int<uint32_t>("m");
+  options.num_workers = flags.Int<size_t>("workers");
+  options.accept_queue = flags.Int<size_t>("accept-queue");
+  options.max_connections = flags.Int<size_t>("max-connections");
+  options.max_outbound_bytes = flags.Int<size_t>("max-outbound-bytes");
+  options.update_sweeps = flags.Int<uint32_t>("update-sweeps");
+  options.max_request_bytes = flags.Int<size_t>("max-request-bytes");
+  options.io_timeout_ms = flags.Int<uint32_t>("io-timeout-ms");
+  options.idle_timeout_ms = flags.Int<uint32_t>("idle-timeout-ms");
+  options.retry_after_ms = flags.Int<uint32_t>("retry-after-ms");
+  options.update_journal = flags.Bool("journal");
   RequestServer server(&registry, options);
   RequestServer::InstallReloadSignalHandler();
   LineServer::InstallShutdownSignalHandler();
@@ -253,11 +212,7 @@ inline int RunServeCommand(const Flags& flags) {
     }
   }
 
-  const int64_t port = flags.GetInt("port", 0);
-  if (port < 0 || port > 65535) {
-    std::fprintf(stderr, "--port must be in [1, 65535] (0 = stdio)\n");
-    return 1;
-  }
+  const auto port = flags.Int<uint16_t>("port");
   for (const std::string& name : registry.Names()) {
     auto model = registry.Get(name);
     std::fprintf(stderr,
@@ -270,10 +225,10 @@ inline int RunServeCommand(const Flags& flags) {
   }
   if (port > 0) {
     std::fprintf(stderr,
-                 "serving on 127.0.0.1:%lld with %zu workers "
+                 "serving on 127.0.0.1:%u with %zu workers "
                  "(SIGHUP reloads, SIGTERM drains)\n",
-                 static_cast<long long>(port), server.num_workers());
-    st = server.RunTcpLoop(static_cast<uint16_t>(port));
+                 static_cast<unsigned>(port), server.num_workers());
+    st = server.RunTcpLoop(port);
     if (!st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;
