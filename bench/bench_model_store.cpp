@@ -121,8 +121,8 @@ int Main(int argc, char** argv) {
   ServeOptions serve;
   serve.m = 50;
   ServeWorkspace ws_store, ws_memory;
-  ws_store.Reserve(serve.m, serve.block_items);
-  ws_memory.Reserve(serve.m, serve.block_items);
+  ws_store.Reserve(serve.m, serve.block_items, 0, store_rec.num_items());
+  ws_memory.Reserve(serve.m, serve.block_items, 0, memory_rec.num_items());
 
   size_t mismatches = 0;
   for (uint32_t u = 0; u < std::min<uint32_t>(users, 200); ++u) {

@@ -41,33 +41,6 @@ namespace ocular {
 namespace bench {
 namespace {
 
-// ----------------------------------------------------------- workload
-
-/// Two disjoint dense user-item blocks with random holes — the easiest
-/// co-clustering instance, sized so one sweep is dominated by the
-/// O(nnz·K) block updates. `scale` multiplies the row/column counts.
-CsrMatrix TwoBlockWorkload(double scale, uint64_t seed) {
-  const auto dim = [scale](uint32_t base) {
-    return std::max(8u, static_cast<uint32_t>(base * scale));
-  };
-  const uint32_t users_per_block = dim(600);
-  const uint32_t items_per_block = dim(400);
-  const double fill = 0.7;
-  Rng rng(seed);
-  CooBuilder coo;
-  for (uint32_t b = 0; b < 2; ++b) {
-    const uint32_t u0 = b * users_per_block;
-    const uint32_t i0 = b * items_per_block;
-    for (uint32_t u = 0; u < users_per_block; ++u) {
-      for (uint32_t i = 0; i < items_per_block; ++i) {
-        if (rng.Uniform(0.0, 1.0) < fill) coo.Add(u0 + u, i0 + i);
-      }
-    }
-  }
-  return CsrMatrix::FromCoo(
-      coo.Finalize(2 * users_per_block, 2 * items_per_block).value());
-}
-
 // ------------------------------------------------------- legacy kernel
 // Faithful reproduction of the pre-refactor training inner loop (the
 // before side of the before/after table): per-call heap allocations for

@@ -9,6 +9,7 @@
 // seconds-to-minutes. Pass --scale=<x> to change the dataset scale; an
 // undeclared flag prints the bench's flags.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -28,9 +29,38 @@
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "eval/metrics.h"
+#include "sparse/coo.h"
 
 namespace ocular {
 namespace bench {
+
+/// Two disjoint dense user-item blocks with random holes: the easiest
+/// co-clustering instance, and the workload of the train, serve, fold-in,
+/// daemon, connection and fleet benches, so their records are comparable.
+/// `scale` multiplies the row and column counts (at least 8 each per
+/// block); one sweep or one all-users pass is dominated by the O(nnz·K)
+/// block work.
+inline CsrMatrix TwoBlockWorkload(double scale, uint64_t seed) {
+  const auto dim = [scale](uint32_t base) {
+    return std::max(8u, static_cast<uint32_t>(base * scale));
+  };
+  const uint32_t users_per_block = dim(600);
+  const uint32_t items_per_block = dim(400);
+  const double fill = 0.7;
+  Rng rng(seed);
+  CooBuilder coo;
+  for (uint32_t b = 0; b < 2; ++b) {
+    const uint32_t u0 = b * users_per_block;
+    const uint32_t i0 = b * items_per_block;
+    for (uint32_t u = 0; u < users_per_block; ++u) {
+      for (uint32_t i = 0; i < items_per_block; ++i) {
+        if (rng.Uniform(0.0, 1.0) < fill) coo.Add(u0 + u, i0 + i);
+      }
+    }
+  }
+  return CsrMatrix::FromCoo(
+      coo.Finalize(2 * users_per_block, 2 * items_per_block).value());
+}
 
 /// Writes `content` to `path`; returns false (with a log line) on failure.
 /// The --json benches emit their machine-readable records through this.

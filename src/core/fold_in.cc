@@ -108,71 +108,80 @@ HistorySanitizeResult SanitizeHistory(std::vector<uint32_t>* history,
   return res;
 }
 
-Status FoldInUserInto(const FoldInContext& ctx,
-                      std::span<const uint32_t> history,
-                      const FoldInOptions& options, FoldInWorkspace* ws) {
-  for (size_t n = 0; n < history.size(); ++n) {
-    if (history[n] >= ctx.num_items()) {
+Status FoldInRowInto(ConstMatrixView other,
+                     std::span<const double> other_sums,
+                     std::span<const uint32_t> neighbors,
+                     const OcularConfig& config, int pinned_coord,
+                     const FoldInOptions& options, FoldInWorkspace* ws) {
+  for (size_t n = 0; n < neighbors.size(); ++n) {
+    if (neighbors[n] >= other.rows()) {
       return Status::InvalidArgument("history item out of range: " +
-                                     std::to_string(history[n]));
+                                     std::to_string(neighbors[n]));
     }
-    if (n > 0 && history[n] <= history[n - 1]) {
+    if (n > 0 && neighbors[n] <= neighbors[n - 1]) {
       return Status::InvalidArgument("history must be strictly ascending");
     }
   }
-  const uint32_t dims = ctx.dims();
-  const OcularConfig& config = ctx.config;
+  const uint32_t dims = other.cols();
   ws->f.assign(dims, 0.0);
-  if (history.empty()) return Status::OK();
-
-  // Start from the mean of the purchased items' factors — a feasible,
-  // informed initial point.
   std::span<double> f(ws->f);
-  for (uint32_t i : history) {
-    auto row = ctx.items.Row(i);
-    for (uint32_t c = 0; c < dims; ++c) {
-      f[c] += row[c] / static_cast<double>(history.size());
-    }
+  if (neighbors.empty()) {
+    if (pinned_coord >= 0) f[pinned_coord] = 1.0;
+    return Status::OK();
   }
 
-  // Bias extension: the user-side coordinate k+1 is pinned at 1 (see
-  // OcularConfig::use_biases).
-  const int user_frozen =
-      config.use_biases ? static_cast<int>(config.k) + 1 : -1;
-  if (config.use_biases) f[config.k + 1] = 1.0;
+  // Start from the mean of the positives' factors — a feasible, informed
+  // initial point.
+  for (uint32_t i : neighbors) {
+    auto row = other.Row(i);
+    for (uint32_t c = 0; c < dims; ++c) {
+      f[c] += row[c] / static_cast<double>(neighbors.size());
+    }
+  }
+  if (pinned_coord >= 0) f[pinned_coord] = 1.0;
 
-  ws->complement.assign(ctx.item_sums.begin(), ctx.item_sums.end());
-  for (uint32_t i : history) {
-    auto row = ctx.items.Row(i);
+  ws->complement.assign(other_sums.begin(), other_sums.end());
+  for (uint32_t i : neighbors) {
+    auto row = other.Row(i);
     for (uint32_t c = 0; c < dims; ++c) ws->complement[c] -= row[c];
   }
 
   // The workspace is reused across requests: grow the solver scratch if
   // this history is the longest seen (no-op once warm), and invalidate the
   // dot cache left behind by the previous solve.
-  if (ws->block.dots.size() < history.size()) {
-    ws->block.Reserve(dims, history.size());
+  if (ws->block.dots.size() < neighbors.size()) {
+    ws->block.Reserve(dims, neighbors.size());
   }
   ws->block.Invalidate();
 
-  // The history block never changes during the solve, so the dot cache
-  // stays warm across steps and each step's objective comes out of the
-  // line search for free.
-  double prev = internal::BlockObjective(f, history, ctx.items,
-                                         ws->complement, config.lambda, 1.0,
-                                         {});
+  // The positives never change during the solve, so the dot cache stays
+  // warm across steps and each step's objective comes out of the line
+  // search for free.
+  double prev = internal::BlockObjective(f, neighbors, other, ws->complement,
+                                         config.lambda, 1.0, {});
   // Accepted backtrack exponent (see ProjectedGradientStep's step_hint).
   double step_hint = 0.0;
   for (uint32_t step = 0; step < options.max_steps; ++step) {
     const internal::BlockStepResult res = internal::ProjectedGradientStep(
-        f, history, ctx.items, ctx.item_sums, config.lambda, 1.0, {}, config,
-        user_frozen, &ws->block, &step_hint);
+        f, neighbors, other, other_sums, config.lambda, 1.0, {}, config,
+        pinned_coord, &ws->block, &step_hint);
     const double q = res.objective;
     const double rel = (prev - q) / std::max(std::abs(prev), 1e-12);
     if (rel < options.tolerance) break;
     prev = q;
   }
   return Status::OK();
+}
+
+Status FoldInUserInto(const FoldInContext& ctx,
+                      std::span<const uint32_t> history,
+                      const FoldInOptions& options, FoldInWorkspace* ws) {
+  if (history.empty()) {
+    ws->f.assign(ctx.dims(), 0.0);
+    return Status::OK();
+  }
+  return FoldInRowInto(ctx.items, ctx.item_sums, history, ctx.config,
+                       UserPinnedCoord(ctx.config), options, ws);
 }
 
 Result<std::vector<double>> FoldInUser(const OcularModel& model,
@@ -194,6 +203,104 @@ Result<std::vector<double>> FoldInUser(const OcularModel& model,
   ws.Reserve(ctx.dims(), history.size());
   OCULAR_RETURN_IF_ERROR(FoldInUserInto(ctx, history, options, &ws));
   return std::move(ws.f);
+}
+
+std::span<const double> FoldedUpdate::UserRow(uint32_t u) const {
+  const auto it = std::lower_bound(users.begin(), users.end(), u);
+  if (it == users.end() || *it != u) return {};
+  return user_rows.Row(static_cast<uint32_t>(it - users.begin()));
+}
+
+Result<FoldedUpdate> FoldInUpdate(
+    const FoldInContext& ctx, std::span<const ConstMatrixView> user_blocks,
+    const CsrMatrix& merged,
+    std::span<const std::pair<uint32_t, uint32_t>> adds, uint32_t num_users,
+    uint32_t num_items, const FoldInOptions& options) {
+  const uint32_t old_items = ctx.num_items();
+  const uint32_t dims = ctx.dims();
+  uint32_t old_users = 0;
+  for (const ConstMatrixView& block : user_blocks) old_users += block.rows();
+  if (num_users < old_users || num_items < old_items ||
+      merged.num_rows() < num_users || merged.num_cols() != num_items) {
+    return Status::InvalidArgument(
+        "update shape does not match the model and the merged matrix");
+  }
+  if (num_items > old_items && user_blocks.size() != 1) {
+    return Status::InvalidArgument(
+        "new items are folded in against the users as one block");
+  }
+  for (auto [u, i] : adds) {
+    if (u >= num_users || i >= num_items) {
+      return Status::InvalidArgument("add (" + std::to_string(u) + ", " +
+                                     std::to_string(i) +
+                                     ") is outside the update's shape");
+    }
+  }
+  FoldedUpdate out;
+  FoldInWorkspace ws;
+
+  // New items first, against the serving users and Σ_u f_u: their buyers
+  // are the merged column's serving users (new users have no factors yet).
+  out.new_items = DenseMatrix(num_items - old_items, dims);
+  std::vector<double> item_sums = ctx.item_sums;
+  if (num_items > old_items) {
+    const ConstMatrixView users = user_blocks.front();
+    const std::vector<double> user_sums = ColumnSums(users);
+    std::vector<std::pair<uint32_t, uint32_t>> bought;  // (item, user)
+    for (uint32_t u = 0; u < old_users; ++u) {
+      const std::span<const uint32_t> row = merged.Row(u);
+      for (auto i = std::lower_bound(row.begin(), row.end(), old_items);
+           i != row.end(); ++i) {
+        bought.emplace_back(*i, u);
+      }
+    }
+    std::sort(bought.begin(), bought.end());
+    std::vector<uint32_t> buyers;
+    for (uint32_t i = old_items, n = 0; i < num_items; ++i) {
+      buyers.clear();
+      for (; n < bought.size() && bought[n].first == i; ++n) {
+        buyers.push_back(bought[n].second);
+      }
+      OCULAR_RETURN_IF_ERROR(FoldInRowInto(users, user_sums, buyers,
+                                           ctx.config,
+                                           ItemPinnedCoord(ctx.config),
+                                           options, &ws));
+      std::copy(ws.f.begin(), ws.f.end(),
+                out.new_items.Row(i - old_items).begin());
+      // Σ_i f_i continued in ascending item order, as ColumnSums of the
+      // grown matrix would add it.
+      for (uint32_t c = 0; c < dims; ++c) item_sums[c] += ws.f[c];
+    }
+  }
+
+  // Then every touched user and every new row. The solve reads only the
+  // history's rows, so they are gathered from Vᵀ (and the new items) into
+  // a matrix of their own.
+  for (auto [u, i] : adds) out.users.push_back(u);
+  for (uint32_t u = old_users; u < num_users; ++u) out.users.push_back(u);
+  std::sort(out.users.begin(), out.users.end());
+  out.users.erase(std::unique(out.users.begin(), out.users.end()),
+                  out.users.end());
+  out.user_rows = DenseMatrix(static_cast<uint32_t>(out.users.size()), dims);
+  std::vector<double> gathered;
+  std::vector<uint32_t> positions;
+  for (uint32_t n = 0; n < out.users.size(); ++n) {
+    const std::span<const uint32_t> history = merged.Row(out.users[n]);
+    const auto length = static_cast<uint32_t>(history.size());
+    gathered.resize(size_t{length} * dims);
+    positions.resize(length);
+    for (uint32_t h = 0; h < length; ++h) {
+      positions[h] = h;
+      for (uint32_t c = 0; c < dims; ++c) {
+        gathered[size_t{h} * dims + c] = out.ItemCell(ctx, history[h], c);
+      }
+    }
+    OCULAR_RETURN_IF_ERROR(FoldInRowInto(
+        ConstMatrixView(gathered.data(), length, dims), item_sums, positions,
+        ctx.config, UserPinnedCoord(ctx.config), options, &ws));
+    std::copy(ws.f.begin(), ws.f.end(), out.user_rows.Row(n).begin());
+  }
+  return out;
 }
 
 double ScoreFoldedUser(const OcularModel& model,

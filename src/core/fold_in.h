@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -103,6 +104,35 @@ struct FoldInWorkspace {
   }
 };
 
+/// The coordinate of a user row that the bias extension pins at 1
+/// (OcularConfig::use_biases), or -1 without biases.
+inline int UserPinnedCoord(const OcularConfig& config) {
+  return config.use_biases ? static_cast<int>(config.k) + 1 : -1;
+}
+
+/// The coordinate of an item row that the bias extension pins at 1, or -1.
+inline int ItemPinnedCoord(const OcularConfig& config) {
+  return config.use_biases ? static_cast<int>(config.k) : -1;
+}
+
+/// The single-row block solve of Section IV-B for either side of the
+/// model: folds one row in against the fixed opposite factors `other`,
+/// whose rows `neighbors` (strictly ascending, in range) are the row's
+/// positives, with `other_sums` = Σ over every row of `other`'s side.
+/// A user row passes the item factors and UserPinnedCoord; a new item
+/// passes the user factors, Σ_u f_u, its buyers and ItemPinnedCoord (the
+/// roles swapped). `pinned_coord` (-1 for none) is held at exactly 1. Result
+/// in ws->f; an empty `neighbors` yields zeros, the pinned coordinate
+/// at 1. Positives are weighted 1 under either variant, as for every
+/// fold-in. The solve reads only the `neighbors` rows of `other`, so a
+/// caller may pass a matrix of just those rows (neighbors 0, 1, ...)
+/// and get the same doubles.
+Status FoldInRowInto(ConstMatrixView other,
+                     std::span<const double> other_sums,
+                     std::span<const uint32_t> neighbors,
+                     const OcularConfig& config, int pinned_coord,
+                     const FoldInOptions& options, FoldInWorkspace* ws);
+
 /// Allocation-free fold-in solve: computes f_u for the (sanitized:
 /// strictly ascending, in-range) `history` into ws->f. An empty history
 /// yields the all-zeros vector; RecommendForHistoryInto turns that into
@@ -120,6 +150,42 @@ Result<std::vector<double>> FoldInUser(const OcularModel& model,
                                        const OcularConfig& config,
                                        std::span<const uint32_t> history,
                                        const FoldInOptions& options = {});
+
+/// The rows one live update refreshes, folded in against fixed factors:
+/// the update algorithm of the serving daemon (serving/daemon.h).
+struct FoldedUpdate {
+  /// Items [ctx.num_items(), num_items), folded in first: each against
+  /// the serving users that bought it and Σ_u f_u (the roles swapped).
+  DenseMatrix new_items;
+  /// Every user with an add and every new row, ascending.
+  std::vector<uint32_t> users;
+  /// Their folded rows, aligned with `users`: each against every item
+  /// (new ones included), its history being its whole merged row.
+  DenseMatrix user_rows;
+
+  /// The folded row of user `u`, or an empty span when `u` was not
+  /// refreshed.
+  std::span<const double> UserRow(uint32_t u) const;
+  /// Cell (i, c) of the grown item factors: Vᵀ for the items of `ctx`,
+  /// `new_items` past them.
+  double ItemCell(const FoldInContext& ctx, uint32_t i, uint32_t c) const {
+    return i < ctx.num_items() ? ctx.items_t.At(c, i)
+                               : new_items.At(i - ctx.num_items(), c);
+  }
+};
+
+/// Folds in one update of the model `ctx` serves, whose user factors are
+/// `user_blocks` in global row order (one block per shard). `merged` is
+/// the interaction matrix with the update's `adds` merged in (at least
+/// `num_users` rows, exactly `num_items` columns). The model grows to
+/// `num_users` x `num_items`; new rows without history are zero but for
+/// the bias extension's pinned 1. New items need the users as one block.
+/// Item rows are read from Vᵀ only, so no row-major item page is touched.
+Result<FoldedUpdate> FoldInUpdate(
+    const FoldInContext& ctx, std::span<const ConstMatrixView> user_blocks,
+    const CsrMatrix& merged,
+    std::span<const std::pair<uint32_t, uint32_t>> adds, uint32_t num_users,
+    uint32_t num_items, const FoldInOptions& options = {});
 
 /// P[r_ui = 1] for a folded-in user vector.
 double ScoreFoldedUser(const OcularModel& model,

@@ -18,6 +18,11 @@ namespace ocular {
 /// trainer from it, which converges in a fraction of the cold-start
 /// sweeps (verified in tests and the deployment example).
 ///
+/// The serving daemon's `update` does not retrain: it folds the touched
+/// rows in against fixed factors (FoldInUpdate, core/fold_in.h). This
+/// warm start is the offline counterpart, and the quality baseline the
+/// fold-in is held to.
+///
 /// ExpandModel and UpdateModel take the model by value. A caller that
 /// moves its model in lends its factor storage: a shape that does not
 /// grow is trained in place, so an update holds one factor copy. An

@@ -85,35 +85,120 @@ Status RequireLittleEndianHost() {
   return Status::OK();
 }
 
-struct SectionPlan {
-  uint32_t kind = 0;
-  const double* data = nullptr;
-  size_t length_bytes = 0;
-  size_t offset = 0;
-};
+/// Writes all of `bytes` at the file's current offset, or at `offset`
+/// when it is not negative.
+Status WriteAll(int fd, const void* bytes, size_t n, const std::string& path,
+                off_t offset = -1) {
+  const char* p = static_cast<const char*>(bytes);
+  while (n > 0) {
+    const ssize_t wrote = offset < 0 ? ::write(fd, p, n)
+                                     : ::pwrite(fd, p, n, offset);
+    if (wrote < 0 && errno == EINTR) continue;
+    if (wrote <= 0) {
+      return Status::IOError("write failure on '" + path +
+                             "': " + std::strerror(wrote < 0 ? errno : EIO));
+    }
+    p += wrote;
+    n -= static_cast<size_t>(wrote);
+    if (offset >= 0) offset += wrote;
+  }
+  return Status::OK();
+}
 
-Status WriteBinaryFile(const BinaryModelMeta& meta, ConstMatrixView users,
-                       ConstMatrixView items, ConstMatrixView items_t,
-                       const std::string& path) {
+/// Streams one section through `buf`: fill, hash, write, one buffer at a
+/// time. Returns the section's XXH64 in `*digest`.
+Status StreamSection(int fd, const SectionSource& section,
+                     std::span<double> buf, const std::string& path,
+                     uint64_t* digest) {
+  Xxh64State xxh;
+  size_t used = 0;
+  const auto flush = [&]() -> Status {
+    xxh.Update(buf.data(), used * sizeof(double));
+    const Status st = WriteAll(fd, buf.data(), used * sizeof(double), path);
+    used = 0;
+    return st;
+  };
+  for (uint32_t r = 0; r < section.rows; ++r) {
+    for (uint32_t c = 0; c < section.cols;) {
+      if (used == buf.size()) OCULAR_RETURN_IF_ERROR(flush());
+      const auto n = static_cast<uint32_t>(
+          std::min<size_t>(section.cols - c, buf.size() - used));
+      section.fill(r, c, buf.subspan(used, n));
+      used += n;
+      c += n;
+    }
+  }
+  OCULAR_RETURN_IF_ERROR(flush());
+  *digest = xxh.Digest();
+  return Status::OK();
+}
+
+}  // namespace
+
+SectionSource SectionSource::Rows(ConstMatrixView view) {
+  return {view.rows(), view.cols(),
+          [view](uint32_t row, uint32_t col, std::span<double> out) {
+            const std::span<const double> cells = view.Row(row).subspan(col);
+            std::copy_n(cells.begin(), out.size(), out.begin());
+          }};
+}
+
+SectionSource SectionSource::Transposed(ConstMatrixView view) {
+  return {view.cols(), view.rows(),
+          [view](uint32_t row, uint32_t col, std::span<double> out) {
+            for (size_t j = 0; j < out.size(); ++j) {
+              out[j] = view.At(col + static_cast<uint32_t>(j), row);
+            }
+          }};
+}
+
+Status WriteModelSections(const BinaryModelMeta& meta,
+                          const SectionSource& users,
+                          const SectionSource& items,
+                          const SectionSource& items_t,
+                          const std::string& path) {
   OCULAR_RETURN_IF_ERROR(RequireLittleEndianHost());
-  if (meta.k == 0 || users.cols() != meta.k || items.cols() != meta.k) {
+  if (meta.k == 0 || users.cols != meta.k || items.cols != meta.k) {
     return Status::InvalidArgument(
         "factor matrices do not have meta.k columns");
+  }
+  if (items_t.rows != meta.k || items_t.cols != items.rows) {
+    return Status::InvalidArgument(
+        "items_t is not the K x n_i transposed layout of items");
   }
   if (meta.algorithm.size() >= kAlgorithmBytes) {
     return Status::InvalidArgument("algorithm tag longer than 15 bytes");
   }
 
-  SectionPlan sections[kSectionCount] = {
-      {kSectionUserFactors, users.data(), users.size() * sizeof(double), 0},
-      {kSectionItemFactors, items.data(), items.size() * sizeof(double), 0},
-      {kSectionItemFactorsT, items_t.data(), items_t.size() * sizeof(double),
-       0},
-  };
+  const SectionSource* sources[kSectionCount] = {&users, &items, &items_t};
+  const uint32_t kinds[kSectionCount] = {
+      kSectionUserFactors, kSectionItemFactors, kSectionItemFactorsT};
+  uint64_t offsets[kSectionCount] = {};
+  uint64_t lengths[kSectionCount] = {};
+  uint64_t digests[kSectionCount] = {};
   size_t offset = kFirstSectionOffset;
-  for (SectionPlan& s : sections) {
-    s.offset = offset;
-    offset = AlignUp(offset + s.length_bytes);
+  for (uint32_t i = 0; i < kSectionCount; ++i) {
+    offsets[i] = offset;
+    lengths[i] = uint64_t{sources[i]->rows} * sources[i]->cols * sizeof(double);
+    offset = AlignUp(offset + lengths[i]);
+  }
+
+  if (fault::Maybe("store.write")) return fault::InjectedError("store.write");
+  const int fd =
+      ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) return Status::IOError("cannot open '" + path + "' for writing");
+  std::vector<double> buffer(kWriteBufferBytes / sizeof(double));
+  // Zeros where the header goes, so a write cut short leaves no magic;
+  // then each section after its alignment padding.
+  const unsigned char zeros[kFirstSectionOffset] = {};
+  Status st = WriteAll(fd, zeros, sizeof(zeros), path);
+  uint64_t written = kFirstSectionOffset;
+  for (uint32_t i = 0; i < kSectionCount && st.ok(); ++i) {
+    st = WriteAll(fd, zeros, offsets[i] - written, path);
+    if (st.ok()) {
+      st = StreamSection(fd, *sources[i], buffer, path, &digests[i]);
+    }
+    written = offsets[i] + lengths[i];
   }
 
   unsigned char header[kHeaderBytes] = {};
@@ -122,8 +207,8 @@ Status WriteBinaryFile(const BinaryModelMeta& meta, ConstMatrixView users,
   PutScalar<uint32_t>(header, 8, kEndianTag);
   PutScalar<uint32_t>(header, 12, static_cast<uint32_t>(meta.kind));
   PutScalar<uint32_t>(header, 16, meta.k);
-  PutScalar<uint32_t>(header, 20, users.rows());
-  PutScalar<uint32_t>(header, 24, items.rows());
+  PutScalar<uint32_t>(header, 20, users.rows);
+  PutScalar<uint32_t>(header, 24, items.rows);
   uint32_t flags = 0;
   if (meta.use_biases) flags |= kFlagUseBiases;
   if (meta.relative_variant) flags |= kFlagRelativeVariant;
@@ -133,32 +218,18 @@ Status WriteBinaryFile(const BinaryModelMeta& meta, ConstMatrixView users,
   PutScalar<uint32_t>(header, 56, kSectionCount);
   for (uint32_t i = 0; i < kSectionCount; ++i) {
     const size_t base = kFixedHeaderBytes + i * kSectionEntryBytes;
-    PutScalar<uint32_t>(header, base, sections[i].kind);
-    PutScalar<uint64_t>(header, base + 8, sections[i].offset);
-    PutScalar<uint64_t>(header, base + 16, sections[i].length_bytes);
-    PutScalar<uint64_t>(header, base + 24,
-                        Xxh64(sections[i].data, sections[i].length_bytes));
+    PutScalar<uint32_t>(header, base, kinds[i]);
+    PutScalar<uint64_t>(header, base + 8, offsets[i]);
+    PutScalar<uint64_t>(header, base + 16, lengths[i]);
+    PutScalar<uint64_t>(header, base + 24, digests[i]);
   }
-
-  if (fault::Maybe("store.write")) return fault::InjectedError("store.write");
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open '" + path + "' for writing");
-  out.write(reinterpret_cast<const char*>(header), sizeof(header));
-  size_t written = sizeof(header);
-  const char zeros[kSectionAlignment] = {};
-  for (const SectionPlan& s : sections) {
-    out.write(zeros, static_cast<std::streamsize>(s.offset - written));
-    out.write(reinterpret_cast<const char*>(s.data),
-              static_cast<std::streamsize>(s.length_bytes));
-    written = s.offset + s.length_bytes;
+  if (st.ok()) st = WriteAll(fd, header, sizeof(header), path, 0);
+  if (::close(fd) != 0 && st.ok()) {
+    st = Status::IOError("write failure on '" + path +
+                         "': " + std::strerror(errno));
   }
-  // Closing flushes the stream's buffer, whose write can fail too.
-  out.close();
-  if (!out) return Status::IOError("write failure on '" + path + "'");
-  return Status::OK();
+  return st;
 }
-
-}  // namespace
 
 Status SaveModelBinary(const OcularModel& model, const OcularConfig& config,
                        const std::string& path) {
@@ -176,24 +247,26 @@ Status SaveModelBinary(const OcularModel& model, const OcularConfig& config,
   meta.relative_variant = config.variant == OcularVariant::kRelative;
   meta.algorithm =
       config.variant == OcularVariant::kRelative ? "R-OCuLaR" : "OCuLaR";
-  return WriteBinaryFile(meta, model.user_factors(), model.item_factors(),
-                         TransposedCopy(model.item_factors()), path);
+  return WriteModelSections(meta, SectionSource::Rows(model.user_factors()),
+                            SectionSource::Rows(model.item_factors()),
+                            SectionSource::Transposed(model.item_factors()),
+                            path);
 }
 
 Status SaveFactorsBinary(const BinaryModelMeta& meta, const DenseMatrix& users,
                          const DenseMatrix& items, const std::string& path) {
-  return WriteBinaryFile(meta, users, items, TransposedCopy(items), path);
+  return WriteModelSections(meta, SectionSource::Rows(users),
+                            SectionSource::Rows(items),
+                            SectionSource::Transposed(items), path);
 }
 
 Status SaveFactorSectionsBinary(const BinaryModelMeta& meta,
                                 ConstMatrixView users, ConstMatrixView items,
                                 ConstMatrixView items_t,
                                 const std::string& path) {
-  if (items_t.rows() != meta.k || items_t.cols() != items.rows()) {
-    return Status::InvalidArgument(
-        "items_t is not the K x n_i transposed layout of items");
-  }
-  return WriteBinaryFile(meta, users, items, items_t, path);
+  return WriteModelSections(meta, SectionSource::Rows(users),
+                            SectionSource::Rows(items),
+                            SectionSource::Rows(items_t), path);
 }
 
 Status SaveDotProductFactors(const std::string& algorithm, uint32_t k,
@@ -403,36 +476,40 @@ Status ModelStore::VerifyChecksums() const {
   if (mapping_ == nullptr) {
     return Status::FailedPrecondition("ModelStore is not open");
   }
-  const unsigned char* h = static_cast<const unsigned char*>(mapping_);
-  const uint32_t version = GetScalar<uint32_t>(h, 4);
+  unsigned char* const base = static_cast<unsigned char*>(mapping_);
   const uint64_t page = static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
+  // Every hashed block's pages go back once hashed, a page shared with a
+  // neighbouring section included (it faults back in when that section
+  // is hashed), so the table is copied out of the header page first.
+  unsigned char table[kHeaderBytes];
+  std::memcpy(table, base, sizeof(table));
+  const uint32_t version = GetScalar<uint32_t>(table, 4);
   for (uint32_t i = 0; i < kSectionCount; ++i) {
-    const size_t base = kFixedHeaderBytes + i * kSectionEntryBytes;
-    const uint32_t kind = GetScalar<uint32_t>(h, base);
-    const uint64_t offset = GetScalar<uint64_t>(h, base + 8);
-    const uint64_t end = offset + GetScalar<uint64_t>(h, base + 16);
-    const uint64_t recorded = GetScalar<uint64_t>(h, base + 24);
+    const size_t entry = kFixedHeaderBytes + i * kSectionEntryBytes;
+    const uint32_t kind = GetScalar<uint32_t>(table, entry);
+    const uint64_t offset = GetScalar<uint64_t>(table, entry + 8);
+    const uint64_t end = offset + GetScalar<uint64_t>(table, entry + 16);
+    const uint64_t recorded = GetScalar<uint64_t>(table, entry + 24);
     Xxh64State xxh;
     uint64_t fnv = kFnv1a64Offset;
     for (uint64_t at = offset; at < end;) {
       const uint64_t block_end =
           std::min(end, (at / kVerifyBlockBytes + 1) * kVerifyBlockBytes);
       if (version == kVersionFnv1a) {
-        fnv = Fnv1a64(h + at, block_end - at, fnv);
+        fnv = Fnv1a64(base + at, block_end - at, fnv);
       } else {
-        xxh.Update(h + at, block_end - at);
+        xxh.Update(base + at, block_end - at);
       }
-      // Serving reads users and Vᵀ; the row-major items are read only by
-      // fold-in solves, so give back the pages this block filled. The
-      // mapping is read-only and private, so a later read faults the same
-      // page-cache page back in. Pages shared with a neighbouring section
-      // stay.
-      const uint64_t drop_begin = (at + page - 1) / page * page;
-      const uint64_t drop_end = block_end / page * page;
-      if (kind == kSectionItemFactors && drop_begin < drop_end) {
-        ::madvise(const_cast<unsigned char*>(h) + drop_begin,
-                  drop_end - drop_begin, MADV_DONTNEED);
-      }
+      // The mapping is read-only and private: a later read faults the
+      // same page-cache page back in. The drop reaches back over the
+      // previous block too, which fault-around (the kernel maps a window
+      // of neighbours on each fault) mapped again when this block's
+      // first page faulted.
+      const uint64_t drop_begin =
+          (at > kVerifyBlockBytes ? at - kVerifyBlockBytes : 0) / page * page;
+      const uint64_t drop_end = std::min<uint64_t>(
+          mapped_bytes_, (block_end + page - 1) / page * page);
+      ::madvise(base + drop_begin, drop_end - drop_begin, MADV_DONTNEED);
       at = block_end;
     }
     const uint64_t actual = version == kVersionFnv1a ? fnv : xxh.Digest();
@@ -442,7 +519,14 @@ Status ModelStore::VerifyChecksums() const {
                                 "' (file corrupted?)");
     }
   }
+  // One last drop takes the pages fault-around mapped past the last
+  // block and the header page: the whole file leaves memory.
+  DropResidentPages();
   return Status::OK();
+}
+
+void ModelStore::DropResidentPages() const {
+  if (mapping_ != nullptr) ::madvise(mapping_, mapped_bytes_, MADV_DONTNEED);
 }
 
 Result<LoadedModel> ModelStore::MaterializeOcular() const {
@@ -462,9 +546,9 @@ Result<LoadedModel> ModelStore::MaterializeOcular() const {
   DenseMatrix users(num_users_, meta_.k);
   std::memcpy(users.data(), user_factors_,
               users.size() * sizeof(double));
-  // The item rows come from Vᵀ, which serving keeps resident: the verify
-  // pass dropped the row-major section's pages, and both sections hold
-  // the same doubles.
+  // The item rows come from Vᵀ, which every stored-user request reads;
+  // only fold-in solves read the row-major section, and both sections
+  // hold the same doubles.
   out.model = OcularModel(std::move(users), TransposedCopy(item_factors_t()));
   return out;
 }

@@ -3,6 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 
 #include "common/result.h"
@@ -55,6 +57,44 @@ struct BinaryModelMeta {
   /// Short algorithm tag ("OCuLaR", "wALS", ...; at most 15 bytes).
   std::string algorithm = "OCuLaR";
 };
+
+/// \brief One factor section as the streaming writer pulls it: `rows` x
+/// `cols` doubles in on-disk (row-major) order. `fill(row, col, out)`
+/// writes cells [col, col + out.size()) of `row` into `out`; the writer
+/// asks for every row in ascending order, each in one or more ascending
+/// column runs, so a source may derive its cells on the fly (from the
+/// other layout, from a mapping, from freshly folded rows) without ever
+/// holding the section.
+struct SectionSource {
+  uint32_t rows = 0;
+  uint32_t cols = 0;
+  std::function<void(uint32_t row, uint32_t col, std::span<double> out)> fill;
+
+  /// The cells of `view` as they are (the view must outlive the write).
+  static SectionSource Rows(ConstMatrixView view);
+  /// The transpose of `view`: row c holds column c of `view`.
+  static SectionSource Transposed(ConstMatrixView view);
+};
+
+/// Bytes of the one buffer a streaming write fills, hashes and writes. At
+/// the serving daemon's pinned 128 KiB mmap threshold the buffer is its
+/// own mapping, so a write gives it back to the kernel when it returns.
+inline constexpr size_t kWriteBufferBytes = size_t{128} << 10;
+
+/// \brief The v3 writer every save path goes through: streams the three
+/// sections through one kWriteBufferBytes buffer, hashing each section
+/// as it goes, then writes the header, which carries the checksums, at
+/// offset 0 last, so a file cut short has no OCLR magic. Holds no copy
+/// of any section. `users` and `items` must be meta.k wide and `items_t`
+/// the meta.k x items.rows transposed layout; either factor side may
+/// have 0 rows (an items or shard file). A failed write returns IOError
+/// "write failure on '<path>'" and leaves the partial file for the
+/// caller to remove.
+Status WriteModelSections(const BinaryModelMeta& meta,
+                          const SectionSource& users,
+                          const SectionSource& items,
+                          const SectionSource& items_t,
+                          const std::string& path);
 
 /// \brief Writes `model` (+ its training config) as a binary v3 file.
 ///
@@ -114,10 +154,12 @@ struct ModelStoreOptions {
   bool verify_checksums = true;
 };
 
-/// Bytes per block of the checksum pass. Blocks sit at multiples of this
+/// Bytes per block of the checksum pass: what one verifying open adds to
+/// the process's resident size, plus the kernel's fault-around window
+/// (64 KiB by default) on either side. Blocks sit at multiples of this
 /// file offset (so every block edge inside a section is page-aligned in
 /// the mapping) and are clipped to each section.
-inline constexpr size_t kVerifyBlockBytes = size_t{1} << 20;
+inline constexpr size_t kVerifyBlockBytes = size_t{128} << 10;
 
 /// \brief Zero-copy read view of a binary model file (v3, or v2).
 ///
@@ -182,19 +224,27 @@ class ModelStore {
   /// a store opened with verify_checksums = false).
   ///
   /// Every byte is hashed through the mapping, one kVerifyBlockBytes
-  /// block at a time. The user factors and the Vᵀ section, which every
-  /// stored-user request reads, stay mapped; the whole pages of each
-  /// row-major item-factor block are dropped from the mapping
-  /// (MADV_DONTNEED) once hashed, since only fold-in solves read that
-  /// section. A dropped page faults back in from the page cache on its
-  /// next read, and a failed drop is ignored.
+  /// block at a time, and the pages of each block are dropped from the
+  /// mapping (MADV_DONTNEED) once hashed, in every section: a verify adds
+  /// about one block to the resident size, however large the file, and
+  /// leaves none of the file resident. A dropped page faults back in from
+  /// the page cache when serving next reads it (users and Vᵀ on
+  /// stored-user requests, item rows on fold-in solves), and a failed
+  /// drop is ignored.
   Status VerifyChecksums() const;
+
+  /// \brief Drops every page of the mapping from the process's resident
+  /// set (MADV_DONTNEED); a later read faults the page back in from the
+  /// page cache. For a generation that stopped serving while requests
+  /// may still drain on it. A failed drop is ignored.
+  void DropResidentPages() const;
 
   /// \brief Materializes an owning OcularModel + config copy (an O(model)
   /// copy — for retraining/conversion tooling, not the serving path).
   /// The item rows are transposed back from item_factors_t(), the same
-  /// doubles as item_factors(), so materializing faults in no page the
-  /// verify pass dropped. Fails unless meta().kind is kOcularProbability.
+  /// doubles as item_factors(), so materializing faults in no row-major
+  /// item page: only fold-in solves read those. Fails unless meta().kind
+  /// is kOcularProbability.
   Result<LoadedModel> MaterializeOcular() const;
 
  private:

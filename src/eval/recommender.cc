@@ -33,7 +33,7 @@ void TopMSelector::Begin(std::vector<ScoredItem>* selection, uint32_t m,
   m_ = m;
   // The buffer never needs to outgrow the candidate universe (+1 slot for
   // the unconditional store).
-  cap_ = std::min(topm::SelectionCapacity(m), max_candidates + 1);
+  cap_ = topm::SelectionCapacity(m, max_candidates);
   buf_->resize(cap_);
   cnt_ = 0;
   bar_ = min_score;

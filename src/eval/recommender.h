@@ -135,6 +135,14 @@ inline size_t SelectionCapacity(uint32_t m) {
   return std::max<size_t>(4 * static_cast<size_t>(m), 64);
 }
 
+/// SelectionCapacity(m) for a candidate universe of `max_candidates`
+/// items: the buffer never needs more than one slot past the universe, so
+/// an m past the catalog costs no more than the catalog. TopMSelector::Begin
+/// sizes the buffer to this, and workspaces reserve it.
+inline size_t SelectionCapacity(uint32_t m, size_t max_candidates) {
+  return std::min(SelectionCapacity(m), max_candidates + 1);
+}
+
 /// Overwrites the scores of excluded items within [first_item, first_item
 /// + scores.size()) with quiet NaN, which no selection bar ever passes —
 /// so a subsequent TopMSelector::ScanRun drops them without per-item
@@ -160,9 +168,9 @@ class Recommender;
 /// bar is the INCLUSIVE min_score entry threshold.
 class TopMSelector {
  public:
-  /// Binds the caller's selection buffer (resized to the bound capacity;
-  /// reserve topm::SelectionCapacity(m) for allocation-free reuse).
-  /// `max_candidates` caps the buffer at the candidate universe size.
+  /// Binds the caller's selection buffer, resized to
+  /// topm::SelectionCapacity(m, max_candidates); reserve that much for
+  /// allocation-free reuse.
   void Begin(std::vector<ScoredItem>* selection, uint32_t m,
              double min_score, size_t max_candidates);
 

@@ -26,10 +26,12 @@ struct BulkWorkspace {
   std::vector<size_t> cursors;   // per-slot exclusion cursor
   std::vector<uint8_t> active;   // slot serves a user this tile
 
-  void Reserve(uint32_t m, uint32_t block_items) {
+  void Reserve(uint32_t m, uint32_t block_items, uint32_t num_items) {
     row.reserve(block_items);
     lists.resize(kUserTileRows);
-    for (auto& list : lists) list.reserve(topm::SelectionCapacity(m));
+    for (auto& list : lists) {
+      list.reserve(topm::SelectionCapacity(m, num_items));
+    }
     selectors.resize(kUserTileRows);
     cursors.resize(kUserTileRows);
     active.resize(kUserTileRows);
@@ -135,14 +137,15 @@ Result<BatchRecommendations> RecommendForAllUsers(const Recommender& rec,
           BalancedRowRanges(train.row_ptr(), pool->num_threads());
       std::vector<ServeWorkspace> workspaces(pool->num_threads() + 1);
       for (ServeWorkspace& ws : workspaces) {
-        ws.Reserve(serve.m, serve.block_items, max_candidates);
+        ws.Reserve(serve.m, serve.block_items, max_candidates,
+                   rec.num_items());
       }
       pool->ParallelForRanges(ranges, [&](size_t lo, size_t hi) {
         serve_range(lo, hi, &workspaces[ThreadPool::ScratchSlot(pool->num_threads())]);
       });
     } else {
       ServeWorkspace ws;
-      ws.Reserve(serve.m, serve.block_items, max_candidates);
+      ws.Reserve(serve.m, serve.block_items, max_candidates, rec.num_items());
       serve_range(0, rec.num_users(), &ws);
     }
   } else if (pool != nullptr) {
@@ -154,7 +157,7 @@ Result<BatchRecommendations> RecommendForAllUsers(const Recommender& rec,
         BalancedRowRanges(train.row_ptr(), pool->num_threads());
     std::vector<BulkWorkspace> workspaces(pool->num_threads() + 1);
     for (BulkWorkspace& ws : workspaces) {
-      ws.Reserve(options.m, options.block_items);
+      ws.Reserve(options.m, options.block_items, rec.num_items());
     }
     pool->ParallelForRanges(ranges, [&](size_t lo, size_t hi) {
       ServeRangeTiled(rec, train, options,
@@ -163,7 +166,7 @@ Result<BatchRecommendations> RecommendForAllUsers(const Recommender& rec,
     });
   } else {
     BulkWorkspace ws;
-    ws.Reserve(options.m, options.block_items);
+    ws.Reserve(options.m, options.block_items, rec.num_items());
     ServeRangeTiled(rec, train, options, &ws, &out.recommendations, 0,
                     rec.num_users());
   }

@@ -382,187 +382,169 @@ std::string RequestServer::HandleHistory(WorkerState* w,
   return writer.str();
 }
 
-Result<RequestServer::UpdateOutcome> RequestServer::ApplyShardedUpdate(
+namespace {
+
+/// A set's shard ranges and shared item factors are fixed at save time,
+/// so an id past either dimension needs an offline retrain and reshard,
+/// not an update. Checked for requests and for replayed journal records.
+Status CheckSetDoesNotGrow(const ServableModel& model,
+                           const std::string& model_name, uint32_t users,
+                           uint32_t items) {
+  if (!model.sharded ||
+      (users <= model.num_users() && items <= model.num_items())) {
+    return Status::OK();
+  }
+  return Status::FailedPrecondition(
+      "sharded model '" + model_name + "' (" +
+      std::to_string(model.num_users()) + " x " +
+      std::to_string(model.num_items()) +
+      ") cannot grow online; retrain and reshard offline (ocular_cli shard)");
+}
+
+/// Users [begin, begin + rows) of a rewritten user section: a refreshed
+/// user's folded row, else the serving generation's row in `old` (its
+/// local row u - begin), read straight out of the mapping.
+SectionSource UserRows(const FoldedUpdate& folded, ConstMatrixView old,
+                       uint32_t begin, uint32_t rows) {
+  return {rows, old.cols(),
+          [&folded, old, begin](uint32_t r, uint32_t c, std::span<double> out) {
+            std::span<const double> row = folded.UserRow(begin + r);
+            if (row.empty()) row = old.Row(r);
+            std::copy_n(row.begin() + c, out.size(), out.begin());
+          }};
+}
+
+}  // namespace
+
+Result<RequestServer::UpdateOutcome> RequestServer::FoldInAndPublish(
     const ServableModel& model, const std::string& model_name,
-    const std::vector<std::pair<uint32_t, uint32_t>>& adds,
-    uint32_t num_users, uint32_t num_items) {
-  // A sharded binding never grows online: the shard ranges and the shared
-  // item factors are fixed at save time, so an id past either dimension
-  // needs an offline retrain + reshard (`ocular_cli shard`), not an
-  // update.
-  if (num_users > model.num_users() || num_items > model.num_items()) {
-    return Status::FailedPrecondition(
-        "sharded model '" + model_name +
-        "' cannot grow online; retrain and reshard offline (ocular_cli "
-        "shard)");
-  }
-  for (auto [u, i] : adds) {
-    if (u >= model.num_users() || i >= model.num_items()) {
-      return Status::FailedPrecondition(
-          "add (" + std::to_string(u) + ", " + std::to_string(i) +
-          ") is outside sharded model '" + model_name + "' (" +
-          std::to_string(model.num_users()) + " x " +
-          std::to_string(model.num_items()) +
-          "); retrain and reshard offline (ocular_cli shard)");
-    }
-  }
+    const CsrMatrix& base, const UpdateRecord& record, bool* published) {
+  *published = false;
   if (model.fold_in == nullptr) {
     return Status::FailedPrecondition(
-        "sharded update refreshes users by fold-in, but model '" + model_name +
+        "update folds users in, but model '" + model_name +
         "' has no fold-in context (not an OCuLaR probability model)");
   }
+  const uint32_t users = record.num_users;
+  const uint32_t items = record.num_items;
+  OCULAR_RETURN_IF_ERROR(CheckSetDoesNotGrow(model, model_name, users, items));
   if (fault::Maybe("update.apply")) return fault::InjectedError("update.apply");
-
-  // Merge the deltas into a private copy of the training matrix: a
-  // touched user's fold-in history is its FULL updated row (Section V's
-  // new-user solve against fixed item factors), and the republish rebinds
-  // the merged matrix as the exclusion source. Dataset rows past the
-  // model's users stay in it as exclusions only.
+  // A touched user's fold-in history is its FULL merged row, and the
+  // merged matrix becomes the new generation's exclusion source. Dataset
+  // rows past the model's users stay in it as exclusions only.
   OCULAR_ASSIGN_OR_RETURN(
       CsrMatrix merged_train,
-      model.train->WithEntries(
-          adds, std::max(model.num_users(), model.train->num_rows()),
-          model.num_items()));
+      base.WithEntries(record.adds, std::max(users, base.num_rows()), items));
   auto merged = std::make_shared<const CsrMatrix>(std::move(merged_train));
-
-  std::vector<uint32_t> touched_users;
-  touched_users.reserve(adds.size());
-  for (auto [u, i] : adds) touched_users.push_back(u);
-  std::sort(touched_users.begin(), touched_users.end());
-  touched_users.erase(
-      std::unique(touched_users.begin(), touched_users.end()),
-      touched_users.end());
-
   const FoldInContext& ctx = *model.fold_in;
-  FoldInWorkspace fold_ws;
+  OCULAR_ASSIGN_OR_RETURN(
+      const FoldedUpdate folded,
+      FoldInUpdate(ctx, model.binding.user_blocks(), *merged, record.adds,
+                   users, items, options_.fold_in));
+
+  // Rewrite each member that holds a refreshed row, streaming the rest of
+  // its rows out of the live mapping; the serving generation is never
+  // written. A `.oclr` is one member holding every section (items from
+  // Vᵀ, so no dropped row-major page faults back in); a set's shard holds
+  // users only, and its items file never changes.
   const ShardMap& map = model.binding.map;
   ShardSetManifest manifest = model.binding.manifest;
   uint32_t shards_touched = 0;
-  size_t next = 0;
-  for (uint32_t s = 0; s < map.num_shards() && next < touched_users.size();
-       ++s) {
+  // The binding's own file (the `.oclr`, or a set's manifest) is the
+  // commit point. Once it has moved the update is published, even when
+  // the directory sync after the rename failed (fs_util.h contract), so
+  // the journal commits what clients will observe.
+  const auto publish_binding =
+      [&](const char* verify_what,
+          const std::function<Status(const std::string&)>& write) -> Status {
+    bool moved = false;
+    const Status durable =
+        PublishDurably(model.model_path, verify_what, write, &moved);
+    if (!durable.ok() && !moved) return durable;
+    *published = true;
+    if (!durable.ok()) {
+      std::fprintf(stderr,
+                   "update on '%s': published but directory sync failed: %s\n",
+                   model_name.c_str(), durable.ToString().c_str());
+    }
+    return Status::OK();
+  };
+  for (uint32_t s = 0; s < map.num_shards(); ++s) {
     const uint32_t begin = map.begin(s);
-    const uint32_t end = map.end(s);
-    if (touched_users[next] >= end) continue;
-
-    // Copy-on-write per shard: the live mapping is never written. Only
-    // shards owning a touched user are copied, folded, and rewritten —
-    // the untouched siblings keep their files, fingerprints and mappings.
-    ConstMatrixView rows = model.binding.shards[s]->user_factors();
-    DenseMatrix block(rows.rows(), rows.cols());
-    for (uint32_t r = 0; r < rows.rows(); ++r) {
-      std::span<const double> src = rows.Row(r);
-      std::copy(src.begin(), src.end(), block.Row(r).begin());
+    const uint32_t end = model.sharded ? map.end(s) : users;
+    const auto first =
+        std::lower_bound(folded.users.begin(), folded.users.end(), begin);
+    if ((first == folded.users.end() || *first >= end) &&
+        items == model.num_items()) {
+      continue;
     }
-    for (; next < touched_users.size() && touched_users[next] < end; ++next) {
-      const uint32_t u = touched_users[next];
-      const std::span<const uint32_t> history = merged->Row(u);
-      fold_ws.Reserve(ctx.dims(), history.size());
-      OCULAR_RETURN_IF_ERROR(
-          FoldInUserInto(ctx, history, options_.fold_in, &fold_ws));
-      std::copy(fold_ws.f.begin(), fold_ws.f.end(),
-                block.Row(u - begin).begin());
+    const SectionSource user_rows = UserRows(
+        folded, model.binding.shards[s]->user_factors(), begin, end - begin);
+    if (model.sharded) {
+      // On a failure, shards already renamed by this call disagree with
+      // the manifest on disk: the serving generation is untouched, and
+      // the next open refuses the torn set with a fingerprint mismatch
+      // (OPERATIONS.md covers the recovery).
+      const std::string path =
+          ShardSetResolve(model.model_path, manifest.shards[s].file);
+      OCULAR_RETURN_IF_ERROR(PublishDurably(
+          path, "shard update artifact", [&](const std::string& tmp) {
+            return WriteModelSections(model.meta(), user_rows,
+                                      {0, ctx.dims(), nullptr},
+                                      {ctx.dims(), 0, nullptr}, tmp);
+          }));
+      OCULAR_ASSIGN_OR_RETURN(manifest.shards[s].fingerprint,
+                              fs::FileFingerprint(path));
+    } else {
+      const SectionSource item_rows = {
+          items, ctx.dims(),
+          [&](uint32_t i, uint32_t c, std::span<double> out) {
+            for (uint32_t j = 0; j < out.size(); ++j) {
+              out[j] = folded.ItemCell(ctx, i, c + j);
+            }
+          }};
+      const SectionSource item_cols = {
+          ctx.dims(), items,
+          [&](uint32_t c, uint32_t i, std::span<double> out) {
+            for (uint32_t j = 0; j < out.size(); ++j) {
+              out[j] = folded.ItemCell(ctx, i + j, c);
+            }
+          }};
+      OCULAR_RETURN_IF_ERROR(publish_binding(
+          "update artifact", [&](const std::string& tmp) {
+            return WriteModelSections(model.meta(), user_rows, item_rows,
+                                      item_cols, tmp);
+          }));
     }
-
-    // Same publish discipline as the monolithic retrain, applied to ONE
-    // shard file. On failure, shards already renamed this call disagree
-    // with the published manifest on disk; the serving generation is
-    // untouched, and the next open refuses with a fingerprint mismatch
-    // instead of serving the torn set (OPERATIONS.md covers the recovery).
-    const std::string shard_path =
-        ShardSetResolve(model.model_path, manifest.shards[s].file);
-    OCULAR_RETURN_IF_ERROR(PublishDurably(
-        shard_path, "shard update artifact", [&](const std::string& tmp) {
-          return SaveShardUserFactors(model.meta(), block, tmp);
-        }));
-    OCULAR_ASSIGN_OR_RETURN(manifest.shards[s].fingerprint,
-                            fs::FileFingerprint(shard_path));
     ++shards_touched;
   }
-
-  // Manifest last, durably: readers open either the old consistent set or
+  // A set's manifest last: readers open either the old consistent set or
   // the new one, never a mix.
-  if (shards_touched > 0) {
-    OCULAR_RETURN_IF_ERROR(PublishDurably(
-        model.model_path, /*verify_what=*/nullptr,
-        [&](const std::string& tmp) {
+  if (model.sharded && shards_touched > 0) {
+    OCULAR_RETURN_IF_ERROR(publish_binding(
+        /*verify_what=*/nullptr, [&](const std::string& tmp) {
           return SaveShardSetManifest(manifest, tmp);
         }));
   }
 
-  // The per-shard generation swap: Load aliases every untouched member
-  // from the serving generation and reopens only the rewritten files.
-  OCULAR_RETURN_IF_ERROR(registry_->Load(model_name, model.model_path, merged));
-  updates_.fetch_add(1, std::memory_order_relaxed);
-
-  UpdateOutcome outcome;
-  outcome.num_users = model.num_users();
-  outcome.num_items = model.num_items();
-  outcome.sweeps_run = 0;
-  outcome.converged = true;
-  outcome.sharded = true;
-  outcome.shards_touched = shards_touched;
-  outcome.users_refreshed = static_cast<uint32_t>(touched_users.size());
-  return outcome;
-}
-
-Result<RequestServer::UpdateOutcome> RequestServer::RetrainAndPublish(
-    const ServableModel& model, const std::string& model_name,
-    const std::shared_ptr<const CsrMatrix>& updated_train, uint32_t users,
-    uint32_t items, uint32_t sweeps, uint64_t seed, bool* published) {
-  *published = false;
-  // Copy-on-write: the live mapping is never touched — the update
-  // materializes one private copy, retrains it in place, and publishes the
-  // result as a new generation.
-  if (fault::Maybe("update.apply")) return fault::InjectedError("update.apply");
-  OCULAR_ASSIGN_OR_RETURN(LoadedModel loaded, model.store.MaterializeOcular());
-
-  OcularConfig config = loaded.config;
-  config.max_sweeps = sweeps;
-  ExpandOptions expand;
-  expand.seed = seed;  // 0 = shape-derived stream (see ExpandOptions)
-  OCULAR_ASSIGN_OR_RETURN(
-      OcularFitResult fit,
-      UpdateModel(std::move(loaded.model), *updated_train, config, expand));
-
-  bool moved = false;
-  const Status durable = PublishDurably(
-      model.model_path, "update artifact",
-      [&](const std::string& tmp) {
-        // The write consumes the trained factors: they are freed before
-        // the verify-open and the generation swap map the new artifact.
-        const OcularModel trained = std::move(fit.model);
-        return SaveModelBinary(trained, config, tmp);
-      },
-      &moved);
-  if (!durable.ok()) {
-    // A failure before the rename is an unpublished failure. A moved
-    // artifact is treated as published (fs_util.h contract) so the
-    // journal commits what clients will observe.
-    if (!moved) return durable;
-    std::fprintf(stderr,
-                 "update on '%s': published but directory sync failed: %s\n",
-                 model_name.c_str(), durable.ToString().c_str());
-  }
-  *published = true;
   // The same generation swap as SIGHUP reload: in-flight requests drain
-  // on their leased mapping, workers re-resolve lock-free.
-  OCULAR_RETURN_IF_ERROR(
-      registry_->Load(model_name, model.model_path, updated_train));
+  // on their leased mapping, workers re-resolve lock-free, and a set
+  // aliases every member it did not rewrite.
+  OCULAR_RETURN_IF_ERROR(registry_->Load(model_name, model.model_path, merged));
   updates_.fetch_add(1, std::memory_order_relaxed);
 
   UpdateOutcome outcome;
   outcome.num_users = users;
   outcome.num_items = items;
-  outcome.sweeps_run = fit.sweeps_run;
-  outcome.converged = fit.converged;
+  outcome.shards_touched = shards_touched;
+  outcome.users_refreshed = static_cast<uint32_t>(folded.users.size());
   return outcome;
 }
 
 Result<RequestServer::UpdateOutcome> RequestServer::ApplyUpdate(
     WorkerState* w, const std::string& model_name,
     const std::vector<std::pair<uint32_t, uint32_t>>& adds,
-    uint32_t num_users, uint32_t num_items, uint32_t sweeps, uint64_t seed) {
+    uint32_t num_users, uint32_t num_items) {
   // One update at a time; concurrent recommends keep serving the current
   // generation and never take this mutex.
   std::lock_guard<std::mutex> lock(update_mu_);
@@ -575,44 +557,34 @@ Result<RequestServer::UpdateOutcome> RequestServer::ApplyUpdate(
         "update requires a dataset bound to model '" + model_name +
         "' (--datasets): the interaction deltas extend the training matrix");
   }
-  if (model->sharded) {
-    // Sharded bindings refresh touched users by fold-in against the fixed
-    // shared item factors and republish only the rewritten shard files.
-    // The update journal stays out of this path — it is a single-artifact
-    // recovery mechanism keyed on one file fingerprint; sharded updates
-    // are instead made durable per shard file (write-temp + fsync +
-    // verify + rename), with the manifest republished last.
-    return ApplyShardedUpdate(*model, model_name, adds, num_users, num_items);
-  }
-  // The retrain covers every row of the bound dataset, so a dataset with
-  // more users than the model grows it to the dataset's row count.
-  uint32_t users = std::max({model->num_users(), num_users,
-                             model->train->num_rows()});
-  uint32_t items = std::max(model->num_items(), num_items);
+  UpdateRecord record;
+  record.num_users = std::max(model->num_users(), num_users);
+  record.num_items = std::max(model->num_items(), num_items);
   for (auto [u, i] : adds) {
-    users = std::max(users, u + 1);
-    items = std::max(items, i + 1);
+    record.num_users = std::max(record.num_users, u + 1);
+    record.num_items = std::max(record.num_items, i + 1);
   }
-  OCULAR_ASSIGN_OR_RETURN(CsrMatrix merged,
-                          model->train->WithEntries(adds, users, items));
-  auto updated_train = std::make_shared<const CsrMatrix>(std::move(merged));
+  // A `.oclr` grows to cover every row of the bound dataset; a set keeps
+  // its users, and its dataset rows past them are exclusions only.
+  if (!model->sharded) {
+    record.num_users = std::max(record.num_users, model->train->num_rows());
+  }
+  OCULAR_RETURN_IF_ERROR(CheckSetDoesNotGrow(*model, model_name,
+                                             record.num_users,
+                                             record.num_items));
+  record.adds = adds;
 
-  // Write-ahead: the full replay recipe is durable before the retrain
-  // starts, so a crash anywhere past this point can be recovered to the
-  // exact artifact this call would have published (RecoverJournal). An
-  // append failure fails the update — the client's ack must never be
-  // backed by nothing but RAM.
+  // Write-ahead: the adds and the resolved shape are durable before the
+  // fold-in starts, so a crash anywhere past this point is recovered to
+  // the exact artifact this call would have published (RecoverJournal).
+  // The record is keyed on the binding's file: the `.oclr`, or a set's
+  // manifest. An append failure fails the update — the client's ack must
+  // never be backed by nothing but RAM.
   UpdateJournal journal;
   const bool journaling = options_.update_journal;
   if (journaling) {
-    UpdateRecord record;
     OCULAR_ASSIGN_OR_RETURN(record.base_fingerprint,
                             fs::FileFingerprint(model->model_path));
-    record.seed = seed;
-    record.num_users = users;
-    record.num_items = items;
-    record.sweeps = sweeps;
-    record.adds = adds;
     OCULAR_RETURN_IF_ERROR(
         journal.Open(UpdateJournal::PathFor(model->model_path)));
     OCULAR_RETURN_IF_ERROR(journal.AppendUpdate(record));
@@ -620,8 +592,7 @@ Result<RequestServer::UpdateOutcome> RequestServer::ApplyUpdate(
 
   bool published = false;
   Result<UpdateOutcome> outcome =
-      RetrainAndPublish(*model, model_name, updated_train, users, items,
-                        sweeps, seed, &published);
+      FoldInAndPublish(*model, model_name, *model->train, record, &published);
   if (journaling) {
     // The journal's verdict follows the artifact, not the reply: a
     // failure AFTER the rename still commits (clients will observe the
@@ -660,8 +631,8 @@ Result<JournalRecoveryStats> RequestServer::RecoverJournal(
   }
 
   // A trailing record with no commit/abort is the crash window. The
-  // artifact fingerprint decides which side of the rename the crash hit:
-  // still equal to the record's base means the retrain never published —
+  // binding's fingerprint decides which side of the rename the crash hit:
+  // still equal to the record's base means the update never published —
   // replay it; moved past it means the rename landed and only the commit
   // record is missing — the adds are law, heal the journal.
   bool replay_pending = false;
@@ -694,51 +665,33 @@ Result<JournalRecoveryStats> RequestServer::RecoverJournal(
   OCULAR_ASSIGN_OR_RETURN(
       CsrMatrix merged_train,
       model->train->WithEntries(applied_adds, users, items));
-  auto merged = std::make_shared<const CsrMatrix>(std::move(merged_train));
   stats.applied_merged = plan.applied.size();
 
-  if (!replay_pending) {
-    if (!plan.applied.empty()) {
-      OCULAR_RETURN_IF_ERROR(
-          registry_->Load(model_name, model->model_path, merged));
-      journal_recovered_.fetch_add(plan.applied.size(),
-                                   std::memory_order_relaxed);
+  if (replay_pending) {
+    // Replay: the same fold-in the crashed process was running — same
+    // base artifact, same merged history, same adds and shape — so the
+    // recovered generation is bit-identical to what the lost ack promised.
+    bool published = false;
+    Result<UpdateOutcome> outcome = FoldInAndPublish(
+        *model, model_name, merged_train, plan.pending, &published);
+    if (!outcome.ok() && !published) {
+      // Leave the record pending: the next start retries the replay. The
+      // caller decides whether to serve without the promised update.
+      return outcome.status();
     }
-    if (stats.healed_commit) {
-      UpdateJournal journal;
-      OCULAR_RETURN_IF_ERROR(journal.Open(journal_path));
-      OCULAR_RETURN_IF_ERROR(journal.AppendCommit());
-    }
-    return stats;
+    stats.replayed_pending = true;
+    journal_replays_.fetch_add(1, std::memory_order_relaxed);
+  } else if (!plan.applied.empty()) {
+    OCULAR_RETURN_IF_ERROR(registry_->Load(
+        model_name, model->model_path,
+        std::make_shared<const CsrMatrix>(std::move(merged_train))));
   }
-
-  // Replay: rebuild the pending update's training matrix on top of the
-  // recovered base and run the exact pipeline the crashed process was
-  // running — same adds, same dims, same sweeps, same seed, same base
-  // artifact — so the recovered generation is bit-identical to what the
-  // lost ack promised.
-  uint32_t replay_users = std::max(users, plan.pending.num_users);
-  uint32_t replay_items = std::max(items, plan.pending.num_items);
-  OCULAR_ASSIGN_OR_RETURN(
-      CsrMatrix replay_matrix,
-      merged->WithEntries(plan.pending.adds, replay_users, replay_items));
-  auto replay_train =
-      std::make_shared<const CsrMatrix>(std::move(replay_matrix));
-  bool published = false;
-  Result<UpdateOutcome> outcome = RetrainAndPublish(
-      *model, model_name, replay_train, replay_users, replay_items,
-      plan.pending.sweeps, plan.pending.seed, &published);
-  if (!outcome.ok() && !published) {
-    // Leave the record pending: the next start retries the replay. The
-    // caller decides whether to serve without the promised update.
-    return outcome.status();
-  }
-  UpdateJournal journal;
-  OCULAR_RETURN_IF_ERROR(journal.Open(journal_path));
-  OCULAR_RETURN_IF_ERROR(journal.AppendCommit());
-  stats.replayed_pending = true;
   journal_recovered_.fetch_add(plan.applied.size(), std::memory_order_relaxed);
-  journal_replays_.fetch_add(1, std::memory_order_relaxed);
+  if (stats.replayed_pending || stats.healed_commit) {
+    UpdateJournal journal;
+    OCULAR_RETURN_IF_ERROR(journal.Open(journal_path));
+    OCULAR_RETURN_IF_ERROR(journal.AppendCommit());
+  }
   return stats;
 }
 
@@ -776,20 +729,18 @@ std::string RequestServer::HandleUpdate(WorkerState* w,
   if (!num_users.ok()) return ErrorReply(w, num_users.status().message());
   auto num_items = GetUIntField(request, "num_items", 0, UINT32_MAX);
   if (!num_items.ok()) return ErrorReply(w, num_items.status().message());
-  auto sweeps =
-      GetUIntField(request, "sweeps", options_.update_sweeps, 100000);
+  // A fold-in needs neither `sweeps` nor `seed`; both are accepted for
+  // wire compatibility and still checked, so a bad value keeps its error.
+  auto sweeps = GetUIntField(request, "sweeps", 1, 100000);
   if (!sweeps.ok()) return ErrorReply(w, sweeps.status().message());
   if (*sweeps == 0) return ErrorReply(w, "'sweeps' must be at least 1");
-  // JSON numbers are doubles: cap explicit seeds at 2^53 so every
-  // accepted value round-trips exactly.
   auto seed = GetUIntField(request, "seed", 0, uint64_t{1} << 53);
   if (!seed.ok()) return ErrorReply(w, seed.status().message());
 
   const double start_us = NowMicros();
   auto outcome = ApplyUpdate(w, model_name, adds,
                              static_cast<uint32_t>(*num_users),
-                             static_cast<uint32_t>(*num_items),
-                             static_cast<uint32_t>(*sweeps), *seed);
+                             static_cast<uint32_t>(*num_items));
   // A published update replaced the generation this worker leased. Drop
   // the lease before replying, so the old generation is freed now rather
   // than when this worker next parks, which may be after the client's
@@ -807,16 +758,15 @@ std::string RequestServer::HandleUpdate(WorkerState* w,
   writer.UInt(outcome->num_users);
   writer.Key("items");
   writer.UInt(outcome->num_items);
+  // A fold-in solves each refreshed row to convergence and runs no sweep.
   writer.Key("sweeps_run");
-  writer.UInt(outcome->sweeps_run);
+  writer.UInt(0);
   writer.Key("converged");
-  writer.Bool(outcome->converged);
-  if (outcome->sharded) {
-    writer.Key("shards_touched");
-    writer.UInt(outcome->shards_touched);
-    writer.Key("users_refreshed");
-    writer.UInt(outcome->users_refreshed);
-  }
+  writer.Bool(true);
+  writer.Key("shards_touched");
+  writer.UInt(outcome->shards_touched);
+  writer.Key("users_refreshed");
+  writer.UInt(outcome->users_refreshed);
   writer.Key("publish_us");
   writer.Double(NowMicros() - start_us);
   writer.EndObject();

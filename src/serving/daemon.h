@@ -16,7 +16,7 @@
 #include "common/json.h"
 #include "common/result.h"
 #include "core/fold_in.h"
-#include "core/incremental.h"
+#include "serving/journal.h"
 #include "serving/line_server.h"
 #include "serving/registry.h"
 #include "serving/score_engine.h"
@@ -111,7 +111,7 @@ struct JournalRecoveryStats {
   /// everything applied since).
   uint64_t applied_merged = 0;
   /// A trailing uncommitted update was found whose artifact rename never
-  /// happened; it was retrained and published now (then committed).
+  /// happened; it was folded in and published now (then committed).
   bool replayed_pending = false;
   /// A trailing uncommitted update was found already published (artifact
   /// fingerprint moved past its base); only the missing commit record
@@ -162,14 +162,15 @@ double MergedPercentile(std::vector<double>* samples, double p);
 /// out-of-range ids (counted in stats) before the solve, and a history
 /// carrying no signal falls back to the deterministic popularity ranking
 /// (the reply's "folded" flag says which path answered). `update` applies
-/// interaction deltas (`adds` pairs, optionally growing the catalog) via
-/// the warm-start incremental trainer on a copy of the current model,
-/// persists the result over the model file (write-temp + rename), and
-/// publishes it through the registry generation swap — in-flight requests
-/// keep their lease, workers drain onto the new generation lock-free,
-/// exactly the SIGHUP-reload guarantees. Updates require a bound dataset
-/// (the training matrix is the delta's base) and serialize on one mutex;
-/// reads never block.
+/// interaction deltas (`adds` pairs; a `.oclr` may grow the catalog) by
+/// folding in each touched user against the fixed item factors (new
+/// items first, the roles swapped), rewrites only the member files that
+/// hold a refreshed row (write-temp + rename) from the live mapping, and
+/// publishes them through the registry generation swap — in-flight
+/// requests keep their lease, workers drain onto the new generation
+/// lock-free, exactly the SIGHUP-reload guarantees. Updates require a
+/// bound dataset (the training matrix is the delta's base) and serialize
+/// on one mutex; reads never block.
 ///
 /// Concurrency: RunTcpLoop runs the connection core, LineServer, with
 /// `Options::num_workers` workers that own only compute: each keeps its
@@ -197,12 +198,8 @@ class RequestServer : private LineServer::Handler {
     ServeOptions serve;
     /// Fold-in solver settings for `history` requests.
     FoldInOptions fold_in;
-    /// Default refresh sweeps of an `update` retrain (a request's own
-    /// "sweeps" field overrides). A handful suffices: the old factors are
-    /// already near-stationary (see core/incremental.h).
-    uint32_t update_sweeps = 5;
     /// Write-ahead journal every `update` verb to
-    /// `<model>.update.journal` (fsynced before the retrain starts) so an
+    /// `<model>.update.journal` (fsynced before the fold-in starts) so an
     /// acked update survives a crash anywhere in the pipeline — see
     /// serving/journal.h and RecoverJournal(). Off restores the PR 6
     /// fire-and-forget behavior (updates die with the process if the
@@ -314,15 +311,12 @@ class RequestServer : private LineServer::Handler {
     LatencyRing latency;
   };
 
-  /// What one applied `update` published.
+  /// What one applied `update` published: the binding's shape, how many
+  /// member files were rewritten (the `.oclr` itself, or a set's shards)
+  /// and how many user rows were folded in afresh.
   struct UpdateOutcome {
     uint32_t num_users = 0;
     uint32_t num_items = 0;
-    uint32_t sweeps_run = 0;
-    bool converged = false;
-    /// Sharded updates only: how many shard files were rewritten and
-    /// republished, and how many user rows were folded in afresh.
-    bool sharded = false;
     uint32_t shards_touched = 0;
     uint32_t users_refreshed = 0;
   };
@@ -349,15 +343,19 @@ class RequestServer : private LineServer::Handler {
   Result<UpdateOutcome> ApplyUpdate(
       WorkerState* w, const std::string& model_name,
       const std::vector<std::pair<uint32_t, uint32_t>>& adds,
-      uint32_t num_users, uint32_t num_items, uint32_t sweeps, uint64_t seed);
-  Result<UpdateOutcome> ApplyShardedUpdate(
-      const ServableModel& model, const std::string& model_name,
-      const std::vector<std::pair<uint32_t, uint32_t>>& adds,
       uint32_t num_users, uint32_t num_items);
-  Result<UpdateOutcome> RetrainAndPublish(
-      const ServableModel& model, const std::string& model_name,
-      const std::shared_ptr<const CsrMatrix>& updated_train, uint32_t users,
-      uint32_t items, uint32_t sweeps, uint64_t seed, bool* published);
+  /// The update algorithm, shared by ApplyUpdate and journal replay:
+  /// merges `record.adds` into `base`, folds in new items (the roles
+  /// swapped, against Σ_u f_u), then every touched user and new row
+  /// against all the items, rewrites each member file holding a
+  /// refreshed row by streaming the rest out of the live mapping, and
+  /// publishes the new generation. `*published` turns true once the
+  /// binding's own file (the `.oclr` or the manifest) has been renamed.
+  Result<UpdateOutcome> FoldInAndPublish(const ServableModel& model,
+                                         const std::string& model_name,
+                                         const CsrMatrix& base,
+                                         const UpdateRecord& record,
+                                         bool* published);
   std::string HandleModels();
   std::string HandlePing();
   std::string HandleStats();
@@ -391,9 +389,9 @@ class RequestServer : private LineServer::Handler {
   std::atomic<uint64_t> updates_{0};
   std::atomic<uint64_t> journal_recovered_{0};
   std::atomic<uint64_t> journal_replays_{0};
-  /// Serializes `update` rebuilds (materialize → retrain → persist →
-  /// publish). Recommends never take it: they keep serving the current
-  /// generation and drain onto the published one lease-by-lease.
+  /// Serializes `update`s (merge → fold in → persist → publish).
+  /// Recommends never take it: they keep serving the current generation
+  /// and drain onto the published one lease-by-lease.
   std::mutex update_mu_;
 };
 

@@ -14,14 +14,15 @@ namespace ocular {
 /// \brief The update journal: a durable write-ahead log of `update` verbs.
 ///
 /// The daemon's in-place update pipeline (serving/daemon.h, HandleUpdate)
-/// acks an update only after the retrained artifact is renamed over the
-/// model file. Two crash windows would still lose state without a log:
+/// acks an update only after its rewritten file (the `.oclr`, or a set's
+/// manifest after its shards) is renamed into place. Two crash windows
+/// would still lose state without a log:
 ///
-///   1. Crash between journal-append and artifact rename: the retrain
-///      never published. The journal's trailing *pending* record carries
-///      everything needed to replay it deterministically (adds, dims,
-///      sweeps, seed) plus the fingerprint of the artifact it was based
-///      on, so recovery can tell "replay me" from "I already published".
+///   1. Crash between journal-append and rename: the fold-in never
+///      published. The journal's trailing *pending* record carries
+///      everything needed to replay it deterministically (adds, dims)
+///      plus the fingerprint of the file it was based on, so recovery can
+///      tell "replay me" from "I already published".
 ///   2. Restart at any later point: the `--datasets` CSV on disk is the
 ///      ORIGINAL training snapshot — without the journal, every applied
 ///      update's interaction deltas would vanish from the exclusion rows
@@ -53,17 +54,20 @@ namespace ocular {
 
 /// \brief One `update` verb as journaled: the full recipe to re-run it.
 struct UpdateRecord {
-  /// fs::FileFingerprint of the artifact this update retrained FROM,
-  /// taken before the retrain. Recovery compares it against the live
-  /// artifact to decide replay (equal: the rename never happened) vs
-  /// heal (different: the rename published, only the commit is missing).
+  /// fs::FileFingerprint of the binding's file (the `.oclr`, or a set's
+  /// manifest) this update folded in FROM, taken before the fold-in.
+  /// Recovery compares it against the live file to decide replay (equal:
+  /// the rename never happened) vs heal (different: the rename
+  /// published, only the commit is missing).
   uint64_t base_fingerprint = 0;
-  /// Expansion seed of the request (0 = shape-derived stream).
+  /// Kept for the record format; a fold-in draws nothing at random, and
+  /// the daemon writes 0.
   uint64_t seed = 0;
   /// Final (post-growth) training dimensions the update resolved to.
   uint32_t num_users = 0;
   uint32_t num_items = 0;
-  /// Refresh sweeps of the warm-start retrain.
+  /// Kept for the record format; a fold-in runs no sweep, and the daemon
+  /// writes 0.
   uint32_t sweeps = 0;
   /// The interaction deltas.
   std::vector<std::pair<uint32_t, uint32_t>> adds;
@@ -75,7 +79,7 @@ struct UpdateRecord {
 class UpdateJournal {
  public:
   enum class RecordType : uint32_t {
-    kUpdate = 1,  ///< an update was received and is about to retrain
+    kUpdate = 1,  ///< an update was received and is about to fold in
     kCommit = 2,  ///< its artifact was renamed into place — adds are law
     kAbort = 3,   ///< it failed cleanly before the rename — adds are void
   };

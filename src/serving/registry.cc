@@ -69,6 +69,29 @@ Result<std::shared_ptr<const ServableModel>> BuildServable(
   return std::shared_ptr<const ServableModel>(std::move(servable));
 }
 
+/// A replaced generation's members stop serving once the requests
+/// leasing them drain, which under load can take a while. Dropping their
+/// pages now keeps the old and the new generation from both being
+/// resident meanwhile; a draining request faults back only what it
+/// reads. Members the new generation aliases keep their pages.
+void RetireReplacedMembers(const ServableModel* old_model,
+                           const ServableModel& fresh) {
+  if (old_model == nullptr) return;
+  const auto still_serving = [&fresh](const ModelStore* store) {
+    if (fresh.binding.items.get() == store) return true;
+    for (const auto& shard : fresh.binding.shards) {
+      if (shard.get() == store) return true;
+    }
+    return false;
+  };
+  if (!still_serving(old_model->binding.items.get())) {
+    old_model->binding.items->DropResidentPages();
+  }
+  for (const auto& shard : old_model->binding.shards) {
+    if (!still_serving(shard.get())) shard->DropResidentPages();
+  }
+}
+
 }  // namespace
 
 Status ModelRegistry::Load(const std::string& name,
@@ -80,12 +103,16 @@ Status ModelRegistry::Load(const std::string& name,
       std::shared_ptr<const ServableModel> servable,
       BuildServable(name, model_path, std::move(train), Get(name).get(),
                     &reopened));
-  std::lock_guard<std::mutex> lock(mu_);
-  models_[name] = std::move(servable);
-  // One generation step per member actually reopened — the per-shard
-  // swap. An explicit Load always publishes (the caller may be binding a
-  // new dataset), so even a byte-identical shardset steps once.
-  generation_.fetch_add(std::max(reopened, 1u), std::memory_order_acq_rel);
+  std::shared_ptr<const ServableModel> previous;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    previous = std::exchange(models_[name], servable);
+    // One generation step per member actually reopened — the per-shard
+    // swap. An explicit Load always publishes (the caller may be binding
+    // a new dataset), so even a byte-identical shardset steps once.
+    generation_.fetch_add(std::max(reopened, 1u), std::memory_order_acq_rel);
+  }
+  RetireReplacedMembers(previous.get(), *servable);
   return Status::OK();
 }
 
@@ -120,9 +147,12 @@ Status ModelRegistry::ReloadAll() {
       // and spare the workers a lease refresh.
       continue;
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    models_[old_model->name] = std::move(rebuilt).value();
-    generation_.fetch_add(reopened, std::memory_order_acq_rel);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      models_[old_model->name] = *rebuilt;
+      generation_.fetch_add(reopened, std::memory_order_acq_rel);
+    }
+    RetireReplacedMembers(old_model.get(), **rebuilt);
   }
   return first_error;
 }

@@ -126,7 +126,8 @@ std::span<const ScoredItem> ServeTopMCandidates(
   // Candidate sets are small, so a plain bounded heap does the selection.
   const double threshold = SelectionThreshold(options);
   ws->selection.clear();
-  ws->selection.reserve(topm::SelectionCapacity(options.m));
+  ws->selection.reserve(
+      topm::SelectionCapacity(options.m, ws->candidates.size()));
   size_t ex = 0;
   for (uint32_t i : ws->candidates) {
     while (ex < exclude_sorted.size() && exclude_sorted[ex] < i) ++ex;
@@ -153,8 +154,9 @@ Result<double> CandidateOverlapAtM(const Recommender& rec,
   }
   ServeWorkspace exact_ws;
   ServeWorkspace cand_ws;
-  exact_ws.Reserve(options.m, options.block_items);
-  cand_ws.Reserve(options.m, options.block_items, index.max_candidate_items);
+  exact_ws.Reserve(options.m, options.block_items, 0, rec.num_items());
+  cand_ws.Reserve(options.m, options.block_items, index.max_candidate_items,
+                  rec.num_items());
   std::vector<uint32_t> exact_items;
   std::vector<uint32_t> cand_items;
   double overlap_sum = 0.0;

@@ -42,9 +42,14 @@ struct ServeWorkspace {
   std::vector<uint32_t> candidates;   ///< gathered ids (candidate mode)
 
   /// \brief Pre-sizes every buffer so subsequent serves never reallocate.
-  void Reserve(uint32_t m, uint32_t block_items, size_t max_candidates = 0) {
+  /// The selection buffer is bounded by the items a serve can rank:
+  /// `max_candidates` in candidate mode, else the catalog of `num_items`
+  /// (pass it whenever m comes from a client: the default bounds nothing).
+  void Reserve(uint32_t m, uint32_t block_items, size_t max_candidates = 0,
+               uint32_t num_items = UINT32_MAX) {
     tile.reserve(block_items);
-    selection.reserve(topm::SelectionCapacity(m));
+    selection.reserve(topm::SelectionCapacity(
+        m, max_candidates > 0 ? max_candidates : num_items));
     candidates.reserve(max_candidates);
   }
 };

@@ -35,7 +35,7 @@
 
 #include "common/fault.h"
 #include "common/fs_util.h"
-#include "core/incremental.h"
+#include "core/model_shard.h"
 #include "core/model_store.h"
 #include "core/ocular_recommender.h"
 #include "data/loaders.h"
@@ -47,6 +47,7 @@
 #include "serving/registry.h"
 #include "sparse/coo.h"
 #include "test_util.h"
+#include "update_oracle.h"
 
 // The chaos drills fork/exec the real daemon binary; CMake injects its
 // path the same way cli_test gets the CLI.
@@ -146,39 +147,6 @@ std::vector<std::vector<ScoredItem>> Oracle(const OcularModel& model,
   batch.m = m;
   batch.skip_cold_users = false;
   return RecommendForAllUsers(rec, train, batch).value().recommendations;
-}
-
-/// Replays the daemon's update pipeline offline from the artifact at
-/// `model_path`: materialize, merge `adds` into `train`, warm-start
-/// retrain. Also returns the config the daemon would persist with, so the
-/// caller can save an artifact byte-identical to the daemon's.
-struct OfflineUpdate {
-  OcularModel model;
-  CsrMatrix train;
-  OcularConfig config;
-};
-OfflineUpdate ReplayUpdate(
-    const std::string& model_path, const CsrMatrix& train,
-    const std::vector<std::pair<uint32_t, uint32_t>>& adds, uint32_t sweeps) {
-  auto store = ModelStore::Open(model_path);
-  EXPECT_TRUE(store.ok()) << store.status().ToString();
-  auto loaded = store->MaterializeOcular();
-  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
-  uint32_t users = store->num_users();
-  uint32_t items = store->num_items();
-  CooBuilder coo;
-  for (auto [u, i] : train.ToPairs()) coo.Add(u, i);
-  for (auto [u, i] : adds) {
-    users = std::max(users, u + 1);
-    items = std::max(items, i + 1);
-    coo.Add(u, i);
-  }
-  CsrMatrix merged = CsrMatrix::FromCoo(coo.Finalize(users, items).value());
-  OcularConfig config = loaded->config;
-  config.max_sweeps = sweeps;
-  auto fit = UpdateModel(loaded->model, merged, config, ExpandOptions{});
-  EXPECT_TRUE(fit.ok()) << fit.status().ToString();
-  return {std::move(fit->model), std::move(merged), config};
 }
 
 /// Arms-then-disarms around a test body; a test can never leak an armed
@@ -481,7 +449,7 @@ TEST(JournalRecoveryTest, CrashBeforeRenameReplaysBitIdentically) {
         {50, 0}, {50, 7}, {50, 12}};
 
     // Simulate the crash window: the previous incarnation journaled the
-    // update (fingerprint of the artifact it retrained from) and died
+    // update (fingerprint of the artifact it folded in against) and died
     // before the rename — artifact untouched, record pending.
     auto fingerprint = fs::FileFingerprint(f.model_path);
     ASSERT_TRUE(fingerprint.ok());
@@ -504,7 +472,8 @@ TEST(JournalRecoveryTest, CrashBeforeRenameReplaysBitIdentically) {
     // The replay ran the exact pipeline the lost ack promised: the
     // recovered artifact is byte-identical to the offline oracle's, and
     // serving the brand-new user matches the oracle exactly.
-    OfflineUpdate oracle = ReplayUpdate(base_copy, f.train, adds, 3);
+    const test::FoldInReplay oracle =
+        test::ReplayFoldIn(base_copy, f.train, adds);
     const std::string oracle_path = TempPath("fault_replay_oracle.oclr");
     ASSERT_TRUE(
         SaveModelBinary(oracle.model, oracle.config, oracle_path).ok());
@@ -542,7 +511,7 @@ TEST(JournalRecoveryTest, PublishedButUncommittedUpdateHealsTheCommit) {
   // The other side of the crash window: the rename landed (the live
   // artifact's fingerprint moved past the record's base) but the commit
   // record is missing. The adds are law — recovery must merge them and
-  // append the commit, never retrain over the published artifact.
+  // append the commit, never fold in over the published artifact.
   DaemonFixture f = DaemonFixture::Make("fault_heal.oclr");
   auto fingerprint = fs::FileFingerprint(f.model_path);
   ASSERT_TRUE(fingerprint.ok());
@@ -575,6 +544,71 @@ TEST(JournalRecoveryTest, PublishedButUncommittedUpdateHealsTheCommit) {
   ASSERT_NE(model, nullptr);
   ASSERT_NE(model->train, nullptr);
   EXPECT_EQ(model->train->num_rows(), 51u);
+  f.Cleanup();
+}
+
+TEST(JournalRecoveryTest, RestartAfterAShardedUpdateServesTheOfflineReplay) {
+  // A set's update journals like any binding, keyed on its manifest: after
+  // a restart over the same files and the original --datasets snapshot,
+  // the added interactions stay excluded and the refreshed users serve
+  // exactly what an offline fold-in replay ranks.
+  DaemonFixture f = DaemonFixture::Make("fault_sharded.oclr");
+  const std::string manifest_path = TempPath("fault_sharded.shardset");
+  std::remove(UpdateJournal::PathFor(manifest_path).c_str());
+  {
+    auto store = ModelStore::Open(f.model_path);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE(SaveModelSharded(store->meta(), store->user_factors(),
+                                 store->item_factors(),
+                                 store->item_factors_t(), 3, manifest_path)
+                    .ok());
+  }
+  auto base = LoadModelAuto(manifest_path);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  // Users in every shard of the 17/17/16 split.
+  const std::vector<std::pair<uint32_t, uint32_t>> adds = {
+      {2, 1}, {2, 5}, {20, 9}, {41, 3}};
+  const test::FoldInReplay oracle = test::ReplayFoldIn(
+      base->model, base->config, f.train, adds, /*sharded=*/true);
+  {
+    ModelRegistry registry;
+    ASSERT_TRUE(
+        registry.Load("default", manifest_path, f.shared_train()).ok());
+    RequestServer server(&registry);
+    auto reply = JsonValue::Parse(server.HandleLine(
+        R"({"cmd":"update","adds":[[2,1],[2,5],[20,9],[41,3]]})"));
+    ASSERT_TRUE(reply.ok());
+    ASSERT_TRUE(reply->Find("ok")->boolean())
+        << reply->Find("error")->string();
+    EXPECT_EQ(reply->Find("shards_touched")->number(), 3.0);
+    EXPECT_EQ(reply->Find("users_refreshed")->number(), 3.0);
+  }
+
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Load("default", manifest_path, f.shared_train()).ok());
+  RequestServer server(&registry);
+  auto recovered = server.RecoverJournal("default");
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->applied_merged, 1u);
+  EXPECT_FALSE(recovered->replayed_pending);
+  ASSERT_NE(registry.Get("default")->train, nullptr);
+  EXPECT_EQ(*registry.Get("default")->train, oracle.train);
+  const auto expect = Oracle(oracle.model, oracle.train, 5);
+  for (uint32_t u = 0; u < f.train.num_rows(); ++u) {
+    const std::string line = server.HandleLine(
+        R"({"cmd":"recommend","user":)" + std::to_string(u) + R"(,"m":5})");
+    EXPECT_TRUE(ReplyMatchesRanked(line, expect[u])) << "u=" << u << " "
+                                                     << line;
+  }
+
+  const auto manifest = LoadShardSetManifest(manifest_path);
+  ASSERT_TRUE(manifest.ok());
+  std::remove(ShardSetResolve(manifest_path, manifest->items_file).c_str());
+  for (const ShardSetEntry& shard : manifest->shards) {
+    std::remove(ShardSetResolve(manifest_path, shard.file).c_str());
+  }
+  std::remove(manifest_path.c_str());
+  std::remove(UpdateJournal::PathFor(manifest_path).c_str());
   f.Cleanup();
 }
 
@@ -1029,8 +1063,8 @@ CsrMatrix WriteAndReloadDataset(const CsrMatrix& train,
 }
 
 /// Saves random factors of the given shape as an OCLR artifact: an update
-/// retrains whatever it is given, so the drills below need no trained
-/// model.
+/// folds in against whatever it is given, so the drills below need no
+/// trained model.
 void SaveRandomModel(const std::string& path, uint32_t users, uint32_t items,
                      uint32_t k) {
   OcularConfig config;
@@ -1131,7 +1165,7 @@ int64_t ProcStatusBytes(pid_t pid, const std::string& field) {
   return -1;
 }
 
-TEST(ChaosSubprocessTest, UpdatesHoldOneFactorCopyAndGiveTheirMemoryBack) {
+TEST(ChaosSubprocessTest, UpdatesHoldNoFactorCopyAndGiveTheirMemoryBack) {
 #ifdef OCULAR_ASAN
   GTEST_SKIP() << "ASan's allocator ignores mallopt and quarantines freed "
                   "blocks, so VmHWM does not show glibc's behaviour";
@@ -1180,14 +1214,16 @@ TEST(ChaosSubprocessTest, UpdatesHoldOneFactorCopyAndGiveTheirMemoryBack) {
                      R"({"cmd":"update","adds":[)" + adds + R"(],"sweeps":1})");
   };
 
-  // The first update may hold one factor copy, the merged and transposed
-  // matrices, and then the new generation's mapping beside the old one:
-  // at most twice the artifact above the RSS before it.
+  // The first update holds the merged matrix, one write buffer and one
+  // verify block, and no factor copy: the rows it does not fold in stream
+  // out of the live mapping, and the verifying opens of the new artifact
+  // leave none of it resident. At most half the artifact above the RSS
+  // before it.
   const int64_t rss_before = ProcStatusBytes(served.pid, "VmRSS");
   ASSERT_NE(update().find(R"("ok":true)"), std::string::npos);
   const int64_t hwm_first = ProcStatusBytes(served.pid, "VmHWM");
   ASSERT_GT(rss_before, 0);
-  EXPECT_LE(hwm_first - rss_before, 2 * artifact_bytes)
+  EXPECT_LE(hwm_first - rss_before, artifact_bytes / 2)
       << "VmRSS before " << rss_before << " B, VmHWM after " << hwm_first
       << " B, artifact " << artifact_bytes << " B";
   // Later updates reuse nothing the first one kept: their buffers went
@@ -1261,8 +1297,8 @@ TEST(ChaosSubprocessTest, KillBeforeRenameIsReplayedBitIdenticallyOnRestart) {
 
   // Bit-identical recovery: the restarted daemon's artifact equals the
   // offline oracle's, and the acked-then-crashed user serves exactly.
-  const OfflineUpdate oracle =
-      ReplayUpdate(base_copy, train, {{50, 0}, {50, 7}, {50, 12}}, 3);
+  const test::FoldInReplay oracle =
+      test::ReplayFoldIn(base_copy, train, {{50, 0}, {50, 7}, {50, 12}});
   const std::string oracle_path = TempPath("chaos_replay_oracle.oclr");
   ASSERT_TRUE(SaveModelBinary(oracle.model, oracle.config, oracle_path).ok());
   EXPECT_EQ(ReadFileBytes(f.model_path), ReadFileBytes(oracle_path));
@@ -1329,10 +1365,12 @@ TEST(ChaosSubprocessTest, SigkillAfterAckedUpdatesRecoversEveryDelta) {
   EXPECT_EQ(stats->Find("journal_recovered")->number(), 2.0);
   EXPECT_EQ(stats->Find("journal_replays")->number(), 0.0);
 
-  const OfflineUpdate first = ReplayUpdate(base_copy, train, adds1, 2);
+  const test::FoldInReplay first =
+      test::ReplayFoldIn(base_copy, train, adds1);
   const std::string chain_path = TempPath("chaos_storm_chain.oclr");
   ASSERT_TRUE(SaveModelBinary(first.model, first.config, chain_path).ok());
-  const OfflineUpdate second = ReplayUpdate(chain_path, first.train, adds2, 2);
+  const test::FoldInReplay second =
+      test::ReplayFoldIn(chain_path, first.train, adds2);
   const auto expect = Oracle(second.model, second.train, 5);
   for (uint32_t user : {uint32_t{3}, uint32_t{50}, uint32_t{51}}) {
     EXPECT_TRUE(ReplyMatchesRanked(

@@ -17,11 +17,14 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <new>
@@ -34,6 +37,9 @@
 #include "core/incremental.h"
 #include "core/model_store.h"
 #include "core/ocular_recommender.h"
+#include "data/split.h"
+#include "data/synthetic.h"
+#include "eval/metrics.h"
 #include "serving/batch.h"
 #include "sparse/coo.h"
 #include "serving/daemon.h"
@@ -42,6 +48,7 @@
 #include "serving/net_util.h"
 #include "serving/registry.h"
 #include "test_util.h"
+#include "update_oracle.h"
 
 // ------------------------------------------------- live-heap accounting
 // Every operator new and delete moves a live-byte count by the block's
@@ -1002,40 +1009,6 @@ TEST(FoldInServingTest, UpdateRefusesIdUint32MaxAndKeepsTheBoundMatrix) {
   std::remove(f.model_path.c_str());
 }
 
-/// Replays the daemon's update pipeline offline: materialize the binary
-/// artifact, merge the training matrix with `adds`, warm-start retrain
-/// with `sweeps`. Returns the updated fit and the merged matrix — the
-/// oracle an in-daemon `update` must match bit-for-bit.
-struct OfflineUpdate {
-  OcularModel model;
-  CsrMatrix train;
-};
-OfflineUpdate ReplayUpdate(
-    const std::string& model_path,
-    const CsrMatrix& train,
-    const std::vector<std::pair<uint32_t, uint32_t>>& adds, uint32_t sweeps) {
-  auto store = ModelStore::Open(model_path);
-  EXPECT_TRUE(store.ok()) << store.status().ToString();
-  auto loaded = store->MaterializeOcular();
-  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
-  uint32_t users = store->num_users();
-  uint32_t items = store->num_items();
-  CooBuilder coo;
-  for (auto [u, i] : train.ToPairs()) coo.Add(u, i);
-  for (auto [u, i] : adds) {
-    users = std::max(users, u + 1);
-    items = std::max(items, i + 1);
-    coo.Add(u, i);
-  }
-  CsrMatrix merged =
-      CsrMatrix::FromCoo(coo.Finalize(users, items).value());
-  OcularConfig config = loaded->config;
-  config.max_sweeps = sweeps;
-  auto fit = UpdateModel(loaded->model, merged, config, ExpandOptions{});
-  EXPECT_TRUE(fit.ok()) << fit.status().ToString();
-  return {std::move(fit->model), std::move(merged)};
-}
-
 TEST(FoldInServingTest, UpdateVerbPublishesANewGenerationServingNewUsers) {
   DaemonFixture f = DaemonFixture::Make("daemon_update.oclr");
   ModelRegistry registry;
@@ -1049,7 +1022,8 @@ TEST(FoldInServingTest, UpdateVerbPublishesANewGenerationServingNewUsers) {
   // (the daemon's publish overwrites the artifact in place).
   const std::vector<std::pair<uint32_t, uint32_t>> adds = {
       {50, 0}, {50, 7}, {50, 12}};
-  const OfflineUpdate oracle = ReplayUpdate(f.model_path, f.train, adds, 3);
+  const test::FoldInReplay oracle =
+      test::ReplayFoldIn(f.model_path, f.train, adds);
 
   auto reply = JsonValue::Parse(server.HandleLine(
       R"({"cmd":"update","adds":[[50,0],[50,7],[50,12]],"sweeps":3})"));
@@ -1073,7 +1047,8 @@ TEST(FoldInServingTest, UpdateVerbPublishesANewGenerationServingNewUsers) {
   const std::string served =
       server.HandleLine(R"({"cmd":"recommend","user":50,"m":5})");
   EXPECT_TRUE(ReplyMatchesRanked(served, expect[50])) << served;
-  // Old users keep serving the (retrained) model consistently too.
+  // Old users keep serving the model consistently too: their rows and
+  // the item factors are the ones the update left alone.
   const std::string old_user =
       server.HandleLine(R"({"cmd":"recommend","user":3,"m":5})");
   EXPECT_TRUE(ReplyMatchesRanked(old_user, expect[3])) << old_user;
@@ -1100,9 +1075,64 @@ TEST(FoldInServingTest, UpdateGrowsTheModelToCoverEveryDatasetRow) {
   std::remove(f.model_path.c_str());
 }
 
-TEST(UpdateMemoryTest, OneUpdateHoldsOneFactorCopyAtItsPeak) {
+TEST(FoldInServingTest, NewItemsFoldInFirstAndNewRowsKeepTheBiasPinned) {
+  // A model with the bias extension grows on both sides: item 30 is
+  // bought by two serving users, item 31 only by a new one, and the bound
+  // dataset has a row (52) past the model's 50 users.
+  const CsrMatrix train = test::RandomCsr(50, 30, 400, 11);
+  OcularConfig config;
+  config.k = 5;
+  config.lambda = 0.5;
+  config.max_sweeps = 6;
+  config.use_biases = true;
+  const std::string path = TempPath("daemon_grow_both.oclr");
+  ASSERT_TRUE(SaveModelBinary(OcularTrainer(config).Fit(train).value().model,
+                              config, path)
+                  .ok());
+  const CsrMatrix wide = train.WithEntries({{{52, 4}}}, 53, 30).value();
+  const std::vector<std::pair<uint32_t, uint32_t>> adds = {
+      {3, 30}, {7, 30}, {50, 31}};
+  const test::FoldInReplay oracle = test::ReplayFoldIn(path, wide, adds);
+
+  ModelRegistry registry;
+  ASSERT_TRUE(registry
+                  .Load("default", path,
+                        std::make_shared<const CsrMatrix>(wide))
+                  .ok());
+  RequestServer server(&registry);
+  auto reply = JsonValue::Parse(server.HandleLine(
+      R"({"cmd":"update","adds":[[3,30],[7,30],[50,31]]})"));
+  ASSERT_TRUE(reply.ok());
+  ASSERT_TRUE(reply->Find("ok")->boolean()) << reply->Find("error")->string();
+  EXPECT_EQ(reply->Find("users")->number(), 53.0);
+  EXPECT_EQ(reply->Find("items")->number(), 32.0);
+  EXPECT_EQ(reply->Find("users_refreshed")->number(), 5.0);
+
+  // The artifact is the offline replay's, byte for byte.
+  const std::string oracle_path = TempPath("daemon_grow_both_oracle.oclr");
+  ASSERT_TRUE(SaveModelBinary(oracle.model, oracle.config, oracle_path).ok());
+  const auto bytes = [](const std::string& p) {
+    std::ifstream in(p, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  EXPECT_EQ(bytes(path), bytes(oracle_path));
+  // New rows carry the pinned 1 whether or not they had history.
+  const OcularModel& grown = oracle.model;
+  for (uint32_t u = 50; u < 53; ++u) {
+    EXPECT_EQ(grown.user_factors().At(u, config.k + 1), 1.0) << "user " << u;
+  }
+  for (uint32_t i = 30; i < 32; ++i) {
+    EXPECT_EQ(grown.item_factors().At(i, config.k), 1.0) << "item " << i;
+  }
+  EXPECT_EQ(*registry.Get("default")->train, oracle.train);
+  std::remove(path.c_str());
+  std::remove(oracle_path.c_str());
+  std::remove(UpdateJournal::PathFor(path).c_str());
+}
+
+TEST(UpdateMemoryTest, OneUpdateHoldsNoFactorCopyAtItsPeak) {
   // Factors that outweigh the interaction matrix several times over, so a
-  // second factor copy cannot hide in the slack.
+  // factor copy cannot hide in the slack.
   const uint32_t users = 3000;
   const uint32_t items = 400;
   OcularConfig config;
@@ -1136,9 +1166,10 @@ TEST(UpdateMemoryTest, OneUpdateHoldsOneFactorCopyAtItsPeak) {
   const int64_t peak = g_peak_live_bytes.load() - before;
   ASSERT_NE(reply.find(R"("ok":true)"), std::string::npos) << reply;
 
-  // One factor copy, the merged matrix and the trainer's transposed copy
-  // of it (twice the merged matrix's bytes), plus slack: four doubles per
-  // user and item of per-row trainer state, and 64 KiB.
+  // The merged matrix and the writer's one buffer, plus slack: four
+  // doubles per item for the new generation's popularity and item sums,
+  // and 16 KiB for the folded rows, the solver's scratch, the journal
+  // record and the registry's bookkeeping.
   const auto merged = registry.Get("default")->train;
   ASSERT_NE(merged, nullptr);
   const int64_t factor_bytes =
@@ -1147,12 +1178,87 @@ TEST(UpdateMemoryTest, OneUpdateHoldsOneFactorCopyAtItsPeak) {
       static_cast<int64_t>(merged->row_ptr().size() * sizeof(uint64_t) +
                            merged->col_idx().size() * sizeof(uint32_t));
   const int64_t slack =
-      4 * int64_t{users + items} * sizeof(double) + (int64_t{64} << 10);
-  EXPECT_LE(peak, factor_bytes + 2 * merged_bytes + slack)
-      << "peak live heap " << peak << " B; one factor copy " << factor_bytes
-      << " B, merged matrix " << merged_bytes << " B";
+      4 * int64_t{items} * sizeof(double) + (int64_t{16} << 10);
+  EXPECT_LE(peak, merged_bytes + static_cast<int64_t>(kWriteBufferBytes) +
+                      slack)
+      << "peak live heap " << peak << " B; merged matrix " << merged_bytes
+      << " B, write buffer " << kWriteBufferBytes << " B, one factor copy "
+      << factor_bytes << " B";
   std::remove(path.c_str());
   std::remove(UpdateJournal::PathFor(path).c_str());
+}
+
+TEST(UpdateQualityTest, FoldInRecallStaysWithinTwoPercentOfRetraining) {
+  // The gate the fold-in update replaced the retrain under: on a B2B
+  // shape, one stream of updates like the live-b2b benchmark's (20 adds
+  // each, drawn off the training matrix) is replayed through the daemon's
+  // fold-in and through one-sweep UpdateModel warm starts, and recall@50
+  // on the held-out quarter must stay within 2% relative.
+  Rng data_rng = test::MakeRng(7);
+  auto data = MakeB2BLike(0.05, &data_rng);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  Rng split_rng = test::MakeRng(8);
+  auto split =
+      SplitInteractions(data->dataset.interactions(), 0.75, &split_rng);
+  ASSERT_TRUE(split.ok()) << split.status().ToString();
+  const CsrMatrix& train = split->train;
+  OcularConfig config;
+  config.k = 24;
+  config.lambda = 1.0;
+  config.max_sweeps = 10;
+  OcularModel model = OcularTrainer(config).Fit(train).value().model;
+  const std::string path = TempPath("update_quality.oclr");
+  ASSERT_TRUE(SaveModelBinary(model, config, path).ok());
+
+  ModelRegistry registry;
+  ASSERT_TRUE(registry
+                  .Load("default", path, std::make_shared<const CsrMatrix>(
+                                             train))
+                  .ok());
+  RequestServer::Options options;
+  options.update_journal = false;
+  RequestServer server(&registry, options);
+  OcularConfig one_sweep = config;
+  one_sweep.max_sweeps = 1;
+  CsrMatrix merged = train;
+  Rng add_rng = test::MakeRng(9);
+  for (int n = 0; n < 16; ++n) {
+    std::vector<std::pair<uint32_t, uint32_t>> adds;
+    std::string line = R"({"cmd":"update","adds":[)";
+    while (adds.size() < 20) {
+      const auto u =
+          static_cast<uint32_t>(add_rng.UniformInt(train.num_rows()));
+      const auto i =
+          static_cast<uint32_t>(add_rng.UniformInt(train.num_cols()));
+      if (train.HasEntry(u, i)) continue;
+      line += (adds.empty() ? "[" : ",[") + std::to_string(u) + "," +
+              std::to_string(i) + "]";
+      adds.emplace_back(u, i);
+    }
+    const std::string reply = server.HandleLine(line + R"(],"sweeps":1})");
+    ASSERT_NE(reply.find(R"("ok":true)"), std::string::npos) << reply;
+    merged = merged.WithEntries(adds, merged.num_rows(), merged.num_cols())
+                 .value();
+    model = UpdateModel(std::move(model), merged, one_sweep).value().model;
+  }
+  ASSERT_EQ(*registry.Get("default")->train, merged);
+
+  auto folded = LoadModelAuto(path);
+  ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+  const double fold_in_recall =
+      EvaluateRankingAtM(OcularModelRecommender(folded->model), merged,
+                         split->test, 50)
+          .value()
+          .recall;
+  const double retrain_recall =
+      EvaluateRankingAtM(OcularModelRecommender(model), merged, split->test,
+                         50)
+          .value()
+          .recall;
+  EXPECT_LE(std::abs(fold_in_recall - retrain_recall), 0.02 * retrain_recall)
+      << "recall@50: fold-in " << fold_in_recall << ", retrain "
+      << retrain_recall;
+  std::remove(path.c_str());
 }
 
 TEST(ConcurrentDaemonTest, UpdateUnderLoadNeverServesATornModel) {
@@ -1168,7 +1274,8 @@ TEST(ConcurrentDaemonTest, UpdateUnderLoadNeverServesATornModel) {
   const auto oracle_old = Oracle(f.model, f.train, 6);
   const std::vector<std::pair<uint32_t, uint32_t>> adds = {
       {50, 1}, {50, 4}, {51, 2}};
-  const OfflineUpdate updated = ReplayUpdate(f.model_path, f.train, adds, 2);
+  const test::FoldInReplay updated =
+      test::ReplayFoldIn(f.model_path, f.train, adds);
   const auto oracle_new = Oracle(updated.model, updated.train, 6);
 
   constexpr uint32_t kClients = 4;

@@ -697,6 +697,14 @@ TEST(DaemonShardedTest, UpdateRepublishesOnlyTheTouchedShard) {
       registry.Load("default", f.manifest_path, f.shared_train()).ok());
   RequestServer server(&registry);
   auto before = registry.Get("default");
+  // Serving user 20 faults shard 1's rows in; the update must not drop
+  // the pages of a member the new generation aliases.
+  ASSERT_NE(server.HandleLine(R"({"cmd":"recommend","user":20,"m":3})")
+                .find(R"("ok":true)"),
+            std::string::npos);
+  const ConstMatrixView shard1 = before->binding.shards[1]->user_factors();
+  ASSERT_GT(test::PresentPages(shard1.data(), shard1.size() * sizeof(double)),
+            0);
 
   // Adds confined to users {2, 3} — both in shard 0 of the 3-way split.
   auto reply = JsonValue::Parse(server.HandleLine(
@@ -714,6 +722,8 @@ TEST(DaemonShardedTest, UpdateRepublishesOnlyTheTouchedShard) {
   EXPECT_EQ(after->binding.shards[1].get(), before->binding.shards[1].get());
   EXPECT_EQ(after->binding.shards[2].get(), before->binding.shards[2].get());
   EXPECT_EQ(after->binding.items.get(), before->binding.items.get());
+  EXPECT_GT(test::PresentPages(shard1.data(), shard1.size() * sizeof(double)),
+            0);
 
   // The touched user's factors actually moved; an untouched user's row in
   // the same shard is bit-identical.

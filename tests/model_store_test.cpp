@@ -477,14 +477,17 @@ TEST(ModelStoreTest, OpenIsZeroCopy) {
 
 // ------------------------------------------- residency and block edges
 
-/// A 17 MiB store: 2048 users x 16384 items at K = 64, so the user section
-/// crosses a kVerifyBlockBytes edge and each item section spans 8 blocks.
+/// A store at K = 64, by default 17 MiB: 2048 users x 16384 items, so the
+/// user section spans several kVerifyBlockBytes blocks and each item
+/// section 8 MiB.
 struct LargeStore {
-  DenseMatrix users{2048, 64};
-  DenseMatrix items{16384, 64};
+  DenseMatrix users;
+  DenseMatrix items;
   std::string path;
 
-  explicit LargeStore(const std::string& name) : path(TempPath(name)) {
+  explicit LargeStore(const std::string& name, uint32_t num_users = 2048,
+                      uint32_t num_items = 16384)
+      : users(num_users, 64), items(num_items, 64), path(TempPath(name)) {
     OcularConfig cfg;
     cfg.k = 64;
     cfg.lambda = 1.0;
@@ -524,18 +527,33 @@ void ExpectServingSectionsResident(const ModelStore& store) {
             SpannedPages(store.item_factors_t()));
 }
 
-TEST(ModelStoreTest, VerifiedOpenKeepsOnlyTheServingSectionsResident) {
+TEST(ModelStoreTest, VerifiedOpenLeavesAtMostOneBlockResident) {
   const LargeStore large("resident.oclr");
   auto store = ModelStore::Open(large.path);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   ASSERT_GE(store->mapped_bytes(), 16u << 20);
-  ASSERT_GT(store->item_factors().size() * sizeof(double),
+  ASSERT_GE(store->user_factors().size() * sizeof(double),
             4 * kVerifyBlockBytes);
-  ExpectServingSectionsResident(*store);
-  // Dropped pages fault back in with the file's bytes.
+  const long block_pages =
+      static_cast<long>(kVerifyBlockBytes) / ::sysconf(_SC_PAGESIZE);
+  for (const ConstMatrixView section :
+       {store->user_factors(), store->item_factors(),
+        store->item_factors_t()}) {
+    const long present = PresentPages(section);
+    ASSERT_GE(present, 0) << "cannot read /proc/self/pagemap";
+    EXPECT_LE(present, block_pages)
+        << "of " << SpannedPages(section) << " pages are resident";
+  }
+  // Every dropped page faults back in with the file's bytes.
+  EXPECT_TRUE(SameMatrix(store->user_factors(), large.users));
   EXPECT_TRUE(SameMatrix(store->item_factors(), large.items));
-  EXPECT_EQ(PresentPages(store->item_factors()),
-            SpannedPages(store->item_factors()));
+  const DenseMatrix items_t = TransposedCopy(large.items);
+  EXPECT_TRUE(SameMatrix(store->item_factors_t(), items_t));
+  for (const ConstMatrixView section :
+       {store->user_factors(), store->item_factors(),
+        store->item_factors_t()}) {
+    EXPECT_EQ(PresentPages(section), SpannedPages(section));
+  }
 }
 
 TEST(ModelStoreTest, RegistryLoadAndStoredUserServingLeaveItemRowsCold) {
@@ -560,6 +578,32 @@ TEST(ModelStoreTest, RegistryLoadAndStoredUserServingLeaveItemRowsCold) {
   ExpectServingSectionsResident(servable->store);
 }
 
+TEST(ModelStoreTest, AReplacedGenerationGivesBackItsPagesAndStillServes) {
+  // A request that leased the old generation before a swap keeps serving
+  // from it, but the old mapping is not left resident beside the new one:
+  // the swap drops its pages, and a read faults back only what it needs.
+  const LargeStore large("retire.oclr");
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Load("m", large.path).ok());
+  const std::shared_ptr<const ServableModel> old_gen = registry.Get("m");
+  ServeOptions options;
+  options.m = 10;
+  ServeWorkspace ws;
+  ws.Reserve(options.m, options.block_items, 0, old_gen->num_items());
+  const auto served = ServeTopM(*old_gen->recommender, 7, {}, options, &ws);
+  const std::vector<ScoredItem> before(served.begin(), served.end());
+  ASSERT_EQ(PresentPages(old_gen->store.item_factors_t()),
+            SpannedPages(old_gen->store.item_factors_t()));
+
+  ASSERT_TRUE(registry.Load("m", large.path).ok());
+  ASSERT_NE(registry.Get("m"), old_gen);
+  EXPECT_EQ(PresentPages(old_gen->store.user_factors()), 0);
+  EXPECT_EQ(PresentPages(old_gen->store.item_factors_t()), 0);
+  const auto after = ServeTopM(*old_gen->recommender, 7, {}, options, &ws);
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t n = 0; n < before.size(); ++n) EXPECT_EQ(after[n], before[n]);
+}
+
 TEST(ModelStoreTest, MaterializeReadsVtAndLeavesItemRowsCold) {
   const LargeStore large("materialize_resident.oclr");
   for (const bool v2 : {false, true}) {
@@ -580,7 +624,9 @@ TEST(ModelStoreTest, MaterializeReadsVtAndLeavesItemRowsCold) {
 }
 
 TEST(ModelStoreTest, EveryBlockEdgeFlipIsRejected) {
-  const LargeStore large("block_edges.oclr");
+  // 256 KiB of users and 1 MiB per item section: every section spans
+  // several blocks, and each open hashes 2.3 MiB.
+  const LargeStore large("block_edges.oclr", 512, 2048);
   for (const bool v2 : {false, true}) {
     if (v2) {
       ASSERT_TRUE(test::StampOclrV2(large.path));
@@ -617,7 +663,9 @@ TEST(ModelStoreTest, EveryBlockEdgeFlipIsRejected) {
         }
       }
     }
-    EXPECT_EQ(edges, 17u) << "one user edge and eight per item section";
+    // Each section starts just past a block edge.
+    EXPECT_EQ(edges, ((256u << 10) + (2u << 20)) / kVerifyBlockBytes)
+        << "one per block of every section";
     EXPECT_TRUE(ModelStore::Open(large.path).ok()) << "v2=" << v2;
   }
 }

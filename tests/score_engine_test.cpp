@@ -296,6 +296,53 @@ TEST(ServeAllocTest, CandidateModeServesAllocateNothing) {
       << "candidate gathering must stay within the reserved capacity";
 }
 
+TEST(ServeAllocTest, MPastTheCatalogReservesNoMoreThanTheCatalog) {
+  // m = UINT32_MAX used to reserve 4·m selection entries and abort on
+  // bad_alloc; every selection buffer is bounded by what can be ranked.
+  const CsrMatrix r = test::TinyBlocksCsr();
+  OcularConfig cfg;
+  cfg.k = 4;
+  cfg.lambda = 0.1;
+  cfg.max_sweeps = 20;
+  OcularRecommender rec(cfg);
+  ASSERT_TRUE(rec.Fit(r).ok());
+  const uint32_t items = rec.num_items();
+  ServeOptions serve;
+  serve.m = UINT32_MAX;
+
+  ServeWorkspace ws;
+  ws.Reserve(serve.m, serve.block_items, 0, items);
+  EXPECT_LE(ws.selection.capacity(), items + 1u);
+  for (uint32_t u = 0; u < rec.num_users(); ++u) {
+    EXPECT_EQ(ServeTopM(rec, u, r.Row(u), serve, &ws).size(),
+              items - r.RowDegree(u));
+  }
+
+  const auto index = BuildCoClusterCandidateIndex(rec.model(), 0.4).value();
+  ServeWorkspace cand_ws;
+  cand_ws.Reserve(serve.m, serve.block_items, index.max_candidate_items,
+                  items);
+  EXPECT_LE(cand_ws.selection.capacity(), index.max_candidate_items + 1);
+  for (uint32_t u = 0; u < rec.num_users(); ++u) {
+    EXPECT_LE(ServeTopMCandidates(rec, u, r.Row(u), serve, index, &cand_ws)
+                  .size(),
+              index.max_candidate_items);
+  }
+
+  BatchOptions opts;
+  opts.m = UINT32_MAX;
+  opts.skip_cold_users = false;
+  ThreadPool pool(2);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const auto all = RecommendForAllUsers(rec, r, opts, p).value();
+    for (uint32_t u = 0; u < rec.num_users(); ++u) {
+      EXPECT_EQ(all.recommendations[u].size(), items - r.RowDegree(u));
+    }
+  }
+  opts.candidates = &index;
+  EXPECT_TRUE(RecommendForAllUsers(rec, r, opts).ok());
+}
+
 TEST(ServeAllocTest, FoldInServesAllocateNothingInSteadyState) {
   // The fold-in request path (sanitize -> single-row solve -> blocked
   // ranking, including the popularity fallback) must be allocation-free

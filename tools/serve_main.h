@@ -126,9 +126,6 @@ inline FlagTable ServeFlagTable(std::string program) {
            IntFlag("max-outbound-bytes", 64 << 10, 1 << 30, "8388608",
                    "unread reply bytes a client may hold before it is "
                    "disconnected"),
-           IntFlag("update-sweeps", 1, 100000, "5",
-                   "trainer sweeps of an `update` that does not set "
-                   "\"sweeps\""),
            IntFlag("max-request-bytes", 1024, 1 << 30, "1048576",
                    "longest request line; longer ones get a 413 reply and "
                    "are closed"),
@@ -172,7 +169,6 @@ inline int RunServeCommand(const std::string& program, int argc,
   options.accept_queue = flags.Int<size_t>("accept-queue");
   options.max_connections = flags.Int<size_t>("max-connections");
   options.max_outbound_bytes = flags.Int<size_t>("max-outbound-bytes");
-  options.update_sweeps = flags.Int<uint32_t>("update-sweeps");
   options.max_request_bytes = flags.Int<size_t>("max-request-bytes");
   options.io_timeout_ms = flags.Int<uint32_t>("io-timeout-ms");
   options.idle_timeout_ms = flags.Int<uint32_t>("idle-timeout-ms");
