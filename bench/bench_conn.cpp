@@ -485,8 +485,8 @@ int Main(int argc, char** argv) {
       res.flood_rps = f->burst_rps;
       res.flood_p99_us = f->burst_p99_us;
       const DaemonStatsSnapshot stats = server.Stats();
-      res.flood_shed = stats.connections_shed;
-      res.flood_emfile = stats.accept_emfile;
+      res.flood_shed = stats.conn[ConnMetrics::kShed];
+      res.flood_emfile = stats.conn[ConnMetrics::kAcceptEmfile];
       if (f->burst_errors != 0) return fail_out("burst errors under flood");
       if (res.mismatches != 0) {
         std::fprintf(stderr, "  first mismatch: %s\n",

@@ -433,7 +433,7 @@ int Main(int argc, char** argv) {
   res.recovered_rps = timed_pass(load);
 
   const FleetStatsSnapshot snapshot = fleet.Stats();
-  res.failovers = snapshot.failovers;
+  res.failovers = snapshot.fleet[FleetMetrics::kFailovers];
   fleet.Stop();
   fleet_thread.join();
   std::remove(model_path.c_str());

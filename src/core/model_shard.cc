@@ -431,18 +431,6 @@ Result<ShardSetStores> OpenOneShardSet(const std::string& path,
 
 // -------------------------------------------------------------- writers
 
-Status SaveShardUserFactors(const BinaryModelMeta& meta,
-                            ConstMatrixView users_slice,
-                            const std::string& path) {
-  if (users_slice.rows() == 0) {
-    return Status::InvalidArgument("a shard file needs at least one user");
-  }
-  const ConstMatrixView no_items(&kEmptyAnchor, 0, meta.k);
-  const ConstMatrixView no_items_t(&kEmptyAnchor, meta.k, 0);
-  return SaveFactorSectionsBinary(meta, users_slice, no_items, no_items_t,
-                                  path);
-}
-
 Status WriteShardSetStreaming(const BinaryModelMeta& meta, const ShardMap& map,
                               ConstMatrixView items, ConstMatrixView items_t,
                               const ShardRowFn& row_fn,
@@ -471,18 +459,29 @@ Status WriteShardSetStreaming(const BinaryModelMeta& meta, const ShardMap& map,
   OCULAR_ASSIGN_OR_RETURN(manifest.items_fingerprint,
                           fs::FileFingerprint(dir + manifest.items_file));
 
-  // One shard at a time: the block below is the only user-factor storage
-  // this function ever holds.
+  // Each shard streams through the writer's buffer: a row is pulled from
+  // `row_fn` into `row` when the writer first asks for it (it asks in
+  // ascending order, a row possibly in several column runs), so one row
+  // is the only user-factor storage this function holds.
+  std::vector<double> row(meta.k);
   for (uint32_t s = 0; s < map.num_shards(); ++s) {
     const uint32_t begin = map.begin(s);
-    const uint32_t rows = map.end(s) - begin;
-    DenseMatrix block(rows, meta.k);
-    for (uint32_t r = 0; r < rows; ++r) row_fn(begin + r, block.Row(r));
+    uint32_t pulled = UINT32_MAX;
+    const SectionSource users = {
+        map.end(s) - begin, meta.k,
+        [&](uint32_t r, uint32_t c, std::span<double> out) {
+          if (r != pulled) {
+            row_fn(begin + r, row);
+            pulled = r;
+          }
+          std::copy_n(row.begin() + c, out.size(), out.begin());
+        }};
     ShardSetEntry e;
     e.user_begin = begin;
     e.user_end = map.end(s);
     e.file = ShardFileName(stem, s);
-    OCULAR_RETURN_IF_ERROR(SaveShardUserFactors(meta, block, dir + e.file));
+    OCULAR_RETURN_IF_ERROR(WriteModelSections(
+        meta, users, {0, meta.k, nullptr}, {meta.k, 0, nullptr}, dir + e.file));
     OCULAR_ASSIGN_OR_RETURN(e.fingerprint, fs::FileFingerprint(dir + e.file));
     manifest.shards.push_back(std::move(e));
   }
@@ -499,11 +498,7 @@ Result<LoadedModel> MaterializeShardSetOcular(const ShardSetStores& set) {
         "model '" + meta.algorithm + "' is not an OCuLaR-family model");
   }
   LoadedModel out;
-  out.config.use_biases = meta.use_biases;
-  out.config.k = meta.k - (meta.use_biases ? 2 : 0);
-  out.config.lambda = meta.lambda;
-  out.config.variant = meta.relative_variant ? OcularVariant::kRelative
-                                             : OcularVariant::kAbsolute;
+  out.config = OcularConfigFromMeta(meta);
   DenseMatrix users(set.manifest.num_users, meta.k);
   for (size_t s = 0; s < set.shards.size(); ++s) {
     const ConstMatrixView slice = set.shards[s]->user_factors();

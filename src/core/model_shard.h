@@ -186,13 +186,6 @@ Result<ShardSetStores> OpenShardSet(const std::string& manifest_path,
 Result<ShardSetStores> OpenOneShardSet(const std::string& path,
                                        const ModelStoreOptions& options = {});
 
-/// \brief Writes one shard's user-factor slice as an OCLR shard file
-/// (user section only, empty item sections) — the per-shard republish
-/// path of the daemon's sharded update.
-Status SaveShardUserFactors(const BinaryModelMeta& meta,
-                            ConstMatrixView users_slice,
-                            const std::string& path);
-
 /// \brief Produces the factor row of `user` into `out` (length k) — how
 /// WriteShardSetStreaming pulls user rows without the caller ever holding
 /// the full user matrix.
@@ -200,8 +193,10 @@ using ShardRowFn = std::function<void(uint32_t user, std::span<double> out)>;
 
 /// \brief Streams a shardset to disk: the shared items file first, then
 /// one shard at a time with rows pulled from `row_fn`, then the manifest.
-/// Peak memory is one shard's factor block — what lets the scale tooling
-/// write a multi-million-user catalog on a small machine. `items_t` must
+/// Each shard streams through WriteModelSections, so peak memory is its
+/// one kWriteBufferBytes buffer and one factor row, whatever the shard
+/// size — what lets the scale tooling write a multi-million-user catalog
+/// on a small machine. `items_t` must
 /// be the K x n_i transposed layout of `items`. The manifest lands last,
 /// so a crash mid-write leaves no openable shardset.
 Status WriteShardSetStreaming(const BinaryModelMeta& meta, const ShardMap& map,

@@ -231,6 +231,16 @@ Status WriteModelSections(const BinaryModelMeta& meta,
   return st;
 }
 
+OcularConfig OcularConfigFromMeta(const BinaryModelMeta& meta) {
+  OcularConfig config;
+  config.use_biases = meta.use_biases;
+  config.k = meta.k - (meta.use_biases ? 2 : 0);
+  config.lambda = meta.lambda;
+  config.variant = meta.relative_variant ? OcularVariant::kRelative
+                                         : OcularVariant::kAbsolute;
+  return config;
+}
+
 Status SaveModelBinary(const OcularModel& model, const OcularConfig& config,
                        const std::string& path) {
   OCULAR_RETURN_IF_ERROR(model.Validate());
@@ -538,11 +548,7 @@ Result<LoadedModel> ModelStore::MaterializeOcular() const {
         "model '" + meta_.algorithm + "' is not an OCuLaR-family model");
   }
   LoadedModel out;
-  out.config.use_biases = meta_.use_biases;
-  out.config.k = meta_.k - (meta_.use_biases ? 2 : 0);
-  out.config.lambda = meta_.lambda;
-  out.config.variant = meta_.relative_variant ? OcularVariant::kRelative
-                                              : OcularVariant::kAbsolute;
+  out.config = OcularConfigFromMeta(meta_);
   DenseMatrix users(num_users_, meta_.k);
   std::memcpy(users.data(), user_factors_,
               users.size() * sizeof(double));

@@ -58,6 +58,13 @@ struct BinaryModelMeta {
   std::string algorithm = "OCuLaR";
 };
 
+/// \brief The training config an OCuLaR model's meta records: the
+/// factor dimension without the two bias dimensions, lambda, biases and
+/// variant; every other field keeps its default. How every reader of a
+/// stored model (the daemon's fold-in context, MaterializeOcular,
+/// MaterializeShardSetOcular) rebuilds the config.
+OcularConfig OcularConfigFromMeta(const BinaryModelMeta& meta);
+
 /// \brief One factor section as the streaming writer pulls it: `rows` x
 /// `cols` doubles in on-disk (row-major) order. `fill(row, col, out)`
 /// writes cells [col, col + out.size()) of `row` into `out`; the writer

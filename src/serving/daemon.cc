@@ -109,15 +109,6 @@ Status PublishDurably(const std::string& path, const char* verify_what,
 
 }  // namespace
 
-double MergedPercentile(std::vector<double>* samples, double p) {
-  if (samples->empty()) return 0.0;
-  std::sort(samples->begin(), samples->end());
-  const size_t idx = std::min(
-      samples->size() - 1,
-      static_cast<size_t>(p * static_cast<double>(samples->size() - 1)));
-  return (*samples)[idx];
-}
-
 RequestServer::RequestServer(ModelRegistry* registry)
     : RequestServer(registry, Options()) {}
 
@@ -134,8 +125,7 @@ RequestServer::RequestServer(ModelRegistry* registry, Options options)
   // catalog costs no memory.
   workers_.reserve(num_tcp_workers_ + 1);
   for (size_t w = 0; w < num_tcp_workers_ + 1; ++w) {
-    workers_.push_back(std::make_unique<WorkerState>(
-        std::max<size_t>(options_.latency_window, 1)));
+    workers_.push_back(std::make_unique<WorkerState>());
   }
 }
 
@@ -162,7 +152,7 @@ bool RequestServer::ConsumePendingReload() {
                  status.ToString().c_str());
     return true;
   }
-  reloads_.fetch_add(1, std::memory_order_relaxed);
+  metrics_.Add(DaemonMetrics::kReloads);
   return true;
 }
 
@@ -204,7 +194,7 @@ Result<std::vector<ScoredItem>> RequestServer::RecommendOn(
                               " users)");
   }
   if (model->sharded) {
-    w->shard_requests.fetch_add(1, std::memory_order_relaxed);
+    w->metrics.Add(DaemonMetrics::kShardRequests);
     if (shard_out != nullptr) *shard_out = model->shard_of(user);
   } else if (shard_out != nullptr) {
     *shard_out = -1;
@@ -238,7 +228,7 @@ std::string RequestServer::ErrorReply(WorkerState* w,
   writer.Key("error");
   writer.String(message);
   writer.EndObject();
-  w->errors.fetch_add(1, std::memory_order_relaxed);
+  w->metrics.Add(DaemonMetrics::kErrors);
   return writer.str();
 }
 
@@ -356,10 +346,10 @@ std::string RequestServer::HandleHistory(WorkerState* w,
   const HistorySanitizeResult sanitized =
       SanitizeHistory(&w->history_scratch, ctx.num_items());
   if (sanitized.dropped_out_of_range > 0) {
-    w->dropped_history_ids.fetch_add(sanitized.dropped_out_of_range,
-                                     std::memory_order_relaxed);
+    w->metrics.Add(DaemonMetrics::kHistoryDroppedIds,
+                   sanitized.dropped_out_of_range);
   }
-  w->fold_in_requests.fetch_add(1, std::memory_order_relaxed);
+  w->metrics.Add(DaemonMetrics::kFoldInRequests);
 
   auto rec = RecommendForHistoryInto(
       ctx, w->history_scratch, serve.m, serve.min_score, serve.block_items,
@@ -531,7 +521,7 @@ Result<RequestServer::UpdateOutcome> RequestServer::FoldInAndPublish(
   // on their leased mapping, workers re-resolve lock-free, and a set
   // aliases every member it did not rewrite.
   OCULAR_RETURN_IF_ERROR(registry_->Load(model_name, model.model_path, merged));
-  updates_.fetch_add(1, std::memory_order_relaxed);
+  metrics_.Add(DaemonMetrics::kUpdates);
 
   UpdateOutcome outcome;
   outcome.num_users = users;
@@ -680,13 +670,13 @@ Result<JournalRecoveryStats> RequestServer::RecoverJournal(
       return outcome.status();
     }
     stats.replayed_pending = true;
-    journal_replays_.fetch_add(1, std::memory_order_relaxed);
+    metrics_.Add(DaemonMetrics::kJournalReplays);
   } else if (!plan.applied.empty()) {
     OCULAR_RETURN_IF_ERROR(registry_->Load(
         model_name, model->model_path,
         std::make_shared<const CsrMatrix>(std::move(merged_train))));
   }
-  journal_recovered_.fetch_add(plan.applied.size(), std::memory_order_relaxed);
+  metrics_.Add(DaemonMetrics::kJournalRecovered, plan.applied.size());
   if (stats.replayed_pending || stats.healed_commit) {
     UpdateJournal journal;
     OCULAR_RETURN_IF_ERROR(journal.Open(journal_path));
@@ -841,25 +831,8 @@ std::string RequestServer::HandleStats() {
   w.UInt(snapshot.models_loaded);
   w.Key("workers");
   w.UInt(snapshot.workers);
-  w.Key("requests_served");
-  w.UInt(snapshot.requests_served);
-  w.Key("errors");
-  w.UInt(snapshot.errors);
-  w.Key("reloads");
-  w.UInt(snapshot.reloads);
-  WriteConnStats(snapshot, &w);
-  w.Key("fold_in_requests");
-  w.UInt(snapshot.fold_in_requests);
-  w.Key("history_dropped_ids");
-  w.UInt(snapshot.history_dropped_ids);
-  w.Key("shard_requests");
-  w.UInt(snapshot.shard_requests);
-  w.Key("updates");
-  w.UInt(snapshot.updates);
-  w.Key("journal_recovered");
-  w.UInt(snapshot.journal_recovered);
-  w.Key("journal_replays");
-  w.UInt(snapshot.journal_replays);
+  WriteMetrics<DaemonMetrics>(snapshot.daemon, &w);
+  WriteMetrics<ConnMetrics>(snapshot.conn, &w);
   w.Key("p50_latency_us");
   w.Double(snapshot.p50_latency_us);
   w.Key("p99_latency_us");
@@ -871,7 +844,7 @@ std::string RequestServer::HandleStats() {
 std::string RequestServer::HandleReload(WorkerState* w) {
   Status status = registry_->ReloadAll();
   if (!status.ok()) return ErrorReply(w, status.ToString());
-  reloads_.fetch_add(1, std::memory_order_relaxed);
+  metrics_.Add(DaemonMetrics::kReloads);
   JsonWriter writer;
   writer.BeginObject();
   writer.Key("ok");
@@ -946,30 +919,20 @@ std::string RequestServer::HandleLineOn(WorkerState* w,
       reply = ErrorReply(w, "unknown cmd '" + cmd + "'");
     }
   }
-  w->requests.fetch_add(1, std::memory_order_relaxed);
+  w->metrics.Add(DaemonMetrics::kRequestsServed);
   w->latency.Record(NowMicros() - start_us);
   return reply;
 }
 
 DaemonStatsSnapshot RequestServer::Stats() const {
   DaemonStatsSnapshot snapshot;
-  static_cast<ConnStats&>(snapshot) = lines_.Stats();
+  snapshot.conn = lines_.Stats();
   snapshot.models_loaded = registry_->size();
   snapshot.workers = num_tcp_workers_;
-  snapshot.reloads = reloads_.load(std::memory_order_relaxed);
-  snapshot.updates = updates_.load(std::memory_order_relaxed);
-  snapshot.journal_recovered =
-      journal_recovered_.load(std::memory_order_relaxed);
-  snapshot.journal_replays = journal_replays_.load(std::memory_order_relaxed);
+  metrics_.MergeInto(&snapshot.daemon);
   std::vector<double> window;
   for (const auto& w : workers_) {
-    snapshot.requests_served += w->requests.load(std::memory_order_relaxed);
-    snapshot.errors += w->errors.load(std::memory_order_relaxed);
-    snapshot.fold_in_requests +=
-        w->fold_in_requests.load(std::memory_order_relaxed);
-    snapshot.history_dropped_ids +=
-        w->dropped_history_ids.load(std::memory_order_relaxed);
-    snapshot.shard_requests += w->shard_requests.load(std::memory_order_relaxed);
+    w->metrics.MergeInto(&snapshot.daemon);
     w->latency.AppendWindowTo(&window);
   }
   snapshot.p50_latency_us = MergedPercentile(&window, 0.50);
@@ -1030,9 +993,9 @@ void RequestServer::Park(size_t worker) {
 }
 
 void RequestServer::OnConnectionError() {
-  // The errors counter is atomic, so the inline worker slot is safe to
-  // bump from the IO thread.
-  InlineWorker()->errors.fetch_add(1, std::memory_order_relaxed);
+  // Metric shards are atomic, so the inline worker slot is safe to bump
+  // from the IO thread.
+  InlineWorker()->metrics.Add(DaemonMetrics::kErrors);
 }
 
 Status RequestServer::RunTcpLoop(uint16_t port, uint64_t max_accepts) {

@@ -1,7 +1,6 @@
 #ifndef OCULAR_SERVING_DAEMON_H_
 #define OCULAR_SERVING_DAEMON_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <istream>
@@ -18,44 +17,44 @@
 #include "core/fold_in.h"
 #include "serving/journal.h"
 #include "serving/line_server.h"
+#include "serving/metrics.h"
 #include "serving/registry.h"
 #include "serving/score_engine.h"
 
 namespace ocular {
 
-/// \brief Point-in-time serving statistics, as reported by the `stats`
-/// verb: the connection core's ConnStats plus the daemon's own counters.
-/// Counters are merged across the per-worker shards at snapshot time;
-/// percentiles are exact over the union of the per-worker latency windows
-/// (see MergedPercentile).
-struct DaemonStatsSnapshot : ConnStats {
-  /// Requests answered (including failed ones), summed over workers.
-  uint64_t requests_served = 0;
-  /// Requests answered with "ok": false (408/413 connection replies
-  /// included), summed over workers.
-  uint64_t errors = 0;
-  /// Hot reloads performed (SIGHUP or `reload` verb).
-  uint64_t reloads = 0;
-  /// History-based (fold-in) recommend requests answered, summed over
-  /// workers.
-  uint64_t fold_in_requests = 0;
-  /// Out-of-range item ids dropped from client histories — the warning
-  /// counter for client catalogs drifting ahead of the served model.
-  uint64_t history_dropped_ids = 0;
-  /// Stored-user recommends answered from a sharded (`*.shardset`)
-  /// binding, summed over workers. Monolithic models never bump it, so
-  /// the ratio against requests_served says how much traffic the shard
-  /// router actually carries.
-  uint64_t shard_requests = 0;
-  /// In-daemon incremental updates published via the `update` verb.
-  uint64_t updates = 0;
-  /// Committed journal records re-merged into the training base at
-  /// startup (RecoverJournal) — nonzero means this process inherited
-  /// update deltas from a previous incarnation.
-  uint64_t journal_recovered = 0;
-  /// Pending (crash-windowed) journal records replayed to a fresh
-  /// artifact at startup.
-  uint64_t journal_replays = 0;
+/// \brief The daemon's counters. Each worker slot keeps a shard for the
+/// per-request counters, the server one for reloads, updates and journal
+/// recovery; a snapshot sums them all.
+#define OCULAR_DAEMON_METRICS(ROW)                                           \
+  ROW(kRequestsServed, "requests_served", kSum,                              \
+      "requests answered, failed ones included, each counted once answered") \
+  ROW(kErrors, "errors", kSum,                                               \
+      "replies with \"ok\":false, 408 and 413 connection replies included")  \
+  ROW(kReloads, "reloads", kSum,                                             \
+      "hot reloads performed, by SIGHUP or the reload verb")                 \
+  ROW(kFoldInRequests, "fold_in_requests", kSum,                             \
+      "history (fold-in) recommends answered")                               \
+  ROW(kHistoryDroppedIds, "history_dropped_ids", kSum,                       \
+      "out-of-range item ids dropped from request histories")                \
+  ROW(kShardRequests, "shard_requests", kSum,                                \
+      "stored-user recommends answered from a sharded binding")              \
+  ROW(kUpdates, "updates", kSum,                                             \
+      "updates published through the update verb")                           \
+  ROW(kJournalRecovered, "journal_recovered", kSum,                          \
+      "committed journal records merged into the training base at startup")  \
+  ROW(kJournalReplays, "journal_replays", kSum,                              \
+      "uncommitted journal records replayed to a new artifact at startup")
+/// \cond
+OCULAR_METRIC_TABLE(DaemonMetrics, OCULAR_DAEMON_METRICS);
+/// \endcond
+
+/// \brief Point-in-time serving statistics, as the `stats` verb reports
+/// them: each table merged over its shards, and percentiles exact over
+/// the union of the per-worker latency windows (see MergedPercentile).
+struct DaemonStatsSnapshot {
+  MetricValues<ConnMetrics> conn{};      ///< the connection core's counters
+  MetricValues<DaemonMetrics> daemon{};  ///< the daemon's counters
   /// Models currently loaded.
   size_t models_loaded = 0;
   /// Worker threads serving the TCP loop.
@@ -64,42 +63,6 @@ struct DaemonStatsSnapshot : ConnStats {
   double p50_latency_us = 0.0;
   /// 99th-percentile request latency over the merged window, microseconds.
   double p99_latency_us = 0.0;
-};
-
-/// \brief Fixed-window latency ring with a single writer (the owning
-/// worker) and lock-free readers (the stats snapshot). The writer stamps
-/// samples with relaxed stores and publishes the count with release; a
-/// reader acquires the count and copies the published prefix. A sample
-/// being overwritten concurrently yields one stale-but-valid value in the
-/// snapshot — fine for percentile reporting, and race-free by
-/// construction (every access is atomic).
-class LatencyRing {
- public:
-  /// \brief A ring holding the `window` most recent samples (at least 1).
-  explicit LatencyRing(size_t window)
-      : samples_(window == 0 ? 1 : window) {}
-
-  /// Records one sample. Single-writer: only the owning worker calls this.
-  void Record(double micros) {
-    const uint64_t n = count_.load(std::memory_order_relaxed);
-    samples_[n % samples_.size()].store(micros, std::memory_order_relaxed);
-    count_.store(n + 1, std::memory_order_release);
-  }
-
-  /// Appends the current window (up to `window` most recent samples, in
-  /// no particular order) to `out`. Safe from any thread.
-  void AppendWindowTo(std::vector<double>* out) const {
-    const uint64_t published = count_.load(std::memory_order_acquire);
-    const uint64_t n =
-        published < samples_.size() ? published : samples_.size();
-    for (uint64_t i = 0; i < n; ++i) {
-      out->push_back(samples_[i].load(std::memory_order_relaxed));
-    }
-  }
-
- private:
-  std::vector<std::atomic<double>> samples_;
-  std::atomic<uint64_t> count_{0};  // total ever recorded
 };
 
 /// \brief What RequestServer::RecoverJournal did for one model at
@@ -121,13 +84,6 @@ struct JournalRecoveryStats {
   /// was recovered normally). Expected after a crash mid-append.
   bool torn_tail = false;
 };
-
-/// \brief Exact percentile of `samples` (modified in place: sorted).
-/// Nearest-rank on the sorted merged window — index floor(p * (n - 1)) —
-/// the same convention the single-ring daemon used, now applied AFTER
-/// merging the per-worker windows so concurrency cannot skew the report
-/// (averaging per-worker percentiles would). Returns 0 for an empty set.
-double MergedPercentile(std::vector<double>* samples, double p);
 
 /// \brief The request-serving core of the long-running daemon
 /// (tools/ocular_served.cpp and the `ocular_cli serve` subcommand).
@@ -206,8 +162,6 @@ class RequestServer : private LineServer::Handler {
     /// artifact rename has not happened, and applied deltas are forgotten
     /// on restart).
     bool update_journal = true;
-    /// Latency samples kept per worker for the p50/p99 report.
-    size_t latency_window = 4096;
     /// TCP worker threads (0 = one per hardware thread, at least 1).
     size_t num_workers = 0;
   };
@@ -290,7 +244,6 @@ class RequestServer : private LineServer::Handler {
   /// are read lock-free by Stats(). Cacheline-aligned so adjacent
   /// workers' counters do not false-share.
   struct alignas(64) WorkerState {
-    explicit WorkerState(size_t latency_window) : latency(latency_window) {}
 
     ServeWorkspace workspace;
     std::vector<uint32_t> exclude_scratch;
@@ -303,12 +256,9 @@ class RequestServer : private LineServer::Handler {
     uint64_t seen_generation = 0;
     std::map<std::string, std::shared_ptr<const ServableModel>> leases;
 
-    std::atomic<uint64_t> requests{0};
-    std::atomic<uint64_t> errors{0};
-    std::atomic<uint64_t> fold_in_requests{0};
-    std::atomic<uint64_t> dropped_history_ids{0};
-    std::atomic<uint64_t> shard_requests{0};
-    LatencyRing latency;
+    MetricShard<DaemonMetrics> metrics;
+    /// Latency samples kept for the p50/p99 report.
+    LatencyRing latency{4096};
   };
 
   /// What one applied `update` published: the binding's shape, how many
@@ -385,10 +335,8 @@ class RequestServer : private LineServer::Handler {
   /// vector itself is immutable after construction.
   std::vector<std::unique_ptr<WorkerState>> workers_;
 
-  std::atomic<uint64_t> reloads_{0};
-  std::atomic<uint64_t> updates_{0};
-  std::atomic<uint64_t> journal_recovered_{0};
-  std::atomic<uint64_t> journal_replays_{0};
+  /// The server's own shard: reloads, updates, journal recovery.
+  MetricShard<DaemonMetrics> metrics_;
   /// Serializes `update`s (merge → fold in → persist → publish).
   /// Recommends never take it: they keep serving the current generation
   /// and drain onto the published one lease-by-lease.

@@ -474,43 +474,25 @@ std::string FleetServer::FleetPingReply() {
   return w.str();
 }
 
-void SumReplicaTotals(FleetStatsSnapshot* s) {
-  s->ejections = 0;
-  s->readmissions = 0;
-  for (const FleetReplicaStats& rs : s->replicas) {
-    s->ejections += rs.ejections;
-    s->readmissions += rs.readmissions;
-  }
-}
-
 std::string RenderFleetStats(const FleetStatsSnapshot& s) {
+  uint64_t ejections = 0;
+  uint64_t readmissions = 0;
+  for (const FleetReplicaStats& rs : s.replicas) {
+    ejections += rs.ejections;
+    readmissions += rs.readmissions;
+  }
   JsonWriter w;
   w.BeginObject();
   w.Key("ok");
   w.Bool(true);
   w.Key("fleet");
   w.Bool(true);
-  w.Key("requests_proxied");
-  w.UInt(s.requests_proxied);
-  w.Key("failovers");
-  w.UInt(s.failovers);
-  w.Key("hedges_sent");
-  w.UInt(s.hedges_sent);
-  w.Key("hedges_won");
-  w.UInt(s.hedges_won);
-  w.Key("no_healthy_503s");
-  w.UInt(s.no_healthy_503s);
-  w.Key("rejected_verbs");
-  w.UInt(s.rejected_verbs);
-  w.Key("probes_sent");
-  w.UInt(s.probes_sent);
-  w.Key("probe_failures");
-  w.UInt(s.probe_failures);
-  WriteConnStats(s, &w);
+  WriteMetrics<FleetMetrics>(s.fleet, &w);
+  WriteMetrics<ConnMetrics>(s.conn, &w);
   w.Key("ejections");
-  w.UInt(s.ejections);
+  w.UInt(ejections);
   w.Key("readmissions");
-  w.UInt(s.readmissions);
+  w.UInt(readmissions);
   w.Key("replicas");
   w.BeginArray();
   for (const FleetReplicaStats& rs : s.replicas) {
@@ -536,15 +518,8 @@ std::string RenderFleetStats(const FleetStatsSnapshot& s) {
 
 FleetStatsSnapshot FleetServer::Stats() const {
   FleetStatsSnapshot s;
-  static_cast<ConnStats&>(s) = lines_.Stats();
-  s.requests_proxied = requests_proxied_.load(std::memory_order_relaxed);
-  s.failovers = failovers_.load(std::memory_order_relaxed);
-  s.hedges_sent = hedges_sent_.load(std::memory_order_relaxed);
-  s.hedges_won = hedges_won_.load(std::memory_order_relaxed);
-  s.no_healthy_503s = no_healthy_503s_.load(std::memory_order_relaxed);
-  s.rejected_verbs = rejected_verbs_.load(std::memory_order_relaxed);
-  s.probes_sent = probes_sent_.load(std::memory_order_relaxed);
-  s.probe_failures = probe_failures_.load(std::memory_order_relaxed);
+  s.conn = lines_.Stats();
+  metrics_.MergeInto(&s.fleet);
   std::lock_guard<std::mutex> lock(health_mu_);
   s.replicas.reserve(health_.size());
   for (size_t r = 0; r < health_.size(); ++r) {
@@ -557,11 +532,8 @@ FleetStatsSnapshot FleetServer::Stats() const {
     rs.readmissions = health_[r].readmissions();
     s.replicas.push_back(rs);
   }
-  SumReplicaTotals(&s);
   return s;
 }
-
-std::string FleetServer::FleetStatsReply() { return RenderFleetStats(Stats()); }
 
 std::string FleetServer::HedgedForward(WorkerSlot* w, const std::string& line,
                                        uint32_t primary, uint32_t hedge) {
@@ -575,7 +547,7 @@ std::string FleetServer::HedgedForward(WorkerSlot* w, const std::string& line,
                                            &shed_hint);
     if (out == ForwardOutcome::kReply) {
       ReportSuccess(hedge);
-      failovers_.fetch_add(1, std::memory_order_relaxed);
+      metrics_.Add(FleetMetrics::kFailovers);
       return reply;
     }
     if (out == ForwardOutcome::kShed) {
@@ -583,7 +555,7 @@ std::string FleetServer::HedgedForward(WorkerSlot* w, const std::string& line,
     } else {
       ReportFailure(hedge);
     }
-    no_healthy_503s_.fetch_add(1, std::memory_order_relaxed);
+    metrics_.Add(FleetMetrics::kNoHealthy503s);
     return NoHealthyReply();
   };
 
@@ -618,7 +590,7 @@ std::string FleetServer::HedgedForward(WorkerSlot* w, const std::string& line,
   // race the two replicas for the first complete reply. Safe because
   // the forwarded verbs are idempotent reads — both replicas may
   // execute the request; only one reply reaches the client.
-  hedges_sent_.fetch_add(1, std::memory_order_relaxed);
+  metrics_.Add(FleetMetrics::kHedgesSent);
   bool hedge_up = SendRequest(w, hedge, line);
   if (!hedge_up) ReportFailure(hedge);
   bool primary_up = true;
@@ -638,7 +610,7 @@ std::string FleetServer::HedgedForward(WorkerSlot* w, const std::string& line,
         // otherwise sit first in the keep-alive stream and desync every
         // request after it.
         if (is_hedge) {
-          hedges_won_.fetch_add(1, std::memory_order_relaxed);
+          metrics_.Add(FleetMetrics::kHedgesWon);
           if (primary_up) CloseBackend(w, primary);
         } else {
           if (hedge_up) CloseBackend(w, hedge);
@@ -716,7 +688,7 @@ std::string FleetServer::HedgedForward(WorkerSlot* w, const std::string& line,
     CloseBackend(w, hedge);
     ReportFailure(hedge);
   }
-  no_healthy_503s_.fetch_add(1, std::memory_order_relaxed);
+  metrics_.Add(FleetMetrics::kNoHealthy503s);
   return NoHealthyReply();
 }
 
@@ -734,7 +706,7 @@ std::string FleetServer::ProxyRouted(WorkerSlot* w, const std::string& line,
     }
   }
   if (routable.empty()) {
-    no_healthy_503s_.fetch_add(1, std::memory_order_relaxed);
+    metrics_.Add(FleetMetrics::kNoHealthy503s);
     return NoHealthyReply();
   }
   if (options_.hedge_after_ms > 0 && routable.size() >= 2) {
@@ -753,7 +725,7 @@ std::string FleetServer::ProxyRouted(WorkerSlot* w, const std::string& line,
         ForwardOnce(w, r, line, options_.io_timeout_ms, &reply, &shed_hint);
     if (out == ForwardOutcome::kReply) {
       ReportSuccess(r);
-      if (i > 0) failovers_.fetch_add(1, std::memory_order_relaxed);
+      if (i > 0) metrics_.Add(FleetMetrics::kFailovers);
       return reply;
     }
     if (out == ForwardOutcome::kShed) {
@@ -762,13 +734,13 @@ std::string FleetServer::ProxyRouted(WorkerSlot* w, const std::string& line,
       ReportFailure(r);
     }
   }
-  no_healthy_503s_.fetch_add(1, std::memory_order_relaxed);
+  metrics_.Add(FleetMetrics::kNoHealthy503s);
   return NoHealthyReply();
 }
 
 std::string FleetServer::ProxyOne(WorkerSlot* w, const std::string& line,
                                   bool* quit) {
-  requests_proxied_.fetch_add(1, std::memory_order_relaxed);
+  metrics_.Add(FleetMetrics::kRequestsProxied);
   auto parsed = JsonValue::Parse(line);
   std::string cmd = "recommend";
   bool has_user = false;
@@ -787,7 +759,7 @@ std::string FleetServer::ProxyOne(WorkerSlot* w, const std::string& line,
       user_key = static_cast<uint64_t>(u->number());
     }
     if (cmd == "ping") return FleetPingReply();
-    if (cmd == "stats") return FleetStatsReply();
+    if (cmd == "stats") return RenderFleetStats(Stats());
     if (cmd == "quit") {
       *quit = true;
       JsonWriter writer;
@@ -804,7 +776,7 @@ std::string FleetServer::ProxyOne(WorkerSlot* w, const std::string& line,
       // fleet's models — replies would stop being bit-identical across
       // replicas, the core serving contract. Mutations go to each
       // replica directly (see the OPERATIONS.md fleet runbook).
-      rejected_verbs_.fetch_add(1, std::memory_order_relaxed);
+      metrics_.Add(FleetMetrics::kRejectedVerbs);
       return CodedErrorReply(
           "'" + cmd +
               "' is not served through the fleet front tier: apply it to "
@@ -858,7 +830,7 @@ void FleetServer::ProbeReplica(uint32_t replica) {
   // kHealthy or kHalfOpen: one ping decides. The prober has its own
   // backend slot (the last one), so probes never contend with request
   // traffic for a connection.
-  probes_sent_.fetch_add(1, std::memory_order_relaxed);
+  metrics_.Add(FleetMetrics::kProbesSent);
   WorkerSlot* w = slots_.back().get();
   std::string reply;
   uint64_t shed_hint = options_.retry_after_ms;
@@ -874,7 +846,7 @@ void FleetServer::ProbeReplica(uint32_t replica) {
       ReportShed(replica, shed_hint);
       break;
     case ForwardOutcome::kFailed:
-      probe_failures_.fetch_add(1, std::memory_order_relaxed);
+      metrics_.Add(FleetMetrics::kProbeFailures);
       ReportFailure(replica);
       break;
   }
@@ -911,7 +883,8 @@ Status FleetServer::RunLoop(uint16_t port, uint64_t max_connections) {
   prober.join();
   for (size_t i = 0; i < options_.num_workers; ++i) slots_[i]->CloseAll();
   if (LineServer::ConsumeShutdownRequest()) {
-    std::fprintf(stderr, "fleet drained: %s\n", FleetStatsReply().c_str());
+    std::fprintf(stderr, "fleet drained: %s\n",
+                 RenderFleetStats(Stats()).c_str());
   }
   return status;
 }

@@ -11,6 +11,7 @@
 
 #include "common/result.h"
 #include "serving/line_server.h"
+#include "serving/metrics.h"
 
 namespace ocular {
 
@@ -136,8 +137,30 @@ class ReplicaHealth {
 void FleetRouteOrder(uint64_t key, uint32_t num_replicas,
                      std::vector<uint32_t>* out);
 
-/// \brief Point-in-time fleet counters, as reported by Stats() and the
-/// front tier's own `stats` verb.
+/// \brief The front tier's proxy counters, kept in one shard on the
+/// server and bumped by its workers and prober.
+#define OCULAR_FLEET_METRICS(ROW)                                            \
+  ROW(kRequestsProxied, "requests_proxied", kSum,                            \
+      "client requests taken, any verb, each counted before forwarding")     \
+  ROW(kFailovers, "failovers", kSum,                                         \
+      "requests answered by a later replica after the first failed or shed") \
+  ROW(kHedgesSent, "hedges_sent", kSum,                                      \
+      "hedge copies sent when the primary was silent past the hedge delay")  \
+  ROW(kHedgesWon, "hedges_won", kSum,                                        \
+      "hedge copies that answered first")                                    \
+  ROW(kNoHealthy503s, "no_healthy_503s", kSum,                               \
+      "requests the fleet shed itself with a 503: no replica could answer")  \
+  ROW(kRejectedVerbs, "rejected_verbs", kSum,                                \
+      "update and reload requests refused at the front with a 501")          \
+  ROW(kProbesSent, "probes_sent", kSum,                                      \
+      "health probes (ping) sent to replicas")                               \
+  ROW(kProbeFailures, "probe_failures", kSum,                                \
+      "health probes that failed hard")
+/// \cond
+OCULAR_METRIC_TABLE(FleetMetrics, OCULAR_FLEET_METRICS);
+/// \endcond
+
+/// \brief One replica's row of the fleet `stats` reply.
 struct FleetReplicaStats {
   uint16_t port = 0;
   ReplicaState state = ReplicaState::kHealthy;
@@ -147,33 +170,20 @@ struct FleetReplicaStats {
   uint64_t readmissions = 0;
 };
 
-/// \brief The fleet `stats` reply: the front door's ConnStats (no
-/// connection cap, so connections_shed counts fd-exhaustion sheds only)
-/// plus the proxy and per-replica counters.
-struct FleetStatsSnapshot : ConnStats {
-  uint64_t requests_proxied = 0;  ///< client requests answered (any verb)
-  uint64_t failovers = 0;     ///< requests that needed the retry replica
-  uint64_t hedges_sent = 0;   ///< hedge copies issued
-  uint64_t hedges_won = 0;    ///< hedge copies that answered first
-  uint64_t no_healthy_503s = 0;  ///< requests the fleet itself shed
-  uint64_t rejected_verbs = 0;   ///< update/reload refused at the front
-  uint64_t probes_sent = 0;
-  uint64_t probe_failures = 0;
-  uint64_t ejections = 0;         ///< sum over replicas
-  uint64_t readmissions = 0;      ///< sum over replicas
-  std::vector<FleetReplicaStats> replicas;
+/// \brief The fleet `stats` reply: the front door's connection counters
+/// (no connection cap, so its sheds are fd-exhaustion sheds only), the
+/// proxy counters and one row per replica, in fleet order.
+struct FleetStatsSnapshot {
+  MetricValues<ConnMetrics> conn{};    ///< the front door's counters
+  MetricValues<FleetMetrics> fleet{};  ///< the proxy counters
+  std::vector<FleetReplicaStats> replicas;  ///< one row per replica
 };
 
-/// \brief Recomputes the snapshot's fleet-wide ejections/readmissions
-/// totals from its per-replica rows — the merge half of
-/// FleetServer::Stats(), factored out pure so the counter plumbing is
-/// unit-testable without sockets or live replicas.
-void SumReplicaTotals(FleetStatsSnapshot* s);
-
 /// \brief Renders a snapshot as the front tier's `stats` reply — the pure
-/// serialization half of the verb ({"ok":true,"fleet":true,...} with one
-/// object per replica). FleetServer::FleetStatsReply() is exactly
-/// RenderFleetStats(Stats()).
+/// serialization half of the verb ({"ok":true,"fleet":true,...}, the
+/// fleet-wide ejections and readmissions summed over the replica rows,
+/// then one object per replica). The verb and the `fleet drained:` line
+/// are exactly RenderFleetStats(FleetServer::Stats()).
 std::string RenderFleetStats(const FleetStatsSnapshot& s);
 
 /// \brief The front-tier proxy. Its front door is the daemon's own
@@ -292,7 +302,6 @@ class FleetServer : private LineServer::Handler {
                             uint32_t primary, uint32_t hedge);
   std::string NoHealthyReply();
   std::string FleetPingReply();
-  std::string FleetStatsReply();
 
   void ReportSuccess(uint32_t replica);
   void ReportFailure(uint32_t replica);
@@ -319,14 +328,7 @@ class FleetServer : private LineServer::Handler {
 
   std::atomic<bool> stop_{false};  // releases the prober
   std::atomic<uint64_t> rr_cursor_{0};  // round-robin for user-less verbs
-  std::atomic<uint64_t> requests_proxied_{0};
-  std::atomic<uint64_t> failovers_{0};
-  std::atomic<uint64_t> hedges_sent_{0};
-  std::atomic<uint64_t> hedges_won_{0};
-  std::atomic<uint64_t> no_healthy_503s_{0};
-  std::atomic<uint64_t> rejected_verbs_{0};
-  std::atomic<uint64_t> probes_sent_{0};
-  std::atomic<uint64_t> probe_failures_{0};
+  MetricShard<FleetMetrics> metrics_;
   const std::chrono::steady_clock::time_point start_time_ =
       std::chrono::steady_clock::now();
 };

@@ -116,23 +116,6 @@ struct Completion {
 
 }  // namespace
 
-void WriteConnStats(const ConnStats& stats, JsonWriter* w) {
-  w->Key("connections_shed");
-  w->UInt(stats.connections_shed);
-  w->Key("connections_timed_out");
-  w->UInt(stats.connections_timed_out);
-  w->Key("connections_open");
-  w->UInt(stats.connections_open);
-  w->Key("connections_capped");
-  w->UInt(stats.connections_capped);
-  w->Key("connections_slow_closed");
-  w->UInt(stats.connections_slow_closed);
-  w->Key("accept_emfile");
-  w->UInt(stats.accept_emfile);
-  w->Key("peak_outbound_bytes");
-  w->UInt(stats.peak_outbound_bytes);
-}
-
 std::string CodedErrorReply(const std::string& message, uint32_t code,
                             uint64_t retry_after_ms) {
   // Connection-level failures (413 oversize, 408 idle) carry a "code" so
@@ -157,16 +140,10 @@ std::string CodedErrorReply(const std::string& message, uint32_t code,
 LineServer::LineServer(Options options, size_t num_workers, Handler* handler)
     : options_(options), num_workers_(num_workers), handler_(handler) {}
 
-ConnStats LineServer::Stats() const {
-  ConnStats s;
-  s.connections_shed = shed_.load(std::memory_order_relaxed);
-  s.connections_timed_out = timed_out_.load(std::memory_order_relaxed);
-  s.connections_open = open_conns_.load(std::memory_order_relaxed);
-  s.connections_capped = capped_.load(std::memory_order_relaxed);
-  s.connections_slow_closed = slow_closed_.load(std::memory_order_relaxed);
-  s.accept_emfile = accept_emfile_.load(std::memory_order_relaxed);
-  s.peak_outbound_bytes = peak_outbound_.load(std::memory_order_relaxed);
-  return s;
+MetricValues<ConnMetrics> LineServer::Stats() const {
+  MetricValues<ConnMetrics> values{};
+  metrics_.MergeInto(&values);
+  return values;
 }
 
 void LineServer::InstallShutdownSignalHandler() {
@@ -350,7 +327,7 @@ struct LineServer::Core {
       ::epoll_ctl(ep, EPOLL_CTL_DEL, c->fd, nullptr);
       ::close(c->fd);
       c->fd = -1;
-      server->open_conns_.fetch_sub(1, std::memory_order_relaxed);
+      server->metrics_.Sub(ConnMetrics::kOpen);
     }
     c->dead = true;
     c->inbound.clear();
@@ -414,7 +391,7 @@ struct LineServer::Core {
       // fast-draining peer never trips it.
       if (opts().max_outbound_bytes > 0 &&
           Backlog(c) > opts().max_outbound_bytes) {
-        server->slow_closed_.fetch_add(1, std::memory_order_relaxed);
+        server->metrics_.Add(ConnMetrics::kSlowClosed);
         CloseConn(c);
         return false;
       }
@@ -435,10 +412,7 @@ struct LineServer::Core {
     if (Backlog(c) == 0) c->last_progress = Now();
     c->outbound += bytes;
     const uint64_t backlog = Backlog(c);
-    if (backlog > server->peak_outbound_.load(std::memory_order_relaxed)) {
-      // Single writer (the IO thread); plain store is enough.
-      server->peak_outbound_.store(backlog, std::memory_order_relaxed);
-    }
+    server->metrics_.Raise(ConnMetrics::kPeakOutbound, backlog);
   }
 
   // Emits a coded error reply (408/413) and closes once it drains. The
@@ -567,7 +541,7 @@ struct LineServer::Core {
   // (the socket buffer of a fresh connection always takes it), then
   // close.
   void Shed(int fd, const std::string& message) {
-    server->shed_.fetch_add(1, std::memory_order_relaxed);
+    server->metrics_.Add(ConnMetrics::kShed);
     const std::string reply =
         CodedErrorReply(message, 503, opts().retry_after_ms) + "\n";
     if (!fault::Maybe("daemon.send")) {
@@ -599,7 +573,7 @@ struct LineServer::Core {
       ::close(fd);
       return;
     }
-    server->open_conns_.fetch_add(1, std::memory_order_relaxed);
+    server->metrics_.Add(ConnMetrics::kOpen);
     conns.emplace(conn->id, std::move(conn));
   }
 
@@ -614,7 +588,7 @@ struct LineServer::Core {
         if (errno == EINTR || errno == ECONNABORTED) continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK) return;
         if (errno == EMFILE || errno == ENFILE) {
-          server->accept_emfile_.fetch_add(1, std::memory_order_relaxed);
+          server->metrics_.Add(ConnMetrics::kAcceptEmfile);
           // Reserve-fd parachute: free one fd, accept the victim, tell it
           // to come back later, restock the reserve. Without this the
           // victim sits in the backlog and the listener spins hot on
@@ -648,7 +622,7 @@ struct LineServer::Core {
       }
       if (opts().max_connections > 0 &&
           conns.size() >= opts().max_connections) {
-        server->capped_.fetch_add(1, std::memory_order_relaxed);
+        server->metrics_.Add(ConnMetrics::kCapped);
         Shed(fd, "server at max connections, retry later");
         continue;
       }
@@ -727,11 +701,11 @@ struct LineServer::Core {
       }
     }
     for (EpollConn* c : stalled) {
-      server->slow_closed_.fetch_add(1, std::memory_order_relaxed);
+      server->metrics_.Add(ConnMetrics::kSlowClosed);
       CloseConn(c);
     }
     for (EpollConn* c : idle) {
-      server->timed_out_.fetch_add(1, std::memory_order_relaxed);
+      server->metrics_.Add(ConnMetrics::kTimedOut);
       Fail(c,
            "idle timeout: no complete request in " +
                std::to_string(opts().idle_timeout_ms) + "ms",
@@ -878,7 +852,7 @@ struct LineServer::Core {
       if (c->fd >= 0) {
         ::close(c->fd);
         c->fd = -1;
-        server->open_conns_.fetch_sub(1, std::memory_order_relaxed);
+        server->metrics_.Sub(ConnMetrics::kOpen);
       }
     }
     conns.clear();

@@ -6,8 +6,8 @@
 #include <cstdint>
 #include <string>
 
-#include "common/json.h"
 #include "common/result.h"
+#include "serving/metrics.h"
 
 namespace ocular {
 
@@ -15,42 +15,27 @@ namespace ocular {
 /// \brief LineServer, the one connection core of the daemon and the
 /// fleet front tier (docs/ARCHITECTURE.md, "Concurrent serving core").
 
-/// \brief Point-in-time counters of a LineServer, as both the daemon's
-/// and the fleet's `stats` replies report them (see WriteConnStats).
-struct ConnStats {
-  /// Connections refused at admission with a 503-style reply: the
-  /// max_connections cap was reached or accept() hit fd exhaustion
-  /// (EMFILE/ENFILE). Load shedding, never silent drops.
-  uint64_t connections_shed = 0;
-  /// Connections closed with a 408-style reply because no complete
-  /// request arrived within LineServer::Options::idle_timeout_ms (idle
-  /// peers and slow-loris byte-dribblers alike).
-  uint64_t connections_timed_out = 0;
-  /// Connections currently open (a gauge, not a counter: accepted minus
-  /// closed).
-  uint64_t connections_open = 0;
-  /// Subset of connections_shed refused because
-  /// LineServer::Options::max_connections open connections were already
-  /// admitted.
-  uint64_t connections_capped = 0;
-  /// Connections dropped by the slow-consumer policy: the outbound
-  /// buffer exceeded LineServer::Options::max_outbound_bytes, or a
-  /// nonempty outbound buffer made no write progress for
-  /// LineServer::Options::io_timeout_ms.
-  uint64_t connections_slow_closed = 0;
-  /// accept() failures with EMFILE/ENFILE, each handled via the
-  /// reserve-fd parachute (victim accepted, shed with retry_after_ms,
-  /// reserve reopened) instead of spinning or dying.
-  uint64_t accept_emfile = 0;
-  /// High-water mark of any single connection's outbound buffer, bytes —
-  /// how close the slowest consumer came to max_outbound_bytes.
-  uint64_t peak_outbound_bytes = 0;
-};
-
-/// \brief Writes the seven ConnStats counters as keys of the JSON object
-/// `w` is building, in declaration order — the one place both `stats`
-/// replies spell them.
-void WriteConnStats(const ConnStats& stats, JsonWriter* w);
+/// \brief The connection core's counters, kept by a LineServer's IO
+/// thread and reported by both the daemon's and the fleet's `stats`
+/// replies (see OCULAR_METRIC_TABLE).
+#define OCULAR_CONN_METRICS(ROW)                                            \
+  ROW(kShed, "connections_shed", kSum,                                      \
+      "connections refused with a 503 at admission (cap or no free fd)")    \
+  ROW(kTimedOut, "connections_timed_out", kSum,                             \
+      "connections closed with a 408 after the idle timeout")               \
+  ROW(kOpen, "connections_open", kSum,                                      \
+      "connections open now (a gauge: accepted minus closed)")              \
+  ROW(kCapped, "connections_capped", kSum,                                  \
+      "503 sheds made because the connection cap was reached")              \
+  ROW(kSlowClosed, "connections_slow_closed", kSum,                         \
+      "connections dropped as slow consumers (backlog cap or write stall)") \
+  ROW(kAcceptEmfile, "accept_emfile", kSum,                                 \
+      "accept() failures with EMFILE or ENFILE, each shed with a 503")      \
+  ROW(kPeakOutbound, "peak_outbound_bytes", kMax,                           \
+      "the largest reply backlog one connection has held, in bytes")
+/// \cond
+OCULAR_METRIC_TABLE(ConnMetrics, OCULAR_CONN_METRICS);
+/// \endcond
 
 /// \brief `{"ok":false,"error":message,"code":code}`, plus
 /// `"retry_after_ms"` when it is nonzero: the shape of every
@@ -94,7 +79,7 @@ class LineServer {
     size_t max_connections = 0;
     /// Slow-consumer policy: a connection whose outbound reply buffer
     /// exceeds this many bytes (because the peer never drains its
-    /// socket) is dropped and counted in connections_slow_closed.
+    /// socket) is dropped and counted as a slow consumer.
     size_t max_outbound_bytes = 8 << 20;
     /// Longest request line a connection may send before it is answered
     /// with a 413-style reply and closed. Generous for real requests (a
@@ -142,7 +127,7 @@ class LineServer {
     /// generation).
     virtual void Park(size_t worker) { (void)worker; }
     /// \brief Runs on the IO thread once per 408/413 reply it sends (the
-    /// daemon counts these in its `errors`).
+    /// daemon counts these as errors).
     virtual void OnConnectionError() {}
 
    protected:
@@ -175,7 +160,7 @@ class LineServer {
   void Stop() { stop_.store(true, std::memory_order_relaxed); }
 
   /// \brief Current connection counters (lock-free; any thread).
-  ConnStats Stats() const;
+  MetricValues<ConnMetrics> Stats() const;
 
   /// \brief Installs the process-wide SIGTERM/SIGINT handler that
   /// latches a graceful drain of every running LineServer (and the
@@ -205,13 +190,7 @@ class LineServer {
 
   std::atomic<bool> stop_{false};
   std::atomic<uint16_t> bound_port_{0};
-  std::atomic<uint64_t> shed_{0};
-  std::atomic<uint64_t> timed_out_{0};
-  std::atomic<uint64_t> open_conns_{0};
-  std::atomic<uint64_t> capped_{0};
-  std::atomic<uint64_t> slow_closed_{0};
-  std::atomic<uint64_t> accept_emfile_{0};
-  std::atomic<uint64_t> peak_outbound_{0};
+  MetricShard<ConnMetrics> metrics_;  // written by the IO thread only
 };
 
 }  // namespace ocular

@@ -15,7 +15,7 @@
 
 #include "common/strings.h"
 #include "common/timer.h"
-#include "serving/daemon.h"  // MergedPercentile
+#include "serving/metrics.h"
 #include "serving/net_util.h"
 #include "serving/retry.h"
 

@@ -11,12 +11,7 @@ namespace {
 void AttachFoldIn(ServableModel* servable) {
   const BinaryModelMeta& meta = servable->meta();
   if (meta.kind != BinaryModelKind::kOcularProbability) return;
-  OcularConfig config;
-  config.use_biases = meta.use_biases;
-  config.k = meta.k - (meta.use_biases ? 2 : 0);
-  config.lambda = meta.lambda;
-  config.variant = meta.relative_variant ? OcularVariant::kRelative
-                                         : OcularVariant::kAbsolute;
+  const OcularConfig config = OcularConfigFromMeta(meta);
   std::vector<double> popularity;
   if (servable->train != nullptr) {
     // Per-item interaction counts of the bound dataset — the natural

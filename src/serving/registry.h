@@ -44,8 +44,8 @@ struct ServableModel {
   /// store, or a `.shardset` manifest when `sharded` is true.
   std::string model_path;
   /// True when `model_path` is a shardset manifest. Decides only what the
-  /// protocol reports (`shard` fields, `shard_requests`) and which update
-  /// algorithm runs; serving reads every binding the same way.
+  /// protocol reports (`shard` fields, the shard-request count) and which
+  /// update algorithm runs; serving reads every binding the same way.
   bool sharded = false;
   /// The open stores, the user → shard map and (sharded only) the parsed
   /// manifest. Members are shared with the previous generation when

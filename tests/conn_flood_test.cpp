@@ -41,10 +41,6 @@
 #include "serving/registry.h"
 #include "test_util.h"
 
-#ifndef OCULAR_SERVED_PATH
-#define OCULAR_SERVED_PATH "ocular_served"
-#endif
-
 // fork() drills and ThreadSanitizer do not mix; the in-process flood,
 // slowloris, and slow-consumer tests still run under TSan and carry the
 // concurrency coverage.
@@ -58,6 +54,11 @@
 
 namespace ocular {
 namespace {
+
+using test::FreePort;
+using test::RawClient;
+using test::ServedProcess;
+using test::WaitForServing;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
@@ -93,32 +94,6 @@ struct DaemonFixture {
   void Cleanup() const {
     std::remove(model_path.c_str());
     std::remove(UpdateJournal::PathFor(model_path).c_str());
-  }
-};
-
-struct RawClient {
-  int fd = -1;
-  std::string buffer;
-
-  bool Connect(uint16_t port) {
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return false;
-    struct sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    return ::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                     sizeof(addr)) == 0;
-  }
-  bool Send(const std::string& line) {
-    const std::string framed = line + "\n";
-    return net::SendAll(fd, framed.data(), framed.size());
-  }
-  bool ReadLine(std::string* line) { return net::ReadLine(fd, &buffer, line); }
-  void Close() {
-    if (fd >= 0) ::close(fd);
-    fd = -1;
   }
 };
 
@@ -196,10 +171,10 @@ TEST(ConnFloodTest, IdleFloodIsHeldWithZeroShedsWhileBurstsServe) {
   serve_thread.join();
   EXPECT_FALSE(LineServer::ShutdownRequested());
   const DaemonStatsSnapshot stats = server.Stats();
-  EXPECT_EQ(stats.connections_shed, 0u);
-  EXPECT_EQ(stats.connections_slow_closed, 0u);
-  EXPECT_EQ(stats.accept_emfile, 0u);
-  EXPECT_EQ(stats.connections_open, 0u);
+  EXPECT_EQ(stats.conn[ConnMetrics::kShed], 0u);
+  EXPECT_EQ(stats.conn[ConnMetrics::kSlowClosed], 0u);
+  EXPECT_EQ(stats.conn[ConnMetrics::kAcceptEmfile], 0u);
+  EXPECT_EQ(stats.conn[ConnMetrics::kOpen], 0u);
   f.Cleanup();
 }
 
@@ -250,7 +225,7 @@ TEST(ConnFloodTest, FleetHoldsIdleFloodWithZeroShedsWhileBurstsServe) {
     for (RawClient& c : idle) EXPECT_TRUE(c.Connect(port));
     uint64_t open = 0;
     for (int ms = 0; ms < 5000; ++ms) {
-      open = fleet.Stats().connections_open;
+      open = fleet.Stats().conn[ConnMetrics::kOpen];
       if (open == 20) break;
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -302,8 +277,8 @@ TEST(ConnFloodTest, FleetHoldsIdleFloodWithZeroShedsWhileBurstsServe) {
   }
   EXPECT_EQ(mismatches.load(), 0u);
   const FleetStatsSnapshot stats = fleet.Stats();
-  EXPECT_EQ(stats.connections_shed, 0u);
-  EXPECT_EQ(stats.connections_open, 0u);
+  EXPECT_EQ(stats.conn[ConnMetrics::kShed], 0u);
+  EXPECT_EQ(stats.conn[ConnMetrics::kOpen], 0u);
 
   // The shutdown latch is process-global and the first loop to exit
   // consumes it, so re-arm it until each replica has left its loop.
@@ -360,9 +335,9 @@ TEST(ConnFloodTest, SlowlorisSwarmIsReapedWhileHotTrafficServes) {
   serve_thread.join();
   EXPECT_FALSE(LineServer::ShutdownRequested());
   const DaemonStatsSnapshot stats = server.Stats();
-  EXPECT_EQ(stats.connections_timed_out, 20u)
+  EXPECT_EQ(stats.conn[ConnMetrics::kTimedOut], 20u)
       << "every slowloris connection must be 408-reaped";
-  EXPECT_EQ(stats.connections_shed, 0u);
+  EXPECT_EQ(stats.conn[ConnMetrics::kShed], 0u);
   f.Cleanup();
 }
 
@@ -410,132 +385,15 @@ TEST(ConnFloodTest, NeverReadingConsumersAreDisconnectedIdleFleetSurvives) {
   serve_thread.join();
   EXPECT_FALSE(LineServer::ShutdownRequested());
   const DaemonStatsSnapshot stats = server.Stats();
-  EXPECT_EQ(stats.connections_slow_closed, 2u);
-  EXPECT_EQ(stats.connections_shed, 0u);
-  EXPECT_GT(stats.peak_outbound_bytes, uint64_t{16} << 10);
+  EXPECT_EQ(stats.conn[ConnMetrics::kSlowClosed], 2u);
+  EXPECT_EQ(stats.conn[ConnMetrics::kShed], 0u);
+  EXPECT_GT(stats.conn[ConnMetrics::kPeakOutbound], uint64_t{16} << 10);
   f.Cleanup();
 }
 
 // ------------------------------------------------ fork/exec chaos drills
 
 #ifndef OCULAR_TSAN
-
-uint16_t FreePort() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return 0;
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    ::close(fd);
-    return 0;
-  }
-  socklen_t len = sizeof(addr);
-  uint16_t port = 0;
-  if (::getsockname(fd, reinterpret_cast<struct sockaddr*>(&addr), &len) ==
-      0) {
-    port = ntohs(addr.sin_port);
-  }
-  ::close(fd);
-  return port;
-}
-
-/// The real daemon binary as a child, optionally under a lowered
-/// RLIMIT_NOFILE (the fd-exhaustion drill), stderr captured to a file.
-struct ServedProcess {
-  pid_t pid = -1;
-  std::string stderr_path;
-
-  ServedProcess() = default;
-  // Move-only: the destructor SIGKILLs `pid`, so a copied temporary
-  // (e.g. through make_unique) would kill the child it just started.
-  ServedProcess(const ServedProcess&) = delete;
-  ServedProcess& operator=(const ServedProcess&) = delete;
-  ServedProcess(ServedProcess&& other) noexcept
-      : pid(other.pid), stderr_path(std::move(other.stderr_path)) {
-    other.pid = -1;
-  }
-  ServedProcess& operator=(ServedProcess&& other) noexcept {
-    if (this != &other) {
-      KillHard();
-      pid = other.pid;
-      stderr_path = std::move(other.stderr_path);
-      other.pid = -1;
-    }
-    return *this;
-  }
-
-  static ServedProcess Start(const std::vector<std::string>& args,
-                             const std::string& stderr_path,
-                             rlim_t nofile_limit = 0) {
-    ServedProcess p;
-    p.stderr_path = stderr_path;
-    p.pid = ::fork();
-    if (p.pid == 0) {
-      ::unsetenv("OCULAR_FAULTS");
-      if (nofile_limit > 0) {
-        struct rlimit lim;
-        lim.rlim_cur = nofile_limit;
-        lim.rlim_max = nofile_limit;
-        if (::setrlimit(RLIMIT_NOFILE, &lim) != 0) ::_exit(126);
-      }
-      const int err =
-          ::open(stderr_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-      if (err >= 0) {
-        ::dup2(err, 2);
-        ::close(err);
-      }
-      const int null = ::open("/dev/null", O_RDONLY);
-      if (null >= 0) {
-        ::dup2(null, 0);
-        ::close(null);
-      }
-      std::vector<char*> argv;
-      argv.push_back(const_cast<char*>(OCULAR_SERVED_PATH));
-      for (const std::string& a : args) {
-        argv.push_back(const_cast<char*>(a.c_str()));
-      }
-      argv.push_back(nullptr);
-      ::execv(OCULAR_SERVED_PATH, argv.data());
-      ::_exit(127);
-    }
-    return p;
-  }
-
-  void KillHard() {
-    if (pid > 0) {
-      ::kill(pid, SIGKILL);
-      for (int waited = 0; waited < 30000; waited += 10) {
-        const pid_t done = ::waitpid(pid, nullptr, WNOHANG);
-        if (done == pid || done < 0) break;  // reaped, or already gone
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      }
-      pid = -1;
-    }
-  }
-  ~ServedProcess() { KillHard(); }
-};
-
-bool WaitForServing(uint16_t port, ServedProcess* served,
-                    int timeout_ms = 20000) {
-  for (int waited = 0; waited < timeout_ms; waited += 20) {
-    RawClient probe;
-    if (probe.Connect(port)) {
-      probe.Close();
-      return true;
-    }
-    int status = 0;
-    if (served->pid > 0 &&
-        ::waitpid(served->pid, &status, WNOHANG) == served->pid) {
-      served->pid = -1;
-      return false;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  return false;
-}
 
 std::string RoundTrip(uint16_t port, const std::string& request) {
   RawClient c;
@@ -573,7 +431,7 @@ TEST(ConnChaosTest, FdExhaustionShedsWith503AndKeepsServing) {
           "--idle-timeout-ms=0",
           "--journal=0",
       },
-      TempPath("flood_emfile_stderr.log"), /*nofile_limit=*/40);
+      "", TempPath("flood_emfile_stderr.log"), /*nofile_limit=*/40);
   ASSERT_TRUE(WaitForServing(port, &served));
 
   RawClient healthy;
@@ -649,7 +507,7 @@ TEST(ConnChaosTest, SigkillMidFloodThenRestartServesBitIdentically) {
     };
   };
   auto served = std::make_unique<ServedProcess>(ServedProcess::Start(
-      daemon_args(port), TempPath("flood_kill_stderr1.log")));
+      daemon_args(port), "", TempPath("flood_kill_stderr1.log")));
   ASSERT_TRUE(WaitForServing(port, served.get()));
 
   // Flood + burst in flight when the SIGKILL lands. The generator run
@@ -679,7 +537,7 @@ TEST(ConnChaosTest, SigkillMidFloodThenRestartServesBitIdentically) {
   // thousands of just-killed sockets sit in TIME_WAIT) and serve replies
   // bit-identical to the oracle.
   served = std::make_unique<ServedProcess>(ServedProcess::Start(
-      daemon_args(port), TempPath("flood_kill_stderr2.log")));
+      daemon_args(port), "", TempPath("flood_kill_stderr2.log")));
   ASSERT_TRUE(WaitForServing(port, served.get()));
   OcularModelRecommender rec(f.model);
   BatchOptions batch;

@@ -49,12 +49,6 @@
 #include "test_util.h"
 #include "update_oracle.h"
 
-// The chaos drills fork/exec the real daemon binary; CMake injects its
-// path the same way cli_test gets the CLI.
-#ifndef OCULAR_SERVED_PATH
-#define OCULAR_SERVED_PATH "ocular_served"
-#endif
-
 // fork() + SIGKILL drills and ThreadSanitizer do not mix (TSan's runtime
 // owns signal delivery and dislikes forked children); the in-process
 // tests still run under TSan and carry the concurrency coverage.
@@ -78,6 +72,11 @@
 
 namespace ocular {
 namespace {
+
+using test::FreePort;
+using test::RawClient;
+using test::ServedProcess;
+using test::WaitForServing;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
@@ -375,7 +374,7 @@ TEST(UpdateFaultMatrixTest, EveryFaultFailsTheUpdateCleanlyAndServingSurvives) {
 
     // No torn state anywhere: nothing published, no stray tmp file, the
     // artifact is byte-identical to before the attempt.
-    EXPECT_EQ(server.Stats().updates, 0u);
+    EXPECT_EQ(server.Stats().daemon[DaemonMetrics::kUpdates], 0u);
     EXPECT_FALSE(FileExists(tmp_path));
     EXPECT_EQ(ReadFileBytes(f.model_path), base_bytes);
 
@@ -400,7 +399,7 @@ TEST(UpdateFaultMatrixTest, EveryFaultFailsTheUpdateCleanlyAndServingSurvives) {
   auto reply = JsonValue::Parse(server.HandleLine(kUpdateRequest));
   ASSERT_TRUE(reply.ok());
   EXPECT_TRUE(reply->Find("ok")->boolean());
-  EXPECT_EQ(server.Stats().updates, 1u);
+  EXPECT_EQ(server.Stats().daemon[DaemonMetrics::kUpdates], 1u);
   auto plan = UpdateJournal::LoadPlan(journal_path);
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan->applied.size(), 1u);
@@ -425,7 +424,7 @@ TEST(UpdateFaultMatrixTest, DirsyncFailureAfterRenameStillPublishes) {
   ASSERT_TRUE(reply.ok());
   EXPECT_TRUE(reply->Find("ok")->boolean());
   EXPECT_EQ(fault::Hits("store.dirsync"), 1u);
-  EXPECT_EQ(server.Stats().updates, 1u);
+  EXPECT_EQ(server.Stats().daemon[DaemonMetrics::kUpdates], 1u);
   auto plan = UpdateJournal::LoadPlan(UpdateJournal::PathFor(f.model_path));
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan->applied.size(), 1u);
@@ -467,7 +466,7 @@ TEST(JournalRecoveryTest, CrashBeforeRenameReplaysBitIdentically) {
     EXPECT_TRUE(recovered->replayed_pending);
     EXPECT_FALSE(recovered->healed_commit);
     EXPECT_EQ(recovered->applied_merged, 0u);
-    EXPECT_EQ(server.Stats().journal_replays, 1u);
+    EXPECT_EQ(server.Stats().daemon[DaemonMetrics::kJournalReplays], 1u);
 
     // The replay ran the exact pipeline the lost ack promised: the
     // recovered artifact is byte-identical to the offline oracle's, and
@@ -632,37 +631,6 @@ TEST(JournalRecoveryTest, RecordsWithoutABoundDatasetRefuseRecovery) {
 
 // --------------------------------------------------- connection guards
 
-/// Minimal raw TCP client (same shape as daemon_test's): exact control
-/// over partial sends and reads that the load generator hides.
-struct RawClient {
-  int fd = -1;
-  std::string buffer;
-
-  bool Connect(uint16_t port) {
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return false;
-    struct sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    return ::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                     sizeof(addr)) == 0;
-  }
-  bool Send(const std::string& line) {
-    const std::string framed = line + "\n";
-    return net::SendAll(fd, framed.data(), framed.size());
-  }
-  bool SendRaw(const std::string& bytes) {
-    return net::SendAll(fd, bytes.data(), bytes.size());
-  }
-  bool ReadLine(std::string* line) { return net::ReadLine(fd, &buffer, line); }
-  void Close() {
-    if (fd >= 0) ::close(fd);
-    fd = -1;
-  }
-};
-
 uint16_t WaitForPort(const RequestServer& server, std::thread* serve_thread) {
   for (int ms = 0; ms < 10000; ++ms) {
     const uint16_t port = server.bound_port();
@@ -735,7 +703,7 @@ TEST(ConnectionGuardTest, OversizeLineGets413AndABoundedBuffer) {
     c.Close();
   }
   serve_thread.join();
-  EXPECT_GE(server.Stats().errors, 1u);
+  EXPECT_GE(server.Stats().daemon[DaemonMetrics::kErrors], 1u);
   f.Cleanup();
 }
 
@@ -771,7 +739,7 @@ TEST(ConnectionGuardTest, IdleConnectionIsReapedWith408) {
   EXPECT_FALSE(c.ReadLine(&line)) << "reaped connection must be closed";
   c.Close();
   serve_thread.join();
-  EXPECT_EQ(server.Stats().connections_timed_out, 1u);
+  EXPECT_EQ(server.Stats().conn[ConnMetrics::kTimedOut], 1u);
   f.Cleanup();
 }
 
@@ -827,7 +795,7 @@ TEST(ShedRetryTest, LoadgenAbsorbs503WithBackoffAndTheRunCompletes) {
   EXPECT_EQ(result->ok_replies, 8u);
   EXPECT_EQ(result->error_replies, 0u);
   EXPECT_GE(result->shed_retries, 1u);
-  EXPECT_GE(server.Stats().connections_shed, 1u);
+  EXPECT_GE(server.Stats().conn[ConnMetrics::kShed], 1u);
 
   // In-process drain: the latch stops the accept loop, the pool drains,
   // RunTcpLoop returns OK, and the latch is consumed for the next test.
@@ -870,7 +838,7 @@ TEST(ConnectionCoreFaultTest, EpollStallInjectionDoesNotDropConnections) {
   EXPECT_EQ(result->requests, 32u);
   EXPECT_EQ(result->ok_replies, 32u);
   EXPECT_EQ(result->error_replies, 0u);
-  EXPECT_EQ(server.Stats().connections_shed, 0u);
+  EXPECT_EQ(server.Stats().conn[ConnMetrics::kShed], 0u);
 
   LineServer::RequestShutdown();
   serve_thread.join();
@@ -916,123 +884,13 @@ TEST(ConnectionCoreFaultTest, FlushFaultTearsOnlyTheTargetConnection) {
   EXPECT_TRUE(parsed->Find("ok")->boolean());
   b.Close();
   serve_thread.join();
-  EXPECT_EQ(server.Stats().connections_shed, 0u);
+  EXPECT_EQ(server.Stats().conn[ConnMetrics::kShed], 0u);
   f.Cleanup();
 }
 
 // ------------------------------------------------ fork/exec chaos drills
 
 #ifndef OCULAR_TSAN
-
-/// A free loopback port: bind 0, read the assignment, close. The tiny
-/// close-to-exec race is acceptable for tests.
-uint16_t FreePort() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return 0;
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    ::close(fd);
-    return 0;
-  }
-  socklen_t len = sizeof(addr);
-  uint16_t port = 0;
-  if (::getsockname(fd, reinterpret_cast<struct sockaddr*>(&addr), &len) ==
-      0) {
-    port = ntohs(addr.sin_port);
-  }
-  ::close(fd);
-  return port;
-}
-
-/// The real daemon binary as a child process, stderr captured to a file,
-/// faults injected through OCULAR_FAULTS.
-struct ServedProcess {
-  pid_t pid = -1;
-  std::string stderr_path;
-
-  static ServedProcess Start(const std::vector<std::string>& args,
-                             const std::string& faults,
-                             const std::string& stderr_path) {
-    ServedProcess p;
-    p.stderr_path = stderr_path;
-    p.pid = ::fork();
-    if (p.pid == 0) {
-      if (faults.empty()) {
-        ::unsetenv("OCULAR_FAULTS");
-      } else {
-        ::setenv("OCULAR_FAULTS", faults.c_str(), 1);
-      }
-      const int err =
-          ::open(stderr_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-      if (err >= 0) {
-        ::dup2(err, 2);
-        ::close(err);
-      }
-      const int null = ::open("/dev/null", O_RDONLY);
-      if (null >= 0) {
-        ::dup2(null, 0);
-        ::close(null);
-      }
-      std::vector<char*> argv;
-      argv.push_back(const_cast<char*>(OCULAR_SERVED_PATH));
-      for (const std::string& a : args) {
-        argv.push_back(const_cast<char*>(a.c_str()));
-      }
-      argv.push_back(nullptr);
-      ::execv(OCULAR_SERVED_PATH, argv.data());
-      ::_exit(127);
-    }
-    return p;
-  }
-
-  /// Waits (bounded) for the child to die; returns the raw wait status,
-  /// or -1 on timeout.
-  int Wait(int timeout_ms = 30000) {
-    for (int waited = 0; waited < timeout_ms; waited += 10) {
-      int status = 0;
-      const pid_t done = ::waitpid(pid, &status, WNOHANG);
-      if (done == pid) {
-        pid = -1;
-        return status;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    return -1;
-  }
-
-  void KillHard() {
-    if (pid > 0) {
-      ::kill(pid, SIGKILL);
-      Wait();
-    }
-  }
-  ~ServedProcess() { KillHard(); }
-};
-
-/// Polls until the daemon accepts on `port` (it is serving) or the child
-/// died. Returns whether a connection succeeded.
-bool WaitForServing(uint16_t port, ServedProcess* served,
-                    int timeout_ms = 20000) {
-  for (int waited = 0; waited < timeout_ms; waited += 20) {
-    RawClient probe;
-    if (probe.Connect(port)) {
-      probe.Close();
-      return true;
-    }
-    int status = 0;
-    if (served->pid > 0 &&
-        ::waitpid(served->pid, &status, WNOHANG) == served->pid) {
-      served->pid = -1;
-      return false;  // died before listening
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  return false;
-}
 
 /// One round trip on a fresh connection; empty string on failure.
 std::string RoundTrip(uint16_t port, const std::string& request) {

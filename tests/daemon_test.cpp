@@ -90,6 +90,8 @@ void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
 namespace ocular {
 namespace {
 
+using test::RawClient;
+
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
@@ -331,7 +333,7 @@ TEST(RequestServerTest, ReloadVerbAndSighupBothHotReload) {
   ASSERT_EQ(::raise(SIGHUP), 0);
   EXPECT_TRUE(server.ConsumePendingReload());
   EXPECT_FALSE(server.ConsumePendingReload());
-  EXPECT_EQ(server.Stats().reloads, 2u);
+  EXPECT_EQ(server.Stats().daemon[DaemonMetrics::kReloads], 2u);
   // Identical file contents -> identical answers after the SIGHUP swap.
   EXPECT_EQ(server.HandleLine(R"({"user":1,"m":5})"), after);
   std::remove(f.model_path.c_str());
@@ -486,8 +488,8 @@ TEST(ConcurrentDaemonTest, SimultaneousClientsAreBitIdenticalToBatchEngine) {
       << "a concurrently served reply differed from RecommendForAllUsers";
 
   const DaemonStatsSnapshot stats = server.Stats();
-  EXPECT_EQ(stats.requests_served, kClients * 50u);
-  EXPECT_EQ(stats.errors, 0u);
+  EXPECT_EQ(stats.daemon[DaemonMetrics::kRequestsServed], kClients * 50u);
+  EXPECT_EQ(stats.daemon[DaemonMetrics::kErrors], 0u);
   EXPECT_EQ(stats.workers, 4u);
   EXPECT_GE(stats.p99_latency_us, stats.p50_latency_us);
   std::remove(f.model_path.c_str());
@@ -559,7 +561,7 @@ TEST(ConcurrentDaemonTest, SighupReloadUnderLoadNeverServesATornModel) {
 
   // The latch is consumed by the first accept/read poll of wave 2, so by
   // wave 3 every worker serves the new generation exclusively.
-  EXPECT_EQ(server.Stats().reloads, 1u);
+  EXPECT_EQ(server.Stats().daemon[DaemonMetrics::kReloads], 1u);
   std::atomic<uint64_t> stale{0};
   load.on_reply = [&](uint32_t user, const std::string& line) {
     if (!ReplyMatches(line, oracle_new[user])) {
@@ -575,42 +577,6 @@ TEST(ConcurrentDaemonTest, SighupReloadUnderLoadNeverServesATornModel) {
 }
 
 // ---------------------------------------------------- load shedding
-
-/// Minimal raw TCP client for the shedding and disconnect tests: these
-/// need precise control over when a connection reads and closes, which
-/// the load generator (deliberately) does not expose — it always drains
-/// its replies. The I/O itself delegates to the shared net:: loops.
-struct RawClient {
-  int fd = -1;
-  std::string buffer;
-
-  /// `rcvbuf` > 0 pins SO_RCVBUF before connect (so it caps the
-  /// negotiated receive window): the slow-consumer tests need the
-  /// kernel's autotuned buffers NOT to absorb a whole reply flood.
-  bool Connect(uint16_t port, int rcvbuf = 0) {
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return false;
-    if (rcvbuf > 0) {
-      ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
-    }
-    struct sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    return ::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                     sizeof(addr)) == 0;
-  }
-  bool Send(const std::string& line) {
-    const std::string framed = line + "\n";
-    return net::SendAll(fd, framed.data(), framed.size());
-  }
-  bool ReadLine(std::string* line) { return net::ReadLine(fd, &buffer, line); }
-  void Close() {
-    if (fd >= 0) ::close(fd);
-    fd = -1;
-  }
-};
 
 TEST(ConcurrentDaemonTest, MaxConnectionsCapShedsWith503StyleReply) {
   DaemonFixture f = DaemonFixture::Make("daemon_shed.oclr");
@@ -661,9 +627,9 @@ TEST(ConcurrentDaemonTest, MaxConnectionsCapShedsWith503StyleReply) {
   b.Close();
   serve_thread.join();
   const DaemonStatsSnapshot stats = server.Stats();
-  EXPECT_EQ(stats.connections_shed, 1u);
-  EXPECT_EQ(stats.connections_capped, 1u);
-  EXPECT_EQ(stats.connections_open, 0u);
+  EXPECT_EQ(stats.conn[ConnMetrics::kShed], 1u);
+  EXPECT_EQ(stats.conn[ConnMetrics::kCapped], 1u);
+  EXPECT_EQ(stats.conn[ConnMetrics::kOpen], 0u);
   std::remove(f.model_path.c_str());
 }
 
@@ -723,7 +689,7 @@ TEST(ConcurrentDaemonTest, ConnectionCoreCountersAreExact) {
   bool slow_closed_seen = false;
   for (int tries = 0; tries < 100 && !slow_closed_seen; ++tries) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    slow_closed_seen = server.Stats().connections_slow_closed > 0;
+    slow_closed_seen = server.Stats().conn[ConnMetrics::kSlowClosed] > 0;
   }
   EXPECT_TRUE(slow_closed_seen)
       << "a never-reading client was not dropped by the slow-consumer "
@@ -734,9 +700,9 @@ TEST(ConcurrentDaemonTest, ConnectionCoreCountersAreExact) {
   ASSERT_TRUE(a.Send(R"({"user":2,"m":3})"));
   ASSERT_TRUE(a.ReadLine(&probe_line));
   const DaemonStatsSnapshot stats = server.Stats();
-  EXPECT_EQ(stats.connections_slow_closed, 1u);
-  EXPECT_GT(stats.peak_outbound_bytes, 0u);
-  EXPECT_EQ(stats.connections_shed, 0u);
+  EXPECT_EQ(stats.conn[ConnMetrics::kSlowClosed], 1u);
+  EXPECT_GT(stats.conn[ConnMetrics::kPeakOutbound], 0u);
+  EXPECT_EQ(stats.conn[ConnMetrics::kShed], 0u);
 
   b.Close();
   a.Close();
@@ -745,7 +711,7 @@ TEST(ConcurrentDaemonTest, ConnectionCoreCountersAreExact) {
   ASSERT_TRUE(last.Connect(port));
   last.Close();
   serve_thread.join();
-  EXPECT_EQ(server.Stats().connections_open, 0u);
+  EXPECT_EQ(server.Stats().conn[ConnMetrics::kOpen], 0u);
   std::remove(f.model_path.c_str());
 }
 
@@ -894,8 +860,8 @@ TEST(FoldInServingTest, HistoryRepliesAreBitIdenticalToOfflineOracle) {
   EXPECT_EQ(dropped->Find("dropped")->number(), 2.0);
 
   const DaemonStatsSnapshot stats = server.Stats();
-  EXPECT_EQ(stats.fold_in_requests, 2u);
-  EXPECT_EQ(stats.history_dropped_ids, 2u);
+  EXPECT_EQ(stats.daemon[DaemonMetrics::kFoldInRequests], 2u);
+  EXPECT_EQ(stats.daemon[DaemonMetrics::kHistoryDroppedIds], 2u);
   auto stats_line =
       JsonValue::Parse(server.HandleLine(R"({"cmd":"stats"})"));
   ASSERT_TRUE(stats_line.ok());
@@ -977,7 +943,7 @@ TEST(FoldInServingTest, MalformedHistoryAndUpdateRequestsAnswerErrors) {
     EXPECT_NE(err->Find("error"), nullptr) << bad;
   }
   // No update may have landed: same registry generation throughout.
-  EXPECT_EQ(server.Stats().updates, 0u);
+  EXPECT_EQ(server.Stats().daemon[DaemonMetrics::kUpdates], 0u);
   std::remove(f.model_path.c_str());
   std::remove(dot_path.c_str());
 }
@@ -1005,7 +971,7 @@ TEST(FoldInServingTest, UpdateRefusesIdUint32MaxAndKeepsTheBoundMatrix) {
   EXPECT_EQ(after.get(), before.get());
   ASSERT_NE(after->train, nullptr);
   EXPECT_EQ(*after->train, f.train);
-  EXPECT_EQ(server.Stats().updates, 0u);
+  EXPECT_EQ(server.Stats().daemon[DaemonMetrics::kUpdates], 0u);
   std::remove(f.model_path.c_str());
 }
 
@@ -1028,7 +994,8 @@ TEST(FoldInServingTest, UpdateVerbPublishesANewGenerationServingNewUsers) {
   auto reply = JsonValue::Parse(server.HandleLine(
       R"({"cmd":"update","adds":[[50,0],[50,7],[50,12]],"sweeps":3})"));
   ASSERT_TRUE(reply.ok());
-  ASSERT_TRUE(reply->Find("ok")->boolean()) << server.Stats().errors;
+  ASSERT_TRUE(reply->Find("ok")->boolean())
+      << server.Stats().daemon[DaemonMetrics::kErrors];
   EXPECT_EQ(reply->Find("users")->number(), 51.0);
   EXPECT_EQ(reply->Find("items")->number(), 30.0);
   EXPECT_GE(reply->Find("publish_us")->number(), 0.0);
@@ -1039,7 +1006,7 @@ TEST(FoldInServingTest, UpdateVerbPublishesANewGenerationServingNewUsers) {
   ASSERT_NE(after, nullptr);
   EXPECT_NE(after.get(), before.get());
   EXPECT_EQ(after->store.num_users(), 51u);
-  EXPECT_EQ(server.Stats().updates, 1u);
+  EXPECT_EQ(server.Stats().daemon[DaemonMetrics::kUpdates], 1u);
 
   // The brand-new user is servable at once, bit-identical to the offline
   // replay (same factors, same merged-train exclusions).
@@ -1336,7 +1303,7 @@ TEST(ConcurrentDaemonTest, UpdateUnderLoadNeverServesATornModel) {
       << "a reply matched neither the old nor the updated generation";
   EXPECT_EQ(old_seen.load() + new_seen.load(),
             kClients * load.requests_per_client);
-  EXPECT_EQ(server.Stats().updates, 1u);
+  EXPECT_EQ(server.Stats().daemon[DaemonMetrics::kUpdates], 1u);
 
   // Wave 3: the update has published; every worker serves the new
   // generation exclusively, including the just-added users.
@@ -1395,7 +1362,7 @@ TEST(LoadGenTest, HistoryTrafficExercisesTheFoldInPath) {
   EXPECT_EQ(result->error_replies, 0u);
   EXPECT_EQ(history_replies.load(), 20u);  // every even slot of 2x20
   EXPECT_EQ(user_replies.load(), 20u);
-  EXPECT_EQ(server.Stats().fold_in_requests, 20u);
+  EXPECT_EQ(server.Stats().daemon[DaemonMetrics::kFoldInRequests], 20u);
 
   // The generator itself is deterministic and refuses a missing catalog.
   EXPECT_EQ(LoadGenHistory(7, 5, 30), LoadGenHistory(7, 5, 30));

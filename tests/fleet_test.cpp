@@ -17,6 +17,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -30,6 +31,8 @@
 
 #include "common/fault.h"
 #include "common/json.h"
+#include "core/model_shard.h"
+#include "core/model_store.h"
 #include "core/ocular_recommender.h"
 #include "data/loaders.h"
 #include "serving/batch.h"
@@ -41,12 +44,6 @@
 #include "serving/registry.h"
 #include "serving/retry.h"
 #include "test_util.h"
-
-// The chaos drills fork/exec the real daemon binary; CMake injects its
-// path the same way daemon_fault_test gets it.
-#ifndef OCULAR_SERVED_PATH
-#define OCULAR_SERVED_PATH "ocular_served"
-#endif
 
 // fork() + SIGKILL drills and ThreadSanitizer do not mix; the in-process
 // tests still run under TSan and carry the concurrency coverage.
@@ -60,6 +57,11 @@
 
 namespace ocular {
 namespace {
+
+using test::FreePort;
+using test::RawClient;
+using test::ServedProcess;
+using test::WaitForServing;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
@@ -262,7 +264,7 @@ TEST(HealthPolicyTest, TableDrivenTransitions) {
 
 // ------------------------------------------------- stats snapshot/merge
 
-TEST(FleetStatsTest, SumReplicaTotalsMergesRows) {
+TEST(FleetStatsTest, RenderSumsReplicaRows) {
   struct Case {
     const char* name;
     std::vector<std::pair<uint64_t, uint64_t>> rows;  // ejections, readmits
@@ -278,45 +280,44 @@ TEST(FleetStatsTest, SumReplicaTotalsMergesRows) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     FleetStatsSnapshot s;
-    // Pre-poisoned totals prove the merge recomputes rather than
-    // accumulates — calling it twice must not double the counts.
-    s.ejections = 99;
-    s.readmissions = 99;
     for (const auto& [ej, re] : c.rows) {
       FleetReplicaStats rs;
       rs.ejections = ej;
       rs.readmissions = re;
       s.replicas.push_back(rs);
     }
-    SumReplicaTotals(&s);
-    EXPECT_EQ(s.ejections, c.want_ejections);
-    EXPECT_EQ(s.readmissions, c.want_readmissions);
-    SumReplicaTotals(&s);
-    EXPECT_EQ(s.ejections, c.want_ejections);
-    EXPECT_EQ(s.readmissions, c.want_readmissions);
+    // Rendering twice must not accumulate: the totals come from the rows.
+    for (int render = 0; render < 2; ++render) {
+      auto parsed = JsonValue::Parse(RenderFleetStats(s));
+      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+      EXPECT_EQ(parsed->Find("ejections")->number(),
+                static_cast<double>(c.want_ejections));
+      EXPECT_EQ(parsed->Find("readmissions")->number(),
+                static_cast<double>(c.want_readmissions));
+    }
   }
 }
 
 TEST(FleetStatsTest, RenderCarriesEveryCounterAndReplicaRow) {
   // Socket-free coverage of the `stats` verb's reply shape: build the
   // snapshot by hand, render, parse back, and check field by field — the
-  // same merge/render code the live FleetServer::FleetStatsReply() runs.
+  // same render code the live fleet `stats` verb runs.
   FleetStatsSnapshot s;
-  s.requests_proxied = 1000;
-  s.failovers = 7;
-  s.hedges_sent = 42;
-  s.hedges_won = 11;
-  s.no_healthy_503s = 3;
-  s.rejected_verbs = 2;
-  s.probes_sent = 500;
-  s.probe_failures = 9;
-  s.connections_shed = 1;
-  s.connections_timed_out = 4;
-  s.connections_open = 5;
-  s.connections_capped = 6;
-  s.connections_slow_closed = 8;
-  s.accept_emfile = 10;
-  s.peak_outbound_bytes = 65536;
+  s.fleet[FleetMetrics::kRequestsProxied] = 1000;
+  s.fleet[FleetMetrics::kFailovers] = 7;
+  s.fleet[FleetMetrics::kHedgesSent] = 42;
+  s.fleet[FleetMetrics::kHedgesWon] = 11;
+  s.fleet[FleetMetrics::kNoHealthy503s] = 3;
+  s.fleet[FleetMetrics::kRejectedVerbs] = 2;
+  s.fleet[FleetMetrics::kProbesSent] = 500;
+  s.fleet[FleetMetrics::kProbeFailures] = 9;
+  s.conn[ConnMetrics::kShed] = 1;
+  s.conn[ConnMetrics::kTimedOut] = 4;
+  s.conn[ConnMetrics::kOpen] = 5;
+  s.conn[ConnMetrics::kCapped] = 6;
+  s.conn[ConnMetrics::kSlowClosed] = 8;
+  s.conn[ConnMetrics::kAcceptEmfile] = 10;
+  s.conn[ConnMetrics::kPeakOutbound] = 65536;
   FleetReplicaStats a;
   a.port = 7001;
   a.state = ReplicaState::kHealthy;
@@ -332,7 +333,6 @@ TEST(FleetStatsTest, RenderCarriesEveryCounterAndReplicaRow) {
   b.ejections = 2;
   b.readmissions = 1;
   s.replicas = {a, b};
-  SumReplicaTotals(&s);
 
   auto parsed = JsonValue::Parse(RenderFleetStats(s));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -453,32 +453,6 @@ std::vector<std::vector<ScoredItem>> Oracle(const OcularModel& model,
   batch.skip_cold_users = false;
   return RecommendForAllUsers(rec, train, batch).value().recommendations;
 }
-
-struct RawClient {
-  int fd = -1;
-  std::string buffer;
-
-  bool Connect(uint16_t port) {
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return false;
-    struct sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    return ::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                     sizeof(addr)) == 0;
-  }
-  bool Send(const std::string& line) {
-    const std::string framed = line + "\n";
-    return net::SendAll(fd, framed.data(), framed.size());
-  }
-  bool ReadLine(std::string* line) { return net::ReadLine(fd, &buffer, line); }
-  void Close() {
-    if (fd >= 0) ::close(fd);
-    fd = -1;
-  }
-};
 
 /// One in-process ocular_served replica: registry + RequestServer on a
 /// kernel-assigned loopback port, its TCP loop on a private thread.
@@ -652,8 +626,10 @@ TEST(FleetServerTest, FrontTierVerbsAndBitIdenticalForwarding) {
   c.Close();
 
   const FleetStatsSnapshot snapshot = fleet.Stats();
-  EXPECT_EQ(snapshot.ejections, 0u);
-  EXPECT_EQ(snapshot.hedges_sent, 0u);
+  for (const FleetReplicaStats& replica : snapshot.replicas) {
+    EXPECT_EQ(replica.ejections, 0u);
+  }
+  EXPECT_EQ(snapshot.fleet[FleetMetrics::kHedgesSent], 0u);
 
   fleet.Stop();
   fleet_thread.join();
@@ -720,140 +696,183 @@ TEST(FleetServerTest, NoHealthyReplicaAnswers503InsteadOfHanging) {
   EXPECT_EQ(reply->Find("code")->number(), 503.0);
   c.Close();
 
-  EXPECT_GE(fleet.Stats().no_healthy_503s, 2u);
+  EXPECT_GE(fleet.Stats().fleet[FleetMetrics::kNoHealthy503s], 2u);
   fleet.Stop();
   fleet_thread.join();
+}
+
+// ------------------------------------------------------ stats replies
+
+/// Checks every key of the `stats` reply `line` against `want`, except
+/// the keys in `skip` (timings) and "replicas" (checked by the caller):
+/// no key missing, none extra, every value equal. Booleans compare as
+/// 0/1.
+void ExpectStatsKeys(const std::string& line,
+                     const std::vector<std::pair<std::string, double>>& want,
+                     const std::vector<std::string>& skip) {
+  auto reply = JsonValue::Parse(line);
+  ASSERT_TRUE(reply.ok()) << line;
+  std::vector<std::string> seen;
+  for (const auto& [key, value] : reply->members()) {
+    if (key == "replicas" ||
+        std::find(skip.begin(), skip.end(), key) != skip.end()) {
+      continue;
+    }
+    seen.push_back(key);
+    const auto it =
+        std::find_if(want.begin(), want.end(),
+                     [&key](const auto& kv) { return kv.first == key; });
+    if (it == want.end()) {
+      ADD_FAILURE() << "unexpected key " << key << " in " << line;
+      continue;
+    }
+    const double got = value.is_bool() ? (value.boolean() ? 1.0 : 0.0)
+                                       : value.number();
+    EXPECT_EQ(got, it->second) << key << " in " << line;
+  }
+  for (const auto& [key, value] : want) {
+    EXPECT_NE(std::find(seen.begin(), seen.end(), key), seen.end())
+        << "missing key " << key << " in " << line;
+  }
+}
+
+TEST(StatsReplyTest, DaemonSessionReportsEveryCounter) {
+  DaemonFixture f = DaemonFixture::Make("stats_reply.oclr");
+  const std::string sharded = TempPath("stats_reply.shardset");
+  {
+    auto store = ModelStore::Open(f.model_path);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE(SaveModelSharded(store->meta(), store->user_factors(),
+                                 store->item_factors(),
+                                 store->item_factors_t(), 2, sharded)
+                    .ok());
+  }
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Load("default", f.model_path, f.shared_train()).ok());
+  ASSERT_TRUE(registry.Load("sharded", sharded).ok());
+  RequestServer::Options options;
+  options.num_workers = 2;
+  RequestServer server(&registry, options);
+
+  // One line per counter: a stored user, a stored user of a sharded
+  // binding, a history holding an id past the 30-item catalog, a line
+  // that is no JSON, an update on the dataset-bound model, a reload.
+  for (const char* line :
+       {R"({"cmd":"recommend","user":3,"m":5})",
+        R"({"cmd":"recommend","model":"sharded","user":40,"m":5})",
+        R"({"cmd":"recommend","history":[1,5,999],"m":5})",
+        "this is not json", R"({"cmd":"update","adds":[[3,7],[12,4]]})",
+        R"({"cmd":"reload"})"}) {
+    server.HandleLine(line);
+  }
+  // A daemon counts a request once it has answered it: the first `stats`
+  // reply leaves itself out, the second counts the first.
+  std::vector<std::pair<std::string, double>> want = {
+      {"ok", 1},
+      {"models_loaded", 2},
+      {"workers", 2},
+      {"requests_served", 6},
+      {"errors", 1},
+      {"reloads", 1},
+      {"fold_in_requests", 1},
+      {"history_dropped_ids", 1},
+      {"shard_requests", 1},
+      {"updates", 1},
+      {"journal_recovered", 0},
+      {"journal_replays", 0},
+      {"connections_shed", 0},
+      {"connections_timed_out", 0},
+      {"connections_open", 0},
+      {"connections_capped", 0},
+      {"connections_slow_closed", 0},
+      {"accept_emfile", 0},
+      {"peak_outbound_bytes", 0},
+  };
+  const std::vector<std::string> timings = {"p50_latency_us",
+                                            "p99_latency_us"};
+  ExpectStatsKeys(server.HandleLine(R"({"cmd":"stats"})"), want, timings);
+  want[3].second = 7;
+  ExpectStatsKeys(server.HandleLine(R"({"cmd":"stats"})"), want, timings);
+  f.Cleanup();
+}
+
+TEST(StatsReplyTest, FleetSessionReportsEveryCounter) {
+  DaemonFixture f = DaemonFixture::Make("stats_reply_fleet.oclr");
+  InProcessReplica replicas[2];
+  ASSERT_TRUE(replicas[0].Start(f));
+  ASSERT_TRUE(replicas[1].Start(f));
+  FleetServer::Options options;
+  options.replicas = {replicas[0].port, replicas[1].port};
+  options.num_workers = 2;
+  std::vector<std::string> replies;
+  {
+    // No RunLoop: no prober and no front door, so the probe and
+    // connection counters stay 0 and every other value is exact.
+    FleetServer fleet(options);
+    for (const char* line :
+         {R"({"cmd":"recommend","user":3,"m":5})",
+          R"({"cmd":"recommend","user":17,"m":5})",
+          R"({"cmd":"recommend","user":40,"m":5})",
+          R"({"cmd":"recommend","history":[1,5],"m":5})",
+          R"({"cmd":"models"})", R"({"cmd":"update","adds":[[3,7]]})",
+          R"({"cmd":"stats"})", R"({"cmd":"stats"})"}) {
+      replies.push_back(fleet.HandleLine(line));
+    }
+  }
+  // Five forwards, one refused update: the fleet counts a request before
+  // it answers it, so each `stats` reply counts itself.
+  std::vector<std::pair<std::string, double>> want = {
+      {"ok", 1},
+      {"fleet", 1},
+      {"requests_proxied", 7},
+      {"failovers", 0},
+      {"hedges_sent", 0},
+      {"hedges_won", 0},
+      {"no_healthy_503s", 0},
+      {"rejected_verbs", 1},
+      {"probes_sent", 0},
+      {"probe_failures", 0},
+      {"connections_shed", 0},
+      {"connections_timed_out", 0},
+      {"connections_open", 0},
+      {"connections_capped", 0},
+      {"connections_slow_closed", 0},
+      {"accept_emfile", 0},
+      {"peak_outbound_bytes", 0},
+      {"ejections", 0},
+      {"readmissions", 0},
+  };
+  ExpectStatsKeys(replies[6], want, {});
+  want[2].second = 8;
+  ExpectStatsKeys(replies[7], want, {});
+
+  // The per-replica rows keep their shape: six keys each, healthy, the
+  // five forwards split between the two replicas.
+  auto stats = JsonValue::Parse(replies[7]);
+  ASSERT_TRUE(stats.ok()) << replies[7];
+  const auto& rows = stats->Find("replicas")->array();
+  ASSERT_EQ(rows.size(), 2u);
+  double forwards = 0;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    ASSERT_EQ(rows[r].members().size(), 6u) << replies[7];
+    EXPECT_EQ(rows[r].Find("port")->number(), replicas[r].port);
+    EXPECT_EQ(rows[r].Find("state")->string(), "healthy");
+    EXPECT_EQ(rows[r].Find("failures")->number(), 0.0);
+    EXPECT_EQ(rows[r].Find("ejections")->number(), 0.0);
+    EXPECT_EQ(rows[r].Find("readmissions")->number(), 0.0);
+    forwards += rows[r].Find("forwards")->number();
+  }
+  EXPECT_EQ(forwards, 5.0);
+
+  replicas[0].Drain();
+  replicas[1].Drain();
+  LineServer::ConsumeShutdownRequest();
+  f.Cleanup();
 }
 
 // ------------------------------------------------ fork/exec chaos drills
 
 #ifndef OCULAR_TSAN
-
-/// A free loopback port: bind 0, read the assignment, close.
-uint16_t FreePort() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return 0;
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    ::close(fd);
-    return 0;
-  }
-  socklen_t len = sizeof(addr);
-  uint16_t port = 0;
-  if (::getsockname(fd, reinterpret_cast<struct sockaddr*>(&addr), &len) ==
-      0) {
-    port = ntohs(addr.sin_port);
-  }
-  ::close(fd);
-  return port;
-}
-
-/// The real daemon binary as a child process, stderr captured, faults
-/// injected through OCULAR_FAULTS.
-struct ServedProcess {
-  pid_t pid = -1;
-  std::string stderr_path;
-
-  ServedProcess() = default;
-  // The destructor SIGKILLs: a copied temporary (e.g. through
-  // make_unique) would kill the replica it just started, so this type
-  // is move-only and a moved-from instance owns nothing.
-  ServedProcess(const ServedProcess&) = delete;
-  ServedProcess& operator=(const ServedProcess&) = delete;
-  ServedProcess(ServedProcess&& other) noexcept
-      : pid(other.pid), stderr_path(std::move(other.stderr_path)) {
-    other.pid = -1;
-  }
-  ServedProcess& operator=(ServedProcess&& other) noexcept {
-    if (this != &other) {
-      KillHard();
-      pid = other.pid;
-      stderr_path = std::move(other.stderr_path);
-      other.pid = -1;
-    }
-    return *this;
-  }
-
-  static ServedProcess Start(const std::vector<std::string>& args,
-                             const std::string& faults,
-                             const std::string& stderr_path) {
-    ServedProcess p;
-    p.stderr_path = stderr_path;
-    p.pid = ::fork();
-    if (p.pid == 0) {
-      if (faults.empty()) {
-        ::unsetenv("OCULAR_FAULTS");
-      } else {
-        ::setenv("OCULAR_FAULTS", faults.c_str(), 1);
-      }
-      const int err =
-          ::open(stderr_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-      if (err >= 0) {
-        ::dup2(err, 2);
-        ::close(err);
-      }
-      const int null = ::open("/dev/null", O_RDONLY);
-      if (null >= 0) {
-        ::dup2(null, 0);
-        ::close(null);
-      }
-      std::vector<char*> argv;
-      argv.push_back(const_cast<char*>(OCULAR_SERVED_PATH));
-      for (const std::string& a : args) {
-        argv.push_back(const_cast<char*>(a.c_str()));
-      }
-      argv.push_back(nullptr);
-      ::execv(OCULAR_SERVED_PATH, argv.data());
-      ::_exit(127);
-    }
-    return p;
-  }
-
-  int Wait(int timeout_ms = 30000) {
-    for (int waited = 0; waited < timeout_ms; waited += 10) {
-      int status = 0;
-      const pid_t done = ::waitpid(pid, &status, WNOHANG);
-      if (done == pid) {
-        pid = -1;
-        return status;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    return -1;
-  }
-
-  void KillHard() {
-    if (pid > 0) {
-      ::kill(pid, SIGKILL);
-      Wait();
-    }
-  }
-  ~ServedProcess() { KillHard(); }
-};
-
-bool WaitForServing(uint16_t port, ServedProcess* served,
-                    int timeout_ms = 20000) {
-  for (int waited = 0; waited < timeout_ms; waited += 20) {
-    RawClient probe;
-    if (probe.Connect(port)) {
-      probe.Close();
-      return true;
-    }
-    probe.Close();
-    int status = 0;
-    if (served->pid > 0 &&
-        ::waitpid(served->pid, &status, WNOHANG) == served->pid) {
-      served->pid = -1;
-      return false;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  return false;
-}
 
 /// Writes `train` as the daemon's dataset and returns the loader's view.
 CsrMatrix WriteAndReloadDataset(const CsrMatrix& train,
@@ -960,9 +979,9 @@ TEST(FleetChaosTest, SigkillOneReplicaMidBurstIsInvisibleToClients) {
   ASSERT_EQ(snapshot.replicas[1].state, ReplicaState::kEjected);
   EXPECT_EQ(snapshot.replicas[1].ejections, 1u);
   EXPECT_EQ(snapshot.replicas[1].readmissions, 0u);
-  EXPECT_GE(snapshot.failovers, 1u)
+  EXPECT_GE(snapshot.fleet[FleetMetrics::kFailovers], 1u)
       << "requests in flight against the corpse must have failed over";
-  EXPECT_EQ(snapshot.no_healthy_503s, 0u);
+  EXPECT_EQ(snapshot.fleet[FleetMetrics::kNoHealthy503s], 0u);
 
   // Restart the replica on its port: the half-open probe readmits it,
   // exactly once.
@@ -981,7 +1000,7 @@ TEST(FleetChaosTest, SigkillOneReplicaMidBurstIsInvisibleToClients) {
 
   // A post-recovery pass is clean: full fleet, no failures, no sheds.
   replies.store(0);
-  const uint64_t failovers_before = snapshot.failovers;
+  const uint64_t failovers_before = snapshot.fleet[FleetMetrics::kFailovers];
   load.on_reply = [&](uint32_t user, const std::string& line) {
     if (!ReplyMatchesRanked(line, expect[user])) {
       mismatches.fetch_add(1, std::memory_order_relaxed);
@@ -992,7 +1011,7 @@ TEST(FleetChaosTest, SigkillOneReplicaMidBurstIsInvisibleToClients) {
   EXPECT_EQ(result->error_replies, 0u);
   EXPECT_EQ(mismatches.load(), 0u);
   snapshot = fleet.Stats();
-  EXPECT_EQ(snapshot.failovers, failovers_before);
+  EXPECT_EQ(snapshot.fleet[FleetMetrics::kFailovers], failovers_before);
   EXPECT_EQ(snapshot.replicas[1].ejections, 1u);
 
   fleet.Stop();
@@ -1070,7 +1089,7 @@ TEST(FleetChaosTest, DaemonHandleKillWindowIsAbsorbedByFailover) {
   }
   EXPECT_EQ(snapshot.replicas[1].state, ReplicaState::kEjected);
   EXPECT_EQ(snapshot.replicas[1].ejections, 1u);
-  EXPECT_GE(snapshot.failovers, 1u);
+  EXPECT_GE(snapshot.fleet[FleetMetrics::kFailovers], 1u);
 
   fleet.Stop();
   fleet_thread.join();
@@ -1146,8 +1165,10 @@ TEST(FleetChaosTest, HedgeWinsAgainstAStalledReplica) {
   c.Close();
 
   const FleetStatsSnapshot snapshot = fleet.Stats();
-  EXPECT_GE(snapshot.hedges_sent, stalled_primary_users.size());
-  EXPECT_GE(snapshot.hedges_won, stalled_primary_users.size());
+  EXPECT_GE(snapshot.fleet[FleetMetrics::kHedgesSent],
+            stalled_primary_users.size());
+  EXPECT_GE(snapshot.fleet[FleetMetrics::kHedgesWon],
+            stalled_primary_users.size());
   EXPECT_EQ(snapshot.replicas[1].ejections, 0u)
       << "a stalled-but-alive replica must not be ejected by hedging";
 

@@ -332,7 +332,7 @@ TEST(WireFuzzTest, TcpLineProtocolSurvivesPipelinedMutantBursts) {
   LineServer::RequestShutdown();
   serve_thread.join();
   EXPECT_FALSE(LineServer::ShutdownRequested());
-  EXPECT_GE(server.Stats().requests_served,
+  EXPECT_GE(server.Stats().daemon[DaemonMetrics::kRequestsServed],
             static_cast<uint64_t>(kBursts * kLinesPerBurst));
   std::remove(f.model_path.c_str());
 }

@@ -507,8 +507,11 @@ TEST(ModelRegistryShardedTest, BindsShardsetAndSwapsOnlyTouchedShards) {
     }
   }
   const std::string shard1_path = TempPath("registry_swap.shard-001.oclr");
-  ASSERT_TRUE(
-      SaveShardUserFactors(set->items->meta(), perturbed, shard1_path).ok());
+  const uint32_t k = old_shard.k();
+  ASSERT_TRUE(WriteModelSections(set->items->meta(),
+                                 SectionSource::Rows(perturbed),
+                                 {0, k, nullptr}, {k, 0, nullptr}, shard1_path)
+                  .ok());
   ShardSetManifest manifest = set->manifest;
   manifest.shards[1].fingerprint =
       fs::FileFingerprint(shard1_path).value();

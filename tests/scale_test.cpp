@@ -35,13 +35,15 @@
 #include "serving/fleet.h"
 #include "serving/net_util.h"
 #include "serving/registry.h"
-
-#ifndef OCULAR_SERVED_PATH
-#define OCULAR_SERVED_PATH "ocular_served"
-#endif
+#include "test_util.h"
 
 namespace ocular {
 namespace {
+
+using test::FreePort;
+using test::RawClient;
+using test::ServedProcess;
+using test::WaitForServing;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
@@ -92,123 +94,6 @@ TEST(ScaleGeneratorTest, RowsArePureAndOrderIndependent) {
       EXPECT_EQ(items.At(i, d), items_t.At(d, i));
     }
   }
-}
-
-// ------------------------------------------ fork/exec replica harness
-
-uint16_t FreePort() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return 0;
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    ::close(fd);
-    return 0;
-  }
-  socklen_t len = sizeof(addr);
-  uint16_t port = 0;
-  if (::getsockname(fd, reinterpret_cast<struct sockaddr*>(&addr), &len) ==
-      0) {
-    port = ntohs(addr.sin_port);
-  }
-  ::close(fd);
-  return port;
-}
-
-struct ServedProcess {
-  pid_t pid = -1;
-
-  ServedProcess() = default;
-  ServedProcess(const ServedProcess&) = delete;
-  ServedProcess& operator=(const ServedProcess&) = delete;
-  ServedProcess(ServedProcess&& other) noexcept : pid(other.pid) {
-    other.pid = -1;
-  }
-
-  static ServedProcess Start(const std::vector<std::string>& args,
-                             const std::string& stderr_path) {
-    ServedProcess p;
-    p.pid = ::fork();
-    if (p.pid == 0) {
-      ::unsetenv("OCULAR_FAULTS");
-      const int err =
-          ::open(stderr_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-      if (err >= 0) {
-        ::dup2(err, 2);
-        ::close(err);
-      }
-      const int null = ::open("/dev/null", O_RDONLY);
-      if (null >= 0) {
-        ::dup2(null, 0);
-        ::close(null);
-      }
-      std::vector<char*> argv;
-      argv.push_back(const_cast<char*>(OCULAR_SERVED_PATH));
-      for (const std::string& a : args) {
-        argv.push_back(const_cast<char*>(a.c_str()));
-      }
-      argv.push_back(nullptr);
-      ::execv(OCULAR_SERVED_PATH, argv.data());
-      ::_exit(127);
-    }
-    return p;
-  }
-
-  void KillHard() {
-    if (pid > 0) {
-      ::kill(pid, SIGKILL);
-      int status = 0;
-      ::waitpid(pid, &status, 0);
-      pid = -1;
-    }
-  }
-  ~ServedProcess() { KillHard(); }
-};
-
-struct RawClient {
-  int fd = -1;
-  std::string buffer;
-
-  bool Connect(uint16_t port) {
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return false;
-    struct sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    return ::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                     sizeof(addr)) == 0;
-  }
-  bool Send(const std::string& line) {
-    const std::string framed = line + "\n";
-    return net::SendAll(fd, framed.data(), framed.size());
-  }
-  bool ReadLine(std::string* line) { return net::ReadLine(fd, &buffer, line); }
-  void Close() {
-    if (fd >= 0) ::close(fd);
-    fd = -1;
-  }
-  ~RawClient() { Close(); }
-};
-
-bool WaitForServing(uint16_t port, ServedProcess* served,
-                    int timeout_ms = 60000) {
-  for (int waited = 0; waited < timeout_ms; waited += 20) {
-    RawClient probe;
-    if (probe.Connect(port)) return true;
-    int status = 0;
-    if (served->pid > 0 &&
-        ::waitpid(served->pid, &status, WNOHANG) == served->pid) {
-      served->pid = -1;
-      return false;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  return false;
 }
 
 // ------------------------------------------------- the scale end-to-end
@@ -292,8 +177,8 @@ TEST(ScaleShardSetTest, TwoMillionUsersServedBitIdenticalThroughFleet) {
         {"--models=default=" + manifest_path,
          "--port=" + std::to_string(ports[r]), "--io-timeout-ms=100",
          "--journal=0", "--workers=8"},
-        TempPath("scale_replica" + std::to_string(r) + ".log")));
-    ASSERT_TRUE(WaitForServing(ports[r], replicas[r].get())) << r;
+        "", TempPath("scale_replica" + std::to_string(r) + ".log")));
+    ASSERT_TRUE(WaitForServing(ports[r], replicas[r].get(), 60000)) << r;
   }
 
   FleetServer::Options options;
@@ -337,8 +222,8 @@ TEST(ScaleShardSetTest, TwoMillionUsersServedBitIdenticalThroughFleet) {
 
   // The fleet saw only healthy replicas: nothing shed, nothing 503'd.
   const FleetStatsSnapshot snapshot = fleet.Stats();
-  EXPECT_EQ(snapshot.no_healthy_503s, 0u);
-  EXPECT_GE(snapshot.requests_proxied, sample.size());
+  EXPECT_EQ(snapshot.fleet[FleetMetrics::kNoHealthy503s], 0u);
+  EXPECT_GE(snapshot.fleet[FleetMetrics::kRequestsProxied], sample.size());
 
   fleet.Stop();
   fleet_thread.join();

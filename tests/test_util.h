@@ -1,23 +1,34 @@
 // Shared test fixtures: a seeded RNG factory, tiny deterministic
-// synthetic interaction matrices, an OCLR v2 downgrader and a page
-// residency probe, so individual test files stop re-implementing the same
-// builders.
+// synthetic interaction matrices, an OCLR v2 downgrader, a page
+// residency probe, and the loopback harness of the serving tests (a raw
+// TCP client, a free port, the real daemon binary as a child process),
+// so individual test files stop re-implementing the same builders.
 
 #ifndef OCULAR_TESTS_TEST_UTIL_H_
 #define OCULAR_TESTS_TEST_UTIL_H_
 
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <csignal>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
 #include "common/rng.h"
+#include "serving/net_util.h"
 #include "sparse/coo.h"
 #include "sparse/csr.h"
 
@@ -123,6 +134,210 @@ inline long PresentPages(const void* begin, size_t bytes) {
   for (const uint64_t entry : entries) present += (entry >> 63) & 1;
   return present;
 }
+
+
+// ------------------------------------------------- loopback harness
+
+/// Minimal raw TCP client: exact control over partial sends, reads and
+/// closes, which the load generator (deliberately) hides — it always
+/// drains its replies. The I/O delegates to the shared net:: loops.
+/// Move-only; the destructor closes the socket.
+struct RawClient {
+  int fd = -1;
+  std::string buffer;
+
+  RawClient() = default;
+  RawClient(const RawClient&) = delete;
+  RawClient& operator=(const RawClient&) = delete;
+  RawClient(RawClient&& other) noexcept
+      : fd(other.fd), buffer(std::move(other.buffer)) {
+    other.fd = -1;
+  }
+  RawClient& operator=(RawClient&& other) noexcept {
+    if (this != &other) {
+      Close();
+      fd = other.fd;
+      buffer = std::move(other.buffer);
+      other.fd = -1;
+    }
+    return *this;
+  }
+  ~RawClient() { Close(); }
+
+  /// Connects to 127.0.0.1:`port`. `rcvbuf` > 0 pins SO_RCVBUF before
+  /// connect (so it caps the negotiated receive window): the
+  /// slow-consumer tests need the kernel's autotuned buffers NOT to
+  /// absorb a whole reply flood.
+  bool Connect(uint16_t port, int rcvbuf = 0) {
+    fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) return false;
+    if (rcvbuf > 0) {
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    }
+    struct sockaddr_in addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    return ::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                     sizeof(addr)) == 0;
+  }
+  /// Sends `line` and its newline.
+  bool Send(const std::string& line) {
+    const std::string framed = line + "\n";
+    return net::SendAll(fd, framed.data(), framed.size());
+  }
+  /// Sends `bytes` as they are (partial lines, no newline).
+  bool SendRaw(const std::string& bytes) {
+    return net::SendAll(fd, bytes.data(), bytes.size());
+  }
+  bool ReadLine(std::string* line) { return net::ReadLine(fd, &buffer, line); }
+  void Close() {
+    if (fd >= 0) ::close(fd);
+    fd = -1;
+  }
+};
+
+/// A free loopback port: bind 0, read the assignment, close. The tiny
+/// close-to-exec race is acceptable for tests.
+inline uint16_t FreePort() {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return 0;
+  struct sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    ::close(fd);
+    return 0;
+  }
+  socklen_t len = sizeof(addr);
+  uint16_t port = 0;
+  if (::getsockname(fd, reinterpret_cast<struct sockaddr*>(&addr), &len) ==
+      0) {
+    port = ntohs(addr.sin_port);
+  }
+  ::close(fd);
+  return port;
+}
+
+#ifdef OCULAR_SERVED_PATH
+/// The real daemon binary (OCULAR_SERVED_PATH, which CMake gives the
+/// tests that fork it) as a child process: stdin from /dev/null, stderr
+/// captured to a file, faults injected through OCULAR_FAULTS, optionally
+/// under a lowered RLIMIT_NOFILE (the fd-exhaustion drill). Move-only:
+/// the destructor SIGKILLs `pid`, so a copied temporary (e.g. through
+/// make_unique) would kill the child it just started, and a moved-from
+/// instance owns nothing.
+struct ServedProcess {
+  pid_t pid = -1;
+  std::string stderr_path;
+
+  ServedProcess() = default;
+  ServedProcess(const ServedProcess&) = delete;
+  ServedProcess& operator=(const ServedProcess&) = delete;
+  ServedProcess(ServedProcess&& other) noexcept
+      : pid(other.pid), stderr_path(std::move(other.stderr_path)) {
+    other.pid = -1;
+  }
+  ServedProcess& operator=(ServedProcess&& other) noexcept {
+    if (this != &other) {
+      KillHard();
+      pid = other.pid;
+      stderr_path = std::move(other.stderr_path);
+      other.pid = -1;
+    }
+    return *this;
+  }
+  ~ServedProcess() { KillHard(); }
+
+  /// Forks and execs the daemon with `args`. `faults` is the child's
+  /// OCULAR_FAULTS (empty: none); `nofile_limit` > 0 lowers its
+  /// RLIMIT_NOFILE before the exec.
+  static ServedProcess Start(const std::vector<std::string>& args,
+                             const std::string& faults,
+                             const std::string& stderr_path,
+                             rlim_t nofile_limit = 0) {
+    ServedProcess p;
+    p.stderr_path = stderr_path;
+    p.pid = ::fork();
+    if (p.pid == 0) {
+      if (faults.empty()) {
+        ::unsetenv("OCULAR_FAULTS");
+      } else {
+        ::setenv("OCULAR_FAULTS", faults.c_str(), 1);
+      }
+      if (nofile_limit > 0) {
+        struct rlimit lim;
+        lim.rlim_cur = nofile_limit;
+        lim.rlim_max = nofile_limit;
+        if (::setrlimit(RLIMIT_NOFILE, &lim) != 0) ::_exit(126);
+      }
+      const int err =
+          ::open(stderr_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+      if (err >= 0) {
+        ::dup2(err, 2);
+        ::close(err);
+      }
+      const int null = ::open("/dev/null", O_RDONLY);
+      if (null >= 0) {
+        ::dup2(null, 0);
+        ::close(null);
+      }
+      std::vector<char*> argv;
+      argv.push_back(const_cast<char*>(OCULAR_SERVED_PATH));
+      for (const std::string& a : args) {
+        argv.push_back(const_cast<char*>(a.c_str()));
+      }
+      argv.push_back(nullptr);
+      ::execv(OCULAR_SERVED_PATH, argv.data());
+      ::_exit(127);
+    }
+    return p;
+  }
+
+  /// Waits (bounded) for the child to die; returns the raw wait status,
+  /// or -1 on timeout or when there is no child to wait for.
+  int Wait(int timeout_ms = 30000) {
+    for (int waited = 0; pid > 0 && waited < timeout_ms; waited += 10) {
+      int status = 0;
+      const pid_t done = ::waitpid(pid, &status, WNOHANG);
+      if (done == pid || done < 0) {  // reaped, or already gone
+        pid = -1;
+        return done < 0 ? -1 : status;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return -1;
+  }
+
+  void KillHard() {
+    if (pid > 0) {
+      ::kill(pid, SIGKILL);
+      Wait();
+    }
+  }
+};
+
+/// Polls until the daemon accepts on `port` (it is serving) or the child
+/// died. Returns whether a connection succeeded.
+inline bool WaitForServing(uint16_t port, ServedProcess* served,
+                           int timeout_ms = 20000) {
+  for (int waited = 0; waited < timeout_ms; waited += 20) {
+    RawClient probe;
+    if (probe.Connect(port)) return true;
+    int status = 0;
+    if (served->pid > 0 &&
+        ::waitpid(served->pid, &status, WNOHANG) == served->pid) {
+      served->pid = -1;
+      return false;  // died before listening
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  return false;
+}
+#endif  // OCULAR_SERVED_PATH
 
 }  // namespace test
 }  // namespace ocular
