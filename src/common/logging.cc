@@ -1,6 +1,7 @@
 #include "common/logging.h"
 
 #include <atomic>
+#include <cstdio>
 
 namespace ocular {
 
@@ -45,9 +46,12 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
 }
 
 LogMessage::~LogMessage() {
+  // Straight to stdio's stderr: std::cerr would link the iostream
+  // initializer into every binary, serving ones included.
   stream_ << "\n";
-  std::cerr << stream_.str();
-  std::cerr.flush();
+  const std::string line = stream_.str();
+  std::fwrite(line.data(), 1, line.size(), stderr);
+  std::fflush(stderr);
   if (level_ == LogLevel::kFatal) std::abort();
 }
 

@@ -2,7 +2,6 @@
 #define OCULAR_COMMON_LOGGING_H_
 
 #include <cstdlib>
-#include <iostream>
 #include <sstream>
 #include <string>
 

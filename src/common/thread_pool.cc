@@ -1,5 +1,8 @@
 #include "common/thread_pool.h"
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <algorithm>
 #include <system_error>
 
@@ -131,6 +134,18 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
       if (--in_flight_ == 0) cv_done_.notify_all();
     }
   }
+}
+
+size_t UsableCpus() {
+  // pthread_getaffinity_np reads the mask from libc code that the daemon's
+  // threads already keep resident, where the sched_getaffinity wrapper
+  // faulted in 64 KiB more of libc text.
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  if (::pthread_getaffinity_np(::pthread_self(), sizeof(cpus), &cpus) != 0) {
+    return 1;
+  }
+  return static_cast<size_t>(std::max(CPU_COUNT(&cpus), 1));
 }
 
 void ForkJoin(size_t n, const std::function<void(size_t)>& fn) {

@@ -104,6 +104,12 @@ class ThreadPool {
 /// (4-vCPU guest, medians of 41 loads).
 void ForkJoin(size_t n, const std::function<void(size_t)>& fn);
 
+/// CPUs the calling thread may run on: its affinity mask, which taskset
+/// and cpusets narrow and std::thread::hardware_concurrency does not see.
+/// The one-shot parallel passes (the `--datasets` load's ranges, the
+/// packing of exclusion rows) start at most this many ForkJoin threads.
+size_t UsableCpus();
+
 }  // namespace ocular
 
 #endif  // OCULAR_COMMON_THREAD_POOL_H_

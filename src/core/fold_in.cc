@@ -213,7 +213,7 @@ std::span<const double> FoldedUpdate::UserRow(uint32_t u) const {
 
 Result<FoldedUpdate> FoldInUpdate(
     const FoldInContext& ctx, std::span<const ConstMatrixView> user_blocks,
-    const CsrMatrix& merged,
+    const PackedRows& merged,
     std::span<const std::pair<uint32_t, uint32_t>> adds, uint32_t num_users,
     uint32_t num_items, const FoldInOptions& options) {
   const uint32_t old_items = ctx.num_items();
@@ -238,6 +238,7 @@ Result<FoldedUpdate> FoldInUpdate(
   }
   FoldedUpdate out;
   FoldInWorkspace ws;
+  std::vector<uint32_t> row_ids;  // the decoded row being read
 
   // New items first, against the serving users and Σ_u f_u: their buyers
   // are the merged column's serving users (new users have no factors yet).
@@ -248,7 +249,7 @@ Result<FoldedUpdate> FoldInUpdate(
     const std::vector<double> user_sums = ColumnSums(users);
     std::vector<std::pair<uint32_t, uint32_t>> bought;  // (item, user)
     for (uint32_t u = 0; u < old_users; ++u) {
-      const std::span<const uint32_t> row = merged.Row(u);
+      const std::span<const uint32_t> row = merged.DecodeRow(u, &row_ids);
       for (auto i = std::lower_bound(row.begin(), row.end(), old_items);
            i != row.end(); ++i) {
         bought.emplace_back(*i, u);
@@ -285,7 +286,8 @@ Result<FoldedUpdate> FoldInUpdate(
   std::vector<double> gathered;
   std::vector<uint32_t> positions;
   for (uint32_t n = 0; n < out.users.size(); ++n) {
-    const std::span<const uint32_t> history = merged.Row(out.users[n]);
+    const std::span<const uint32_t> history =
+        merged.DecodeRow(out.users[n], &row_ids);
     const auto length = static_cast<uint32_t>(history.size());
     gathered.resize(size_t{length} * dims);
     positions.resize(length);

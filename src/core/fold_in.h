@@ -9,6 +9,7 @@
 #include "common/result.h"
 #include "core/ocular_trainer.h"
 #include "eval/recommender.h"
+#include "sparse/packed_rows.h"
 
 namespace ocular {
 
@@ -177,13 +178,15 @@ struct FoldedUpdate {
 /// Folds in one update of the model `ctx` serves, whose user factors are
 /// `user_blocks` in global row order (one block per shard). `merged` is
 /// the interaction matrix with the update's `adds` merged in (at least
-/// `num_users` rows, exactly `num_items` columns). The model grows to
+/// `num_users` rows, exactly `num_items` columns), packed as the daemon
+/// holds it; only the rows the fold-in reads are decoded: the touched
+/// users', and every serving user's when items are new. The model grows to
 /// `num_users` x `num_items`; new rows without history are zero but for
 /// the bias extension's pinned 1. New items need the users as one block.
 /// Item rows are read from Vᵀ only, so no row-major item page is touched.
 Result<FoldedUpdate> FoldInUpdate(
     const FoldInContext& ctx, std::span<const ConstMatrixView> user_blocks,
-    const CsrMatrix& merged,
+    const PackedRows& merged,
     std::span<const std::pair<uint32_t, uint32_t>> adds, uint32_t num_users,
     uint32_t num_items, const FoldInOptions& options = {});
 

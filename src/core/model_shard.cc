@@ -1,6 +1,10 @@
 #include "core/model_shard.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -152,12 +156,21 @@ Result<ShardMap> ShardSetManifest::Map() const {
 }
 
 bool IsShardSetFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
+  // open/read, not a std::ifstream: every registry load sniffs its file,
+  // and a stream would start libstdc++'s locale machinery in the daemon.
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
   char head[sizeof(kManifestMagic)] = {};  // magic + the following space
-  in.read(head, sizeof(head));
-  if (in.gcount() != static_cast<std::streamsize>(sizeof(head))) return false;
-  return std::memcmp(head, kManifestMagic, sizeof(kManifestMagic) - 1) == 0 &&
+  size_t got = 0;
+  while (got < sizeof(head)) {
+    const ssize_t n = ::read(fd, head + got, sizeof(head) - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    got += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  return got == sizeof(head) &&
+         std::memcmp(head, kManifestMagic, sizeof(kManifestMagic) - 1) == 0 &&
          head[sizeof(head) - 1] == ' ';
 }
 

@@ -1,8 +1,6 @@
 #include "data/loaders.h"
 
 #include <fcntl.h>
-#include <pthread.h>
-#include <sched.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -55,20 +53,6 @@ class IdMap {
 /// A file loads in ranges of at least this many bytes, some 25,000 lines of
 /// ids, whose scan outweighs starting a thread for it many times over.
 constexpr uint64_t kMinRangeBytes = uint64_t{256} << 10;
-
-/// CPUs the calling thread may run on: its affinity mask, which taskset
-/// and cpusets narrow and std::thread::hardware_concurrency does not see.
-/// The mask is sched_getaffinity(0)'s; pthread_getaffinity_np reads it from
-/// libc code that the daemon's threads already keep resident, where the
-/// sched_getaffinity wrapper faulted in 64 KiB more of libc text.
-size_t UsableCpus() {
-  cpu_set_t cpus;
-  CPU_ZERO(&cpus);
-  if (::pthread_getaffinity_np(::pthread_self(), sizeof(cpus), &cpus) != 0) {
-    return 1;
-  }
-  return static_cast<size_t>(std::max(CPU_COUNT(&cpus), 1));
-}
 
 /// A file opened for reading, closed on destruction.
 class InputFile {

@@ -18,10 +18,11 @@
 #include "common/timer.h"        // IWYU pragma: export
 
 // Sparse linear algebra.
-#include "sparse/coo.h"     // IWYU pragma: export
-#include "sparse/csr.h"     // IWYU pragma: export
-#include "sparse/dense.h"   // IWYU pragma: export
-#include "sparse/linalg.h"  // IWYU pragma: export
+#include "sparse/coo.h"          // IWYU pragma: export
+#include "sparse/csr.h"          // IWYU pragma: export
+#include "sparse/dense.h"        // IWYU pragma: export
+#include "sparse/linalg.h"       // IWYU pragma: export
+#include "sparse/packed_rows.h"  // IWYU pragma: export
 
 // Data.
 #include "data/dataset.h"    // IWYU pragma: export

@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
-#include <iostream>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -408,7 +407,7 @@ SectionSource UserRows(const FoldedUpdate& folded, ConstMatrixView old,
 
 Result<RequestServer::UpdateOutcome> RequestServer::FoldInAndPublish(
     const ServableModel& model, const std::string& model_name,
-    const CsrMatrix& base, const UpdateRecord& record, bool* published) {
+    const PackedRows& base, const UpdateRecord& record, bool* published) {
   *published = false;
   if (model.fold_in == nullptr) {
     return Status::FailedPrecondition(
@@ -420,12 +419,13 @@ Result<RequestServer::UpdateOutcome> RequestServer::FoldInAndPublish(
   OCULAR_RETURN_IF_ERROR(CheckSetDoesNotGrow(model, model_name, users, items));
   if (fault::Maybe("update.apply")) return fault::InjectedError("update.apply");
   // A touched user's fold-in history is its FULL merged row, and the
-  // merged matrix becomes the new generation's exclusion source. Dataset
-  // rows past the model's users stay in it as exclusions only.
+  // merged rows become the new generation's exclusion source. Dataset
+  // rows past the model's users stay in it as exclusions only. Only the
+  // touched rows are decoded and re-packed; the rest keep their bytes.
   OCULAR_ASSIGN_OR_RETURN(
-      CsrMatrix merged_train,
+      PackedRows merged_train,
       base.WithEntries(record.adds, std::max(users, base.num_rows()), items));
-  auto merged = std::make_shared<const CsrMatrix>(std::move(merged_train));
+  auto merged = std::make_shared<const PackedRows>(std::move(merged_train));
   const FoldInContext& ctx = *model.fold_in;
   OCULAR_ASSIGN_OR_RETURN(
       const FoldedUpdate folded,
@@ -520,7 +520,8 @@ Result<RequestServer::UpdateOutcome> RequestServer::FoldInAndPublish(
   // The same generation swap as SIGHUP reload: in-flight requests drain
   // on their leased mapping, workers re-resolve lock-free, and a set
   // aliases every member it did not rewrite.
-  OCULAR_RETURN_IF_ERROR(registry_->Load(model_name, model.model_path, merged));
+  OCULAR_RETURN_IF_ERROR(
+      registry_->LoadPacked(model_name, model.model_path, merged));
   metrics_.Add(DaemonMetrics::kUpdates);
 
   UpdateOutcome outcome;
@@ -653,7 +654,7 @@ Result<JournalRecoveryStats> RequestServer::RecoverJournal(
                         record.adds.end());
   }
   OCULAR_ASSIGN_OR_RETURN(
-      CsrMatrix merged_train,
+      PackedRows merged_train,
       model->train->WithEntries(applied_adds, users, items));
   stats.applied_merged = plan.applied.size();
 
@@ -672,9 +673,9 @@ Result<JournalRecoveryStats> RequestServer::RecoverJournal(
     stats.replayed_pending = true;
     metrics_.Add(DaemonMetrics::kJournalReplays);
   } else if (!plan.applied.empty()) {
-    OCULAR_RETURN_IF_ERROR(registry_->Load(
+    OCULAR_RETURN_IF_ERROR(registry_->LoadPacked(
         model_name, model->model_path,
-        std::make_shared<const CsrMatrix>(std::move(merged_train))));
+        std::make_shared<const PackedRows>(std::move(merged_train))));
   }
   metrics_.Add(DaemonMetrics::kJournalRecovered, plan.applied.size());
   if (stats.replayed_pending || stats.healed_commit) {
@@ -940,42 +941,53 @@ DaemonStatsSnapshot RequestServer::Stats() const {
   return snapshot;
 }
 
-void RequestServer::RunStdioLoop(std::istream& in, std::ostream& out) {
+void RequestServer::RunStdioLoop(int in_fd, int out_fd) {
+  std::string buffered;  // bytes read and not yet served
+  size_t start = 0;      // where the next line begins in `buffered`
+  bool at_eof = false;
   std::string line;
-  std::string partial;  // prefix extracted before an interrupted read
+  char chunk[4096];
   while (!quit_requested_) {
     ConsumePendingReload();
-    if (LineServer::ConsumeShutdownRequest()) {
+    if (stdio_shutdown_.Requested()) {
       // SIGTERM drain, stdio flavor: every request read so far has been
-      // answered and flushed (one write per line), so just stop reading.
+      // answered (one write per line), so just stop reading.
+      stdio_shutdown_.Rearm();
       std::fprintf(stderr, "drained: %s\n", HandleStats().c_str());
       break;
     }
-    errno = 0;
-    if (!std::getline(in, line)) {
-      // A SIGHUP arriving while blocked in getline fails the stream with
-      // EINTR (the handler is installed without SA_RESTART); that is a
-      // reload request, not end of input — recover and keep serving. The
-      // stream flags are not trustworthy here (libstdc++ reports the
-      // interrupted read as eof), so the errno check decides, and the
-      // C-stdio error state backing std::cin must be cleared too. Any
-      // half-read line is carried over so the request stream stays
-      // aligned.
-      if (errno == EINTR) {
-        partial += line;
-        in.clear();
-        if (&in == &std::cin) std::clearerr(stdin);
-        continue;
+    const size_t newline = buffered.find('\n', start);
+    if (newline == std::string::npos) {
+      if (at_eof) break;
+      buffered.erase(0, start);
+      start = 0;
+      const ssize_t got = ::read(in_fd, chunk, sizeof(chunk));
+      if (got > 0) {
+        buffered.append(chunk, static_cast<size_t>(got));
+      } else if (got == 0) {
+        // A last line without its newline is still a request.
+        at_eof = true;
+        if (!buffered.empty()) buffered.push_back('\n');
+      } else if (errno != EINTR) {
+        break;
       }
-      break;
+      // EINTR: a SIGHUP (installed without SA_RESTART) woke the read. The
+      // loop's top applies the reload; the partial line stays buffered,
+      // so the request stream stays aligned.
+      continue;
     }
-    if (!partial.empty()) {
-      line = partial + line;
-      partial.clear();
-    }
+    line.assign(buffered, start, newline - start);
+    start = newline + 1;
     if (line.empty()) continue;
-    out << HandleLine(line) << '\n';
-    out.flush();
+    std::string reply = HandleLine(line);
+    reply.push_back('\n');
+    for (size_t sent = 0; sent < reply.size();) {
+      const ssize_t put =
+          ::write(out_fd, reply.data() + sent, reply.size() - sent);
+      if (put < 0 && errno == EINTR) continue;
+      if (put <= 0) break;  // nobody reads the replies; keep serving
+      sent += static_cast<size_t>(put);
+    }
   }
 }
 
@@ -1000,10 +1012,9 @@ void RequestServer::OnConnectionError() {
 
 Status RequestServer::RunTcpLoop(uint16_t port, uint64_t max_accepts) {
   const Status status = lines_.Run(port, max_accepts);
-  // Drain exit: consume the latch (so a test can serve again in this
-  // process) and flush one final stats line — the last thing an operator
+  // Drain exit: flush one final stats line — the last thing an operator
   // sees from a SIGTERMed daemon is what it did with its life.
-  if (LineServer::ConsumeShutdownRequest()) {
+  if (lines_.drained_on_shutdown()) {
     std::fprintf(stderr, "drained: %s\n", HandleStats().c_str());
   }
   return status;

@@ -3,11 +3,9 @@
 
 #include <chrono>
 #include <cstdint>
-#include <istream>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <span>
 #include <string>
 #include <vector>
@@ -189,10 +187,13 @@ class RequestServer : private LineServer::Handler {
       const std::string& model_name, uint32_t user, const ServeOptions& options,
       const std::vector<uint32_t>* exclude_override = nullptr);
 
-  /// \brief Reads request lines from `in` until EOF or a `quit` verb,
-  /// writing one response line each to `out` (flushed per line; pending
-  /// SIGHUP reloads are applied between requests). Single-threaded.
-  void RunStdioLoop(std::istream& in, std::ostream& out);
+  /// \brief Reads request lines from the file descriptor `in_fd` until
+  /// EOF, a `quit` verb or a shutdown request, writing one response line
+  /// each to `out_fd` (one write per line; pending SIGHUP reloads are
+  /// applied between requests). A read that a signal interrupts keeps the
+  /// partial line and reads on after applying the reload. A shutdown
+  /// request prints one final `drained:` stats line. Single-threaded.
+  void RunStdioLoop(int in_fd, int out_fd);
 
   /// \brief Serves the line protocol on 127.0.0.1:`port` through
   /// LineServer::Run (see it for `port` and `max_accepts`; a `quit` verb
@@ -303,7 +304,7 @@ class RequestServer : private LineServer::Handler {
   /// binding's own file (the `.oclr` or the manifest) has been renamed.
   Result<UpdateOutcome> FoldInAndPublish(const ServableModel& model,
                                          const std::string& model_name,
-                                         const CsrMatrix& base,
+                                         const PackedRows& base,
                                          const UpdateRecord& record,
                                          bool* published);
   std::string HandleModels();
@@ -323,6 +324,8 @@ class RequestServer : private LineServer::Handler {
   Options options_;
   size_t num_tcp_workers_ = 1;
   LineServer lines_;
+  /// The stdio loop's drain requests (the TCP loop's are lines_').
+  ShutdownWatch stdio_shutdown_;
   bool quit_requested_ = false;
   /// Construction instant; the `ping` verb's uptime_ms is measured from
   /// here, so a health prober can tell a long-lived replica from one

@@ -882,7 +882,7 @@ Status FleetServer::RunLoop(uint16_t port, uint64_t max_connections) {
   stop_.store(true, std::memory_order_relaxed);  // release the prober
   prober.join();
   for (size_t i = 0; i < options_.num_workers; ++i) slots_[i]->CloseAll();
-  if (LineServer::ConsumeShutdownRequest()) {
+  if (lines_.drained_on_shutdown()) {
     std::fprintf(stderr, "fleet drained: %s\n",
                  RenderFleetStats(Stats()).c_str());
   }

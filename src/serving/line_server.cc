@@ -29,15 +29,17 @@ namespace ocular {
 
 namespace {
 
-// SIGTERM/SIGINT drain latch. The signal may land on any thread; every
-// serving loop polls the latch at its top, and a parked IO loop wakes
-// either by EINTR (the handler thread) or by its epoll_wait deadline
-// (everyone else — see Options::io_timeout_ms), so the whole process
-// notices within one deadline tick.
-std::atomic<bool> g_pending_shutdown{false};
+// SIGTERM/SIGINT drain epoch. The signal may land on any thread; every
+// serving loop compares the epoch with its ShutdownWatch at its top, and
+// a parked IO loop wakes either by EINTR (the handler thread) or by its
+// epoll_wait deadline (everyone else — see Options::io_timeout_ms), so
+// the whole process notices within one deadline tick.
+std::atomic<uint64_t> g_shutdown_epoch{0};
+static_assert(std::atomic<uint64_t>::is_always_lock_free,
+              "the signal handler bumps the epoch");
 
 void OnShutdownSignal(int /*signum*/) {
-  g_pending_shutdown.store(true, std::memory_order_relaxed);
+  g_shutdown_epoch.fetch_add(1, std::memory_order_relaxed);
 }
 
 // Replies accumulate into a per-batch buffer and go out in chunks of at
@@ -158,15 +160,18 @@ void LineServer::InstallShutdownSignalHandler() {
 }
 
 void LineServer::RequestShutdown() {
-  g_pending_shutdown.store(true, std::memory_order_relaxed);
+  g_shutdown_epoch.fetch_add(1, std::memory_order_relaxed);
 }
 
-bool LineServer::ShutdownRequested() {
-  return g_pending_shutdown.load(std::memory_order_relaxed);
+ShutdownWatch::ShutdownWatch()
+    : armed_at_(g_shutdown_epoch.load(std::memory_order_relaxed)) {}
+
+bool ShutdownWatch::Requested() const {
+  return g_shutdown_epoch.load(std::memory_order_relaxed) != armed_at_;
 }
 
-bool LineServer::ConsumeShutdownRequest() {
-  return g_pending_shutdown.exchange(false, std::memory_order_relaxed);
+void ShutdownWatch::Rearm() {
+  armed_at_ = g_shutdown_epoch.load(std::memory_order_relaxed);
 }
 
 /// The epoll readiness loop of one LineServer::Run.
@@ -784,7 +789,7 @@ struct LineServer::Core {
       if (fault::Maybe("daemon.epoll")) {
         std::this_thread::sleep_for(std::chrono::milliseconds(kEpollStallMs));
       }
-      if (!draining && (ShutdownRequested() ||
+      if (!draining && (server->shutdown_.Requested() ||
                         server->stop_.load(std::memory_order_relaxed))) {
         BeginDrain();
       }
@@ -866,6 +871,7 @@ struct LineServer::Core {
 
 Status LineServer::Run(uint16_t port, uint64_t max_accepts) {
   stop_.store(false, std::memory_order_relaxed);
+  drained_on_shutdown_ = false;
   const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listener < 0) {
     return Status::IOError(std::string("socket: ") + std::strerror(errno));
@@ -907,6 +913,8 @@ Status LineServer::Run(uint16_t port, uint64_t max_accepts) {
   Core core(this, listener, max_accepts);
   const Status status = core.Run();
   bound_port_.store(0, std::memory_order_release);
+  drained_on_shutdown_ = shutdown_.Requested();
+  shutdown_.Rearm();
   return status;
 }
 

@@ -37,6 +37,29 @@ namespace ocular {
 OCULAR_METRIC_TABLE(ConnMetrics, OCULAR_CONN_METRICS);
 /// \endcond
 
+/// \brief One serving loop's view of the process's drain requests.
+///
+/// SIGTERM, SIGINT and LineServer::RequestShutdown each bump one
+/// process-wide epoch. A watch remembers the epoch it was armed at, so
+/// every loop in a process observes every request for itself, and no
+/// loop can take a request from another. A watch armed before the
+/// signal handler is installed also answers a request that lands while
+/// the process is still loading, as soon as its loop starts.
+class ShutdownWatch {
+ public:
+  /// \brief Armed at the current epoch.
+  ShutdownWatch();
+  /// \brief True once a drain has been requested since the watch was
+  /// armed.
+  bool Requested() const;
+  /// \brief Arms the watch at the current epoch: a loop that has drained
+  /// serves afresh when it next runs.
+  void Rearm();
+
+ private:
+  uint64_t armed_at_;
+};
+
 /// \brief `{"ok":false,"error":message,"code":code}`, plus
 /// `"retry_after_ms"` when it is nonzero: the shape of every
 /// connection-level refusal (503 shed, 408 idle, 413 oversize) and of the
@@ -141,11 +164,17 @@ class LineServer {
 
   /// \brief Listens on 127.0.0.1:`port` (0 = kernel-assigned; see
   /// bound_port()) with backlog SOMAXCONN and serves until a drain
-  /// (SIGTERM latch or Stop()) completes. With `max_accepts` > 0 it also
+  /// (a shutdown request since this server was made or its last Run
+  /// returned, or Stop()) completes. With `max_accepts` > 0 it also
   /// returns once that many connections have been accepted AND every
   /// open connection has finished. Returns an error only on socket setup
   /// failure or a fatal accept/epoll error.
   Status Run(uint16_t port, uint64_t max_accepts = 0);
+
+  /// \brief True when the last Run drained on a shutdown request
+  /// (SIGTERM, SIGINT or RequestShutdown), whose owner then prints its
+  /// final stats line.
+  bool drained_on_shutdown() const { return drained_on_shutdown_; }
 
   /// \brief The port Run is listening on, or 0 when it is not. Published
   /// after listen() succeeds, so a client that reads a nonzero value can
@@ -163,23 +192,16 @@ class LineServer {
   MetricValues<ConnMetrics> Stats() const;
 
   /// \brief Installs the process-wide SIGTERM/SIGINT handler that
-  /// latches a graceful drain of every running LineServer (and the
-  /// daemon's stdio loop, which just stops reading). Idempotent; the
-  /// handler only sets a flag, noticed within one Options::io_timeout_ms
-  /// tick — with deadlines disabled only the thread the signal lands on
-  /// wakes promptly.
+  /// requests a graceful drain of every serving loop (each LineServer,
+  /// and the daemon's stdio loop, which just stops reading; see
+  /// ShutdownWatch). Idempotent; the handler only bumps an epoch,
+  /// noticed within one Options::io_timeout_ms tick — with deadlines
+  /// disabled only the thread the signal lands on wakes promptly.
   static void InstallShutdownSignalHandler();
-  /// \brief Latches a drain request programmatically — what the SIGTERM
-  /// handler does, callable from tests.
+  /// \brief Requests a drain programmatically — what the SIGTERM handler
+  /// does, callable from tests. Every loop then running, or started
+  /// under a watch armed before this call, drains.
   static void RequestShutdown();
-  /// \brief True while a drain request is latched (the serving loop that
-  /// exits on it consumes it).
-  static bool ShutdownRequested();
-  /// \brief Consumes a latched drain request, returning whether one was
-  /// latched, so a later loop in the same process can serve again —
-  /// RequestServer::RunTcpLoop and FleetServer::RunLoop do it on exit
-  /// (printing their final stats line); tests call it directly.
-  static bool ConsumeShutdownRequest();
 
  private:
   struct Core;  // the epoll loop of one Run, defined in line_server.cc
@@ -190,6 +212,8 @@ class LineServer {
 
   std::atomic<bool> stop_{false};
   std::atomic<uint16_t> bound_port_{0};
+  ShutdownWatch shutdown_;  // read and re-armed by Run's thread
+  bool drained_on_shutdown_ = false;
   MetricShard<ConnMetrics> metrics_;  // written by the IO thread only
 };
 

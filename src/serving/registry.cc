@@ -8,16 +8,16 @@ namespace ocular {
 namespace {
 
 /// Builds the fold-in serving context over the binding's mapped views.
-void AttachFoldIn(ServableModel* servable) {
+/// `degrees` holds the bound dataset's column degrees (empty without
+/// one): per-item interaction counts, the natural deterministic fallback
+/// ranking for signal-free histories.
+void AttachFoldIn(ServableModel* servable, std::vector<double> degrees) {
   const BinaryModelMeta& meta = servable->meta();
   if (meta.kind != BinaryModelKind::kOcularProbability) return;
   const OcularConfig config = OcularConfigFromMeta(meta);
-  std::vector<double> popularity;
+  std::vector<double> popularity = std::move(degrees);
   if (servable->train != nullptr) {
-    // Per-item interaction counts of the bound dataset — the natural
-    // deterministic fallback ranking for signal-free histories.
     popularity.resize(servable->num_items(), 0.0);
-    for (uint32_t c : servable->train->col_idx()) popularity[c] += 1.0;
   }
   // Without a dataset the fallback is the expected affinity over every
   // shard's user rows, summed in global row order — bit-identical to the
@@ -37,11 +37,14 @@ void AttachFoldIn(ServableModel* servable) {
 /// OpenShardSet, aliasing every member of `previous` whose bytes are
 /// unchanged; any other file opens as a one-shard set. `*reopened` counts
 /// the members actually (re)opened — 0 means the set is byte-identical to
-/// the previous generation and the caller may skip publishing.
+/// the previous generation and the caller may skip publishing. The
+/// exclusion rows are `csr`, packed here, or `packed` (both null: none);
+/// their width is checked against the model before any per-column state
+/// is sized by it.
 Result<std::shared_ptr<const ServableModel>> BuildServable(
     const std::string& name, const std::string& model_path,
-    std::shared_ptr<const CsrMatrix> train, const ServableModel* previous,
-    uint32_t* reopened) {
+    const CsrMatrix* csr, std::shared_ptr<const PackedRows> packed,
+    const ServableModel* previous, uint32_t* reopened) {
   const bool sharded = IsShardSetFile(model_path);
   *reopened = 1;  // a plain store always remaps its one file
   Result<ShardSetStores> opened =
@@ -50,17 +53,29 @@ Result<std::shared_ptr<const ServableModel>> BuildServable(
                              reopened)
               : OpenOneShardSet(model_path);
   if (!opened.ok()) return opened.status();
-  if (train != nullptr && train->num_cols() > opened->items->num_items()) {
+  const uint32_t train_cols = csr != nullptr      ? csr->num_cols()
+                              : packed != nullptr ? packed->num_cols()
+                                                  : 0;
+  if (train_cols > opened->items->num_items()) {
     return Status::InvalidArgument(
         "training matrix has more items than model '" + name + "'");
+  }
+  // Column degrees: counted in the pack's own pass, or by decoding rows
+  // that are already packed.
+  std::vector<double> degrees;
+  if (csr != nullptr) {
+    packed =
+        std::make_shared<const PackedRows>(PackedRows::Pack(*csr, &degrees));
+  } else if (packed != nullptr) {
+    degrees = packed->ColumnCounts();
   }
   auto servable = std::make_shared<ServableModel>(std::move(opened).value());
   servable->name = name;
   servable->model_path = model_path;
   servable->sharded = sharded;
-  servable->train = std::move(train);
+  servable->train = std::move(packed);
   servable->recommender = std::make_unique<StoreRecommender>(servable->binding);
-  AttachFoldIn(servable.get());
+  AttachFoldIn(servable.get(), std::move(degrees));
   return std::shared_ptr<const ServableModel>(std::move(servable));
 }
 
@@ -92,11 +107,25 @@ void RetireReplacedMembers(const ServableModel* old_model,
 Status ModelRegistry::Load(const std::string& name,
                            const std::string& model_path,
                            std::shared_ptr<const CsrMatrix> train) {
+  // The matrix is freed on return when `train` was its last owner.
+  return Publish(name, model_path, train.get(), nullptr);
+}
+
+Status ModelRegistry::LoadPacked(const std::string& name,
+                                 const std::string& model_path,
+                                 std::shared_ptr<const PackedRows> train) {
+  return Publish(name, model_path, nullptr, std::move(train));
+}
+
+Status ModelRegistry::Publish(const std::string& name,
+                              const std::string& model_path,
+                              const CsrMatrix* csr,
+                              std::shared_ptr<const PackedRows> packed) {
   if (name.empty()) return Status::InvalidArgument("model name is empty");
   uint32_t reopened = 0;
   OCULAR_ASSIGN_OR_RETURN(
       std::shared_ptr<const ServableModel> servable,
-      BuildServable(name, model_path, std::move(train), Get(name).get(),
+      BuildServable(name, model_path, csr, std::move(packed), Get(name).get(),
                     &reopened));
   std::shared_ptr<const ServableModel> previous;
   {
@@ -131,7 +160,8 @@ Status ModelRegistry::ReloadAll() {
   for (const auto& old_model : current) {
     uint32_t reopened = 0;
     auto rebuilt = BuildServable(old_model->name, old_model->model_path,
-                                 old_model->train, old_model.get(), &reopened);
+                                 nullptr, old_model->train, old_model.get(),
+                                 &reopened);
     if (!rebuilt.ok()) {
       if (first_error.ok()) first_error = rebuilt.status();
       continue;  // keep serving the previous version

@@ -15,13 +15,14 @@
 #include "core/model_shard.h"
 #include "serving/store_recommender.h"
 #include "sparse/csr.h"
+#include "sparse/packed_rows.h"
 
 namespace ocular {
 
 /// \brief One resident servable model: its mmapped store binding, the
-/// zero-copy recommender over it, and the optional training matrix whose
-/// rows are excluded from that user's recommendations (the Section IV-C
-/// "recommend unknowns only" rule).
+/// zero-copy recommender over it, and the optional training matrix, held
+/// as packed rows, whose rows are excluded from that user's
+/// recommendations (the Section IV-C "recommend unknowns only" rule).
 ///
 /// Every binding is a ShardSetStores: a `*.shardset` manifest opens as
 /// itself, a plain `.oclr` store as a one-shard set whose items store is
@@ -57,10 +58,11 @@ struct ServableModel {
   /// Zero-copy recommender over the binding. Held by pointer so the views
   /// stay valid when ServableModel moves.
   std::unique_ptr<Recommender> recommender;
-  /// Per-user exclusion rows (nullptr = no exclusions). Shared with the
-  /// reloaded generations of the model — only the factor file is re-opened
-  /// on reload, the interaction history is not re-read.
-  std::shared_ptr<const CsrMatrix> train;
+  /// Per-user exclusion rows (nullptr = no exclusions), packed at about
+  /// one byte per positive. Shared with the reloaded generations of the
+  /// model — only the factor file is re-opened on reload, the interaction
+  /// history is not re-read.
+  std::shared_ptr<const PackedRows> train;
   /// Fold-in serving state over the store's mmapped factor views, built
   /// once per published generation (nullptr for stores that are not
   /// OCuLaR probability models — history requests against those fail
@@ -70,10 +72,15 @@ struct ServableModel {
   std::unique_ptr<FoldInContext> fold_in;
 
   /// \brief The exclusion row for `u` (empty without a matrix or for users
-  /// beyond it).
+  /// beyond it), decoded into a buffer of the calling thread. The buffer
+  /// is sized at the matrix's longest row on its first use, so a thread
+  /// decodes every row of one matrix without allocating, and the span
+  /// stays valid until this thread decodes a row again: decoding the
+  /// same row of the same matrix rewrites it with the same ids.
   std::span<const uint32_t> ExcludeRow(uint32_t u) const {
     if (train == nullptr || u >= train->num_rows()) return {};
-    return train->Row(u);
+    thread_local std::vector<uint32_t> row;
+    return train->DecodeRow(u, &row);
   }
 
   // Binding-agnostic accessors: the daemon and CLI read model shape
@@ -111,13 +118,22 @@ class ModelRegistry {
   /// \brief Opens `model_path` — a binary OCLR store, or a `*.shardset`
   /// manifest (sniffed via IsShardSetFile) — and publishes it as `name`,
   /// replacing any previous model of that name. `train` supplies per-user
-  /// exclusion rows (pass nullptr for none). On failure the previous model
-  /// (if any) keeps serving. Re-loading a shardset name reuses every
-  /// member store whose manifest fingerprint is unchanged, so publishing
-  /// one rewritten shard remaps only that shard; generation() advances by
-  /// the number of members actually reopened.
+  /// exclusion rows (pass nullptr for none): once the model is open and
+  /// covers its columns, it is packed (PackedRows) and its column degrees
+  /// counted in the same pass, and the registry keeps only the packed
+  /// rows, so a caller that hands over its last reference frees the
+  /// matrix. On failure the previous model (if any) keeps serving.
+  /// Re-loading a shardset name reuses every member store whose manifest
+  /// fingerprint is unchanged, so publishing one rewritten shard remaps
+  /// only that shard; generation() advances by the number of members
+  /// actually reopened.
   Status Load(const std::string& name, const std::string& model_path,
               std::shared_ptr<const CsrMatrix> train = nullptr);
+
+  /// \brief Load with exclusion rows that are already packed: an update's
+  /// merged matrix. Their column degrees are counted by decoding them.
+  Status LoadPacked(const std::string& name, const std::string& model_path,
+                    std::shared_ptr<const PackedRows> train);
 
   /// \brief The current model for `name`, or nullptr when absent. The
   /// returned pointer pins the model (and its mapping) until released.
@@ -149,6 +165,12 @@ class ModelRegistry {
   }
 
  private:
+  /// Load and LoadPacked: builds and publishes `name` with the exclusion
+  /// rows `csr` (packed here) or `packed`.
+  Status Publish(const std::string& name, const std::string& model_path,
+                 const CsrMatrix* csr,
+                 std::shared_ptr<const PackedRows> packed);
+
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<const ServableModel>> models_;
   std::atomic<uint64_t> generation_{1};

@@ -169,7 +169,7 @@ TEST(ConnFloodTest, IdleFloodIsHeldWithZeroShedsWhileBurstsServe) {
 
   LineServer::RequestShutdown();
   serve_thread.join();
-  EXPECT_FALSE(LineServer::ShutdownRequested());
+  EXPECT_FALSE(ShutdownWatch().Requested());
   const DaemonStatsSnapshot stats = server.Stats();
   EXPECT_EQ(stats.conn[ConnMetrics::kShed], 0u);
   EXPECT_EQ(stats.conn[ConnMetrics::kSlowClosed], 0u);
@@ -280,17 +280,10 @@ TEST(ConnFloodTest, FleetHoldsIdleFloodWithZeroShedsWhileBurstsServe) {
   EXPECT_EQ(stats.conn[ConnMetrics::kShed], 0u);
   EXPECT_EQ(stats.conn[ConnMetrics::kOpen], 0u);
 
-  // The shutdown latch is process-global and the first loop to exit
-  // consumes it, so re-arm it until each replica has left its loop.
-  for (int r = 0; r < 2; ++r) {
-    while (replicas[r]->bound_port() != 0) {
-      LineServer::RequestShutdown();
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    replica_threads[r].join();
-  }
-  LineServer::ConsumeShutdownRequest();
-  EXPECT_FALSE(LineServer::ShutdownRequested());
+  // One drain request reaches every loop in the process.
+  LineServer::RequestShutdown();
+  for (int r = 0; r < 2; ++r) replica_threads[r].join();
+  EXPECT_FALSE(ShutdownWatch().Requested());
   f.Cleanup();
 }
 
@@ -333,7 +326,7 @@ TEST(ConnFloodTest, SlowlorisSwarmIsReapedWhileHotTrafficServes) {
 
   LineServer::RequestShutdown();
   serve_thread.join();
-  EXPECT_FALSE(LineServer::ShutdownRequested());
+  EXPECT_FALSE(ShutdownWatch().Requested());
   const DaemonStatsSnapshot stats = server.Stats();
   EXPECT_EQ(stats.conn[ConnMetrics::kTimedOut], 20u)
       << "every slowloris connection must be 408-reaped";
@@ -383,7 +376,7 @@ TEST(ConnFloodTest, NeverReadingConsumersAreDisconnectedIdleFleetSurvives) {
 
   LineServer::RequestShutdown();
   serve_thread.join();
-  EXPECT_FALSE(LineServer::ShutdownRequested());
+  EXPECT_FALSE(ShutdownWatch().Requested());
   const DaemonStatsSnapshot stats = server.Stats();
   EXPECT_EQ(stats.conn[ConnMetrics::kSlowClosed], 2u);
   EXPECT_EQ(stats.conn[ConnMetrics::kShed], 0u);

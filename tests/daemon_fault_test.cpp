@@ -591,7 +591,7 @@ TEST(JournalRecoveryTest, RestartAfterAShardedUpdateServesTheOfflineReplay) {
   EXPECT_EQ(recovered->applied_merged, 1u);
   EXPECT_FALSE(recovered->replayed_pending);
   ASSERT_NE(registry.Get("default")->train, nullptr);
-  EXPECT_EQ(*registry.Get("default")->train, oracle.train);
+  EXPECT_EQ(*registry.Get("default")->train, PackedRows::Pack(oracle.train));
   const auto expect = Oracle(oracle.model, oracle.train, 5);
   for (uint32_t u = 0; u < f.train.num_rows(); ++u) {
     const std::string line = server.HandleLine(
@@ -797,11 +797,12 @@ TEST(ShedRetryTest, LoadgenAbsorbs503WithBackoffAndTheRunCompletes) {
   EXPECT_GE(result->shed_retries, 1u);
   EXPECT_GE(server.Stats().conn[ConnMetrics::kShed], 1u);
 
-  // In-process drain: the latch stops the accept loop, the pool drains,
-  // RunTcpLoop returns OK, and the latch is consumed for the next test.
+  // In-process drain: the request stops the accept loop, the pool
+  // drains, RunTcpLoop returns OK, and a server made afterwards (the next
+  // test's) is not drained by it.
   LineServer::RequestShutdown();
   serve_thread.join();
-  EXPECT_FALSE(LineServer::ShutdownRequested());
+  EXPECT_FALSE(ShutdownWatch().Requested());
   f.Cleanup();
 }
 
@@ -842,7 +843,7 @@ TEST(ConnectionCoreFaultTest, EpollStallInjectionDoesNotDropConnections) {
 
   LineServer::RequestShutdown();
   serve_thread.join();
-  EXPECT_FALSE(LineServer::ShutdownRequested());
+  EXPECT_FALSE(ShutdownWatch().Requested());
   f.Cleanup();
 }
 

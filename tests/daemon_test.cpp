@@ -11,11 +11,15 @@
 
 #include <malloc.h>
 #include <netinet/in.h>
+#include <pthread.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
+#include <sys/syscall.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <csignal>
@@ -30,6 +34,7 @@
 #include <new>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -53,15 +58,18 @@
 // ------------------------------------------------- live-heap accounting
 // Every operator new and delete moves a live-byte count by the block's
 // malloc_usable_size, and a high-water mark follows the count, so a test
-// can bound what one request holds at once.
+// can bound what one request holds at once; every operator new also
+// bumps an allocation count.
 
 namespace {
 std::atomic<int64_t> g_live_bytes{0};
 std::atomic<int64_t> g_peak_live_bytes{0};
+std::atomic<uint64_t> g_alloc_count{0};
 
 void* CountedAlloc(std::size_t size) {
   void* p = std::malloc(size == 0 ? 1 : size);
   if (p == nullptr) throw std::bad_alloc();
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   const auto usable = static_cast<int64_t>(::malloc_usable_size(p));
   const int64_t live =
       g_live_bytes.fetch_add(usable, std::memory_order_relaxed) + usable;
@@ -144,6 +152,13 @@ TEST(ModelRegistryTest, LoadGetAndNames) {
   // Loading a missing path fails and leaves the registry untouched.
   EXPECT_FALSE(registry.Load("default", "/nonexistent.oclr").ok());
   EXPECT_NE(registry.Get("default"), nullptr);
+  // So does a dataset wider than the model, refused before anything is
+  // sized by its width (2^32 - 1 columns of popularity would not fit).
+  const auto wide = std::make_shared<const CsrMatrix>(
+      CsrMatrix::FromPairs({{0, 4294967294u}}, 1, UINT32_MAX).value());
+  EXPECT_TRUE(
+      registry.Load("default", f.model_path, wide).IsInvalidArgument());
+  EXPECT_EQ(registry.Get("default")->train->num_cols(), f.train.num_cols());
   std::remove(f.model_path.c_str());
 }
 
@@ -205,6 +220,48 @@ TEST(RequestServerTest, ServedTopMIsBitIdenticalToBatchEngine) {
       ASSERT_EQ((*served)[r].score, oracle[r].score) << "u=" << u;
     }
   }
+  std::remove(f.model_path.c_str());
+}
+
+TEST(RequestServerTest, StoredUsersServeTheirExclusionsWithoutAllocating) {
+  // A worker's stored-user path: lease the model, decode the user's
+  // exclusion row, serve through a warm workspace. After one warm-up
+  // request on the shortest row, every user (the longest row included)
+  // is served with no allocation: the row buffer was sized at the
+  // longest row by its first use.
+  DaemonFixture f = DaemonFixture::Make("daemon_exclude_alloc.oclr");
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Load("default", f.model_path, f.shared_train()).ok());
+  const std::shared_ptr<const ServableModel> model = registry.Get("default");
+  uint32_t shortest = 0;
+  uint32_t longest = 0;
+  for (uint32_t u = 0; u < f.train.num_rows(); ++u) {
+    if (f.train.RowDegree(u) < f.train.RowDegree(shortest)) shortest = u;
+    if (f.train.RowDegree(u) > f.train.RowDegree(longest)) longest = u;
+  }
+  ASSERT_GT(f.train.RowDegree(longest), f.train.RowDegree(shortest));
+  ServeOptions options;
+  options.m = 8;
+  ServeWorkspace ws;
+  ws.Reserve(options.m, options.block_items);
+  (void)ServeTopM(*model->recommender, shortest, model->ExcludeRow(shortest),
+                  options, &ws);
+
+  const uint64_t before = g_alloc_count.load();
+  size_t excluded_served = 0;
+  bool rows_match = true;
+  for (uint32_t u = 0; u < model->num_users(); ++u) {
+    const std::span<const uint32_t> exclude = model->ExcludeRow(u);
+    rows_match = rows_match && std::ranges::equal(exclude, f.train.Row(u));
+    for (const ScoredItem& item :
+         ServeTopM(*model->recommender, u, exclude, options, &ws)) {
+      excluded_served += f.train.HasEntry(u, item.item) ? 1 : 0;
+    }
+  }
+  const uint64_t allocations = g_alloc_count.load() - before;
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_TRUE(rows_match) << "a decoded row differs from the dataset's";
+  EXPECT_EQ(excluded_served, 0u) << "a known positive was recommended";
   std::remove(f.model_path.c_str());
 }
 
@@ -339,23 +396,65 @@ TEST(RequestServerTest, ReloadVerbAndSighupBothHotReload) {
   std::remove(f.model_path.c_str());
 }
 
+/// Everything left to read from the pipe end `fd`, up to EOF.
+std::string ReadToEof(int fd) {
+  std::string out;
+  char chunk[4096];
+  for (;;) {
+    const ssize_t got = ::read(fd, chunk, sizeof(chunk));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) return out;
+    out.append(chunk, static_cast<size_t>(got));
+  }
+}
+
+/// A pipe whose ends close with it.
+struct Pipe {
+  int read_end = -1;
+  int write_end = -1;
+  Pipe() {
+    int fds[2];
+    if (::pipe(fds) == 0) {
+      read_end = fds[0];
+      write_end = fds[1];
+    }
+  }
+  ~Pipe() {
+    if (read_end >= 0) ::close(read_end);
+    CloseWrite();
+  }
+  Pipe(const Pipe&) = delete;
+  Pipe& operator=(const Pipe&) = delete;
+  void CloseWrite() {
+    if (write_end >= 0) ::close(write_end);
+    write_end = -1;
+  }
+  bool Write(std::string_view bytes) const {
+    return ::write(write_end, bytes.data(), bytes.size()) ==
+           static_cast<ssize_t>(bytes.size());
+  }
+};
+
 TEST(RequestServerTest, StdioLoopServesUntilQuit) {
   DaemonFixture f = DaemonFixture::Make("daemon_stdio.oclr");
   ModelRegistry registry;
   ASSERT_TRUE(registry.Load("default", f.model_path, f.shared_train()).ok());
   RequestServer server(&registry);
 
-  std::istringstream in(
+  // The loop reads a file descriptor: the lines come through a pipe.
+  Pipe in, out;
+  ASSERT_TRUE(in.Write(
       "{\"user\":0,\"m\":3}\n"
       "\n"  // blank lines are skipped
       "{\"cmd\":\"stats\"}\n"
       "{\"cmd\":\"quit\"}\n"
-      "{\"user\":1}\n");  // never reached
-  std::ostringstream out;
-  server.RunStdioLoop(in, out);
+      "{\"user\":1}\n"));  // never reached
+  in.CloseWrite();
+  server.RunStdioLoop(in.read_end, out.write_end);
+  out.CloseWrite();
   EXPECT_TRUE(server.quit_requested());
 
-  std::istringstream lines(out.str());
+  std::istringstream lines(ReadToEof(out.read_end));
   std::string line;
   int count = 0;
   while (std::getline(lines, line)) {
@@ -365,6 +464,65 @@ TEST(RequestServerTest, StdioLoopServesUntilQuit) {
     EXPECT_TRUE(parsed->Find("ok")->boolean());
   }
   EXPECT_EQ(count, 3) << "quit must end the loop before the 4th request";
+  std::remove(f.model_path.c_str());
+}
+
+/// The system call `tid` of this process is blocked in (its number), or
+/// -1 while it runs or when /proc cannot say.
+long BlockedSyscall(pid_t tid) {
+  std::ifstream in("/proc/self/task/" + std::to_string(tid) + "/syscall");
+  long number = -1;
+  if (!(in >> number)) return -1;
+  return number;
+}
+
+TEST(RequestServerTest, StdioLoopKeepsAPartialLineAcrossAnInterruptedRead) {
+  DaemonFixture f = DaemonFixture::Make("daemon_stdio_eintr.oclr");
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Load("default", f.model_path, f.shared_train()).ok());
+  RequestServer server(&registry);
+  RequestServer::InstallReloadSignalHandler();
+  const std::string request = R"({"user":2,"m":4})";
+  const std::string expected = server.HandleLine(request) + "\n";
+
+  Pipe in, out;
+  std::atomic<pid_t> reader_tid{0};
+  std::thread reader([&] {
+    reader_tid.store(::gettid());
+    server.RunStdioLoop(in.read_end, out.write_end);
+  });
+  const size_t half = request.size() / 2;
+  ASSERT_TRUE(in.Write(std::string_view(request).substr(0, half)));
+  // Wait until the loop has taken the half line and blocks in read(2)
+  // again: the pipe is empty and the reader sleeps in system call 0.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  for (;;) {
+    int unread = -1;
+    ASSERT_EQ(::ioctl(in.read_end, FIONREAD, &unread), 0);
+    if (unread == 0 && reader_tid.load() != 0 &&
+        BlockedSyscall(reader_tid.load()) == SYS_read) {
+      break;
+    }
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the reader never blocked in read(2)";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(::pthread_kill(reader.native_handle(), SIGHUP), 0);
+  // No byte follows, so only the interrupted read can bring the loop
+  // back to apply the reload.
+  while (server.Stats().daemon[DaemonMetrics::kReloads] == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the interrupted read did not apply the reload";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(in.Write(request.substr(half) + "\n"));
+  in.CloseWrite();
+  reader.join();
+  out.CloseWrite();
+  EXPECT_EQ(ReadToEof(out.read_end), expected)
+      << "one reply, for the whole line";
+  EXPECT_EQ(server.Stats().daemon[DaemonMetrics::kReloads], 1u);
   std::remove(f.model_path.c_str());
 }
 
@@ -970,7 +1128,7 @@ TEST(FoldInServingTest, UpdateRefusesIdUint32MaxAndKeepsTheBoundMatrix) {
   const auto after = registry.Get("default");
   EXPECT_EQ(after.get(), before.get());
   ASSERT_NE(after->train, nullptr);
-  EXPECT_EQ(*after->train, f.train);
+  EXPECT_EQ(*after->train, PackedRows::Pack(f.train));
   EXPECT_EQ(server.Stats().daemon[DaemonMetrics::kUpdates], 0u);
   std::remove(f.model_path.c_str());
 }
@@ -1091,7 +1249,7 @@ TEST(FoldInServingTest, NewItemsFoldInFirstAndNewRowsKeepTheBiasPinned) {
   for (uint32_t i = 30; i < 32; ++i) {
     EXPECT_EQ(grown.item_factors().At(i, config.k), 1.0) << "item " << i;
   }
-  EXPECT_EQ(*registry.Get("default")->train, oracle.train);
+  EXPECT_EQ(*registry.Get("default")->train, PackedRows::Pack(oracle.train));
   std::remove(path.c_str());
   std::remove(oracle_path.c_str());
   std::remove(UpdateJournal::PathFor(path).c_str());
@@ -1133,17 +1291,18 @@ TEST(UpdateMemoryTest, OneUpdateHoldsNoFactorCopyAtItsPeak) {
   const int64_t peak = g_peak_live_bytes.load() - before;
   ASSERT_NE(reply.find(R"("ok":true)"), std::string::npos) << reply;
 
-  // The merged matrix and the writer's one buffer, plus slack: four
+  // The packed merged rows and the writer's one buffer, plus slack: four
   // doubles per item for the new generation's popularity and item sums,
   // and 16 KiB for the folded rows, the solver's scratch, the journal
-  // record and the registry's bookkeeping.
+  // record and the registry's bookkeeping. No decoded copy of the merged
+  // matrix fits: it would take four bytes per positive, not one.
   const auto merged = registry.Get("default")->train;
   ASSERT_NE(merged, nullptr);
   const int64_t factor_bytes =
       int64_t{users + items} * config.k * sizeof(double);
   const auto merged_bytes =
       static_cast<int64_t>(merged->row_ptr().size() * sizeof(uint64_t) +
-                           merged->col_idx().size() * sizeof(uint32_t));
+                           merged->bytes().size());
   const int64_t slack =
       4 * int64_t{items} * sizeof(double) + (int64_t{16} << 10);
   EXPECT_LE(peak, merged_bytes + static_cast<int64_t>(kWriteBufferBytes) +
@@ -1208,7 +1367,7 @@ TEST(UpdateQualityTest, FoldInRecallStaysWithinTwoPercentOfRetraining) {
                  .value();
     model = UpdateModel(std::move(model), merged, one_sweep).value().model;
   }
-  ASSERT_EQ(*registry.Get("default")->train, merged);
+  ASSERT_EQ(*registry.Get("default")->train, PackedRows::Pack(merged));
 
   auto folded = LoadModelAuto(path);
   ASSERT_TRUE(folded.ok()) << folded.status().ToString();

@@ -25,6 +25,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -462,13 +463,13 @@ struct InProcessReplica {
   std::thread thread;
   uint16_t port = 0;
 
-  bool Start(const DaemonFixture& f) {
+  bool Start(const DaemonFixture& f, uint32_t io_timeout_ms = 100) {
     if (!registry.Load("default", f.model_path, f.shared_train()).ok()) {
       return false;
     }
     RequestServer::Options options;
     options.num_workers = 2;
-    options.io_timeout_ms = 100;
+    options.io_timeout_ms = io_timeout_ms;
     options.update_journal = false;
     server = std::make_unique<RequestServer>(&registry, options);
     thread = std::thread([this] {
@@ -482,18 +483,11 @@ struct InProcessReplica {
     return false;
   }
 
-  /// The shutdown latch is process-global: one RequestShutdown can stop
-  /// every in-process loop that observes it, and the first loop to exit
-  /// consumes it — possibly another replica's, leaving this one serving.
-  /// So re-arm it until this loop has left (bound_port() drops to 0).
-  /// Callers must ConsumeShutdownRequest() after the last Drain or the
-  /// leftover latch kills the next test's server on arrival.
+  /// One RequestShutdown drains every in-process loop, so a second
+  /// Drain finds its replica already gone.
   void Drain() {
     if (!thread.joinable()) return;
-    while (server->bound_port() != 0) {
-      LineServer::RequestShutdown();
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    LineServer::RequestShutdown();
     thread.join();
   }
 };
@@ -635,8 +629,7 @@ TEST(FleetServerTest, FrontTierVerbsAndBitIdenticalForwarding) {
   fleet_thread.join();
   replicas[0].Drain();
   replicas[1].Drain();
-  LineServer::ConsumeShutdownRequest();
-  EXPECT_FALSE(LineServer::ShutdownRequested());
+  EXPECT_FALSE(ShutdownWatch().Requested());
   f.Cleanup();
 }
 
@@ -734,6 +727,48 @@ void ExpectStatsKeys(const std::string& line,
     EXPECT_NE(std::find(seen.begin(), seen.end(), key), seen.end())
         << "missing key " << key << " in " << line;
   }
+}
+
+TEST(ShutdownTest, OneRequestDrainsEveryLoopAndEachPrintsItsLine) {
+  // Two daemon loops and a fleet loop in one process: one RequestShutdown
+  // must end all three, and each must print its own final line (no loop
+  // can take the request from another).
+  DaemonFixture f = DaemonFixture::Make("fleet_drain_all.oclr");
+  for (int rep = 0; rep < 50; ++rep) {
+    SCOPED_TRACE(rep);
+    InProcessReplica replicas[2];
+    ASSERT_TRUE(replicas[0].Start(f, /*io_timeout_ms=*/10));
+    ASSERT_TRUE(replicas[1].Start(f, /*io_timeout_ms=*/10));
+    FleetServer::Options options;
+    options.replicas = {replicas[0].port, replicas[1].port};
+    options.num_workers = 1;
+    options.io_timeout_ms = 10;
+    options.probe_interval_ms = 5;
+    FleetServer fleet(options);
+    std::thread fleet_thread([&fleet] {
+      EXPECT_TRUE(fleet.RunLoop(0, 0).ok());
+    });
+    ASSERT_NE(WaitForFleetPort(fleet), 0);
+
+    ::testing::internal::CaptureStderr();
+    LineServer::RequestShutdown();
+    replicas[0].thread.join();
+    replicas[1].thread.join();
+    fleet_thread.join();
+    const std::string printed = ::testing::internal::GetCapturedStderr();
+    int daemon_lines = 0;
+    int fleet_lines = 0;
+    std::istringstream lines(printed);
+    for (std::string line; std::getline(lines, line);) {
+      daemon_lines += line.starts_with("drained: ") ? 1 : 0;
+      fleet_lines += line.starts_with("fleet drained: ") ? 1 : 0;
+    }
+    ASSERT_EQ(daemon_lines, 2) << printed;
+    ASSERT_EQ(fleet_lines, 1) << printed;
+  }
+  // A loop made after the request serves: nothing is left pending.
+  EXPECT_FALSE(ShutdownWatch().Requested());
+  f.Cleanup();
 }
 
 TEST(StatsReplyTest, DaemonSessionReportsEveryCounter) {
@@ -866,7 +901,6 @@ TEST(StatsReplyTest, FleetSessionReportsEveryCounter) {
 
   replicas[0].Drain();
   replicas[1].Drain();
-  LineServer::ConsumeShutdownRequest();
   f.Cleanup();
 }
 

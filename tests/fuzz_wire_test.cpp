@@ -331,7 +331,7 @@ TEST(WireFuzzTest, TcpLineProtocolSurvivesPipelinedMutantBursts) {
 
   LineServer::RequestShutdown();
   serve_thread.join();
-  EXPECT_FALSE(LineServer::ShutdownRequested());
+  EXPECT_FALSE(ShutdownWatch().Requested());
   EXPECT_GE(server.Stats().daemon[DaemonMetrics::kRequestsServed],
             static_cast<uint64_t>(kBursts * kLinesPerBurst));
   std::remove(f.model_path.c_str());
@@ -478,7 +478,7 @@ TEST(WireFuzzTest, OneByteTrickleDeliveryMatchesWholeLineDelivery) {
 
   LineServer::RequestShutdown();
   serve_thread.join();
-  EXPECT_FALSE(LineServer::ShutdownRequested());
+  EXPECT_FALSE(ShutdownWatch().Requested());
   std::remove(f.model_path.c_str());
 }
 

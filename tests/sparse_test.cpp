@@ -1,16 +1,23 @@
-// Unit tests for src/sparse: COO builder, CSR matrix, dense matrix,
-// vector kernels, Cholesky solver.
+// Unit tests for src/sparse: COO builder, CSR matrix, packed rows, dense
+// matrix, vector kernels, Cholesky solver.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
+#include "data/split.h"
+#include "data/synthetic.h"
 #include "sparse/coo.h"
 #include "sparse/csr.h"
 #include "sparse/dense.h"
 #include "sparse/linalg.h"
+#include "sparse/packed_rows.h"
 
 namespace ocular {
 namespace {
@@ -236,6 +243,170 @@ TEST(CsrMergeTest, WithEntriesRejectsEntriesOutsideTheShape) {
   auto cut = base.WithEntries({}, 3, 4);
   ASSERT_TRUE(cut.ok());
   EXPECT_EQ(*cut, LadderMerge(base, {}, 3, 4).value());
+}
+
+// -------------------------------------------------------- packed rows
+
+/// A random matrix with the ids packing must get right: empty rows, id 0,
+/// the largest id a shape can hold (4,294,967,294) and, when `wide`, gaps
+/// of 2^28 and more, which take five bytes.
+CsrMatrix EdgeCaseMatrix(uint64_t seed, bool wide) {
+  Rng rng(seed);
+  const uint32_t rows = 1 + static_cast<uint32_t>(rng.UniformInt(60));
+  const uint32_t cols = wide ? UINT32_MAX : 1 + static_cast<uint32_t>(
+                                                    rng.UniformInt(300));
+  CooBuilder coo;
+  for (uint32_t r = 0; r < rows; ++r) {
+    const uint64_t kind = rng.UniformInt(uint64_t{5});
+    if (kind == 0) continue;  // an empty row
+    if (kind == 1) coo.Add(r, 0);
+    if (kind == 2) coo.Add(r, cols - 1);
+    const uint64_t degree = rng.UniformInt(uint64_t{40});
+    for (uint64_t e = 0; e < degree; ++e) {
+      coo.Add(r, static_cast<uint32_t>(rng.UniformInt(uint64_t{cols})));
+    }
+    if (kind == 3 && cols > 200) {  // a run of neighbours: gaps of 1
+      const auto from = static_cast<uint32_t>(rng.UniformInt(cols - 200));
+      for (uint32_t c = from; c < from + 150; ++c) coo.Add(r, c);
+    }
+  }
+  return CsrMatrix::FromCoo(coo.Finalize(rows, cols).value());
+}
+
+void ExpectDecodesTo(const PackedRows& packed, const CsrMatrix& m) {
+  ASSERT_EQ(packed.num_rows(), m.num_rows());
+  EXPECT_EQ(packed.num_cols(), m.num_cols());
+  EXPECT_EQ(packed.nnz(), m.nnz());
+  EXPECT_EQ(packed.max_row_degree(), m.MaxRowDegree());
+  std::vector<uint32_t> scratch;
+  for (uint32_t r = 0; r < m.num_rows(); ++r) {
+    const std::span<const uint32_t> row = packed.DecodeRow(r, &scratch);
+    ASSERT_TRUE(std::ranges::equal(row, m.Row(r))) << "row " << r;
+  }
+}
+
+TEST(PackedRowsTest, RandomMatricesDecodeToTheirRows) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    const bool wide = seed % 2 == 0;
+    const CsrMatrix m = EdgeCaseMatrix(seed, wide);
+    const PackedRows packed = PackedRows::Pack(m);
+    ExpectDecodesTo(packed, m);
+    // The parallel encoding writes the same bytes at every thread count.
+    for (const size_t threads : {1u, 2u, 3u, 7u}) {
+      EXPECT_EQ(PackedRows::Pack(m, nullptr, threads), packed);
+    }
+    if (!wide) {
+      std::vector<double> counts;
+      EXPECT_EQ(PackedRows::Pack(m, &counts, 3), packed);
+      const std::vector<uint32_t> degrees = m.ColumnDegrees();
+      EXPECT_EQ(counts, std::vector<double>(degrees.begin(), degrees.end()));
+      EXPECT_EQ(packed.ColumnCounts(), counts);
+    }
+  }
+  // The empty matrix, and a row whose every gap takes five bytes.
+  ExpectDecodesTo(PackedRows::Pack(CsrMatrix()), CsrMatrix());
+  const CsrMatrix far =
+      CsrMatrix::FromPairs({{1, 0}, {1, (1u << 28) + 1}, {1, (2u << 28) + 2},
+                            {1, 4294967294u}},
+                           3, UINT32_MAX)
+          .value();
+  const PackedRows packed = PackedRows::Pack(far);
+  ExpectDecodesTo(packed, far);
+  EXPECT_EQ(packed.bytes().size(), 1u + 5 + 5 + 5);
+}
+
+TEST(PackedRowsTest, WithEntriesEqualsPackingTheCsrMerge) {
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed + 1000);
+    const CsrMatrix base = EdgeCaseMatrix(seed, seed % 3 == 0);
+    const PackedRows packed = PackedRows::Pack(base);
+    // Adds past the rows and the columns, adds that repeat each other,
+    // and adds already stored.
+    const uint32_t grown_rows = base.num_rows() + static_cast<uint32_t>(seed);
+    const uint32_t grown_cols =
+        base.num_cols() == UINT32_MAX ? UINT32_MAX
+                                      : base.num_cols() +
+                                            static_cast<uint32_t>(seed % 3);
+    Pairs adds;
+    for (int e = 0; e < 40; ++e) {
+      adds.emplace_back(static_cast<uint32_t>(rng.UniformInt(grown_rows)),
+                        static_cast<uint32_t>(rng.UniformInt(grown_cols)));
+      if (e % 7 == 0) adds.push_back(adds.back());
+    }
+    for (auto [r, c] : base.ToPairs()) {
+      if (rng.UniformInt(uint64_t{10}) == 0) adds.emplace_back(r, c);
+    }
+    const auto merged = packed.WithEntries(adds, grown_rows, grown_cols);
+    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+    const CsrMatrix expected =
+        base.WithEntries(adds, grown_rows, grown_cols).value();
+    EXPECT_EQ(*merged, PackedRows::Pack(expected));
+    ExpectDecodesTo(*merged, expected);
+    // No adds at the same shape is an exact copy.
+    EXPECT_EQ(packed.WithEntries({}, base.num_rows(), base.num_cols()).value(),
+              packed);
+  }
+}
+
+TEST(PackedRowsTest, WithEntriesRejectsWhatTheCsrMergeRejects) {
+  const CsrMatrix base =
+      CsrMatrix::FromPairs({{0, 1}, {2, 3}}, 5, 4).value();  // rows 3-4 empty
+  const PackedRows packed = PackedRows::Pack(base);
+  auto rejects = [&](const Pairs& adds, uint32_t rows, uint32_t cols) {
+    return packed.WithEntries(adds, rows, cols).status().IsInvalidArgument();
+  };
+  EXPECT_TRUE(rejects({{3, 0}}, 3, 4));
+  EXPECT_TRUE(rejects({{0, 4}}, 5, 4));
+  EXPECT_TRUE(rejects({}, 2, 4));  // stored entry (2, 3) is outside
+  EXPECT_TRUE(rejects({}, 5, 3));
+  EXPECT_TRUE(rejects({{UINT32_MAX, 0}}, 5, 4));
+  // Trailing empty rows may be cut, and a narrower shape that still
+  // holds every stored id is kept.
+  for (const auto& [rows, cols] : {std::pair{3u, 4u}, std::pair{5u, 4u}}) {
+    auto cut = packed.WithEntries({}, rows, cols);
+    ASSERT_TRUE(cut.ok());
+    EXPECT_EQ(*cut, PackedRows::Pack(base.WithEntries({}, rows, cols).value()));
+  }
+}
+
+TEST(PackedRowsTest, BenchmarkShapesDecodeAtAboutOneBytePerPositive) {
+  // The three catalogs the end-to-end benchmark serves, split as it
+  // writes its --datasets files (three quarters of each user's positives).
+  struct Shape {
+    const char* name;
+    Result<PlantedCoClusterData> (*make)(double, Rng*);
+    double scale;
+    double max_bytes_per_positive;  // 0: not bounded
+  };
+  for (const Shape& shape :
+       {Shape{"MovieLens", MakeMovieLensLike, 1.0, 1.2},
+        Shape{"CiteULike", MakeCiteULikeLike, 1.0, 1.5},
+        Shape{"B2B", MakeB2BLike, 0.1, 0.0}}) {
+    SCOPED_TRACE(shape.name);
+    Rng data_rng(7);
+    auto data = shape.make(shape.scale, &data_rng);
+    ASSERT_TRUE(data.ok()) << data.status().ToString();
+    Rng split_rng(8);
+    auto split =
+        SplitInteractions(data->dataset.interactions(), 0.75, &split_rng);
+    ASSERT_TRUE(split.ok()) << split.status().ToString();
+    const CsrMatrix& train = split->train;
+    std::vector<double> counts;
+    const PackedRows packed = PackedRows::Pack(train, &counts);
+    ExpectDecodesTo(packed, train);
+    const std::vector<uint32_t> degrees = train.ColumnDegrees();
+    EXPECT_EQ(counts, std::vector<double>(degrees.begin(), degrees.end()));
+    const double per_positive = static_cast<double>(packed.bytes().size()) /
+                                static_cast<double>(train.nnz());
+    std::printf("%s: %u x %u, %zu positives, %.3f bytes each packed\n",
+                shape.name, train.num_rows(), train.num_cols(), train.nnz(),
+                per_positive);
+    if (shape.max_bytes_per_positive > 0.0) {
+      EXPECT_LE(per_positive, shape.max_bytes_per_positive);
+    }
+  }
 }
 
 // ----------------------------------------------------------------- CSR

@@ -12,10 +12,10 @@
 
 #include <malloc.h>
 #include <signal.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <iostream>
 #include <memory>
 #include <string>
 #include <utility>
@@ -231,7 +231,7 @@ inline int RunServeCommand(const std::string& program, int argc,
     }
   } else {
     std::fprintf(stderr, "serving on stdin/stdout (SIGHUP reloads)\n");
-    server.RunStdioLoop(std::cin, std::cout);
+    server.RunStdioLoop(STDIN_FILENO, STDOUT_FILENO);
   }
   return 0;
 }
