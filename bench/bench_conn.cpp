@@ -24,12 +24,12 @@
 //      SIGKILLed mid-flood, restarted on the same port, and must serve a
 //      bit-identical reply again (restart-to-first-reply clocked).
 //
-// The JSON records hot/flood/loris rates and tails plus the two derived
-// ratios. --baseline gates on throughput retention under the flood
-// (floor = 0.5x the recorded flood_rps_over_hot — scheduler noise folds
-// in) and on the loris tail ratio (ceiling = 2x recorded + the absolute
-// --max-loris-p99-ratio, whichever is larger); the held/shed/identical
-// requirements are unconditional hard failures, never baseline-relative.
+// The record (bench/bench_util.h) holds hot/flood/loris rates and tails
+// plus the two derived ratios. --baseline gates on throughput retention
+// under the flood (floor = 0.5x the recorded flood_rps_over_hot —
+// scheduler noise folds in); --max-loris-p99-ratio is an absolute
+// ceiling on the loris tail ratio. The held/shed/identical requirements
+// are unconditional hard failures, never baseline-relative.
 
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -44,13 +44,11 @@
 #include <cstring>
 #include <fstream>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/json.h"
 #include "common/timer.h"
 #include "core/model_store.h"
 #include "core/ocular_recommender.h"
@@ -217,121 +215,32 @@ struct ConnBenchResult {
   std::string first_mismatch;
 };
 
-std::string ToJson(const ConnBenchResult& res, const CsrMatrix& r,
-                   uint32_t k, uint32_t m, double scale,
-                   const LoadGenOptions& load, uint32_t idle_conns,
-                   uint32_t slow_writers, size_t workers, uint32_t reps,
-                   uint32_t warmup) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("bench");
-  w.String("conn");
-  w.Key("workload");
-  w.BeginObject();
-  w.Key("kind");
-  w.String("two_block");
-  w.Key("scale");
-  w.Double(scale);
-  w.Key("users");
-  w.UInt(r.num_rows());
-  w.Key("items");
-  w.UInt(r.num_cols());
-  w.Key("nnz");
-  w.UInt(r.nnz());
-  w.Key("k");
-  w.UInt(k);
-  w.Key("m");
-  w.UInt(m);
-  w.Key("clients");
-  w.UInt(load.clients);
-  w.Key("requests_per_client");
-  w.UInt(load.requests_per_client);
-  w.Key("pipeline");
-  w.UInt(load.pipeline);
-  w.Key("idle_conns");
-  w.UInt(idle_conns);
-  w.Key("slow_writers");
-  w.UInt(slow_writers);
-  w.Key("workers");
-  w.UInt(workers);
-  w.Key("hardware_concurrency");
-  w.UInt(std::thread::hardware_concurrency());
-  w.Key("reps");
-  w.UInt(reps);
-  w.Key("warmup");
-  w.UInt(warmup);
-  w.EndObject();
-  w.Key("hot");
-  w.BeginObject();
-  w.Key("requests_per_second");
-  w.Double(res.hot_rps);
-  w.Key("p50_latency_us");
-  w.Double(res.hot_p50_us);
-  w.Key("p99_latency_us");
-  w.Double(res.hot_p99_us);
-  w.EndObject();
-  w.Key("flood");
-  w.BeginObject();
-  w.Key("connections_held");
-  w.UInt(res.flood_held);
-  w.Key("connections_dropped");
-  w.UInt(res.flood_dropped);
-  w.Key("connections_shed");
-  w.UInt(res.flood_shed);
-  w.Key("accept_emfile");
-  w.UInt(res.flood_emfile);
-  w.Key("requests_per_second");
-  w.Double(res.flood_rps);
-  w.Key("p99_latency_us");
-  w.Double(res.flood_p99_us);
-  w.EndObject();
-  w.Key("flood_rps_over_hot");
-  w.Double(res.flood_rps_over_hot);
-  w.Key("loris");
-  w.BeginObject();
-  w.Key("requests_per_second");
-  w.Double(res.loris_rps);
-  w.Key("p99_latency_us");
-  w.Double(res.loris_p99_us);
-  w.EndObject();
-  w.Key("loris_p99_over_hot");
-  w.Double(res.loris_p99_over_hot);
-  w.Key("kill_drill");
-  w.BeginObject();
-  w.Key("restart_ms");
-  w.Double(res.restart_ms);
-  w.Key("post_restart_identical");
-  w.Bool(res.post_restart_identical);
-  w.EndObject();
-  w.Key("lists_identical");
-  w.Bool(res.lists_identical);
-  w.EndObject();
-  return w.str();
-}
-
 const FlagTable kFlags = {
     "bench_conn",
     "The epoll daemon under an idle keep-alive flood and a slowloris swarm.",
-    {RealFlag("scale", 0.0, kNoUpperBound, "0.25", "two-block workload scale"),
-     IntFlag("k", 0, UINT32_MAX, "16", "co-clusters (K)"),
-     IntFlag("m", 0, UINT32_MAX, "10", "top-M per request"),
-     IntFlag("sweeps", 0, UINT32_MAX, "4", "training sweeps"),
-     IntFlag("seed", 0, INT64_MAX, "1", "workload seed"),
-     IntFlag("reps", 0, UINT32_MAX, "2", "timed repetitions"),
-     IntFlag("warmup", 0, UINT32_MAX, "1", "untimed warm-up repetitions"),
-     IntFlag("workers", 0, INT64_MAX, "2", "daemon worker threads"),
-     IntFlag("idle-conns", 0, UINT32_MAX, "5000",
-             "idle keep-alive connections"),
-     IntFlag("slow-writers", 0, UINT32_MAX, "100", "slowloris connections"),
-     IntFlag("duration-ms", 0, UINT32_MAX, "1500", "flood duration"),
-     IntFlag("clients", 0, UINT32_MAX, "4", "load clients"),
-     IntFlag("requests", 0, INT64_MAX, "400", "requests per client"),
-     IntFlag("pipeline", 0, UINT32_MAX, "8", "requests in flight per client"),
-     BoolFlag("json", false, "write the JSON record to --out"),
-     StringFlag("out", "BENCH_conn.json", "JSON record path"),
-     RealFlag("max-loris-p99-ratio", 0.0, kNoUpperBound, "2",
-              "fail when slowloris p99 over hot p99 exceeds this; 0 = off"),
-     StringFlag("baseline", "", "checked-in record to gate this run against")}};
+    WithRecordFlags(
+        {RealFlag("scale", 0.0, kNoUpperBound, "0.25",
+                  "two-block workload scale"),
+         IntFlag("k", 0, UINT32_MAX, "16", "co-clusters (K)"),
+         IntFlag("m", 0, UINT32_MAX, "10", "top-M per request"),
+         IntFlag("sweeps", 0, UINT32_MAX, "4", "training sweeps"),
+         IntFlag("seed", 0, INT64_MAX, "1", "workload seed"),
+         IntFlag("reps", 0, UINT32_MAX, "2", "timed repetitions"),
+         IntFlag("warmup", 0, UINT32_MAX, "1", "untimed warm-up repetitions"),
+         IntFlag("workers", 0, INT64_MAX, "2", "daemon worker threads"),
+         IntFlag("idle-conns", 0, UINT32_MAX, "5000",
+                 "idle keep-alive connections"),
+         IntFlag("slow-writers", 0, UINT32_MAX, "100",
+                 "slowloris connections"),
+         IntFlag("duration-ms", 0, UINT32_MAX, "1500", "flood duration"),
+         IntFlag("clients", 0, UINT32_MAX, "4", "load clients"),
+         IntFlag("requests", 0, INT64_MAX, "400", "requests per client"),
+         IntFlag("pipeline", 0, UINT32_MAX, "8",
+                 "requests in flight per client"),
+         RealFlag("max-loris-p99-ratio", 0.0, kNoUpperBound, "2",
+                  "fail when slowloris p99 over hot p99 exceeds this; "
+                  "0 = off")},
+        "BENCH_conn.json")};
 
 int Main(int argc, char** argv) {
   const Flags flags = ParseFlagsOrExit(kFlags, argc, argv);
@@ -605,16 +514,41 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  if (flags.Bool("json")) {
-    const std::string out_path = flags.String("out");
-    const std::string json = ToJson(res, r, k, m, scale, load, idle_conns,
-                                    slow_writers, workers, reps, warmup);
-    if (!WriteTextFile(out_path, json + "\n")) return 1;
-    std::printf("  wrote %s\n", out_path.c_str());
-  }
-
-  // Absolute tail gate: the ISSUE's claim is hot-client p99 within 2x of
-  // the swarm-free tail while 100 slowloris writers dribble.
+  Record record("conn");
+  record.Workload("kind", "two_block");
+  record.Workload("scale", scale);
+  record.Workload("users", r.num_rows());
+  record.Workload("items", r.num_cols());
+  record.Workload("nnz", r.nnz());
+  record.Workload("k", k);
+  record.Workload("m", m);
+  record.Workload("clients", load.clients);
+  record.Workload("requests_per_client", load.requests_per_client);
+  record.Workload("pipeline", load.pipeline);
+  record.Workload("idle_conns", idle_conns);
+  record.Workload("slow_writers", slow_writers);
+  record.Workload("workers", workers);
+  record.Workload("reps", reps);
+  record.Workload("warmup", warmup);
+  record.Info("hot_requests_per_second", res.hot_rps);
+  record.Info("hot_p50_latency_us", res.hot_p50_us);
+  record.Info("hot_p99_latency_us", res.hot_p99_us);
+  record.Info("flood_connections_held", res.flood_held);
+  record.Info("flood_connections_dropped", res.flood_dropped);
+  record.Info("flood_connections_shed", res.flood_shed);
+  record.Info("flood_accept_emfile", res.flood_emfile);
+  record.Info("flood_requests_per_second", res.flood_rps);
+  record.Info("flood_p99_latency_us", res.flood_p99_us);
+  record.Info("loris_requests_per_second", res.loris_rps);
+  record.Info("loris_p99_latency_us", res.loris_p99_us);
+  record.Info("restart_ms", res.restart_ms);
+  record.Info("post_restart_identical", res.post_restart_identical);
+  record.Info("lists_identical", res.lists_identical);
+  record.Info("loris_p99_over_hot", res.loris_p99_over_hot);
+  record.AtLeast("flood_rps_over_hot", res.flood_rps_over_hot, 0.5);
+  const int rc = FinishRecord(record, flags);
+  // Absolute tail gate: hot-client p99 within this factor of the
+  // swarm-free tail while the slowloris writers dribble.
   const double max_loris_ratio = flags.Real("max-loris-p99-ratio");
   if (max_loris_ratio > 0.0 && res.loris_p99_over_hot > max_loris_ratio) {
     std::fprintf(stderr,
@@ -622,69 +556,7 @@ int Main(int argc, char** argv) {
                  res.loris_p99_over_hot, max_loris_ratio);
     return 2;
   }
-
-  const std::string baseline_path = flags.String("baseline");
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    double base_retention = 0.0, base_loris = 0.0;
-    if (!in ||
-        !FindJsonNumber(buf.str(), "flood_rps_over_hot", &base_retention) ||
-        !FindJsonNumber(buf.str(), "loris_p99_over_hot", &base_loris)) {
-      std::fprintf(stderr, "FAIL: cannot read baseline %s\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    double base_scale = 0.0, base_nnz = 0.0, base_idle = 0.0;
-    double base_clients = 0.0, base_pipeline = 0.0, base_workers = 0.0;
-    if (!FindJsonNumber(buf.str(), "scale", &base_scale) ||
-        !FindJsonNumber(buf.str(), "nnz", &base_nnz) ||
-        !FindJsonNumber(buf.str(), "idle_conns", &base_idle) ||
-        !FindJsonNumber(buf.str(), "clients", &base_clients) ||
-        !FindJsonNumber(buf.str(), "pipeline", &base_pipeline) ||
-        !FindJsonNumber(buf.str(), "workers", &base_workers) ||
-        std::abs(base_scale - scale) > 1e-12 ||
-        static_cast<size_t>(base_nnz) != r.nnz() ||
-        static_cast<uint32_t>(base_idle) != idle_conns ||
-        static_cast<uint32_t>(base_clients) != load.clients ||
-        static_cast<uint32_t>(base_pipeline) != load.pipeline ||
-        static_cast<size_t>(base_workers) != workers) {
-      std::fprintf(stderr,
-                   "FAIL: baseline %s records a different workload/shape — "
-                   "regenerate it with the current bench flags\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    // Retention is a throughput ratio (scheduler noise folds in): floor
-    // at half the recorded value. The loris tail ratio gets a ceiling of
-    // 2x recorded or the absolute flag, whichever is looser — a real
-    // regression (the swarm starving the hot clients again) blows past
-    // both.
-    const double retention_floor = 0.5 * base_retention;
-    if (res.flood_rps_over_hot < retention_floor) {
-      std::fprintf(stderr,
-                   "FAIL: flood/hot throughput %.2f below floor %.2f "
-                   "(baseline %.2f)\n",
-                   res.flood_rps_over_hot, retention_floor, base_retention);
-      return 2;
-    }
-    const double loris_ceiling =
-        std::max(2.0 * base_loris, max_loris_ratio);
-    if (res.loris_p99_over_hot > loris_ceiling) {
-      std::fprintf(stderr,
-                   "FAIL: slowloris p99 ratio %.2f above ceiling %.2f "
-                   "(baseline %.2f)\n",
-                   res.loris_p99_over_hot, loris_ceiling, base_loris);
-      return 2;
-    }
-    std::printf(
-        "  baseline gate ok: retention %.2f (floor %.2f), loris p99 ratio "
-        "%.2f (ceiling %.2f)\n",
-        res.flood_rps_over_hot, retention_floor, res.loris_p99_over_hot,
-        loris_ceiling);
-  }
-  return 0;
+  return rc;
 }
 
 }  // namespace

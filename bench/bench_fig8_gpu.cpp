@@ -22,7 +22,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -47,7 +46,7 @@ int main(int argc, char** argv) {
   auto data = MakeNetflixLike(scale, &rng).value();
   const CsrMatrix& r = data.dataset.interactions();
   std::printf("%s\n", data.dataset.Summary().c_str());
-  std::printf("hardware threads: %u\n", std::thread::hardware_concurrency());
+  std::printf("usable CPUs: %zu\n", UsableCpus());
 
   OcularConfig cfg;
   cfg.k = k;

@@ -13,14 +13,14 @@
 // quarter of the replies), degraded passes over the surviving two
 // replicas, then a restart with the readmission clock running.
 //
-// The JSON records steady/kill/degraded/recovered req/s, the
-// degraded-over-steady retention ratio, and recovery_ms (replica exec to
-// health readmission). --baseline gates on retention (floor = 0.5x the
-// recorded ratio — it folds in scheduler noise) and on recovery_ms
-// (ceiling = 5x recorded + 1000 ms — dominated by configured probe and
-// reopen delays, so it transfers across machines); --max-recovery-ms
-// adds an absolute ceiling. Any client-visible error anywhere fails the
-// bench outright.
+// The record (bench/bench_util.h) holds steady/kill/degraded/recovered
+// req/s, the degraded-over-steady retention ratio, and recovery_ms
+// (replica exec to health readmission). --baseline gates on retention
+// (floor = 0.5x the recorded ratio — it folds in scheduler noise) and on
+// recovery_ms (ceiling = 5x recorded + 1000 ms — dominated by configured
+// probe and reopen delays, so it transfers across machines);
+// --max-recovery-ms adds an absolute ceiling. Any client-visible error
+// anywhere fails the bench outright.
 
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -35,13 +35,11 @@
 #include <cstring>
 #include <fstream>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/json.h"
 #include "common/timer.h"
 #include "core/model_store.h"
 #include "core/ocular_recommender.h"
@@ -165,88 +163,26 @@ struct FleetBenchResult {
   std::string first_mismatch;
 };
 
-std::string ToJson(const FleetBenchResult& res, const CsrMatrix& r,
-                   uint32_t k, uint32_t m, double scale,
-                   const LoadGenOptions& load, size_t replicas,
-                   size_t workers, uint32_t reps, uint32_t warmup) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("bench");
-  w.String("fleet");
-  w.Key("workload");
-  w.BeginObject();
-  w.Key("kind");
-  w.String("two_block");
-  w.Key("scale");
-  w.Double(scale);
-  w.Key("users");
-  w.UInt(r.num_rows());
-  w.Key("items");
-  w.UInt(r.num_cols());
-  w.Key("nnz");
-  w.UInt(r.nnz());
-  w.Key("k");
-  w.UInt(k);
-  w.Key("m");
-  w.UInt(m);
-  w.Key("clients");
-  w.UInt(load.clients);
-  w.Key("requests_per_client");
-  w.UInt(load.requests_per_client);
-  w.Key("pipeline");
-  w.UInt(load.pipeline);
-  w.Key("replicas");
-  w.UInt(replicas);
-  w.Key("workers");
-  w.UInt(workers);
-  w.Key("hardware_concurrency");
-  w.UInt(std::thread::hardware_concurrency());
-  w.Key("reps");
-  w.UInt(reps);
-  w.Key("warmup");
-  w.UInt(warmup);
-  w.EndObject();
-  w.Key("steady_requests_per_second");
-  w.Double(res.steady_rps);
-  w.Key("kill_run_requests_per_second");
-  w.Double(res.kill_run_rps);
-  w.Key("degraded_requests_per_second");
-  w.Double(res.degraded_rps);
-  w.Key("recovered_requests_per_second");
-  w.Double(res.recovered_rps);
-  w.Key("degraded_over_steady");
-  w.Double(res.degraded_over_steady);
-  w.Key("recovery_ms");
-  w.Double(res.recovery_ms);
-  w.Key("client_visible_errors");
-  w.UInt(res.errors);
-  w.Key("failovers");
-  w.UInt(res.failovers);
-  w.Key("lists_identical");
-  w.Bool(res.lists_identical);
-  w.EndObject();
-  return w.str();
-}
-
 const FlagTable kFlags = {
     "bench_fleet",
     "Fleet throughput over 3 replicas, with one SIGKILLed mid-run.",
-    {RealFlag("scale", 0.0, kNoUpperBound, "0.25", "two-block workload scale"),
-     IntFlag("k", 0, UINT32_MAX, "16", "co-clusters (K)"),
-     IntFlag("m", 0, UINT32_MAX, "10", "top-M per request"),
-     IntFlag("sweeps", 0, UINT32_MAX, "4", "training sweeps"),
-     IntFlag("seed", 0, INT64_MAX, "1", "workload seed"),
-     IntFlag("reps", 0, UINT32_MAX, "2", "timed repetitions"),
-     IntFlag("warmup", 0, UINT32_MAX, "1", "untimed warm-up repetitions"),
-     IntFlag("workers", 0, INT64_MAX, "4", "front-tier proxy threads"),
-     IntFlag("clients", 0, UINT32_MAX, "4", "load clients"),
-     IntFlag("requests", 0, INT64_MAX, "200", "requests per client"),
-     IntFlag("pipeline", 0, UINT32_MAX, "8", "requests in flight per client"),
-     BoolFlag("json", false, "write the JSON record to --out"),
-     StringFlag("out", "BENCH_fleet.json", "JSON record path"),
-     RealFlag("max-recovery-ms", 0.0, kNoUpperBound, "0",
-              "fail when readmission takes longer; 0 = no ceiling"),
-     StringFlag("baseline", "", "checked-in record to gate this run against")}};
+    WithRecordFlags(
+        {RealFlag("scale", 0.0, kNoUpperBound, "0.25",
+                  "two-block workload scale"),
+         IntFlag("k", 0, UINT32_MAX, "16", "co-clusters (K)"),
+         IntFlag("m", 0, UINT32_MAX, "10", "top-M per request"),
+         IntFlag("sweeps", 0, UINT32_MAX, "4", "training sweeps"),
+         IntFlag("seed", 0, INT64_MAX, "1", "workload seed"),
+         IntFlag("reps", 0, UINT32_MAX, "2", "timed repetitions"),
+         IntFlag("warmup", 0, UINT32_MAX, "1", "untimed warm-up repetitions"),
+         IntFlag("workers", 0, INT64_MAX, "4", "front-tier proxy threads"),
+         IntFlag("clients", 0, UINT32_MAX, "4", "load clients"),
+         IntFlag("requests", 0, INT64_MAX, "200", "requests per client"),
+         IntFlag("pipeline", 0, UINT32_MAX, "8",
+                 "requests in flight per client"),
+         RealFlag("max-recovery-ms", 0.0, kNoUpperBound, "0",
+                  "fail when readmission takes longer; 0 = no ceiling")},
+        "BENCH_fleet.json")};
 
 int Main(int argc, char** argv) {
   const Flags flags = ParseFlagsOrExit(kFlags, argc, argv);
@@ -460,80 +396,38 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  if (flags.Bool("json")) {
-    const std::string out_path = flags.String("out");
-    const std::string json = ToJson(res, r, k, m, scale, load, kReplicas,
-                                    workers, reps, warmup);
-    if (!WriteTextFile(out_path, json + "\n")) return 1;
-    std::printf("  wrote %s\n", out_path.c_str());
-  }
-
+  Record record("fleet");
+  record.Workload("kind", "two_block");
+  record.Workload("scale", scale);
+  record.Workload("users", r.num_rows());
+  record.Workload("items", r.num_cols());
+  record.Workload("nnz", r.nnz());
+  record.Workload("k", k);
+  record.Workload("m", m);
+  record.Workload("clients", load.clients);
+  record.Workload("requests_per_client", load.requests_per_client);
+  record.Workload("pipeline", load.pipeline);
+  record.Workload("replicas", kReplicas);
+  record.Workload("workers", workers);
+  record.Workload("reps", reps);
+  record.Workload("warmup", warmup);
+  record.Info("steady_requests_per_second", res.steady_rps);
+  record.Info("kill_run_requests_per_second", res.kill_run_rps);
+  record.Info("degraded_requests_per_second", res.degraded_rps);
+  record.Info("recovered_requests_per_second", res.recovered_rps);
+  record.Info("client_visible_errors", res.errors);
+  record.Info("failovers", res.failovers);
+  record.Info("lists_identical", res.lists_identical);
+  record.AtLeast("degraded_over_steady", res.degraded_over_steady, 0.5);
+  record.AtMost("recovery_ms", res.recovery_ms, 5.0, 1000.0);
+  const int rc = FinishRecord(record, flags);
   const double max_recovery_ms = flags.Real("max-recovery-ms");
   if (max_recovery_ms > 0.0 && res.recovery_ms > max_recovery_ms) {
     std::fprintf(stderr, "FAIL: recovery %.0f ms above ceiling %.0f ms\n",
                  res.recovery_ms, max_recovery_ms);
     return 2;
   }
-
-  const std::string baseline_path = flags.String("baseline");
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    double base_ratio = 0.0, base_recovery = 0.0;
-    if (!in ||
-        !FindJsonNumber(buf.str(), "degraded_over_steady", &base_ratio) ||
-        !FindJsonNumber(buf.str(), "recovery_ms", &base_recovery)) {
-      std::fprintf(stderr, "FAIL: cannot read baseline %s\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    double base_scale = 0.0, base_nnz = 0.0, base_clients = 0.0;
-    double base_pipeline = 0.0, base_replicas = 0.0;
-    if (!FindJsonNumber(buf.str(), "scale", &base_scale) ||
-        !FindJsonNumber(buf.str(), "nnz", &base_nnz) ||
-        !FindJsonNumber(buf.str(), "clients", &base_clients) ||
-        !FindJsonNumber(buf.str(), "pipeline", &base_pipeline) ||
-        !FindJsonNumber(buf.str(), "replicas", &base_replicas) ||
-        std::abs(base_scale - scale) > 1e-12 ||
-        static_cast<size_t>(base_nnz) != r.nnz() ||
-        static_cast<uint32_t>(base_clients) != load.clients ||
-        static_cast<uint32_t>(base_pipeline) != load.pipeline ||
-        static_cast<size_t>(base_replicas) != kReplicas) {
-      std::fprintf(stderr,
-                   "FAIL: baseline %s records a different workload/shape — "
-                   "regenerate it with the current bench flags\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    // Retention is a throughput ratio (scheduler noise folds in): floor
-    // at half the recorded ratio. Recovery is configuration-dominated
-    // (probe interval + reopen delay + replica startup): ceiling at 5x
-    // recorded + 1 s absorbs a slow runner without masking a real
-    // regression (a lost readmission path would blow past 30 s).
-    const double ratio_floor = 0.5 * base_ratio;
-    if (res.degraded_over_steady < ratio_floor) {
-      std::fprintf(stderr,
-                   "FAIL: degraded/steady %.2f below floor %.2f "
-                   "(baseline %.2f)\n",
-                   res.degraded_over_steady, ratio_floor, base_ratio);
-      return 2;
-    }
-    const double recovery_ceiling = 5.0 * base_recovery + 1000.0;
-    if (res.recovery_ms > recovery_ceiling) {
-      std::fprintf(stderr,
-                   "FAIL: recovery %.0f ms above ceiling %.0f ms "
-                   "(baseline %.0f ms)\n",
-                   res.recovery_ms, recovery_ceiling, base_recovery);
-      return 2;
-    }
-    std::printf(
-        "  baseline gate ok: retention %.2f (floor %.2f), recovery %.0f ms "
-        "(ceiling %.0f ms)\n",
-        res.degraded_over_steady, ratio_floor, res.recovery_ms,
-        recovery_ceiling);
-  }
-  return 0;
+  return rc;
 }
 
 }  // namespace

@@ -23,14 +23,13 @@
 //     request appending a new user, timed end to end (retrain + binary
 //     save + atomic rename + registry swap).
 //
-// --min-speedup fails (exit 2) below an absolute floor; --baseline fails
-// (exit 2) on a >40% regression of the scoring speedup after checking
-// the baseline ran the same workload shape. The ratio is algorithmic
-// (in-process, no sockets), but a fold-in request is only a few
-// microseconds, so per-request timing noise is proportionally larger
-// than in the train/serve benches — hence a margin between their 25%
-// and the daemon bench's 75% (observed same-machine spread: ~1.4x
-// between the slowest and fastest of repeated runs).
+// --json writes the record (bench/bench_util.h) to --out; --baseline
+// fails (exit 2) on a >40% regression of the scoring speedup. The ratio
+// is algorithmic (in-process, no sockets), but a fold-in request is only
+// a few microseconds, so per-request timing noise is proportionally
+// larger than in the train/serve benches — hence a wider margin than
+// their 25% (observed same-machine spread: ~1.4x between the slowest and
+// fastest of repeated runs).
 
 #include <algorithm>
 #include <cmath>
@@ -82,96 +81,27 @@ struct FoldinBenchResult {
   std::string first_mismatch;
 };
 
-std::string ToJson(const FoldinBenchResult& res, const CsrMatrix& r,
-                   uint32_t k, uint32_t m, double scale, uint32_t histories,
-                   uint32_t history_len, uint32_t reps, uint32_t warmup,
-                   const LoadGenOptions& load) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("bench");
-  w.String("foldin");
-  w.Key("workload");
-  w.BeginObject();
-  w.Key("kind");
-  w.String("two_block");
-  w.Key("scale");
-  w.Double(scale);
-  w.Key("users");
-  w.UInt(r.num_rows());
-  w.Key("items");
-  w.UInt(r.num_cols());
-  w.Key("nnz");
-  w.UInt(r.nnz());
-  w.Key("k");
-  w.UInt(k);
-  w.Key("m");
-  w.UInt(m);
-  w.Key("histories");
-  w.UInt(histories);
-  w.Key("history_len");
-  w.UInt(history_len);
-  w.Key("reps");
-  w.UInt(reps);
-  w.Key("warmup");
-  w.UInt(warmup);
-  w.Key("clients");
-  w.UInt(load.clients);
-  w.Key("pipeline");
-  w.UInt(load.pipeline);
-  w.EndObject();
-  w.Key("scoring");
-  w.BeginObject();
-  w.Key("perpair_us_per_request");
-  w.Double(res.perpair_us);
-  w.Key("blocked_us_per_request");
-  w.Double(res.blocked_us);
-  w.EndObject();
-  w.Key("speedup");
-  w.Double(res.speedup);
-  w.Key("daemon");
-  w.BeginObject();
-  w.Key("requests_per_second");
-  w.Double(res.daemon_rps);
-  w.Key("p50_latency_us");
-  w.Double(res.daemon_p50_us);
-  w.Key("p99_latency_us");
-  w.Double(res.daemon_p99_us);
-  w.EndObject();
-  w.Key("update");
-  w.BeginObject();
-  w.Key("total_us");
-  w.Double(res.update_total_us);
-  w.Key("publish_us");
-  w.Double(res.update_publish_us);
-  w.EndObject();
-  w.Key("lists_identical");
-  w.Bool(res.lists_identical);
-  w.EndObject();
-  return w.str();
-}
-
 const FlagTable kFlags = {
     "bench_foldin",
     "Recommend-by-history: blocked engine against the per-pair fold-in loop.",
-    {RealFlag("scale", 0.0, kNoUpperBound, "1", "two-block workload scale"),
-     IntFlag("k", 0, UINT32_MAX, "50", "co-clusters (K)"),
-     IntFlag("m", 0, UINT32_MAX, "50", "top-M per request"),
-     IntFlag("sweeps", 0, UINT32_MAX, "6", "training sweeps"),
-     IntFlag("seed", 0, INT64_MAX, "1", "workload seed"),
-     IntFlag("histories", 0, UINT32_MAX, "64", "histories per repetition"),
-     IntFlag("history-len", 0, UINT32_MAX, "8", "items per history"),
-     IntFlag("reps", 0, UINT32_MAX, "50", "timed repetitions"),
-     IntFlag("warmup", 0, UINT32_MAX, "5", "untimed warm-up repetitions"),
-     IntFlag("daemon-reps", 0, UINT32_MAX, "3", "timed daemon repetitions"),
-     IntFlag("daemon-warmup", 0, UINT32_MAX, "1", "untimed daemon repetitions"),
-     IntFlag("clients", 0, UINT32_MAX, "4", "load clients"),
-     IntFlag("requests", 0, INT64_MAX, "200", "requests per client"),
-     IntFlag("pipeline", 0, UINT32_MAX, "8", "requests in flight per client"),
-     BoolFlag("json", false, "write the JSON record to --out"),
-     StringFlag("out", "BENCH_foldin.json", "JSON record path"),
-     RealFlag("min-speedup", 0.0, kNoUpperBound, "0",
-              "fail below this speedup; 0 = no floor"),
-     StringFlag("baseline", "", "checked-in record to gate this run against")}};
+    WithRecordFlags(
+        {RealFlag("scale", 0.0, kNoUpperBound, "1", "two-block workload scale"),
+         IntFlag("k", 0, UINT32_MAX, "50", "co-clusters (K)"),
+         IntFlag("m", 0, UINT32_MAX, "50", "top-M per request"),
+         IntFlag("sweeps", 0, UINT32_MAX, "6", "training sweeps"),
+         IntFlag("seed", 0, INT64_MAX, "1", "workload seed"),
+         IntFlag("histories", 0, UINT32_MAX, "64", "histories per repetition"),
+         IntFlag("history-len", 0, UINT32_MAX, "8", "items per history"),
+         IntFlag("reps", 0, UINT32_MAX, "50", "timed repetitions"),
+         IntFlag("warmup", 0, UINT32_MAX, "5", "untimed warm-up repetitions"),
+         IntFlag("daemon-reps", 0, UINT32_MAX, "3", "timed daemon repetitions"),
+         IntFlag("daemon-warmup", 0, UINT32_MAX, "1",
+                 "untimed daemon repetitions"),
+         IntFlag("clients", 0, UINT32_MAX, "4", "load clients"),
+         IntFlag("requests", 0, INT64_MAX, "200", "requests per client"),
+         IntFlag("pipeline", 0, UINT32_MAX, "8",
+                 "requests in flight per client")},
+        "BENCH_foldin.json")};
 
 int Main(int argc, char** argv) {
   const Flags flags = ParseFlagsOrExit(kFlags, argc, argv);
@@ -435,78 +365,40 @@ int Main(int argc, char** argv) {
     Stopwatch watch;
     const std::string reply = server.HandleLine(update);
     res.update_total_us = watch.ElapsedSeconds() * 1e6;
-    OCULAR_CHECK(reply.rfind("{\"ok\":true", 0) == 0);
-    (void)FindJsonNumber(reply, "publish_us", &res.update_publish_us);
+    const JsonValue parsed = JsonValue::Parse(reply).value();
+    const JsonValue* publish_us = parsed.Find("publish_us");
+    OCULAR_CHECK(reply.rfind("{\"ok\":true", 0) == 0 &&
+                 publish_us != nullptr);
+    res.update_publish_us = publish_us->number();
   }
   std::remove(model_path.c_str());
   std::printf("  update   : %10.0f us end-to-end (publish %.0f us)\n",
               res.update_total_us, res.update_publish_us);
 
-  if (flags.Bool("json")) {
-    const std::string out_path = flags.String("out");
-    const std::string json = ToJson(res, r, k, m, scale, histories,
-                                    history_len, reps, warmup, load);
-    if (!WriteTextFile(out_path, json + "\n")) return 1;
-    std::printf("  wrote %s\n", out_path.c_str());
-  }
-
-  const double min_speedup = flags.Real("min-speedup");
-  if (min_speedup > 0.0 && res.speedup < min_speedup) {
-    std::fprintf(stderr, "FAIL: speedup %.2fx below floor %.2fx\n",
-                 res.speedup, min_speedup);
-    return 2;
-  }
-
-  const std::string baseline_path = flags.String("baseline");
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    double baseline_speedup = 0.0;
-    if (!in || !FindJsonNumber(buf.str(), "speedup", &baseline_speedup)) {
-      std::fprintf(stderr, "FAIL: cannot read speedup from baseline %s\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    // The ratio only transfers between runs of the same workload shape —
-    // refuse to gate otherwise.
-    double base_scale = 0.0, base_k = 0.0, base_m = 0.0, base_nnz = 0.0;
-    double base_histories = 0.0, base_len = 0.0;
-    if (!FindJsonNumber(buf.str(), "scale", &base_scale) ||
-        !FindJsonNumber(buf.str(), "k", &base_k) ||
-        !FindJsonNumber(buf.str(), "m", &base_m) ||
-        !FindJsonNumber(buf.str(), "nnz", &base_nnz) ||
-        !FindJsonNumber(buf.str(), "histories", &base_histories) ||
-        !FindJsonNumber(buf.str(), "history_len", &base_len) ||
-        std::abs(base_scale - scale) > 1e-12 ||
-        static_cast<uint32_t>(base_k) != k ||
-        static_cast<uint32_t>(base_m) != m ||
-        static_cast<size_t>(base_nnz) != r.nnz() ||
-        static_cast<uint32_t>(base_histories) != histories ||
-        static_cast<uint32_t>(base_len) != history_len) {
-      std::fprintf(stderr,
-                   "FAIL: baseline %s records a different workload shape "
-                   "(scale=%g k=%g m=%g nnz=%.0f histories=%g "
-                   "history_len=%g vs scale=%g k=%u m=%u nnz=%zu "
-                   "histories=%u history_len=%u) — regenerate it with the "
-                   "current bench flags\n",
-                   baseline_path.c_str(), base_scale, base_k, base_m,
-                   base_nnz, base_histories, base_len, scale, k, m, r.nnz(),
-                   histories, history_len);
-      return 2;
-    }
-    const double floor = 0.60 * baseline_speedup;
-    if (res.speedup < floor) {
-      std::fprintf(stderr,
-                   "FAIL: speedup %.2fx regressed >25%% vs baseline %.2fx "
-                   "(floor %.2fx)\n",
-                   res.speedup, baseline_speedup, floor);
-      return 2;
-    }
-    std::printf("  baseline gate ok: %.2fx vs recorded %.2fx (floor %.2fx)\n",
-                res.speedup, baseline_speedup, floor);
-  }
-  return 0;
+  Record record("foldin");
+  record.Workload("kind", "two_block");
+  record.Workload("scale", scale);
+  record.Workload("users", r.num_rows());
+  record.Workload("items", r.num_cols());
+  record.Workload("nnz", r.nnz());
+  record.Workload("k", k);
+  record.Workload("m", m);
+  record.Workload("histories", histories);
+  record.Workload("history_len", history_len);
+  record.Workload("reps", reps);
+  record.Workload("warmup", warmup);
+  record.Workload("clients", load.clients);
+  record.Workload("pipeline", load.pipeline);
+  record.Info("perpair_us_per_request", res.perpair_us);
+  record.Info("blocked_us_per_request", res.blocked_us);
+  record.Info("daemon_requests_per_second", res.daemon_rps);
+  record.Info("daemon_p50_latency_us", res.daemon_p50_us);
+  record.Info("daemon_p99_latency_us", res.daemon_p99_us);
+  record.Info("update_total_us", res.update_total_us);
+  record.Info("update_publish_us", res.update_publish_us);
+  record.Info("lists_identical", res.lists_identical);
+  record.AtLeast("speedup", res.speedup, 0.6);
+  return FinishRecord(record, flags);
 }
 
 }  // namespace

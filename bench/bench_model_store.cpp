@@ -29,11 +29,6 @@ namespace ocular {
 namespace bench {
 namespace {
 
-double MedianSeconds(std::vector<double>& samples) {
-  std::sort(samples.begin(), samples.end());
-  return samples.empty() ? 0.0 : samples[samples.size() / 2];
-}
-
 const FlagTable kFlags = {
     "bench_model_store",
     "Cold-open and steady-state latency of binary against text models.",
@@ -50,23 +45,11 @@ int Main(int argc, char** argv) {
   const uint32_t k = flags.Int<uint32_t>("k");
   const int reps = flags.Int<int>("reps");
   const int opens = flags.Int<int>("opens");
-  const bool json = flags.Bool("json");
-  const std::string out_path = flags.String("out");
 
-  // One trained model at the bench's standard two-block scale.
-  const uint32_t users = static_cast<uint32_t>(1200 * scale);
-  const uint32_t items = static_cast<uint32_t>(800 * scale);
-  Rng rng(1);
-  CooBuilder coo;
-  for (uint32_t u = 0; u < users; ++u) {
-    const uint32_t lo = (u < users / 2) ? 0 : items / 2;
-    const uint32_t hi = (u < users / 2) ? items / 2 : items;
-    for (uint32_t i = lo; i < hi; ++i) {
-      if (rng.Uniform() < 0.7) coo.Add(u, i);
-    }
-  }
-  const CsrMatrix train =
-      CsrMatrix::FromCoo(coo.Finalize(users, items).value());
+  // One trained model on the hot-path benches' two-block workload.
+  const CsrMatrix train = TwoBlockWorkload(scale, 1);
+  const uint32_t users = train.num_rows();
+  const uint32_t items = train.num_cols();
   OcularConfig cfg;
   cfg.k = k;
   cfg.lambda = 1.0;
@@ -110,9 +93,9 @@ int Main(int argc, char** argv) {
       bin_open_trusting.push_back(t.ElapsedSeconds());
     }
   }
-  const double text_s = MedianSeconds(text_open);
-  const double verify_s = MedianSeconds(bin_open_verify);
-  const double trusting_s = MedianSeconds(bin_open_trusting);
+  const double text_s = Median(text_open);
+  const double verify_s = Median(bin_open_verify);
+  const double trusting_s = Median(bin_open_trusting);
 
   // ---- steady-state serving: mmapped vs in-memory, identical rankings.
   auto store = ModelStore::Open(bin_path).value();
@@ -160,29 +143,24 @@ int Main(int argc, char** argv) {
               mismatches);
   if (mismatches != 0) return 1;
 
-  if (json) {
-    std::ostringstream record;
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"bench\":\"model_store\",\"users\":%u,\"items\":%u,"
-                  "\"k\":%u,", users, items, k);
-    record << buf;
-    std::snprintf(
-        buf, sizeof(buf),
-        "\"open_text_ms\":%.6f,\"open_mmap_verify_ms\":%.6f,"
-        "\"open_mmap_ms\":%.6f,\"open_speedup_verify\":%.2f,"
-        "\"open_speedup\":%.2f,",
-        text_s * 1e3, verify_s * 1e3, trusting_s * 1e3, text_s / verify_s,
-        text_s / trusting_s);
-    record << buf;
-    std::snprintf(buf, sizeof(buf),
-                  "\"serve_store_us\":%.3f,\"serve_memory_us\":%.3f,"
-                  "\"ranking_mismatches\":%zu}",
-                  store_us, memory_us, mismatches);
-    record << buf;
-    if (!WriteTextFile(out_path, record.str() + "\n")) return 1;
-    std::printf("wrote %s\n", out_path.c_str());
-  }
+  Record record("model_store");
+  record.Workload("kind", "two_block");
+  record.Workload("scale", scale);
+  record.Workload("users", users);
+  record.Workload("items", items);
+  record.Workload("nnz", train.nnz());
+  record.Workload("k", k);
+  record.Workload("reps", reps);
+  record.Workload("opens", opens);
+  record.Info("open_text_ms", text_s * 1e3);
+  record.Info("open_mmap_verify_ms", verify_s * 1e3);
+  record.Info("open_mmap_ms", trusting_s * 1e3);
+  record.Info("open_speedup_verify", text_s / verify_s);
+  record.Info("open_speedup", text_s / trusting_s);
+  record.Info("serve_store_us", store_us);
+  record.Info("serve_memory_us", memory_us);
+  record.Info("ranking_mismatches", mismatches);
+  if (!WriteRecord(record, flags)) return 1;
   std::remove(text_path.c_str());
   std::remove(bin_path.c_str());
   return 0;

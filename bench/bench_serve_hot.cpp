@@ -1,115 +1,68 @@
 // Hot-path serving benchmark: all-users top-M generation (the paper's
-// Section VIII bulk regeneration job), legacy per-pair path vs the blocked
-// scoring engine, on a trained OCuLaR model over the synthetic two-block
-// workload at K=50.
+// Section VIII bulk regeneration job) through RecommendForAllUsers
+// against the per-pair path, on a trained OCuLaR model over the synthetic
+// two-block workload at K=50.
 //
-// The legacy side is a faithful reproduction of the pre-refactor bulk
-// path: per user, a freshly heap-allocated score vector filled through the
-// virtual per-pair Score() (a serial-dependency K-dot plus expm1 per
-// call), ranked with TopM, min_score applied as a post-filter. The engine
-// side is RecommendForAllUsers (serial — the speedup is algorithmic, not
-// thread count): tiled user-row x Vᵀ-block products, reusable per-worker
-// ServeWorkspace, threshold-pruned heap selection.
+// Both sides are product code. The per-pair path scores every item
+// through Recommender::Score (a serial K-dot plus expm1 per call), offers
+// each to the bounded heap (topm::Consider) and sorts it
+// (topm::SortBestFirst): it shares neither the engine's tiles, its
+// AffinityBlock kernel nor its TopMSelector, so the ratio moves when any
+// of them regresses. The engine side is RecommendForAllUsers, serial.
 //
 // Both paths must produce identical ranked lists (item-exact, scores to
-// 1e-12) — the bench aborts otherwise. Candidate mode (co-cluster pruning)
-// is timed and its exact-vs-candidate overlap reported for information; it
-// is approximate and takes no part in the speedup gate. Membership uses
-// the relative row-max rule by default (--candidate-relative; the absolute
-// --candidate-threshold floor alone collapses at K=50 — overlap 0.25).
+// 1e-12) — the bench exits 1 otherwise. Each rep times one per-pair pass,
+// then one engine pass; the gated value is the median of the per-rep
+// ratios (higher is better), which a pass the host descheduled cannot
+// move. Candidate mode (co-cluster pruning) is timed and its
+// exact-vs-candidate overlap recorded for information; it is approximate
+// and takes no part in the gate. Membership uses the relative row-max rule
+// by default (--candidate-relative; the absolute --candidate-threshold
+// floor alone collapses at K=50 — overlap 0.25).
 //
-// --json writes a machine-readable record (see README "Performance") to
-// --out. The speedup is the median over reps of one legacy pass timed
-// against the engine pass right after it. --min-speedup fails (exit 2)
-// below the floor; --baseline fails (exit 2) on a >25% regression
-// against the recorded speedup, after checking the baseline records the
-// same workload.
+// --json writes the record (bench/bench_util.h) to --out; --baseline
+// gates it.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <string>
+#include <cstdio>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/json.h"
 #include "common/timer.h"
 #include "core/ocular_recommender.h"
 #include "serving/batch.h"
 #include "serving/score_engine.h"
-#include "sparse/coo.h"
 #include "sparse/csr.h"
 
 namespace ocular {
 namespace bench {
 namespace {
 
-// -------------------------------------------------------- legacy path
-// Faithful reproduction of the pre-engine bulk loop (the before side of
-// the before/after table): per user, a fresh heap-allocated score vector
-// filled through the virtual per-pair Score, the pre-refactor TopM (heap
-// insert attempted for every non-excluded item, no selection bar), and
-// min_score applied as a post-ranking filter.
-
-std::vector<ScoredItem> LegacyTopM(const std::vector<double>& scores,
-                                   uint32_t m,
-                                   std::span<const uint32_t> exclude_sorted) {
-  std::vector<ScoredItem> heap;  // min-heap of the current best m
-  heap.reserve(m + 1);
-  auto worse = [](const ScoredItem& a, const ScoredItem& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.item < b.item;
-  };
-  size_t ex = 0;
-  for (uint32_t i = 0; i < scores.size(); ++i) {
-    while (ex < exclude_sorted.size() && exclude_sorted[ex] < i) ++ex;
-    if (ex < exclude_sorted.size() && exclude_sorted[ex] == i) continue;
-    ScoredItem cand{i, scores[i]};
-    if (heap.size() < m) {
-      heap.push_back(cand);
-      std::push_heap(heap.begin(), heap.end(), worse);
-    } else if (!heap.empty() && worse(cand, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), worse);
-      heap.back() = cand;
-      std::push_heap(heap.begin(), heap.end(), worse);
-    }
-  }
-  std::sort_heap(heap.begin(), heap.end(), worse);
-  return heap;
-}
-
-std::vector<std::vector<ScoredItem>> LegacyRecommendAll(
-    const Recommender& rec, const CsrMatrix& train, uint32_t m,
-    double min_score) {
+/// The per-pair path: top-M of every user with a training row, scoring
+/// each non-excluded item through Recommender::Score.
+std::vector<std::vector<ScoredItem>> PerPairRecommendAll(
+    const Recommender& rec, const CsrMatrix& train,
+    const BatchOptions& options) {
   std::vector<std::vector<ScoredItem>> out(rec.num_users());
   for (uint32_t u = 0; u < rec.num_users(); ++u) {
-    if (train.RowDegree(u) == 0) continue;
-    std::vector<double> scores(rec.num_items());
-    for (uint32_t i = 0; i < scores.size(); ++i) scores[i] = rec.Score(u, i);
-    auto ranked = LegacyTopM(scores, m, train.Row(u));
-    if (min_score > 0.0) {
-      size_t keep = 0;
-      while (keep < ranked.size() && ranked[keep].score >= min_score) ++keep;
-      ranked.resize(keep);
+    const auto exclude = train.Row(u);
+    if (exclude.empty()) continue;
+    std::vector<ScoredItem>& heap = out[u];
+    heap.reserve(options.m);
+    size_t ex = 0;
+    for (uint32_t i = 0; i < rec.num_items(); ++i) {
+      if (ex < exclude.size() && exclude[ex] == i) {
+        ++ex;
+        continue;
+      }
+      topm::Consider(heap, options.m, options.min_score, {i, rec.Score(u, i)});
     }
-    out[u] = std::move(ranked);
+    topm::SortBestFirst(heap);
   }
   return out;
 }
-
-// ------------------------------------------------------------ benchmark
-
-struct ServeBenchResult {
-  double legacy_seconds_per_pass = 0.0;
-  double engine_seconds_per_pass = 0.0;
-  double speedup = 0.0;
-  double candidate_seconds_per_pass = 0.0;
-  double candidate_overlap = 0.0;
-  double max_score_abs_err = 0.0;
-  bool lists_identical = false;
-  uint32_t reps = 0;
-  uint32_t warmup = 0;
-};
 
 /// Item-exact list equality with a 1e-12 score tolerance; records the
 /// worst score deviation.
@@ -129,157 +82,22 @@ bool SameLists(const std::vector<std::vector<ScoredItem>>& a,
   return true;
 }
 
-ServeBenchResult RunServeBench(const OcularRecommender& rec,
-                               const CsrMatrix& r, uint32_t m, uint32_t reps,
-                               uint32_t warmup,
-                               const CandidateIndexOptions& candidates) {
-  BatchOptions opts;
-  opts.m = m;
-  ServeBenchResult out;
-  out.reps = reps;
-  out.warmup = warmup;
-
-  // Correctness first: one run of each path, lists must agree.
-  {
-    const auto legacy = LegacyRecommendAll(rec, r, m, opts.min_score);
-    const auto engine = RecommendForAllUsers(rec, r, opts).value();
-    out.lists_identical = SameLists(legacy, engine, &out.max_score_abs_err);
-    if (!out.lists_identical) return out;
-  }
-
-  // Each rep times one legacy pass, then one engine pass, so both sides
-  // of a ratio see the same machine state; the gated speedup is the
-  // median of the per-rep ratios, which a pass that a shared host
-  // descheduled cannot move. The per-pass seconds are means.
-  {
-    for (uint32_t w = 0; w < warmup; ++w) {
-      LegacyRecommendAll(rec, r, m, 0.0);
-      (void)RecommendForAllUsers(rec, r, opts).value();
-    }
-    std::vector<double> ratios;
-    for (uint32_t rep = 0; rep < reps; ++rep) {
-      Stopwatch legacy;
-      LegacyRecommendAll(rec, r, m, 0.0);
-      const double legacy_seconds = legacy.ElapsedSeconds();
-      Stopwatch engine;
-      (void)RecommendForAllUsers(rec, r, opts).value();
-      const double engine_seconds = engine.ElapsedSeconds();
-      out.legacy_seconds_per_pass += legacy_seconds / reps;
-      out.engine_seconds_per_pass += engine_seconds / reps;
-      ratios.push_back(legacy_seconds / std::max(engine_seconds, 1e-12));
-    }
-    if (!ratios.empty()) {
-      std::sort(ratios.begin(), ratios.end());
-      const size_t mid = ratios.size() / 2;
-      out.speedup = ratios.size() % 2 == 1
-                        ? ratios[mid]
-                        : 0.5 * (ratios[mid - 1] + ratios[mid]);
-    }
-  }
-
-  // Candidate mode, for information: pruned serving time + exact overlap.
-  // Membership is RELATIVE (entry >= fraction * row max) rather than the
-  // old absolute 0.6 floor: with the affinity mass spread over K=50
-  // dimensions every entry is small, and the absolute rule dropped most
-  // rows out of every co-cluster (overlap@50 was 0.25 on this workload;
-  // see CandidateIndexOptions).
-  {
-    const auto index =
-        BuildCoClusterCandidateIndex(rec.model(), candidates).value();
-    BatchOptions copts = opts;
-    copts.candidates = &index;
-    (void)RecommendForAllUsers(rec, r, copts).value();  // warmup
-    Stopwatch watch;
-    for (uint32_t rep = 0; rep < reps; ++rep) {
-      (void)RecommendForAllUsers(rec, r, copts).value();
-    }
-    out.candidate_seconds_per_pass = watch.ElapsedSeconds() / reps;
-    ServeOptions serve;
-    serve.m = m;
-    auto overlap = CandidateOverlapAtM(rec, r, index, serve);
-    out.candidate_overlap = overlap.ok() ? *overlap : 0.0;
-  }
-  return out;
-}
-
-std::string ToJson(const ServeBenchResult& res, const CsrMatrix& r,
-                   uint32_t k, uint32_t m, double scale,
-                   const CandidateIndexOptions& candidates) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("bench");
-  w.String("serve_hot");
-  w.Key("workload");
-  w.BeginObject();
-  w.Key("kind");
-  w.String("two_block");
-  w.Key("scale");
-  w.Double(scale);
-  w.Key("users");
-  w.UInt(r.num_rows());
-  w.Key("items");
-  w.UInt(r.num_cols());
-  w.Key("nnz");
-  w.UInt(r.nnz());
-  w.Key("k");
-  w.UInt(k);
-  w.Key("m");
-  w.UInt(m);
-  w.Key("reps");
-  w.UInt(res.reps);
-  w.Key("warmup");
-  w.UInt(res.warmup);
-  w.EndObject();
-  w.Key("legacy");
-  w.BeginObject();
-  w.Key("seconds_per_pass");
-  w.Double(res.legacy_seconds_per_pass);
-  w.EndObject();
-  w.Key("engine");
-  w.BeginObject();
-  w.Key("seconds_per_pass");
-  w.Double(res.engine_seconds_per_pass);
-  w.EndObject();
-  w.Key("speedup");
-  w.Double(res.speedup);
-  w.Key("lists_identical");
-  w.Bool(res.lists_identical);
-  w.Key("max_score_abs_err");
-  w.Double(res.max_score_abs_err);
-  w.Key("candidate");
-  w.BeginObject();
-  w.Key("seconds_per_pass");
-  w.Double(res.candidate_seconds_per_pass);
-  w.Key("overlap");
-  w.Double(res.candidate_overlap);
-  w.Key("threshold");
-  w.Double(candidates.threshold);
-  w.Key("relative");
-  w.Double(candidates.relative);
-  w.EndObject();
-  w.EndObject();
-  return w.str();
-}
-
 const FlagTable kFlags = {
     "bench_serve_hot",
-    "All-users top-M: the blocked scoring engine against the per-pair path.",
-    {RealFlag("scale", 0.0, kNoUpperBound, "1", "two-block workload scale"),
-     IntFlag("k", 0, UINT32_MAX, "50", "co-clusters (K)"),
-     IntFlag("m", 0, UINT32_MAX, "50", "top-M per request"),
-     IntFlag("reps", 0, UINT32_MAX, "3", "timed repetitions"),
-     IntFlag("warmup", 0, UINT32_MAX, "1", "untimed warm-up repetitions"),
-     IntFlag("sweeps", 0, UINT32_MAX, "6", "training sweeps"),
-     IntFlag("seed", 0, INT64_MAX, "1", "workload seed"),
-     RealFlag("candidate-threshold", 0.0, kNoUpperBound, "0.6",
-              "absolute co-cluster membership floor"),
-     RealFlag("candidate-relative", 0.0, 1.0, "0.5",
-              "relative co-cluster membership floor"),
-     BoolFlag("json", false, "write the JSON record to --out"),
-     StringFlag("out", "BENCH_serve.json", "JSON record path"),
-     RealFlag("min-speedup", 0.0, kNoUpperBound, "0",
-              "fail below this speedup; 0 = no floor"),
-     StringFlag("baseline", "", "checked-in record to gate this run against")}};
+    "All-users top-M: the per-pair path over the blocked scoring engine.",
+    WithRecordFlags(
+        {RealFlag("scale", 0.0, kNoUpperBound, "1", "two-block workload scale"),
+         IntFlag("k", 0, UINT32_MAX, "50", "co-clusters (K)"),
+         IntFlag("m", 0, UINT32_MAX, "50", "top-M per request"),
+         IntFlag("reps", 1, UINT32_MAX, "3", "timed repetitions"),
+         IntFlag("warmup", 0, UINT32_MAX, "1", "untimed warm-up repetitions"),
+         IntFlag("sweeps", 0, UINT32_MAX, "6", "training sweeps"),
+         IntFlag("seed", 0, INT64_MAX, "1", "workload seed"),
+         RealFlag("candidate-threshold", 0.0, kNoUpperBound, "0.6",
+                  "absolute co-cluster membership floor"),
+         RealFlag("candidate-relative", 0.0, 1.0, "0.5",
+                  "relative co-cluster membership floor")},
+        "BENCH_serve.json")};
 
 int Main(int argc, char** argv) {
   const Flags flags = ParseFlagsOrExit(kFlags, argc, argv);
@@ -288,7 +106,6 @@ int Main(int argc, char** argv) {
   const uint32_t m = flags.Int<uint32_t>("m");
   const uint32_t reps = flags.Int<uint32_t>("reps");
   const uint32_t warmup = flags.Int<uint32_t>("warmup");
-  const uint32_t sweeps = flags.Int<uint32_t>("sweeps");
   const uint64_t seed = flags.Int<uint64_t>("seed");
 
   const CsrMatrix r = TwoBlockWorkload(scale, seed);
@@ -300,7 +117,7 @@ int Main(int argc, char** argv) {
   OcularConfig config;
   config.k = k;
   config.lambda = 1.0;
-  config.max_sweeps = sweeps;
+  config.max_sweeps = flags.Int<uint32_t>("sweeps");
   config.seed = seed + 1;
   OcularRecommender rec(config);
   {
@@ -311,89 +128,93 @@ int Main(int argc, char** argv) {
                 watch.ElapsedSeconds());
   }
 
-  CandidateIndexOptions candidates;
-  candidates.threshold = flags.Real("candidate-threshold");
-  candidates.relative = flags.Real("candidate-relative");
+  BatchOptions opts;
+  opts.m = m;
 
-  const ServeBenchResult res =
-      RunServeBench(rec, r, m, reps, warmup, candidates);
-  if (!res.lists_identical) {
+  // Correctness first: one run of each path, lists must agree.
+  double max_score_abs_err = 0.0;
+  if (!SameLists(PerPairRecommendAll(rec, r, opts),
+                 RecommendForAllUsers(rec, r, opts).value(),
+                 &max_score_abs_err)) {
     std::fprintf(stderr,
                  "FAIL: engine ranked lists differ from the per-pair path "
                  "(max |dscore| %.3e)\n",
-                 res.max_score_abs_err);
+                 max_score_abs_err);
     return 1;
   }
 
-  std::printf("  legacy   : %8.2f ms/pass  (per-pair Score + TopM)\n",
-              1e3 * res.legacy_seconds_per_pass);
-  std::printf("  engine   : %8.2f ms/pass  (blocked ScoreBlock engine)\n",
-              1e3 * res.engine_seconds_per_pass);
-  std::printf("  speedup  : %8.2fx          (identical lists, max |ds| %.1e)\n",
-              res.speedup, res.max_score_abs_err);
+  for (uint32_t w = 0; w < warmup; ++w) {
+    (void)PerPairRecommendAll(rec, r, opts);
+    (void)RecommendForAllUsers(rec, r, opts).value();
+  }
+  std::vector<double> perpair_seconds, engine_seconds, ratios;
+  for (uint32_t rep = 0; rep < reps; ++rep) {
+    Stopwatch perpair;
+    (void)PerPairRecommendAll(rec, r, opts);
+    perpair_seconds.push_back(perpair.ElapsedSeconds());
+    Stopwatch engine;
+    (void)RecommendForAllUsers(rec, r, opts).value();
+    engine_seconds.push_back(engine.ElapsedSeconds());
+    ratios.push_back(perpair_seconds.back() /
+                     std::max(engine_seconds.back(), 1e-12));
+  }
+  const double ratio = Median(ratios);
+
+  // Candidate mode, for information: pruned serving time + exact overlap.
+  // Membership is RELATIVE (entry >= fraction * row max) rather than the
+  // old absolute 0.6 floor: with the affinity mass spread over K=50
+  // dimensions every entry is small, and the absolute rule dropped most
+  // rows out of every co-cluster (overlap@50 was 0.25 on this workload;
+  // see CandidateIndexOptions).
+  CandidateIndexOptions candidates;
+  candidates.threshold = flags.Real("candidate-threshold");
+  candidates.relative = flags.Real("candidate-relative");
+  const auto index =
+      BuildCoClusterCandidateIndex(rec.model(), candidates).value();
+  BatchOptions copts = opts;
+  copts.candidates = &index;
+  (void)RecommendForAllUsers(rec, r, copts).value();  // warmup
+  Stopwatch watch;
+  for (uint32_t rep = 0; rep < reps; ++rep) {
+    (void)RecommendForAllUsers(rec, r, copts).value();
+  }
+  const double candidate_seconds = watch.ElapsedSeconds() / reps;
+  ServeOptions serve;
+  serve.m = m;
+  auto overlap = CandidateOverlapAtM(rec, r, index, serve);
+  const double candidate_overlap = overlap.ok() ? *overlap : 0.0;
+
+  std::printf("  per-pair : %8.2f ms/pass  (Score + topm::Consider)\n",
+              1e3 * Median(perpair_seconds));
+  std::printf("  engine   : %8.2f ms/pass  (RecommendForAllUsers)\n",
+              1e3 * Median(engine_seconds));
+  std::printf("  ratio    : %8.2fx          (median per rep; identical "
+              "lists, max |ds| %.1e)\n",
+              ratio, max_score_abs_err);
   std::printf("  candidate: %8.2f ms/pass  (co-cluster pruning, overlap "
               "%.3f)\n",
-              1e3 * res.candidate_seconds_per_pass, res.candidate_overlap);
+              1e3 * candidate_seconds, candidate_overlap);
 
-  if (flags.Bool("json")) {
-    const std::string out_path = flags.String("out");
-    const std::string json = ToJson(res, r, k, m, scale, candidates);
-    if (!WriteTextFile(out_path, json + "\n")) return 1;
-    std::printf("  wrote %s\n", out_path.c_str());
-  }
-
-  const double min_speedup = flags.Real("min-speedup");
-  if (min_speedup > 0.0 && res.speedup < min_speedup) {
-    std::fprintf(stderr, "FAIL: speedup %.2fx below floor %.2fx\n",
-                 res.speedup, min_speedup);
-    return 2;
-  }
-
-  const std::string baseline_path = flags.String("baseline");
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    double baseline_speedup = 0.0;
-    if (!in || !FindJsonNumber(buf.str(), "speedup", &baseline_speedup)) {
-      std::fprintf(stderr, "FAIL: cannot read speedup from baseline %s\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    // The ratio only transfers between runs of the SAME workload — refuse
-    // to gate against a baseline recorded at a different scale/K/m/nnz.
-    double base_scale = 0.0, base_k = 0.0, base_m = 0.0, base_nnz = 0.0;
-    if (!FindJsonNumber(buf.str(), "scale", &base_scale) ||
-        !FindJsonNumber(buf.str(), "k", &base_k) ||
-        !FindJsonNumber(buf.str(), "m", &base_m) ||
-        !FindJsonNumber(buf.str(), "nnz", &base_nnz) ||
-        std::abs(base_scale - scale) > 1e-12 ||
-        static_cast<uint32_t>(base_k) != k ||
-        static_cast<uint32_t>(base_m) != m ||
-        static_cast<size_t>(base_nnz) != r.nnz()) {
-      std::fprintf(stderr,
-                   "FAIL: baseline %s records a different workload "
-                   "(scale=%g k=%g m=%g nnz=%.0f vs scale=%g k=%u m=%u "
-                   "nnz=%zu) — regenerate it with the current bench flags\n",
-                   baseline_path.c_str(), base_scale, base_k, base_m,
-                   base_nnz, scale, k, m, r.nnz());
-      return 2;
-    }
-    // >25% regression against the checked-in baseline fails the gate. The
-    // speedup is a same-machine ratio, so it transfers across runners far
-    // better than absolute wall clock.
-    const double floor = 0.75 * baseline_speedup;
-    if (res.speedup < floor) {
-      std::fprintf(stderr,
-                   "FAIL: speedup %.2fx regressed >25%% vs baseline %.2fx "
-                   "(floor %.2fx)\n",
-                   res.speedup, baseline_speedup, floor);
-      return 2;
-    }
-    std::printf("  baseline gate ok: %.2fx vs recorded %.2fx (floor %.2fx)\n",
-                res.speedup, baseline_speedup, floor);
-  }
-  return 0;
+  Record record("serve_hot");
+  record.Workload("kind", "two_block");
+  record.Workload("scale", scale);
+  record.Workload("users", r.num_rows());
+  record.Workload("items", r.num_cols());
+  record.Workload("nnz", r.nnz());
+  record.Workload("k", k);
+  record.Workload("m", m);
+  record.Workload("reps", reps);
+  record.Workload("warmup", warmup);
+  record.Info("perpair_seconds_per_pass", Median(perpair_seconds));
+  record.Info("engine_seconds_per_pass", Median(engine_seconds));
+  record.Info("lists_identical", true);
+  record.Info("max_score_abs_err", max_score_abs_err);
+  record.Info("candidate_seconds_per_pass", candidate_seconds);
+  record.Info("candidate_overlap", candidate_overlap);
+  record.Info("candidate_threshold", candidates.threshold);
+  record.Info("candidate_relative", candidates.relative);
+  record.AtLeast("perpair_over_engine", ratio, 0.75);
+  return FinishRecord(record, flags);
 }
 
 }  // namespace

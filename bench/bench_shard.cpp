@@ -16,19 +16,17 @@
 //                 even re-read.
 //
 // The catalog is the deterministic scale generator (data/scale.h), so
-// records are comparable across machines at equal --users. --baseline
-// cross-checks the workload shape and gates sharded open time and
-// update-publish wall clock with generous ceilings (5x + slack) that
-// absorb runner noise but catch an accidental "reopen the world" or
-// "rewrite every shard" regression.
+// records (bench/bench_util.h) are comparable across machines at equal
+// --users. --baseline gates sharded open time and update-publish wall
+// clock with generous ceilings (5x + slack) that absorb runner noise but
+// catch an accidental "reopen the world" or "rewrite every shard"
+// regression.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -58,78 +56,24 @@ struct ShardBenchResult {
   uint64_t errors = 0;
 };
 
-std::string ToJson(const ShardBenchResult& res, const ScaleCatalogSpec& spec,
-                   uint32_t shards, uint32_t m, const LoadGenOptions& load,
-                   size_t workers, uint32_t reps, uint32_t update_reps) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("bench");
-  w.String("shard");
-  w.Key("workload");
-  w.BeginObject();
-  w.Key("kind");
-  w.String("scale_catalog");
-  w.Key("users");
-  w.UInt(spec.num_users);
-  w.Key("items");
-  w.UInt(spec.num_items);
-  w.Key("k");
-  w.UInt(spec.k);
-  w.Key("seed");
-  w.UInt(spec.seed);
-  w.Key("shards");
-  w.UInt(shards);
-  w.Key("m");
-  w.UInt(m);
-  w.Key("clients");
-  w.UInt(load.clients);
-  w.Key("requests_per_client");
-  w.UInt(load.requests_per_client);
-  w.Key("pipeline");
-  w.UInt(load.pipeline);
-  w.Key("workers");
-  w.UInt(workers);
-  w.Key("hardware_concurrency");
-  w.UInt(std::thread::hardware_concurrency());
-  w.Key("reps");
-  w.UInt(reps);
-  w.Key("update_reps");
-  w.UInt(update_reps);
-  w.EndObject();
-  w.Key("mono_open_ms");
-  w.Double(res.mono_open_ms);
-  w.Key("sharded_open_ms");
-  w.Double(res.sharded_open_ms);
-  w.Key("sharded_over_mono");
-  w.Double(res.sharded_over_mono);
-  w.Key("steady_requests_per_second");
-  w.Double(res.steady_rps);
-  w.Key("update_publish_ms");
-  w.Double(res.update_publish_ms);
-  w.Key("client_visible_errors");
-  w.UInt(res.errors);
-  w.EndObject();
-  return w.str();
-}
-
 const FlagTable kFlags = {
     "bench_shard",
     "Sharded-store open, serve and update-publish costs.",
-    {IntFlag("users", 0, UINT32_MAX, "200000", "catalog users"),
-     IntFlag("items", 0, UINT32_MAX, "128", "catalog items"),
-     IntFlag("k", 0, UINT32_MAX, "8", "co-clusters (K)"),
-     IntFlag("seed", 0, INT64_MAX, "7", "workload seed"),
-     IntFlag("shards", 0, UINT32_MAX, "8", "shards"),
-     IntFlag("m", 0, UINT32_MAX, "10", "top-M per request"),
-     IntFlag("reps", 0, UINT32_MAX, "5", "timed repetitions"),
-     IntFlag("update-reps", 0, UINT32_MAX, "5", "timed update publishes"),
-     IntFlag("workers", 0, INT64_MAX, "4", "daemon worker threads"),
-     IntFlag("clients", 0, UINT32_MAX, "4", "load clients"),
-     IntFlag("requests", 0, INT64_MAX, "2000", "requests per client"),
-     IntFlag("pipeline", 0, UINT32_MAX, "8", "requests in flight per client"),
-     BoolFlag("json", false, "write the JSON record to --out"),
-     StringFlag("out", "BENCH_shard.json", "JSON record path"),
-     StringFlag("baseline", "", "checked-in record to gate this run against")}};
+    WithRecordFlags(
+        {IntFlag("users", 0, UINT32_MAX, "200000", "catalog users"),
+         IntFlag("items", 0, UINT32_MAX, "128", "catalog items"),
+         IntFlag("k", 0, UINT32_MAX, "8", "co-clusters (K)"),
+         IntFlag("seed", 0, INT64_MAX, "7", "workload seed"),
+         IntFlag("shards", 0, UINT32_MAX, "8", "shards"),
+         IntFlag("m", 0, UINT32_MAX, "10", "top-M per request"),
+         IntFlag("reps", 0, UINT32_MAX, "5", "timed repetitions"),
+         IntFlag("update-reps", 0, UINT32_MAX, "5", "timed update publishes"),
+         IntFlag("workers", 0, INT64_MAX, "4", "daemon worker threads"),
+         IntFlag("clients", 0, UINT32_MAX, "4", "load clients"),
+         IntFlag("requests", 0, INT64_MAX, "2000", "requests per client"),
+         IntFlag("pipeline", 0, UINT32_MAX, "8",
+                 "requests in flight per client")},
+        "BENCH_shard.json")};
 
 int Main(int argc, char** argv) {
   const Flags flags = ParseFlagsOrExit(kFlags, argc, argv);
@@ -245,10 +189,12 @@ int Main(int argc, char** argv) {
       Stopwatch watch;
       const std::string reply = server.HandleLine(request);
       publish_sum += watch.ElapsedMillis();
-      double touched = 0.0;
-      if (reply.find("\"ok\":true") == std::string::npos ||
-          !FindJsonNumber(reply, "shards_touched", &touched) ||
-          static_cast<uint32_t>(touched) != 1) {
+      const auto parsed = JsonValue::Parse(reply);
+      const JsonValue* ok = parsed.ok() ? parsed->Find("ok") : nullptr;
+      const JsonValue* touched =
+          parsed.ok() ? parsed->Find("shards_touched") : nullptr;
+      if (ok == nullptr || !ok->boolean() || touched == nullptr ||
+          touched->number() != 1.0) {
         std::fprintf(stderr, "FAIL: update rep %u did not touch exactly one "
                      "shard: %s\n", rep, reply.c_str());
         ++res.errors;
@@ -287,73 +233,31 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  if (flags.Bool("json")) {
-    const std::string out_path = flags.String("out");
-    const std::string json = ToJson(res, spec, shards, m, load, workers,
-                                    reps, update_reps);
-    if (!WriteTextFile(out_path, json + "\n")) return 1;
-    std::printf("  wrote %s\n", out_path.c_str());
-  }
-
-  const std::string baseline_path = flags.String("baseline");
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    double base_open = 0.0, base_update = 0.0;
-    if (!in || !FindJsonNumber(buf.str(), "sharded_open_ms", &base_open) ||
-        !FindJsonNumber(buf.str(), "update_publish_ms", &base_update)) {
-      std::fprintf(stderr, "FAIL: cannot read baseline %s\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    double base_users = 0.0, base_items = 0.0, base_k = 0.0;
-    double base_shards = 0.0, base_clients = 0.0, base_pipeline = 0.0;
-    if (!FindJsonNumber(buf.str(), "users", &base_users) ||
-        !FindJsonNumber(buf.str(), "items", &base_items) ||
-        !FindJsonNumber(buf.str(), "k", &base_k) ||
-        !FindJsonNumber(buf.str(), "shards", &base_shards) ||
-        !FindJsonNumber(buf.str(), "clients", &base_clients) ||
-        !FindJsonNumber(buf.str(), "pipeline", &base_pipeline) ||
-        static_cast<uint32_t>(base_users) != spec.num_users ||
-        static_cast<uint32_t>(base_items) != spec.num_items ||
-        static_cast<uint32_t>(base_k) != spec.k ||
-        static_cast<uint32_t>(base_shards) != shards ||
-        static_cast<uint32_t>(base_clients) != load.clients ||
-        static_cast<uint32_t>(base_pipeline) != load.pipeline) {
-      std::fprintf(stderr,
-                   "FAIL: baseline %s records a different workload/shape — "
-                   "regenerate it with the current bench flags\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    // Both gated numbers are wall-clock on a shared CI runner: 5x the
-    // recorded value plus absolute slack absorbs noisy neighbors while
-    // still catching an O(catalog) regression (reopening or rewriting
-    // every member would blow past 5x at any realistic shard count).
-    const double open_ceiling = 5.0 * base_open + 200.0;
-    if (res.sharded_open_ms > open_ceiling) {
-      std::fprintf(stderr,
-                   "FAIL: sharded open %.2f ms above ceiling %.2f ms "
-                   "(baseline %.2f ms)\n",
-                   res.sharded_open_ms, open_ceiling, base_open);
-      return 2;
-    }
-    const double update_ceiling = 5.0 * base_update + 500.0;
-    if (res.update_publish_ms > update_ceiling) {
-      std::fprintf(stderr,
-                   "FAIL: update publish %.2f ms above ceiling %.2f ms "
-                   "(baseline %.2f ms)\n",
-                   res.update_publish_ms, update_ceiling, base_update);
-      return 2;
-    }
-    std::printf(
-        "  baseline gate ok: open %.2f ms (ceiling %.2f), update %.2f ms "
-        "(ceiling %.2f)\n",
-        res.sharded_open_ms, open_ceiling, res.update_publish_ms,
-        update_ceiling);
-  }
-  return 0;
+  Record record("shard");
+  record.Workload("kind", "scale_catalog");
+  record.Workload("users", spec.num_users);
+  record.Workload("items", spec.num_items);
+  record.Workload("k", spec.k);
+  record.Workload("seed", spec.seed);
+  record.Workload("shards", shards);
+  record.Workload("m", m);
+  record.Workload("clients", load.clients);
+  record.Workload("requests_per_client", load.requests_per_client);
+  record.Workload("pipeline", load.pipeline);
+  record.Workload("workers", workers);
+  record.Workload("reps", reps);
+  record.Workload("update_reps", update_reps);
+  record.Info("mono_open_ms", res.mono_open_ms);
+  record.Info("sharded_over_mono", res.sharded_over_mono);
+  record.Info("steady_requests_per_second", res.steady_rps);
+  record.Info("client_visible_errors", res.errors);
+  // Both gated numbers are wall-clock on a shared CI runner: 5x the
+  // recorded value plus absolute slack absorbs noisy neighbors while
+  // still catching an O(catalog) regression (reopening or rewriting
+  // every member would blow past 5x at any realistic shard count).
+  record.AtMost("sharded_open_ms", res.sharded_open_ms, 5.0, 200.0);
+  record.AtMost("update_publish_ms", res.update_publish_ms, 5.0, 500.0);
+  return FinishRecord(record, flags);
 }
 
 }  // namespace

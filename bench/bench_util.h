@@ -1,13 +1,18 @@
 #ifndef OCULAR_BENCH_BENCH_UTIL_H_
 #define OCULAR_BENCH_BENCH_UTIL_H_
 
-// Shared helpers for the table/figure reproduction binaries.
+// Shared helpers for the benches.
 //
-// Every binary regenerates one table or figure of the ICDE'17 OCuLaR paper
-// on a shape-calibrated synthetic stand-in of the paper's dataset (the
-// shaped generators in src/data/synthetic.h), scaled down so it runs in
-// seconds-to-minutes. Pass --scale=<x> to change the dataset scale; an
-// undeclared flag prints the bench's flags.
+// The table/figure binaries regenerate one table or figure of the ICDE'17
+// OCuLaR paper on a shape-calibrated synthetic stand-in of the paper's
+// dataset (the shaped generators in src/data/synthetic.h), scaled down so
+// it runs in seconds-to-minutes. Pass --scale=<x> to change the dataset
+// scale; an undeclared flag prints the bench's flags.
+//
+// The hot-path benches write one Record each (BENCH_*.json) and gate it
+// against a checked-in record of an earlier run (bench/*.baseline.json):
+// the gated values are ratios of two sides measured in one process, both
+// product code, so a record transfers across machines.
 
 #include <algorithm>
 #include <cstdio>
@@ -16,15 +21,21 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "baselines/bpr.h"
 #include "baselines/knn.h"
 #include "baselines/wals.h"
 #include "common/flags.h"
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/strings.h"
+#include "common/thread_pool.h"
 #include "core/ocular_recommender.h"
 #include "data/split.h"
 #include "data/synthetic.h"
@@ -62,35 +73,248 @@ inline CsrMatrix TwoBlockWorkload(double scale, uint64_t seed) {
       coo.Finalize(2 * users_per_block, 2 * items_per_block).value());
 }
 
-/// Writes `content` to `path`; returns false (with a log line) on failure.
-/// The --json benches emit their machine-readable records through this.
-inline bool WriteTextFile(const std::string& path,
-                          const std::string& content) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    OCULAR_LOG(kError) << "cannot open " << path << " for writing";
-    return false;
+/// One bench run as a JSON record, and its regression gate against a
+/// record of an earlier run of the same bench:
+///
+///   {"bench":"serve_hot","workload":{"scale":0.5,...},"usable_cpus":4,
+///    <informational and gated values, in the order added>,
+///    "gates":{"<key>":{"better":"higher","factor":0.75,"slack":0},...}}
+///
+/// The baseline must name the same bench and record the same `workload`,
+/// key for key; `usable_cpus` (the affinity mask, UsableCpus) is written
+/// for the reader and not matched. Each gated value is then checked
+/// against the baseline's top-level value of the same key: a higher-is-
+/// better row fails below factor × recorded, a lower-is-better row above
+/// factor × recorded + slack.
+class Record {
+ public:
+  explicit Record(std::string bench) : bench_(std::move(bench)) {}
+
+  /// A workload parameter, which a baseline must record identically.
+  template <typename T>
+  void Workload(const std::string& key, T value) {
+    workload_.push_back({key, Of(value)});
   }
-  out << content;
-  return out.good();
+  /// An informational value, never gated.
+  template <typename T>
+  void Info(const std::string& key, T value) {
+    values_.push_back({key, Of(value)});
+  }
+  /// A gated value that must not fall below factor × the recorded one.
+  void AtLeast(const std::string& key, double value, double factor) {
+    AddGate({key, value, true, factor, 0.0});
+  }
+  /// A gated value that must not rise above factor × the recorded one
+  /// plus `slack`.
+  void AtMost(const std::string& key, double value, double factor,
+              double slack) {
+    AddGate({key, value, false, factor, slack});
+  }
+
+  std::string ToJson() const {
+    JsonWriter w;
+    w.BeginObject();
+    w.Key("bench");
+    w.String(bench_);
+    w.Key("workload");
+    w.BeginObject();
+    for (const auto& [key, value] : workload_) Put(&w, key, value);
+    w.EndObject();
+    w.Key("usable_cpus");
+    w.UInt(UsableCpus());
+    for (const auto& [key, value] : values_) Put(&w, key, value);
+    w.Key("gates");
+    w.BeginObject();
+    for (const Gate& g : gates_) {
+      w.Key(g.key);
+      w.BeginObject();
+      w.Key("better");
+      w.String(g.higher ? "higher" : "lower");
+      w.Key("factor");
+      w.Double(g.factor);
+      w.Key("slack");
+      w.Double(g.slack);
+      w.EndObject();
+    }
+    w.EndObject();
+    w.EndObject();
+    return w.str();
+  }
+
+  /// Gates this record against the record text `baseline`. Returns 0 when
+  /// every row holds; otherwise prints one FAIL line per refused key or
+  /// failed row to stderr and returns 2.
+  int Check(std::string_view baseline) const {
+    auto parsed = JsonValue::Parse(baseline);
+    if (!parsed.ok() || !parsed->is_object()) {
+      return Fail("the baseline is not a JSON object");
+    }
+    // Both sides through the same writer, so numbers compare exactly.
+    const JsonValue self = JsonValue::Parse(ToJson()).value();
+    const JsonValue* name = parsed->Find("bench");
+    if (name == nullptr || !Same(*name, *self.Find("bench"))) {
+      return Fail("the baseline is not a record of bench " + bench_);
+    }
+    const JsonValue* base_workload = parsed->Find("workload");
+    if (base_workload == nullptr || !base_workload->is_object()) {
+      return Fail("the baseline records no workload");
+    }
+    int rc = 0;
+    const JsonValue& workload = *self.Find("workload");
+    for (const auto& [key, value] : workload.members()) {
+      const JsonValue* base = base_workload->Find(key);
+      if (base == nullptr || !Same(*base, value)) {
+        rc = Fail("workload key " + key + " is " + Text(value) +
+                  ", the baseline records " +
+                  (base == nullptr ? "none" : Text(*base)));
+      }
+    }
+    for (const auto& [key, value] : base_workload->members()) {
+      if (workload.Find(key) == nullptr) {
+        rc = Fail("the baseline records workload key " + key +
+                  ", which this run has not");
+      }
+    }
+    if (rc != 0) return rc;
+    for (const Gate& g : gates_) {
+      const JsonValue* base = parsed->Find(g.key);
+      if (base == nullptr || !base->is_number()) {
+        rc = Fail("the baseline records no " + g.key);
+        continue;
+      }
+      const double recorded = base->number();
+      const double limit =
+          g.higher ? g.factor * recorded : g.factor * recorded + g.slack;
+      // Written so that a NaN value fails.
+      const bool holds = g.higher ? g.value >= limit : g.value <= limit;
+      std::printf("  gate %s: %.4g %s %.4g (recorded %.4g)%s\n",
+                  g.key.c_str(), g.value, g.higher ? ">=" : "<=", limit,
+                  recorded, holds ? "" : " FAILED");
+      if (!holds) {
+        rc = Fail(g.key + " " + Text(g.value) + " is " +
+                  (g.higher ? "below" : "above") + " its limit " +
+                  Text(limit) + " (recorded " + Text(recorded) + ")");
+      }
+    }
+    return rc;
+  }
+
+ private:
+  using Value = std::variant<double, bool, std::string>;
+  struct Gate {
+    std::string key;
+    double value = 0.0;
+    bool higher = true;  // higher is better
+    double factor = 1.0;
+    double slack = 0.0;
+  };
+
+  template <typename T>
+  static Value Of(T value) {
+    if constexpr (std::is_same_v<T, bool>) {
+      return value;
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      return static_cast<double>(value);
+    } else {
+      return std::string(value);
+    }
+  }
+
+  void AddGate(Gate gate) {
+    values_.push_back({gate.key, gate.value});
+    gates_.push_back(std::move(gate));
+  }
+
+  static void Put(JsonWriter* w, const std::string& key, const Value& value) {
+    w->Key(key);
+    if (const double* d = std::get_if<double>(&value)) {
+      w->Double(*d);
+    } else if (const bool* b = std::get_if<bool>(&value)) {
+      w->Bool(*b);
+    } else {
+      w->String(std::get<std::string>(value));
+    }
+  }
+
+  static bool Same(const JsonValue& a, const JsonValue& b) {
+    return a.type() == b.type() && a.number() == b.number() &&
+           a.string() == b.string();
+  }
+
+  static std::string Text(const JsonValue& v) {
+    if (v.is_string()) return JsonWriter::Escape(v.string());
+    if (v.is_bool()) return v.boolean() ? "true" : "false";
+    return Text(v.number());
+  }
+  static std::string Text(double v) {
+    JsonWriter w;
+    w.Double(v);
+    return w.str();
+  }
+
+  static int Fail(const std::string& why) {
+    std::fprintf(stderr, "FAIL: %s\n", why.c_str());
+    return 2;
+  }
+
+  std::string bench_;
+  std::vector<std::pair<std::string, Value>> workload_;
+  std::vector<std::pair<std::string, Value>> values_;
+  std::vector<Gate> gates_;
+};
+
+/// `flags` followed by the flags of a gated bench's record: --json,
+/// --out (defaulting to `out`) and --baseline.
+inline std::vector<FlagSpec> WithRecordFlags(std::vector<FlagSpec> flags,
+                                             const std::string& out) {
+  flags.push_back(BoolFlag("json", false, "write the JSON record to --out"));
+  flags.push_back(StringFlag("out", out, "JSON record path"));
+  flags.push_back(
+      StringFlag("baseline", "", "checked-in record to gate this run against"));
+  return flags;
 }
 
-/// Extracts the first numeric value of `"key": <number>` from a JSON text.
-/// Good enough for reading back our own BENCH_*.json records (the baseline
-/// regression gate); NOT a general JSON parser.
-inline bool FindJsonNumber(const std::string& json, const std::string& key,
-                           double* value) {
-  const std::string needle = "\"" + key + "\"";
-  const size_t at = json.find(needle);
-  if (at == std::string::npos) return false;
-  const size_t colon = json.find(':', at + needle.size());
-  if (colon == std::string::npos) return false;
-  const char* start = json.c_str() + colon + 1;
-  char* end = nullptr;
-  const double parsed = std::strtod(start, &end);
-  if (end == start) return false;
-  *value = parsed;
+/// Writes `record` to --out when --json is given (prints the path).
+/// Returns false, after a log line, when the file cannot be written.
+inline bool WriteRecord(const Record& record, const Flags& flags) {
+  if (!flags.Bool("json")) return true;
+  const std::string& path = flags.String("out");
+  std::ofstream out(path, std::ios::trunc);
+  out << record.ToJson() << '\n';
+  if (!out.good()) {
+    OCULAR_LOG(kError) << "cannot write " << path;
+    return false;
+  }
+  std::printf("  wrote %s\n", path.c_str());
   return true;
+}
+
+/// The end of a gated bench: writes the record (see WriteRecord), then
+/// gates it against --baseline when one is named. Returns the bench's exit
+/// code: 0, 1 when the record cannot be written, 2 when the baseline cannot
+/// be read or the gate fails.
+inline int FinishRecord(const Record& record, const Flags& flags) {
+  if (!WriteRecord(record, flags)) return 1;
+  const std::string& path = flags.String("baseline");
+  if (path.empty()) return 0;
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  if (!in) {
+    std::fprintf(stderr, "FAIL: cannot read baseline %s\n", path.c_str());
+    return 2;
+  }
+  return record.Check(text.str());
+}
+
+/// Median of `samples` (the mean of the middle two for an even count);
+/// 0 for none.
+inline double Median(std::vector<double> samples) {
+  if (samples.empty()) return 0.0;
+  std::sort(samples.begin(), samples.end());
+  const size_t mid = samples.size() / 2;
+  return samples.size() % 2 == 1 ? samples[mid]
+                                 : 0.5 * (samples[mid - 1] + samples[mid]);
 }
 
 /// A named recommender candidate (one hyper-parameter setting).

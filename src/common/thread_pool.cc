@@ -17,9 +17,7 @@ thread_local size_t tls_worker_index = ThreadPool::kNotAWorker;
 size_t ThreadPool::CurrentWorkerIndex() { return tls_worker_index; }
 
 ThreadPool::ThreadPool(size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
+  if (num_threads == 0) num_threads = UsableCpus();
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });

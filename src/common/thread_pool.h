@@ -22,8 +22,7 @@ namespace ocular {
 /// index-range decomposition, and Wait() to drain.
 class ThreadPool {
  public:
-  /// Creates `num_threads` workers; 0 means std::thread::hardware_concurrency
-  /// (at least 1).
+  /// Creates `num_threads` workers; 0 means UsableCpus().
   explicit ThreadPool(size_t num_threads = 0);
   ~ThreadPool();
 
@@ -104,10 +103,12 @@ class ThreadPool {
 /// (4-vCPU guest, medians of 41 loads).
 void ForkJoin(size_t n, const std::function<void(size_t)>& fn);
 
-/// CPUs the calling thread may run on: its affinity mask, which taskset
-/// and cpusets narrow and std::thread::hardware_concurrency does not see.
-/// The one-shot parallel passes (the `--datasets` load's ranges, the
-/// packing of exclusion rows) start at most this many ForkJoin threads.
+/// CPUs the calling thread may run on (at least 1): its affinity mask,
+/// which taskset and cpusets narrow and std::thread::hardware_concurrency
+/// does not see. The one CPU count of the library: the one-shot parallel
+/// passes (the `--datasets` load's ranges, the packing of exclusion rows)
+/// start at most this many ForkJoin threads, and a ThreadPool or a daemon
+/// asked for 0 threads runs this many.
 size_t UsableCpus();
 
 }  // namespace ocular

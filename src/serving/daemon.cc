@@ -17,6 +17,7 @@
 
 #include "common/fault.h"
 #include "common/fs_util.h"
+#include "common/thread_pool.h"
 #include "core/model_store.h"
 #include "serving/journal.h"
 #include "serving/render.h"
@@ -62,9 +63,7 @@ double NowMicros() {
 constexpr uint32_t kHandleStallMs = 1000;
 
 size_t ResolveWorkerCount(size_t requested) {
-  if (requested > 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
+  return requested > 0 ? requested : UsableCpus();
 }
 
 // The durable publish ladder of every update artifact: `write` fills

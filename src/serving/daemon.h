@@ -160,7 +160,8 @@ class RequestServer : private LineServer::Handler {
     /// artifact rename has not happened, and applied deltas are forgotten
     /// on restart).
     bool update_journal = true;
-    /// TCP worker threads (0 = one per hardware thread, at least 1).
+    /// TCP worker threads (0 = one per CPU of the constructing thread's
+    /// affinity mask, UsableCpus()).
     size_t num_workers = 0;
   };
 
@@ -213,8 +214,8 @@ class RequestServer : private LineServer::Handler {
   /// \brief True once a handled request asked to quit (stdio path).
   bool quit_requested() const { return quit_requested_; }
 
-  /// \brief Worker threads the TCP loop will run (Options::num_workers
-  /// resolved against the hardware).
+  /// \brief Worker threads the TCP loop will run (Options::num_workers,
+  /// or UsableCpus() for 0).
   size_t num_workers() const { return num_tcp_workers_; }
 
   /// \brief Installs the process-wide SIGHUP handler that requests a

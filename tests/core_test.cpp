@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -249,6 +250,67 @@ TEST(ProjectedGradientStepTest, FixedPointAtOptimum) {
 }
 
 // ---------------------------------------------------------------- Trainer
+
+/// One sweep of cold line searches: ProjectedGradientStep on every item
+/// row, then every user row, each search restarting at initial_step
+/// (step_hint = nullptr).
+void ColdSearchSweep(const CsrMatrix& r, const CsrMatrix& rt,
+                     const OcularConfig& config, OcularModel* model) {
+  DenseMatrix& fu = *model->mutable_user_factors();
+  DenseMatrix& fi = *model->mutable_item_factors();
+  internal::BlockWorkspace ws;
+  ws.Reserve(config.k, std::max(r.MaxRowDegree(), rt.MaxRowDegree()));
+  const std::vector<double> user_sums = fu.ColumnSums();
+  for (uint32_t i = 0; i < r.num_cols(); ++i) {
+    ws.Invalidate();
+    internal::ProjectedGradientStep(fi.Row(i), rt.Row(i), fu, user_sums,
+                                    config.lambda, 1.0, {}, config, -1, &ws);
+  }
+  const std::vector<double> item_sums = fi.ColumnSums();
+  for (uint32_t u = 0; u < r.num_rows(); ++u) {
+    ws.Invalidate();
+    internal::ProjectedGradientStep(fu.Row(u), r.Row(u), fi, item_sums,
+                                    config.lambda, 1.0, {}, config, -1, &ws);
+  }
+}
+
+TEST(OcularTrainerTest, WarmStartedSearchesReachTheColdSearchesObjective) {
+  // Two dense 40 x 30 blocks with holes at K=50: the trainer's
+  // warm-started, dot-cached line searches against cold searches from the
+  // same start, both on the product's objective. They may accept
+  // different (equally valid) Armijo steps where acceptance is not
+  // monotone, so the final Q may drift, by 1e-2 relative at most.
+  Rng rng(3);
+  CooBuilder coo;
+  for (uint32_t u = 0; u < 80; ++u) {
+    const uint32_t first = u < 40 ? 0 : 30;
+    for (uint32_t i = first; i < first + 30; ++i) {
+      if (rng.Uniform(0.0, 1.0) < 0.7) coo.Add(u, i);
+    }
+  }
+  const CsrMatrix r = CsrMatrix::FromCoo(coo.Finalize(80, 60).value());
+  OcularConfig config;
+  config.k = 50;
+  config.lambda = 1.0;
+  config.max_sweeps = 11;
+  config.tolerance = 0.0;
+  DenseMatrix fu(r.num_rows(), config.k), fi(r.num_cols(), config.k);
+  fu.FillUniform(&rng, 0.0, 1.0 / std::sqrt(50.0));
+  fi.FillUniform(&rng, 0.0, 1.0 / std::sqrt(50.0));
+  const OcularModel initial(std::move(fu), std::move(fi));
+
+  const OcularFitResult fit = OcularTrainer(config).FitFrom(r, initial).value();
+  ASSERT_EQ(fit.sweeps_run, config.max_sweeps);
+  OcularModel cold = initial;
+  const CsrMatrix rt = r.Transpose();
+  for (uint32_t s = 0; s < config.max_sweeps; ++s) {
+    ColdSearchSweep(r, rt, config, &cold);
+  }
+  const double warm_q = ObjectiveQ(fit.model, r, config.lambda);
+  const double cold_q = ObjectiveQ(cold, r, config.lambda);
+  EXPECT_NEAR(warm_q, cold_q, 1e-2 * std::max(1.0, std::abs(cold_q)));
+  EXPECT_LT(cold_q, ObjectiveQ(initial, r, config.lambda));
+}
 
 TEST(OcularTrainerTest, ObjectiveDecreasesMonotonically) {
   Dataset toy = MakePaperToyDataset();

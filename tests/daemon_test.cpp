@@ -38,6 +38,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "core/fold_in.h"
 #include "core/incremental.h"
 #include "core/model_store.h"
@@ -599,6 +600,26 @@ std::vector<std::vector<ScoredItem>> Oracle(const OcularModel& model,
   batch.m = m;
   batch.skip_cold_users = false;
   return RecommendForAllUsers(rec, train, batch).value().recommendations;
+}
+
+TEST(ConcurrentDaemonTest, ZeroWorkersRunOnePerCpuOfTheAffinityMask) {
+  // Narrow this thread to the first CPU it may run on, as taskset -c or a
+  // one-CPU cpuset would, and ask for the default worker count.
+  cpu_set_t saved;
+  ASSERT_EQ(pthread_getaffinity_np(pthread_self(), sizeof(saved), &saved), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(one), &one), 0);
+  ModelRegistry registry;
+  RequestServer::Options options;
+  options.num_workers = 0;
+  const size_t workers = RequestServer(&registry, options).num_workers();
+  ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(saved), &saved), 0);
+  EXPECT_EQ(workers, 1u);
+  EXPECT_EQ(RequestServer(&registry, options).num_workers(), UsableCpus());
 }
 
 TEST(ConcurrentDaemonTest, SimultaneousClientsAreBitIdenticalToBatchEngine) {

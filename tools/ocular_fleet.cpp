@@ -55,7 +55,7 @@ const FlagTable kFleetFlags = {
      IntFlag("base-port", 1, 65535, "",
              "first spawned replica's port (default --port + 1)"),
      IntFlag("replica-workers", 0, 4096, "0",
-             "--workers of each spawned replica; 0 = one per CPU"),
+             "--workers of each spawned replica; 0 = one per usable CPU"),
      IntFlag("workers", 1, 4096, "4", "front-tier proxy threads"),
      IntFlag("accept-queue", 1, 1 << 20, "128",
              "requests queued from the IO thread to the proxy threads"),
@@ -109,7 +109,8 @@ bool SpawnReplica(const std::string& served, const Flags& flags,
   // Replicas multiplex every connection on one epoll IO thread, so idle
   // keep-alive connections (the fleet's pinned front-tier sockets, the
   // health prober) cost no worker at all — workers only size request
-  // compute, and the replica's own --workers=0 sizes them to the CPU.
+  // compute, and the replica's own --workers=0 sizes them to the CPUs of
+  // its affinity mask.
   args.push_back("--workers=" +
                  std::to_string(flags.Int("replica-workers")));
   args.push_back("--port=" + std::to_string(port));

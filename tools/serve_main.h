@@ -116,7 +116,7 @@ inline FlagTable ServeFlagTable(std::string program) {
            IntFlag("m", 0, UINT32_MAX, "50",
                    "top-M of a request that does not set \"m\""),
            IntFlag("workers", 0, 4096, "0",
-                   "TCP worker threads; 0 = one per CPU"),
+                   "TCP worker threads; 0 = one per usable CPU"),
            IntFlag("accept-queue", 1, 1 << 20, "128",
                    "requests queued from the IO thread to the workers; a "
                    "full queue is backpressure, not shedding"),
