@@ -345,6 +345,7 @@ int Main(int argc, char** argv) {
                  static_cast<unsigned long long>(res.mismatches),
                  res.first_mismatch.c_str());
     std::remove(model_path.c_str());
+    std::remove(UpdateJournal::PathFor(model_path).c_str());
     return 1;
   }
   std::printf("  daemon   : %10.0f req/s all-history traffic  p50 %.0f us  "
@@ -372,6 +373,7 @@ int Main(int argc, char** argv) {
     res.update_publish_us = publish_us->number();
   }
   std::remove(model_path.c_str());
+  std::remove(UpdateJournal::PathFor(model_path).c_str());
   std::printf("  update   : %10.0f us end-to-end (publish %.0f us)\n",
               res.update_total_us, res.update_publish_us);
 

@@ -1,10 +1,9 @@
 // bench_model_store — cold-open and steady-state latency of the binary
-// (OCLR v3) model path against the v1 text path.
+// (OCLR v4) model path against the v1 text path.
 //
 // Measures, on one trained OCuLaR model written in both formats:
 //   cold open   — v1 LoadModel (full parse + copy) vs ModelStore::Open
-//                 with checksum verification (mmap plus one XXH64 pass over
-//                 every section) and without it (mmap, header only),
+//                 (mmap plus one XXH64 pass over every section),
 //   steady state— per-request ServeTopM latency through the mmapped
 //                 StoreRecommender vs the in-memory OcularModelRecommender,
 //                 with an identical-ranking cross-check.
@@ -70,7 +69,7 @@ int Main(int argc, char** argv) {
 
   // ---- cold opens (medians over `opens` runs; page cache warm for all,
   // which is the hot-reload scenario).
-  std::vector<double> text_open, bin_open_verify, bin_open_trusting;
+  std::vector<double> text_open, bin_open_verify;
   for (int r = 0; r < opens; ++r) {
     {
       Stopwatch t;
@@ -84,18 +83,9 @@ int Main(int argc, char** argv) {
       if (!store.ok()) return 1;
       bin_open_verify.push_back(t.ElapsedSeconds());
     }
-    {
-      ModelStoreOptions trusting;
-      trusting.verify_checksums = false;
-      Stopwatch t;
-      auto store = ModelStore::Open(bin_path, trusting);
-      if (!store.ok()) return 1;
-      bin_open_trusting.push_back(t.ElapsedSeconds());
-    }
   }
   const double text_s = Median(text_open);
   const double verify_s = Median(bin_open_verify);
-  const double trusting_s = Median(bin_open_trusting);
 
   // ---- steady-state serving: mmapped vs in-memory, identical rankings.
   auto store = ModelStore::Open(bin_path).value();
@@ -133,10 +123,8 @@ int Main(int argc, char** argv) {
   std::printf("model: %u x %u, K=%u (%zu factor bytes)\n", users, items, k,
               rec.model().MemoryBytes());
   std::printf("cold open:   v1 text parse %9.3f ms\n", text_s * 1e3);
-  std::printf("             v3 mmap+verify %8.3f ms   (%.0fx)\n",
+  std::printf("             v4 mmap+verify %8.3f ms   (%.0fx)\n",
               verify_s * 1e3, text_s / verify_s);
-  std::printf("             v3 mmap only  %9.3f ms   (%.0fx)\n",
-              trusting_s * 1e3, text_s / trusting_s);
   std::printf("serve top-%u: mmapped %7.1f us/req, in-memory %7.1f us/req\n",
               serve.m, store_us, memory_us);
   std::printf("ranking cross-check: %zu mismatching users (expect 0)\n",
@@ -154,9 +142,7 @@ int Main(int argc, char** argv) {
   record.Workload("opens", opens);
   record.Info("open_text_ms", text_s * 1e3);
   record.Info("open_mmap_verify_ms", verify_s * 1e3);
-  record.Info("open_mmap_ms", trusting_s * 1e3);
   record.Info("open_speedup_verify", text_s / verify_s);
-  record.Info("open_speedup", text_s / trusting_s);
   record.Info("serve_store_us", store_us);
   record.Info("serve_memory_us", memory_us);
   record.Info("ranking_mismatches", mismatches);

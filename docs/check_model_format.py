@@ -4,7 +4,8 @@
 Checks `.oclr` files against docs/MODEL_FORMAT.md without any of the C++
 code: the fixed header, the section table, the layout rules, and every
 section checksum, recomputed with the hash the file's version names
-(v3: XXH64 seed 0, v2: FNV-1a 64). Both hashes are implemented here in
+(v3 and v4: XXH64 seed 0, v2: FNV-1a 64). A v4 file's row-major item
+section (kind 1) must be empty; v2 and v3 files carry it in full. Both hashes are implemented here in
 plain Python and checked against their reference vectors before any file
 is read. Files are held to what a writer must emit, so reserved fields,
 unknown flag bits and gap bytes must all be zero. Usage:
@@ -112,7 +113,8 @@ FNV1A64_VECTORS = [
     (b"foobar", 0x85944171F73967E8),
 ]
 
-CHECKSUMS = {2: ("FNV-1a 64", fnv1a64), 3: ("XXH64", xxh64)}
+CHECKSUMS = {2: ("FNV-1a 64", fnv1a64), 3: ("XXH64", xxh64),
+             4: ("XXH64", xxh64)}
 
 
 def self_check():
@@ -139,7 +141,7 @@ def check_file(path):
     algo = data[40:56]
     count, reserved = struct.unpack_from("<2I", data, 56)
     if version not in CHECKSUMS:
-        return [f"version {version}; readers accept 2 and 3"], ""
+        return [f"version {version}; readers accept 2, 3 and 4"], ""
     if endian != ENDIAN_TAG:
         errors.append(f"endianness tag {endian:#010x}, want {ENDIAN_TAG:#010x}")
     if kind not in MODEL_KINDS:
@@ -158,7 +160,9 @@ def check_file(path):
     if errors:
         return errors, ""
 
-    expected = {0: n_users * k * 8, 1: n_items * k * 8, 2: k * n_items * 8}
+    # v4 keeps section 1 (row-major item factors) as an empty entry.
+    row_major_items = n_items * k * 8 if version < 4 else 0
+    expected = {0: n_users * k * 8, 1: row_major_items, 2: k * n_items * 8}
     hash_name, hash_fn = CHECKSUMS[version]
     sections = {}
     for i in range(SECTION_COUNT):

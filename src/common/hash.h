@@ -37,7 +37,7 @@ class Xxh64State {
   size_t buffered_ = 0;            // bytes of it filled
 };
 
-/// XXH64 (seed 0 unless given) over `bytes` bytes at `data`: the OCLR v3
+/// XXH64 (seed 0 unless given) over `bytes` bytes at `data`: the OCLR v3/v4
 /// section checksum. Four independent 64-bit lanes over 32-byte stripes,
 /// so it runs at memory bandwidth rather than multiply latency. `data`
 /// needs no alignment. One Xxh64State::Update and Digest.

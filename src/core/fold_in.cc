@@ -10,29 +10,9 @@ namespace ocular {
 
 namespace {
 
-/// Shared validation of the factor views a context is built over.
-Status ValidateContextShape(ConstMatrixView items, ConstMatrixView items_t,
-                            const OcularConfig& config,
-                            std::span<const double> popularity) {
-  OCULAR_RETURN_IF_ERROR(config.Validate());
-  if (config.TotalDims() != items.cols()) {
-    return Status::InvalidArgument("config dimensions do not match model");
-  }
-  if (items_t.rows() != items.cols() || items_t.cols() != items.rows()) {
-    return Status::InvalidArgument(
-        "items_t must be the transposed layout of items");
-  }
-  if (!popularity.empty() && popularity.size() != items.rows()) {
-    return Status::InvalidArgument(
-        "popularity must have one entry per item");
-  }
-  return Status::OK();
-}
-
 /// Σ_i f_i read from the K x n_i layout. Row c of `items_t` is column c
 /// of the row-major items, so each sum adds the same terms in the same
-/// ascending item order as ColumnSums(items) — bit-identical — while
-/// reading only the section stored-user requests keep resident anyway.
+/// ascending item order as ColumnSums(items) — bit-identical.
 std::vector<double> ItemSums(ConstMatrixView items_t) {
   std::vector<double> sums(items_t.rows());
   for (uint32_t c = 0; c < items_t.rows(); ++c) {
@@ -56,25 +36,66 @@ void FillPopularity(std::span<const ConstMatrixView> user_blocks,
                      ctx->popularity);
 }
 
+/// Checks that a solve's neighbors are strictly ascending and below
+/// `rows`, before any of their rows is read.
+Status CheckNeighbors(std::span<const uint32_t> neighbors, uint32_t rows) {
+  for (size_t n = 0; n < neighbors.size(); ++n) {
+    if (neighbors[n] >= rows) {
+      return Status::InvalidArgument("history item out of range: " +
+                                     std::to_string(neighbors[n]));
+    }
+    if (n > 0 && neighbors[n] <= neighbors[n - 1]) {
+      return Status::InvalidArgument("history must be strictly ascending");
+    }
+  }
+  return Status::OK();
+}
+
+/// Gathers the item rows `history` (strictly ascending, each below
+/// `num_items`) into ws->gathered, one row per entry, reading cell (i, c)
+/// as `cell(i, c)` one item-factor column at a time, and numbers them
+/// 0, 1, ... in ws->positions: the neighbors FoldInRowInto reads them at.
+/// The solve reads only its neighbors' rows, so it gives the doubles it
+/// would on the whole matrix. Allocation-free once ws is reserved.
+template <typename Cell>
+Result<ConstMatrixView> GatherHistoryRows(std::span<const uint32_t> history,
+                                          uint32_t num_items, uint32_t dims,
+                                          const Cell& cell,
+                                          FoldInWorkspace* ws) {
+  OCULAR_RETURN_IF_ERROR(CheckNeighbors(history, num_items));
+  const auto length = static_cast<uint32_t>(history.size());
+  ws->gathered.resize(size_t{length} * dims);
+  ws->positions.resize(length);
+  for (uint32_t h = 0; h < length; ++h) ws->positions[h] = h;
+  for (uint32_t c = 0; c < dims; ++c) {
+    for (uint32_t h = 0; h < length; ++h) {
+      ws->gathered[size_t{h} * dims + c] = cell(history[h], c);
+    }
+  }
+  return ConstMatrixView(ws->gathered.data(), length, dims);
+}
+
 }  // namespace
 
 Result<FoldInContext> MakeFoldInContext(
-    std::span<const ConstMatrixView> user_blocks, ConstMatrixView items,
-    ConstMatrixView items_t, const OcularConfig& config,
-    std::span<const double> popularity) {
-  OCULAR_RETURN_IF_ERROR(
-      ValidateContextShape(items, items_t, config, popularity));
+    std::span<const ConstMatrixView> user_blocks, ConstMatrixView items_t,
+    const OcularConfig& config, std::span<const double> popularity) {
+  OCULAR_RETURN_IF_ERROR(config.Validate());
+  if (config.TotalDims() != items_t.rows()) {
+    return Status::InvalidArgument("config dimensions do not match model");
+  }
+  if (!popularity.empty() && popularity.size() != items_t.cols()) {
+    return Status::InvalidArgument(
+        "popularity must have one entry per item");
+  }
   for (const ConstMatrixView& block : user_blocks) {
-    if (popularity.empty() && block.cols() != items.cols()) {
+    if (popularity.empty() && block.cols() != items_t.rows()) {
       return Status::InvalidArgument(
           "user factors must match item dimensions (or pass popularity)");
     }
   }
-  // Built from Vᵀ alone: a mapped store's row-major item section stays
-  // out of memory until a fold-in solve reads one of its rows.
   FoldInContext ctx;
   ctx.config = config;
-  ctx.items = items;
   ctx.items_t = items_t;
   ctx.item_sums = ItemSums(items_t);
   FillPopularity(user_blocks, popularity, &ctx);
@@ -86,9 +107,9 @@ Result<FoldInContext> MakeFoldInContext(const OcularModel& model,
                                         std::span<const double> popularity) {
   DenseMatrix items_t = TransposedCopy(model.item_factors());
   const ConstMatrixView users = model.user_factors();
-  OCULAR_ASSIGN_OR_RETURN(FoldInContext ctx,
-                          MakeFoldInContext({&users, 1}, model.item_factors(),
-                                            items_t, config, popularity));
+  OCULAR_ASSIGN_OR_RETURN(
+      FoldInContext ctx,
+      MakeFoldInContext({&users, 1}, items_t, config, popularity));
   // Moving the matrix keeps its buffer, so ctx.items_t still views it.
   ctx.owned_items_t = std::move(items_t);
   return ctx;
@@ -113,15 +134,7 @@ Status FoldInRowInto(ConstMatrixView other,
                      std::span<const uint32_t> neighbors,
                      const OcularConfig& config, int pinned_coord,
                      const FoldInOptions& options, FoldInWorkspace* ws) {
-  for (size_t n = 0; n < neighbors.size(); ++n) {
-    if (neighbors[n] >= other.rows()) {
-      return Status::InvalidArgument("history item out of range: " +
-                                     std::to_string(neighbors[n]));
-    }
-    if (n > 0 && neighbors[n] <= neighbors[n - 1]) {
-      return Status::InvalidArgument("history must be strictly ascending");
-    }
-  }
+  OCULAR_RETURN_IF_ERROR(CheckNeighbors(neighbors, other.rows()));
   const uint32_t dims = other.cols();
   ws->f.assign(dims, 0.0);
   std::span<double> f(ws->f);
@@ -180,7 +193,13 @@ Status FoldInUserInto(const FoldInContext& ctx,
     ws->f.assign(ctx.dims(), 0.0);
     return Status::OK();
   }
-  return FoldInRowInto(ctx.items, ctx.item_sums, history, ctx.config,
+  OCULAR_ASSIGN_OR_RETURN(
+      const ConstMatrixView rows,
+      GatherHistoryRows(
+          history, ctx.num_items(), ctx.dims(),
+          [&ctx](uint32_t i, uint32_t c) { return ctx.items_t.At(c, i); },
+          ws));
+  return FoldInRowInto(rows, ctx.item_sums, ws->positions, ctx.config,
                        UserPinnedCoord(ctx.config), options, ws);
 }
 
@@ -192,16 +211,15 @@ Result<std::vector<double>> FoldInUser(const OcularModel& model,
   if (config.TotalDims() != model.k()) {
     return Status::InvalidArgument("config dimensions do not match model");
   }
-  // One-off context without the transposed copy / popularity the serving
-  // contexts carry — the solve only needs the row-major factors and sums.
-  FoldInContext ctx;
-  ctx.config = config;
-  ctx.items = model.item_factors();
-  ctx.items_t = ConstMatrixView(nullptr, model.k(), model.num_items());
-  ctx.item_sums = ColumnSums(ctx.items);
   FoldInWorkspace ws;
-  ws.Reserve(ctx.dims(), history.size());
-  OCULAR_RETURN_IF_ERROR(FoldInUserInto(ctx, history, options, &ws));
+  ws.Reserve(model.k(), history.size());
+  if (history.empty()) return std::move(ws.f);
+  // The model's own rows: the solve needs no context, transposed copy or
+  // popularity ranking.
+  const ConstMatrixView items = model.item_factors();
+  OCULAR_RETURN_IF_ERROR(FoldInRowInto(items, ColumnSums(items), history,
+                                       config, UserPinnedCoord(config),
+                                       options, &ws));
   return std::move(ws.f);
 }
 
@@ -274,32 +292,27 @@ Result<FoldedUpdate> FoldInUpdate(
     }
   }
 
-  // Then every touched user and every new row. The solve reads only the
-  // history's rows, so they are gathered from Vᵀ (and the new items) into
-  // a matrix of their own.
+  // Then every touched user and every new row, each against its history's
+  // rows gathered from Vᵀ and the new items.
   for (auto [u, i] : adds) out.users.push_back(u);
   for (uint32_t u = old_users; u < num_users; ++u) out.users.push_back(u);
   std::sort(out.users.begin(), out.users.end());
   out.users.erase(std::unique(out.users.begin(), out.users.end()),
                   out.users.end());
   out.user_rows = DenseMatrix(static_cast<uint32_t>(out.users.size()), dims);
-  std::vector<double> gathered;
-  std::vector<uint32_t> positions;
+  const auto item_cell = [&out, &ctx](uint32_t i, uint32_t c) {
+    return out.ItemCell(ctx, i, c);
+  };
   for (uint32_t n = 0; n < out.users.size(); ++n) {
     const std::span<const uint32_t> history =
         merged.DecodeRow(out.users[n], &row_ids);
-    const auto length = static_cast<uint32_t>(history.size());
-    gathered.resize(size_t{length} * dims);
-    positions.resize(length);
-    for (uint32_t h = 0; h < length; ++h) {
-      positions[h] = h;
-      for (uint32_t c = 0; c < dims; ++c) {
-        gathered[size_t{h} * dims + c] = out.ItemCell(ctx, history[h], c);
-      }
-    }
-    OCULAR_RETURN_IF_ERROR(FoldInRowInto(
-        ConstMatrixView(gathered.data(), length, dims), item_sums, positions,
-        ctx.config, UserPinnedCoord(ctx.config), options, &ws));
+    OCULAR_ASSIGN_OR_RETURN(
+        const ConstMatrixView rows,
+        GatherHistoryRows(history, num_items, dims, item_cell, &ws));
+    OCULAR_RETURN_IF_ERROR(FoldInRowInto(rows, item_sums, ws.positions,
+                                         ctx.config,
+                                         UserPinnedCoord(ctx.config),
+                                         options, &ws));
     std::copy(ws.f.begin(), ws.f.end(), out.user_rows.Row(n).begin());
   }
   return out;
@@ -310,8 +323,11 @@ double ScoreFoldedUser(const OcularModel& model,
   return -std::expm1(-vec::Dot(user_factor, model.item_factors().Row(item)));
 }
 
-double FoldedUserRecommender::Score(uint32_t, uint32_t i) const {
-  return -std::expm1(-vec::Dot(f_, ctx_->items.Row(i)));
+double FoldedUserRecommender::Score(uint32_t u, uint32_t i) const {
+  // Column i of Vᵀ, summed in ascending c as vec::Dot sums a row.
+  double raw = 0.0;
+  RawScoreBlock(u, i, i + 1, {&raw, 1});
+  return ScoreFromRaw(raw);
 }
 
 void FoldedUserRecommender::RawScoreBlock(uint32_t, uint32_t item_begin,

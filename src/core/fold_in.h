@@ -31,17 +31,17 @@ struct FoldInOptions {
 };
 
 /// Per-model fold-in state, built ONCE per published model generation and
-/// shared (read-only) by every fold-in request against it: the item-factor
-/// views in both layouts, the Σ_i f_i column sums the single-row solve
-/// needs, and the deterministic popularity ranking used as the fallback
-/// for histories that carry no signal. The viewed factor memory (an
-/// OcularModel or an mmapped ModelStore section) must outlive the context.
+/// shared (read-only) by every fold-in request against it: the item
+/// factors in their one layout, Vᵀ, the Σ_i f_i column sums the single-row
+/// solve needs, and the deterministic popularity ranking used as the
+/// fallback for histories that carry no signal. The viewed factor memory
+/// (an OcularModel's transposed copy or an mmapped ModelStore section)
+/// must outlive the context.
 struct FoldInContext {
   OcularConfig config;
-  /// Item factors, n_i x dims row-major (dims == config.TotalDims()).
-  ConstMatrixView items;
-  /// Item factors transposed, dims x n_i — the serving-layout view the
-  /// blocked affinity kernel streams.
+  /// Item factors transposed, dims x n_i (dims == config.TotalDims()) —
+  /// the serving-layout view the blocked affinity kernel streams, and the
+  /// source a fold-in solve gathers its history's rows from.
   ConstMatrixView items_t;
   /// ColumnSums(items): Σ_i f_i, shared by every fold-in solve.
   std::vector<double> item_sums;
@@ -53,22 +53,20 @@ struct FoldInContext {
   /// layout (contexts built from an OcularModel).
   DenseMatrix owned_items_t;
 
-  uint32_t num_items() const { return items.rows(); }
-  uint32_t dims() const { return items.cols(); }
+  uint32_t num_items() const { return items_t.cols(); }
+  uint32_t dims() const { return items_t.rows(); }
 };
 
 /// Builds a context from borrowed factor views (e.g. the mmapped sections
-/// of a ModelStore — zero copies). `popularity` (length items.rows()) is
+/// of a ModelStore — zero copies). `popularity` (length items_t.cols()) is
 /// the fallback ranking source; pass empty to derive the expected-affinity
 /// ranking from `user_blocks`: the user factors as consecutive row blocks
 /// in global row order (one per shard of a shardset), summed exactly as
-/// one matrix would be. The item sums and that ranking are computed from
-/// `items_t` alone, bit-identical to the row-major sums, so building a
-/// context reads none of `items`.
+/// one matrix would be. The item sums and that ranking are bit-identical
+/// to the ones a row-major copy of the item factors would give.
 Result<FoldInContext> MakeFoldInContext(
-    std::span<const ConstMatrixView> user_blocks, ConstMatrixView items,
-    ConstMatrixView items_t, const OcularConfig& config,
-    std::span<const double> popularity = {});
+    std::span<const ConstMatrixView> user_blocks, ConstMatrixView items_t,
+    const OcularConfig& config, std::span<const double> popularity = {});
 
 /// Builds a context from an in-memory model (owns a transposed copy of the
 /// item factors). The model must outlive the context.
@@ -94,13 +92,17 @@ HistorySanitizeResult SanitizeHistory(std::vector<uint32_t>* history,
 /// Per-request fold-in scratch. After Reserve() (or one warm-up request of
 /// maximal history length) repeated solves perform zero heap allocations.
 struct FoldInWorkspace {
-  std::vector<double> f;           ///< the folded user factor, dims
-  std::vector<double> complement;  ///< Σ_{r=0} f_i scratch, dims
-  internal::BlockWorkspace block;  ///< single-row solver scratch
+  std::vector<double> f;            ///< the folded user factor, dims
+  std::vector<double> complement;   ///< Σ_{r=0} f_i scratch, dims
+  std::vector<double> gathered;     ///< the history's item rows, row-major
+  std::vector<uint32_t> positions;  ///< 0, 1, ...: rows of `gathered`
+  internal::BlockWorkspace block;   ///< single-row solver scratch
 
   void Reserve(uint32_t dims, size_t max_history) {
     f.resize(dims);
     complement.resize(dims);
+    gathered.reserve(size_t{dims} * max_history);
+    positions.reserve(max_history);
     block.Reserve(dims, max_history);
   }
 };
@@ -135,7 +137,9 @@ Status FoldInRowInto(ConstMatrixView other,
                      const FoldInOptions& options, FoldInWorkspace* ws);
 
 /// Allocation-free fold-in solve: computes f_u for the (sanitized:
-/// strictly ascending, in-range) `history` into ws->f. An empty history
+/// strictly ascending, in-range) `history` into ws->f. The history's item
+/// rows are gathered from ctx.items_t into ws->gathered, the same doubles
+/// a row-major copy holds, and solved by FoldInRowInto. An empty history
 /// yields the all-zeros vector; RecommendForHistoryInto turns that into
 /// the popularity fallback.
 Status FoldInUserInto(const FoldInContext& ctx,
@@ -183,7 +187,8 @@ struct FoldedUpdate {
 /// users', and every serving user's when items are new. The model grows to
 /// `num_users` x `num_items`; new rows without history are zero but for
 /// the bias extension's pinned 1. New items need the users as one block.
-/// Item rows are read from Vᵀ only, so no row-major item page is touched.
+/// Each user's history rows are gathered from Vᵀ and the new items, as
+/// FoldInUserInto gathers them.
 Result<FoldedUpdate> FoldInUpdate(
     const FoldInContext& ctx, std::span<const ConstMatrixView> user_blocks,
     const PackedRows& merged,

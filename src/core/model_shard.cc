@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "common/fs_util.h"
+#include "sparse/linalg.h"
 
 namespace ocular {
 
@@ -24,11 +25,6 @@ namespace {
 // way they do the v1 text models.
 constexpr char kManifestMagic[] = "OCLRSHARDSET";
 constexpr uint32_t kManifestVersion = 1;
-
-// Non-null anchor for zero-length matrix views: ostream::write and
-// Fnv1a64 both receive the pointer, and a literal nullptr would trip
-// UBSan's nonnull checks even at size 0.
-const double kEmptyAnchor = 0.0;
 
 std::string HexFingerprint(uint64_t fp) {
   char buf[17];
@@ -360,8 +356,8 @@ Status ValidateShardHeader(const ShardSetManifest& manifest, size_t index,
 /// and counts it in `*opened`.
 Result<std::shared_ptr<const ModelStore>> OpenMember(
     const std::string& manifest_path, const std::string& file,
-    uint64_t fingerprint, const ModelStoreOptions& options,
-    std::shared_ptr<const ModelStore> reuse, uint32_t* opened) {
+    uint64_t fingerprint, std::shared_ptr<const ModelStore> reuse,
+    uint32_t* opened) {
   // Every member is fingerprint-checked against the manifest even when
   // reused — a torn shardset (manifest republished, member write lost)
   // must refuse to load rather than serve a mix of generations.
@@ -370,7 +366,7 @@ Result<std::shared_ptr<const ModelStore>> OpenMember(
   if (reuse != nullptr) return reuse;
   OCULAR_ASSIGN_OR_RETURN(
       ModelStore store,
-      ModelStore::Open(ShardSetResolve(manifest_path, file), options));
+      ModelStore::Open(ShardSetResolve(manifest_path, file)));
   ++*opened;
   return std::make_shared<const ModelStore>(std::move(store));
 }
@@ -393,7 +389,6 @@ std::vector<ConstMatrixView> ShardSetStores::user_blocks() const {
 }
 
 Result<ShardSetStores> OpenShardSet(const std::string& manifest_path,
-                                    const ModelStoreOptions& options,
                                     const ShardSetStores* previous,
                                     uint32_t* reopened) {
   ShardSetStores out;
@@ -409,7 +404,7 @@ Result<ShardSetStores> OpenShardSet(const std::string& manifest_path,
   OCULAR_ASSIGN_OR_RETURN(
       out.items,
       OpenMember(manifest_path, out.manifest.items_file,
-                 out.manifest.items_fingerprint, options,
+                 out.manifest.items_fingerprint,
                  same_items ? previous->items : nullptr, &opened));
   OCULAR_RETURN_IF_ERROR(ValidateItemsHeader(out.manifest, *out.items));
 
@@ -423,7 +418,7 @@ Result<ShardSetStores> OpenShardSet(const std::string& manifest_path,
                             prev->shards[s].user_end == e.user_end;
     OCULAR_ASSIGN_OR_RETURN(
         std::shared_ptr<const ModelStore> shard,
-        OpenMember(manifest_path, e.file, e.fingerprint, options,
+        OpenMember(manifest_path, e.file, e.fingerprint,
                    same_shard ? previous->shards[s] : nullptr, &opened));
     OCULAR_RETURN_IF_ERROR(ValidateShardHeader(out.manifest, s, *shard));
     out.shards.push_back(std::move(shard));
@@ -432,9 +427,8 @@ Result<ShardSetStores> OpenShardSet(const std::string& manifest_path,
   return out;
 }
 
-Result<ShardSetStores> OpenOneShardSet(const std::string& path,
-                                       const ModelStoreOptions& options) {
-  OCULAR_ASSIGN_OR_RETURN(ModelStore store, ModelStore::Open(path, options));
+Result<ShardSetStores> OpenOneShardSet(const std::string& path) {
+  OCULAR_ASSIGN_OR_RETURN(ModelStore store, ModelStore::Open(path));
   ShardSetStores out;
   out.map = ShardMap::Single(store.num_users());
   out.items = std::make_shared<const ModelStore>(std::move(store));
@@ -445,16 +439,14 @@ Result<ShardSetStores> OpenOneShardSet(const std::string& path,
 // -------------------------------------------------------------- writers
 
 Status WriteShardSetStreaming(const BinaryModelMeta& meta, const ShardMap& map,
-                              ConstMatrixView items, ConstMatrixView items_t,
+                              ConstMatrixView items_t,
                               const ShardRowFn& row_fn,
                               const std::string& manifest_path) {
   if (map.num_shards() == 0) {
     return Status::InvalidArgument("cannot write a shardset with no shards");
   }
-  if (meta.k == 0 || items.cols() != meta.k || items_t.rows() != meta.k ||
-      items_t.cols() != items.rows()) {
-    return Status::InvalidArgument(
-        "item factor views do not match meta.k / the transposed layout");
+  if (meta.k == 0 || items_t.rows() != meta.k) {
+    return Status::InvalidArgument("items_t does not have meta.k rows");
   }
 
   const std::string dir = DirOf(manifest_path);
@@ -462,13 +454,13 @@ Status WriteShardSetStreaming(const BinaryModelMeta& meta, const ShardMap& map,
 
   ShardSetManifest manifest;
   manifest.num_users = map.num_users();
-  manifest.num_items = items.rows();
+  manifest.num_items = items_t.cols();
   manifest.k = meta.k;
   manifest.items_file = stem + ".items.oclr";
 
-  const ConstMatrixView no_users(&kEmptyAnchor, 0, meta.k);
-  OCULAR_RETURN_IF_ERROR(SaveFactorSectionsBinary(
-      meta, no_users, items, items_t, dir + manifest.items_file));
+  OCULAR_RETURN_IF_ERROR(WriteModelSections(
+      meta, {0, meta.k, nullptr}, SectionSource::Rows(items_t),
+      dir + manifest.items_file));
   OCULAR_ASSIGN_OR_RETURN(manifest.items_fingerprint,
                           fs::FileFingerprint(dir + manifest.items_file));
 
@@ -493,8 +485,8 @@ Status WriteShardSetStreaming(const BinaryModelMeta& meta, const ShardMap& map,
     e.user_begin = begin;
     e.user_end = map.end(s);
     e.file = ShardFileName(stem, s);
-    OCULAR_RETURN_IF_ERROR(WriteModelSections(
-        meta, users, {0, meta.k, nullptr}, {meta.k, 0, nullptr}, dir + e.file));
+    OCULAR_RETURN_IF_ERROR(
+        WriteModelSections(meta, users, {meta.k, 0, nullptr}, dir + e.file));
     OCULAR_ASSIGN_OR_RETURN(e.fingerprint, fs::FileFingerprint(dir + e.file));
     manifest.shards.push_back(std::move(e));
   }
@@ -520,17 +512,14 @@ Result<LoadedModel> MaterializeShardSetOcular(const ShardSetStores& set) {
                         meta.k,
                 slice.Row(0).data(), slice.size() * sizeof(double));
   }
-  DenseMatrix items(set.manifest.num_items, meta.k);
-  const ConstMatrixView item_view = set.items->item_factors();
-  std::memcpy(items.data(), item_view.Row(0).data(),
-              item_view.size() * sizeof(double));
-  out.model = OcularModel(std::move(users), std::move(items));
+  out.model = OcularModel(std::move(users),
+                          TransposedCopy(set.items->item_factors_t()));
   return out;
 }
 
 Status SaveModelSharded(const BinaryModelMeta& meta, ConstMatrixView users,
-                        ConstMatrixView items, ConstMatrixView items_t,
-                        uint32_t num_shards, const std::string& manifest_path) {
+                        ConstMatrixView items_t, uint32_t num_shards,
+                        const std::string& manifest_path) {
   if (users.cols() != meta.k) {
     return Status::InvalidArgument("users does not have meta.k columns");
   }
@@ -540,8 +529,7 @@ Status SaveModelSharded(const BinaryModelMeta& meta, ConstMatrixView users,
     const std::span<const double> row = users.Row(user);
     std::copy(row.begin(), row.end(), out.begin());
   };
-  return WriteShardSetStreaming(meta, map, items, items_t, copy_row,
-                                manifest_path);
+  return WriteShardSetStreaming(meta, map, items_t, copy_row, manifest_path);
 }
 
 }  // namespace ocular

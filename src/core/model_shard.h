@@ -22,10 +22,10 @@ namespace ocular {
 /// recommendation for user u reads exactly one row of F_user plus the
 /// (shared) item factors, so the user matrix can be cut into contiguous
 /// row ranges and each range persisted as its own OCLR file. The item
-/// factors — including the K x n_i transposed serving layout — live once
-/// in a shared items file, NOT duplicated per shard; every shard file
-/// carries only its user-factor section (its item sections are empty,
-/// which the format permits).
+/// factors — the K x n_i transposed serving layout — live once in a
+/// shared items file, NOT duplicated per shard; every shard file carries
+/// only its user-factor section (its item sections are empty, which the
+/// format permits).
 ///
 /// A `*.shardset` manifest (deterministic line-oriented text, see
 /// docs/MODEL_FORMAT.md) names the members with their user ranges and
@@ -175,7 +175,6 @@ struct ShardSetStores {
 /// `*reopened`, when given, receives the number of members actually
 /// opened — 0 means the set is byte-identical to `previous`.
 Result<ShardSetStores> OpenShardSet(const std::string& manifest_path,
-                                    const ModelStoreOptions& options = {},
                                     const ShardSetStores* previous = nullptr,
                                     uint32_t* reopened = nullptr);
 
@@ -183,8 +182,7 @@ Result<ShardSetStores> OpenShardSet(const std::string& manifest_path,
 /// ModelStore::Open, no manifest or fingerprint work. `items` and
 /// `shards[0]` share the mapping and the map covers every stored user
 /// (zero users included).
-Result<ShardSetStores> OpenOneShardSet(const std::string& path,
-                                       const ModelStoreOptions& options = {});
+Result<ShardSetStores> OpenOneShardSet(const std::string& path);
 
 /// \brief Produces the factor row of `user` into `out` (length k) — how
 /// WriteShardSetStreaming pulls user rows without the caller ever holding
@@ -196,30 +194,32 @@ using ShardRowFn = std::function<void(uint32_t user, std::span<double> out)>;
 /// Each shard streams through WriteModelSections, so peak memory is its
 /// one kWriteBufferBytes buffer and one factor row, whatever the shard
 /// size — what lets the scale tooling write a multi-million-user catalog
-/// on a small machine. `items_t` must
-/// be the K x n_i transposed layout of `items`. The manifest lands last,
-/// so a crash mid-write leaves no openable shardset.
+/// on a small machine. `items_t` is the K x n_i transposed layout of the
+/// item factors. The manifest lands last, so a crash mid-write leaves no
+/// openable shardset.
 Status WriteShardSetStreaming(const BinaryModelMeta& meta, const ShardMap& map,
-                              ConstMatrixView items, ConstMatrixView items_t,
+                              ConstMatrixView items_t,
                               const ShardRowFn& row_fn,
                               const std::string& manifest_path);
 
 /// \brief Materializes an owning OcularModel + config from an opened
 /// shardset by gathering every shard's user rows and the shared item
-/// factors (an O(model) copy — for offline tooling like `ocular_cli
+/// factors, transposed back from the items file's Vᵀ (an O(model) copy —
+/// for offline tooling like `ocular_cli
 /// recommend/explain` on a manifest; the serving path keeps the members
 /// mmapped instead). LoadModelAuto routes manifests here, so every
 /// model-file CLI surface accepts a shardset transparently. Fails unless
 /// the set holds an OCuLaR-family model.
 Result<LoadedModel> MaterializeShardSetOcular(const ShardSetStores& set);
 
-/// \brief Splits an in-memory factor pair into `num_shards` user-range
-/// shards: `<stem>.items.oclr`, `<stem>.shard-NNN.oclr` and the manifest
-/// at `manifest_path` (stem = manifest_path minus its ".shardset"
-/// suffix). This is `ocular_cli shard`'s save path.
+/// \brief Splits the user factors and the K x n_i item layout `items_t`
+/// into `num_shards` user-range shards: `<stem>.items.oclr`,
+/// `<stem>.shard-NNN.oclr` and the manifest at `manifest_path` (stem =
+/// manifest_path minus its ".shardset" suffix). This is `ocular_cli
+/// shard`'s save path.
 Status SaveModelSharded(const BinaryModelMeta& meta, ConstMatrixView users,
-                        ConstMatrixView items, ConstMatrixView items_t,
-                        uint32_t num_shards, const std::string& manifest_path);
+                        ConstMatrixView items_t, uint32_t num_shards,
+                        const std::string& manifest_path);
 
 }  // namespace ocular
 

@@ -26,10 +26,11 @@ namespace {
 // byte-level spec; the constants here ARE that spec.
 
 constexpr char kMagic[4] = {'O', 'C', 'L', 'R'};
-// Writers emit v3 (XXH64 section checksums). v2 is the same layout with
-// FNV-1a checksums; it is read, never written, so artifacts of earlier
-// releases keep opening.
-constexpr uint32_t kVersion = 3;
+// Writers emit v4: XXH64 section checksums and an empty row-major item
+// section. v3 (XXH64) and v2 (FNV-1a) files carry that section in full;
+// they are read, never written, so artifacts of earlier releases keep
+// opening.
+constexpr uint32_t kVersion = 4;
 constexpr uint32_t kVersionFnv1a = 2;
 // Written as an integer, read back as an integer: a mapping made on a
 // big-endian machine would see the bytes reversed and reject the file
@@ -43,7 +44,8 @@ constexpr size_t kHeaderBytes =
     kFixedHeaderBytes + kSectionCount * kSectionEntryBytes;  // 160
 constexpr size_t kSectionAlignment = 64;
 
-// Section kinds, in the order the writer emits them.
+// Section kinds, in the order the writer emits them. Kind 1 is empty in
+// v4 files.
 enum SectionKind : uint32_t {
   kSectionUserFactors = 0,
   kSectionItemFactors = 1,
@@ -154,23 +156,20 @@ SectionSource SectionSource::Transposed(ConstMatrixView view) {
 
 Status WriteModelSections(const BinaryModelMeta& meta,
                           const SectionSource& users,
-                          const SectionSource& items,
                           const SectionSource& items_t,
                           const std::string& path) {
   OCULAR_RETURN_IF_ERROR(RequireLittleEndianHost());
-  if (meta.k == 0 || users.cols != meta.k || items.cols != meta.k) {
+  if (meta.k == 0 || users.cols != meta.k || items_t.rows != meta.k) {
     return Status::InvalidArgument(
-        "factor matrices do not have meta.k columns");
-  }
-  if (items_t.rows != meta.k || items_t.cols != items.rows) {
-    return Status::InvalidArgument(
-        "items_t is not the K x n_i transposed layout of items");
+        "users must have meta.k columns and items_t meta.k rows");
   }
   if (meta.algorithm.size() >= kAlgorithmBytes) {
     return Status::InvalidArgument("algorithm tag longer than 15 bytes");
   }
 
-  const SectionSource* sources[kSectionCount] = {&users, &items, &items_t};
+  const SectionSource no_item_rows = {0, meta.k, nullptr};
+  const SectionSource* sources[kSectionCount] = {&users, &no_item_rows,
+                                                 &items_t};
   const uint32_t kinds[kSectionCount] = {
       kSectionUserFactors, kSectionItemFactors, kSectionItemFactorsT};
   uint64_t offsets[kSectionCount] = {};
@@ -208,7 +207,7 @@ Status WriteModelSections(const BinaryModelMeta& meta,
   PutScalar<uint32_t>(header, 12, static_cast<uint32_t>(meta.kind));
   PutScalar<uint32_t>(header, 16, meta.k);
   PutScalar<uint32_t>(header, 20, users.rows);
-  PutScalar<uint32_t>(header, 24, items.rows);
+  PutScalar<uint32_t>(header, 24, items_t.cols);
   uint32_t flags = 0;
   if (meta.use_biases) flags |= kFlagUseBiases;
   if (meta.relative_variant) flags |= kFlagRelativeVariant;
@@ -257,26 +256,14 @@ Status SaveModelBinary(const OcularModel& model, const OcularConfig& config,
   meta.relative_variant = config.variant == OcularVariant::kRelative;
   meta.algorithm =
       config.variant == OcularVariant::kRelative ? "R-OCuLaR" : "OCuLaR";
-  return WriteModelSections(meta, SectionSource::Rows(model.user_factors()),
-                            SectionSource::Rows(model.item_factors()),
-                            SectionSource::Transposed(model.item_factors()),
-                            path);
+  return SaveFactorsBinary(meta, model.user_factors(), model.item_factors(),
+                           path);
 }
 
 Status SaveFactorsBinary(const BinaryModelMeta& meta, const DenseMatrix& users,
                          const DenseMatrix& items, const std::string& path) {
   return WriteModelSections(meta, SectionSource::Rows(users),
-                            SectionSource::Rows(items),
                             SectionSource::Transposed(items), path);
-}
-
-Status SaveFactorSectionsBinary(const BinaryModelMeta& meta,
-                                ConstMatrixView users, ConstMatrixView items,
-                                ConstMatrixView items_t,
-                                const std::string& path) {
-  return WriteModelSections(meta, SectionSource::Rows(users),
-                            SectionSource::Rows(items),
-                            SectionSource::Rows(items_t), path);
 }
 
 Status SaveDotProductFactors(const std::string& algorithm, uint32_t k,
@@ -314,7 +301,6 @@ ModelStore& ModelStore::operator=(ModelStore&& other) noexcept {
   num_users_ = other.num_users_;
   num_items_ = other.num_items_;
   user_factors_ = other.user_factors_;
-  item_factors_ = other.item_factors_;
   item_factors_t_ = other.item_factors_t_;
   other.Reset();
   return *this;
@@ -330,12 +316,10 @@ void ModelStore::Reset() noexcept {
   num_users_ = 0;
   num_items_ = 0;
   user_factors_ = nullptr;
-  item_factors_ = nullptr;
   item_factors_t_ = nullptr;
 }
 
-Result<ModelStore> ModelStore::Open(const std::string& path,
-                                    const ModelStoreOptions& options) {
+Result<ModelStore> ModelStore::Open(const std::string& path) {
   OCULAR_RETURN_IF_ERROR(RequireLittleEndianHost());
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
@@ -372,11 +356,10 @@ Result<ModelStore> ModelStore::Open(const std::string& path,
                               "' has no OCLR magic; not a binary model file");
   }
   const uint32_t version = GetScalar<uint32_t>(h, 4);
-  if (version != kVersion && version != kVersionFnv1a) {
+  if (version < kVersionFnv1a || version > kVersion) {
     return Status::ParseError("unsupported binary model version " +
-                              std::to_string(version) + " (this build reads " +
-                              std::to_string(kVersionFnv1a) + " and " +
-                              std::to_string(kVersion) + ")");
+                              std::to_string(version) +
+                              " (this build reads 2, 3 and 4)");
   }
   if (GetScalar<uint32_t>(h, 8) != kEndianTag) {
     return Status::ParseError(
@@ -416,10 +399,14 @@ Result<ModelStore> ModelStore::Open(const std::string& path,
     return Status::ParseError(
         "header dimensions exceed the file size; corrupt or hostile header");
   }
+  // A v4 file keeps the row-major item section as an empty entry; a v2
+  // or v3 file carries it in full, and it is bounded, overlap-checked and
+  // hashed like the others, but never exposed.
+  const size_t item_bytes = static_cast<size_t>(item_cells * sizeof(double));
   const size_t expected_bytes[kSectionCount] = {
       static_cast<size_t>(user_cells * sizeof(double)),
-      static_cast<size_t>(item_cells * sizeof(double)),
-      static_cast<size_t>(item_cells * sizeof(double)),
+      version < kVersion ? item_bytes : 0,
+      item_bytes,
   };
   const double* section_data[kSectionCount] = {};
   uint64_t section_offset[kSectionCount] = {};
@@ -434,6 +421,11 @@ Result<ModelStore> ModelStore::Open(const std::string& path,
     if (offset % kSectionAlignment != 0) {
       return Status::ParseError("section " + std::to_string(section_kind) +
                                 " is not 64-byte aligned");
+    }
+    if (section_kind == kSectionItemFactors && version == kVersion &&
+        length != 0) {
+      return Status::ParseError(
+          "section 1 (row-major item factors) is not part of a v4 file");
     }
     if (length != expected_bytes[section_kind]) {
       return Status::ParseError(
@@ -473,19 +465,13 @@ Result<ModelStore> ModelStore::Open(const std::string& path,
     }
   }
   store.user_factors_ = section_data[kSectionUserFactors];
-  store.item_factors_ = section_data[kSectionItemFactors];
   store.item_factors_t_ = section_data[kSectionItemFactorsT];
 
-  if (options.verify_checksums) {
-    OCULAR_RETURN_IF_ERROR(store.VerifyChecksums());
-  }
+  OCULAR_RETURN_IF_ERROR(store.VerifyChecksums());
   return store;
 }
 
 Status ModelStore::VerifyChecksums() const {
-  if (mapping_ == nullptr) {
-    return Status::FailedPrecondition("ModelStore is not open");
-  }
   unsigned char* const base = static_cast<unsigned char*>(mapping_);
   const uint64_t page = static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
   // Every hashed block's pages go back once hashed, a page shared with a
@@ -552,9 +538,6 @@ Result<LoadedModel> ModelStore::MaterializeOcular() const {
   DenseMatrix users(num_users_, meta_.k);
   std::memcpy(users.data(), user_factors_,
               users.size() * sizeof(double));
-  // The item rows come from Vᵀ, which every stored-user request reads;
-  // only fold-in solves read the row-major section, and both sections
-  // hold the same doubles.
   out.model = OcularModel(std::move(users), TransposedCopy(item_factors_t()));
   return out;
 }

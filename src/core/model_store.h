@@ -15,8 +15,8 @@
 namespace ocular {
 
 /// \file
-/// \brief Binary model format ("OCLR", written as v3, v2 still read) and
-/// the mmap-backed zero-copy ModelStore that serves it.
+/// \brief Binary model format ("OCLR", written as v4, v2 and v3 still
+/// read) and the mmap-backed zero-copy ModelStore that serves it.
 ///
 /// The v1 text format (core/model_io.h) is portable and diffable but has
 /// to be *parsed*: loading re-tokenizes and re-converts every factor entry,
@@ -24,11 +24,11 @@ namespace ocular {
 /// seconds of CPU before the first request can be served. The binary
 /// format is the deployable artifact: factor sections are stored
 /// little-endian, 64-byte aligned, exactly as the serving kernels consume
-/// them (including the K x n_i transposed serving layout), so a ModelStore
-/// opens a model by mmapping the file — no parse, no copy, and the pages
-/// are shared between processes by the page cache. A verifying open (the
-/// default, and always in the daemon) also hashes every section once:
-/// XXH64 in v3 files, which runs at memory bandwidth, FNV-1a in v2 files.
+/// them (the item factors only in the K x n_i transposed serving layout),
+/// so a ModelStore opens a model by mmapping the file — no parse, no copy,
+/// and the pages are shared between processes by the page cache. Every
+/// open also hashes every section once: XXH64 in v3 and v4 files, which
+/// runs at memory bandwidth, FNV-1a in v2 files.
 /// See docs/MODEL_FORMAT.md for the byte-level specification.
 
 /// \brief Scoring rule recorded in a binary file, which tells a model-agnostic
@@ -88,78 +88,54 @@ struct SectionSource {
 /// own mapping, so a write gives it back to the kernel when it returns.
 inline constexpr size_t kWriteBufferBytes = size_t{128} << 10;
 
-/// \brief The v3 writer every save path goes through: streams the three
-/// sections through one kWriteBufferBytes buffer, hashing each section
-/// as it goes, then writes the header, which carries the checksums, at
-/// offset 0 last, so a file cut short has no OCLR magic. Holds no copy
-/// of any section. `users` and `items` must be meta.k wide and `items_t`
-/// the meta.k x items.rows transposed layout; either factor side may
-/// have 0 rows (an items or shard file). A failed write returns IOError
-/// "write failure on '<path>'" and leaves the partial file for the
-/// caller to remove.
+/// \brief The v4 writer every save path goes through: streams the user
+/// factors and the item factors' K x n_i serving layout through one
+/// kWriteBufferBytes buffer, hashing each section as it goes, then writes
+/// the header, which carries the checksums, at offset 0 last, so a file
+/// cut short has no OCLR magic. Holds no copy of any section. `users`
+/// must be meta.k wide and `items_t` meta.k rows of n_items columns;
+/// either side may be empty (an items or shard file). The section table
+/// keeps the row-major item section (kind 1) as an empty entry. A failed
+/// write returns IOError "write failure on '<path>'" and leaves the
+/// partial file for the caller to remove.
 Status WriteModelSections(const BinaryModelMeta& meta,
                           const SectionSource& users,
-                          const SectionSource& items,
                           const SectionSource& items_t,
                           const std::string& path);
 
-/// \brief Writes `model` (+ its training config) as a binary v3 file.
+/// \brief Writes `model` (+ its training config) as a binary v4 file.
 ///
-/// The file holds three checksummed sections: user factors (n_u x K,
-/// row-major), item factors (n_i x K, row-major) and the K x n_i
-/// transposed serving layout, each 64-byte aligned so the mmapped views
-/// are cache-line aligned. Fails like SaveModel on invalid models or
-/// config/model dimension mismatch.
+/// The file holds the user factors (n_u x K, row-major) and the K x n_i
+/// transposed serving layout of the item factors, each checksummed and
+/// 64-byte aligned so the mmapped views are cache-line aligned. Fails
+/// like SaveModel on invalid models or config/model dimension mismatch.
 Status SaveModelBinary(const OcularModel& model, const OcularConfig& config,
                        const std::string& path);
 
-/// \brief Generic v3 writer for any user x item factor pair — how the
+/// \brief Generic v4 writer for any user x item factor pair — how the
 /// factor baselines (wALS/iALS/BPR) persist themselves; see
 /// WalsRecommender::SaveBinary.
 ///
-/// `users` and `items` must have meta.k columns each; the transposed
-/// serving section is derived here.
+/// `users` and `items` must have meta.k columns each; `items` is written
+/// transposed, as the serving section.
 Status SaveFactorsBinary(const BinaryModelMeta& meta, const DenseMatrix& users,
                          const DenseMatrix& items, const std::string& path);
 
-/// \brief View-based v3 writer: persists `users`/`items` plus a
-/// caller-provided K x n_i transposed serving section without copying any
-/// factor block. This is the shard writer's save path
-/// (core/model_shard.h): a user-range shard is a ConstMatrixView slice of
-/// the full factor matrix, and the shared items file reuses the store's
-/// mmapped transposed section as-is. Either factor view may be empty
-/// (0 rows) — a shard file carries no items, the items file no users.
-Status SaveFactorSectionsBinary(const BinaryModelMeta& meta,
-                                ConstMatrixView users, ConstMatrixView items,
-                                ConstMatrixView items_t,
-                                const std::string& path);
-
 /// \brief Shared save path of the dot-product factor baselines
 /// (wALS/iALS/BPR `SaveBinary`): writes `users`/`items` as a
-/// BinaryModelKind::kDotProduct v3 file tagged `algorithm`.
+/// BinaryModelKind::kDotProduct v4 file tagged `algorithm`.
 /// FailedPrecondition when `users` is empty (unfitted model).
 Status SaveDotProductFactors(const std::string& algorithm, uint32_t k,
                              double lambda, const DenseMatrix& users,
                              const DenseMatrix& items,
                              const std::string& path);
 
-/// \brief Converts a v1 text model (core/model_io.h) to a v3 binary file.
+/// \brief Converts a v1 text model (core/model_io.h) to a v4 binary file.
 ///
 /// Factors are preserved bit-exactly ("%.17g" text round-trips doubles);
 /// config fields map onto the binary header.
 Status ConvertTextModelToBinary(const std::string& text_path,
                                 const std::string& binary_path);
-
-/// \brief Options of ModelStore::Open.
-struct ModelStoreOptions {
-  /// Verify every section checksum at open time: one read pass over every
-  /// mapped byte (zero copies, zero allocations; see
-  /// ModelStore::VerifyChecksums for what stays resident after it). Off,
-  /// Open validates only the header and section table and touches no
-  /// factor byte; call ModelStore::VerifyChecksums before first use
-  /// instead if desired.
-  bool verify_checksums = true;
-};
 
 /// Bytes per block of the checksum pass: what one verifying open adds to
 /// the process's resident size, plus the kernel's fault-around window
@@ -168,12 +144,11 @@ struct ModelStoreOptions {
 /// the mapping) and are clipped to each section.
 inline constexpr size_t kVerifyBlockBytes = size_t{128} << 10;
 
-/// \brief Zero-copy read view of a binary model file (v3, or v2).
+/// \brief Zero-copy read view of a binary model file (v4, v3 or v2).
 ///
 /// Open() mmaps the file read-only, validates the header and the section
-/// table, verifies every section checksum (unless
-/// ModelStoreOptions::verify_checksums is off), and exposes the factor
-/// sections as ConstMatrixViews pointing directly into the mapping — no
+/// table, verifies every section checksum, and exposes the user factors
+/// and Vᵀ as ConstMatrixViews pointing directly into the mapping — no
 /// factor bytes are parsed or copied, and the page cache shares them
 /// across every process serving the same model. The store owns the
 /// mapping; views remain valid for its lifetime. Movable, not copyable.
@@ -181,10 +156,11 @@ class ModelStore {
  public:
   /// \brief Opens `path` and validates it. IOError on unreadable files,
   /// ParseError on malformed/foreign/truncated content, a version other
-  /// than 2 or 3, sections that alias the header or each other, or a
-  /// checksum mismatch.
-  static Result<ModelStore> Open(const std::string& path,
-                                 const ModelStoreOptions& options = {});
+  /// than 2, 3 or 4, a non-empty row-major item section in a v4 file,
+  /// sections that alias the header or each other, or a checksum mismatch
+  /// in any section. The row-major item section of a v2 or v3 file is
+  /// checked like the others and never exposed.
+  static Result<ModelStore> Open(const std::string& path);
 
   /// \brief An empty (not-open) store; only assignment and destruction
   /// are valid.
@@ -202,7 +178,7 @@ class ModelStore {
   const BinaryModelMeta& meta() const { return meta_; }
   /// Users (rows of user_factors()).
   uint32_t num_users() const { return num_users_; }
-  /// Items (rows of item_factors()).
+  /// Items (columns of item_factors_t()).
   uint32_t num_items() const { return num_items_; }
   /// Factor dimension (bias dims included).
   uint32_t k() const { return meta_.k; }
@@ -215,30 +191,12 @@ class ModelStore {
   ConstMatrixView user_factors() const {
     return {user_factors_, num_users_, meta_.k};
   }
-  /// Item factors, n_i x K row-major, viewing the mapping.
-  ConstMatrixView item_factors() const {
-    return {item_factors_, num_items_, meta_.k};
-  }
   /// Item factors in the K x n_i serving layout (vec::AffinityBlock's Vᵀ
-  /// operand), viewing the mapping — the section whose presence makes a
-  /// zero-copy open also zero-compute.
+  /// operand), viewing the mapping — the one item layout of the file,
+  /// read by scoring, fold-in solves and materialization alike.
   ConstMatrixView item_factors_t() const {
     return {item_factors_t_, meta_.k, num_items_};
   }
-
-  /// \brief Re-walks every section and recomputes its checksum. OK when
-  /// the mapping still matches the header (detects on-disk corruption of
-  /// a store opened with verify_checksums = false).
-  ///
-  /// Every byte is hashed through the mapping, one kVerifyBlockBytes
-  /// block at a time, and the pages of each block are dropped from the
-  /// mapping (MADV_DONTNEED) once hashed, in every section: a verify adds
-  /// about one block to the resident size, however large the file, and
-  /// leaves none of the file resident. A dropped page faults back in from
-  /// the page cache when serving next reads it (users and Vᵀ on
-  /// stored-user requests, item rows on fold-in solves), and a failed
-  /// drop is ignored.
-  Status VerifyChecksums() const;
 
   /// \brief Drops every page of the mapping from the process's resident
   /// set (MADV_DONTNEED); a later read faults the page back in from the
@@ -248,14 +206,22 @@ class ModelStore {
 
   /// \brief Materializes an owning OcularModel + config copy (an O(model)
   /// copy — for retraining/conversion tooling, not the serving path).
-  /// The item rows are transposed back from item_factors_t(), the same
-  /// doubles as item_factors(), so materializing faults in no row-major
-  /// item page: only fold-in solves read those. Fails unless meta().kind
-  /// is kOcularProbability.
+  /// The item rows are transposed back from item_factors_t(). Fails
+  /// unless meta().kind is kOcularProbability.
   Result<LoadedModel> MaterializeOcular() const;
 
  private:
   void Reset() noexcept;
+
+  /// Walks every section of the table, the row-major item section of a v2
+  /// or v3 file included, and recomputes its checksum; OK when all match.
+  /// Every byte is hashed through the mapping, one kVerifyBlockBytes
+  /// block at a time, and the pages of each block are dropped from the
+  /// mapping (MADV_DONTNEED) once hashed: a verify adds about one block
+  /// to the resident size, however large the file, and leaves none of
+  /// the file resident. A dropped page faults back in from the page
+  /// cache when serving next reads it, and a failed drop is ignored.
+  Status VerifyChecksums() const;
 
   std::string path_;
   void* mapping_ = nullptr;  // mmap base, nullptr when default-constructed
@@ -264,7 +230,6 @@ class ModelStore {
   uint32_t num_users_ = 0;
   uint32_t num_items_ = 0;
   const double* user_factors_ = nullptr;    // into the mapping
-  const double* item_factors_ = nullptr;    // into the mapping
   const double* item_factors_t_ = nullptr;  // into the mapping
 };
 

@@ -38,16 +38,6 @@ void ScaleUserRow(const ScaleCatalogSpec& spec, uint32_t user,
   }
 }
 
-DenseMatrix ScaleItemFactors(const ScaleCatalogSpec& spec) {
-  DenseMatrix items(spec.num_items, spec.k);
-  for (uint32_t i = 0; i < spec.num_items; ++i) {
-    for (uint32_t d = 0; d < spec.k; ++d) {
-      items.At(i, d) = Draw(spec, kItemTag, i, d);
-    }
-  }
-  return items;
-}
-
 DenseMatrix ScaleItemFactorsTransposed(const ScaleCatalogSpec& spec) {
   DenseMatrix t(spec.k, spec.num_items);
   for (uint32_t i = 0; i < spec.num_items; ++i) {

@@ -41,13 +41,9 @@ struct ScaleCatalogSpec {
 void ScaleUserRow(const ScaleCatalogSpec& spec, uint32_t user,
                   std::span<double> out);
 
-/// The full item factor matrix (num_items x k), deterministic in spec.
-/// Items are few (hundreds) even at catalog scale, so materializing them
-/// is cheap.
-DenseMatrix ScaleItemFactors(const ScaleCatalogSpec& spec);
-
-/// The K x n_i transposed serving layout of ScaleItemFactors — what the
-/// OCLR items section stores for the branch-free affinity kernel.
+/// The item factors (k x num_items, the transposed serving layout the
+/// OCLR items file stores), deterministic in spec. Items are few
+/// (hundreds) even at catalog scale, so materializing them is cheap.
 DenseMatrix ScaleItemFactorsTransposed(const ScaleCatalogSpec& spec);
 
 }  // namespace ocular

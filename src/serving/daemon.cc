@@ -433,9 +433,9 @@ Result<RequestServer::UpdateOutcome> RequestServer::FoldInAndPublish(
 
   // Rewrite each member that holds a refreshed row, streaming the rest of
   // its rows out of the live mapping; the serving generation is never
-  // written. A `.oclr` is one member holding every section (items from
-  // Vᵀ, so no dropped row-major page faults back in); a set's shard holds
-  // users only, and its items file never changes.
+  // written, and every rewritten file is v4. A `.oclr` is one member
+  // holding the users and Vᵀ; a set's shard holds users only, and its
+  // items file never changes.
   const ShardMap& map = model.binding.map;
   ShardSetManifest manifest = model.binding.manifest;
   uint32_t shards_touched = 0;
@@ -479,19 +479,11 @@ Result<RequestServer::UpdateOutcome> RequestServer::FoldInAndPublish(
       OCULAR_RETURN_IF_ERROR(PublishDurably(
           path, "shard update artifact", [&](const std::string& tmp) {
             return WriteModelSections(model.meta(), user_rows,
-                                      {0, ctx.dims(), nullptr},
                                       {ctx.dims(), 0, nullptr}, tmp);
           }));
       OCULAR_ASSIGN_OR_RETURN(manifest.shards[s].fingerprint,
                               fs::FileFingerprint(path));
     } else {
-      const SectionSource item_rows = {
-          items, ctx.dims(),
-          [&](uint32_t i, uint32_t c, std::span<double> out) {
-            for (uint32_t j = 0; j < out.size(); ++j) {
-              out[j] = folded.ItemCell(ctx, i, c + j);
-            }
-          }};
       const SectionSource item_cols = {
           ctx.dims(), items,
           [&](uint32_t c, uint32_t i, std::span<double> out) {
@@ -501,8 +493,8 @@ Result<RequestServer::UpdateOutcome> RequestServer::FoldInAndPublish(
           }};
       OCULAR_RETURN_IF_ERROR(publish_binding(
           "update artifact", [&](const std::string& tmp) {
-            return WriteModelSections(model.meta(), user_rows, item_rows,
-                                      item_cols, tmp);
+            return WriteModelSections(model.meta(), user_rows, item_cols,
+                                      tmp);
           }));
     }
     ++shards_touched;

@@ -22,10 +22,9 @@ void AttachFoldIn(ServableModel* servable, std::vector<double> degrees) {
   // Without a dataset the fallback is the expected affinity over every
   // shard's user rows, summed in global row order — bit-identical to the
   // monolithic store of the same factors.
-  const ModelStore& items = servable->store;
   auto ctx = MakeFoldInContext(servable->binding.user_blocks(),
-                               items.item_factors(), items.item_factors_t(),
-                               config, popularity);
+                               servable->store.item_factors_t(), config,
+                               popularity);
   // Fold-in is an optional capability: a store whose meta cannot seed a
   // valid solver config still serves stored users.
   if (ctx.ok()) {
@@ -48,7 +47,7 @@ Result<std::shared_ptr<const ServableModel>> BuildServable(
   const bool sharded = IsShardSetFile(model_path);
   *reopened = 1;  // a plain store always remaps its one file
   Result<ShardSetStores> opened =
-      sharded ? OpenShardSet(model_path, {},
+      sharded ? OpenShardSet(model_path,
                              previous != nullptr ? &previous->binding : nullptr,
                              reopened)
               : OpenOneShardSet(model_path);

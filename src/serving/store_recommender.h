@@ -50,11 +50,12 @@ class StoreRecommender : public Recommender {
         "StoreRecommender serves a pre-fitted model file");
   }
 
-  /// \brief Per-pair score straight off the mapped factor rows.
+  /// \brief Per-pair score off the mapped factors: the user's row against
+  /// column i of Vᵀ, summed in ascending c as vec::Dot sums a row.
   double Score(uint32_t u, uint32_t i) const override {
-    const double affinity =
-        vec::Dot(UserRow(u), items_->item_factors().Row(i));
-    return probability_map_ ? -std::expm1(-affinity) : affinity;
+    double affinity = 0.0;
+    RawScoreBlock(u, i, i + 1, {&affinity, 1});
+    return ScoreFromRaw(affinity);
   }
 
   /// \brief Blocked scoring over the mapped serving-layout section.

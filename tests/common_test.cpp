@@ -308,7 +308,7 @@ TEST(StringsTest, JoinAndFormat) {
 uint64_t Fnv(std::string_view s) { return Fnv1a64(s.data(), s.size()); }
 
 // Pinned outputs: journal records, shardset fingerprints and OCLR v2
-// checksums already on disk hold FNV-1a values, and OCLR v3 files hold
+// checksums already on disk hold FNV-1a values, and OCLR v3 and v4 files hold
 // XXH64 values, so neither function may ever change.
 TEST(HashTest, Fnv1a64MatchesReferenceVectors) {
   EXPECT_EQ(Fnv(""), 0xcbf29ce484222325ull);

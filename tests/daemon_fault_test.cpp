@@ -435,13 +435,19 @@ TEST(UpdateFaultMatrixTest, DirsyncFailureAfterRenameStillPublishes) {
 // ------------------------------------------------- crash-window recovery
 
 TEST(JournalRecoveryTest, CrashBeforeRenameReplaysBitIdentically) {
-  // Also from a base artifact the previous release wrote (OCLR v2): its
-  // fingerprint still matches the record, so the update replays rather
-  // than heals, and the republished artifact is v3.
-  for (const bool v2_base : {false, true}) {
-    SCOPED_TRACE(v2_base ? "v2 base artifact" : "v3 base artifact");
+  // Also from a base artifact an earlier release wrote (OCLR v3 or v2):
+  // its fingerprint still matches the record, so the update replays
+  // rather than heals, and the republished artifact is v4.
+  for (const int version : {4, 3, 2}) {
+    SCOPED_TRACE("v" + std::to_string(version) + " base artifact");
     DaemonFixture f = DaemonFixture::Make("fault_replay.oclr");
-    if (v2_base) ASSERT_TRUE(test::StampOclrV2(f.model_path));
+    if (version < 4) {
+      const BinaryModelMeta meta = ModelStore::Open(f.model_path)->meta();
+      ASSERT_TRUE(test::WriteOclrV3(f.model_path, meta,
+                                    f.model.user_factors(),
+                                    f.model.item_factors()));
+      if (version == 2) ASSERT_TRUE(test::StampOclrV2(f.model_path));
+    }
     const std::string base_copy = TempPath("fault_replay_base.oclr");
     WriteFileBytes(base_copy, ReadFileBytes(f.model_path));
     const std::vector<std::pair<uint32_t, uint32_t>> adds = {
@@ -477,7 +483,7 @@ TEST(JournalRecoveryTest, CrashBeforeRenameReplaysBitIdentically) {
     ASSERT_TRUE(
         SaveModelBinary(oracle.model, oracle.config, oracle_path).ok());
     EXPECT_EQ(ReadFileBytes(f.model_path), ReadFileBytes(oracle_path));
-    EXPECT_EQ(ReadFileBytes(f.model_path)[4], 3);
+    EXPECT_EQ(ReadFileBytes(f.model_path)[4], 4);
 
     const auto expect = Oracle(oracle.model, oracle.train, 5);
     EXPECT_TRUE(ReplyMatchesRanked(
@@ -558,7 +564,6 @@ TEST(JournalRecoveryTest, RestartAfterAShardedUpdateServesTheOfflineReplay) {
     auto store = ModelStore::Open(f.model_path);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     ASSERT_TRUE(SaveModelSharded(store->meta(), store->user_factors(),
-                                 store->item_factors(),
                                  store->item_factors_t(), 3, manifest_path)
                     .ok());
   }

@@ -124,12 +124,19 @@ struct DaemonFixture {
     OcularTrainer trainer(f.config);
     f.model = trainer.Fit(f.train).value().model;
     f.model_path = TempPath(file);
+    std::remove(UpdateJournal::PathFor(f.model_path).c_str());
     EXPECT_TRUE(SaveModelBinary(f.model, f.config, f.model_path).ok());
     return f;
   }
 
   std::shared_ptr<const CsrMatrix> shared_train() const {
     return std::make_shared<const CsrMatrix>(train);
+  }
+
+  /// Removes the model and the journal an update writes beside it.
+  void Cleanup() const {
+    std::remove(model_path.c_str());
+    std::remove(UpdateJournal::PathFor(model_path).c_str());
   }
 };
 
@@ -160,7 +167,7 @@ TEST(ModelRegistryTest, LoadGetAndNames) {
   EXPECT_TRUE(
       registry.Load("default", f.model_path, wide).IsInvalidArgument());
   EXPECT_EQ(registry.Get("default")->train->num_cols(), f.train.num_cols());
-  std::remove(f.model_path.c_str());
+  f.Cleanup();
 }
 
 TEST(ModelRegistryTest, ReloadSwapsAtomicallyAndRetiresOldMapping) {
@@ -189,7 +196,7 @@ TEST(ModelRegistryTest, ReloadSwapsAtomicallyAndRetiresOldMapping) {
   EXPECT_EQ(new_model->train.get(), old_model->train.get());
 
   // A reload with the file gone keeps the previous generation serving.
-  std::remove(f.model_path.c_str());
+  f.Cleanup();
   EXPECT_FALSE(registry.ReloadAll().ok());
   EXPECT_EQ(registry.Get("m").get(), new_model.get());
 }
@@ -221,7 +228,7 @@ TEST(RequestServerTest, ServedTopMIsBitIdenticalToBatchEngine) {
       ASSERT_EQ((*served)[r].score, oracle[r].score) << "u=" << u;
     }
   }
-  std::remove(f.model_path.c_str());
+  f.Cleanup();
 }
 
 TEST(RequestServerTest, StoredUsersServeTheirExclusionsWithoutAllocating) {
@@ -263,7 +270,7 @@ TEST(RequestServerTest, StoredUsersServeTheirExclusionsWithoutAllocating) {
   EXPECT_EQ(allocations, 0u);
   EXPECT_TRUE(rows_match) << "a decoded row differs from the dataset's";
   EXPECT_EQ(excluded_served, 0u) << "a known positive was recommended";
-  std::remove(f.model_path.c_str());
+  f.Cleanup();
 }
 
 TEST(RequestServerTest, LineProtocol) {
@@ -328,7 +335,7 @@ TEST(RequestServerTest, LineProtocol) {
   EXPECT_GE(stats->Find("errors")->number(), 6.0);
   EXPECT_GE(stats->Find("p99_latency_us")->number(),
             stats->Find("p50_latency_us")->number());
-  std::remove(f.model_path.c_str());
+  f.Cleanup();
 }
 
 TEST(RequestServerTest, PingAnswersLivenessWithoutTouchingAModel) {
@@ -365,7 +372,7 @@ TEST(RequestServerTest, PingAnswersLivenessWithoutTouchingAModel) {
   auto after = JsonValue::Parse(server.HandleLine(R"({"cmd":"ping"})"));
   ASSERT_TRUE(after.ok());
   EXPECT_GT(after->Find("generation")->number(), before);
-  std::remove(f.model_path.c_str());
+  f.Cleanup();
 }
 
 TEST(RequestServerTest, ReloadVerbAndSighupBothHotReload) {
@@ -394,7 +401,7 @@ TEST(RequestServerTest, ReloadVerbAndSighupBothHotReload) {
   EXPECT_EQ(server.Stats().daemon[DaemonMetrics::kReloads], 2u);
   // Identical file contents -> identical answers after the SIGHUP swap.
   EXPECT_EQ(server.HandleLine(R"({"user":1,"m":5})"), after);
-  std::remove(f.model_path.c_str());
+  f.Cleanup();
 }
 
 /// Everything left to read from the pipe end `fd`, up to EOF.
@@ -465,7 +472,7 @@ TEST(RequestServerTest, StdioLoopServesUntilQuit) {
     EXPECT_TRUE(parsed->Find("ok")->boolean());
   }
   EXPECT_EQ(count, 3) << "quit must end the loop before the 4th request";
-  std::remove(f.model_path.c_str());
+  f.Cleanup();
 }
 
 /// The system call `tid` of this process is blocked in (its number), or
@@ -524,7 +531,7 @@ TEST(RequestServerTest, StdioLoopKeepsAPartialLineAcrossAnInterruptedRead) {
   EXPECT_EQ(ReadToEof(out.read_end), expected)
       << "one reply, for the whole line";
   EXPECT_EQ(server.Stats().daemon[DaemonMetrics::kReloads], 1u);
-  std::remove(f.model_path.c_str());
+  f.Cleanup();
 }
 
 // ------------------------------------------------ latency percentiles
@@ -671,7 +678,7 @@ TEST(ConcurrentDaemonTest, SimultaneousClientsAreBitIdenticalToBatchEngine) {
   EXPECT_EQ(stats.daemon[DaemonMetrics::kErrors], 0u);
   EXPECT_EQ(stats.workers, 4u);
   EXPECT_GE(stats.p99_latency_us, stats.p50_latency_us);
-  std::remove(f.model_path.c_str());
+  f.Cleanup();
 }
 
 TEST(ConcurrentDaemonTest, SighupReloadUnderLoadNeverServesATornModel) {
@@ -752,7 +759,7 @@ TEST(ConcurrentDaemonTest, SighupReloadUnderLoadNeverServesATornModel) {
       << "a worker kept serving the old generation after the reload";
 
   serve_thread.join();
-  std::remove(f.model_path.c_str());
+  f.Cleanup();
 }
 
 // ---------------------------------------------------- load shedding
@@ -809,7 +816,7 @@ TEST(ConcurrentDaemonTest, MaxConnectionsCapShedsWith503StyleReply) {
   EXPECT_EQ(stats.conn[ConnMetrics::kShed], 1u);
   EXPECT_EQ(stats.conn[ConnMetrics::kCapped], 1u);
   EXPECT_EQ(stats.conn[ConnMetrics::kOpen], 0u);
-  std::remove(f.model_path.c_str());
+  f.Cleanup();
 }
 
 TEST(ConcurrentDaemonTest, ConnectionCoreCountersAreExact) {
@@ -891,7 +898,7 @@ TEST(ConcurrentDaemonTest, ConnectionCoreCountersAreExact) {
   last.Close();
   serve_thread.join();
   EXPECT_EQ(server.Stats().conn[ConnMetrics::kOpen], 0u);
-  std::remove(f.model_path.c_str());
+  f.Cleanup();
 }
 
 TEST(ConcurrentDaemonTest, ClientVanishingWithUnreadRepliesDoesNotKillServer) {
@@ -931,7 +938,7 @@ TEST(ConcurrentDaemonTest, ClientVanishingWithUnreadRepliesDoesNotKillServer) {
   EXPECT_TRUE(reply->Find("ok")->boolean());
   polite.Close();
   serve_thread.join();
-  std::remove(f.model_path.c_str());
+  f.Cleanup();
 }
 
 // ------------------------------------------------------ load generator
@@ -969,7 +976,7 @@ TEST(LoadGenTest, DrivesAndMeasuresAConcurrentDaemon) {
   // Option validation.
   LoadGenOptions bad;
   EXPECT_TRUE(RunLoadGen(bad).status().IsInvalidArgument());
-  std::remove(f.model_path.c_str());
+  f.Cleanup();
 }
 
 // ------------------------------------------------------ fold-in serving
@@ -1047,7 +1054,7 @@ TEST(FoldInServingTest, HistoryRepliesAreBitIdenticalToOfflineOracle) {
   EXPECT_EQ(stats_line->Find("fold_in_requests")->number(), 2.0);
   EXPECT_EQ(stats_line->Find("history_dropped_ids")->number(), 2.0);
   EXPECT_EQ(stats_line->Find("updates")->number(), 0.0);
-  std::remove(f.model_path.c_str());
+  f.Cleanup();
 }
 
 TEST(FoldInServingTest, EmptyOrFullyOutOfRangeHistoryFallsBackToPopularity) {
@@ -1077,7 +1084,7 @@ TEST(FoldInServingTest, EmptyOrFullyOutOfRangeHistoryFallsBackToPopularity) {
   ASSERT_TRUE(oor.ok());
   EXPECT_FALSE(oor->Find("folded")->boolean());
   EXPECT_EQ(oor->Find("dropped")->number(), 2.0);
-  std::remove(f.model_path.c_str());
+  f.Cleanup();
 }
 
 TEST(FoldInServingTest, MalformedHistoryAndUpdateRequestsAnswerErrors) {
@@ -1123,7 +1130,7 @@ TEST(FoldInServingTest, MalformedHistoryAndUpdateRequestsAnswerErrors) {
   }
   // No update may have landed: same registry generation throughout.
   EXPECT_EQ(server.Stats().daemon[DaemonMetrics::kUpdates], 0u);
-  std::remove(f.model_path.c_str());
+  f.Cleanup();
   std::remove(dot_path.c_str());
 }
 
@@ -1151,7 +1158,7 @@ TEST(FoldInServingTest, UpdateRefusesIdUint32MaxAndKeepsTheBoundMatrix) {
   ASSERT_NE(after->train, nullptr);
   EXPECT_EQ(*after->train, PackedRows::Pack(f.train));
   EXPECT_EQ(server.Stats().daemon[DaemonMetrics::kUpdates], 0u);
-  std::remove(f.model_path.c_str());
+  f.Cleanup();
 }
 
 TEST(FoldInServingTest, UpdateVerbPublishesANewGenerationServingNewUsers) {
@@ -1198,7 +1205,7 @@ TEST(FoldInServingTest, UpdateVerbPublishesANewGenerationServingNewUsers) {
   const std::string old_user =
       server.HandleLine(R"({"cmd":"recommend","user":3,"m":5})");
   EXPECT_TRUE(ReplyMatchesRanked(old_user, expect[3])) << old_user;
-  std::remove(f.model_path.c_str());
+  f.Cleanup();
 }
 
 TEST(FoldInServingTest, UpdateGrowsTheModelToCoverEveryDatasetRow) {
@@ -1218,7 +1225,7 @@ TEST(FoldInServingTest, UpdateGrowsTheModelToCoverEveryDatasetRow) {
       << reply->Find("error")->string();
   EXPECT_EQ(reply->Find("users")->number(), 61.0);
   EXPECT_EQ(registry.Get("default")->num_users(), 61u);
-  std::remove(f.model_path.c_str());
+  f.Cleanup();
 }
 
 TEST(FoldInServingTest, NewItemsFoldInFirstAndNewRowsKeepTheBiasPinned) {
@@ -1499,7 +1506,7 @@ TEST(ConcurrentDaemonTest, UpdateUnderLoadNeverServesATornModel) {
       << "a worker kept serving the pre-update generation";
 
   serve_thread.join();
-  std::remove(f.model_path.c_str());
+  f.Cleanup();
 }
 
 TEST(LoadGenTest, HistoryTrafficExercisesTheFoldInPath) {
@@ -1549,7 +1556,7 @@ TEST(LoadGenTest, HistoryTrafficExercisesTheFoldInPath) {
   LoadGenOptions bad = load;
   bad.num_items = 0;
   EXPECT_TRUE(RunLoadGen(bad).status().IsInvalidArgument());
-  std::remove(f.model_path.c_str());
+  f.Cleanup();
 }
 
 }  // namespace

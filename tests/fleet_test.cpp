@@ -778,7 +778,6 @@ TEST(StatsReplyTest, DaemonSessionReportsEveryCounter) {
     auto store = ModelStore::Open(f.model_path);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     ASSERT_TRUE(SaveModelSharded(store->meta(), store->user_factors(),
-                                 store->item_factors(),
                                  store->item_factors_t(), 2, sharded)
                     .ok());
   }

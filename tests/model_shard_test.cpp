@@ -31,6 +31,7 @@
 #include "core/ocular_recommender.h"
 #include "serving/batch.h"
 #include "serving/daemon.h"
+#include "serving/journal.h"
 #include "serving/loadgen.h"
 #include "serving/registry.h"
 #include "serving/score_engine.h"
@@ -99,11 +100,12 @@ struct ShardedFixture {
     f.model = trainer.Fit(f.train).value().model;
     f.mono_path = TempPath(stem + ".oclr");
     f.manifest_path = TempPath(stem + ".shardset");
+    std::remove(UpdateJournal::PathFor(f.mono_path).c_str());
+    std::remove(UpdateJournal::PathFor(f.manifest_path).c_str());
     EXPECT_TRUE(SaveModelBinary(f.model, f.config, f.mono_path).ok());
     auto store = ModelStore::Open(f.mono_path);
     EXPECT_TRUE(store.ok()) << store.status().ToString();
     EXPECT_TRUE(SaveModelSharded(store->meta(), store->user_factors(),
-                                 store->item_factors(),
                                  store->item_factors_t(), num_shards,
                                  f.manifest_path)
                     .ok());
@@ -113,7 +115,59 @@ struct ShardedFixture {
   std::shared_ptr<const CsrMatrix> shared_train() const {
     return std::make_shared<const CsrMatrix>(train);
   }
+
+  /// Removes both bindings, the set's members, and the journals an
+  /// update writes beside them.
+  void Cleanup() const {
+    RemoveBinding(mono_path);
+    RemoveBinding(manifest_path);
+  }
+
+  /// Removes a `.oclr` or a set with its members, and its journal.
+  static void RemoveBinding(const std::string& path) {
+    if (auto manifest = LoadShardSetManifest(path); manifest.ok()) {
+      std::remove(ShardSetResolve(path, manifest->items_file).c_str());
+      for (const ShardSetEntry& e : manifest->shards) {
+        std::remove(ShardSetResolve(path, e.file).c_str());
+      }
+    }
+    std::remove(path.c_str());
+    std::remove(UpdateJournal::PathFor(path).c_str());
+  }
 };
+
+/// Rewrites the members of the set at `manifest_path` as earlier releases
+/// wrote them: `versions[0]` for the items file, then one per shard, each
+/// 2 (v3 stamped v2), 3 (test::WriteOclrV3) or 4 (left as written), and
+/// republishes the manifest with the new fingerprints.
+void RewriteSetMembers(const std::string& manifest_path,
+                       const std::vector<int>& versions) {
+  ShardSetManifest manifest = LoadShardSetManifest(manifest_path).value();
+  ASSERT_EQ(versions.size(), manifest.shards.size() + 1);
+  for (size_t n = 0; n < versions.size(); ++n) {
+    if (versions[n] == 4) continue;
+    uint64_t* fingerprint = n == 0 ? &manifest.items_fingerprint
+                                   : &manifest.shards[n - 1].fingerprint;
+    const std::string path = ShardSetResolve(
+        manifest_path,
+        n == 0 ? manifest.items_file : manifest.shards[n - 1].file);
+    // Copied out before the file under the mapping is rewritten.
+    BinaryModelMeta meta;
+    DenseMatrix users, items;
+    {
+      auto store = ModelStore::Open(path);
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      meta = store->meta();
+      users = DenseMatrix(store->num_users(), store->k());
+      std::copy_n(store->user_factors().data(), users.size(), users.data());
+      items = TransposedCopy(store->item_factors_t());
+    }
+    ASSERT_TRUE(test::WriteOclrV3(path, meta, users, items));
+    if (versions[n] == 2) ASSERT_TRUE(test::StampOclrV2(path));
+    *fingerprint = fs::FileFingerprint(path).value();
+  }
+  ASSERT_TRUE(SaveShardSetManifest(manifest, manifest_path).ok());
+}
 
 // ------------------------------------------------------------- ShardMap
 
@@ -459,14 +513,29 @@ TEST(FoldInContextTest, MappedViewsMatchTheInMemoryModelBitForBit) {
     ASSERT_EQ(set->shards.size(), 3u);
     for (const ShardSetStores* binding : {&*mono, &*set}) {
       const ModelStore& store = *binding->items;
-      auto mapped =
-          MakeFoldInContext(binding->user_blocks(), store.item_factors(),
-                            store.item_factors_t(), f.config);
+      auto mapped = MakeFoldInContext(binding->user_blocks(),
+                                      store.item_factors_t(), f.config);
       ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
       EXPECT_TRUE(SameBits(mapped->item_sums, sums))
           << binding->shards.size() << " shard(s)";
       EXPECT_TRUE(SameBits(mapped->popularity, from_model->popularity))
           << binding->shards.size() << " shard(s)";
+      // A solve gathers its history's rows from Vᵀ: the same doubles, so
+      // the same factor as a solve on the model's own rows.
+      FoldInWorkspace ws;
+      for (const std::vector<uint32_t>& history :
+           {std::vector<uint32_t>{3}, std::vector<uint32_t>{0, 7, 19, 32},
+            std::vector<uint32_t>{1, 2, 5, 8, 13, 21, 30}}) {
+        ASSERT_TRUE(FoldInUserInto(*mapped, history, {}, &ws).ok());
+        EXPECT_TRUE(
+            SameBits(ws.f, FoldInUser(f.model, f.config, history).value()))
+            << binding->shards.size() << " shard(s), " << history.size()
+            << " items";
+      }
+      // Checked before any row is gathered.
+      const std::vector<uint32_t> out_of_range = {2, 33};
+      EXPECT_TRUE(FoldInUserInto(*mapped, out_of_range, {}, &ws)
+                      .IsInvalidArgument());
     }
   }
 }
@@ -510,7 +579,7 @@ TEST(ModelRegistryShardedTest, BindsShardsetAndSwapsOnlyTouchedShards) {
   const uint32_t k = old_shard.k();
   ASSERT_TRUE(WriteModelSections(set->items->meta(),
                                  SectionSource::Rows(perturbed),
-                                 {0, k, nullptr}, {k, 0, nullptr}, shard1_path)
+                                 {k, 0, nullptr}, shard1_path)
                   .ok());
   ShardSetManifest manifest = set->manifest;
   manifest.shards[1].fingerprint =
@@ -691,6 +760,7 @@ TEST(DaemonShardedTest, UpdateSucceedsWhenTheDatasetHasMoreUsersThanTheSet) {
   auto after = registry.Get("default");
   EXPECT_EQ(after->num_users(), 50u);
   EXPECT_EQ(after->ExcludeRow(60).size(), 1u);
+  f.Cleanup();
 }
 
 TEST(DaemonShardedTest, UpdateRepublishesOnlyTheTouchedShard) {
@@ -750,11 +820,12 @@ TEST(DaemonShardedTest, UpdateRepublishesOnlyTheTouchedShard) {
   EXPECT_FALSE(grow->Find("ok")->boolean());
   EXPECT_NE(grow->Find("error")->string().find("reshard offline"),
             std::string::npos);
+  f.Cleanup();
 }
 
 TEST(DaemonShardedTest, V2SetUpgradesShardByShardAndServesTheOracle) {
-  // The previous release wrote every member as OCLR v2. A sharded update
-  // republishes only the touched shard, as v3; the mixed set must reopen
+  // An earlier release wrote every member as OCLR v2. A sharded update
+  // republishes only the touched shard, as v4; the mixed set must reopen
   // in a fresh registry and serve exactly what the offline oracle ranks.
   const std::vector<std::pair<uint32_t, uint32_t>> adds = {
       {2, 1}, {2, 5}, {3, 9}};  // users of shard 0 only
@@ -777,26 +848,15 @@ TEST(DaemonShardedTest, V2SetUpgradesShardByShardAndServesTheOracle) {
   };
 
   ShardedFixture f = ShardedFixture::Make("upgrade_v2", 3);
-  {
-    ShardSetManifest manifest = LoadShardSetManifest(f.manifest_path).value();
-    const std::string items = member(f, -1);
-    ASSERT_TRUE(test::StampOclrV2(items));
-    manifest.items_fingerprint = fs::FileFingerprint(items).value();
-    for (ShardSetEntry& shard : manifest.shards) {
-      const std::string path = ShardSetResolve(f.manifest_path, shard.file);
-      ASSERT_TRUE(test::StampOclrV2(path));
-      shard.fingerprint = fs::FileFingerprint(path).value();
-    }
-    ASSERT_TRUE(SaveShardSetManifest(manifest, f.manifest_path).ok());
-  }
+  RewriteSetMembers(f.manifest_path, {2, 2, 2, 2});
   apply_update(f);
-  EXPECT_EQ(ReadFile(member(f, 0))[4], 3);
+  EXPECT_EQ(ReadFile(member(f, 0))[4], 4);
   EXPECT_EQ(ReadFile(member(f, 1))[4], 2);
   EXPECT_EQ(ReadFile(member(f, 2))[4], 2);
   EXPECT_EQ(ReadFile(member(f, -1))[4], 2);
 
-  // The republished shard is the one an all-v3 deployment writes.
-  ShardedFixture twin = ShardedFixture::Make("upgrade_v3", 3);
+  // The republished shard is the one an all-v4 deployment writes.
+  ShardedFixture twin = ShardedFixture::Make("upgrade_v4", 3);
   apply_update(twin);
   EXPECT_EQ(ReadFile(member(f, 0)), ReadFile(member(twin, 0)));
 
@@ -822,6 +882,111 @@ TEST(DaemonShardedTest, V2SetUpgradesShardByShardAndServesTheOracle) {
     EXPECT_TRUE(ReplyMatchesRanked(line, expect[u]))
         << "u=" << u << " " << line;
   }
+  f.Cleanup();
+  twin.Cleanup();
+}
+
+// ------------------------------------------- every version, every verb
+
+/// `reply` without what may differ between equal models: a set's
+/// `"shard":N,` and an update's `publish_us`.
+std::string Comparable(std::string reply) {
+  for (size_t at; (at = reply.find("\"shard\":")) != std::string::npos;) {
+    reply.erase(at, reply.find(',', at) + 1 - at);
+  }
+  if (const size_t at = reply.find(",\"publish_us\":");
+      at != std::string::npos) {
+    reply.erase(at, reply.find_first_of(",}", at + 1) - at);
+  }
+  return reply;
+}
+
+TEST(DaemonVersionsTest, EveryVersionAndMixedSetAnswerEveryVerbAlike) {
+  // One model as a v4, v3 and v2 `.oclr`, an all-v4 set and a set whose
+  // members mix versions: each binding gets a fold-in context, answers
+  // recommend by user and by history, update and reload with the same
+  // bytes, and each update rewrites what it touches as v4.
+  ShardedFixture f = ShardedFixture::Make("versions", 3);
+  const BinaryModelMeta meta = ModelStore::Open(f.mono_path)->meta();
+  struct Binding {
+    std::string path;
+    std::vector<int> members;  // a set's items file and shards, or empty
+  };
+  const std::vector<Binding> bindings = {
+      {TempPath("versions_v4.oclr"), {}},
+      {TempPath("versions_v3.oclr"), {}},
+      {TempPath("versions_v2.oclr"), {}},
+      {TempPath("versions_v4.shardset"), {4, 4, 4, 4}},
+      {TempPath("versions_mixed.shardset"), {3, 2, 4, 3}},
+  };
+  const std::vector<std::string> session = {
+      R"({"cmd":"recommend","user":0,"m":5})",
+      R"({"cmd":"recommend","user":20,"m":5})",
+      R"({"cmd":"recommend","user":49,"m":5})",
+      R"({"cmd":"recommend","history":[1,5,9],"m":5})",
+      R"({"cmd":"recommend","history":[],"m":5})",
+      R"({"cmd":"update","adds":[[2,1],[2,5],[3,9]]})",
+      R"({"cmd":"recommend","user":2,"m":5})",
+      R"({"cmd":"recommend","history":[1,5,9,12],"m":5})",
+      R"({"cmd":"reload"})",
+      R"({"cmd":"recommend","user":3,"m":5})",
+      R"({"cmd":"recommend","history":[2,4],"m":5})",
+  };
+  std::vector<std::string> want;
+  for (const Binding& b : bindings) {
+    SCOPED_TRACE(b.path);
+    ShardedFixture::RemoveBinding(b.path);
+    if (b.members.empty()) {
+      const int version = b.path[b.path.size() - 6] - '0';
+      if (version == 4) {
+        ASSERT_TRUE(SaveModelBinary(f.model, f.config, b.path).ok());
+      } else {
+        ASSERT_TRUE(test::WriteOclrV3(b.path, meta, f.model.user_factors(),
+                                      f.model.item_factors()));
+        if (version == 2) ASSERT_TRUE(test::StampOclrV2(b.path));
+      }
+      EXPECT_EQ(ReadFile(b.path)[4], version);
+    } else {
+      const DenseMatrix items_t = TransposedCopy(f.model.item_factors());
+      ASSERT_TRUE(SaveModelSharded(meta, f.model.user_factors(), items_t, 3,
+                                   b.path)
+                      .ok());
+      RewriteSetMembers(b.path, b.members);
+    }
+
+    ModelRegistry registry;
+    ASSERT_TRUE(registry.Load("default", b.path, f.shared_train()).ok());
+    ASSERT_NE(registry.Get("default")->fold_in, nullptr);
+    RequestServer server(&registry);
+    std::vector<std::string> replies;
+    for (const std::string& line : session) {
+      const std::string reply = server.HandleLine(line);
+      EXPECT_NE(reply.find(R"("ok":true)"), std::string::npos)
+          << line << " -> " << reply;
+      replies.push_back(Comparable(reply));
+    }
+    ASSERT_NE(registry.Get("default")->fold_in, nullptr);
+    if (want.empty()) want = replies;
+    for (size_t n = 0; n < session.size(); ++n) {
+      EXPECT_EQ(replies[n], want[n]) << session[n];
+    }
+
+    // The update touched users 2 and 3, both in shard 0 of a set.
+    if (b.members.empty()) {
+      EXPECT_EQ(ReadFile(b.path)[4], 4);
+    } else {
+      const ShardSetManifest m = LoadShardSetManifest(b.path).value();
+      EXPECT_EQ(ReadFile(ShardSetResolve(b.path, m.shards[0].file))[4], 4);
+      for (size_t n = 0; n < b.members.size(); ++n) {
+        if (n == 1) continue;
+        const std::string member = ShardSetResolve(
+            b.path, n == 0 ? m.items_file : m.shards[n - 1].file);
+        EXPECT_EQ(ReadFile(member)[4], b.members[n]) << member;
+      }
+    }
+    ShardedFixture::RemoveBinding(b.path);
+  }
+  f.Cleanup();
 }
 
 }  // namespace

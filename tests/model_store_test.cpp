@@ -1,7 +1,7 @@
-// Tests for the binary model format (v3 written, v2 still read) and the
-// mmap-backed zero-copy ModelStore: exact round trips, corruption,
-// truncation and section-aliasing rejection, v2 files serving like their
-// v3 twins, v1 -> binary conversion equivalence, serving parity of
+// Tests for the binary model format (v4 written, v2 and v3 still read)
+// and the mmap-backed zero-copy ModelStore: exact round trips, corruption,
+// truncation and section-aliasing rejection, v2 and v3 files serving like
+// their v4 twins, v1 -> binary conversion equivalence, serving parity of
 // StoreRecommender against the in-memory recommenders (bit-identical),
 // the zero-copy guarantee (operator-new byte accounting across
 // ModelStore::Open), and the block-by-block checksum pass: which sections
@@ -114,14 +114,17 @@ void SetU64(std::string* bytes, size_t at, uint64_t v) {
 }
 
 /// Flips the first and the last byte of every non-empty section of the
-/// file at `path`, one at a time: each flip must fail the verifying open
-/// with a ParseError naming that section.
+/// file at `path` (all three in a v2 or v3 file, the users and Vᵀ in a
+/// v4 file), one at a time: each flip must fail the open with a
+/// ParseError naming that section.
 void ExpectEverySectionFlipRejected(const std::string& path) {
   const std::string good = ReadBytes(path);
+  const bool row_major_items = good[4] < 4;
   for (uint32_t kind = 0; kind < 3; ++kind) {
     const uint64_t offset = GetU64(good, EntryField(kind, 8));
     const uint64_t length = GetU64(good, EntryField(kind, 16));
-    ASSERT_GT(length, 0u);
+    ASSERT_EQ(length > 0, kind != 1 || row_major_items) << "kind " << kind;
+    if (length == 0) continue;
     for (const uint64_t at : {offset, offset + length - 1}) {
       std::string flipped = good;
       flipped[at] = static_cast<char>(flipped[at] ^ 0x01);
@@ -154,12 +157,22 @@ TEST(ModelStoreTest, BinaryRoundTripIsExact) {
   EXPECT_FALSE(store->meta().relative_variant);
 
   EXPECT_TRUE(SameMatrix(store->user_factors(), t.model.user_factors()));
-  EXPECT_TRUE(SameMatrix(store->item_factors(), t.model.item_factors()));
   // The serving-layout section equals the in-memory transposed copy the
   // recommenders build — the basis of bit-identical serving.
   EXPECT_TRUE(SameMatrix(store->item_factors_t(),
                          TransposedCopy(t.model.item_factors())));
-  EXPECT_TRUE(store->VerifyChecksums().ok());
+  // v4: the users, an empty row-major item section, then Vᵀ, which ends
+  // the file.
+  const std::string bytes = ReadBytes(path);
+  EXPECT_EQ(bytes[4], 4) << "writers emit v4";
+  const size_t user_bytes = t.model.user_factors().size() * sizeof(double);
+  const size_t vt_offset = (192 + user_bytes + 63) / 64 * 64;
+  EXPECT_EQ(GetU64(bytes, EntryField(0, 8)), 192u);
+  EXPECT_EQ(GetU64(bytes, EntryField(1, 8)), vt_offset);
+  EXPECT_EQ(GetU64(bytes, EntryField(1, 16)), 0u);
+  EXPECT_EQ(GetU64(bytes, EntryField(2, 8)), vt_offset);
+  EXPECT_EQ(bytes.size(),
+            vt_offset + t.model.item_factors().size() * sizeof(double));
   std::remove(path.c_str());
 }
 
@@ -245,8 +258,8 @@ TEST(ModelStoreTest, TextToBinaryConversionIsEquivalent) {
   // original model bit for bit.
   EXPECT_TRUE(
       SameMatrix(store->user_factors(), from_text->model.user_factors()));
-  EXPECT_TRUE(
-      SameMatrix(store->item_factors(), from_text->model.item_factors()));
+  EXPECT_TRUE(SameMatrix(store->item_factors_t(),
+                         TransposedCopy(from_text->model.item_factors())));
   EXPECT_TRUE(SameMatrix(store->user_factors(), t.model.user_factors()));
 
   // LoadModelAuto sniffs both formats and agrees with itself.
@@ -285,45 +298,61 @@ TEST(ModelStoreTest, RejectsForeignAndTruncatedFiles) {
   // Versions this build does not read: the past ones before v2 and the
   // unsupported future. The version picks the checksum hash, so an
   // unknown one cannot be verified and is refused.
-  for (const uint32_t version : {0u, 1u, 4u, UINT32_MAX}) {
+  for (const uint32_t version : {0u, 1u, 5u, UINT32_MAX}) {
     std::string other = bytes;
     std::memcpy(&other[4], &version, sizeof(version));
     WriteBytes(path, other);
     const Status st = ModelStore::Open(path).status();
     EXPECT_TRUE(st.IsParseError()) << "version " << version;
-    EXPECT_NE(st.ToString().find("this build reads 2 and 3"),
+    EXPECT_NE(st.ToString().find("this build reads 2, 3 and 4"),
               std::string::npos)
         << st.ToString();
   }
 
-  // A section aliasing the header: a trusting open would otherwise serve
-  // the header bytes as user factors.
+  // A section aliasing the header, which would serve the header bytes as
+  // user factors: refused before any section is hashed.
   {
     std::string aliased = bytes;
     SetU64(&aliased, EntryField(0, 8), 0);
     WriteBytes(path, aliased);
-    ModelStoreOptions trusting;
-    trusting.verify_checksums = false;
-    const Status st = ModelStore::Open(path, trusting).status();
+    const Status st = ModelStore::Open(path).status();
     EXPECT_TRUE(st.IsParseError()) << st.ToString();
     EXPECT_NE(st.ToString().find("section 0 starts inside the header"),
               std::string::npos)
         << st.ToString();
   }
 
-  // items_t pointed at the items section, its checksum restamped to match:
-  // every checksum verifies, but the kernel's Vᵀ operand would not be the
-  // transpose.
+  // items_t pointed at the row-major items of a v3 file, its checksum
+  // restamped to match: every checksum verifies, but the kernel's Vᵀ
+  // operand would not be the transpose.
   {
-    std::string aliased = bytes;
-    SetU64(&aliased, EntryField(2, 8), GetU64(bytes, EntryField(1, 8)));
-    SetU64(&aliased, EntryField(2, 24), GetU64(bytes, EntryField(1, 24)));
+    ASSERT_TRUE(test::WriteOclrV3(path, ModelStore::Open(good_path)->meta(),
+                                  t.model.user_factors(),
+                                  t.model.item_factors()));
+    const std::string v3 = ReadBytes(path);
+    std::string aliased = v3;
+    SetU64(&aliased, EntryField(2, 8), GetU64(v3, EntryField(1, 8)));
+    SetU64(&aliased, EntryField(2, 24), GetU64(v3, EntryField(1, 24)));
     WriteBytes(path, aliased);
     const Status st = ModelStore::Open(path).status();
     EXPECT_TRUE(st.IsParseError()) << st.ToString();
     EXPECT_NE(st.ToString().find("sections 1 and 2 overlap"),
               std::string::npos)
         << st.ToString();
+
+    // The same v3 bytes stamped v4: a v4 file's row-major section must be
+    // empty, whatever its checksum says.
+    std::string stamped = v3;
+    const uint32_t v4 = 4;
+    std::memcpy(&stamped[4], &v4, sizeof(v4));
+    WriteBytes(path, stamped);
+    const Status refused = ModelStore::Open(path).status();
+    EXPECT_TRUE(refused.IsParseError()) << refused.ToString();
+    EXPECT_NE(refused.ToString().find(
+                  "section 1 (row-major item factors) is not part of a v4 "
+                  "file"),
+              std::string::npos)
+        << refused.ToString();
   }
 
   // Hostile header: dimensions whose byte product would wrap a size_t
@@ -360,38 +389,43 @@ TEST(ModelStoreTest, ChecksumMismatchIsDetected) {
     b = static_cast<char>(b ^ 0x40);
     f.write(&b, 1);
   }
-  // Default open verifies checksums and rejects.
+  // Every open verifies the checksums and rejects.
   EXPECT_TRUE(ModelStore::Open(path).status().IsParseError());
 
-  // A trusting open reads only the header and succeeds; the explicit
-  // verify still catches the corruption.
-  ModelStoreOptions trusting;
-  trusting.verify_checksums = false;
-  auto store = ModelStore::Open(path, trusting);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  EXPECT_TRUE(store->VerifyChecksums().IsParseError());
-
-  // Every byte of every section is covered, both ends included.
+  // Every byte of every section is covered, both ends included: the v4
+  // file's two, and all three of a v3 file, its row-major items too.
   ASSERT_TRUE(SaveModelBinary(t.model, t.config, path).ok());
+  ExpectEverySectionFlipRejected(path);
+  ASSERT_TRUE(test::WriteOclrV3(path, ModelStore::Open(path)->meta(),
+                                t.model.user_factors(),
+                                t.model.item_factors()));
   ExpectEverySectionFlipRejected(path);
   std::remove(path.c_str());
 }
 
-TEST(ModelStoreTest, Version2FilesOpenAndServeLikeTheirV3Twin) {
-  // The previous release wrote v2 (FNV-1a checksums): its artifacts must
-  // keep opening, verifying and serving after the upgrade.
+TEST(ModelStoreTest, Version2And3FilesOpenAndServeLikeTheirV4Twin) {
+  // Earlier releases wrote v2 (FNV-1a checksums) and v3 (XXH64), both
+  // with the row-major item section: their artifacts must keep opening,
+  // verifying and serving after the upgrade.
   TrainedModel t = TrainSmallModel();
   const CsrMatrix train = test::RandomCsr(60, 40, 600, 7);
+  const std::string v4_path = TempPath("twin_v4.oclr");
   const std::string v3_path = TempPath("twin_v3.oclr");
   const std::string v2_path = TempPath("twin_v2.oclr");
-  ASSERT_TRUE(SaveModelBinary(t.model, t.config, v3_path).ok());
-  ASSERT_TRUE(SaveModelBinary(t.model, t.config, v2_path).ok());
+  ASSERT_TRUE(SaveModelBinary(t.model, t.config, v4_path).ok());
+  const BinaryModelMeta meta = ModelStore::Open(v4_path)->meta();
+  ASSERT_TRUE(test::WriteOclrV3(v3_path, meta, t.model.user_factors(),
+                                t.model.item_factors()));
+  ASSERT_TRUE(test::WriteOclrV3(v2_path, meta, t.model.user_factors(),
+                                t.model.item_factors()));
   ASSERT_TRUE(test::StampOclrV2(v2_path));
 
-  // Same layout and section bytes; only the version and checksums differ.
+  // v2 and v3 share a layout; only the version and checksums differ. v4
+  // holds the same user and Vᵀ bytes with an empty section 1 between.
+  const std::string v4_bytes = ReadBytes(v4_path);
   const std::string v3_bytes = ReadBytes(v3_path);
   const std::string v2_bytes = ReadBytes(v2_path);
-  EXPECT_EQ(v3_bytes[4], 3) << "writers emit v3";
+  EXPECT_EQ(v3_bytes[4], 3);
   EXPECT_EQ(v2_bytes[4], 2);
   ASSERT_EQ(v2_bytes.size(), v3_bytes.size());
   for (uint32_t kind = 0; kind < 3; ++kind) {
@@ -401,37 +435,55 @@ TEST(ModelStoreTest, Version2FilesOpenAndServeLikeTheirV3Twin) {
               GetU64(v3_bytes, EntryField(kind, 24)));
   }
   EXPECT_EQ(v2_bytes.substr(192), v3_bytes.substr(192));
+  for (const uint32_t kind : {0u, 2u}) {
+    EXPECT_EQ(GetU64(v4_bytes, EntryField(kind, 16)),
+              GetU64(v3_bytes, EntryField(kind, 16)));
+    EXPECT_EQ(GetU64(v4_bytes, EntryField(kind, 24)),
+              GetU64(v3_bytes, EntryField(kind, 24)));
+  }
+  EXPECT_EQ(v4_bytes.size() + t.model.item_factors().size() * sizeof(double),
+            v3_bytes.size());
 
-  auto v2 = ModelStore::Open(v2_path);
-  auto v3 = ModelStore::Open(v3_path);
-  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
-  ASSERT_TRUE(v3.ok()) << v3.status().ToString();
-  StoreRecommender v2_rec(*v2);
-  StoreRecommender v3_rec(*v3);
+  auto v4 = ModelStore::Open(v4_path);
+  ASSERT_TRUE(v4.ok()) << v4.status().ToString();
+  StoreRecommender v4_rec(*v4);
   ServeOptions options;
   options.m = 10;
-  ServeWorkspace v2_ws, v3_ws;
-  v2_ws.Reserve(options.m, options.block_items);
-  v3_ws.Reserve(options.m, options.block_items);
-  for (uint32_t u = 0; u < v3_rec.num_users(); ++u) {
-    auto from_v2 = ServeTopM(v2_rec, u, train.Row(u), options, &v2_ws);
-    auto from_v3 = ServeTopM(v3_rec, u, train.Row(u), options, &v3_ws);
-    ASSERT_EQ(from_v2.size(), from_v3.size()) << "u=" << u;
-    for (size_t r = 0; r < from_v2.size(); ++r) {
-      ASSERT_EQ(from_v2[r].item, from_v3[r].item) << "u=" << u;
-      ASSERT_EQ(from_v2[r].score, from_v3[r].score) << "u=" << u;
+  for (const std::string& old_path : {v3_path, v2_path}) {
+    SCOPED_TRACE(old_path);
+    auto old_store = ModelStore::Open(old_path);
+    ASSERT_TRUE(old_store.ok()) << old_store.status().ToString();
+    EXPECT_TRUE(
+        SameMatrix(old_store->user_factors(), t.model.user_factors()));
+    EXPECT_TRUE(SameMatrix(old_store->item_factors_t(),
+                           TransposedCopy(t.model.item_factors())));
+    StoreRecommender old_rec(*old_store);
+    ServeWorkspace old_ws, v4_ws;
+    old_ws.Reserve(options.m, options.block_items);
+    v4_ws.Reserve(options.m, options.block_items);
+    for (uint32_t u = 0; u < v4_rec.num_users(); ++u) {
+      auto from_old = ServeTopM(old_rec, u, train.Row(u), options, &old_ws);
+      auto from_v4 = ServeTopM(v4_rec, u, train.Row(u), options, &v4_ws);
+      ASSERT_EQ(from_old.size(), from_v4.size()) << "u=" << u;
+      for (size_t r = 0; r < from_old.size(); ++r) {
+        ASSERT_EQ(from_old[r].item, from_v4[r].item) << "u=" << u;
+        ASSERT_EQ(from_old[r].score, from_v4[r].score) << "u=" << u;
+      }
     }
+    auto loaded = old_store->MaterializeOcular();
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->model.item_factors(), t.model.item_factors());
+    // Their checksums still guard every section, the row-major items too.
+    ExpectEverySectionFlipRejected(old_path);
   }
-
-  // v2 checksums still guard every section.
-  ExpectEverySectionFlipRejected(v2_path);
   std::remove(v2_path.c_str());
   std::remove(v3_path.c_str());
+  std::remove(v4_path.c_str());
 }
 
 TEST(ModelStoreTest, OpenIsZeroCopy) {
-  // Large enough that an accidental factor copy dwarfs the bound: three
-  // sections of 2000x32, 1200x32 and 32x1200 doubles ~= 1.1 MB.
+  // Large enough that an accidental factor copy dwarfs the bound: two
+  // sections of 2000x32 and 32x1200 doubles ~= 0.8 MB.
   OcularConfig cfg;
   cfg.k = 32;
   cfg.lambda = 1.0;
@@ -450,9 +502,9 @@ TEST(ModelStoreTest, OpenIsZeroCopy) {
   ASSERT_TRUE(store.ok()) << store.status().ToString();
 
   const size_t factor_bytes =
-      (model.user_factors().size() + 2 * model.item_factors().size()) *
+      (model.user_factors().size() + model.item_factors().size()) *
       sizeof(double);
-  ASSERT_GT(factor_bytes, 1000000u);
+  ASSERT_GT(factor_bytes, 800000u);
   // O(header) heap: path strings and the Result plumbing, nowhere near a
   // factor section. (A single copied matrix would trip this by 10x+.)
   EXPECT_LT(allocated, 64 * 1024u)
@@ -477,9 +529,9 @@ TEST(ModelStoreTest, OpenIsZeroCopy) {
 
 // ------------------------------------------- residency and block edges
 
-/// A store at K = 64, by default 17 MiB: 2048 users x 16384 items, so the
-/// user section spans several kVerifyBlockBytes blocks and each item
-/// section 8 MiB.
+/// A store at K = 64, by default 9 MiB as v4: 2048 users x 16384 items,
+/// so the user section spans several kVerifyBlockBytes blocks and Vᵀ is
+/// 8 MiB (a v3 file adds 8 MiB of row-major items).
 struct LargeStore {
   DenseMatrix users;
   DenseMatrix items;
@@ -497,6 +549,16 @@ struct LargeStore {
     EXPECT_TRUE(SaveModelBinary(OcularModel(users, items), cfg, path).ok());
   }
   ~LargeStore() { std::remove(path.c_str()); }
+
+  /// Rewrites the file as the v3 (or, stamped, v2) artifact of the same
+  /// factors.
+  void WriteOldVersion(bool v2) const {
+    BinaryModelMeta meta;
+    meta.k = 64;
+    meta.lambda = 1.0;
+    ASSERT_TRUE(test::WriteOclrV3(path, meta, users, items));
+    if (v2) ASSERT_TRUE(test::StampOclrV2(path));
+  }
 };
 
 long PresentPages(ConstMatrixView view) {
@@ -510,17 +572,31 @@ long SpannedPages(ConstMatrixView view) {
   return static_cast<long>((end + page - 1) / page - begin / page);
 }
 
+/// The pages of `store`'s mapping present between its user factors and
+/// Vᵀ, the ones neither touches: where a v2 or v3 file keeps its
+/// row-major item section (none in a v4 file, whose Vᵀ follows the users).
+long PresentBetweenServingSections(const ModelStore& store) {
+  const uintptr_t page = static_cast<uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const ConstMatrixView users = store.user_factors();
+  const uintptr_t begin =
+      (reinterpret_cast<uintptr_t>(users.data() + users.size()) + page - 1) /
+      page * page;
+  const uintptr_t end =
+      reinterpret_cast<uintptr_t>(store.item_factors_t().data()) / page * page;
+  if (end <= begin) return 0;
+  return test::PresentPages(reinterpret_cast<const void*>(begin), end - begin);
+}
+
 /// What serving needs resident after a verifying open: every page of the
-/// user factors and of Vᵀ, and at most one block plus 2 MiB of the
-/// row-major item section (fault-around may map a few of its pages back).
+/// user factors and of Vᵀ, and at most one block plus 2 MiB of a v2 or v3
+/// file's row-major item section (fault-around may map a few of its pages
+/// back).
 void ExpectServingSectionsResident(const ModelStore& store) {
   const long page = ::sysconf(_SC_PAGESIZE);
-  const long item_pages = PresentPages(store.item_factors());
-  ASSERT_GE(item_pages, 0) << "cannot read /proc/self/pagemap";
-  EXPECT_LE(item_pages,
-            static_cast<long>((kVerifyBlockBytes + (2u << 20)) / page))
-      << "of " << SpannedPages(store.item_factors())
-      << " row-major item pages are resident";
+  const long rest = PresentBetweenServingSections(store);
+  ASSERT_GE(rest, 0) << "cannot read /proc/self/pagemap";
+  EXPECT_LE(rest, static_cast<long>((kVerifyBlockBytes + (2u << 20)) / page))
+      << "row-major item pages are resident";
   EXPECT_EQ(PresentPages(store.user_factors()),
             SpannedPages(store.user_factors()));
   EXPECT_EQ(PresentPages(store.item_factors_t()),
@@ -529,30 +605,32 @@ void ExpectServingSectionsResident(const ModelStore& store) {
 
 TEST(ModelStoreTest, VerifiedOpenLeavesAtMostOneBlockResident) {
   const LargeStore large("resident.oclr");
-  auto store = ModelStore::Open(large.path);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  ASSERT_GE(store->mapped_bytes(), 16u << 20);
-  ASSERT_GE(store->user_factors().size() * sizeof(double),
-            4 * kVerifyBlockBytes);
   const long block_pages =
       static_cast<long>(kVerifyBlockBytes) / ::sysconf(_SC_PAGESIZE);
-  for (const ConstMatrixView section :
-       {store->user_factors(), store->item_factors(),
-        store->item_factors_t()}) {
-    const long present = PresentPages(section);
-    ASSERT_GE(present, 0) << "cannot read /proc/self/pagemap";
-    EXPECT_LE(present, block_pages)
-        << "of " << SpannedPages(section) << " pages are resident";
-  }
-  // Every dropped page faults back in with the file's bytes.
-  EXPECT_TRUE(SameMatrix(store->user_factors(), large.users));
-  EXPECT_TRUE(SameMatrix(store->item_factors(), large.items));
-  const DenseMatrix items_t = TransposedCopy(large.items);
-  EXPECT_TRUE(SameMatrix(store->item_factors_t(), items_t));
-  for (const ConstMatrixView section :
-       {store->user_factors(), store->item_factors(),
-        store->item_factors_t()}) {
-    EXPECT_EQ(PresentPages(section), SpannedPages(section));
+  for (const bool v3 : {false, true}) {
+    SCOPED_TRACE(v3 ? "v3" : "v4");
+    if (v3) large.WriteOldVersion(/*v2=*/false);
+    auto store = ModelStore::Open(large.path);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_GE(store->mapped_bytes(), v3 ? 16u << 20 : 8u << 20);
+    ASSERT_GE(store->user_factors().size() * sizeof(double),
+              4 * kVerifyBlockBytes);
+    for (const ConstMatrixView section :
+         {store->user_factors(), store->item_factors_t()}) {
+      const long present = PresentPages(section);
+      ASSERT_GE(present, 0) << "cannot read /proc/self/pagemap";
+      EXPECT_LE(present, block_pages)
+          << "of " << SpannedPages(section) << " pages are resident";
+    }
+    EXPECT_LE(PresentBetweenServingSections(*store), block_pages);
+    // Every dropped page faults back in with the file's bytes.
+    EXPECT_TRUE(SameMatrix(store->user_factors(), large.users));
+    const DenseMatrix items_t = TransposedCopy(large.items);
+    EXPECT_TRUE(SameMatrix(store->item_factors_t(), items_t));
+    for (const ConstMatrixView section :
+         {store->user_factors(), store->item_factors_t()}) {
+      EXPECT_EQ(PresentPages(section), SpannedPages(section));
+    }
   }
 }
 
@@ -606,16 +684,14 @@ TEST(ModelStoreTest, AReplacedGenerationGivesBackItsPagesAndStillServes) {
 
 TEST(ModelStoreTest, MaterializeReadsVtAndLeavesItemRowsCold) {
   const LargeStore large("materialize_resident.oclr");
-  for (const bool v2 : {false, true}) {
-    SCOPED_TRACE(v2 ? "v2" : "v3");
-    if (v2) {
-      ASSERT_TRUE(test::StampOclrV2(large.path));
-    }
+  for (const int version : {4, 3, 2}) {
+    SCOPED_TRACE("v" + std::to_string(version));
+    if (version < 4) large.WriteOldVersion(/*v2=*/version == 2);
     auto store = ModelStore::Open(large.path);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     auto loaded = store->MaterializeOcular();
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    // The item rows come from Vᵀ: the pages the verify pass dropped stay
+    // The item rows come from Vᵀ: a v2 or v3 file's row-major pages stay
     // dropped, and the copy is the saved model bit for bit.
     ExpectServingSectionsResident(*store);
     EXPECT_TRUE(SameMatrix(large.users, loaded->model.user_factors()));
@@ -625,12 +701,11 @@ TEST(ModelStoreTest, MaterializeReadsVtAndLeavesItemRowsCold) {
 
 TEST(ModelStoreTest, EveryBlockEdgeFlipIsRejected) {
   // 256 KiB of users and 1 MiB per item section: every section spans
-  // several blocks, and each open hashes 2.3 MiB.
+  // several blocks, and each open hashes 1.3 MiB (2.3 MiB in v2 and v3).
   const LargeStore large("block_edges.oclr", 512, 2048);
-  for (const bool v2 : {false, true}) {
-    if (v2) {
-      ASSERT_TRUE(test::StampOclrV2(large.path));
-    }
+  for (const int version : {4, 3, 2}) {
+    SCOPED_TRACE("v" + std::to_string(version));
+    if (version < 4) large.WriteOldVersion(/*v2=*/version == 2);
     std::string table(192, '\0');
     {
       std::ifstream in(large.path, std::ios::binary);
@@ -654,7 +729,7 @@ TEST(ModelStoreTest, EveryBlockEdgeFlipIsRejected) {
           f.write(&flipped, 1);
           f.flush();
           const Status st = ModelStore::Open(large.path).status();
-          EXPECT_TRUE(st.IsParseError()) << "v2=" << v2 << " byte " << at;
+          EXPECT_TRUE(st.IsParseError()) << "byte " << at;
           EXPECT_NE(st.ToString().find("section " + std::to_string(kind)),
                     std::string::npos)
               << st.ToString();
@@ -664,9 +739,11 @@ TEST(ModelStoreTest, EveryBlockEdgeFlipIsRejected) {
       }
     }
     // Each section starts just past a block edge.
-    EXPECT_EQ(edges, ((256u << 10) + (2u << 20)) / kVerifyBlockBytes)
+    const size_t item_sections = version < 4 ? 2 : 1;
+    EXPECT_EQ(edges, ((256u << 10) + item_sections * (1u << 20)) /
+                         kVerifyBlockBytes)
         << "one per block of every section";
-    EXPECT_TRUE(ModelStore::Open(large.path).ok()) << "v2=" << v2;
+    EXPECT_TRUE(ModelStore::Open(large.path).ok());
   }
 }
 

@@ -83,15 +83,16 @@ TEST(ScaleGeneratorTest, RowsArePureAndOrderIndependent) {
     }
   }
 
-  // The transposed item layout is exactly the transpose.
-  const DenseMatrix items = ScaleItemFactors(spec);
+  // The item factors, in their K x n_i serving layout, regenerate
+  // identically and stay in range too.
   const DenseMatrix items_t = ScaleItemFactorsTransposed(spec);
-  ASSERT_EQ(items.rows(), spec.num_items);
   ASSERT_EQ(items_t.rows(), spec.k);
   ASSERT_EQ(items_t.cols(), spec.num_items);
-  for (uint32_t i = 0; i < spec.num_items; ++i) {
-    for (uint32_t d = 0; d < spec.k; ++d) {
-      EXPECT_EQ(items.At(i, d), items_t.At(d, i));
+  EXPECT_EQ(items_t, ScaleItemFactorsTransposed(spec));
+  for (uint32_t d = 0; d < spec.k; ++d) {
+    for (const double v : items_t.Row(d)) {
+      EXPECT_GE(v, spec.min_affinity);
+      EXPECT_LT(v, spec.max_affinity);
     }
   }
 }
@@ -115,11 +116,10 @@ TEST(ScaleShardSetTest, TwoMillionUsersServedBitIdenticalThroughFleet) {
   meta.lambda = 0.5;
   auto map = ShardMap::EvenSplit(spec.num_users, kShards);
   ASSERT_TRUE(map.ok()) << map.status().ToString();
-  const DenseMatrix items = ScaleItemFactors(spec);
   const DenseMatrix items_t = ScaleItemFactorsTransposed(spec);
   const auto write_start = std::chrono::steady_clock::now();
   Status written = WriteShardSetStreaming(
-      meta, *map, items, items_t,
+      meta, *map, items_t,
       [&spec](uint32_t user, std::span<double> out) {
         ScaleUserRow(spec, user, out);
       },

@@ -1,5 +1,6 @@
 // Shared test fixtures: a seeded RNG factory, tiny deterministic
-// synthetic interaction matrices, an OCLR v2 downgrader, a page
+// synthetic interaction matrices, an OCLR v3 writer and v2 downgrader
+// for the artifacts of earlier releases, a page
 // residency probe, and the loopback harness of the serving tests (a raw
 // TCP client, a free port, the real daemon binary as a child process),
 // so individual test files stop re-implementing the same builders.
@@ -14,6 +15,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -28,6 +30,7 @@
 
 #include "common/hash.h"
 #include "common/rng.h"
+#include "core/model_store.h"
 #include "serving/net_util.h"
 #include "sparse/coo.h"
 #include "sparse/csr.h"
@@ -78,6 +81,61 @@ inline CsrMatrix TinyBlocksCsr() {
     }
   }
   return CsrMatrix::FromCoo(coo.Finalize(20, 16).value());
+}
+
+/// Writes `users` (n_u x k) and `items` (n_i x k) as the OCLR v3 file the
+/// releases before v4 wrote, byte for byte: the 160-byte header and
+/// table, then the user factors, the row-major item factors and Vᵀ, each
+/// at the next 64-byte boundary after the one before, zero gaps, XXH64
+/// checksums. The reference for old artifacts (StampOclrV2 turns its
+/// output into v2). False when the file cannot be written.
+inline bool WriteOclrV3(const std::string& path, const BinaryModelMeta& meta,
+                        ConstMatrixView users, ConstMatrixView items) {
+  std::vector<double> items_t(items.size());
+  for (uint32_t i = 0; i < items.rows(); ++i) {
+    for (uint32_t c = 0; c < items.cols(); ++c) {
+      items_t[size_t{c} * items.rows() + i] = items.At(i, c);
+    }
+  }
+  const std::pair<const double*, size_t> sections[3] = {
+      {users.data(), users.size() * sizeof(double)},
+      {items.data(), items.size() * sizeof(double)},
+      {items_t.data(), items_t.size() * sizeof(double)}};
+  std::string bytes(192, '\0');
+  const auto put = [&bytes](size_t at, const void* v, size_t n) {
+    std::memcpy(&bytes[at], v, n);
+  };
+  const uint32_t words[] = {3,      0x0C0FFEE1,  static_cast<uint32_t>(meta.kind),
+                            meta.k, users.rows(), items.rows()};
+  put(0, "OCLR", 4);
+  put(4, words, sizeof(words));
+  const uint32_t flags =
+      (meta.use_biases ? 1u : 0u) | (meta.relative_variant ? 2u : 0u);
+  put(28, &flags, 4);
+  put(32, &meta.lambda, 8);
+  put(40, meta.algorithm.data(), std::min<size_t>(meta.algorithm.size(), 15));
+  const uint32_t count = 3;
+  put(56, &count, 4);
+  for (uint32_t kind = 0; kind < 3; ++kind) {
+    const uint64_t offset = bytes.size();
+    const uint64_t length = sections[kind].second;
+    // An empty section (an items or shard file) hashes no bytes.
+    const char* data = length == 0
+                           ? ""
+                           : reinterpret_cast<const char*>(sections[kind].first);
+    const uint64_t checksum = Xxh64(data, length);
+    bytes.append(data, length);
+    bytes.resize((bytes.size() + 63) / 64 * 64, '\0');
+    put(64 + 32 * kind, &kind, 4);
+    put(64 + 32 * kind + 8, &offset, 8);
+    put(64 + 32 * kind + 16, &length, 8);
+    put(64 + 32 * kind + 24, &checksum, 8);
+  }
+  // The last section ends the file; only gaps between sections are padded.
+  bytes.resize(bytes.size() - ((64 - sections[2].second % 64) % 64));
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return out.good();
 }
 
 /// Rewrites the OCLR file at `path` in place as format v2 — version 2 and

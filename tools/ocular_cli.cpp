@@ -434,8 +434,7 @@ int CmdShard(const Flags& flags) {
     return 1;
   }
   Status st = SaveModelSharded(store->meta(), store->user_factors(),
-                               store->item_factors(), store->item_factors_t(),
-                               shards, out);
+                               store->item_factors_t(), shards, out);
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
